@@ -16,7 +16,10 @@ state-mutating frame is acknowledged before the next is sent.  That
 discipline is what makes the router's crash journal exact -- replaying
 the journal against a fresh worker reproduces the dead worker's store
 bit-for-bit (workers are deterministic functions of their frame
-sequence, the same argument the conformance kit leans on).
+sequence, the same argument the conformance kit leans on).  The router
+journals the encoded bytes it sent, so :func:`send_frame` takes either
+a frame body or those bytes, and :func:`recv_frame_bytes` hands back a
+reply undecoded.
 
 A dead peer surfaces as :class:`WorkerDiedError` from either direction
 (``EOFError`` on read, ``BrokenPipeError``/``OSError`` on write); the
@@ -37,6 +40,7 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "send_frame",
+    "recv_frame_bytes",
     "recv_frame",
 ]
 
@@ -51,25 +55,39 @@ def encode_frame(obj: dict[str, Any]) -> bytes:
 
 
 def decode_frame(data: bytes) -> dict[str, Any]:
-    """Decode one frame body; a non-object frame is a protocol error."""
-    obj = json.loads(data.decode("utf-8"))
+    """Decode one frame body; a non-object frame is a protocol error.
+
+    ``json.loads`` reads UTF-8 bytes directly, so no ``str`` copy of a
+    (possibly multi-megabyte snapshot) frame is made on the way.
+    """
+    obj = json.loads(data)
     if not isinstance(obj, dict):
         raise ReproError(f"frame must be a JSON object, got {type(obj).__name__}")
     return obj
 
 
-def send_frame(conn: Connection, obj: dict[str, Any]) -> None:
-    """Write one frame; :class:`WorkerDiedError` if the peer is gone."""
+def send_frame(conn: Connection, obj: dict[str, Any] | bytes) -> None:
+    """Write one frame; :class:`WorkerDiedError` if the peer is gone.
+
+    ``obj`` is a frame body or its :func:`encode_frame` bytes; the router
+    passes bytes so the copy it journals is exactly what went on the pipe.
+    """
+    data = obj if isinstance(obj, bytes) else encode_frame(obj)
     try:
-        conn.send_bytes(encode_frame(obj))
+        conn.send_bytes(data)
     except (BrokenPipeError, ConnectionError, OSError) as exc:
         raise WorkerDiedError(f"peer closed the frame pipe: {exc!r}") from exc
 
 
-def recv_frame(conn: Connection) -> dict[str, Any]:
-    """Read one frame; :class:`WorkerDiedError` on EOF or a dead peer."""
+def recv_frame_bytes(conn: Connection) -> bytes:
+    """Read one undecoded frame; :class:`WorkerDiedError` on EOF or a
+    dead peer."""
     try:
-        data = conn.recv_bytes()
+        return conn.recv_bytes()
     except (EOFError, BrokenPipeError, ConnectionError, OSError) as exc:
         raise WorkerDiedError(f"peer closed the frame pipe: {exc!r}") from exc
-    return decode_frame(data)
+
+
+def recv_frame(conn: Connection) -> dict[str, Any]:
+    """Read and decode one frame; :class:`WorkerDiedError` as above."""
+    return decode_frame(recv_frame_bytes(conn))

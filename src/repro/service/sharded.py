@@ -45,7 +45,11 @@ a worker dies mid-batch (EOF/broken pipe), the router respawns it,
 restores the checkpoint, and replays the journal -- workers are
 deterministic functions of their frame sequence, so the revived shard
 is bit-identical and no admitted weight is lost.  Revivals are counted
-on ``stats()["revived_workers"]``.
+on ``stats()["revived_workers"]``.  The journal and the checkpoint are
+kept as the exact bytes of the pipe: each frame is encoded once, sent,
+and journaled as those bytes, and the worker's ``snapshot`` reply is
+itself a ``restore`` frame, kept undecoded -- so the router's revival
+state costs what the wire does, not a tree of decoded Python objects.
 """
 
 from __future__ import annotations
@@ -74,7 +78,14 @@ from repro.serialize import (
     engine_from_dict,
     engine_to_dict,
 )
-from repro.service.ipc import WorkerDiedError, recv_frame, send_frame
+from repro.service.ipc import (
+    WorkerDiedError,
+    decode_frame,
+    encode_frame,
+    recv_frame,
+    recv_frame_bytes,
+    send_frame,
+)
 from repro.service.store import EvictionLedger, ServiceStore
 from repro.storage.model import StorageReport
 
@@ -82,6 +93,10 @@ __all__ = ["ShardedServiceStore", "flatten_snapshot"]
 
 _SNAPSHOT_VERSION = 1
 _SNAPSHOT_KIND = "sharded-service-store"
+
+#: How every successful reply starts: frames are compact JSON and replies
+#: put ``ok`` first, so a snapshot reply is checked without decoding it.
+_OK_PREFIX = b'{"ok":true'
 
 
 # ------------------------------------------------------------------ worker
@@ -166,7 +181,9 @@ def _worker_dispatch(
     if op == "stats":
         return {"ok": True, "stats": store.stats()}
     if op == "snapshot":
-        return {"ok": True, "snapshot": store.to_dict()}
+        # Shaped as a restore frame: the router keeps these exact bytes as
+        # the worker's checkpoint and replays them verbatim on revival.
+        return {"ok": True, "op": "restore", "data": store.to_dict()}
     if op == "restore":
         store.restore(dict(frame["data"]))
         return {"ok": True, "time": store.time}
@@ -232,16 +249,28 @@ def _worker_main(conn: Connection, config: dict[str, Any]) -> None:
 class _Shard:
     """Router-side worker bookkeeping: pipe, process, journal, checkpoint."""
 
-    __slots__ = ("conn", "process", "journal", "checkpoint", "journaled")
+    __slots__ = ("conn", "process", "journal", "journal_bytes", "checkpoint")
 
     def __init__(self, conn: Connection, process: Any) -> None:
         self.conn = conn
         self.process = process
-        #: State-mutating frames since the last checkpoint, in send order.
-        self.journal: list[dict[str, Any]] = []
-        #: The worker store snapshot the journal replays on top of.
-        self.checkpoint: dict[str, Any] | None = None
-        self.journaled = 0
+        #: Encoded state-mutating frames since the last checkpoint, in send
+        #: order: the exact bytes that went on the pipe.
+        self.journal: list[bytes] = []
+        self.journal_bytes = 0
+        #: An encoded ``restore`` frame of the worker store the journal
+        #: replays on top of.
+        self.checkpoint: bytes | None = None
+
+    def log(self, data: bytes) -> None:
+        self.journal.append(data)
+        self.journal_bytes += len(data)
+
+    def reset(self, checkpoint: bytes) -> None:
+        """Adopt a new checkpoint; the journal restarts empty."""
+        self.checkpoint = checkpoint
+        self.journal = []
+        self.journal_bytes = 0
 
 
 def _raise_worker_error(message: str) -> None:
@@ -255,6 +284,18 @@ def _raise_worker_error(message: str) -> None:
     if message.startswith("InvalidParameterError"):
         raise InvalidParameterError(message)
     raise ReproError(message)
+
+
+def _checked(reply: dict[str, Any]) -> dict[str, Any]:
+    """``reply`` itself when it reports success; else raise its error."""
+    if not reply.get("ok", False):
+        _raise_worker_error(str(reply.get("error", "worker error")))
+    return reply
+
+
+def _frame(op: str) -> bytes:
+    """The encoded body of a payload-free ``op`` frame."""
+    return encode_frame({"op": op})
 
 
 class ShardedServiceStore:
@@ -364,7 +405,7 @@ class ShardedServiceStore:
         self._closed = True
         for shard in self._shards:
             try:
-                send_frame(shard.conn, {"op": "shutdown"})
+                send_frame(shard.conn, _frame("shutdown"))
                 recv_frame(shard.conn)
             except WorkerDiedError:
                 # Already gone; the join/terminate below is all that's left.
@@ -396,11 +437,12 @@ class ShardedServiceStore:
 
     # ------------------------------------------------------------ plumbing
 
-    def _revive(self, index: int) -> dict[str, Any] | None:
-        """Respawn a dead shard and replay checkpoint + journal.
+    def _respawn(self, index: int) -> bytes | None:
+        """Replace shard ``index``'s process and replay checkpoint + journal.
 
-        Returns the reply to the journal's final frame (the one that was
-        in flight when the worker died), or ``None`` for an empty journal.
+        Returns the undecoded reply to the journal's final frame (the one
+        that was in flight when the worker died), or ``None`` for an
+        empty journal.
         """
         old = self._shards[index]
         old.conn.close()
@@ -410,40 +452,37 @@ class ShardedServiceStore:
         shard = self._spawn(index)
         shard.checkpoint = old.checkpoint
         shard.journal = old.journal
-        shard.journaled = old.journaled
+        shard.journal_bytes = old.journal_bytes
         self._shards[index] = shard
-        self.revived_workers += 1
-        last_reply: dict[str, Any] | None = None
+        last_reply: bytes | None = None
         if shard.checkpoint is not None:
-            send_frame(shard.conn, {"op": "restore", "data": shard.checkpoint})
+            send_frame(shard.conn, shard.checkpoint)
             reply = recv_frame(shard.conn)
             if not reply.get("ok"):
                 raise WorkerDiedError(
                     f"shard {index} checkpoint replay failed: "
                     f"{reply.get('error')}"
                 )
-        for frame in shard.journal:
-            send_frame(shard.conn, frame)
-            last_reply = recv_frame(shard.conn)
+        for data in shard.journal:
+            send_frame(shard.conn, data)
+            last_reply = recv_frame_bytes(shard.conn)
         return last_reply
 
-    def _recover(
-        self, index: int, frame: dict[str, Any] | None, *, journal: bool
-    ) -> dict[str, Any]:
-        """Revive a dead shard and recover ``frame``'s reply.
+    def _recover(self, index: int, data: bytes, *, journal: bool) -> bytes:
+        """Revive a dead shard and recover the reply to frame ``data``.
 
         A journaled frame was appended before the send, so the replay
         applies it and its answer is the journal's final reply; a
         read-only frame left no journal trace and is simply re-sent to
         the fresh worker.
         """
-        replayed = self._revive(index)
+        replayed = self._respawn(index)
+        self.revived_workers += 1
         if journal:
-            return replayed if replayed is not None else {"ok": True}
-        assert frame is not None
+            return replayed if replayed is not None else _OK_PREFIX + b"}"
         shard = self._shards[index]
-        send_frame(shard.conn, frame)
-        return recv_frame(shard.conn)
+        send_frame(shard.conn, data)
+        return recv_frame_bytes(shard.conn)
 
     def _check_open(self) -> None:
         # Without this guard a post-close frame would hit a dead pipe and
@@ -451,31 +490,30 @@ class ShardedServiceStore:
         if self._closed:
             raise InvalidParameterError("store is closed")
 
-    def _request(
-        self, index: int, frame: dict[str, Any], *, journal: bool
-    ) -> dict[str, Any]:
-        """One frame round trip, with journaling and revive-on-death."""
+    def _exchange(self, index: int, data: bytes, *, journal: bool) -> bytes:
+        """One undecoded round trip, with journaling and revive-on-death."""
         self._check_open()
         shard = self._shards[index]
         if journal:
-            shard.journal.append(frame)
-            shard.journaled += 1
+            shard.log(data)
         try:
-            send_frame(shard.conn, frame)
-            reply = recv_frame(shard.conn)
+            send_frame(shard.conn, data)
+            return recv_frame_bytes(shard.conn)
         except WorkerDiedError:
-            reply = self._recover(index, frame, journal=journal)
-        if not reply.get("ok", False):
-            _raise_worker_error(str(reply.get("error", "worker error")))
-        return reply
+            return self._recover(index, data, journal=journal)
 
-    def _broadcast(
-        self,
-        frames: Sequence[dict[str, Any] | None],
-        *,
-        journal: bool,
-    ) -> list[dict[str, Any] | None]:
-        """Send one frame per shard (None skips), then collect replies.
+    def _request(
+        self, index: int, frame: dict[str, Any], *, journal: bool
+    ) -> dict[str, Any]:
+        """One frame round trip, decoded; worker errors re-raised."""
+        reply = self._exchange(index, encode_frame(frame), journal=journal)
+        return _checked(decode_frame(reply))
+
+    def _broadcast_raw(
+        self, frames: Sequence[bytes | None], *, journal: bool
+    ) -> list[bytes | None]:
+        """Send one encoded frame per shard (None skips), then collect
+        the undecoded replies.
 
         Sends complete before the first reply is read, so the workers
         decode and fold concurrently -- this is where the multi-core
@@ -483,51 +521,78 @@ class ShardedServiceStore:
         """
         self._check_open()
         pending: list[int] = []
-        replies: list[dict[str, Any] | None] = [None] * len(frames)
-        for index, frame in enumerate(frames):
-            if frame is None:
+        replies: list[bytes | None] = [None] * len(frames)
+        for index, data in enumerate(frames):
+            if data is None:
                 continue
             shard = self._shards[index]
             if journal:
-                shard.journal.append(frame)
-                shard.journaled += 1
+                shard.log(data)
             try:
-                send_frame(shard.conn, frame)
+                send_frame(shard.conn, data)
                 pending.append(index)
             except WorkerDiedError:
-                replies[index] = self._recover(index, frame, journal=journal)
+                replies[index] = self._recover(index, data, journal=journal)
         for index in pending:
             try:
-                replies[index] = recv_frame(self._shards[index].conn)
+                replies[index] = recv_frame_bytes(self._shards[index].conn)
             except WorkerDiedError:
-                replies[index] = self._recover(
-                    index, frames[index], journal=journal
-                )
-        for index, frame in enumerate(frames):
-            if frame is None:
-                continue
-            reply = replies[index]
-            if reply is not None and not reply.get("ok", False):
-                _raise_worker_error(str(reply.get("error", "worker error")))
+                data = frames[index]
+                assert data is not None
+                replies[index] = self._recover(index, data, journal=journal)
+        return replies
+
+    def _broadcast(
+        self, frames: Sequence[bytes | None], *, journal: bool
+    ) -> list[dict[str, Any] | None]:
+        """:meth:`_broadcast_raw`, decoded; worker errors re-raised."""
+        replies = [
+            None if reply is None else decode_frame(reply)
+            for reply in self._broadcast_raw(frames, journal=journal)
+        ]
+        for reply in replies:
+            if reply is not None:
+                _checked(reply)
         self._maybe_checkpoint()
         return replies
 
+    def _fan_out(self, op: str) -> list[dict[str, Any]]:
+        """One read-only ``op`` frame to every shard; the decoded replies."""
+        replies = self._broadcast([_frame(op)] * self.workers, journal=False)
+        return [reply for reply in replies if reply is not None]
+
     def _maybe_checkpoint(self) -> None:
-        """Snapshot shards whose journal outgrew ``checkpoint_every``."""
-        for index, shard in enumerate(self._shards):
-            if shard.journaled < self.checkpoint_every:
+        """Snapshot shards whose journal outgrew ``checkpoint_every``.
+
+        The snapshot reply is a ready ``restore`` frame; its bytes become
+        the checkpoint as received, never decoded at the router.
+        """
+        for index in range(self.workers):
+            if len(self._shards[index].journal) < self.checkpoint_every:
                 continue
-            reply = self._request(index, {"op": "snapshot"}, journal=False)
-            shard = self._shards[index]  # _request may have revived it
-            shard.checkpoint = reply["snapshot"]
-            shard.journal = []
-            shard.journaled = 0
+            reply = self._exchange(index, _frame("snapshot"), journal=False)
+            if not reply.startswith(_OK_PREFIX):
+                _checked(decode_frame(reply))  # raises the worker's error
+            # _exchange may have revived the shard: look it up afresh.
+            self._shards[index].reset(reply)
 
     def _shard_of(self, key: str) -> int:
         return shard_of(str(key), self.workers)
 
     def _note_write(self, key: str) -> None:
         self._write_gen[key] = self._write_gen.get(key, 0) + 1
+
+    def _set_time(self, when: int) -> None:
+        """Move the router clock; the read memo dies with the old tick.
+
+        A memo hit needs ``hit[0] == self._time``, so no entry of an
+        earlier tick can ever hit again: dropping them all keeps both
+        dicts bounded by the keys touched in one tick under key churn,
+        without changing a single hit.
+        """
+        self._time = when
+        self._write_gen.clear()
+        self._query_cache.clear()
 
     # --------------------------------------------------------------- clock
 
@@ -550,9 +615,9 @@ class ShardedServiceStore:
             raise InvalidParameterError(f"steps must be >= 0, got {steps}")
         if steps == 0:
             return
-        self._time += steps
-        frame = {"op": "ingest", "prog": [["adv", self._time]]}
-        self._broadcast([dict(frame) for _ in self._shards], journal=True)
+        self._set_time(self._time + steps)
+        data = encode_frame({"op": "ingest", "prog": [["adv", self._time]]})
+        self._broadcast([data] * self.workers, journal=True)
 
     def advance_to(self, when: int) -> None:
         if when < self._time:
@@ -584,7 +649,7 @@ class ShardedServiceStore:
             return
         progs = self._fresh_programs()
         if when > self._time:
-            self._time = when
+            self._set_time(when)
             self._emit_adv(progs, when)
         owner = self._shard_of(key)
         progs[owner].append(["fold", key, [float(value)]])
@@ -663,7 +728,7 @@ class ShardedServiceStore:
                 continue
             if when > self._time:
                 self._flush_pending(progs, pending)
-                self._time = when
+                self._set_time(when)
                 self._emit_adv(progs, when)
             pending.setdefault(key, []).append(float(item.value))
         if error is None:
@@ -733,12 +798,13 @@ class ShardedServiceStore:
                 f"({self._time}); clocks are monotone"
             )
         if until > self._time:
-            self._time = int(until)
+            self._set_time(int(until))
             self._emit_adv(progs, self._time)
 
     def _send_programs(self, progs: list[list[list[Any]]]) -> None:
-        frames: list[dict[str, Any] | None] = [
-            {"op": "ingest", "prog": prog} if prog else None for prog in progs
+        frames: list[bytes | None] = [
+            encode_frame({"op": "ingest", "prog": prog}) if prog else None
+            for prog in progs
         ]
         if any(frame is not None for frame in frames):
             self._broadcast(frames, journal=True)
@@ -797,7 +863,7 @@ class ShardedServiceStore:
             self.policy.note_dropped(value)
             return
         if when > self._time:
-            self._time = when
+            self._set_time(when)
             self._emit_adv(progs, when)
         progs[self._shard_of(key)].append(["fold", key, [value]])
         self.ingested_items += 1
@@ -851,15 +917,10 @@ class ShardedServiceStore:
         order.  Families without a structural merge combine certified
         brackets instead (:func:`widen_merged_estimate`).
         """
-        frames: list[dict[str, Any] | None] = [
-            {"op": "fold"} for _ in self._shards
-        ]
-        replies = self._broadcast(frames, journal=False)
         engines: list[DecayingSum] = []
         estimates: list[Estimate] = []
         structural = True
-        for reply in replies:
-            assert reply is not None
+        for reply in self._fan_out("fold"):
             if not reply["keys"]:
                 continue
             value, lower, upper = reply["estimate"]
@@ -886,24 +947,14 @@ class ShardedServiceStore:
         return estimate
 
     def keys(self) -> list[str]:
-        frames: list[dict[str, Any] | None] = [
-            {"op": "keys"} for _ in self._shards
-        ]
-        replies = self._broadcast(frames, journal=False)
         merged: list[str] = []
-        for reply in replies:
-            assert reply is not None
+        for reply in self._fan_out("keys"):
             merged.extend(reply["keys"])
         return sorted(merged)
 
     def key_stats(self) -> dict[str, dict[str, Any]]:
-        frames: list[dict[str, Any] | None] = [
-            {"op": "keys"} for _ in self._shards
-        ]
-        replies = self._broadcast(frames, journal=False)
         merged: dict[str, dict[str, Any]] = {}
-        for reply in replies:
-            assert reply is not None
+        for reply in self._fan_out("keys"):
             merged.update(reply["key_stats"])
         return dict(sorted(merged.items()))
 
@@ -918,18 +969,22 @@ class ShardedServiceStore:
         return True
 
     def stats(self) -> dict[str, Any]:
-        """The ledger block: router ledgers + worker ledgers, folded."""
-        frames: list[dict[str, Any] | None] = [
-            {"op": "stats"} for _ in self._shards
-        ]
-        replies = self._broadcast(frames, journal=False)
+        """The ledger block: router ledgers + worker ledgers, folded.
+
+        Each ``per_worker`` entry also carries the router's revival state
+        for that worker: ``journal_frames``/``journal_bytes`` since the
+        last checkpoint and the checkpoint's ``checkpoint_bytes``.
+        """
+        replies = self._fan_out("stats")
         per_worker: list[dict[str, Any]] = []
         keys = 0
         evicted_keys = self.eviction_base.evicted_keys
         evicted_weight = self.eviction_base.evicted_weight
-        for reply in replies:
-            assert reply is not None
+        for shard, reply in zip(self._shards, replies):
             stats = reply["stats"]
+            stats["journal_frames"] = len(shard.journal)
+            stats["journal_bytes"] = shard.journal_bytes
+            stats["checkpoint_bytes"] = len(shard.checkpoint or b"")
             per_worker.append(stats)
             keys += int(stats["keys"])
             evicted_keys += int(stats["evicted_keys"])
@@ -953,14 +1008,9 @@ class ShardedServiceStore:
 
     def storage_report(self) -> StorageReport:
         """Aggregate worker storage, fleet-style (shared bits once)."""
-        frames: list[dict[str, Any] | None] = [
-            {"op": "storage"} for _ in self._shards
-        ]
-        replies = self._broadcast(frames, journal=False)
         total = StorageReport(engine=f"sharded-service[{self.workers}]")
         shared_once = 0
-        for reply in replies:
-            assert reply is not None
+        for reply in self._fan_out("storage"):
             rep = reply["report"]
             shared_once = max(shared_once, int(rep["shared_bits"]))
             total.buckets += int(rep["buckets"])
@@ -1011,20 +1061,19 @@ class ShardedServiceStore:
         """Global snapshot: router state + one snapshot per shard.
 
         Fetching the shard snapshots doubles as a checkpoint: each
-        worker's journal is truncated against the state just captured.
+        worker's journal is truncated against the state just captured,
+        whose reply bytes become the new checkpoint as received.
         """
-        frames: list[dict[str, Any] | None] = [
-            {"op": "snapshot"} for _ in self._shards
-        ]
-        replies = self._broadcast(frames, journal=False)
+        replies = self._broadcast_raw(
+            [_frame("snapshot")] * self.workers, journal=False
+        )
         shards: list[dict[str, Any]] = []
-        for index, reply in enumerate(replies):
+        for reply in replies:
             assert reply is not None
-            shards.append(reply["snapshot"])
-            shard = self._shards[index]
-            shard.checkpoint = reply["snapshot"]
-            shard.journal = []
-            shard.journaled = 0
+            shards.append(_checked(decode_frame(reply))["data"])
+        for shard, reply in zip(self._shards, replies):
+            assert reply is not None
+            shard.reset(reply)
         policy = self.policy
         return {
             "version": _SNAPSHOT_VERSION,
@@ -1078,48 +1127,61 @@ class ShardedServiceStore:
             raise InvalidParameterError(
                 f"unsupported snapshot version {data.get('version')!r}"
             )
-        worker_dicts = self._split_snapshot(plain)
-        frames: list[dict[str, Any] | None] = [
-            {"op": "restore", "data": worker_dict}
-            for worker_dict in worker_dicts
-        ]
-        # Restore frames are not journaled: the restored snapshot *is*
-        # each worker's new checkpoint and the journals restart empty.
-        for index, shard in enumerate(self._shards):
-            shard.journal = []
-            shard.journaled = 0
-            frame = frames[index]
-            assert frame is not None
-            shard.checkpoint = frame["data"]
-        self._broadcast(frames, journal=False)
-        self._time = int(plain["time"])
-        self._watermark = int(plain["watermark"])
+        # Everything the router adopts is parsed before any worker sees
+        # the snapshot, so a malformed router block changes nothing.
+        time = int(plain["time"])
+        watermark = int(plain["watermark"])
         policy_data = plain.get("policy")
-        if policy_data is None:
-            self.policy = None
-        else:
-            self.policy = OutOfOrderPolicy(
+        policy: OutOfOrderPolicy | None = None
+        if policy_data is not None:
+            policy = OutOfOrderPolicy(
                 policy_data["kind"],
                 max_lateness=int(policy_data["max_lateness"]),
             )
-            self.policy.dropped_count = int(policy_data["dropped_count"])
-            self.policy.dropped_weight = float(policy_data["dropped_weight"])
+            policy.dropped_count = int(policy_data["dropped_count"])
+            policy.dropped_weight = float(policy_data["dropped_weight"])
         ledger = plain["eviction"]
-        self.eviction_base = EvictionLedger(
+        eviction_base = EvictionLedger(
             ledger["evicted_keys"], ledger["evicted_weight"]
         )
-        self.ingested_items = int(plain["ingested_items"])
-        self.ingested_weight = float(plain["ingested_weight"])
-        self._late_heap = [
+        ingested_items = int(plain["ingested_items"])
+        ingested_weight = float(plain["ingested_weight"])
+        late_heap = [
             (int(when), int(seq), str(key), float(value))
             for when, seq, key, value in plain["buffered"]
         ]
-        heapq.heapify(self._late_heap)
-        self._late_seq = max(
-            (seq for _, seq, _, _ in self._late_heap), default=0
-        )
-        self._write_gen.clear()
-        self._query_cache.clear()
+        # Restore frames are not journaled: once every worker accepts,
+        # each frame *is* that worker's new checkpoint and the journals
+        # restart empty.
+        frames = [
+            encode_frame({"op": "restore", "data": worker_dict})
+            for worker_dict in self._split_snapshot(plain)
+        ]
+        replies = [
+            decode_frame(reply)
+            for reply in self._broadcast_raw(frames, journal=False)
+            if reply is not None
+        ]
+        rejected = [reply for reply in replies if not reply.get("ok", False)]
+        if rejected:
+            # A worker's own restore is atomic, so a rejecting worker is
+            # untouched; every accepting one is rebuilt from its previous
+            # checkpoint + journal, exactly as a revival would.
+            for index, reply in enumerate(replies):
+                if reply.get("ok", False):
+                    self._respawn(index)
+            _checked(rejected[0])
+        for shard, frame in zip(self._shards, frames):
+            shard.reset(frame)
+        self._set_time(time)  # also drops the read memo: all state changed
+        self._watermark = watermark
+        self.policy = policy
+        self.eviction_base = eviction_base
+        self.ingested_items = ingested_items
+        self.ingested_weight = ingested_weight
+        heapq.heapify(late_heap)
+        self._late_heap = late_heap
+        self._late_seq = max((seq for _, seq, _, _ in late_heap), default=0)
 
     @classmethod
     def from_dict(
