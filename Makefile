@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-baseline typecheck check conformance conformance-service conformance-service-sharded bench bench-throughput bench-compare bench-service bench-service-scaling bench-service-compare examples clean all
+.PHONY: install test lint lint-baseline loc typecheck check conformance conformance-service conformance-service-sharded bench bench-throughput bench-compare bench-service bench-service-scaling bench-service-compare examples clean all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -44,6 +44,12 @@ conformance-service:
 conformance-service-sharded:
 	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro.conformance \
 		--mode service --service-workers 3 --seeds 10 --engines all
+
+# Net size of the library: non-blank lines that are not `#` comments in
+# src/repro/**/*.py, the number ROADMAP aim 2 tracks.
+loc:
+	@find src/repro -name '*.py' -print0 | xargs -0 cat \
+		| grep -Ecv '^[[:space:]]*(#.*)?$$'
 
 # Requires the `lint` extra (pip install -e .[lint]).
 typecheck:

@@ -18,18 +18,12 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable
 
 from repro.core.batching import KeyedTimedValue
-from repro.core.decay import (
-    DecayFunction,
-    ExponentialDecay,
-    SlidingWindowDecay,
-)
+from repro.core.decay import DecayFunction
 from repro.core.errors import InvalidParameterError, TimeOrderError
 from repro.core.estimate import Estimate
-from repro.core.interfaces import DecayingSum
+from repro.core.interfaces import DecayingSum, keyed_engine_factory
 from repro.core.merging import require_same_decay
 from repro.core.timeorder import OutOfOrderPolicy, bounded_reorder
-from repro.histograms.boundaries import RegionSchedule
-from repro.histograms.wbmh import WBMH
 from repro.storage.model import StorageReport
 
 __all__ = ["StreamFleet"]
@@ -49,39 +43,13 @@ class StreamFleet:
             raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
         self._decay = decay
         self.epsilon = float(epsilon)
-        self._shared_schedule: RegionSchedule | None = None
-        if engine_factory is not None:
-            self._factory = engine_factory
-        else:
-            self._factory = self._default_factory()
+        self._factory = (
+            engine_factory
+            if engine_factory is not None
+            else keyed_engine_factory(decay, self.epsilon)
+        )
         self._engines: dict[Hashable, DecayingSum] = {}
         self._time = 0
-
-    def _default_factory(self) -> Callable[[], DecayingSum]:
-        """Pick the storage-optimal engine; share WBMH schedules."""
-        from repro.core.ewma import ExponentialSum
-        from repro.core.forward import ForwardDecay, ForwardDecaySum
-        from repro.histograms.ceh import CascadedEH
-        from repro.histograms.eh import SlidingWindowSum
-
-        decay = self._decay
-        if isinstance(decay, ForwardDecay):
-            return lambda: ForwardDecaySum(decay)
-        if isinstance(decay, ExponentialDecay):
-            return lambda: ExponentialSum(decay)
-        if isinstance(decay, SlidingWindowDecay):
-            return lambda: SlidingWindowSum(decay.window, self.epsilon)
-        if decay.is_ratio_nonincreasing(4096):
-            ratio = 1.0 + 0.8 * self.epsilon
-            self._shared_schedule = RegionSchedule(decay, ratio)
-
-            def make() -> DecayingSum:
-                return WBMH(
-                    decay, self.epsilon, schedule=self._shared_schedule
-                )
-
-            return make
-        return lambda: CascadedEH(decay, self.epsilon)
 
     # ------------------------------------------------------------------ API
 

@@ -32,11 +32,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
 from repro.core.decay import DecayFunction
-from repro.core.errors import (
-    InvalidParameterError,
-    NotApplicableError,
-    TimeOrderError,
-)
+from repro.core.errors import InvalidParameterError, NotApplicableError
 from repro.core.estimate import Estimate
 from repro.core.interfaces import DecayingSum, make_decaying_sum
 from repro.core.merging import require_same_decay
@@ -245,53 +241,6 @@ class ShardedDecayingSum:
     def shard_view(self) -> tuple[DecayingSum, ...]:
         """The live replicas (read-only by convention; for tests/benches)."""
         return tuple(self._replicas)
-
-    @property
-    def round_robin(self) -> int:
-        """Index of the replica the next unkeyed ``add`` lands on."""
-        return self._rr
-
-    @classmethod
-    def from_replicas(
-        cls,
-        decay: DecayFunction,
-        epsilon: float,
-        replicas: Sequence[DecayingSum],
-        *,
-        round_robin: int = 0,
-    ) -> "ShardedDecayingSum":
-        """Rebuild a facade around already-built lock-step replicas.
-
-        The checkpoint-restore path (:mod:`repro.service.store` snapshots
-        each replica through :mod:`repro.serialize`): replica clocks must
-        already agree, and the facade adopts them at that common clock
-        with the round-robin cursor restored, so a restored facade
-        continues the unkeyed ``add`` rotation exactly where the original
-        left off.
-        """
-        replica_list = list(replicas)
-        if not replica_list:
-            raise InvalidParameterError("from_replicas needs >= 1 replica")
-        clocks = {replica.time for replica in replica_list}
-        if len(clocks) != 1:
-            raise TimeOrderError(
-                f"replica clocks differ: {sorted(clocks)}; advance them to "
-                "a common clock first"
-            )
-        if not 0 <= round_robin < len(replica_list):
-            raise InvalidParameterError(
-                f"round_robin must be in [0, {len(replica_list)}), "
-                f"got {round_robin}"
-            )
-        facade = cls(
-            decay,
-            epsilon,
-            shards=len(replica_list),
-            factory=iter(replica_list).__next__,
-        )
-        facade._time = replica_list[0].time
-        facade._rr = int(round_robin)
-        return facade
 
     @property
     def effective_epsilon(self) -> float:

@@ -17,14 +17,18 @@ Scale-out past one core is :mod:`repro.service.sharded`:
 :class:`~repro.service.sharded.ShardedServiceStore` satisfies the same
 :class:`~repro.service.store.StoreFront` seam the daemon and server
 program against, with per-key state sharded by CRC-32 onto worker
-processes and cross-shard answers folded via engine ``merge``.
+processes and cross-shard answers folded via engine ``merge``.  Both
+fronts admit writes through one
+:class:`~repro.service.admission.Admission` stage (out-of-order policy,
+lateness heap, ingest ledgers).
 
 Concurrency note: asyncio is confined to ``daemon.py``/``api.py``/
 ``loadgen.py``, and multiprocessing to ``sharded.py``/``ipc.py``, under
-lintkit RK008's service exemption; ``store.py`` and ``adapter.py`` are
-plain synchronous code a single consumer task owns -- that single-writer
-discipline is what makes service answers bit-identical to directly-driven
-engines (see ``tests/service/test_differential.py`` and
+lintkit RK008's service exemption; ``admission.py``, ``store.py`` and
+``adapter.py`` are plain synchronous code a single consumer task owns --
+that single-writer discipline is what makes service answers
+bit-identical to directly-driven engines (see
+``tests/service/test_differential.py`` and
 ``test_sharded_differential.py``).
 """
 

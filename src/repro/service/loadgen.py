@@ -88,7 +88,6 @@ class ServiceHarness:
         epsilon: float = 0.1,
         *,
         ttl: int | None = None,
-        shards: int | None = None,
         policy: OutOfOrderPolicy | None = None,
         backpressure: BackpressurePolicy | None = None,
         maxsize: int = 4096,
@@ -106,18 +105,11 @@ class ServiceHarness:
         elif workers is not None:
             from repro.service.sharded import ShardedServiceStore
 
-            if shards is not None:
-                raise InvalidParameterError(
-                    "per-key engine shards are a single-process store "
-                    "feature; the sharded front shards by key already"
-                )
             self.store = ShardedServiceStore(
                 decay, epsilon, workers=workers, ttl=ttl, policy=policy
             )
         else:
-            self.store = ServiceStore(
-                decay, epsilon, ttl=ttl, shards=shards, policy=policy
-            )
+            self.store = ServiceStore(decay, epsilon, ttl=ttl, policy=policy)
         self.daemon = IngestDaemon(
             self.store,
             maxsize=maxsize,

@@ -10,15 +10,17 @@ The front presents the same store surface the
 :class:`~repro.service.api.ServiceServer` already speak, so it is a
 drop-in behind the existing HTTP/WS API.
 
-**The IPC plane is batched.**  One ingest batch becomes at most one
+**The IPC plane is batched.**  One write call becomes at most one
 frame per shard (:mod:`repro.service.ipc`, length-prefixed JSON): the
-router compiles the batch into per-shard *programs* -- ``["adv", t]``
-clock steps shared by every shard plus that shard's own ``["fold", key,
-values]`` / ``["late", key, when, value]`` entries -- so the router's
-cost is O(shards) frames per batch, not O(items).  Every shard executes
-every global clock step, which keeps the worker stores bit-identical to
-the single-process store (same advance pattern, same TTL sweep stops,
-same fold grouping; the differential harness in
+store's :class:`~repro.service.admission.Admission` stage -- the same one
+the single-process store runs -- turns the call into ``adv``/``fold``/
+``late`` operations, and the router appends them to per-shard *programs*
+(``["adv", t]`` clock steps shared by every shard plus that shard's own
+``["fold", key, values]`` / ``["late", key, when, value]`` entries), so
+the router's cost is O(shards) frames per batch, not O(items).  Every
+shard executes every global clock step, which keeps the worker stores
+bit-identical to the single-process store (same advance pattern, same
+TTL sweep stops, same fold grouping; the differential harness in
 ``tests/service/test_sharded_differential.py`` pins exactly this).
 
 **Cross-shard reads fold via ``merge``.**  ``query_total`` fans out one
@@ -29,14 +31,13 @@ summaries -- or combines certified brackets when the engine family has
 no structural merge.  ``keys``/``stats``/snapshots fan out and fold the
 same way, with ledgers summed at the router.
 
-**Order policy and ledgers live at the router.**  Late-item policy
-(raise/drop/buffer) runs once, router-side, against the *global* clock
-and watermark -- exactly the single-store algorithm -- so workers only
-ever see clean in-order programs (natively order-insensitive engines
-still take their late items via ``["late", ...]`` entries).  Ingest
-ledgers are accumulated at the router in single-store fold order
-(bit-identical floats); eviction ledgers accumulate worker-side and are
-summed at the router.
+**Admission lives at the router.**  The out-of-order policy, the
+lateness watermark heap and the ingest ledgers are the router's
+``Admission`` stage, run against the *global* clock -- late admission is a
+global ordering decision -- so workers only ever see clean in-order
+programs (natively order-insensitive engines still take their late items
+via ``["late", ...]`` entries).  Eviction ledgers accumulate worker-side
+and are summed at the router.
 
 **Workers are revivable.**  Every state-mutating frame is journaled
 per worker before it is sent; every ``checkpoint_every`` journaled
@@ -54,10 +55,10 @@ state costs what the wire does, not a tree of decoded Python objects.
 
 from __future__ import annotations
 
-import heapq
+import contextlib
 import multiprocessing
 from multiprocessing.connection import Connection
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.batching import KeyedTimedValue
 from repro.core.decay import DecayFunction
@@ -78,6 +79,7 @@ from repro.serialize import (
     engine_from_dict,
     engine_to_dict,
 )
+from repro.service.admission import Admission
 from repro.service.ipc import (
     WorkerDiedError,
     decode_frame,
@@ -103,7 +105,7 @@ _OK_PREFIX = b'{"ok":true'
 #
 # Module-level so every multiprocessing start method can import it by name.
 # The worker is a plain frame-dispatch loop over one ServiceStore; it holds
-# no policy (lateness runs at the router) and exits on EOF, a ``shutdown``
+# no policy (admission runs at the router) and exits on EOF, a ``shutdown``
 # frame, or a dead router.
 
 def _worker_build_store(config: Mapping[str, Any]) -> ServiceStore:
@@ -339,7 +341,6 @@ class ShardedServiceStore:
         self.epsilon = float(epsilon)
         self.ttl = None if ttl is None else int(ttl)
         self.workers = int(workers)
-        self.policy = policy
         self.checkpoint_every = int(checkpoint_every)
         self._memoize = bool(memoize)
         #: Probed once, like the single store: forward-decay families take
@@ -352,17 +353,15 @@ class ShardedServiceStore:
             )
         )
         self._time = 0
-        self.ingested_items = 0
-        self.ingested_weight = 0.0
+        self._admission = Admission(policy)
+        #: Per-shard programs admission is compiling; shipped (one ingest
+        #: frame per non-empty program) when each write call returns.
+        self._progs: list[list[list[Any]]] = [[] for _ in range(self.workers)]
         #: Evictions inherited from a restored snapshot; live evictions
         #: accumulate on the worker stores and are summed on top.
         self.eviction_base = EvictionLedger()
         self.revived_workers = 0
         self.dead_at_close = 0
-        # Router-side lateness buffer (store-level "buffer" policy).
-        self._watermark = -1
-        self._late_heap: list[tuple[int, int, str, float]] = []
-        self._late_seq = 0
         # Router-side read memo, same contract as the store's: a write
         # routed through this front bumps the key's generation.
         self._write_gen: dict[str, int] = {}
@@ -609,67 +608,48 @@ class ShardedServiceStore:
         """Whether shard engines take late items via ``add_at``."""
         return self._native
 
+    @property
+    def policy(self) -> OutOfOrderPolicy | None:
+        """The store-level out-of-order policy (owned by admission)."""
+        return self._admission.policy
+
+    @property
+    def ingested_items(self) -> int:
+        return self._admission.ingested_items
+
+    @property
+    def ingested_weight(self) -> float:
+        return self._admission.ingested_weight
+
     def advance(self, steps: int = 1) -> None:
         """Advance the shared clock on every shard (TTL sweeps run there)."""
         if steps < 0:
             raise InvalidParameterError(f"steps must be >= 0, got {steps}")
-        if steps == 0:
-            return
-        self._set_time(self._time + steps)
-        data = encode_frame({"op": "ingest", "prog": [["adv", self._time]]})
-        self._broadcast([data] * self.workers, journal=True)
+        self.advance_to(self._time + steps)
 
     def advance_to(self, when: int) -> None:
-        if when < self._time:
-            raise TimeOrderError(
-                f"cannot move the store clock back: {self._time} -> {when}"
-            )
-        self.advance(when - self._time)
+        with self._shipping():
+            self._admission.advance_to(self, when)
 
     # -------------------------------------------------------------- writes
     #
-    # Every write path compiles to per-shard programs that reproduce the
-    # single-process store's advance/fold sequence exactly; the ledger
-    # arithmetic below mirrors ServiceStore line for line so the router's
-    # ingested_items/ingested_weight stay bit-identical to it.
+    # The router's admission stage (the single store's very algorithm, run
+    # against the global clock) calls back into _adv/_fold/_late below;
+    # they only compile per-shard programs, which _shipping sends.
 
     def observe(
         self, key: str, value: float = 1.0, *, when: int | None = None
     ) -> None:
         """Record one item on ``key``'s stream, optionally at ``when``."""
-        when = self._time if when is None else int(when)
-        key = str(key)
-        policy = self.policy
-        if policy is not None and policy.kind == "buffer" and not self._native:
-            self._buffer_push(key, when, value)
-            self._send_programs(self._release_programs())
-            return
-        if when < self._time:
-            self._late_one(key, when, value, policy)
-            return
-        progs = self._fresh_programs()
-        if when > self._time:
-            self._set_time(when)
-            self._emit_adv(progs, when)
-        owner = self._shard_of(key)
-        progs[owner].append(["fold", key, [float(value)]])
-        self.ingested_items += 1
-        self.ingested_weight += float(value)
-        self._note_write(key)
-        self._send_programs(progs)
+        with self._shipping():
+            self._admission.observe(self, str(key), float(value), when)
 
     def observe_values(self, key: str, values: Iterable[float]) -> None:
         """Fold several same-time values into ``key`` at the current clock."""
-        batch = [float(v) for v in values]
-        if not batch:
-            return
-        key = str(key)
-        progs = self._fresh_programs()
-        progs[self._shard_of(key)].append(["fold", key, batch])
-        self.ingested_items += len(batch)
-        self.ingested_weight += float(sum(batch))
-        self._note_write(key)
-        self._send_programs(progs)
+        with self._shipping():
+            self._admission.observe_values(
+                self, str(key), [float(v) for v in values]
+            )
 
     def observe_batch(
         self,
@@ -681,76 +661,18 @@ class ShardedServiceStore:
         """Record a time-sorted keyed trace: one frame per shard per batch.
 
         Semantics (and ledger float order) match
-        :meth:`ServiceStore.observe_batch` exactly; the batch is compiled
-        into per-shard programs and shipped in a single broadcast, so
-        the router cost is O(shards), not O(items).
+        :meth:`ServiceStore.observe_batch` exactly -- both run
+        :meth:`repro.service.admission.Admission.observe_batch`.
         """
-        pol = self.policy if policy is None else policy
-        if pol is not None and pol.kind == "buffer" and not self._native:
-            if pol is not self.policy:
-                raise InvalidParameterError(
-                    "bounded-lateness buffering is store state; install the "
-                    "buffer policy on the ShardedServiceStore constructor"
-                )
-            for item in items:
-                self._buffer_push(str(item.key), item.time, item.value)
-            progs = self._release_programs()
-            if until is not None:
-                self._until_into(progs, until)
-            self._send_programs(progs)
-            return
-        tolerate = pol is not None and pol.kind != "raise"
-        progs = self._fresh_programs()
-        # ``pending`` mirrors the single store's per-tick key grouping:
-        # insertion order is first-seen key order at the current tick.
-        pending: dict[str, list[float]] = {}
-        error: TimeOrderError | None = None
-        for item in items:
-            when = item.time
-            key = str(item.key)
-            if when < self._time:
-                if self._native:
-                    progs[self._shard_of(key)].append(
-                        ["late", key, int(when), float(item.value)]
-                    )
-                    self.ingested_items += 1
-                    self.ingested_weight += float(item.value)
-                    self._note_write(key)
-                elif tolerate and pol is not None:
-                    pol.note_dropped(item.value)
-                else:
-                    error = TimeOrderError(
-                        f"trace time {when} precedes store clock "
-                        f"{self._time}; sort the feed or pass an "
-                        "OutOfOrderPolicy"
-                    )
-                    break
-                continue
-            if when > self._time:
-                self._flush_pending(progs, pending)
-                self._set_time(when)
-                self._emit_adv(progs, when)
-            pending.setdefault(key, []).append(float(item.value))
-        if error is None:
-            self._flush_pending(progs, pending)
-        if until is not None and error is None:
-            if until < self._time:
-                self._send_programs(progs)
-                raise TimeOrderError(
-                    f"until={until} precedes the clock after replay "
-                    f"({self._time}); clocks are monotone"
-                )
-            self._until_into(progs, until)
-        self._send_programs(progs)
-        if error is not None:
-            raise error
+        with self._shipping():
+            self._admission.observe_batch(
+                self, items, until=until, policy=policy
+            )
 
     def flush(self) -> None:
         """Drain the router's lateness buffer (end of feed / shutdown)."""
-        progs = self._fresh_programs()
-        while self._late_heap:
-            self._pop_into(progs)
-        self._send_programs(progs)
+        with self._shipping():
+            self._admission.flush(self)
 
     def merge_into(self, key: str, other: DecayingSum) -> None:
         """Fold another summary into ``key``'s engine on its owning shard."""
@@ -767,108 +689,39 @@ class ShardedServiceStore:
         )
         self._maybe_checkpoint()
 
-    # ---------------------------------------------------- program building
-
-    def _fresh_programs(self) -> list[list[list[Any]]]:
-        return [[] for _ in self._shards]
-
-    def _emit_adv(self, progs: list[list[list[Any]]], when: int) -> None:
+    def _adv(self, when: int) -> None:
         """Every shard advances at every global tick: same sweep stops,
         same engine advance pattern, as the single-process store."""
-        for prog in progs:
+        when = int(when)
+        self._set_time(when)
+        for prog in self._progs:
             prog.append(["adv", when])
 
-    def _flush_pending(
-        self,
-        progs: list[list[list[Any]]],
-        pending: dict[str, list[float]],
-    ) -> None:
-        for key, values in pending.items():
-            progs[self._shard_of(key)].append(["fold", key, values])
-            self.ingested_items += len(values)
-            self.ingested_weight += float(sum(values))
-            self._note_write(key)
-        pending.clear()
-
-    def _until_into(self, progs: list[list[list[Any]]], until: int) -> None:
-        if until < self._time:
-            self._send_programs(progs)
-            raise TimeOrderError(
-                f"until={until} precedes the clock after replay "
-                f"({self._time}); clocks are monotone"
-            )
-        if until > self._time:
-            self._set_time(int(until))
-            self._emit_adv(progs, self._time)
-
-    def _send_programs(self, progs: list[list[list[Any]]]) -> None:
-        frames: list[bytes | None] = [
-            encode_frame({"op": "ingest", "prog": prog}) if prog else None
-            for prog in progs
-        ]
-        if any(frame is not None for frame in frames):
-            self._broadcast(frames, journal=True)
-
-    # ------------------------------------------------------ lateness buffer
-
-    def _late_one(
-        self,
-        key: str,
-        when: int,
-        value: float,
-        policy: OutOfOrderPolicy | None,
-    ) -> None:
-        if self._native:
-            progs = self._fresh_programs()
-            progs[self._shard_of(key)].append(
-                ["late", key, int(when), float(value)]
-            )
-            self.ingested_items += 1
-            self.ingested_weight += float(value)
-            self._note_write(key)
-            self._send_programs(progs)
-        elif policy is not None and policy.kind != "raise":
-            policy.note_dropped(value)
-        else:
-            raise TimeOrderError(
-                f"observation time {when} precedes store clock {self._time}; "
-                "pass an OutOfOrderPolicy to tolerate late items"
-            )
-
-    def _buffer_push(self, key: str, when: int, value: float) -> None:
-        policy = self.policy
-        assert policy is not None
-        if when > self._watermark:
-            self._watermark = when
-        if when < self._time or when < self._watermark - policy.max_lateness:
-            policy.note_dropped(value)
-            return
-        self._late_seq += 1
-        heapq.heappush(self._late_heap, (when, self._late_seq, key, value))
-
-    def _release_programs(self) -> list[list[list[Any]]]:
-        policy = self.policy
-        assert policy is not None
-        progs = self._fresh_programs()
-        frontier = self._watermark - policy.max_lateness
-        while self._late_heap and self._late_heap[0][0] <= frontier:
-            self._pop_into(progs)
-        return progs
-
-    def _pop_into(self, progs: list[list[list[Any]]]) -> None:
-        """One heap pop, folded exactly like ``ServiceStore._pop_fold``."""
-        when, _, key, value = heapq.heappop(self._late_heap)
-        if when < self._time:
-            assert self.policy is not None
-            self.policy.note_dropped(value)
-            return
-        if when > self._time:
-            self._set_time(when)
-            self._emit_adv(progs, when)
-        progs[self._shard_of(key)].append(["fold", key, [value]])
-        self.ingested_items += 1
-        self.ingested_weight += float(value)
+    def _fold(self, key: str, values: list[float]) -> None:
+        key = str(key)
+        self._progs[self._shard_of(key)].append(["fold", key, values])
         self._note_write(key)
+
+    def _late(self, key: str, when: int, value: float) -> None:
+        key = str(key)
+        self._progs[self._shard_of(key)].append(
+            ["late", key, int(when), float(value)]
+        )
+        self._note_write(key)
+
+    @contextlib.contextmanager
+    def _shipping(self) -> Iterator[None]:
+        """Send what admission compiled -- also when it raised midway."""
+        try:
+            yield
+        finally:
+            progs, self._progs = self._progs, [[] for _ in range(self.workers)]
+            frames: list[bytes | None] = [
+                encode_frame({"op": "ingest", "prog": prog}) if prog else None
+                for prog in progs
+            ]
+            if any(frame is not None for frame in frames):
+                self._broadcast(frames, journal=True)
 
     # --------------------------------------------------------------- reads
 
@@ -989,18 +842,12 @@ class ShardedServiceStore:
             keys += int(stats["keys"])
             evicted_keys += int(stats["evicted_keys"])
             evicted_weight += float(stats["evicted_weight"])
-        policy = self.policy
         return {
             "time": self._time,
             "keys": keys,
-            "ingested_items": self.ingested_items,
-            "ingested_weight": self.ingested_weight,
             "evicted_keys": evicted_keys,
             "evicted_weight": evicted_weight,
-            "dropped_count": 0 if policy is None else policy.dropped_count,
-            "dropped_weight": 0.0 if policy is None else policy.dropped_weight,
-            "buffered": len(self._late_heap),
-            "watermark": self._watermark,
+            **self._admission.stats(),
             "workers": self.workers,
             "revived_workers": self.revived_workers,
             "per_worker": per_worker,
@@ -1074,7 +921,6 @@ class ShardedServiceStore:
         for shard, reply in zip(self._shards, replies):
             assert reply is not None
             shard.reset(reply)
-        policy = self.policy
         return {
             "version": _SNAPSHOT_VERSION,
             "kind": _SNAPSHOT_KIND,
@@ -1083,25 +929,11 @@ class ShardedServiceStore:
             "ttl": self.ttl,
             "workers": self.workers,
             "time": self._time,
-            "watermark": self._watermark,
-            "policy": None
-            if policy is None
-            else {
-                "kind": policy.kind,
-                "max_lateness": policy.max_lateness,
-                "dropped_count": policy.dropped_count,
-                "dropped_weight": policy.dropped_weight,
-            },
             "eviction_base": {
                 "evicted_keys": self.eviction_base.evicted_keys,
                 "evicted_weight": self.eviction_base.evicted_weight,
             },
-            "ingested_items": self.ingested_items,
-            "ingested_weight": self.ingested_weight,
-            "buffered": [
-                [when, seq, key, value]
-                for when, seq, key, value in sorted(self._late_heap)
-            ],
+            **self._admission.to_dict(),
             "shards": shards,
         }
 
@@ -1128,28 +960,14 @@ class ShardedServiceStore:
                 f"unsupported snapshot version {data.get('version')!r}"
             )
         # Everything the router adopts is parsed before any worker sees
-        # the snapshot, so a malformed router block changes nothing.
+        # the snapshot, so a malformed router block changes nothing (the
+        # admission block by a trial parse; the live stage adopts it last).
         time = int(plain["time"])
-        watermark = int(plain["watermark"])
-        policy_data = plain.get("policy")
-        policy: OutOfOrderPolicy | None = None
-        if policy_data is not None:
-            policy = OutOfOrderPolicy(
-                policy_data["kind"],
-                max_lateness=int(policy_data["max_lateness"]),
-            )
-            policy.dropped_count = int(policy_data["dropped_count"])
-            policy.dropped_weight = float(policy_data["dropped_weight"])
+        Admission.from_dict(plain)
         ledger = plain["eviction"]
         eviction_base = EvictionLedger(
             ledger["evicted_keys"], ledger["evicted_weight"]
         )
-        ingested_items = int(plain["ingested_items"])
-        ingested_weight = float(plain["ingested_weight"])
-        late_heap = [
-            (int(when), int(seq), str(key), float(value))
-            for when, seq, key, value in plain["buffered"]
-        ]
         # Restore frames are not journaled: once every worker accepts,
         # each frame *is* that worker's new checkpoint and the journals
         # restart empty.
@@ -1174,14 +992,8 @@ class ShardedServiceStore:
         for shard, frame in zip(self._shards, frames):
             shard.reset(frame)
         self._set_time(time)  # also drops the read memo: all state changed
-        self._watermark = watermark
-        self.policy = policy
+        self._admission.restore(plain)
         self.eviction_base = eviction_base
-        self.ingested_items = ingested_items
-        self.ingested_weight = ingested_weight
-        heapq.heapify(late_heap)
-        self._late_heap = late_heap
-        self._late_seq = max((seq for _, seq, _, _ in late_heap), default=0)
 
     @classmethod
     def from_dict(
@@ -1225,14 +1037,9 @@ class ShardedServiceStore:
                     "decay": plain["decay"],
                     "epsilon": plain["epsilon"],
                     "ttl": plain["ttl"],
-                    "shards": None,
                     "time": int(plain["time"]),
-                    "watermark": -1,
-                    "policy": None,
                     "eviction": {"evicted_keys": 0, "evicted_weight": 0.0},
-                    "ingested_items": 0,
-                    "ingested_weight": 0.0,
-                    "buffered": [],
+                    **Admission().to_dict(),
                     "keys": bucket,
                 }
             )
@@ -1273,16 +1080,11 @@ def flatten_snapshot(data: Mapping[str, Any]) -> dict[str, Any]:
         "decay": data["decay"],
         "epsilon": data["epsilon"],
         "ttl": data["ttl"],
-        "shards": None,
         "time": int(data["time"]),
-        "watermark": int(data["watermark"]),
-        "policy": data.get("policy"),
         "eviction": {
             "evicted_keys": evicted_keys,
             "evicted_weight": evicted_weight,
         },
-        "ingested_items": int(data["ingested_items"]),
-        "ingested_weight": float(data["ingested_weight"]),
-        "buffered": [list(row) for row in data.get("buffered", [])],
+        **Admission.from_dict(data).to_dict(),
         "keys": keys,
     }

@@ -1,11 +1,12 @@
 """Keyed store of decaying-sum engines: the service layer's state.
 
 A :class:`ServiceStore` is what the ingestion daemon folds into and the
-query API reads from: one factory-built engine per key
-(:func:`~repro.core.interfaces.make_decaying_sum`, optionally a
-:class:`~repro.parallel.sharded.ShardedDecayingSum` per key) over a
-shared clock, exactly like :class:`~repro.fleet.StreamFleet`, plus the
-three things a long-running service needs that a batch fleet does not:
+query API reads from: one engine per key
+(:func:`~repro.core.interfaces.keyed_engine_factory`: the
+:func:`~repro.core.interfaces.make_decaying_sum` engine, with WBMH region
+schedules shared across keys) over a shared clock, exactly like
+:class:`~repro.fleet.StreamFleet`, plus the three things a long-running
+service needs that a batch fleet does not:
 
 * **TTL eviction driven by the engine clock.**  A key idle for ``ttl``
   ticks is dropped on the next clock advance, and every eviction is
@@ -13,13 +14,13 @@ three things a long-running service needs that a batch fleet does not:
   at eviction time) so capacity decisions stay auditable.  No wall-clock
   is read anywhere (lintkit RK001): "idle" means stream time, which is
   the only notion of time the paper's aggregates have.
-* **A persistent lateness buffer.**  With a ``buffer``
-  :class:`~repro.core.timeorder.OutOfOrderPolicy` the store keeps one
-  watermark heap *across* ingest batches, so an item arriving one batch
-  late still lands in the right key's engine -- the cross-batch case the
-  per-call :func:`~repro.core.timeorder.bounded_reorder` cannot cover.
-  The store clock trails the watermark by ``max_lateness``;
-  :meth:`flush` drains the heap when the feed ends.
+* **An admission stage.**  Every write passes through the store's
+  :class:`~repro.service.admission.Admission`: the out-of-order policy,
+  the persistent lateness heap of the ``buffer`` kind (an item arriving
+  one batch late still lands in the right key's engine; :meth:`flush`
+  drains the heap when the feed ends) and the ingest ledgers.  The store
+  applies what admission emits in-process; the sharded front runs the
+  very same stage.
 * **Ledgers for everything lossy.**  Dropped late items live on the
   policy (as everywhere in the library), evictions on the store, and
   both are surfaced verbatim by ``GET /keys`` (:mod:`repro.service.api`).
@@ -43,16 +44,16 @@ from repro.core.errors import (
     TimeOrderError,
 )
 from repro.core.estimate import Estimate
-from repro.core.interfaces import DecayingSum, make_decaying_sum
+from repro.core.interfaces import DecayingSum, keyed_engine_factory
 from repro.core.timeorder import OutOfOrderPolicy
 from repro.histograms.domination import widen_merged_estimate
-from repro.parallel.sharded import ShardedDecayingSum
 from repro.serialize import (
     decay_from_dict,
     decay_to_dict,
     engine_from_dict,
     engine_to_dict,
 )
+from repro.service.admission import Admission
 from repro.storage.model import StorageReport
 
 __all__ = ["EvictionLedger", "ServiceStore", "StoreFront"]
@@ -152,9 +153,7 @@ class ServiceStore:
 
     ``ttl`` is measured on the shared engine clock: a key whose last
     observation is ``ttl`` or more ticks old is evicted on the next
-    clock advance.  ``shards`` wraps every key's engine in a
-    :class:`~repro.parallel.sharded.ShardedDecayingSum` with that many
-    replicas.  ``policy`` is the store-level
+    clock advance.  ``policy`` is the store-level
     :class:`~repro.core.timeorder.OutOfOrderPolicy`; the ``buffer`` kind
     must be installed here (not per call) because its watermark heap is
     store state that survives across ingest batches.
@@ -166,7 +165,6 @@ class ServiceStore:
         epsilon: float = 0.1,
         *,
         ttl: int | None = None,
-        shards: int | None = None,
         policy: OutOfOrderPolicy | None = None,
         engine_factory: Callable[[], DecayingSum] | None = None,
         memoize: bool = True,
@@ -177,41 +175,27 @@ class ServiceStore:
             )
         if ttl is not None and ttl < 1:
             raise InvalidParameterError(f"ttl must be >= 1, got {ttl}")
-        if shards is not None and shards < 1:
-            raise InvalidParameterError(f"shards must be >= 1, got {shards}")
-        if shards is not None and engine_factory is not None:
-            raise InvalidParameterError(
-                "pass either shards or engine_factory, not both"
-            )
         self._decay = decay
         self.epsilon = float(epsilon)
         self.ttl = None if ttl is None else int(ttl)
-        self.shards = None if shards is None else int(shards)
-        self.policy = policy
         self._custom_factory = engine_factory is not None
-        if engine_factory is not None:
-            self._factory = engine_factory
-        elif shards is not None:
-            self._factory = self._sharded_factory()
-        else:
-            self._factory = lambda: make_decaying_sum(decay, self.epsilon)
+        self._factory = (
+            engine_factory
+            if engine_factory is not None
+            else keyed_engine_factory(decay, self.epsilon)
+        )
         #: Probed once: the factory's engines accept late items natively
         #: (the forward-decay family), so no policy ever has to intervene.
         self._native = bool(
             getattr(self._factory(), "supports_out_of_order", False)
         )
+        self._admission = Admission(policy)
         self._engines: dict[str, DecayingSum] = {}
         self._last_seen: dict[str, int] = {}
         self._expiry: list[tuple[int, int, str]] = []
         self._expiry_seq = 0
         self._time = 0
         self.eviction = EvictionLedger()
-        self.ingested_items = 0
-        self.ingested_weight = 0.0
-        # Lateness buffer (only used under a store-level "buffer" policy).
-        self._watermark = -1
-        self._late_heap: list[tuple[int, int, str, float]] = []
-        self._late_seq = 0
         # Read-path memo: key -> (clock, write generation, Estimate).  A
         # hit requires both the store clock and the key's write
         # generation to match, so any fold, merge, or clock move makes
@@ -220,13 +204,6 @@ class ServiceStore:
         self._memoize = bool(memoize)
         self._write_gen: dict[str, int] = {}
         self._query_cache: dict[str, tuple[int, int, Estimate]] = {}
-
-    def _sharded_factory(self) -> Callable[[], DecayingSum]:
-        decay = self._decay
-        epsilon = self.epsilon
-        shards = self.shards
-        assert shards is not None
-        return lambda: ShardedDecayingSum(decay, epsilon, shards=shards)
 
     # ------------------------------------------------------------- clock
 
@@ -243,8 +220,24 @@ class ServiceStore:
         """Whether this store's engines take late items via ``add_at``."""
         return self._native
 
+    @property
+    def policy(self) -> OutOfOrderPolicy | None:
+        """The store-level out-of-order policy (owned by admission)."""
+        return self._admission.policy
+
+    @property
+    def ingested_items(self) -> int:
+        return self._admission.ingested_items
+
+    @property
+    def ingested_weight(self) -> float:
+        return self._admission.ingested_weight
+
     def advance(self, steps: int = 1) -> None:
-        """Advance the shared clock; TTL eviction runs on every advance."""
+        """Advance the shared clock; TTL eviction runs on every advance.
+
+        This is how the store applies admission's ``adv`` operation.
+        """
         if steps < 0:
             raise InvalidParameterError(f"steps must be >= 0, got {steps}")
         if steps == 0:
@@ -255,13 +248,12 @@ class ServiceStore:
         self._sweep()
 
     def advance_to(self, when: int) -> None:
-        if when < self._time:
-            raise TimeOrderError(
-                f"cannot move the store clock back: {self._time} -> {when}"
-            )
-        self.advance(when - self._time)
+        self._admission.advance_to(self, when)
 
     # ------------------------------------------------------------ writes
+    #
+    # Every write goes through the admission stage, which calls back into
+    # _adv/_fold/_late below (repro.service.admission).
 
     def observe(
         self, key: str, value: float = 1.0, *, when: int | None = None
@@ -273,28 +265,11 @@ class ServiceStore:
         or go straight to ``add_at`` when the engines are natively
         order-insensitive.
         """
-        when = self._time if when is None else int(when)
-        policy = self.policy
-        if policy is not None and policy.kind == "buffer" and not self._native:
-            self._buffer_push(key, when, value)
-            self._release()
-            return
-        if when < self._time:
-            self._late_one(key, when, value, policy)
-            return
-        self.advance_to(when)
-        self._engine_for(key).add(value)
-        self._count(key, value)
+        self._admission.observe(self, key, value, when)
 
     def observe_values(self, key: str, values: Iterable[float]) -> None:
         """Fold several same-time values into ``key`` at the current clock."""
-        batch = list(values)
-        if not batch:
-            return
-        self._engine_for(key).add_batch(batch)
-        self.ingested_items += len(batch)
-        self.ingested_weight += float(sum(batch))
-        self._touch(key)
+        self._admission.observe_values(self, key, values)
 
     def observe_batch(
         self,
@@ -308,124 +283,25 @@ class ServiceStore:
         Same grouping as :meth:`repro.fleet.StreamFleet.observe_batch`:
         the clock advances once per distinct arrival time and each key's
         same-time values fold in a single ``add_batch`` -- bit-identical
-        to the equivalent :meth:`observe` calls.  Late items go to
-        ``add_at`` on natively order-insensitive engines, and otherwise
-        follow ``policy`` (default: the store policy): ``raise`` fails,
-        ``drop`` counts them on the policy ledger, and the store-level
-        ``buffer`` policy routes *everything* through the persistent
-        watermark heap.  ``until`` advances the clock past the last item.
+        to the equivalent :meth:`observe` calls.  Late items follow
+        :meth:`repro.service.admission.Admission.observe_batch`.
+        ``until`` advances the clock past the last item.
         """
-        pol = self.policy if policy is None else policy
-        if pol is not None and pol.kind == "buffer" and not self._native:
-            if pol is not self.policy:
-                raise InvalidParameterError(
-                    "bounded-lateness buffering is store state; install the "
-                    "buffer policy on the ServiceStore constructor"
-                )
-            for item in items:
-                self._buffer_push(item.key, item.time, item.value)
-            self._release()
-        else:
-            tolerate = pol is not None and pol.kind != "raise"
-            pending: dict[str, list[float]] = {}
-            for item in items:
-                when = item.time
-                if when < self._time:
-                    if self._native:
-                        self._engine_for(item.key).add_at(  # type: ignore[attr-defined]
-                            when, item.value
-                        )
-                        self._count(item.key, item.value)
-                    elif tolerate and pol is not None:
-                        pol.note_dropped(item.value)
-                    else:
-                        raise TimeOrderError(
-                            f"trace time {when} precedes store clock "
-                            f"{self._time}; sort the feed or pass an "
-                            "OutOfOrderPolicy"
-                        )
-                    continue
-                if when > self._time:
-                    self._flush(pending)
-                    self.advance(when - self._time)
-                pending.setdefault(item.key, []).append(item.value)
-            self._flush(pending)
-        if until is not None:
-            if until < self._time:
-                raise TimeOrderError(
-                    f"until={until} precedes the clock after replay "
-                    f"({self._time}); clocks are monotone"
-                )
-            self.advance_to(until)
+        self._admission.observe_batch(self, items, until=until, policy=policy)
 
     def flush(self) -> None:
-        """Drain the lateness buffer (end of feed / daemon shutdown).
+        """Drain the lateness buffer (end of feed / daemon shutdown)."""
+        self._admission.flush(self)
 
-        Items released while draining fold in time order, advancing the
-        clock as they land; anything the clock already passed (an explicit
-        ``advance_to`` outran the watermark) drops onto the policy ledger.
-        """
-        while self._late_heap:
-            self._pop_fold()
+    def _adv(self, when: int) -> None:
+        self.advance(when - self._time)
 
-    def _late_one(
-        self,
-        key: str,
-        when: int,
-        value: float,
-        policy: OutOfOrderPolicy | None,
-    ) -> None:
-        if self._native:
-            self._engine_for(key).add_at(when, value)  # type: ignore[attr-defined]
-            self._count(key, value)
-        elif policy is not None and policy.kind != "raise":
-            policy.note_dropped(value)
-        else:
-            raise TimeOrderError(
-                f"observation time {when} precedes store clock {self._time}; "
-                "pass an OutOfOrderPolicy to tolerate late items"
-            )
+    def _fold(self, key: str, values: list[float]) -> None:
+        self._engine_for(key).add_batch(values)
+        self._touch(key)
 
-    def _buffer_push(self, key: str, when: int, value: float) -> None:
-        policy = self.policy
-        assert policy is not None
-        if when > self._watermark:
-            self._watermark = when
-        if when < self._time or when < self._watermark - policy.max_lateness:
-            policy.note_dropped(value)
-            return
-        self._late_seq += 1
-        heapq.heappush(self._late_heap, (when, self._late_seq, key, value))
-
-    def _release(self) -> None:
-        policy = self.policy
-        assert policy is not None
-        frontier = self._watermark - policy.max_lateness
-        while self._late_heap and self._late_heap[0][0] <= frontier:
-            self._pop_fold()
-
-    def _pop_fold(self) -> None:
-        when, _, key, value = heapq.heappop(self._late_heap)
-        if when < self._time:
-            assert self.policy is not None
-            self.policy.note_dropped(value)
-            return
-        if when > self._time:
-            self.advance(when - self._time)
-        self._engine_for(key).add(value)
-        self._count(key, value)
-
-    def _flush(self, pending: dict[str, list[float]]) -> None:
-        for key, values in pending.items():
-            self._engine_for(key).add_batch(values)
-            self.ingested_items += len(values)
-            self.ingested_weight += float(sum(values))
-            self._touch(key)
-        pending.clear()
-
-    def _count(self, key: str, value: float) -> None:
-        self.ingested_items += 1
-        self.ingested_weight += float(value)
+    def _late(self, key: str, when: int, value: float) -> None:
+        self._engine_for(key).add_at(when, value)  # type: ignore[attr-defined]
         self._touch(key)
 
     def _engine_for(self, key: str) -> DecayingSum:
@@ -598,18 +474,12 @@ class ServiceStore:
 
     def stats(self) -> dict[str, Any]:
         """The ``GET /keys`` ledger block: everything lossy, accounted."""
-        policy = self.policy
         return {
             "time": self._time,
             "keys": len(self._engines),
-            "ingested_items": self.ingested_items,
-            "ingested_weight": self.ingested_weight,
             "evicted_keys": self.eviction.evicted_keys,
             "evicted_weight": self.eviction.evicted_weight,
-            "dropped_count": 0 if policy is None else policy.dropped_count,
-            "dropped_weight": 0.0 if policy is None else policy.dropped_weight,
-            "buffered": len(self._late_heap),
-            "watermark": self._watermark,
+            **self._admission.stats(),
         }
 
     def key_stats(self) -> dict[str, dict[str, Any]]:
@@ -641,60 +511,34 @@ class ServiceStore:
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe snapshot: config, clock, ledgers, per-key engines.
 
-        Engines serialize through :func:`repro.serialize.engine_to_dict`
-        (sharded backings snapshot each replica plus the round-robin
-        cursor); stores built on a custom ``engine_factory`` cannot be
-        rebuilt from configuration and refuse to snapshot.
+        Engines serialize through :func:`repro.serialize.engine_to_dict`;
+        stores built on a custom ``engine_factory`` cannot be rebuilt from
+        configuration and refuse to snapshot.
         """
         if self._custom_factory:
             raise InvalidParameterError(
                 "stores built on a custom engine_factory are not "
                 "checkpointable; snapshot the engines yourself"
             )
-        policy = self.policy
-        keys: dict[str, dict[str, Any]] = {}
-        for key, engine in self._engines.items():
-            if isinstance(engine, ShardedDecayingSum):
-                state: dict[str, Any] = {
-                    "sharded": True,
-                    "round_robin": engine.round_robin,
-                    "replicas": [
-                        engine_to_dict(replica)
-                        for replica in engine.shard_view()
-                    ],
-                }
-            else:
-                state = {"sharded": False, "engine": engine_to_dict(engine)}
-            state["last_seen"] = self._last_seen.get(key, 0)
-            keys[key] = state
         return {
             "version": _SNAPSHOT_VERSION,
             "kind": "service-store",
             "decay": decay_to_dict(self._decay),
             "epsilon": self.epsilon,
             "ttl": self.ttl,
-            "shards": self.shards,
             "time": self._time,
-            "watermark": self._watermark,
-            "policy": None
-            if policy is None
-            else {
-                "kind": policy.kind,
-                "max_lateness": policy.max_lateness,
-                "dropped_count": policy.dropped_count,
-                "dropped_weight": policy.dropped_weight,
-            },
             "eviction": {
                 "evicted_keys": self.eviction.evicted_keys,
                 "evicted_weight": self.eviction.evicted_weight,
             },
-            "ingested_items": self.ingested_items,
-            "ingested_weight": self.ingested_weight,
-            "buffered": [
-                [when, seq, key, value]
-                for when, seq, key, value in sorted(self._late_heap)
-            ],
-            "keys": keys,
+            **self._admission.to_dict(),
+            "keys": {
+                key: {
+                    "engine": engine_to_dict(engine),
+                    "last_seen": self._last_seen.get(key, 0),
+                }
+                for key, engine in self._engines.items()
+            },
         }
 
     @classmethod
@@ -708,44 +552,24 @@ class ServiceStore:
             raise InvalidParameterError(
                 f"not a service-store snapshot: kind={data.get('kind')!r}"
             )
-        policy_data = data.get("policy")
-        policy = None
-        if policy_data is not None:
-            policy = OutOfOrderPolicy(
-                policy_data["kind"],
-                max_lateness=int(policy_data["max_lateness"]),
-            )
-            policy.dropped_count = int(policy_data["dropped_count"])
-            policy.dropped_weight = float(policy_data["dropped_weight"])
         store = cls(
             decay_from_dict(data["decay"]),
             float(data["epsilon"]),
             ttl=data["ttl"],
-            shards=data["shards"],
-            policy=policy,
         )
+        store._admission.restore(data)
         store._time = int(data["time"])
-        store._watermark = int(data["watermark"])
         ledger = data["eviction"]
         store.eviction = EvictionLedger(
             ledger["evicted_keys"], ledger["evicted_weight"]
         )
-        store.ingested_items = int(data["ingested_items"])
-        store.ingested_weight = float(data["ingested_weight"])
-        for when, seq, key, value in data["buffered"]:
-            store._late_heap.append((int(when), int(seq), str(key), float(value)))
-            store._late_seq = max(store._late_seq, int(seq))
-        heapq.heapify(store._late_heap)
         for key, state in data["keys"].items():
-            if state["sharded"]:
-                engine: DecayingSum = ShardedDecayingSum.from_replicas(
-                    store._decay,
-                    store.epsilon,
-                    [engine_from_dict(d) for d in state["replicas"]],
-                    round_robin=int(state["round_robin"]),
+            if state.get("sharded"):
+                raise InvalidParameterError(
+                    f"snapshot key {key!r} holds per-key engine replicas, "
+                    "which stores no longer build"
                 )
-            else:
-                engine = engine_from_dict(state["engine"])
+            engine = engine_from_dict(state["engine"])
             if engine.time != store._time:
                 raise TimeOrderError(
                     f"snapshot engine for {key!r} at clock {engine.time}, "
@@ -769,8 +593,13 @@ class ServiceStore:
         """Replace this store's state in place (the ``POST /restore`` path).
 
         In-place so the daemon and API server keep their references; the
-        configuration (decay, ttl, shards, policy) comes from the snapshot.
+        configuration (decay, ttl, policy) comes from the snapshot.  The
+        live policy object is kept and loaded from the snapshot
+        (:meth:`~repro.service.admission.Admission.restore`), so a daemon
+        passing it per batch keeps ingesting.
         """
         fresh = ServiceStore.from_dict(data)
         fresh._memoize = self._memoize
+        self._admission.restore(data)
+        fresh._admission = self._admission
         vars(self).update(vars(fresh))

@@ -6,11 +6,13 @@ import pytest
 
 from repro.core.decay import (
     ExponentialDecay,
+    PolyexponentialDecay,
     PolynomialDecay,
     SlidingWindowDecay,
 )
 from repro.core.errors import InvalidParameterError, TimeOrderError
 from repro.core.exact import ExactDecayingSum
+from repro.core.interfaces import make_decaying_sum
 from repro.fleet import StreamFleet
 
 
@@ -84,6 +86,21 @@ class TestEngineSelection:
             fleet.observe("k", 1.0)
             fleet.advance(5)
             assert fleet.rating("k").value >= 0.0
+
+    def test_polyexponential_fleet_uses_the_factory_engine(self):
+        # Polyexponential weights rise before they fall, so only the exact
+        # register pipeline make_decaying_sum picks certifies its bracket.
+        decay = PolyexponentialDecay(2, 0.1)
+        fleet = StreamFleet(decay)
+        direct = make_decaying_sum(decay, 0.1)
+        for t in range(20):
+            fleet.observe("k", 1.0 + t % 3, when=t)
+            direct.advance_to(t)
+            direct.add(1.0 + t % 3)
+        got, want = fleet.rating("k"), direct.query()
+        assert (got.value, got.lower, got.upper) == (
+            want.value, want.lower, want.upper
+        )
 
     def test_custom_factory(self):
         decay = PolynomialDecay(1.0)

@@ -13,22 +13,34 @@ single-store fold up to float summation order.
 The crash clause: SIGKILL a worker mid-run and keep feeding.  The router
 must revive it from checkpoint + journal replay and reconcile the
 ledgers without losing a single unit of admitted weight.
+
+The admission clause: both fronts run one admission stage, so late-item
+traces under every out-of-order policy (and natively late items on the
+forward-decay engines) leave both fronts with identical answers and
+identical admission ledgers -- across a mid-stream snapshot that still
+holds buffered items, too.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
+import random
 import signal
 import time as _time
+from typing import Callable
 
 import pytest
 
 from repro.conformance.engines import default_specs
 from repro.conformance.fuzz import trace_for_seed
 from repro.core.decay import ExponentialDecay
+from repro.core.errors import TimeOrderError
+from repro.core.timeorder import OutOfOrderPolicy
+from repro.service.daemon import IngestDaemon
 from repro.service.loadgen import keyed_trace
 from repro.streams.io import KeyedItem
-from repro.service.sharded import ShardedServiceStore
+from repro.service.sharded import ShardedServiceStore, flatten_snapshot
 from repro.service.store import ServiceStore
 
 #: Same seven storage architectures as tests/service/test_differential.py.
@@ -89,17 +101,29 @@ class TestSingleKeyCells:
             _replay_single_key(cell, seed)
 
 
-def _pair(cell: str, ttl: int | None = None):
+def _pair(
+    cell: str,
+    ttl: int | None = None,
+    policy: Callable[[], OutOfOrderPolicy] | None = None,
+):
+    """A single store and a sharded front, each with its own policy."""
     spec = default_specs()[cell]
-    single = ServiceStore(spec.decay, spec.epsilon, ttl=ttl)
+    single = ServiceStore(
+        spec.decay, spec.epsilon, ttl=ttl,
+        policy=None if policy is None else policy(),
+    )
     sharded = ShardedServiceStore(
-        spec.decay, spec.epsilon, workers=WORKERS, ttl=ttl
+        spec.decay, spec.epsilon, workers=WORKERS, ttl=ttl,
+        policy=None if policy is None else policy(),
     )
     return single, sharded
 
 
 def _assert_stores_agree(
-    single: ServiceStore, sharded: ShardedServiceStore
+    single: ServiceStore,
+    sharded: ShardedServiceStore,
+    *,
+    exact_total: bool = True,
 ) -> None:
     assert sharded.time == single.time
     assert sorted(sharded.keys()) == sorted(single.keys())
@@ -116,7 +140,8 @@ def _assert_stores_agree(
     # Admission ledgers are router-owned and folded in the exact
     # single-store float order: identical, not merely close.
     for field in ("keys", "ingested_items", "ingested_weight",
-                  "evicted_keys", "dropped_count", "buffered"):
+                  "evicted_keys", "dropped_count", "dropped_weight",
+                  "buffered", "watermark"):
         assert sharded_stats[field] == single_stats[field], field
     # Evicted weight sums per-worker floats in shard order.
     assert sharded_stats["evicted_weight"] == pytest.approx(
@@ -125,6 +150,12 @@ def _assert_stores_agree(
     want_total = single.query_total()
     got_total = sharded.query_total()
     assert got_total.lower <= got_total.upper
+    if not exact_total:
+        # Histogram merges compose error budgets, so the fan-in total is
+        # a different certified bracket around the same true total.
+        assert got_total.lower <= want_total.upper
+        assert want_total.lower <= got_total.upper
+        return
     # CL008 composition: the fan-in fold reproduces the single-store
     # total up to float summation order, with bounds still certified.
     assert got_total.value == pytest.approx(want_total.value, rel=1e-9)
@@ -215,3 +246,159 @@ class TestWorkerCrash:
             assert sharded.revived_workers >= WORKERS
         finally:
             sharded.close()
+
+
+def _late_trace(cell: str, seed: int) -> list[KeyedItem]:
+    """A keyed trace where a fifth of the items arrive 1-8 ticks late."""
+    rng = random.Random(seed)
+    items = []
+    for item in keyed_trace(400, 8, seed=seed, mean_gap=0.8):
+        when = item.time
+        if rng.random() < 0.2:
+            when = max(0, when - rng.randint(1, 8))
+        # The sliding-window EH counts integer arrivals.
+        value = float(int(item.value) + 1) if cell == "sliwin" else item.value
+        items.append(KeyedItem(item.key, when, value))
+    return items
+
+
+#: Cells whose engines merge exactly, so fan-in totals match point-wise.
+_EXACT_MERGE = {"expd", "sliwin", "fwd-exp"}
+
+
+def _feed(stores, items: list[KeyedItem], chunk: int = 37) -> None:
+    for lo in range(0, len(items), chunk):
+        for store in stores:
+            store.observe_batch(items[lo:lo + chunk])
+
+
+#: (cell, policy) pairs: both lossy-tolerant policies on the in-order
+#: engine families, and natively late items on forward decay.
+ADMISSION_CASES = [
+    (cell, policy)
+    for cell in ("expd", "sliwin", "polyd-wbmh")
+    for policy in ("drop", "buffer")
+] + [("fwd-exp", None)]
+
+_POLICIES: dict[str | None, Callable[[], OutOfOrderPolicy] | None] = {
+    "drop": OutOfOrderPolicy.dropping,
+    "buffer": lambda: OutOfOrderPolicy.buffered(4),
+    None: None,
+}
+
+
+class TestAdmissionAgrees:
+    @pytest.mark.parametrize("cell,policy", ADMISSION_CASES)
+    def test_late_items_agree(self, cell: str, policy: str | None) -> None:
+        items = _late_trace(cell, seed=13)
+        exact = cell in _EXACT_MERGE
+        single, sharded = _pair(cell, policy=_POLICIES[policy])
+        try:
+            _feed((single, sharded), items)
+            _assert_stores_agree(single, sharded, exact_total=exact)
+            stats = single.stats()
+            if policy is None:
+                # Forward decay takes every late item natively.
+                assert stats["ingested_items"] == len(items)
+            else:
+                assert stats["dropped_count"] > 0
+            if policy == "buffer":
+                assert stats["buffered"] > 0
+                single.flush()
+                sharded.flush()
+                _assert_stores_agree(single, sharded, exact_total=exact)
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("cell", ("expd", "polyd-wbmh"))
+    def test_buffered_snapshot_crosses_fronts(self, cell: str) -> None:
+        items = _late_trace(cell, seed=21)
+        exact = cell in _EXACT_MERGE
+        cut = len(items) // 2
+        single, sharded = _pair(cell, policy=_POLICIES["buffer"])
+        revived = None
+        try:
+            _feed((single, sharded), items[:cut])
+            assert sharded.stats()["buffered"] > 0
+            # Sharded -> single through flatten_snapshot, single -> sharded
+            # through restore; the heap travels both ways.
+            adopted = ServiceStore.from_dict(flatten_snapshot(sharded.to_dict()))
+            revived = ShardedServiceStore.from_dict(
+                single.to_dict(), workers=WORKERS
+            )
+            _assert_stores_agree(adopted, sharded, exact_total=exact)
+            _assert_stores_agree(single, revived, exact_total=exact)
+            _feed((single, sharded, adopted, revived), items[cut:])
+            for store in (single, sharded, adopted, revived):
+                store.flush()
+            for one, other in ((single, sharded), (adopted, sharded),
+                               (single, revived)):
+                _assert_stores_agree(one, other, exact_total=exact)
+        finally:
+            sharded.close()
+            if revived is not None:
+                revived.close()
+
+
+def _fronts() -> list[Callable[..., object]]:
+    return [
+        lambda **kw: ServiceStore(ExponentialDecay(0.05), 0.1, **kw),
+        lambda **kw: ShardedServiceStore(
+            ExponentialDecay(0.05), 0.1, workers=2, **kw
+        ),
+    ]
+
+
+@pytest.mark.parametrize("front", _fronts(), ids=("single", "sharded"))
+class TestAdmissionOnBothFronts:
+    def test_raising_late_item_keeps_the_prefix(self, front) -> None:
+        rows = [("a", 1, 1.0), ("b", 5, 2.0), ("c", 5, 3.0), ("d", 2, 4.0),
+                ("e", 6, 5.0)]
+        store = front()
+        prefix = ServiceStore(ExponentialDecay(0.05), 0.1)
+        try:
+            with pytest.raises(TimeOrderError):
+                store.observe_batch([KeyedItem(*row) for row in rows])
+            prefix.observe_batch([KeyedItem(*row) for row in rows[:3]])
+            assert store.time == prefix.time == 5
+            assert store.keys() == ["a", "b", "c"]
+            stats = store.stats()
+            assert stats["ingested_items"] == 3
+            assert stats["ingested_weight"] == 6.0
+            for key in prefix.keys():
+                got, want = store.query(key), prefix.query(key)
+                assert (got.value, got.lower, got.upper) == (
+                    want.value, want.lower, want.upper
+                )
+        finally:
+            store.close()
+
+    def test_restore_keeps_the_daemon_ingesting(self, front) -> None:
+        # The POST /restore path under a buffered service: the daemon
+        # passes its policy on every batch, so restore must keep that
+        # very object installed.
+        items = [KeyedItem(f"k{i % 3}", i, 1.0 + i) for i in range(20)]
+        policy = OutOfOrderPolicy.buffered(4)
+        store = front(policy=policy)
+
+        async def main() -> IngestDaemon:
+            daemon = IngestDaemon(store, policy=policy)
+            await daemon.start()
+            await daemon.submit_many(items[:10])
+            await daemon.drain()
+            store.restore(store.to_dict())
+            await daemon.submit_many(items[10:])
+            await daemon.drain()
+            await daemon.stop(drain=False)
+            return daemon
+
+        try:
+            daemon = asyncio.run(main())
+            assert daemon.fold_errors == 0
+            assert store.policy is policy
+            stats = store.stats()
+            assert stats["ingested_items"] == 16  # times 0..15 released
+            assert stats["buffered"] == 4
+            assert stats["watermark"] == 19
+        finally:
+            store.close()

@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.decay import ExponentialDecay, SlidingWindowDecay
+from repro.core.decay import (
+    ExponentialDecay,
+    PolynomialDecay,
+    SlidingWindowDecay,
+)
 from repro.core.errors import InvalidParameterError, TimeOrderError
 from repro.core.estimate import Estimate
 from repro.core.interfaces import DecayingSum, make_decaying_sum
 from repro.core.timeorder import OutOfOrderPolicy
+from repro.histograms.wbmh import WBMH
 from repro.service.store import EvictionLedger, ServiceStore
 from repro.streams.generators import StreamItem
 from repro.streams.io import KeyedItem
@@ -32,21 +37,9 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             ServiceStore(ExponentialDecay(0.05), 1.0)
 
-    def test_ttl_and_shards_validated(self) -> None:
+    def test_ttl_validated(self) -> None:
         with pytest.raises(InvalidParameterError):
             ServiceStore(ExponentialDecay(0.05), ttl=0)
-        with pytest.raises(InvalidParameterError):
-            ServiceStore(ExponentialDecay(0.05), shards=0)
-
-    def test_shards_and_custom_factory_are_exclusive(self) -> None:
-        with pytest.raises(InvalidParameterError):
-            ServiceStore(
-                ExponentialDecay(0.05),
-                shards=2,
-                engine_factory=lambda: make_decaying_sum(
-                    ExponentialDecay(0.05), 0.1
-                ),
-            )
 
     def test_clock_validation(self) -> None:
         store = ServiceStore(ExponentialDecay(0.05))
@@ -68,6 +61,22 @@ class TestFolding:
         direct.ingest([StreamItem(t, v) for t, v in rows], until=10)
         assert store.time == direct.time == 10
         assert _triplet(store.query("k")) == _triplet(direct.query())
+
+    def test_wbmh_keys_share_one_region_schedule(self) -> None:
+        decay = PolynomialDecay(1.0)
+        rows = [("a", 0, 1.0), ("b", 2, 3.0), ("a", 5, 2.0)]
+        store = ServiceStore(decay, 0.1)
+        store.observe_batch([KeyedItem(k, t, v) for k, t, v in rows], until=9)
+        a, b = store.engine("a"), store.engine("b")
+        assert isinstance(a, WBMH) and isinstance(b, WBMH)
+        assert a.schedule is b.schedule
+        direct = make_decaying_sum(decay, 0.1)
+        for key, t, v in rows:
+            direct.advance_to(t)
+            if key == "a":
+                direct.add(v)
+        direct.advance_to(9)
+        assert _triplet(store.query("a")) == _triplet(direct.query())
 
     def test_observe_singletons_match_batch(self) -> None:
         rows = [(1, 1.0), (4, 2.0), (4, 3.0), (9, 1.0)]
@@ -272,20 +281,6 @@ class TestMemoization:
         assert receiver.query("k").value == source.query("k").value
 
 
-class TestSharded:
-    def test_sharded_store_folds_and_snapshots(self) -> None:
-        rows = [KeyedItem("k", t, float(v)) for t, v in
-                [(0, 1), (1, 2), (1, 1), (4, 3), (6, 1)]]
-        store = ServiceStore(ExponentialDecay(0.05), shards=3)
-        store.observe_batch(rows, until=8)
-        clone = ServiceStore.from_dict(store.to_dict())
-        assert _triplet(clone.query("k")) == _triplet(store.query("k"))
-        more = [KeyedItem("k", 9, 2.0), KeyedItem("k", 11, 1.0)]
-        store.observe_batch(more)
-        clone.observe_batch(more)
-        assert _triplet(clone.query("k")) == _triplet(store.query("k"))
-
-
 class TestSnapshot:
     @staticmethod
     def _seeded(ttl: int | None = None) -> ServiceStore:
@@ -338,6 +333,30 @@ class TestSnapshot:
         store.observe("k", 1.0)
         with pytest.raises(InvalidParameterError):
             store.to_dict()
+
+    def test_replica_keys_rejected_and_older_fields_ignored(self) -> None:
+        data = self._seeded().to_dict()
+        # Older snapshots carry a store-level "shards" field and a per-key
+        # "sharded" flag; unflagged keys still restore.
+        older = {
+            **data,
+            "shards": None,
+            "keys": {
+                key: {**state, "sharded": False}
+                for key, state in data["keys"].items()
+            },
+        }
+        assert ServiceStore.from_dict(older).stats() == self._seeded().stats()
+        replicas = {
+            **data,
+            "keys": {
+                **data["keys"],
+                "a": {"sharded": True, "round_robin": 0, "replicas": [],
+                      "last_seen": 3},
+            },
+        }
+        with pytest.raises(InvalidParameterError):
+            ServiceStore.from_dict(replicas)
 
     def test_bad_snapshots_are_rejected(self) -> None:
         store = self._seeded()
