@@ -8,6 +8,11 @@ on POLYD(1), plus the shape diagnostics the paper's bounds predict:
 normalized ratios bits/log^2 N (flat for CEH) and bits/(log N log log N)
 (flat for WBMH), and WBMH's bucket-count blowup on EXPD (where it needs a
 linear number of buckets and the single-register recurrence wins).
+
+FWD-storage sweeps stream *duration* instead: a forward-decay sum holds
+only the scale blocks within ``_WINDOW`` of its top one, so its bits stay
+flat however long the stream runs, where one block per 64 bits of
+``log2 g`` would grow linearly with time.
 """
 
 import math
@@ -19,11 +24,16 @@ from repro.benchkit.reporting import format_table
 from repro.core.decay import ExponentialDecay, PolynomialDecay
 from repro.core.ewma import ExponentialSum
 from repro.core.exact import ExactDecayingSum
+from repro.core.forward import _WINDOW, ForwardDecay, ForwardDecaySum
 from repro.histograms.ceh import CascadedEH
 from repro.histograms.wbmh import WBMH
+from repro.streams.generators import StreamItem
 
 SIZES = [1 << 9, 1 << 11, 1 << 13, 1 << 15]
 EPS = 0.3
+
+#: Stream durations of the forward sweep: one item every 4 ticks.
+FWD_HORIZONS = [1 << j for j in range(12, 21, 2)]
 
 
 def run(engine, n):
@@ -73,6 +83,26 @@ def expd_bucket_rows():
     return rows
 
 
+def forward_storage_rows():
+    decay = ForwardDecay("exp", 0.05)
+    engine = ForwardDecaySum(decay)
+    rows = []
+    start = 0
+    for horizon in FWD_HORIZONS:
+        engine.ingest(
+            (StreamItem(t, 1.0) for t in range(start, horizon, 4)),
+            until=horizon,
+        )
+        start = horizon
+        report = engine.storage_report()
+        spanned = int(decay.log2_g(horizon - 4) / 64) + 1
+        rows.append(
+            [horizon, horizon // 4, spanned, report.buckets,
+             report.per_stream_bits]
+        )
+    return rows
+
+
 def test_storage_hierarchy(record_table, benchmark):
     rows = benchmark.pedantic(storage_rows, rounds=1, iterations=1)
     record_table(
@@ -112,6 +142,22 @@ def test_wbmh_degenerates_on_expd(record_table, benchmark):
     assert rows[-1][1] > 0.9 * 2 * rows[-2][1] * 0.5  # ~doubles with N
     assert growth_exponent([r[0] for r in rows], [r[1] for r in rows]) > 0.8
     assert growth_exponent([r[0] for r in rows], [r[2] for r in rows]) < 0.5
+
+
+def test_forward_storage_is_flat(record_table, benchmark):
+    rows = benchmark.pedantic(forward_storage_rows, rounds=1, iterations=1)
+    record_table(
+        "FWD-storage",
+        format_table(
+            ["T (ticks)", "items", "blocks spanned", "blocks held", "bits"],
+            rows,
+        ),
+    )
+    assert all(r[3] <= _WINDOW for r in rows)
+    # Past one window of blocks the state stops growing with T.
+    bits = {r[0]: r[4] for r in rows}
+    assert bits[1 << 20] == pytest.approx(bits[1 << 16], rel=0.05)
+    assert rows[-1][2] > 16 * rows[-1][3]
 
 
 def test_wbmh_update_kernel(benchmark):

@@ -30,6 +30,15 @@ query *bit for bit* (conformance law CL009), and no intermediate ever
 exceeds the float range regardless of stream length.  The landmark is
 fixed at ``L = 0`` -- renormalization happens per query, dividing by
 ``g(T - L)`` in the same block arithmetic.
+
+Bounded state
+-------------
+A block far enough below the top one folds to exactly ``+0.0`` in every
+answer, so the engine keeps at most ``D = 34`` scale blocks, the ones
+within ``D`` of its top (derivation at :data:`_WINDOW`).  Per-key state,
+snapshots and the query fold are therefore O(D) blocks whatever the
+stream length, every answer is bit-identical to keeping every block, and
+the state is still a pure function of the item multiset.
 """
 
 from __future__ import annotations
@@ -68,6 +77,20 @@ _BLOCK_BITS = 64
 #: exact quotient and truncating it equals ``floor(f / 64)`` for f >= 0
 #: (much cheaper than float floor-division in the hot loop).
 _INV_BLOCK = 0.015625
+
+#: Scale blocks kept: only blocks less than ``_WINDOW`` below the top
+#: block can change an answer.  Every banked contribution is a finite
+#: double, below ``2**1024``, so a block of ``n`` items is worth less
+#: than ``n * 2**1024``; folded ``d`` blocks under the top by
+#: :func:`_scaled_float` it is below ``2n * 2**(1024 - 64d)`` (the 2
+#: covers the sticky-bit truncation), and ``ldexp`` rounds anything at
+#: most ``2**-1075`` -- half the least subnormal -- to exactly ``+0.0``.
+#: ``64d >= 1 + 76 + 1024 + 1075`` gives that for up to ``2**76`` items
+#: in one block: ``d = 34``.  Adding ``+0.0`` leaves the fold unchanged
+#: and the top block is never dropped, so every answer is bit-identical
+#: to keeping every block, while the state stays at most 34 blocks
+#: however long the stream runs.
+_WINDOW = 34
 
 #: ``2**52``.  For ``x >= 1`` the product ``x * 2**52`` is integer-valued
 #: (a double has no mantissa bits below ``2**-52`` once ``x >= 1``), so
@@ -161,11 +184,13 @@ def _scaled_float(num: int, exp: int) -> float:
 class ForwardDecaySum:
     """Forward decaying sum with order-independent exact accumulation.
 
-    State is a sparse map of scale blocks ``k -> num * 2**exp`` (exact
-    integers, see the module docstring): ingest banks each item's float
-    contribution exactly, so the state -- and therefore every query -- is
-    a function of the item multiset alone.  Late items are accepted
-    directly (``supports_out_of_order``); the clock only ever moves
+    State is a sparse map of at most ``D`` scale blocks
+    ``k -> num * 2**exp`` (exact integers, see the module docstring):
+    ingest banks each item's float contribution exactly, so the state --
+    and therefore every query -- is a function of the item multiset
+    alone.  Late items are accepted directly (``supports_out_of_order``);
+    one landing ``D`` or more blocks below the top is counted but cannot
+    change an answer, so it is not banked.  The clock only ever moves
     forward to the newest timestamp seen.
 
     ``query`` folds the blocks highest-first into a float and divides by
@@ -234,7 +259,7 @@ class ForwardDecaySum:
     # ------------------------------------------------------------- writes
 
     def add(self, value: float = 1.0) -> None:
-        if value < 0:
+        if not value >= 0:
             raise InvalidParameterError(f"value must be >= 0, got {value}")
         when = self._time
         if when != self._cache_t:
@@ -300,7 +325,7 @@ class ForwardDecaySum:
         """
         if when < 0:
             raise InvalidParameterError(f"when must be >= 0, got {when}")
-        if value < 0:
+        if not value >= 0:
             raise InvalidParameterError(f"value must be >= 0, got {value}")
         if when > self._time:
             self._time = when
@@ -330,7 +355,7 @@ class ForwardDecaySum:
                 continue
             if run and num:
                 slot = _flush(buckets, k, slot, num, exp, run)
-            if value < 0:
+            if not value >= 0:
                 raise InvalidParameterError(
                     f"value must be >= 0, got {value}"
                 )
@@ -409,7 +434,7 @@ class ForwardDecaySum:
                     slot = buckets.get(k)
                 w = 2.0 ** (f - blo)
                 last_t = when
-            if value < 0:
+            if not value >= 0:
                 raise InvalidParameterError(
                     f"value must be >= 0, got {value}"
                 )
@@ -554,13 +579,37 @@ def _exact_parts(contribution: float) -> tuple[int, int]:
     return num, 1 - den.bit_length()
 
 
+def _open(
+    buckets: dict[int, list[int]], k: int, num: int, exp: int
+) -> list[int] | None:
+    """Create block ``k`` holding ``num * 2**exp``, inside the window.
+
+    The one place the :data:`_WINDOW` rule lives, run only when a block
+    is created: a new top deletes every block ``_WINDOW`` or more below
+    it, and a block that far below the top is not created at all (the
+    write is dropped and ``None`` returned).  Either way the blocks kept
+    are exactly those within ``_WINDOW`` of the top of the whole item
+    multiset, so the state stays a pure function of it.
+    """
+    if buckets:
+        top = max(buckets)
+        if k <= top - _WINDOW:
+            return None
+        if k > top:
+            floor = k - _WINDOW
+            for old in [b for b in buckets if b <= floor]:
+                del buckets[old]
+    slot = buckets[k] = [num, exp]
+    return slot
+
+
 def _accumulate(
     buckets: dict[int, list[int]], k: int, num: int, exp: int
 ) -> None:
     """Add ``num * 2**exp`` into block ``k`` exactly (order-independent)."""
     slot = buckets.get(k)
     if slot is None:
-        buckets[k] = [num, exp]
+        _open(buckets, k, num, exp)
         return
     have = slot[1]
     if exp == have:
@@ -579,17 +628,18 @@ def _flush(
     num: int,
     exp: int,
     run: int,
-) -> list[int]:
+) -> list[int] | None:
     """Bank ``run`` copies of ``num * 2**exp`` into block ``k`` exactly.
 
     ``num * run`` is the same integer as ``run`` sequential additions, so
     run-length collapsing preserves the bit-identity contracts.  Returns
-    the (possibly freshly created) slot so callers can keep it cached.
+    the (possibly freshly created) slot so callers can keep it cached,
+    or ``None`` when block ``k`` lies outside the window (see
+    :func:`_open`).
     """
     add = num if run == 1 else num * run
     if slot is None:
-        slot = buckets[k] = [add, exp]
-        return slot
+        return _open(buckets, k, add, exp)
     have = slot[1]
     if exp == have:
         slot[0] += add
@@ -727,7 +777,7 @@ class ExactForwardSum:
     def add_at(self, when: int, value: float = 1.0) -> None:
         if when < 0:
             raise InvalidParameterError(f"when must be >= 0, got {when}")
-        if value < 0:
+        if not value >= 0:
             raise InvalidParameterError(f"value must be >= 0, got {value}")
         if when > self._time:
             self._time = when

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Iterable, TypeVar
 
@@ -33,15 +34,22 @@ __all__ = [
 
 
 class KeyedItem:
-    """A stream item tagged with the stream it belongs to (fleet traces)."""
+    """A stream item tagged with the stream it belongs to (fleet traces).
+
+    Every outside input (HTTP, WS, the NDJSON feed, the readers here)
+    passes through this type, so it is where a weight that is negative,
+    NaN or infinite is rejected, before it can reach any engine.
+    """
 
     __slots__ = ("key", "time", "value")
 
     def __init__(self, key: str, time: int, value: float) -> None:
         if time < 0:
             raise InvalidParameterError("time must be >= 0")
-        if value < 0:
-            raise InvalidParameterError("value must be >= 0")
+        if not 0 <= value < math.inf:
+            raise InvalidParameterError(
+                f"value must be finite and >= 0, got {value}"
+            )
         self.key = str(key)
         self.time = int(time)
         self.value = float(value)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core import forward
 from repro.core.decay import ExponentialDecay, PolynomialDecay
 from repro.core.errors import (
     EmptyAggregateError,
@@ -26,6 +27,16 @@ from repro.streams.generators import StreamItem
 def triplet(engine):
     est = engine.query()
     return est.value, est.lower, est.upper
+
+
+#: One NaN write through each write path of a forward engine.
+NAN_WRITES = [
+    lambda e: e.add(math.nan),
+    lambda e: e.add_at(3, math.nan),
+    lambda e: e.add_batch([math.nan]),
+    lambda e: e.ingest([StreamItem(3, math.nan)]),
+]
+NAN_WRITE_IDS = ["add", "add_at", "add_batch", "ingest"]
 
 
 class TestForwardDecay:
@@ -131,6 +142,15 @@ class TestForwardDecaySum:
         with pytest.raises(TimeOrderError):
             s.ingest([StreamItem(3, 1.0)], until=1)
 
+    @pytest.mark.parametrize("write", NAN_WRITES, ids=NAN_WRITE_IDS)
+    def test_nan_rejected_on_every_write_path(self, write):
+        s = ForwardDecaySum(ForwardDecay("exp", 0.1))
+        s.ingest([StreamItem(1, 2.0), StreamItem(2, 0.5)], until=3)
+        before = engine_to_dict(s)
+        with pytest.raises(InvalidParameterError):
+            write(s)
+        assert engine_to_dict(s) == before
+
     def test_overflowing_contribution_rejected(self):
         s = ForwardDecaySum(ForwardDecay("exp", 0.1))
         with pytest.raises(InvalidParameterError):
@@ -155,6 +175,62 @@ class TestForwardDecaySum:
             math.exp(-rate * (10_000 - t)) for t in range(0, 10_001, 100)
         )
         assert s.query().value == pytest.approx(expected, rel=1e-9)
+
+    def test_state_is_bounded_over_a_long_horizon(self):
+        # 2**20 ticks at rate 0.05 cross ~1,180 scale blocks; only the
+        # blocks within the window of the top one are held.
+        s = ForwardDecaySum(ForwardDecay("exp", 0.05))
+        end = 1 << 20
+        s.ingest((StreamItem(t, 1.0) for t in range(0, end, 64)), until=end)
+        assert s.storage_report().buckets <= forward._WINDOW
+        assert s.query().value == pytest.approx(
+            math.exp(-0.05 * 64) / (1 - math.exp(-0.05 * 64)), rel=1e-9
+        )
+
+    def test_far_late_write_is_dropped_but_counted(self):
+        s = ForwardDecaySum(ForwardDecay("exp", 2.0))
+        s.add_at(5000, 1.0)
+        before = engine_to_dict(s)["blocks"]
+        s.add_at(0, 1.0)  # ~225 blocks below the top
+        assert engine_to_dict(s)["blocks"] == before
+        assert engine_to_dict(s)["items"] == 2
+
+    @pytest.mark.parametrize("late_first", [True, False])
+    def test_window_edge_is_answer_neutral(self, late_first):
+        # Adversarial boundary: 2**16 near-DBL_MAX contributions in one
+        # block against a top block holding only 5e-324 * w.  One block
+        # inside the window they still move the answer; at exactly
+        # _WINDOW blocks below the top they fold to +0.0, so dropping
+        # them changes no bit.
+        decay = ForwardDecay("exp", 0.05)
+
+        def block(t):
+            return int(decay.log2_g(t) / 64)
+
+        def first_time_in(k):
+            t = 0
+            while block(t) < k:
+                t += 1
+            return t
+
+        top = forward._WINDOW + 6
+        t_top = first_time_in(top)
+        tiny = [StreamItem(t_top, 5e-324)]
+        alone = ForwardDecaySum(decay)
+        alone.ingest(tiny)
+        for depth in (forward._WINDOW - 1, forward._WINDOW):
+            t_low = first_time_in(top - depth)
+            w_low = 2.0 ** (decay.log2_g(t_low) - 64 * (top - depth))
+            huge = [StreamItem(t_low, 1.7e308 / w_low)] * (1 << 16)
+            s = ForwardDecaySum(decay)
+            s.ingest(huge + tiny if late_first else tiny + huge)
+            assert len(engine_to_dict(s)["blocks"]) == (
+                2 if depth < forward._WINDOW else 1
+            )
+            if depth < forward._WINDOW:
+                assert s.query().value > alone.query().value
+            else:
+                assert triplet(s) == triplet(alone)
 
     def test_quiet_period_underflows_to_zero(self):
         s = ForwardDecaySum(ForwardDecay("exp", 1.0))
@@ -255,6 +331,15 @@ class TestExactForwardSum:
             assert fast.query().value == pytest.approx(
                 slow.query().value, rel=1e-9
             )
+
+    @pytest.mark.parametrize("write", NAN_WRITES, ids=NAN_WRITE_IDS)
+    def test_nan_rejected_on_every_write_path(self, write):
+        s = ExactForwardSum(ForwardDecay("exp", 0.1))
+        s.add_at(1, 2.0)
+        before = (s.time, list(s._entries), s._items, triplet(s))
+        with pytest.raises(InvalidParameterError):
+            write(s)
+        assert (s.time, list(s._entries), s._items, triplet(s)) == before
 
     def test_merge_and_storage(self):
         a = ExactForwardSum(ForwardDecay("exp", 0.1))

@@ -3,14 +3,23 @@
 The block accumulator's whole design exists for one promise: ingesting
 any permutation of a trace -- shuffled, reversed, or split arbitrarily
 between ``ingest``/``add_at``/``merge`` -- produces the *bit-identical*
-certified estimate triplet (value, lower, upper), not merely a close one.
-These properties are the Hypothesis-driven twin of conformance law CL009.
+certified estimate triplet (value, lower, upper), not merely a close one,
+and the identical block state.  These properties are the
+Hypothesis-driven twin of conformance law CL009.
+
+The engine holds only the scale blocks within ``_WINDOW`` of its top
+block.  An unbounded reference that never drops a block pins that
+window as answer-neutral, bit for bit.
 """
 
-from hypothesis import given, settings
+import math
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import forward
 from repro.core.forward import ForwardDecay, ForwardDecaySum
+from repro.serialize import decay_to_dict, engine_from_dict, engine_to_dict
 from repro.streams.generators import StreamItem
 
 decays = st.one_of(
@@ -40,6 +49,38 @@ def triplet(engine):
     return est.value, est.lower, est.upper
 
 
+def blocks(engine):
+    return engine_to_dict(engine)["blocks"]
+
+
+def unbounded_blocks(decay, trace):
+    """Every scale block of ``trace``, none dropped: ``k -> [num, exp]``."""
+    held = {}
+    for item in trace:
+        f = decay.log2_g(item.time)
+        k = math.floor(f / 64)
+        num, exp = forward._exact_parts(item.value * 2.0 ** (f - 64 * k))
+        if not num:
+            continue
+        have = held.setdefault(k, [0, exp])
+        low = min(have[1], exp)
+        have[0] = (have[0] << (have[1] - low)) + (num << (exp - low))
+        have[1] = low
+    return held
+
+
+def unbounded_value(decay, held, end):
+    """``query()``'s fold over every block in ``held``."""
+    if not held:
+        return 0.0
+    top = max(held)
+    total = 0.0
+    for k in sorted(held, reverse=True):
+        num, exp = held[k]
+        total += forward._scaled_float(num, exp + (k - top) * 64)
+    return total * 2.0 ** (top * 64 - decay.log2_g(end))
+
+
 @settings(max_examples=150, deadline=None)
 @given(decay=decays, trace=traces, seed=st.integers(0, 2**32 - 1))
 def test_any_permutation_is_bit_identical(decay, trace, seed):
@@ -55,6 +96,7 @@ def test_any_permutation_is_bit_identical(decay, trace, seed):
         other.ingest(perm, until=end)
         assert other.time == base.time
         assert triplet(other) == triplet(base)
+        assert blocks(other) == blocks(base)
 
 
 @settings(max_examples=100, deadline=None)
@@ -73,6 +115,7 @@ def test_merge_of_any_split_is_bit_identical(decay, trace, split):
     right.ingest(trace[split:], until=end)
     left.merge(right)
     assert triplet(left) == triplet(whole)
+    assert blocks(left) == blocks(whole)
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,3 +129,71 @@ def test_add_at_replay_matches_ingest(decay, trace):
         itemized.add_at(item.time, item.value)
     itemized.advance_to(end)
     assert triplet(itemized) == triplet(batched)
+    assert blocks(itemized) == blocks(batched)
+
+
+def edge_trace(depth):
+    """2**16 near-DBL_MAX contributions ``depth`` blocks under a top
+    block that holds only ``5e-324 * w`` (rate 0.05, top block 40)."""
+    decay = ForwardDecay("exp", 0.05)
+
+    def first_time_in(k):
+        t = 0
+        while decay.log2_g(t) < 64 * k:
+            t += 1
+        return t
+
+    t_low = first_time_in(40 - depth)
+    w_low = 2.0 ** (decay.log2_g(t_low) - 64 * (40 - depth))
+    huge = StreamItem(t_low, 1.7e308 / w_low)
+    return [huge] * (1 << 16) + [StreamItem(first_time_in(40), 5e-324)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(decay=decays, trace=traces)
+@example(decay=ForwardDecay("exp", 0.05), trace=edge_trace(33))
+@example(decay=ForwardDecay("exp", 0.05), trace=edge_trace(34))
+def test_window_matches_the_unbounded_fold(decay, trace):
+    # Exp rates up to 2.0 over times up to 5,000 span up to 226 blocks,
+    # far more than the window keeps.
+    end = max((i.time for i in trace), default=0) + 10
+    engine = ForwardDecaySum(decay)
+    engine.ingest(trace, until=end)
+    held = unbounded_blocks(decay, trace)
+    want = unbounded_value(decay, held, end)
+    assert triplet(engine) == (want, want, want)
+    assert engine.storage_report().buckets <= forward._WINDOW
+    top = max(held, default=0)
+    assert blocks(engine) == [
+        [k, num, exp]
+        for k, (num, exp) in sorted(held.items())
+        if k > top - forward._WINDOW
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(decay=decays, trace=traces)
+@example(
+    decay=ForwardDecay("exp", 2.0),
+    trace=[StreamItem(t, 1.0) for t in range(0, 5000, 50)],
+)
+def test_unbounded_snapshot_restores_to_the_window(decay, trace):
+    # A snapshot written before the window existed holds every block;
+    # restoring it keeps the same answer from at most _WINDOW blocks.
+    end = max((i.time for i in trace), default=0) + 10
+    held = unbounded_blocks(decay, trace)
+    snapshot = {
+        "version": 1,
+        "engine": "forward",
+        "decay": decay_to_dict(decay),
+        "time": end,
+        "blocks": [[k, num, exp] for k, (num, exp) in sorted(held.items())],
+        "items": len(trace),
+    }
+    restored = engine_from_dict(snapshot)
+    want = unbounded_value(decay, held, end)
+    assert triplet(restored) == (want, want, want)
+    assert restored.storage_report().buckets <= forward._WINDOW
+    direct = ForwardDecaySum(decay)
+    direct.ingest(trace, until=end)
+    assert blocks(restored) == blocks(direct)

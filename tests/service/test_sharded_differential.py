@@ -34,8 +34,10 @@ import pytest
 
 from repro.conformance.engines import default_specs
 from repro.conformance.fuzz import trace_for_seed
+from repro.core import forward
 from repro.core.decay import ExponentialDecay
 from repro.core.errors import TimeOrderError
+from repro.core.forward import ForwardDecay, ForwardDecaySum
 from repro.core.timeorder import OutOfOrderPolicy
 from repro.service.daemon import IngestDaemon
 from repro.service.loadgen import keyed_trace
@@ -338,6 +340,81 @@ class TestAdmissionAgrees:
             sharded.close()
             if revived is not None:
                 revived.close()
+
+
+#: Ticks per 64-bit scale block at forward rate 0.5 (64 / (0.5 log2 e)).
+_FAST_BLOCK_TICKS = 89
+
+
+def _long_forward_trace(seed: int) -> list[KeyedItem]:
+    """A keyed forward trace at rate 0.5 crossing over 3 windows of blocks.
+
+    A fifth of the items arrive 1-20 ticks late, and every 97th item is
+    stamped more than a whole window of blocks in the past, so the
+    engines drop it on write while the ledgers still count it.
+    """
+    rng = random.Random(seed)
+    span = 3 * forward._WINDOW * _FAST_BLOCK_TICKS + 1000
+    far = (forward._WINDOW + 2) * _FAST_BLOCK_TICKS
+    items = []
+    for index, when in enumerate(sorted(rng.sample(range(span), 900))):
+        if index % 97 == 96 and when > far:
+            when -= far + rng.randint(0, 200)
+        elif rng.random() < 0.2:
+            when = max(0, when - rng.randint(1, 20))
+        value = round(rng.uniform(0.0, 4.0), 3)
+        items.append(KeyedItem(f"k{rng.randrange(6)}", when, value))
+    return items
+
+
+class TestLongHorizonForward:
+    def test_bounded_blocks_agree_across_a_worker_kill(self) -> None:
+        decay = ForwardDecay("exp", 0.5)
+        items = _long_forward_trace(seed=5)
+        cut = len(items) // 2
+        single = ServiceStore(decay, 0.1)
+        sharded = ShardedServiceStore(
+            decay, 0.1, workers=WORKERS, checkpoint_every=8
+        )
+        try:
+            _feed((single, sharded), items[:cut])
+            victim = sharded.worker_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            deadline = _time.monotonic() + 10.0
+            while _time.monotonic() < deadline:
+                try:
+                    os.kill(victim, 0)
+                except ProcessLookupError:
+                    break
+                _time.sleep(0.05)
+            _feed((single, sharded), items[cut:])
+            assert sharded.revived_workers >= 1
+            _assert_stores_agree(single, sharded)
+            assert (
+                sharded.stats()["ingested_items"]
+                == single.stats()["ingested_items"]
+                == len(items)
+            )
+            for key in single.keys():
+                direct = ForwardDecaySum(decay)
+                for item in items:
+                    if item.key == key:
+                        direct.add_at(item.time, item.value)
+                direct.advance_to(single.time)
+                want = direct.query()
+                got = sharded.query(key)
+                assert (got.value, got.lower, got.upper) == (
+                    want.value, want.lower, want.upper
+                ), key
+            held = [
+                len(state["engine"]["blocks"])
+                for shard in sharded.to_dict()["shards"]
+                for state in shard["keys"].values()
+            ]
+            assert len(held) == len(single.keys())
+            assert max(held) <= forward._WINDOW
+        finally:
+            sharded.close()
 
 
 def _fronts() -> list[Callable[..., object]]:

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Awaitable, Callable
 
-from repro.core.decay import ExponentialDecay
+import pytest
+
+from repro.core.decay import ExponentialDecay, PolynomialDecay
+from repro.core.forward import ForwardDecay
 from repro.service.api import WSClient, http_request
 from repro.service.daemon import BackpressurePolicy, IngestDaemon
 from repro.service.loadgen import ServiceHarness, keyed_trace
@@ -188,6 +192,73 @@ class TestTcpFeed:
             await _assert_no_leaked_tasks()
 
         _run(main)
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize(
+        "decay",
+        [ExponentialDecay(0.05), PolynomialDecay(1.0), ForwardDecay("exp", 0.05)],
+        ids=["ewma", "wbmh", "fwd"],
+    )
+    def test_rejected_on_every_surface_and_key_still_answers(
+        self, decay
+    ) -> None:
+        async def main() -> None:
+            harness = ServiceHarness(decay, serve_feed=True)
+            await harness.start()
+            try:
+                host, port = harness.host, harness.port
+                await http_request(
+                    host, port, "POST", "/ingest",
+                    {"items": [{"key": "a", "time": 1, "value": 2.0}]},
+                )
+                await harness.daemon.drain()
+                _, before = await http_request(host, port, "GET", "/snapshot")
+                _, answer = await http_request(host, port, "GET", "/query/a")
+
+                ws = await WSClient.connect(host, port)
+                try:
+                    for bad in (math.nan, math.inf):
+                        row = {"key": "a", "time": 2, "value": bad}
+                        status, body = await http_request(
+                            host, port, "POST", "/ingest", {"items": [row]}
+                        )
+                        assert status == 400, body
+                        reply = await ws.request({"op": "ingest", "items": [row]})
+                        assert "InvalidParameterError" in reply["error"]
+                finally:
+                    await ws.close()
+
+                _, writer = await asyncio.open_connection(
+                    harness.feed_host, harness.feed_port
+                )
+                writer.write(
+                    b'{"key": "a", "time": 2, "value": NaN}\n'
+                    b'{"key": "a", "time": 2, "value": Infinity}\n'
+                )
+                await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+                await asyncio.wait_for(_bad_lines(harness.daemon, 2), 5.0)
+                await harness.daemon.drain()
+
+                _, after = await http_request(host, port, "GET", "/snapshot")
+                assert after == before
+                status, again = await http_request(
+                    host, port, "GET", "/query/a"
+                )
+                assert (status, again) == (200, answer)
+                assert harness.daemon.fold_errors == 0
+            finally:
+                await harness.stop()
+            await _assert_no_leaked_tasks()
+
+        _run(main)
+
+
+async def _bad_lines(daemon: IngestDaemon, expected: int) -> None:
+    while daemon.bad_lines < expected:
+        await asyncio.sleep(0.01)
 
 
 async def _feed_settled(daemon: IngestDaemon, expected_items: int) -> None:

@@ -1,5 +1,7 @@
 """Unit tests for trace persistence and replay."""
 
+import math
+
 import pytest
 
 from repro.core.decay import PolynomialDecay
@@ -110,3 +112,24 @@ class TestReplay:
         engine = ExactDecayingSum(PolynomialDecay(1.0))
         with pytest.raises(TimeOrderError):
             replay([StreamItem(5, 1.0), StreamItem(2, 1.0)], engine)
+
+
+class TestKeyedItem:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_weight_rejected(self, value):
+        with pytest.raises(InvalidParameterError):
+            KeyedItem("a", 0, value)
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_readers_reject_non_finite_keyed_rows(self, tmp_path, text):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text(f"time,value,key\n0,1.0,a\n1,{text},a\n")
+        with pytest.raises(InvalidParameterError):
+            read_csv(csv_path)
+        jsonl_path = tmp_path / "t.jsonl"
+        jsonl_path.write_text(
+            '{"time": 1, "value": %s, "key": "a"}\n'
+            % ("NaN" if text == "nan" else "Infinity")
+        )
+        with pytest.raises(InvalidParameterError):
+            read_jsonl(jsonl_path)
