@@ -327,14 +327,18 @@ class ForwardDecaySum:
             raise InvalidParameterError(f"when must be >= 0, got {when}")
         if not value >= 0:
             raise InvalidParameterError(f"value must be >= 0, got {value}")
+        self._flush_pending()
+        self._bank(when, value)  # raises on overflow before the clock moves
         if when > self._time:
             self._time = when
-        self._flush_pending()
-        self._bank(when, value)
         self._items += 1
 
     def add_batch(self, values: Sequence[float]) -> None:
-        """Bank a same-instant batch; bit-identical to sequential adds."""
+        """Bank a same-instant batch; bit-identical to sequential adds.
+
+        A rejected value raises with the values before it banked and
+        counted, as sequential adds would leave them.
+        """
         self._flush_pending()
         when = self._time
         decay = self._decay
@@ -345,27 +349,30 @@ class ForwardDecaySum:
         slot = buckets.get(k)
         n = 0
         run = 0
-        last = -1.0
+        last = math.nan  # equal to no value: the first one is checked
         num = 0
         exp = 0
-        for value in values:
-            if value == last:
-                run += 1
+        try:
+            for value in values:
+                if value == last:
+                    run += 1
+                    n += 1
+                    continue
+                if run and num:
+                    slot = _flush(buckets, k, slot, num, exp, run)
+                if not value >= 0:
+                    raise InvalidParameterError(
+                        f"value must be >= 0, got {value}"
+                    )
+                num, exp = _exact_parts(value * w)
+                last = value
+                run = 1
                 n += 1
-                continue
-            if run and num:
-                slot = _flush(buckets, k, slot, num, exp, run)
-            if not value >= 0:
-                raise InvalidParameterError(
-                    f"value must be >= 0, got {value}"
-                )
-            num, exp = _exact_parts(value * w)
-            last = value
-            run = 1
-            n += 1
+        finally:
+            # A value raises after the runs before it are banked.
+            self._items += n
         if run and num:
             _flush(buckets, k, slot, num, exp, run)
-        self._items += n
 
     def ingest(
         self, items: Iterable[TimedValue], *, until: int | None = None
@@ -379,7 +386,8 @@ class ForwardDecaySum:
         ``num * run`` addition (multiplication of the exact integer is
         the same integer as ``run`` sequential adds).  Bit-identical to
         replaying the items one at a time through :meth:`add_at`, in any
-        order.
+        order; an item that raises leaves the items before it banked,
+        counted and on the clock, as that replay would.
         """
         self._flush_pending()
         decay = self._decay
@@ -391,7 +399,7 @@ class ForwardDecaySum:
         n = 0
         run = 0
         last_t = -1
-        last_v = -1.0
+        last_v = math.nan  # equal to no value: the first item is checked
         blo = 0.0
         bhi = -1.0  # empty range: the first item recomputes the block
         k = 0
@@ -400,78 +408,90 @@ class ForwardDecaySum:
         exp = 0
         pend = 0  # integer at exponent -52 awaiting the cached block
         slot: list[int] | None = None
-        for item in items:
-            when = item.time
-            value = item.value
-            if when == last_t and value == last_v:
-                run += 1
-                n += 1
-                continue
-            if run and num:
-                # Contributions >= 1 land on the fixed -52 grid; defer
-                # them into one local integer (addition is associative,
-                # so the banked total is bit-identical) and only touch
-                # the slot for the rare sub-unit exponents.
-                if exp == -52:
-                    pend += num if run == 1 else num * run
-                else:
-                    slot = _flush(buckets, k, slot, num, exp, run)
-            if when != last_t:
-                if when < 0:
+        # Accepted items live in the blocks, in pend, or in the run of
+        # (last_t, last_v) items, (run, num, exp), that is not banked yet;
+        # their clock is max(now, last_t).  An item joins them only after
+        # every check on it passed, so the tail below banks exactly the
+        # accepted prefix, also when an item raises.
+        try:
+            for item in items:
+                when = item.time
+                value = item.value
+                if when == last_t and value == last_v:
+                    run += 1
+                    n += 1
+                    continue
+                if not value >= 0:
                     raise InvalidParameterError(
-                        f"time must be >= 0, got {when}"
+                        f"value must be >= 0, got {value}"
                     )
-                if when > now:
-                    now = when
-                f = cfac * when if exp_kind else log2g(when)
-                if not blo <= f < bhi:
-                    if pend:
-                        slot = _flush(buckets, k, slot, pend, -52, 1)
-                        pend = 0
-                    k = int(f * _INV_BLOCK)
-                    blo = float(k << 6)
-                    bhi = blo + 64.0
-                    slot = buckets.get(k)
-                w = 2.0 ** (f - blo)
-                last_t = when
-            if not value >= 0:
-                raise InvalidParameterError(
-                    f"value must be >= 0, got {value}"
-                )
-            x = value * w
-            if x >= 1.0:
-                if x >= _P52:
-                    # Mirror _exact_parts branch for branch: x is already
-                    # integer-valued here and x * _P52 could overflow.
-                    if x == math.inf:
+                if when != last_t:
+                    if when < 0:
                         raise InvalidParameterError(
-                            "forward contribution overflows a float; "
-                            "values this large are outside the engine's "
-                            "domain"
+                            f"time must be >= 0, got {when}"
                         )
-                    num = int(x)
-                    exp = 0
+                    if last_t > now:
+                        now = last_t
+                    f = cfac * when if exp_kind else log2g(when)
+                    if not blo <= f < bhi:
+                        # Leaving block k: bank everything deferred for it.
+                        if run and num:
+                            slot = _flush(buckets, k, slot, num, exp, run)
+                            run = 0
+                        if pend:
+                            slot = _flush(buckets, k, slot, pend, -52, 1)
+                            pend = 0
+                        k = int(f * _INV_BLOCK)
+                        blo = float(k << 6)
+                        bhi = blo + 64.0
+                        slot = buckets.get(k)
+                    w = 2.0 ** (f - blo)
+                if run and num:
+                    # Contributions >= 1 land on the fixed -52 grid; defer
+                    # them into one local integer (addition is associative,
+                    # so the banked total is bit-identical) and only touch
+                    # the slot for the rare sub-unit exponents.
+                    if exp == -52:
+                        pend += num if run == 1 else num * run
+                    else:
+                        slot = _flush(buckets, k, slot, num, exp, run)
+                x = value * w
+                if x >= 1.0:
+                    if x >= _P52:
+                        # Mirror _exact_parts branch for branch: x is
+                        # already integer-valued here and x * _P52 could
+                        # overflow.
+                        if x == math.inf:
+                            run = 0  # banked just above
+                            raise InvalidParameterError(
+                                "forward contribution overflows a float; "
+                                "values this large are outside the "
+                                "engine's domain"
+                            )
+                        num = int(x)
+                        exp = 0
+                    else:
+                        num = int(x * _P52)
+                        exp = -52
+                elif x > 0.0:
+                    num, den = x.as_integer_ratio()
+                    exp = 1 - den.bit_length()
                 else:
-                    num = int(x * _P52)
-                    exp = -52
-            elif x > 0.0:
-                num, den = x.as_integer_ratio()
-                exp = 1 - den.bit_length()
-            else:
-                num = 0
-            last_v = value
-            run = 1
-            n += 1
-        if run and num:
-            if exp == -52:
-                pend += num if run == 1 else num * run
-            else:
+                    num = 0
+                last_t = when
+                last_v = value
+                run = 1
+                n += 1
+        finally:
+            if run and num:
                 slot = _flush(buckets, k, slot, num, exp, run)
-        if pend:
-            _flush(buckets, k, slot, pend, -52, 1)
-        self._items += n
-        if now > self._time:
-            self._time = now
+            if pend:
+                _flush(buckets, k, slot, pend, -52, 1)
+            self._items += n
+            if last_t > now:
+                now = last_t
+            if now > self._time:
+                self._time = now
         if until is not None:
             advance_engine_to(self, until)
 

@@ -29,8 +29,10 @@ Two strategies with identical merge *criteria*:
 * ``"scheduled"`` (default): a pair's merge window for region ``[s, e]`` is
   the exact time interval ``[newer.end + s, older.start + e]`` -- a pure
   function of the pair and the schedule -- so each pair's earliest merge
-  time is computed once and kept in a heap. Per tick the histogram does
-  O(1) amortized work (pop-validate-merge), which is what makes
+  time is computed once and kept in a heap. Each entry carries its left
+  node's version: pushing a pair again retires its older entries, which
+  are dropped on pop without a fit test. Per tick the histogram does
+  O(1) amortized work (pop-check-merge), which is what makes
   million-tick streams practical.
 
 The two strategies can differ only in the rare tick where several merges
@@ -72,18 +74,30 @@ __all__ = ["WBMH"]
 
 _NEVER = 1 << 62
 
+#: Version of a retired node: heap entries carry versions >= 1.
+_RETIRED = -1
+
 
 class _Node:
-    """Doubly-linked bucket node (O(1) merges for the scheduler)."""
+    """Doubly-linked bucket node (O(1) merges for the scheduler).
 
-    __slots__ = ("bucket", "prev", "next", "alive", "seq")
+    ``ver`` counts the merge-heap entries pushed for the pair this node
+    starts; only the entry carrying the current count may act.  A node
+    leaving the list (merged, expired, or replaced by ``_rebuild``) is
+    *retired*: its links are cleared, so no ``prev``/``next`` cycle is
+    left for the cyclic GC and reference counting frees it once its last
+    heap entry pops.  A merged or expired node also takes the version
+    ``_RETIRED``, which no entry carries (``_rebuild`` clears the heap).
+    """
+
+    __slots__ = ("bucket", "prev", "next", "seq", "ver")
 
     def __init__(self, bucket: Bucket, seq: int) -> None:
         self.bucket = bucket
         self.prev: _Node | None = None
         self.next: _Node | None = None
-        self.alive = True
         self.seq = seq
+        self.ver = 0
 
 
 class WBMH:
@@ -187,8 +201,9 @@ class WBMH:
         self._n_sealed = 0
         self._live: Bucket | None = None
         self._seq = itertools.count()
-        # Heap of (fire_time, seq, left_node); lazily validated on pop.
-        self._merge_heap: list[tuple[int, int, _Node]] = []
+        # Heap of (fire_time, seq, version, left_node); an entry whose
+        # version is not its node's current one is dropped on pop.
+        self._merge_heap: list[tuple[int, int, int, _Node]] = []
         self._items = 0
         self._max_level = 0
 
@@ -470,8 +485,9 @@ class WBMH:
         """Replace the sealed list (and reschedule pending merges)."""
         node = self._head
         while node is not None:
-            node.alive = False
-            node = node.next
+            nxt = node.next
+            node.prev = node.next = None
+            node = nxt
         self._head = None
         self._tail = None
         self._n_sealed = 0
@@ -580,8 +596,8 @@ class WBMH:
             right.next.prev = node
         else:
             self._tail = node
-        left.alive = False
-        right.alive = False
+        left.prev = left.next = right.prev = right.next = None
+        left.ver = right.ver = _RETIRED
         self._n_sealed -= 1
         return node
 
@@ -638,24 +654,26 @@ class WBMH:
         return fire if fire > self._time else self._time
 
     def _push_pair(self, left: _Node) -> None:
+        """(Re)schedule the pair ``left`` starts; older entries go stale."""
+        left.ver += 1
         t = self._pair_fire_time(left)
         if t < _NEVER:
-            heapq.heappush(self._merge_heap, (t, left.seq, left))
+            heapq.heappush(self._merge_heap, (t, left.seq, left.ver, left))
 
     def _merge_scheduled(self) -> None:
         heap = self._merge_heap
         while heap and heap[0][0] <= self._time:
-            _, _, left = heapq.heappop(heap)
-            if not left.alive or left.next is None:
-                continue
+            _, _, ver, left = heapq.heappop(heap)
+            if ver != left.ver:
+                continue  # superseded by a newer entry, or a retired node
             if self._fits_region(left):
                 merged = self._merge_nodes(left)
                 if merged.prev is not None:
                     self._push_pair(merged.prev)
                 self._push_pair(merged)
             else:
-                # The window for this entry has passed (e.g. the right
-                # neighbour changed); reschedule from the current state.
+                # Guard: a current entry fires at the pair's exact earliest
+                # fit, so this does not happen; reschedule if it ever does.
                 self._push_pair(left)
 
     # -------------------------------------------------------------- expiry
@@ -666,8 +684,9 @@ class WBMH:
             return
         while self._head is not None and self._time - self._head.bucket.end > sup:
             dead = self._head
-            dead.alive = False
             self._head = dead.next
+            dead.next = None
+            dead.ver = _RETIRED
             if self._head is not None:
                 self._head.prev = None
             else:

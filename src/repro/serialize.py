@@ -42,6 +42,7 @@ from repro.core.ewma import ExponentialSum, GeneralPolyexpSum, PolyexponentialSu
 from repro.core.exact import ExactDecayingSum
 from repro.core.forward import ForwardDecay, ForwardDecaySum, _accumulate
 from repro.counters.approx_float import FixedQuantizer, LevelQuantizer
+from repro.histograms.boundaries import RegionSchedule
 from repro.histograms.buckets import Bucket
 from repro.histograms.ceh import CascadedEH
 from repro.histograms.domination import DominationHistogram
@@ -263,8 +264,15 @@ def engine_to_dict(engine: Any) -> dict[str, Any]:
     )
 
 
-def engine_from_dict(data: dict[str, Any]) -> Any:
-    """Restore an engine serialized by :func:`engine_to_dict`."""
+def engine_from_dict(
+    data: dict[str, Any], *, schedule: RegionSchedule | None = None
+) -> Any:
+    """Restore an engine serialized by :func:`engine_to_dict`.
+
+    ``schedule`` is a region schedule for a WBMH snapshot to share instead
+    of building its own: a keyed store passes the one its fresh keys
+    share.  It must be the schedule of the snapshot's decay and ratio.
+    """
     version = data.get("version")
     if version != _FORMAT_VERSION:
         raise InvalidParameterError(f"unsupported snapshot version {version!r}")
@@ -379,6 +387,13 @@ def engine_from_dict(data: dict[str, Any]) -> Any:
             kwargs["quantize"] = False
         elif quant["kind"] == "fixed":
             kwargs["horizon"] = int(quant["horizon"])
+        if schedule is not None:
+            if decay_to_dict(schedule.decay) != data["decay"]:
+                raise InvalidParameterError(
+                    "shared schedule must match the snapshot's decay"
+                )
+            decay = schedule.decay
+            kwargs["schedule"] = schedule
         engine = WBMH(decay, float(data["epsilon"]), **kwargs)
         if quant["kind"] == "level":
             engine._quantizer = LevelQuantizer(float(quant["eps"]))

@@ -47,6 +47,7 @@ from repro.core.estimate import Estimate
 from repro.core.interfaces import DecayingSum, keyed_engine_factory
 from repro.core.timeorder import OutOfOrderPolicy
 from repro.histograms.domination import widen_merged_estimate
+from repro.histograms.wbmh import WBMH
 from repro.serialize import (
     decay_from_dict,
     decay_to_dict,
@@ -563,13 +564,16 @@ class ServiceStore:
         store.eviction = EvictionLedger(
             ledger["evicted_keys"], ledger["evicted_weight"]
         )
+        # Restored keys share the WBMH region schedule fresh keys get.
+        template = store._factory()
+        schedule = template.schedule if isinstance(template, WBMH) else None
         for key, state in data["keys"].items():
             if state.get("sharded"):
                 raise InvalidParameterError(
                     f"snapshot key {key!r} holds per-key engine replicas, "
                     "which stores no longer build"
                 )
-            engine = engine_from_dict(state["engine"])
+            engine = engine_from_dict(state["engine"], schedule=schedule)
             if engine.time != store._time:
                 raise TimeOrderError(
                     f"snapshot engine for {key!r} at clock {engine.time}, "

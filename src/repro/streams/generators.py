@@ -42,8 +42,10 @@ class StreamItem:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise InvalidParameterError("time must be >= 0")
-        if self.value < 0:
-            raise InvalidParameterError("value must be >= 0")
+        if not 0 <= self.value < math.inf:
+            raise InvalidParameterError(
+                f"value must be finite and >= 0, got {self.value}"
+            )
 
 
 def bernoulli_stream(

@@ -105,14 +105,15 @@ def read_csv(
             try:
                 t = int(row[0])
                 v = float(row[1])
+                # A bad weight raises InvalidParameterError, a ValueError.
+                if keyed and len(row) >= 3 and row[2]:
+                    out.append(KeyedItem(row[2], t, v))
+                else:
+                    out.append(StreamItem(t, v))
             except (ValueError, IndexError) as exc:
                 raise InvalidParameterError(
                     f"{path}:{lineno}: bad row {row!r}"
                 ) from exc
-            if keyed and len(row) >= 3 and row[2]:
-                out.append(KeyedItem(row[2], t, v))
-            else:
-                out.append(StreamItem(t, v))
     if sort:
         out.sort(key=lambda i: i.time)
     return out
@@ -145,14 +146,15 @@ def read_jsonl(
                 record = json.loads(line)
                 t = int(record["time"])
                 v = float(record["value"])
+                # A bad weight raises InvalidParameterError, a ValueError.
+                if "key" in record:
+                    out.append(KeyedItem(record["key"], t, v))
+                else:
+                    out.append(StreamItem(t, v))
             except (ValueError, KeyError, TypeError) as exc:
                 raise InvalidParameterError(
                     f"{path}:{lineno}: bad record {line!r}"
                 ) from exc
-            if "key" in record:
-                out.append(KeyedItem(record["key"], t, v))
-            else:
-                out.append(StreamItem(t, v))
     if sort:
         out.sort(key=lambda i: i.time)
     return out

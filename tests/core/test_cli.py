@@ -78,6 +78,24 @@ class TestCommands:
         rc = main(["estimate", "--decay", "none", "--input", str(path), "--sort"])
         assert rc == 0
 
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_estimate_rejects_non_finite_row(self, tmp_path, capsys, text, suffix):
+        path = tmp_path / f"t{suffix}"
+        if suffix == ".csv":
+            path.write_text(f"time,value\n0,1\n5,{text}\n")
+        else:
+            token = "NaN" if text == "nan" else "Infinity"
+            path.write_text(
+                '{"time": 0, "value": 1}\n{"time": 5, "value": %s}\n' % token
+            )
+        rc = main(["estimate", "--decay", "expd:0.1", "--input", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        line = 3 if suffix == ".csv" else 2
+        assert f"t{suffix}:{line}:" in captured.err
+        assert "estimate" not in captured.out
+
     def test_estimate_missing_file(self, capsys):
         rc = main(["estimate", "--decay", "none", "--input", "/nope.csv"])
         assert rc == 2

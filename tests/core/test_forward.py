@@ -2,8 +2,11 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import forward
 from repro.core.decay import ExponentialDecay, PolynomialDecay
@@ -34,7 +37,8 @@ NAN_WRITES = [
     lambda e: e.add(math.nan),
     lambda e: e.add_at(3, math.nan),
     lambda e: e.add_batch([math.nan]),
-    lambda e: e.ingest([StreamItem(3, math.nan)]),
+    # A bare time/value object: StreamItem itself rejects NaN.
+    lambda e: e.ingest([SimpleNamespace(time=3, value=math.nan)]),
 ]
 NAN_WRITE_IDS = ["add", "add_at", "add_batch", "ingest"]
 
@@ -314,6 +318,118 @@ class TestForwardDecaySum:
     def test_factory_rejects_bad_horizon_hint(self):
         with pytest.raises(InvalidParameterError):
             make_decaying_sum(PolynomialDecay(1.0), horizon_hint=0)
+
+
+#: Values some write path rejects: not >= 0, or (1e308 at most times) a
+#: contribution that overflows a float.
+BAD_VALUES = [math.nan, -1.0, -math.inf, math.inf, 1e308]
+#: Repeats and sub-unit values exercise the run and exponent branches.
+GOOD_VALUES = [0.0, 1.0, 1.0, 1.5, 2.5, 0.375, 1e-300, 3e15]
+FORWARD_DECAYS = [("exp", 0.05), ("exp", 30.0), ("poly", 1.5)]
+
+
+def _prefix_replay(engine, write, args) -> bool:
+    """Apply ``write`` to each argument until one raises; True if one did."""
+    for arg in args:
+        try:
+            write(engine, arg)
+        except InvalidParameterError:
+            return True
+    return False
+
+
+class TestRejectedWritesKeepTheirPrefix:
+    """A write that rejects an item mid-call leaves the accepted prefix.
+
+    ``ingest`` is documented as replay through ``add_at`` and
+    ``add_batch`` as sequential ``add`` calls, so an item that raises
+    must leave exactly the state those replays leave when they stop at
+    it: every earlier item banked, counted and on the clock.
+    """
+
+    def test_ingest_keeps_items_before_a_nan(self):
+        s = ForwardDecaySum(ForwardDecay("exp", 0.1))
+        items = [SimpleNamespace(time=t, value=1.0) for t in range(1, 41)]
+        items.append(SimpleNamespace(time=99, value=math.nan))
+        with pytest.raises(InvalidParameterError):
+            s.ingest(items)
+        assert (s.time, s._items) == (40, 40)
+
+    def test_add_batch_counts_values_before_a_negative(self):
+        s = ForwardDecaySum(ForwardDecay("exp", 0.1))
+        with pytest.raises(InvalidParameterError):
+            s.add_batch([1.5, 1.5, 2.0, -1.0])
+        reference = ForwardDecaySum(ForwardDecay("exp", 0.1))
+        for value in (1.5, 1.5, 2.0):
+            reference.add(value)
+        assert engine_to_dict(s) == engine_to_dict(reference)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_add_batch_rejects_a_leading_bad_value(self, value):
+        s = ForwardDecaySum(ForwardDecay("exp", 0.1))
+        with pytest.raises(InvalidParameterError):
+            s.add_batch([value])
+        assert s._items == 0
+
+    def test_add_at_overflow_leaves_the_clock(self):
+        s = ForwardDecaySum(ForwardDecay("exp", 0.1))
+        with pytest.raises(InvalidParameterError):
+            s.add_at(5, math.inf)
+        assert (s.time, s._items) == (0, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        decay=st.sampled_from(FORWARD_DECAYS),
+        rows=st.lists(
+            st.tuples(st.integers(0, 600), st.sampled_from(GOOD_VALUES)),
+            max_size=40,
+        ),
+        index=st.integers(0, 40),
+        bad=st.tuples(st.integers(0, 600), st.sampled_from(BAD_VALUES)),
+    )
+    def test_ingest_matches_add_at_prefix(self, decay, rows, index, bad):
+        items = [SimpleNamespace(time=t, value=v) for t, v in rows]
+        items.insert(index, SimpleNamespace(time=bad[0], value=bad[1]))
+        engine = ForwardDecaySum(ForwardDecay(*decay))
+        reference = ForwardDecaySum(ForwardDecay(*decay))
+        for e in (engine, reference):
+            e.add_at(7, 2.0)
+            e.advance(3)
+        try:
+            engine.ingest(items)
+            raised = False
+        except InvalidParameterError:
+            raised = True
+        stopped = _prefix_replay(
+            reference, lambda e, it: e.add_at(it.time, it.value), items
+        )
+        assert raised == stopped
+        assert engine_to_dict(engine) == engine_to_dict(reference)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        decay=st.sampled_from(FORWARD_DECAYS),
+        when=st.integers(0, 600),
+        values=st.lists(st.sampled_from(GOOD_VALUES), max_size=30),
+        index=st.integers(0, 30),
+        bad=st.sampled_from(BAD_VALUES),
+    )
+    def test_add_batch_matches_add_prefix(self, decay, when, values, index, bad):
+        batch = list(values)
+        batch.insert(index, bad)
+        engine = ForwardDecaySum(ForwardDecay(*decay))
+        reference = ForwardDecaySum(ForwardDecay(*decay))
+        for e in (engine, reference):
+            e.add_at(2, 1.0)
+            e.advance_to(max(when, 2))
+        try:
+            engine.add_batch(batch)
+            raised = False
+        except InvalidParameterError:
+            raised = True
+        stopped = _prefix_replay(reference, lambda e, v: e.add(v), batch)
+        assert raised == stopped
+        assert engine_to_dict(engine) == engine_to_dict(reference)
 
 
 class TestExactForwardSum:

@@ -7,6 +7,7 @@ sweep's decisions.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.decay import LogarithmicDecay, PolynomialDecay
 from repro.core.errors import InvalidParameterError
 from repro.core.exact import ExactDecayingSum
+from repro.histograms import wbmh as wbmh_module
 from repro.histograms.wbmh import WBMH
 
 
@@ -98,6 +100,65 @@ class TestScheduledCorrectness:
         # Lazy deletion keeps some stale entries, but the heap must stay
         # within a small multiple of the live pair count.
         assert len(w._merge_heap) < 20 * w.bucket_count() + 50
+
+    def test_each_pending_pair_has_one_current_entry(self):
+        # A pair's newest heap entry is the only one that may act: every
+        # older entry (and every entry of a retired node) carries a stale
+        # version, and the current one fires at the pair's fire time.
+        def check(w):
+            current = Counter(
+                id(node) for _, _, ver, node in w._merge_heap if ver == node.ver
+            )
+            fire_times = {
+                id(node): fire
+                for fire, _, ver, node in w._merge_heap
+                if ver == node.ver
+            }
+            pending = 0
+            node = w._head
+            while node is not None:
+                fire = w._pair_fire_time(node)
+                if fire < wbmh_module._NEVER:
+                    pending += 1
+                    assert current[id(node)] == 1
+                    assert fire_times[id(node)] == fire
+                else:
+                    assert current[id(node)] == 0
+                node = node.next
+            assert sum(current.values()) == pending
+
+        rng = random.Random(15)
+        decay = PolynomialDecay(1.0)
+        w = WBMH(decay, 0.2)
+        other = WBMH(decay, 0.2, schedule=w.schedule)
+        for step in range(3000):
+            w.add(rng.randint(0, 3))
+            other.add(1.0)
+            gap = rng.randint(1, 3)
+            w.advance(gap)
+            other.advance(gap)
+            if step % 250 == 0:
+                check(w)
+        w.merge(other)
+        check(w)
+        w.advance(5000)
+        check(w)
+
+    def test_retired_nodes_are_unlinked(self):
+        w = WBMH(PolynomialDecay(1.0), 0.2)
+        for _ in range(2000):
+            w.add(1.0)
+            w.advance(1)
+        live = set()
+        node = w._head
+        while node is not None:
+            live.add(id(node))
+            node = node.next
+        retired = [n for _, _, _, n in w._merge_heap if id(n) not in live]
+        assert retired
+        for node in retired:
+            assert node.prev is None and node.next is None
+            assert node.ver == wbmh_module._RETIRED
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(InvalidParameterError):

@@ -9,6 +9,9 @@ snapshots continue bit-identically.
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
 from repro.core.decay import (
@@ -305,6 +308,35 @@ class TestSnapshot:
         for key in store.keys():
             assert _triplet(clone.query(key)) == _triplet(store.query(key))
         assert clone.stats() == store.stats()
+
+    def test_restored_wbmh_keys_share_one_schedule(self) -> None:
+        # Restore (from_dict, POST /restore, a sharded worker's checkpoint
+        # replay) rebuilds every key on the schedule fresh keys share.
+        rng = random.Random(8)
+        items = []
+        when = 0
+        for _ in range(3_000):
+            when += rng.random() < 0.5
+            items.append(
+                KeyedItem(f"k{rng.randrange(8)}", when, rng.randint(1, 4))
+            )
+        store = ServiceStore(PolynomialDecay(1.0), 0.1)
+        store.observe_batch(items[:2_000])
+        twin = ServiceStore.from_dict(json.loads(json.dumps(store.to_dict())))
+        in_place = ServiceStore(PolynomialDecay(1.0), 0.1)
+        in_place.restore(store.to_dict())
+        for restored in (twin, in_place):
+            engines = [restored.engine(key) for key in restored.keys()]
+            assert len(engines) == 8
+            assert len({id(e.schedule) for e in engines}) == 1
+            fresh = restored.engine("fresh")
+            assert fresh.schedule is engines[0].schedule
+        store.engine("fresh")  # the twin made it above
+        store.observe_batch(items[2_000:], until=when + 50)
+        twin.observe_batch(items[2_000:], until=when + 50)
+        assert twin.to_dict() == store.to_dict()
+        for key in store.keys():
+            assert _triplet(twin.query(key)) == _triplet(store.query(key))
 
     def test_restore_replaces_state_in_place(self) -> None:
         store = self._seeded()

@@ -1,5 +1,7 @@
 """Unit tests for synthetic stream generators."""
 
+import math
+
 import pytest
 
 from repro.core.decay import PolynomialDecay
@@ -25,6 +27,11 @@ class TestStreamItem:
             StreamItem(-1, 1.0)
         with pytest.raises(InvalidParameterError):
             StreamItem(0, -1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_value(self, value):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            StreamItem(0, value)
 
 
 class TestGenerators:

@@ -133,3 +133,21 @@ class TestKeyedItem:
         )
         with pytest.raises(InvalidParameterError):
             read_jsonl(jsonl_path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-1"])
+    def test_readers_name_the_bad_row(self, tmp_path, text):
+        # Unkeyed rows (StreamItem) and keyed rows (KeyedItem) alike.
+        for header, suffix in (("time,value", ""), ("time,value,key", ",a")):
+            csv_path = tmp_path / "t.csv"
+            csv_path.write_text(f"{header}\n0,1.0{suffix}\n1,{text}{suffix}\n")
+            with pytest.raises(InvalidParameterError, match=r"t\.csv:3: "):
+                read_csv(csv_path)
+        value = {"nan": "NaN", "inf": "Infinity", "-1": "-1"}[text]
+        for key in ("", ', "key": "a"'):
+            jsonl_path = tmp_path / "t.jsonl"
+            jsonl_path.write_text(
+                '{"time": 0, "value": 1.0%s}\n{"time": 1, "value": %s%s}\n'
+                % (key, value, key)
+            )
+            with pytest.raises(InvalidParameterError, match=r"t\.jsonl:2: "):
+                read_jsonl(jsonl_path)
