@@ -4,7 +4,8 @@ Tables:
 1. Per-customer storage and shared state as fleet size grows -- the
    shared RegionSchedule amortizes to zero per stream.
 2. Fleet throughput: observations/sec across engines chosen by decay.
-3. Shard merging: cost and exactness of absorb().
+3. Shard merging: cost of folding one store into another key by key
+   (``merge_into(key, other.export_engine(key))``).
 """
 
 import random
@@ -12,18 +13,18 @@ import time
 
 from repro.benchkit.reporting import format_table
 from repro.core.decay import ExponentialDecay, PolynomialDecay
-from repro.fleet import StreamFleet
+from repro.service import ServiceStore
 
 
 def storage_rows():
     rows = []
     for n_keys in (10, 50, 200):
-        fleet = StreamFleet(PolynomialDecay(1.0), epsilon=0.2)
+        fleet = ServiceStore(PolynomialDecay(1.0), epsilon=0.2)
         rng = random.Random(5)
         for t in range(2000):
             for k in range(n_keys):
                 if rng.random() < 0.05:
-                    fleet.observe(k, 1.0)
+                    fleet.observe(str(k), 1.0)
             fleet.advance(1)
         rep = fleet.storage_report()
         rows.append(
@@ -44,14 +45,14 @@ def throughput_rows():
         ("EXPD", ExponentialDecay(0.02)),
         ("POLYD(1)", PolynomialDecay(1.0)),
     ):
-        fleet = StreamFleet(decay, epsilon=0.2)
+        fleet = ServiceStore(decay, epsilon=0.2)
         rng = random.Random(7)
         n_obs = 0
         t0 = time.perf_counter()
         for t in range(1500):
             for k in range(20):
                 if rng.random() < 0.2:
-                    fleet.observe(k, 1.0)
+                    fleet.observe(str(k), 1.0)
                     n_obs += 1
             fleet.advance(1)
         dt = time.perf_counter() - t0
@@ -63,17 +64,18 @@ def merge_rows():
     rows = []
     decay = PolynomialDecay(1.0)
     for n_keys in (20, 100):
-        a = StreamFleet(decay, epsilon=0.2)
-        b = StreamFleet(decay, epsilon=0.2)
+        a = ServiceStore(decay, epsilon=0.2)
+        b = ServiceStore(decay, epsilon=0.2)
         rng = random.Random(9)
         for t in range(500):
             for k in range(n_keys):
                 if rng.random() < 0.1:
-                    (a if rng.random() < 0.5 else b).observe(k, 1.0)
+                    (a if rng.random() < 0.5 else b).observe(str(k), 1.0)
             a.advance(1)
             b.advance(1)
         t0 = time.perf_counter()
-        a.absorb(b)
+        for key in b.keys():
+            a.merge_into(key, b.export_engine(key))
         dt = time.perf_counter() - t0
         rows.append([n_keys, len(a), round(dt * 1000, 2)])
     return rows

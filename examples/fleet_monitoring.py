@@ -2,17 +2,18 @@
 
 The paper's motivating deployment keeps "a summary per field on each of
 around 100 million customers". This example runs a (much smaller) fleet of
-per-customer failure streams through a shared-schedule WBMH fleet, shows
-ranking queries, shard merging, and the capacity math where shared,
-stream-independent state pays off.
+per-customer failure streams through the keyed store, whose WBMH keys
+share one region schedule, and shows ranking queries, shard merging, and
+the capacity math where shared, stream-independent state pays off.
 
 Run:  python examples/fleet_monitoring.py
 """
 
 import random
 
-from repro import PolynomialDecay, StreamFleet
+from repro import PolynomialDecay
 from repro.benchkit.reporting import format_table
+from repro.service import ServiceStore
 
 
 def main() -> None:
@@ -20,9 +21,9 @@ def main() -> None:
     rng = random.Random(17)
 
     # Two ingestion shards observing disjoint halves of the event volume,
-    # advanced in lock-step -- the deployment pattern absorb() supports.
-    shard_a = StreamFleet(decay, epsilon=0.1)
-    shard_b = StreamFleet(decay, epsilon=0.1)
+    # advanced in lock-step.
+    shard_a = ServiceStore(decay, epsilon=0.1)
+    shard_b = ServiceStore(decay, epsilon=0.1)
     customers = [f"cust-{i:03d}" for i in range(40)]
     failure_rate = {c: rng.uniform(0.001, 0.05) for c in customers}
 
@@ -33,15 +34,18 @@ def main() -> None:
         shard_a.advance(1)
         shard_b.advance(1)
 
-    # Merge the shards: matching keys add their (identical) WBMH lattices
-    # bucket-by-bucket; keys seen by only one shard are adopted wholesale.
-    shard_a.absorb(shard_b)
+    # Merge the shards key by key: matching keys add their (identical)
+    # WBMH lattices bucket-by-bucket; keys seen by only one shard start
+    # from an empty engine at the common clock.
+    for key in shard_b.keys():
+        shard_a.merge_into(key, shard_b.export_engine(key))
     fleet = shard_a
 
     print(f"fleet size: {len(fleet)} customers, clock={fleet.time}\n")
+    ranked = sorted(fleet.keys(), key=lambda k: (-fleet.query(k).value, k))
     rows = [
-        [name, f"{rating:.4f}", f"{failure_rate[name]:.4f}"]
-        for name, rating in fleet.top(5)
+        [name, f"{fleet.query(name).value:.4f}", f"{failure_rate[name]:.4f}"]
+        for name in ranked[:5]
     ]
     print(format_table(
         ["noisiest customers", "decayed failure mass", "true failure rate"],

@@ -69,7 +69,6 @@ from repro.histograms import (
     WBMH,
 )
 from repro.analysis import Crossover, can_cross, find_crossover, verdict_matrix
-from repro.fleet import StreamFleet
 from repro.serialize import (
     decay_from_dict,
     decay_to_dict,
@@ -78,7 +77,6 @@ from repro.serialize import (
 )
 from repro.sampling import UnbiasedWindowCount
 from repro.storage import StorageReport
-from repro.streams.lateness import LatenessBuffer
 
 __version__ = "1.0.0"
 
@@ -123,8 +121,6 @@ __all__ = [
     "Bucket",
     "BrownSmoother",
     "UnbiasedWindowCount",
-    "StreamFleet",
-    "LatenessBuffer",
     "engine_to_dict",
     "engine_from_dict",
     "decay_to_dict",

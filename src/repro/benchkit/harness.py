@@ -63,7 +63,7 @@ def measure_accuracy(
         if previous is not None and item.time < previous:
             raise TimeOrderError(
                 f"trace is not time-sorted: {item.time} after {previous}; "
-                "sort it or use a LatenessBuffer"
+                "sort it or ingest it under a buffered OutOfOrderPolicy"
             )
         previous = item.time
     horizon = until if until is not None else (items[-1].time + 1 if items else 1)

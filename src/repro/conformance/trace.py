@@ -43,7 +43,7 @@ class Trace:
                 raise InvalidParameterError(
                     f"trace is not time-sorted: {t} after {previous}"
                 )
-            if v < 0 or v != int(v):
+            if not v >= 0 or v % 1:
                 raise InvalidParameterError(
                     f"trace values must be non-negative integers, got {v}"
                 )

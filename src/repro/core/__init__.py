@@ -3,7 +3,8 @@
 Decay functions, the decaying-sum protocol and factory, the exact reference
 engine, the EWMA family for exponential and polyexponential decay, the
 forward-decay family (order-insensitive, Cormode et al. 2009), the
-out-of-order ingestion policy, and the decaying average.
+out-of-order ingestion policy and its admission stage, and the decaying
+average.
 """
 
 from repro.core.average import DecayingAverage
@@ -46,7 +47,7 @@ from repro.core.forward import (
     ForwardDecaySum,
 )
 from repro.core.interfaces import DecayingSum, make_decaying_sum
-from repro.core.timeorder import OutOfOrderPolicy, bounded_reorder
+from repro.core.timeorder import Admission, OutOfOrderPolicy
 
 __all__ = [
     "DecayFunction",
@@ -77,7 +78,7 @@ __all__ = [
     "ForwardDecayAverage",
     "ExactForwardSum",
     "OutOfOrderPolicy",
-    "bounded_reorder",
+    "Admission",
     "ReproError",
     "InvalidParameterError",
     "DecayFunctionError",

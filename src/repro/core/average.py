@@ -66,7 +66,7 @@ class DecayingAverage:
         needed because the engines only ever weight it; negative values are
         rejected to keep the component sums in their documented domain.
         """
-        if value < 0:
+        if not value >= 0:
             raise InvalidParameterError(
                 f"value must be >= 0 for decaying averages, got {value}"
             )

@@ -22,13 +22,10 @@ brackets by even one ulp.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterable, Protocol, Sequence, cast
+from typing import Hashable, Iterable, Protocol, Sequence
 
-from repro.core.errors import TimeOrderError
-from repro.core.timeorder import OutOfOrderPolicy
-
-if TYPE_CHECKING:
-    from repro.core.interfaces import DecayingSum
+from repro.core.errors import NotApplicableError, TimeOrderError
+from repro.core.timeorder import Admission, OutOfOrderPolicy
 
 __all__ = [
     "TimedValue",
@@ -56,7 +53,7 @@ class TimedValue(Protocol):
 
 
 class KeyedTimedValue(TimedValue, Protocol):
-    """A trace item tagged with the stream it belongs to (fleet traces)."""
+    """A trace item tagged with the stream it belongs to (keyed traces)."""
 
     __slots__ = ()
 
@@ -119,14 +116,23 @@ def ingest_trace(  # lintkit: hot
     engine clock (see :class:`~repro.core.timeorder.OutOfOrderPolicy`):
     the default ``raise`` policy fails with :class:`TimeOrderError` on the
     first out-of-order item, ``drop`` skips and counts them, and
-    ``buffer`` reorders them within a bounded lateness window by driving
-    the engine through a :class:`~repro.streams.lateness.LatenessBuffer`.
-    Engines advertising ``supports_out_of_order`` (the forward-decay
-    family) take late items directly via ``add_at`` under every policy.
+    ``buffer`` reorders them within a bounded lateness window through the
+    keyed stores' :class:`~repro.core.timeorder.Admission` stage, run
+    over the engine as a one-key front.  The heap drains when the trace
+    ends, so the engine equals the sorted replay of the surviving items,
+    bit for bit.  Engines advertising ``supports_out_of_order`` (the
+    forward-decay family) take late items directly via ``add_at`` under
+    every policy.
     """
     native = getattr(engine, "supports_out_of_order", False)
     if policy is not None and policy.kind == "buffer" and not native:
-        _ingest_buffered(engine, items, policy, until)
+        front = _EngineFront(engine)
+        admission = Admission(policy)
+        for item in items:
+            admission.observe(front, "", item.value, item.time)
+        admission.flush(front)
+        if until is not None:
+            admission.advance_to(front, until)
         return
     drop = policy is not None and policy.kind == "drop"
     # Hand-rolled lookahead loop instead of itertools.groupby: the engine
@@ -180,31 +186,27 @@ def ingest_trace(  # lintkit: hot
             engine.advance(until - engine.time)
 
 
-def _ingest_buffered(
-    engine: BatchEngine,
-    items: Iterable[TimedValue],
-    policy: OutOfOrderPolicy,
-    until: int | None,
-) -> None:
-    """The ``buffer`` policy: drive the engine through a LatenessBuffer.
+class _EngineFront:
+    """One engine as a one-key :class:`~repro.core.timeorder.Admission`
+    front: the ``buffer`` policy of :func:`ingest_trace`."""
 
-    Every item goes through the watermark buffer, which feeds the engine
-    strictly in time order; items later than the lateness window are
-    dropped onto both the buffer's and the policy's ledgers.  When the
-    trace ends the buffer drains -- a finite replay has no more stragglers
-    to wait for -- so the final engine state matches the ``raise`` policy
-    on the sorted survivor trace, with the clock at ``until`` (or the
-    newest accepted timestamp).
-    """
-    # Imported lazily: streams sits above core in the layer order.
-    from repro.streams.lateness import LatenessBuffer
+    __slots__ = ("_engine",)
 
-    buffer = LatenessBuffer(
-        cast("DecayingSum", engine), policy.max_lateness
-    )
-    for item in items:
-        if not buffer.observe(item.time, item.value):
-            policy.note_dropped(item.value)
-    buffer.drain()
-    if until is not None:
-        advance_engine_to(engine, until)
+    #: Order-insensitive engines never reach a buffering front.
+    native_out_of_order = False
+
+    def __init__(self, engine: BatchEngine) -> None:
+        self._engine = engine
+
+    @property
+    def time(self) -> int:
+        return self._engine.time
+
+    def _adv(self, when: int) -> None:
+        self._engine.advance(when - self._engine.time)
+
+    def _fold(self, key: str, values: list[float]) -> None:
+        self._engine.add_batch(values)
+
+    def _late(self, key: str, when: int, value: float) -> None:
+        raise NotApplicableError("a one-engine front takes no late items")

@@ -82,7 +82,7 @@ class ExponentialSum:
         return self._decay
 
     def add(self, value: float = 1.0) -> None:
-        if value < 0:
+        if not value >= 0:
             raise InvalidParameterError(f"value must be >= 0, got {value}")
         self._sum += value
         self._items += 1
@@ -98,7 +98,7 @@ class ExponentialSum:
         acc = self._sum
         n = 0
         for value in values:
-            if value < 0:
+            if not value >= 0:
                 raise InvalidParameterError(f"value must be >= 0, got {value}")
             acc += value
             n += 1
@@ -328,7 +328,7 @@ class PolyexpPipeline:
         return list(self._m)
 
     def add(self, value: float = 1.0) -> None:
-        if value < 0:
+        if not value >= 0:
             raise InvalidParameterError(f"value must be >= 0, got {value}")
         # A new item has age 0: w_0(0) = 1, w_j(0) = 0 for j >= 1.
         self._m[0] += value
@@ -341,7 +341,7 @@ class PolyexpPipeline:
         acc = self._m[0]
         n = 0
         for value in values:
-            if value < 0:
+            if not value >= 0:
                 raise InvalidParameterError(f"value must be >= 0, got {value}")
             acc += value
             n += 1

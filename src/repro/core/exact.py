@@ -58,7 +58,7 @@ class ExactDecayingSum:
         return self._items
 
     def add(self, value: float = 1.0) -> None:
-        if value < 0:
+        if not value >= 0:
             raise InvalidParameterError(f"value must be >= 0, got {value}")
         self._items += 1
         if self._values and self._values[-1][0] == self._time:
@@ -78,7 +78,7 @@ class ExactDecayingSum:
         first = next(it, None)
         if first is None:
             return
-        if first < 0:
+        if not first >= 0:
             raise InvalidParameterError(f"value must be >= 0, got {first}")
         tail = self._values
         if tail and tail[-1][0] == self._time:
@@ -89,7 +89,7 @@ class ExactDecayingSum:
             fresh = True
         n = 1
         for value in it:
-            if value < 0:
+            if not value >= 0:
                 raise InvalidParameterError(f"value must be >= 0, got {value}")
             acc += value
             n += 1

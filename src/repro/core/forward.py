@@ -708,7 +708,7 @@ class ForwardDecayAverage:
         return self._items
 
     def add(self, value: float) -> None:
-        if value < 0:
+        if not value >= 0:
             raise InvalidParameterError(
                 f"value must be >= 0 for decaying averages, got {value}"
             )
@@ -718,7 +718,7 @@ class ForwardDecayAverage:
 
     def add_at(self, when: int, value: float) -> None:
         """Record a (possibly late) observation stamped ``when``."""
-        if value < 0:
+        if not value >= 0:
             raise InvalidParameterError(
                 f"value must be >= 0 for decaying averages, got {value}"
             )

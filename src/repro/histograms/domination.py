@@ -140,7 +140,7 @@ class DominationHistogram:
         return self._total
 
     def add(self, value: float = 1.0) -> None:  # lintkit: hot
-        if value < 0:
+        if not value >= 0:
             raise InvalidParameterError(f"value must be >= 0, got {value}")
         if value == 0:
             return

@@ -139,7 +139,7 @@ class ExponentialHistogram:
         unary loop -- and both produce a bucket list bit-identical to
         ``v`` unary inserts (see :meth:`_bulk_insert`).
         """
-        if value < 0 or value != int(value):
+        if not value >= 0 or value % 1:  # NaN, inf and fractions too
             raise InvalidParameterError(
                 f"ExponentialHistogram takes non-negative integer counts, got {value}"
             )
@@ -174,7 +174,7 @@ class ExponentialHistogram:
         """
         total = 0
         for value in values:
-            if value < 0 or value != int(value):
+            if not value >= 0 or value % 1:  # NaN, inf and fractions too
                 raise InvalidParameterError(
                     f"ExponentialHistogram takes non-negative integer "
                     f"counts, got {value}"

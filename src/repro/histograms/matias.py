@@ -161,7 +161,7 @@ class ApproxBoundaryCEH:
         return self._decay
 
     def add(self, value: float = 1.0) -> None:
-        if value < 0 or value != int(value):
+        if not value >= 0 or value % 1:  # NaN, inf and fractions too
             raise InvalidParameterError(
                 f"ApproxBoundaryCEH takes non-negative integer counts, got {value}"
             )

@@ -321,7 +321,7 @@ def _eh_prescan(
         v = item.value
         if not isinstance(t, int):
             return None
-        if not isinstance(v, (int, float)) or v < 0 or v != int(v):
+        if not isinstance(v, (int, float)) or not v >= 0 or v % 1:
             return None
         c = int(v)
         if ticks and t == ticks[-1]:

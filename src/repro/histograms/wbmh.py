@@ -223,7 +223,7 @@ class WBMH:
         return self._seal_width
 
     def add(self, value: float = 1.0) -> None:
-        if value < 0:
+        if not value >= 0:
             raise InvalidParameterError(f"value must be >= 0, got {value}")
         if value == 0:
             return
@@ -249,7 +249,7 @@ class WBMH:
         nonzero = 0
         live = self._live
         for value in values:
-            if value < 0:
+            if not value >= 0:
                 raise InvalidParameterError(f"value must be >= 0, got {value}")
             if value == 0:
                 continue

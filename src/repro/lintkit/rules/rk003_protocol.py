@@ -1,6 +1,6 @@
 """RK003: engine classes must statically implement the DecayingSum protocol.
 
-``make_decaying_sum`` (and the fleet/serialization layers on top of it)
+``make_decaying_sum`` (and the keyed-store/serialization layers on top of it)
 treat every engine uniformly through the :class:`repro.core.interfaces.
 DecayingSum` protocol.  Because the protocol is structural, a missing
 member only explodes at call time -- possibly deep inside a benchmark.
@@ -83,7 +83,7 @@ class EngineProtocolRule(Rule):
     rule_id = "RK003"
     title = "engine classes must define the full DecayingSum protocol"
     rationale = (
-        "The factory and fleet layers drive every engine through the "
+        "The factory and keyed-store layers drive every engine through the "
         "DecayingSum protocol; a structurally-incomplete engine fails at "
         "call time where the paper's bounds no longer protect you."
     )

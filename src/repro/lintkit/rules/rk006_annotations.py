@@ -5,9 +5,8 @@ every other module (and external callers) build on; their signatures *are*
 the contract that ``mypy --strict`` then verifies end to end.  An
 unannotated public parameter or return silently downgrades everything that
 flows through it to ``Any`` and punches a hole in the typing gate.
-(``streams`` joined the scope after ``LatenessBuffer.storage_report``
-shipped without a return annotation and under-reported for a full PR
-cycle.)
+(``streams`` joined the scope after a ``storage_report`` there shipped
+without a return annotation and under-reported for a full PR cycle.)
 """
 
 from __future__ import annotations

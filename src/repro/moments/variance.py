@@ -58,7 +58,7 @@ class DecayedVariance:
         return self._decay
 
     def add(self, value: float) -> None:
-        if value < 0:
+        if not value >= 0:
             raise InvalidParameterError(
                 f"value must be >= 0 for the sum engines, got {value}"
             )

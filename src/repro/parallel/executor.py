@@ -23,13 +23,12 @@ the scaling benchmark -- even.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Iterable
 
-from repro.core.batching import KeyedTimedValue, TimedValue
+from repro.core.batching import TimedValue
 from repro.core.decay import DecayFunction
 from repro.core.errors import InvalidParameterError
 from repro.core.interfaces import DecayingSum, make_decaying_sum
-from repro.fleet import StreamFleet
 from repro.serialize import (
     decay_from_dict,
     decay_to_dict,
@@ -38,23 +37,7 @@ from repro.serialize import (
 )
 from repro.streams.generators import StreamItem
 
-__all__ = ["parallel_ingest", "parallel_fleet_ingest"]
-
-
-class _KeyedRow:
-    """Minimal KeyedTimedValue for worker-side replay.
-
-    :class:`~repro.streams.io.KeyedItem` coerces keys to ``str``; here the
-    caller's key objects must round-trip unchanged so the parent fleet ends
-    up with the same keys the serial fleet would.
-    """
-
-    __slots__ = ("key", "time", "value")
-
-    def __init__(self, key: Hashable, time: int, value: float) -> None:
-        self.key = key
-        self.time = time
-        self.value = value
+__all__ = ["parallel_ingest"]
 
 
 # ------------------------------------------------------------------ workers
@@ -68,20 +51,6 @@ def _ingest_shard(payload: dict[str, Any]) -> dict[str, Any]:
     items = [StreamItem(int(t), float(v)) for t, v in payload["items"]]
     engine.ingest(items, until=payload["end"])
     return engine_to_dict(engine)
-
-
-def _ingest_fleet_shard(payload: dict[str, Any]) -> list[tuple[Any, dict[str, Any]]]:
-    """Worker: replay one key-partition of a fleet trace, checkpoint all
-    of its per-key engines."""
-    decay = decay_from_dict(payload["decay"])
-    fleet = StreamFleet(decay, payload["epsilon"])
-    fleet.observe_batch(
-        _KeyedRow(k, int(t), float(v)) for k, t, v in payload["items"]
-    )
-    fleet.advance_to(payload["end"])
-    return [
-        (key, engine_to_dict(engine)) for key, engine in fleet._engines.items()
-    ]
 
 
 # ------------------------------------------------------------------- driver
@@ -147,59 +116,3 @@ def parallel_ingest(
         merged.merge(engine_from_dict(snapshot))
     return merged
 
-
-def parallel_fleet_ingest(
-    decay: DecayFunction,
-    trace: Iterable[KeyedTimedValue],
-    *,
-    epsilon: float = 0.1,
-    shards: int = 4,
-    end: int | None = None,
-    max_workers: int | None = None,
-) -> StreamFleet:
-    """Ingest a keyed trace across ``shards`` workers, partitioned by key.
-
-    Each key's whole stream lands in exactly one worker (CRC-32 of the
-    key, stable across processes), so the per-key engines come back
-    complete and the parent only has to adopt them at the common clock --
-    no per-key merge is needed.  Restored WBMH engines carry private
-    region schedules rather than the fleet's shared one, which costs
-    storage-accounting sharing but nothing in answers.
-    """
-    if shards < 1:
-        raise InvalidParameterError(f"shards must be >= 1, got {shards}")
-    from repro.parallel.sharded import shard_of
-
-    partitions: list[list[tuple[Hashable, int, float]]] = [
-        [] for _ in range(shards)
-    ]
-    last_time = 0
-    for item in trace:
-        partitions[shard_of(item.key, shards)].append(
-            (item.key, item.time, item.value)
-        )
-        last_time = max(last_time, item.time)
-    horizon = _resolve_end(end, last_time)
-    decay_dict = decay_to_dict(decay)
-    payloads = [
-        {
-            "decay": decay_dict,
-            "epsilon": epsilon,
-            "items": partition,
-            "end": horizon,
-        }
-        for partition in partitions
-    ]
-    if shards == 1:
-        shard_results: Sequence[list[tuple[Any, dict[str, Any]]]] = [
-            _ingest_fleet_shard(payloads[0])
-        ]
-    else:
-        with ProcessPoolExecutor(max_workers=max_workers or shards) as pool:
-            shard_results = list(pool.map(_ingest_fleet_shard, payloads))
-    fleet = StreamFleet(decay, epsilon)
-    fleet.advance_to(horizon)
-    for result in shard_results:
-        for key, snapshot in result:
-            fleet.adopt(key, engine_from_dict(snapshot))
-    return fleet

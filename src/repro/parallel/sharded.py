@@ -257,18 +257,11 @@ class ShardedDecayingSum:
 
     def storage_report(self) -> StorageReport:
         """Aggregate replica storage (the cost of sharding: K copies of
-        the per-stream state; shared bits counted once, as in the fleet)."""
-        total = StorageReport(engine=f"sharded[{self.shards}]")
-        shared_once = 0
-        for replica in self._replicas:
-            rep = replica.storage_report()
-            shared_once = max(shared_once, rep.shared_bits)
-            total.buckets += rep.buckets
-            total.timestamp_bits += rep.timestamp_bits
-            total.count_bits += rep.count_bits
-            total.register_bits += rep.register_bits
-        total.shared_bits = shared_once
-        return total
+        the per-stream state; shared bits counted once)."""
+        return StorageReport.aggregate(
+            f"sharded[{self.shards}]",
+            (replica.storage_report() for replica in self._replicas),
+        )
 
     # ------------------------------------------------------------- merge
 

@@ -27,7 +27,11 @@ Routes:
   with ``{"op": "query" | "stats" | "ingest", ...}``.
 
 Connections are one-request HTTP (``Connection: close``) except the
-WebSocket, which stays open for its frame loop.  The module also ships
+WebSocket, which stays open for its frame loop.  Framing is bounded: a
+request whose ``Content-Length`` is not a decimal integer or exceeds
+64 MiB is answered 400 and counted on ``bad_requests``, and a WebSocket
+frame over the same cap is refused with close code 1009 before its
+payload is read.  The module also ships
 the matching asyncio client helpers (:func:`http_request`,
 :class:`WSClient`) used by the test harness and the latency benchmark.
 """
@@ -50,7 +54,18 @@ __all__ = ["ServiceServer", "http_request", "WSClient"]
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _MAX_HEADER = 16 * 1024
+#: Cap on an HTTP body and on a WebSocket frame payload.
 _MAX_BODY = 64 * 1024 * 1024
+#: RFC 6455 close code 1009: "message too big".
+_CLOSE_TOO_BIG = (1009).to_bytes(2, "big")
+
+
+class _BadRequest(Exception):
+    """A request the server answers with 400 (and counts)."""
+
+
+class _FrameTooLarge(Exception):
+    """A WebSocket frame header claiming more than ``_MAX_BODY`` bytes."""
 
 
 def _ws_accept(key: str) -> str:
@@ -71,8 +86,22 @@ def _json_response(status: int, payload: dict[str, Any]) -> bytes:
     return head.encode("ascii") + body
 
 
+def _mask(payload: bytes, mask: bytes) -> bytes:
+    """XOR ``payload`` with the repeating 4-byte ``mask`` (RFC 6455 5.3),
+    as one integer XOR rather than a per-byte loop.  Its own inverse."""
+    n = len(payload)
+    key = (mask * (n // 4 + 1))[:n]
+    return (
+        int.from_bytes(payload, "big") ^ int.from_bytes(key, "big")
+    ).to_bytes(n, "big")
+
+
 async def _read_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
-    """One WebSocket frame -> (opcode, unmasked payload)."""
+    """One WebSocket frame -> (opcode, unmasked payload).
+
+    Raises :class:`_FrameTooLarge` from the header alone, so an oversized
+    frame's payload is never read.
+    """
     head = await reader.readexactly(2)
     opcode = head[0] & 0x0F
     masked = bool(head[1] & 0x80)
@@ -81,11 +110,11 @@ async def _read_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
         length = int.from_bytes(await reader.readexactly(2), "big")
     elif length == 127:
         length = int.from_bytes(await reader.readexactly(8), "big")
+    if length > _MAX_BODY:
+        raise _FrameTooLarge(length)
     mask = await reader.readexactly(4) if masked else b""
     payload = await reader.readexactly(length)
-    if masked:
-        payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
-    return opcode, payload
+    return opcode, _mask(payload, mask) if masked else payload
 
 
 def _frame(opcode: int, payload: bytes, *, mask: bytes | None = None) -> bytes:
@@ -102,7 +131,7 @@ def _frame(opcode: int, payload: bytes, *, mask: bytes | None = None) -> bytes:
         head += len(payload).to_bytes(8, "big")
     if mask is not None:
         head += mask
-        payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+        payload = _mask(payload, mask)
     return bytes(head) + payload
 
 
@@ -116,6 +145,8 @@ class ServiceServer:
         self.daemon = daemon
         self._server: asyncio.AbstractServer | None = None
         self.requests = 0
+        #: Requests refused for their framing (answered 400).
+        self.bad_requests = 0
         self.ws_connections = 0
 
     async def start(
@@ -150,6 +181,11 @@ class ServiceServer:
                 return
             writer.write(await self._respond(method, path, body))
             await writer.drain()
+        except _BadRequest as exc:
+            self.bad_requests += 1
+            writer.write(_json_response(400, {"error": str(exc)}))
+            with contextlib.suppress(ConnectionError, OSError):
+                await writer.drain()
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             # Half-open or reset connections are routine for a server;
             # the request never completed, so there is nothing to answer.
@@ -162,6 +198,9 @@ class ServiceServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
+        """(method, path, headers, body); ``None`` for a connection that
+        never sent a request.  Raises :class:`_BadRequest` on a
+        ``Content-Length`` that is not a decimal integer within the cap."""
         try:
             raw = await reader.readuntil(b"\r\n\r\n")
         except asyncio.LimitOverrunError:
@@ -180,9 +219,14 @@ class ServiceServer:
             if ":" in line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > _MAX_BODY:
-            return None
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _BadRequest(f"Content-Length {declared!r} is not a length")
+        length = int(declared)
+        if length > _MAX_BODY:
+            raise _BadRequest(
+                f"Content-Length {length} exceeds the {_MAX_BODY}-byte cap"
+            )
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 
@@ -278,6 +322,10 @@ class ServiceServer:
         while True:
             try:
                 opcode, payload = await _read_frame(reader)
+            except _FrameTooLarge:
+                writer.write(_frame(0x8, _CLOSE_TOO_BIG))
+                await writer.drain()
+                return
             except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 return
             if opcode == 0x8:  # close

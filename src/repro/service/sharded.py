@@ -12,7 +12,7 @@ drop-in behind the existing HTTP/WS API.
 
 **The IPC plane is batched.**  One write call becomes at most one
 frame per shard (:mod:`repro.service.ipc`, length-prefixed JSON): the
-store's :class:`~repro.service.admission.Admission` stage -- the same one
+store's :class:`~repro.core.timeorder.Admission` stage -- the same one
 the single-process store runs -- turns the call into ``adv``/``fold``/
 ``late`` operations, and the router appends them to per-shard *programs*
 (``["adv", t]`` clock steps shared by every shard plus that shard's own
@@ -70,7 +70,7 @@ from repro.core.errors import (
 )
 from repro.core.estimate import Estimate
 from repro.core.interfaces import DecayingSum, make_decaying_sum
-from repro.core.timeorder import OutOfOrderPolicy
+from repro.core.timeorder import Admission, OutOfOrderPolicy
 from repro.histograms.domination import widen_merged_estimate
 from repro.parallel.sharded import shard_of
 from repro.serialize import (
@@ -79,7 +79,6 @@ from repro.serialize import (
     engine_from_dict,
     engine_to_dict,
 )
-from repro.service.admission import Admission
 from repro.service.ipc import (
     WorkerDiedError,
     decode_frame,
@@ -139,6 +138,19 @@ def _worker_exec_ingest(
 
 def _estimate_triplet(estimate: Estimate) -> list[float]:
     return [estimate.value, estimate.lower, estimate.upper]
+
+
+def _report(reply: Mapping[str, Any]) -> StorageReport:
+    """A worker's ``storage`` reply as a :class:`StorageReport`."""
+    rep = reply["report"]
+    return StorageReport(
+        engine=str(rep["engine"]),
+        buckets=int(rep["buckets"]),
+        timestamp_bits=int(rep["timestamp_bits"]),
+        count_bits=int(rep["count_bits"]),
+        register_bits=int(rep["register_bits"]),
+        shared_bits=int(rep["shared_bits"]),
+    )
 
 
 def _worker_dispatch(
@@ -662,7 +674,7 @@ class ShardedServiceStore:
 
         Semantics (and ledger float order) match
         :meth:`ServiceStore.observe_batch` exactly -- both run
-        :meth:`repro.service.admission.Admission.observe_batch`.
+        :meth:`repro.core.timeorder.Admission.observe_batch`.
         """
         with self._shipping():
             self._admission.observe_batch(
@@ -854,18 +866,11 @@ class ShardedServiceStore:
         }
 
     def storage_report(self) -> StorageReport:
-        """Aggregate worker storage, fleet-style (shared bits once)."""
-        total = StorageReport(engine=f"sharded-service[{self.workers}]")
-        shared_once = 0
-        for reply in self._fan_out("storage"):
-            rep = reply["report"]
-            shared_once = max(shared_once, int(rep["shared_bits"]))
-            total.buckets += int(rep["buckets"])
-            total.timestamp_bits += int(rep["timestamp_bits"])
-            total.count_bits += int(rep["count_bits"])
-            total.register_bits += int(rep["register_bits"])
-        total.shared_bits = shared_once
-        return total
+        """Aggregate worker storage (shared bits counted once)."""
+        return StorageReport.aggregate(
+            f"sharded-service[{self.workers}]",
+            (_report(reply) for reply in self._fan_out("storage")),
+        )
 
     def export_engine(self, key: str) -> DecayingSum:
         """A clone of ``key``'s engine, shipped from its owning shard.
@@ -893,14 +898,7 @@ class ShardedServiceStore:
         )
         self._note_write(key)
         self._maybe_checkpoint()
-        rep = reply["report"]
-        report = StorageReport(engine=str(rep["engine"]))
-        report.buckets = int(rep["buckets"])
-        report.timestamp_bits = int(rep["timestamp_bits"])
-        report.count_bits = int(rep["count_bits"])
-        report.register_bits = int(rep["register_bits"])
-        report.shared_bits = int(rep["shared_bits"])
-        return report
+        return _report(reply)
 
     # ------------------------------------------------------------ snapshot
 

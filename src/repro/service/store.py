@@ -1,21 +1,22 @@
 """Keyed store of decaying-sum engines: the service layer's state.
 
-A :class:`ServiceStore` is what the ingestion daemon folds into and the
-query API reads from: one engine per key
-(:func:`~repro.core.interfaces.keyed_engine_factory`: the
+A :class:`ServiceStore` is the library's keyed store -- the paper's
+section 1.1 deployment, one decayed summary per customer -- and what the
+ingestion daemon folds into and the query API reads from.  It keeps one
+engine per key (:func:`~repro.core.interfaces.keyed_engine_factory`: the
 :func:`~repro.core.interfaces.make_decaying_sum` engine, with WBMH region
-schedules shared across keys) over a shared clock, exactly like
-:class:`~repro.fleet.StreamFleet`, plus the three things a long-running
-service needs that a batch fleet does not:
+schedules shared across keys) over a shared clock, plus:
 
 * **TTL eviction driven by the engine clock.**  A key idle for ``ttl``
   ticks is dropped on the next clock advance, and every eviction is
   recorded on the store's :class:`EvictionLedger` (count + decayed weight
   at eviction time) so capacity decisions stay auditable.  No wall-clock
   is read anywhere (lintkit RK001): "idle" means stream time, which is
-  the only notion of time the paper's aggregates have.
+  the only notion of time the paper's aggregates have.  The expiry heap
+  holds one entry per live key, re-armed when it pops for a key touched
+  since it was pushed.
 * **An admission stage.**  Every write passes through the store's
-  :class:`~repro.service.admission.Admission`: the out-of-order policy,
+  :class:`~repro.core.timeorder.Admission`: the out-of-order policy,
   the persistent lateness heap of the ``buffer`` kind (an item arriving
   one batch late still lands in the right key's engine; :meth:`flush`
   drains the heap when the feed ends) and the ingest ledgers.  The store
@@ -45,7 +46,7 @@ from repro.core.errors import (
 )
 from repro.core.estimate import Estimate
 from repro.core.interfaces import DecayingSum, keyed_engine_factory
-from repro.core.timeorder import OutOfOrderPolicy
+from repro.core.timeorder import Admission, OutOfOrderPolicy
 from repro.histograms.domination import widen_merged_estimate
 from repro.histograms.wbmh import WBMH
 from repro.serialize import (
@@ -54,7 +55,6 @@ from repro.serialize import (
     engine_from_dict,
     engine_to_dict,
 )
-from repro.service.admission import Admission
 from repro.storage.model import StorageReport
 
 __all__ = ["EvictionLedger", "ServiceStore", "StoreFront"]
@@ -193,8 +193,12 @@ class ServiceStore:
         self._admission = Admission(policy)
         self._engines: dict[str, DecayingSum] = {}
         self._last_seen: dict[str, int] = {}
+        #: TTL bookkeeping: one ``(expiry, first touch, key)`` heap entry
+        #: per live key, where "first touch" numbers the key's first touch
+        #: at its last-seen tick (kept in ``_first_touch``).
         self._expiry: list[tuple[int, int, str]] = []
         self._expiry_seq = 0
+        self._first_touch: dict[str, int] = {}
         self._time = 0
         self.eviction = EvictionLedger()
         # Read-path memo: key -> (clock, write generation, Estimate).  A
@@ -254,7 +258,7 @@ class ServiceStore:
     # ------------------------------------------------------------ writes
     #
     # Every write goes through the admission stage, which calls back into
-    # _adv/_fold/_late below (repro.service.admission).
+    # _adv/_fold/_late below (repro.core.timeorder.Admission).
 
     def observe(
         self, key: str, value: float = 1.0, *, when: int | None = None
@@ -281,11 +285,10 @@ class ServiceStore:
     ) -> None:
         """Record a time-sorted keyed trace through the batch path.
 
-        Same grouping as :meth:`repro.fleet.StreamFleet.observe_batch`:
-        the clock advances once per distinct arrival time and each key's
+        The clock advances once per distinct arrival time and each key's
         same-time values fold in a single ``add_batch`` -- bit-identical
         to the equivalent :meth:`observe` calls.  Late items follow
-        :meth:`repro.service.admission.Admission.observe_batch`.
+        :meth:`repro.core.timeorder.Admission.observe_batch`.
         ``until`` advances the clock past the last item.
         """
         self._admission.observe_batch(self, items, until=until, policy=policy)
@@ -317,28 +320,41 @@ class ServiceStore:
     # ----------------------------------------------------------- eviction
 
     def _touch(self, key: str) -> None:
-        self._last_seen[key] = self._time
         self._write_gen[key] = self._write_gen.get(key, 0) + 1
+        now = self._time
+        last = self._last_seen.get(key)
+        if last == now:
+            return
+        self._last_seen[key] = now
         if self.ttl is not None:
             self._expiry_seq += 1
-            heapq.heappush(
-                self._expiry, (self._time + self.ttl, self._expiry_seq, key)
-            )
+            self._first_touch[key] = self._expiry_seq
+            if last is None:  # a new key arms its one expiry entry
+                heapq.heappush(
+                    self._expiry, (now + self.ttl, self._expiry_seq, key)
+                )
 
     def _sweep(self) -> None:
-        """Evict keys idle for >= ttl ticks (lazy-invalidated expiry heap)."""
-        if self.ttl is None:
+        """Evict keys idle for >= ttl ticks.
+
+        Keys due at the same tick leave in the order of their first touch
+        at their last-seen tick.  An entry that comes due for a key touched
+        since it was armed is re-armed at ``last_seen + ttl`` instead.
+        """
+        ttl = self.ttl
+        if ttl is None:
             return
         heap = self._expiry
         while heap and heap[0][0] <= self._time:
-            expiry, _, key = heapq.heappop(heap)
-            last = self._last_seen.get(key)
-            if last is None or key not in self._engines:
+            expiry, _, key = heap[0]
+            due = self._last_seen[key] + ttl
+            if due > expiry:
+                heapq.heapreplace(heap, (due, self._first_touch[key], key))
                 continue
-            if last + self.ttl != expiry:
-                continue  # superseded by a fresher observation
+            heapq.heappop(heap)
             engine = self._engines.pop(key)
             del self._last_seen[key]
+            del self._first_touch[key]
             self._query_cache.pop(key, None)
             self._write_gen.pop(key, None)
             self.eviction.note(engine.query().value)
@@ -494,18 +510,11 @@ class ServiceStore:
         }
 
     def storage_report(self) -> StorageReport:
-        """Aggregate engine storage (shared bits counted once, fleet-style)."""
-        total = StorageReport(engine=f"service[{len(self._engines)}]")
-        shared_once = 0
-        for engine in self._engines.values():
-            rep = engine.storage_report()
-            shared_once = max(shared_once, rep.shared_bits)
-            total.buckets += rep.buckets
-            total.timestamp_bits += rep.timestamp_bits
-            total.count_bits += rep.count_bits
-            total.register_bits += rep.register_bits
-        total.shared_bits = shared_once
-        return total
+        """Aggregate engine storage (shared bits counted once)."""
+        return StorageReport.aggregate(
+            f"service[{len(self._engines)}]",
+            (engine.storage_report() for engine in self._engines.values()),
+        )
 
     # ---------------------------------------------------------- snapshot
 
@@ -583,6 +592,7 @@ class ServiceStore:
             store._last_seen[key] = int(state["last_seen"])
             if store.ttl is not None:
                 store._expiry_seq += 1
+                store._first_touch[key] = store._expiry_seq
                 heapq.heappush(
                     store._expiry,
                     (
@@ -599,7 +609,7 @@ class ServiceStore:
         In-place so the daemon and API server keep their references; the
         configuration (decay, ttl, policy) comes from the snapshot.  The
         live policy object is kept and loaded from the snapshot
-        (:meth:`~repro.service.admission.Admission.restore`), so a daemon
+        (:meth:`~repro.core.timeorder.Admission.restore`), so a daemon
         passing it per batch keeps ingesting.
         """
         fresh = ServiceStore.from_dict(data)

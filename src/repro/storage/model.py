@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.errors import InvalidParameterError
 
@@ -95,6 +96,26 @@ class StorageReport:
     def total_bits(self) -> int:
         """All bits including stream-independent shared state."""
         return self.per_stream_bits + self.shared_bits
+
+    @classmethod
+    def aggregate(
+        cls, engine: str, reports: Iterable["StorageReport"]
+    ) -> "StorageReport":
+        """Many streams' reports as one: per-stream bits summed, shared once.
+
+        Every stream of a keyed store shares the same stream-independent
+        state (one WBMH region schedule), so the aggregate counts the
+        largest ``shared_bits`` a single time -- the section 1.1 storage
+        argument.
+        """
+        total = cls(engine=engine)
+        for rep in reports:
+            total.shared_bits = max(total.shared_bits, rep.shared_bits)
+            total.buckets += rep.buckets
+            total.timestamp_bits += rep.timestamp_bits
+            total.count_bits += rep.count_bits
+            total.register_bits += rep.register_bits
+        return total
 
     def combined(self, other: "StorageReport", engine: str | None = None) -> "StorageReport":
         """Merge two reports (e.g. numerator + denominator of an average)."""

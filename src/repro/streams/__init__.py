@@ -26,7 +26,6 @@ from repro.streams.io import (
     write_csv,
     write_jsonl,
 )
-from repro.streams.lateness import LatenessBuffer
 from repro.streams.traces import (
     MINUTES_PER_HOUR,
     FailureEvent,
@@ -53,7 +52,6 @@ __all__ = [
     "BurstSlot",
     "spaced_binary_streams",
     "spaced_stream",
-    "LatenessBuffer",
     "KeyedItem",
     "read_csv",
     "write_csv",

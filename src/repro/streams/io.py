@@ -1,11 +1,11 @@
 """Stream persistence: CSV and JSONL trace files, and replay.
 
 Traces are sequences of ``(time, value)`` (optionally with a stream key for
-fleet traces). CSV uses a header ``time,value[,key]``; JSONL uses one
+keyed traces). CSV uses a header ``time,value[,key]``; JSONL uses one
 object per line with the same fields. Readers validate types, ordering is
-*not* required on disk (pair with
-:class:`~repro.streams.lateness.LatenessBuffer` for unordered files, or
-``sort=True`` to sort on load).
+*not* required on disk (replay unordered files under a buffered
+:class:`~repro.core.timeorder.OutOfOrderPolicy`, or pass ``sort=True`` to
+sort on load).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ __all__ = [
 
 
 class KeyedItem:
-    """A stream item tagged with the stream it belongs to (fleet traces).
+    """A stream item tagged with the stream it belongs to (keyed traces).
 
     Every outside input (HTTP, WS, the NDJSON feed, the readers here)
     passes through this type, so it is where a weight that is negative,

@@ -60,7 +60,7 @@ def trace_to_dense(
     for t, v in pairs:
         if t < 0:
             raise InvalidParameterError(f"time must be >= 0, got {t}")
-        if v < 0:
+        if not v >= 0:
             raise InvalidParameterError(f"value must be >= 0, got {v}")
     last = max((t for t, _ in pairs), default=-1)
     n = last + 1 if length is None else length

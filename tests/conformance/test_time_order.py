@@ -6,8 +6,8 @@ specs advertise ``order_insensitive`` (the forward-decay family) must
 instead *accept* disordered traces bit-identically to the sorted replay
 (conformance law CL007 as amended).  ``advance_to`` must refuse to move
 the clock backwards on every engine, and genuinely late data has a
-sanctioned route for the backward engines:
-:class:`repro.streams.lateness.LatenessBuffer` re-orders bounded
+sanctioned route for the backward engines: the ``buffer``
+:class:`~repro.core.timeorder.OutOfOrderPolicy` re-orders bounded
 lateness in front of any engine.
 """
 
@@ -16,9 +16,11 @@ from __future__ import annotations
 import pytest
 
 from repro.conformance.engines import default_specs
+from repro.core.batching import ingest_trace
 from repro.core.errors import TimeOrderError
+from repro.core.timeorder import OutOfOrderPolicy
+from repro.serialize import engine_to_dict
 from repro.streams.generators import StreamItem
-from repro.streams.lateness import LatenessBuffer
 
 SPECS = default_specs()
 
@@ -74,20 +76,22 @@ class TestEveryEngineRejectsDisorder:
 
 @pytest.mark.parametrize("name", sorted(SPECS), ids=str)
 def test_lateness_buffer_is_the_sanctioned_route(name: str) -> None:
-    """Disordered events through a LatenessBuffer match an in-order run."""
+    """Disordered events under the buffer policy match the in-order run,
+    bit for bit: answer, snapshot and drop ledger."""
     events = [(3, 1.0), (1, 2.0), (5, 1.0), (2, 4.0), (8, 1.0)]
-    buffered = LatenessBuffer(SPECS[name].build(), max_lateness=7)
-    for when, value in events:
-        assert buffered.observe(when, value)
-    buffered.advance_watermark(20)  # frontier 13: everything is complete
-    reference = SPECS[name].build()
-    reference.ingest(
-        [StreamItem(t, v) for t, v in sorted(events)],
-        until=buffered.frontier,
+    policy = OutOfOrderPolicy.buffered(7)
+    buffered = SPECS[name].build()
+    ingest_trace(
+        buffered, [StreamItem(t, v) for t, v in events], until=13,
+        policy=policy,
     )
+    reference = SPECS[name].build()
+    reference.ingest([StreamItem(t, v) for t, v in sorted(events)], until=13)
     est_b, est_r = buffered.query(), reference.query()
     assert (est_b.value, est_b.lower, est_b.upper) == (
         est_r.value,
         est_r.lower,
         est_r.upper,
     )
+    assert engine_to_dict(buffered) == engine_to_dict(reference)
+    assert (policy.dropped_count, policy.dropped_weight) == (0, 0.0)

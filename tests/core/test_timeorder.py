@@ -1,12 +1,12 @@
-"""Unit tests for the out-of-order policy and bounded reordering."""
+"""Unit tests for the out-of-order policy and the admission stage."""
 
 import random
+from collections import namedtuple
 
 import pytest
 
-from repro.core.errors import InvalidParameterError
-from repro.core.timeorder import OutOfOrderPolicy, bounded_reorder
-from repro.streams.generators import StreamItem
+from repro.core.errors import InvalidParameterError, TimeOrderError
+from repro.core.timeorder import Admission, OutOfOrderPolicy
 
 
 class TestOutOfOrderPolicy:
@@ -35,70 +35,170 @@ class TestOutOfOrderPolicy:
         assert policy.dropped_count == 2
         assert policy.dropped_weight == 3.5
 
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_ledger_refuses_nan_and_negative_weights(self, bad):
+        policy = OutOfOrderPolicy.dropping()
+        policy.note_dropped(1.0)
+        with pytest.raises(InvalidParameterError):
+            policy.note_dropped(bad)
+        assert policy.dropped_count == 1
+        assert policy.dropped_weight == 1.0
+
     def test_repr_names_the_window(self):
         assert "buffer" in repr(OutOfOrderPolicy.buffered(3))
         assert "max_lateness=3" in repr(OutOfOrderPolicy.buffered(3))
         assert "max_lateness" not in repr(OutOfOrderPolicy.dropping())
 
 
+class RecordingFront:
+    """An admission front that records every fold as ``(time, key, value)``."""
+
+    native_out_of_order = False
+
+    def __init__(self, time=0):
+        self.time = time
+        self.folds = []
+
+    def _adv(self, when):
+        assert when > self.time, "admission moved the clock backwards"
+        self.time = when
+
+    def _fold(self, key, values):
+        self.folds.extend((self.time, key, value) for value in values)
+
+    def _late(self, key, when, value):
+        raise AssertionError("a non-native front got a late item")
+
+
+def reorder(items, policy):
+    """Items through a buffered Admission, as ``(time, key, value)``."""
+    front = RecordingFront()
+    admission = Admission(policy)
+    admission.observe_batch(front, items)
+    admission.flush(front)
+    return front.folds
+
+
+#: A bare keyed item: unlike ``KeyedItem`` it lets NaN and negative
+#: times through, so the admission stage's own checks are what is tested.
+Row = namedtuple("Row", "key time value")
+
+
+def keyed(time, value, key="k"):
+    return Row(key, time, value)
+
+
 class TestBoundedReorder:
+    """Bounded reordering is the ``buffer`` policy's Admission heap."""
+
     def test_requires_buffer_policy(self):
+        # The heap is front state: a per-call buffer policy is refused.
+        admission = Admission(OutOfOrderPolicy.dropping())
         with pytest.raises(InvalidParameterError):
-            list(bounded_reorder([], OutOfOrderPolicy.dropping()))
+            admission.observe_batch(
+                RecordingFront(), [], policy=OutOfOrderPolicy.buffered(2)
+            )
 
     def test_sorted_input_passes_through(self):
-        items = [StreamItem(t, 1.0) for t in range(10)]
+        items = [keyed(t, 1.0) for t in range(10)]
         policy = OutOfOrderPolicy.buffered(3)
-        assert list(bounded_reorder(items, policy)) == items
+        assert reorder(items, policy) == [(t, "k", 1.0) for t in range(10)]
         assert policy.dropped_count == 0
 
     def test_reorders_within_window(self):
         items = [
-            StreamItem(2, 1.0),
-            StreamItem(0, 2.0),
-            StreamItem(1, 3.0),
-            StreamItem(4, 4.0),
-            StreamItem(3, 5.0),
+            keyed(2, 1.0),
+            keyed(0, 2.0),
+            keyed(1, 3.0),
+            keyed(4, 4.0),
+            keyed(3, 5.0),
         ]
         policy = OutOfOrderPolicy.buffered(4)
-        out = list(bounded_reorder(items, policy))
-        assert [i.time for i in out] == [0, 1, 2, 3, 4]
+        out = reorder(items, policy)
+        assert [t for t, _, _ in out] == [0, 1, 2, 3, 4]
         assert policy.dropped_count == 0
 
     def test_items_beyond_window_dropped_onto_ledger(self):
         items = [
-            StreamItem(10, 1.0),
-            StreamItem(3, 2.5),  # 7 ticks behind a window of 2: dropped
-            StreamItem(9, 1.0),  # 1 tick behind: reordered in
+            keyed(10, 1.0),
+            keyed(3, 2.5),  # 7 ticks behind a window of 2: dropped
+            keyed(9, 1.0),  # 1 tick behind: reordered in
         ]
         policy = OutOfOrderPolicy.buffered(2)
-        out = list(bounded_reorder(items, policy))
-        assert [i.time for i in out] == [9, 10]
+        out = reorder(items, policy)
+        assert [t for t, _, _ in out] == [9, 10]
         assert policy.dropped_count == 1
         assert policy.dropped_weight == 2.5
 
     def test_equal_times_keep_arrival_order(self):
         items = [
-            StreamItem(5, 1.0),
-            StreamItem(5, 2.0),
-            StreamItem(5, 3.0),
+            keyed(5, 1.0, "a"),
+            keyed(5, 2.0, "b"),
+            keyed(5, 3.0, "a"),
         ]
-        out = list(bounded_reorder(items, OutOfOrderPolicy.buffered(1)))
-        assert [i.value for i in out] == [1.0, 2.0, 3.0]
+        out = reorder(items, OutOfOrderPolicy.buffered(1))
+        assert out == [(5, "a", 1.0), (5, "b", 2.0), (5, "a", 3.0)]
 
     def test_random_traces_match_stable_sort_of_survivors(self):
         rng = random.Random(9)
         for _ in range(20):
             window = rng.randrange(0, 12)
             items = [
-                StreamItem(rng.randrange(0, 40), float(i))
+                keyed(rng.randrange(0, 40), float(i))
                 for i in range(rng.randrange(0, 60))
             ]
             policy = OutOfOrderPolicy.buffered(window)
-            out = list(bounded_reorder(items, policy))
-            # Output is non-decreasing in time...
-            assert all(
-                a.time <= b.time for a, b in zip(out, out[1:])
-            )
+            out = reorder(items, policy)
+            # Output is the stable time sort of the survivors...
+            survivors = {value for _, _, value in out}
+            assert out == [
+                (i.time, "k", i.value)
+                for i in sorted(items, key=lambda i: i.time)
+                if i.value in survivors
+            ]
             # ...and survivors + dropped partition the input.
             assert len(out) + policy.dropped_count == len(items)
+
+
+class TestAdmission:
+    def test_refuses_nan_negative_weight_and_negative_time(self):
+        # The checks a bounded-lateness buffer has always made, at the push.
+        for item in (keyed(1, float("nan")), keyed(1, -1.0), keyed(-1, 1.0)):
+            policy = OutOfOrderPolicy.buffered(4)
+            admission = Admission(policy)
+            front = RecordingFront()
+            with pytest.raises(InvalidParameterError):
+                admission.observe_batch(front, [keyed(0, 2.0), item])
+            admission.flush(front)
+            assert front.folds == [(0, "k", 2.0)]
+            assert admission.ingested_weight == 2.0
+            assert policy.dropped_count == 0
+
+    def test_late_nan_under_drop_folds_the_items_before_it(self):
+        policy = OutOfOrderPolicy.dropping()
+        admission = Admission(policy)
+        front = RecordingFront(time=5)
+        with pytest.raises(InvalidParameterError):
+            admission.observe_batch(
+                front, [keyed(5, 1.0), keyed(2, float("nan"))]
+            )
+        assert front.folds == [(5, "k", 1.0)]
+        assert policy.dropped_count == 0
+        assert policy.dropped_weight == 0.0
+
+    def test_raise_policy_folds_the_items_before_the_late_one(self):
+        admission = Admission()
+        front = RecordingFront(time=5)
+        with pytest.raises(TimeOrderError):
+            admission.observe_batch(front, [keyed(5, 1.0), keyed(2, 1.0)])
+        assert front.folds == [(5, "k", 1.0)]
+
+    def test_nan_fold_is_refused_before_the_front_and_ledger(self):
+        admission = Admission()
+        front = RecordingFront()
+        with pytest.raises(InvalidParameterError):
+            admission.observe(front, "k", float("nan"), None)
+        with pytest.raises(InvalidParameterError):
+            admission.observe_batch(front, [keyed(0, 1.0), keyed(0, -1.0)])
+        assert front.folds == []
+        assert (admission.ingested_items, admission.ingested_weight) == (0, 0.0)

@@ -1,4 +1,11 @@
-"""Integration tests for StreamFleet (the §1.1 many-streams scenario)."""
+"""Integration tests for the keyed store as the §1.1 many-streams fleet.
+
+One decayed summary per customer is :class:`ServiceStore`'s job: keys are
+created lazily on a shared clock, WBMH keys share one region schedule,
+storage is reported with shared bits counted once, and two stores that
+saw disjoint halves of the traffic fold together key by key through
+``merge_into(key, other.export_engine(key))``.
+"""
 
 import random
 
@@ -13,134 +20,134 @@ from repro.core.decay import (
 from repro.core.errors import InvalidParameterError, TimeOrderError
 from repro.core.exact import ExactDecayingSum
 from repro.core.interfaces import make_decaying_sum
-from repro.fleet import StreamFleet
+from repro.service import ServiceStore
+from repro.streams.io import KeyedItem
+
+
+def triplet(estimate):
+    return estimate.value, estimate.lower, estimate.upper
+
+
+def absorb(store, other):
+    """Fold every key of ``other`` into ``store`` (the shard-merge path)."""
+    for key in other.keys():
+        store.merge_into(key, other.export_engine(key))
 
 
 class TestBasics:
     def test_lazy_keys_and_ratings(self):
-        fleet = StreamFleet(PolynomialDecay(1.0), epsilon=0.1)
-        fleet.observe("a", 1.0)
-        fleet.observe("b", 5.0)
-        fleet.advance(10)
-        assert len(fleet) == 2
-        assert fleet.rating("b").value > fleet.rating("a").value
-        assert fleet.rating("missing").value == 0.0
+        store = ServiceStore(PolynomialDecay(1.0), epsilon=0.1)
+        store.observe("a", 1.0)
+        store.observe("b", 5.0)
+        store.advance(10)
+        assert len(store) == 2
+        assert store.query("b").value > store.query("a").value
+        with pytest.raises(KeyError):
+            store.query("missing")
+        assert "missing" not in store
 
     def test_late_joining_key_gets_current_clock(self):
-        fleet = StreamFleet(PolynomialDecay(1.0), epsilon=0.1)
-        fleet.observe("early", 1.0)
-        fleet.advance(50)
-        fleet.observe("late", 1.0)
-        # Both engines share the fleet clock.
-        assert fleet._engines["late"].time == fleet.time == 50
+        store = ServiceStore(PolynomialDecay(1.0), epsilon=0.1)
+        store.observe("early", 1.0)
+        store.advance(50)
+        store.observe("late", 1.0)
+        # Both engines share the store clock.
+        assert store.export_engine("late").time == store.time == 50
+        assert store.export_engine("early").time == 50
 
     def test_observe_at_time(self):
-        fleet = StreamFleet(ExponentialDecay(0.1))
-        fleet.observe("a", 1.0, when=5)
-        fleet.observe("a", 1.0, when=9)
-        assert fleet.time == 9
+        store = ServiceStore(ExponentialDecay(0.1))
+        store.observe("a", 1.0, when=5)
+        store.observe("a", 1.0, when=9)
+        assert store.time == 9
         with pytest.raises(TimeOrderError):
-            fleet.observe("a", 1.0, when=3)
-
-    def test_top_bottom(self):
-        fleet = StreamFleet(PolynomialDecay(1.0))
-        for key, count in (("x", 1), ("y", 3), ("z", 7)):
-            for _ in range(count):
-                fleet.observe(key, 1.0)
-        fleet.advance(1)
-        assert [k for k, _ in fleet.top(2)] == ["z", "y"]
-        assert [k for k, _ in fleet.bottom(1)] == ["x"]
-        with pytest.raises(InvalidParameterError):
-            fleet.top(-1)
+            store.observe("a", 1.0, when=3)
 
     def test_accuracy_against_exact(self):
         decay = PolynomialDecay(1.0)
-        fleet = StreamFleet(decay, epsilon=0.1)
+        store = ServiceStore(decay, epsilon=0.1)
         exact = {k: ExactDecayingSum(decay) for k in ("a", "b")}
         rng = random.Random(2)
         for _ in range(500):
             for k in ("a", "b"):
                 if rng.random() < 0.5:
                     v = rng.uniform(0.5, 2.0)
-                    fleet.observe(k, v)
+                    store.observe(k, v)
                     exact[k].add(v)
-            fleet.advance(1)
+            store.advance(1)
             for e in exact.values():
                 e.advance(1)
         for k in ("a", "b"):
-            assert fleet.rating(k).contains(exact[k].query().value)
+            assert store.query(k).contains(exact[k].query().value)
 
 
 class TestEngineSelection:
     def test_wbmh_schedules_are_shared(self):
-        fleet = StreamFleet(PolynomialDecay(1.0), epsilon=0.2)
-        fleet.observe("a", 1.0)
-        fleet.observe("b", 1.0)
-        a = fleet._engines["a"]
-        b = fleet._engines["b"]
-        assert a.schedule is b.schedule  # one object for the whole fleet
+        store = ServiceStore(PolynomialDecay(1.0), epsilon=0.2)
+        store.observe("a", 1.0)
+        store.observe("b", 1.0)
+        # One schedule object for the whole store.
+        assert store.engine("a").schedule is store.engine("b").schedule
 
     def test_sliwin_and_expd_fleets(self):
         for decay in (SlidingWindowDecay(32), ExponentialDecay(0.1)):
-            fleet = StreamFleet(decay, epsilon=0.2)
-            fleet.observe("k", 1.0)
-            fleet.advance(5)
-            assert fleet.rating("k").value >= 0.0
+            store = ServiceStore(decay, epsilon=0.2)
+            store.observe("k", 1.0)
+            store.advance(5)
+            assert store.query("k").value >= 0.0
 
     def test_polyexponential_fleet_uses_the_factory_engine(self):
         # Polyexponential weights rise before they fall, so only the exact
         # register pipeline make_decaying_sum picks certifies its bracket.
         decay = PolyexponentialDecay(2, 0.1)
-        fleet = StreamFleet(decay)
+        store = ServiceStore(decay)
         direct = make_decaying_sum(decay, 0.1)
         for t in range(20):
-            fleet.observe("k", 1.0 + t % 3, when=t)
+            store.observe("k", 1.0 + t % 3, when=t)
             direct.advance_to(t)
             direct.add(1.0 + t % 3)
-        got, want = fleet.rating("k"), direct.query()
-        assert (got.value, got.lower, got.upper) == (
-            want.value, want.lower, want.upper
-        )
+        assert triplet(store.query("k")) == triplet(direct.query())
 
     def test_custom_factory(self):
         decay = PolynomialDecay(1.0)
-        fleet = StreamFleet(
+        store = ServiceStore(
             decay, engine_factory=lambda: ExactDecayingSum(decay)
         )
-        fleet.observe("k", 2.0)
-        fleet.advance(3)
-        assert fleet.rating("k").value == pytest.approx(2.0 * decay.weight(3))
+        store.observe("k", 2.0)
+        store.advance(3)
+        assert store.query("k").value == pytest.approx(2.0 * decay.weight(3))
 
 
 class TestStorageAccounting:
     def test_shared_bits_counted_once(self):
-        fleet = StreamFleet(PolynomialDecay(1.0), epsilon=0.2)
+        store = ServiceStore(PolynomialDecay(1.0), epsilon=0.2)
         for k in range(20):
-            fleet.observe(k, 1.0)
+            store.observe(str(k), 1.0)
         for _ in range(200):
-            fleet.advance(1)
+            store.advance(1)
             for k in range(20):
-                fleet.observe(k, 1.0)
-        rep = fleet.storage_report()
-        one = fleet._engines[0].storage_report()
+                store.observe(str(k), 1.0)
+        rep = store.storage_report()
+        one = store.key_storage_report("0")
         assert rep.shared_bits == one.shared_bits  # once, not 20x
         assert rep.per_stream_bits >= 20 * one.per_stream_bits * 0.5
 
     def test_per_key_bits(self):
-        fleet = StreamFleet(PolynomialDecay(1.0), epsilon=0.2)
-        fleet.observe("a", 1.0)
-        fleet.advance(10)
-        bits = fleet.per_key_bits()
-        assert set(bits) == {"a"}
-        assert bits["a"] > 0
+        store = ServiceStore(PolynomialDecay(1.0), epsilon=0.2)
+        store.observe("a", 1.0)
+        store.advance(10)
+        assert store.keys() == ["a"]
+        bits = store.key_storage_report("a").per_stream_bits
+        assert bits > 0
+        assert store.storage_report().per_stream_bits == bits
 
 
 class TestShardMerge:
     def test_absorb_shards(self):
         decay = ExponentialDecay(0.05)
-        shard1 = StreamFleet(decay)
-        shard2 = StreamFleet(decay)
-        union = StreamFleet(decay)
+        shard1 = ServiceStore(decay)
+        shard2 = ServiceStore(decay)
+        union = ServiceStore(decay)
         rng = random.Random(5)
         for _ in range(200):
             for key in ("a", "b", "c"):
@@ -152,39 +159,38 @@ class TestShardMerge:
             shard1.advance(1)
             shard2.advance(1)
             union.advance(1)
-        shard1.absorb(shard2)
+        absorb(shard1, shard2)
         for key in ("a", "b", "c"):
-            assert shard1.rating(key).value == pytest.approx(
-                union.rating(key).value
+            assert shard1.query(key).value == pytest.approx(
+                union.query(key).value
             )
 
     def test_absorb_disjoint_keys(self):
         decay = ExponentialDecay(0.05)
-        shard1 = StreamFleet(decay)
-        shard2 = StreamFleet(decay)
+        shard1 = ServiceStore(decay)
+        shard2 = ServiceStore(decay)
         shard1.observe("only1", 1.0)
         shard2.observe("only2", 2.0)
         shard1.advance(1)
         shard2.advance(1)
-        shard1.absorb(shard2)
-        assert set(shard1.keys()) == {"only1", "only2"}
+        absorb(shard1, shard2)
+        assert shard1.keys() == ["only1", "only2"]
+        assert shard1.query("only2").value == shard2.query("only2").value
 
     def test_absorb_validation(self):
-        fleet = StreamFleet(ExponentialDecay(0.1))
+        store = ServiceStore(ExponentialDecay(0.1))
+        store.observe("k", 1.0)
+        other = ServiceStore(PolynomialDecay(1.0))
+        other.observe("k", 1.0)
         with pytest.raises(InvalidParameterError):
-            fleet.absorb(fleet)
-        other = StreamFleet(ExponentialDecay(0.1))
-        other.advance(1)
-        with pytest.raises(TimeOrderError):
-            fleet.absorb(other)
+            store.merge_into("k", other.export_engine("k"))
+        assert store.query("k").value == 1.0
 
 
 class TestObserveBatch:
     """Keyed batch ingestion: grouped per key, one clock advance per tick."""
 
     def _random_keyed_trace(self, n, seed):
-        from repro.streams.io import KeyedItem
-
         rng = random.Random(seed)
         t = 0
         items = []
@@ -201,33 +207,29 @@ class TestObserveBatch:
     )
     def test_bit_identical_to_sequential_observe(self, decay):
         items = self._random_keyed_trace(300, seed=5)
-        sequential = StreamFleet(decay, 0.1)
+        sequential = ServiceStore(decay, 0.1)
         for item in items:
             sequential.observe(item.key, item.value, when=item.time)
-        batched = StreamFleet(decay, 0.1)
+        batched = ServiceStore(decay, 0.1)
         batched.observe_batch(items)
         assert batched.time == sequential.time
-        assert set(batched.keys()) == set(sequential.keys())
+        assert batched.keys() == sequential.keys()
         for key in sequential.keys():
-            a = batched.rating(key)
-            b = sequential.rating(key)
-            assert (a.value, a.lower, a.upper) == (b.value, b.lower, b.upper)
+            assert triplet(batched.query(key)) == triplet(
+                sequential.query(key)
+            )
 
     def test_rejects_time_regress(self):
-        from repro.streams.io import KeyedItem
-
-        fleet = StreamFleet(ExponentialDecay(0.1))
-        fleet.advance(10)
+        store = ServiceStore(ExponentialDecay(0.1))
+        store.advance(10)
         with pytest.raises(TimeOrderError):
-            fleet.observe_batch([KeyedItem("a", 3, 1.0)])
+            store.observe_batch([KeyedItem("a", 3, 1.0)])
 
     def test_new_keys_join_at_current_clock(self):
-        from repro.streams.io import KeyedItem
-
-        fleet = StreamFleet(SlidingWindowDecay(32), 0.1)
-        fleet.observe_batch(
+        store = ServiceStore(SlidingWindowDecay(32), 0.1)
+        store.observe_batch(
             [KeyedItem("old", 0, 1.0), KeyedItem("new", 20, 1.0)]
         )
-        assert fleet.time == 20
-        for engine in [fleet._engine_for("old"), fleet._engine_for("new")]:
-            assert engine.time == 20
+        assert store.time == 20
+        for key in ("old", "new"):
+            assert store.export_engine(key).time == 20

@@ -1,12 +1,12 @@
 """One out-of-order policy, every ingestion surface.
 
-The tentpole contract: ``ingest_trace``, ``streams.io.replay``,
-``StreamFleet.observe_batch`` and ``ShardedDecayingSum.ingest`` all route
+The contract: ``ingest_trace``, ``streams.io.replay``,
+``ServiceStore.observe_batch`` and ``ShardedDecayingSum.ingest`` all route
 late items through the same :class:`OutOfOrderPolicy`, with the default
 ``raise`` kind preserving the historical ``TimeOrderError`` behavior,
 ``drop`` matching the on-time-survivor replay plus an audited ledger, and
-``buffer`` matching the sorted replay for items within the lateness
-window.  Order-insensitive engines (the forward family) accept late items
+``buffer`` matching the sorted replay of the surviving items bit for
+bit.  Order-insensitive engines (the forward family) accept late items
 directly under *every* policy.
 """
 
@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.conformance.engines import default_specs
 from repro.core.batching import ingest_trace
 from repro.core.decay import ExponentialDecay, PolynomialDecay
 from repro.core.errors import TimeOrderError
@@ -22,10 +23,14 @@ from repro.core.exact import ExactDecayingSum
 from repro.core.forward import ForwardDecay, ForwardDecaySum
 from repro.core.interfaces import make_decaying_sum
 from repro.core.timeorder import OutOfOrderPolicy
-from repro.fleet import StreamFleet
 from repro.parallel.sharded import ShardedDecayingSum
+from repro.serialize import engine_to_dict
+from repro.service import ServiceStore
 from repro.streams.generators import StreamItem
 from repro.streams.io import KeyedItem, replay
+
+
+SPECS = default_specs()
 
 
 def triplet(engine):
@@ -34,13 +39,13 @@ def triplet(engine):
 
 
 def close(engine, reference):
-    """Triplet agreement up to advance-partition rounding.
+    """Triplet agreement, bit for bit.
 
-    The buffered path advances the clock in LatenessBuffer's frontier
-    steps; registers that multiply per advance (ewma) may differ from the
-    plain replay by an ulp, which the buffer contract permits.
+    The buffered path moves the clock from released item to released
+    item, exactly as the sorted replay does, so even registers that
+    multiply per advance (ewma) agree to the last ulp.
     """
-    return triplet(engine) == pytest.approx(triplet(reference), rel=1e-12)
+    return triplet(engine) == triplet(reference)
 
 
 def fresh_engines():
@@ -76,22 +81,17 @@ class TestIngestTraceMatrix:
                 )
 
     def test_policies_neutral_on_sorted_traces(self):
-        # raise and drop share the plain replay loop: bit-identical.
-        # buffer re-partitions clock advances, so it is neutral only up
-        # to register rounding.
-        for make_policy, exact in (
-            (OutOfOrderPolicy.raising, True),
-            (OutOfOrderPolicy.dropping, True),
-            (lambda: OutOfOrderPolicy.buffered(4), False),
+        # Every policy is bit-identical to the plain replay on sorted input.
+        for make_policy in (
+            OutOfOrderPolicy.raising,
+            OutOfOrderPolicy.dropping,
+            lambda: OutOfOrderPolicy.buffered(4),
         ):
             for engine, reference in zip(fresh_engines(), fresh_engines()):
                 policy = make_policy()
                 ingest_trace(engine, SORTED_TRACE, until=12, policy=policy)
                 ingest_trace(reference, SORTED_TRACE, until=12)
-                if exact:
-                    assert triplet(engine) == triplet(reference)
-                else:
-                    assert close(engine, reference)
+                assert close(engine, reference)
                 assert policy.dropped_count == 0
 
     def test_drop_matches_survivor_replay_and_ledger(self):
@@ -124,6 +124,37 @@ class TestIngestTraceMatrix:
             assert close(engine, reference)
             assert policy.dropped_count == 1
             assert policy.dropped_weight == 8.0
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(n for n, spec in SPECS.items() if not spec.order_insensitive),
+    )
+    def test_buffer_equals_sorted_survivor_replay_on_every_cell(self, name):
+        # Survivors are the items no older than the running watermark
+        # minus the window; everything else lands on the drop ledger.
+        rng = random.Random(name)
+        for _ in range(40):
+            window = rng.randrange(0, 6)
+            trace = [
+                StreamItem(rng.randrange(0, 50), float(rng.randrange(1, 5)))
+                for _ in range(rng.randrange(0, 40))
+            ]
+            watermark, survivors, dropped = -1, [], []
+            for item in trace:
+                watermark = max(watermark, item.time)
+                bucket = dropped if item.time < watermark - window else survivors
+                bucket.append(item)
+            policy = OutOfOrderPolicy.buffered(window)
+            engine = SPECS[name].build()
+            ingest_trace(engine, trace, until=60, policy=policy)
+            reference = SPECS[name].build()
+            ingest_trace(
+                reference, sorted(survivors, key=lambda i: i.time), until=60
+            )
+            assert triplet(engine) == triplet(reference)
+            assert engine_to_dict(engine) == engine_to_dict(reference)
+            assert policy.dropped_count == len(dropped)
+            assert policy.dropped_weight == sum(i.value for i in dropped)
 
     def test_forward_engines_bypass_every_policy(self):
         for make_policy in (
@@ -163,6 +194,8 @@ class TestReplaySurface:
 
 
 class TestFleetSurface:
+    """The keyed store: the same policy, keyed items reordered whole."""
+
     KEYED_LATE = [
         KeyedItem("a", 0, 1.0),
         KeyedItem("b", 5, 2.0),
@@ -171,34 +204,41 @@ class TestFleetSurface:
     ]
 
     def test_default_raises(self):
-        fleet = StreamFleet(PolynomialDecay(1.0), epsilon=0.1)
+        store = ServiceStore(PolynomialDecay(1.0), epsilon=0.1)
         with pytest.raises(TimeOrderError):
-            fleet.observe_batch(self.KEYED_LATE)
+            store.observe_batch(self.KEYED_LATE)
 
     def test_drop_counts_on_the_ledger(self):
-        fleet = StreamFleet(PolynomialDecay(1.0), epsilon=0.1)
+        store = ServiceStore(PolynomialDecay(1.0), epsilon=0.1)
         policy = OutOfOrderPolicy.dropping()
-        fleet.observe_batch(self.KEYED_LATE, policy=policy)
-        reference = StreamFleet(PolynomialDecay(1.0), epsilon=0.1)
+        store.observe_batch(self.KEYED_LATE, policy=policy)
+        reference = ServiceStore(PolynomialDecay(1.0), epsilon=0.1)
         reference.observe_batch(
             [i for i in self.KEYED_LATE if i.time != 3]
         )
         assert policy.dropped_count == 1
         assert policy.dropped_weight == 4.0
         for key in ("a", "b"):
-            assert fleet.rating(key).value == reference.rating(key).value
+            assert triplet_of(store, key) == triplet_of(reference, key)
 
     def test_buffer_reorders_whole_keyed_items(self):
-        fleet = StreamFleet(PolynomialDecay(1.0), epsilon=0.1)
         policy = OutOfOrderPolicy.buffered(5)
-        fleet.observe_batch(self.KEYED_LATE, policy=policy)
-        reference = StreamFleet(PolynomialDecay(1.0), epsilon=0.1)
+        store = ServiceStore(PolynomialDecay(1.0), epsilon=0.1, policy=policy)
+        store.observe_batch(self.KEYED_LATE)
+        store.flush()
+        reference = ServiceStore(PolynomialDecay(1.0), epsilon=0.1)
         reference.observe_batch(
             sorted(self.KEYED_LATE, key=lambda i: i.time)
         )
         assert policy.dropped_count == 0
+        assert store.time == reference.time
         for key in ("a", "b"):
-            assert fleet.rating(key).value == reference.rating(key).value
+            assert triplet_of(store, key) == triplet_of(reference, key)
+
+
+def triplet_of(store, key):
+    est = store.query(key)
+    return est.value, est.lower, est.upper
 
 
 class TestShardedSurface:

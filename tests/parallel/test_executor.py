@@ -1,4 +1,10 @@
-"""Process-pool ingestion: pool answers vs serial replay, fleet adoption."""
+"""Process-pool ingestion vs serial replay, and key-partitioned backfill.
+
+A keyed trace is backfilled the same way without a process pool: split
+it by key with :func:`~repro.parallel.shard_of`, ingest each partition
+into its own :class:`~repro.service.ServiceStore`, and fold the
+partitions together with ``merge_into(key, other.export_engine(key))``.
+"""
 
 from __future__ import annotations
 
@@ -14,8 +20,8 @@ from repro.core.decay import (
 from repro.core.errors import InvalidParameterError
 from repro.core.exact import ExactDecayingSum
 from repro.core.interfaces import make_decaying_sum
-from repro.fleet import StreamFleet
-from repro.parallel import parallel_fleet_ingest, parallel_ingest
+from repro.parallel import parallel_ingest, shard_of
+from repro.service import ServiceStore
 from repro.streams.generators import StreamItem
 from repro.streams.io import KeyedItem
 
@@ -96,6 +102,30 @@ class TestParallelIngest:
             )
 
 
+def _serial(decay, items, end):
+    store = ServiceStore(decay, 0.1)
+    store.observe_batch(items, until=end)
+    return store
+
+
+def _partitioned(decay, items, end, shards):
+    """Backfill each key partition alone, then fold them into one store."""
+    parts = [ServiceStore(decay, 0.1) for _ in range(shards)]
+    for index, part in enumerate(parts):
+        part.observe_batch(
+            [i for i in items if shard_of(i.key, shards) == index], until=end
+        )
+    merged = parts[0]
+    for part in parts[1:]:
+        for key in part.keys():
+            merged.merge_into(key, part.export_engine(key))
+    return merged
+
+
+def _ranking(store):
+    return sorted(store.keys(), key=lambda k: (-store.query(k).value, k))
+
+
 class TestParallelFleetIngest:
     @pytest.mark.parametrize(
         "decay",
@@ -104,98 +134,60 @@ class TestParallelFleetIngest:
     )
     def test_pool_fleet_matches_serial_fleet(self, decay) -> None:
         items, end, keys = _keyed_trace(31)
-        serial = StreamFleet(decay, 0.1)
-        serial.observe_batch(items)
-        serial.advance_to(end)
-        pooled = parallel_fleet_ingest(
-            decay, items, epsilon=0.1, shards=2, end=end
-        )
-        assert sorted(pooled.keys()) == sorted(serial.keys())
+        serial = _serial(decay, items, end)
+        pooled = _partitioned(decay, items, end, shards=2)
+        assert pooled.keys() == serial.keys()
         assert pooled.time == end
         for key in keys:
-            assert pooled.rating(key).value == pytest.approx(
-                serial.rating(key).value, rel=1e-9
+            assert pooled.query(key).value == pytest.approx(
+                serial.query(key).value, rel=1e-9
             )
 
     def test_rankings_survive_the_pool(self) -> None:
         items, end, _ = _keyed_trace(32)
         decay = ExponentialDecay(0.05)
-        serial = StreamFleet(decay, 0.1)
-        serial.observe_batch(items)
-        serial.advance_to(end)
-        pooled = parallel_fleet_ingest(
-            decay, items, epsilon=0.1, shards=2, end=end
-        )
-        assert [k for k, _ in pooled.top(3)] == [k for k, _ in serial.top(3)]
+        serial = _serial(decay, items, end)
+        pooled = _partitioned(decay, items, end, shards=2)
+        assert _ranking(pooled)[:3] == _ranking(serial)[:3]
 
     def test_single_shard_no_pool(self) -> None:
         items, end, keys = _keyed_trace(33)
-        pooled = parallel_fleet_ingest(
-            ExponentialDecay(0.1), items, epsilon=0.1, shards=1, end=end
-        )
-        assert sorted(pooled.keys()) == sorted(
-            {item.key for item in items}
-        )
+        pooled = _partitioned(ExponentialDecay(0.1), items, end, shards=1)
+        assert pooled.keys() == sorted({item.key for item in items})
 
 
 class TestFleetMergeAndAdopt:
     def test_fleet_merge_generalizes_absorb(self) -> None:
         decay = SlidingWindowDecay(40)
         items, end, keys = _keyed_trace(41)
-        serial = StreamFleet(decay, 0.1)
-        serial.observe_batch(items)
-        serial.advance_to(end)
-        # Key-partition by hand, merge the two half-fleets.
-        left = StreamFleet(decay, 0.1)
-        right = StreamFleet(decay, 0.1)
+        serial = _serial(decay, items, end)
+        # Key-partition by hand, merge the two halves.
+        left = ServiceStore(decay, 0.1)
+        right = ServiceStore(decay, 0.1)
         for item in items:
             target = left if item.key < "c" else right
             target.observe(item.key, item.value, when=item.time)
         left.advance_to(end)
         right.advance_to(end)
-        left.merge(right)
+        for key in right.keys():
+            left.merge_into(key, right.export_engine(key))
         for key in keys:
-            got = left.rating(key)
-            want = serial.rating(key)
+            got = left.query(key)
+            want = serial.query(key)
             assert got.lower <= want.value <= got.upper or (
                 got.value == pytest.approx(want.value, rel=1e-9)
             )
 
     def test_merge_advances_younger_fleet(self) -> None:
         decay = ExponentialDecay(0.1)
-        a = StreamFleet(decay, 0.1)
-        b = StreamFleet(decay, 0.1)
+        a = ServiceStore(decay, 0.1)
+        b = ServiceStore(decay, 0.1)
         a.observe("x", 2.0, when=10)
-        b.observe("y", 3.0)  # still at t=0 after this add... advance below
+        b.observe("y", 3.0)  # at t=0; b's clock then moves to 4
         b.advance_to(4)
-        a.merge(b)
+        a.merge_into("y", b.export_engine("y"))
         assert a.time == 10
-        # y's mass decayed from t=4 to t=10 during alignment.
-        assert a.rating("y").value == pytest.approx(
+        # y's mass decayed from t=0 to t=10 during alignment.
+        assert a.query("y").value == pytest.approx(
             3.0 * decay.weight(10 - 0), rel=1e-9
         )
-
-    def test_adopt_requires_clock_alignment(self) -> None:
-        from repro.core.errors import TimeOrderError
-        from repro.core.ewma import ExponentialSum
-
-        fleet = StreamFleet(ExponentialDecay(0.1), 0.1)
-        fleet.advance(5)
-        engine = ExponentialSum(ExponentialDecay(0.1))
-        with pytest.raises(TimeOrderError):
-            fleet.adopt("k", engine)
-        engine.advance(5)
-        engine.add(2.0)
-        fleet.adopt("k", engine)
-        assert fleet.rating("k").value == pytest.approx(2.0)
-
-    def test_adopt_existing_key_merges(self) -> None:
-        from repro.core.ewma import ExponentialSum
-
-        decay = ExponentialDecay(0.1)
-        fleet = StreamFleet(decay, 0.1)
-        fleet.observe("k", 1.0)
-        extra = ExponentialSum(decay)
-        extra.add(2.0)
-        fleet.adopt("k", extra)
-        assert fleet.rating("k").value == pytest.approx(3.0)

@@ -3,8 +3,7 @@
 The oracle is deliberately naive: one :func:`make_decaying_sum` engine
 per key, driven item by item (``advance_to`` then ``add``), with every
 engine advanced in lock-step at every distinct global arrival time --
-the same discipline :class:`~repro.fleet.StreamFleet` uses, and the one
-that keeps per-key answers mergeable.  Lock-step matters at the last
+the discipline that keeps per-key answers mergeable.  Lock-step matters at the last
 ulp: register engines advance by multiplying a decay factor in, so
 ``advance(a); advance(b)`` and ``advance(a + b)`` differ in rounding;
 the oracle must advance at the same checkpoints the store does or the

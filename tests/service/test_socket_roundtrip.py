@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.decay import ExponentialDecay, PolynomialDecay
 from repro.core.forward import ForwardDecay
-from repro.service.api import WSClient, http_request
+from repro.service.api import WSClient, _frame, _mask, _read_frame, http_request
 from repro.service.daemon import BackpressurePolicy, IngestDaemon
 from repro.service.loadgen import ServiceHarness, keyed_trace
 from repro.service.store import ServiceStore
@@ -159,6 +159,68 @@ class TestWebSocket:
             await _assert_no_leaked_tasks()
 
         _run(main)
+
+
+class TestFraming:
+    def test_bad_content_length_is_answered_400_and_counted(self) -> None:
+        async def main() -> None:
+            async with ServiceHarness(ExponentialDecay(0.05)) as harness:
+                for declared in ("abc", "-5", "1_0", str(64 * 1024 * 1024 + 1)):
+                    reader, writer = await asyncio.open_connection(
+                        harness.host, harness.port
+                    )
+                    writer.write(
+                        f"POST /ingest HTTP/1.1\r\nHost: x\r\n"
+                        f"Content-Length: {declared}\r\n\r\n".encode()
+                    )
+                    await writer.drain()
+                    raw = await asyncio.wait_for(reader.read(), 5.0)
+                    writer.close()
+                    await writer.wait_closed()
+                    head, _, body = raw.partition(b"\r\n\r\n")
+                    assert head.startswith(b"HTTP/1.1 400"), raw
+                    assert "Content-Length" in json.loads(body)["error"]
+                assert harness.server.bad_requests == 4
+                assert harness.server.requests == 0
+                status, _ = await http_request(
+                    harness.host, harness.port, "GET", "/healthz"
+                )
+                assert status == 200
+                assert harness.server.requests == 1
+            await _assert_no_leaked_tasks()
+
+        _run(main)
+
+    def test_oversized_ws_frame_is_refused_with_1009(self) -> None:
+        async def main() -> None:
+            async with ServiceHarness(ExponentialDecay(0.05)) as harness:
+                ws = await WSClient.connect(harness.host, harness.port)
+                # A masked text frame header claiming 2**40 bytes; the
+                # server refuses it before reading the mask or payload.
+                ws._writer.write(
+                    bytes([0x81, 0x80 | 127]) + (1 << 40).to_bytes(8, "big")
+                )
+                await ws._writer.drain()
+                opcode, payload = await asyncio.wait_for(
+                    _read_frame(ws._reader), 5.0
+                )
+                assert (opcode, payload) == (0x8, (1009).to_bytes(2, "big"))
+                assert await asyncio.wait_for(ws._reader.read(), 5.0) == b""
+                ws._writer.close()
+                await ws._writer.wait_closed()
+            await _assert_no_leaked_tasks()
+
+        _run(main)
+
+    def test_mask_is_the_per_byte_xor(self) -> None:
+        key = b"\x37\xfa\x21\x3d"
+        for n in range(10):
+            payload = bytes(range(200, 200 + n))
+            per_byte = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+            assert _mask(payload, key) == per_byte
+            assert _mask(per_byte, key) == payload
+        frame = _frame(0x1, b"hello", mask=key)
+        assert frame[-5:] == _mask(b"hello", key)
 
 
 class TestTcpFeed:

@@ -192,6 +192,44 @@ class TestTTLEviction:
         fresh.add(1.0)
         assert _triplet(store.query("k")) == _triplet(fresh.query())
 
+    def test_hot_key_keeps_one_expiry_entry(self) -> None:
+        # The expiry heap grows with keys, not with touches.
+        store = ServiceStore(ExponentialDecay(0.05), ttl=10**6)
+        store.observe_batch(KeyedItem("hot", t, 1.0) for t in range(50_000))
+        assert store.keys() == ["hot"]
+        assert len(store._expiry) == 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_randomized_eviction_ledger_matches_a_model(self, seed) -> None:
+        # Keys due at the same tick leave in the order of their first
+        # touch at their last-seen tick; evicted_weight sums in that order.
+        rng = random.Random(seed)
+        decay = ExponentialDecay(0.05)
+        ttl = rng.choice((1, 3, 7))
+        store = ServiceStore(decay, ttl=ttl)
+        model = _TTLModel(decay, ttl)
+        now = 0
+        for _ in range(40):
+            batch = []
+            for _ in range(rng.randrange(1, 8)):
+                now += rng.choice((0, 0, 1, 2, 5))
+                batch.append(
+                    KeyedItem(rng.choice("abcdef"), now, rng.uniform(0.5, 3))
+                )
+            store.observe_batch(batch)
+            for item in batch:
+                model.observe(item)
+            if rng.random() < 0.3:
+                now += rng.randrange(1, 2 * ttl + 2)
+                store.advance_to(now)
+                model.advance_to(now)
+            assert store.keys() == sorted(model.engines)
+            assert store.eviction.evicted_keys == model.evicted_keys
+            assert store.eviction.evicted_weight == model.evicted_weight
+            assert len(store._expiry) == len(store)
+            for key, engine in model.engines.items():
+                assert _triplet(store.query(key)) == _triplet(engine.query())
+
     def test_ledger_repr_and_counts(self) -> None:
         ledger = EvictionLedger()
         ledger.note(2.0)
@@ -199,6 +237,51 @@ class TestTTLEviction:
         assert ledger.evicted_keys == 2
         assert ledger.evicted_weight == 5.0
         assert "EvictionLedger" in repr(ledger)
+
+
+class _TTLModel:
+    """Per-key engines in lock-step; due keys leave in (expiry, first
+    touch at the last-seen tick) order, each weighed at the sweep tick."""
+
+    def __init__(self, decay, ttl: int) -> None:
+        self.decay = decay
+        self.ttl = ttl
+        self.time = 0
+        self.engines: dict[str, DecayingSum] = {}
+        self.last: dict[str, int] = {}
+        self.first: dict[str, int] = {}
+        self.touches = 0
+        self.evicted_keys = 0
+        self.evicted_weight = 0.0
+
+    def advance_to(self, when: int) -> None:
+        if when <= self.time:
+            return
+        for engine in self.engines.values():
+            engine.advance(when - self.time)
+        self.time = when
+        due = sorted(
+            (self.last[key] + self.ttl, self.first[key], key)
+            for key in self.engines
+            if self.last[key] + self.ttl <= when
+        )
+        for _, _, key in due:
+            self.evicted_keys += 1
+            self.evicted_weight += self.engines.pop(key).query().value
+            del self.last[key], self.first[key]
+
+    def observe(self, item: KeyedItem) -> None:
+        self.advance_to(item.time)
+        engine = self.engines.get(item.key)
+        if engine is None:
+            engine = make_decaying_sum(self.decay, 0.1)
+            engine.advance(self.time)
+            self.engines[item.key] = engine
+        engine.add(item.value)
+        if self.last.get(item.key) != self.time:
+            self.touches += 1
+            self.first[item.key] = self.touches
+            self.last[item.key] = self.time
 
 
 class TestStats:

@@ -64,6 +64,21 @@ class TestStorageReport:
         a = StorageReport(engine="a")
         assert a.combined(StorageReport(engine="b"), engine="avg").engine == "avg"
 
+    def test_aggregate_sums_streams_and_counts_shared_bits_once(self):
+        streams = [
+            StorageReport(engine="s", buckets=2, timestamp_bits=3,
+                          count_bits=4, register_bits=5, shared_bits=100),
+            StorageReport(engine="s", buckets=1, timestamp_bits=1,
+                          count_bits=1, register_bits=1, shared_bits=100),
+        ]
+        total = StorageReport.aggregate("store[2]", streams)
+        assert total.engine == "store[2]"
+        assert total.buckets == 3
+        assert total.per_stream_bits == 15
+        assert total.shared_bits == 100
+        empty = StorageReport.aggregate("store[0]", [])
+        assert (empty.per_stream_bits, empty.shared_bits) == (0, 0)
+
     def test_rejects_negative_fields(self):
         with pytest.raises(InvalidParameterError):
             StorageReport(engine="x", count_bits=-1)
