@@ -6,22 +6,18 @@ on the same Bernoulli stream, plus query latency, so downstream users can
 pick an engine on cost as well as storage.
 
 This file also emits the machine-readable throughput baseline
-``BENCH_throughput.json`` (repo root, schema v3 in
+``BENCH_throughput.json`` (repo root, schema in
 :mod:`repro.benchkit.throughput`) covering batched vs item-at-a-time
-ingestion on two trace shapes plus the shard-parallel scaling and
-merge-cost sections, and asserts the kernel-pass acceptance bars: bulk
-EH insertion of a value-1e5 item at least 100x faster than the seed's
-unary loop, the WBMH event-driven clock skip at least 5x unit stepping
-on sparse traces, and the batch path no slower than item mode on any
-engine (up to measurement noise). The shard-parallel speedup bar (4-shard
-pool ingest >= 2.5x single-process batched) is enforced here only when
-the runner has >= 4 cores -- a pool cannot beat serial on a starved
-runner, so smaller machines check the section's structure and record the
-numbers without applying the bar (mirroring
-``repro.benchkit.regress.check_shard_speedup``). The checked-in
-regression reference lives at ``benchmarks/baselines/
-BENCH_throughput.json`` and is diffed by ``make bench-compare`` / the CI
-bench-compare job via :mod:`repro.benchkit.regress`.
+ingestion on two trace shapes plus the merge-cost section, and asserts
+the kernel-pass acceptance bars: bulk EH insertion of a value-1e5 item
+at least 100x faster than the seed's unary loop, the WBMH event-driven
+clock skip at least 5x unit stepping on sparse traces, and the batch
+path no slower than item mode on any engine (up to measurement noise).
+Multi-core scaling is gated on the sharded service front instead
+(:mod:`repro.benchkit.service`). The checked-in regression reference
+lives at ``benchmarks/baselines/BENCH_throughput.json`` and is diffed by
+``make bench-compare`` / the CI bench-compare job via
+:mod:`repro.benchkit.regress`.
 """
 
 import pathlib
@@ -141,20 +137,6 @@ def test_throughput_baseline_json(record_table, benchmark):
         assert row["batched_over_item"] >= 0.85, row
     assert report["wbmh_advance"]["speedup"] >= 5.0
     assert report["numpy_baseline"]["items_per_sec"] > 0
-    # Schema v3: shard-parallel sections. Structure always holds; the
-    # 2.5x speedup bar applies only on runners with the cores to show it.
-    scaling = report["scaling"]
-    assert 1 in scaling["shard_counts"] and 4 in scaling["shard_counts"]
-    assert {row["shards"] for row in scaling["rows"]} == set(
-        scaling["shard_counts"]
-    )
-    if scaling["cpu_count"] >= 4:
-        best = max(
-            row["speedup_vs_serial"]
-            for row in scaling["rows"]
-            if row["shards"] == 4
-        )
-        assert best >= 2.5, scaling["rows"]
     assert {row["engine"] for row in report["merge_cost"]} == set(
         report["engines"]
     )

@@ -9,15 +9,10 @@ the baseline, or when a baseline cell disappears from the fresh report.
 New cells in the fresh report are reported but never fail the gate, so
 adding engines or traces does not require touching the baseline first.
 
-Schema v3 reports also carry a ``scaling`` section; on top of the
-cell-by-cell diff the gate checks the shard-parallel speedup bar: the
-best 4-shard pool ingest must reach ``MIN_SHARD_SPEEDUP`` (2.5x) over
-the single-process batched baseline.  The bar only applies when the
-*fresh* report was measured on a runner with at least
-``MIN_CORES_FOR_SPEEDUP_GATE`` (4) cores -- a pool cannot beat serial on
-a starved runner, so on smaller machines the check is skipped with a
-message rather than failed.  Reports without a ``scaling`` section
-(schema v2 baselines) skip the check the same way.
+This gate has no multi-core bar: the one scaling gate (4-worker ingest
+at least 2.5x single-process, on runners with 4 or more cpus) lives on
+the sharded service front, in :mod:`repro.benchkit.service`.  The
+``scaling`` section of schema v3/v4 reports is ignored.
 
 Reports carrying a forward-decay cell also face the forward-ingest bar
 (:func:`check_forward_fastest`): the O(1)-per-item forward register's
@@ -64,7 +59,6 @@ __all__ = [
     "CellDiff",
     "load_report",
     "compare_reports",
-    "check_shard_speedup",
     "check_forward_fastest",
     "check_histogram_headroom",
     "check_schema_lag",
@@ -73,11 +67,6 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 0.3
-#: The 4-shard pool must beat single-process batched by this factor...
-MIN_SHARD_SPEEDUP = 2.5
-#: ...but only on runners with at least this many cores.
-MIN_CORES_FOR_SPEEDUP_GATE = 4
-SPEEDUP_GATE_SHARDS = 4
 #: The O(1)-per-item forward-decay register must keep up with the slower
 #: of the exact/ewma register cells on batched ingest.  The generous
 #: factor absorbs timer noise on loaded runners (the same build has
@@ -197,57 +186,6 @@ def compare_reports(
             )
         )
     return diffs
-
-
-def check_shard_speedup(
-    fresh: Mapping[str, Any],
-    *,
-    min_speedup: float = MIN_SHARD_SPEEDUP,
-    min_cores: int = MIN_CORES_FOR_SPEEDUP_GATE,
-    shards: int = SPEEDUP_GATE_SHARDS,
-) -> tuple[bool, str]:
-    """The shard-parallel speedup bar: ``(passed, message)``.
-
-    ``passed`` is True whenever the gate does not fail -- including every
-    skip path (no ``scaling`` section, runner below ``min_cores``, no
-    ``shards``-shard rows measured).  The headline number is the *best*
-    speedup across engines at the gated shard count: the bar certifies
-    that the pool machinery can scale, not that every engine does (WBMH
-    serialization cost is legitimately heavier than EWMA's two floats).
-    """
-    scaling = fresh.get("scaling")
-    if not isinstance(scaling, dict):
-        return True, "shard-speedup gate skipped: no scaling section"
-    try:
-        cpu_count = int(scaling["cpu_count"])
-        rows = [
-            (str(r["engine"]), int(r["shards"]), float(r["speedup_vs_serial"]))
-            for r in scaling["rows"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameterError(
-            f"malformed scaling section: {scaling!r}"
-        ) from exc
-    if cpu_count < min_cores:
-        return True, (
-            f"shard-speedup gate skipped: runner has {cpu_count} core(s), "
-            f"needs >= {min_cores}"
-        )
-    gated = [(eng, sp) for eng, k, sp in rows if k == shards]
-    if not gated:
-        return True, (
-            f"shard-speedup gate skipped: no {shards}-shard rows measured"
-        )
-    best_engine, best = max(gated, key=lambda pair: pair[1])
-    if best >= min_speedup:
-        return True, (
-            f"shard-speedup gate OK: {best_engine} reached {best:.2f}x "
-            f"at {shards} shards (bar {min_speedup:.1f}x)"
-        )
-    return False, (
-        f"shard-speedup gate FAIL: best {shards}-shard speedup is "
-        f"{best:.2f}x ({best_engine}), below the {min_speedup:.1f}x bar"
-    )
 
 
 def check_forward_fastest(
@@ -461,7 +399,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(format_diff(diffs, threshold=args.threshold))
     checks = [
         check_schema_lag(baseline, fresh),
-        check_shard_speedup(fresh),
         check_forward_fastest(fresh),
         check_histogram_headroom(fresh),
     ]

@@ -31,8 +31,8 @@ same factor above it.  When the fresh report carries a ``scaling``
 section *and* ran on ``cpu_count >= 4``, the gate additionally requires
 the 4-worker front to reach ``SCALING_MIN_SPEEDUP`` x single-process
 ingest with query p99 within ``SCALING_MAX_P99_RATIO`` x; on starved
-runners the scaling gate skips with an explicit message, exactly like
-the parallel gate grown in PR 5.
+runners the scaling gate skips with an explicit message.  This is the
+repo's one multi-core gate.
 """
 
 from __future__ import annotations

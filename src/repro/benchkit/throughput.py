@@ -15,15 +15,14 @@ the machine-readable report diffed against ``benchmarks/baselines/`` by
 EXPERIMENTS.md. Schema v2 adds per-cell batched/item speedup ratios, the
 host Python version, the WBMH sparse-advance micro-benchmark, and the
 numpy brute-force dense baseline with per-engine headroom. Schema v3 adds
-the shard-parallel sections: ``scaling`` (items/sec of the
-:func:`repro.parallel.executor.parallel_ingest` pool vs shard count,
-stamped with the runner's core count so the regress gate can skip the
-speedup bar on starved runners) and ``merge_cost`` (seconds to fold two
-engines vs per-operand state size). Schema v4 adds ``phases``: the
-per-phase wall-clock breakdown of item-mode ingest for the histogram
-engines (``add`` vs ``cascade`` vs ``expire`` vs ``query``), measured by
-timing the compaction entry points class-wide while a dense trace replays
--- the profile that tells an optimization effort *which* kernel to aim at.
+``merge_cost`` (seconds to fold two engines vs per-operand state size).
+Schema v4 adds ``phases``: the per-phase wall-clock breakdown of
+item-mode ingest for the histogram engines (``add`` vs ``cascade`` vs
+``expire`` vs ``query``), measured by timing the compaction entry points
+class-wide while a dense trace replays -- the profile that tells an
+optimization effort *which* kernel to aim at. Schema v5 drops the
+``scaling`` section v3 added; multi-core scaling is gated on the sharded
+service front (:mod:`repro.benchkit.service`).
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ __all__ = [
     "eh_bulk_speedup",
     "wbmh_advance_speedup",
     "numpy_dense_baseline",
-    "shard_scaling",
     "merge_cost",
     "histogram_phase_breakdown",
     "run_suite",
@@ -68,7 +66,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 Modes = ("batched", "item")
 
@@ -288,90 +286,6 @@ def numpy_dense_baseline(
     }
 
 
-#: Decay per engine family for the shard-scaling bench.  The pool path
-#: (:func:`repro.parallel.executor.parallel_ingest`) routes through
-#: ``make_decaying_sum``, so the decay pins which engine runs.
-_SCALING_DECAYS: "dict[str, Any]" = {}
-
-
-def _scaling_decays() -> Mapping[str, Any]:
-    if not _SCALING_DECAYS:
-        from repro.core.decay import SlidingWindowDecay
-
-        _SCALING_DECAYS.update(
-            {
-                "ewma(EXPD-0.01)": ExponentialDecay(0.01),
-                "eh(SLIWIN-512)": SlidingWindowDecay(512),
-                "wbmh(POLYD-1)": PolynomialDecay(1.0),
-            }
-        )
-    return _SCALING_DECAYS
-
-
-def shard_scaling(
-    n_items: int = 20_000,
-    *,
-    epsilon: float = 0.1,
-    seed: int = 7,
-    shard_counts: Sequence[int] = (1, 2, 4),
-    repeats: int = 1,
-) -> dict[str, object]:
-    """Pool-ingest items/sec vs shard count on the dense trace.
-
-    Drives :func:`repro.parallel.executor.parallel_ingest` over the same
-    dense trace the matrix uses, once per ``(engine, shard count)`` cell;
-    the ``shards=1`` cell runs inline (no pool) and is the single-process
-    batched baseline every ``speedup_vs_serial`` divides against.  The
-    section records ``cpu_count`` so the regress gate only enforces the
-    4-shard speedup bar on runners that actually have the cores
-    (``os.cpu_count() >= 4``); the numbers themselves are written
-    regardless, which keeps baselines from starved runners comparable.
-    """
-    import os
-
-    from repro.parallel import parallel_ingest
-
-    if repeats < 1:
-        raise InvalidParameterError("repeats must be >= 1")
-    if not shard_counts or any(k < 1 for k in shard_counts):
-        raise InvalidParameterError("shard_counts must be positive")
-    if 1 not in shard_counts:
-        raise InvalidParameterError(
-            "shard_counts must include 1 (the serial baseline)"
-        )
-    items = default_traces(n_items, seed=seed)["dense"]
-    end = items[-1].time + 1
-    rows: list[dict[str, object]] = []
-    for engine_name, decay in _scaling_decays().items():
-        serial_ips = 0.0
-        for shards in shard_counts:
-            seconds = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                parallel_ingest(
-                    decay, items, epsilon=epsilon, shards=shards, end=end
-                )
-                seconds = min(seconds, time.perf_counter() - t0)
-            ips = len(items) / max(seconds, 1e-12)
-            if shards == 1:
-                serial_ips = ips
-            rows.append(
-                {
-                    "engine": engine_name,
-                    "shards": shards,
-                    "seconds": seconds,
-                    "items_per_sec": ips,
-                    "speedup_vs_serial": ips / max(serial_ips, 1e-12),
-                }
-            )
-    return {
-        "cpu_count": int(os.cpu_count() or 1),
-        "n_items": len(items),
-        "shard_counts": [int(k) for k in shard_counts],
-        "rows": rows,
-    }
-
-
 def merge_cost(
     *,
     epsilon: float = 0.1,
@@ -558,12 +472,11 @@ def run_suite(
     repeats: int = 3,
     advance_events: int = 200,
     advance_max_gap: int = 20_000,
-    shard_counts: Sequence[int] = (1, 2, 4),
     merge_sizes: Sequence[int] = (1_000, 4_000, 16_000),
 ) -> dict[str, object]:
     """Full matrix: every engine x every trace x both modes, plus the EH
-    bulk, WBMH sparse-advance, numpy brute-force, shard-scaling, and
-    merge-cost side benches."""
+    bulk, WBMH sparse-advance, numpy brute-force, merge-cost, and
+    phase-breakdown side benches."""
     engines = default_engines(epsilon)
     traces = default_traces(n_items, seed=seed)
     results: list[dict[str, object]] = []
@@ -617,12 +530,6 @@ def run_suite(
             max_gap=advance_max_gap,
         ),
         "numpy_baseline": {**numpy_baseline, "headroom": headroom},
-        "scaling": shard_scaling(
-            n_items,
-            epsilon=epsilon,
-            seed=seed,
-            shard_counts=shard_counts,
-        ),
         "merge_cost": merge_cost(
             epsilon=epsilon, seed=seed, sizes=merge_sizes, repeats=repeats
         ),
@@ -664,7 +571,6 @@ def validate_report(report: Mapping[str, object]) -> None:
         "eh_bulk",
         "wbmh_advance",
         "numpy_baseline",
-        "scaling",
         "merge_cost",
         "phases",
     ):
@@ -745,43 +651,6 @@ def validate_report(report: Mapping[str, object]) -> None:
             )
     if not isinstance(numpy_baseline.get("headroom"), dict):
         raise InvalidParameterError("numpy_baseline missing headroom dict")
-    # Schema v3: shard-scaling section.  Structural checks only -- no
-    # speedup thresholds here, because the report must validate on any
-    # runner regardless of core count (the regress gate reads cpu_count
-    # and decides for itself whether the speedup bar applies).
-    scaling = report["scaling"]
-    if not isinstance(scaling, dict):
-        raise InvalidParameterError("scaling must be a dict")
-    if not isinstance(scaling.get("cpu_count"), int) or scaling["cpu_count"] < 1:
-        raise InvalidParameterError("scaling.cpu_count must be a positive int")
-    shard_counts = scaling.get("shard_counts")
-    if not isinstance(shard_counts, list) or 1 not in shard_counts:
-        raise InvalidParameterError(
-            "scaling.shard_counts must be a list containing 1"
-        )
-    scaling_rows = scaling.get("rows")
-    if not isinstance(scaling_rows, list) or not scaling_rows:
-        raise InvalidParameterError("scaling.rows must be a non-empty list")
-    baseline_engines: set[str] = set()
-    for row in scaling_rows:
-        if not isinstance(row, dict):
-            raise InvalidParameterError(f"scaling row must be a dict: {row!r}")
-        for key in ("seconds", "items_per_sec", "speedup_vs_serial"):
-            if not isinstance(row.get(key), (int, float)):
-                raise InvalidParameterError(
-                    f"scaling row missing numeric {key!r}: {row!r}"
-                )
-        if not isinstance(row.get("engine"), str) or not isinstance(
-            row.get("shards"), int
-        ):
-            raise InvalidParameterError(f"malformed scaling row: {row!r}")
-        if row["shards"] == 1:
-            baseline_engines.add(str(row["engine"]))
-    scaling_engines = {str(row["engine"]) for row in scaling_rows}
-    if baseline_engines != scaling_engines:
-        raise InvalidParameterError(
-            "every scaling engine needs a shards=1 baseline row"
-        )
     merge_rows = report["merge_cost"]
     if not isinstance(merge_rows, list) or not merge_rows:
         raise InvalidParameterError("merge_cost must be a non-empty list")
@@ -863,19 +732,6 @@ def format_report(report: Mapping[str, object]) -> str:
     ratio_table = format_table(
         ["engine", "trace", "batched/item"], ratio_rows, precision=2
     )
-    scaling = cast("dict[str, Any]", report["scaling"])
-    scaling_rows = [
-        [
-            str(row["engine"]),
-            str(row["shards"]),
-            float(row["items_per_sec"]),
-            float(row["speedup_vs_serial"]),
-        ]
-        for row in cast("list[dict[str, Any]]", scaling["rows"])
-    ]
-    scaling_table = format_table(
-        ["engine", "shards", "items/sec", "speedup"], scaling_rows, precision=2
-    )
     phases = cast("dict[str, Any]", report["phases"])
     phase_rows = [
         [
@@ -894,7 +750,6 @@ def format_report(report: Mapping[str, object]) -> str:
     numpy_baseline = cast("dict[str, Any]", report["numpy_baseline"])
     tail = (
         f"\nPython {report['python_version']}"
-        f"\npool scaling measured on {scaling['cpu_count']} core(s)"
         f"\nEH bulk add of value {eh_bulk['value']:.0f}: "
         f"{eh_bulk['speedup']:.0f}x faster than the unary loop"
         f"\nWBMH sparse advance over {wbmh_advance['total_ticks']:.0f} "
@@ -903,8 +758,7 @@ def format_report(report: Mapping[str, object]) -> str:
         f"{float(numpy_baseline['items_per_sec']):,.0f} items/sec"
     )
     return (
-        "\n".join([table, "", ratio_table, "", scaling_table, "", phase_table])
-        + tail
+        "\n".join([table, "", ratio_table, "", phase_table]) + tail
     )
 
 

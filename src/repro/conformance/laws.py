@@ -668,7 +668,7 @@ class MergeSplitLaw(Law):
                     merged.merge(shard)
             except NotApplicableError:
                 # Engine family without a structural merge (randomized
-                # state); the sharding facade combines answers instead.
+                # state); the keyed store combines answers instead.
                 return []
             except _ENGINE_FAULTS as exc:
                 return [

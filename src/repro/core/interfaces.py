@@ -18,9 +18,10 @@ protocol:
   measured against.
 * ``merge(other)`` folds another summary of the *same* engine type and decay
   into this one, as if this engine had observed the union of both streams --
-  the linearity property behind shard-parallel ingestion
-  (:mod:`repro.parallel`).  Register engines merge exactly; histogram
-  engines compose their error budgets (see :mod:`repro.core.merging`).
+  the linearity property behind the sharded service front's fan-in
+  (:mod:`repro.service.sharded`).  Register engines merge exactly;
+  histogram engines compose their error budgets (see
+  :mod:`repro.core.merging`).
 
 The factory :func:`make_decaying_sum` picks the best engine for a given
 decay family, mirroring the paper's guidance: the single-register recurrence

@@ -3,9 +3,8 @@
 Every ingestion surface used to raise its own
 :class:`~repro.core.errors.TimeOrderError` on a late item -- the same
 situation, several behaviors.  :class:`OutOfOrderPolicy` names the three
-defensible answers once, and ``ingest_trace``, ``streams.io.replay``,
-both keyed store fronts and
-:class:`~repro.parallel.sharded.ShardedDecayingSum` all take it:
+defensible answers once, and ``ingest_trace``, ``streams.io.replay``
+and both keyed store fronts all take it:
 
 * ``raise`` (the default, preserving historical behavior) -- a late item
   is a contract violation; fail loudly with :class:`TimeOrderError`.

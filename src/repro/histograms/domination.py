@@ -56,7 +56,7 @@ def compose_merge_epsilon(eps_a: float, eps_b: float) -> float:
     several) bucket *per operand*: the merged structure's straddling
     uncertainty is bounded by the sum of the budgets.  Merging K shards
     pairwise therefore costs ``K * eps`` -- the explicit composition rule
-    CL008 and the sharding facade account against.
+    CL008 accounts against.
     """
     if eps_a <= 0 or eps_b <= 0:
         raise InvalidParameterError("epsilon budgets must be positive")
@@ -69,8 +69,8 @@ def widen_merged_estimate(a: Estimate, b: Estimate) -> Estimate:
     The decaying sum of a union stream is the sum of the operands' sums, so
     interval arithmetic gives the certified bracket of the union: endpoints
     add.  This is how shard answers compose *without* touching bucket
-    structure -- the facade's fallback for engines whose state cannot be
-    merged structurally (e.g. randomized-boundary summaries).
+    structure -- the keyed store's fallback for engines whose state cannot
+    be merged structurally (e.g. randomized-boundary summaries).
     """
     return Estimate(
         value=a.value + b.value,

@@ -233,7 +233,7 @@ class ApproxBoundaryCEH:
         regenerated, and the telescoped bracket of :meth:`query` assumes
         one stream's ordering.  Shard deployments should combine *answers*
         instead (:func:`repro.histograms.domination.widen_merged_estimate`),
-        which the sharding facade does automatically.
+        which ``ServiceStore.query_total`` does automatically.
         """
         raise NotApplicableError(
             "ApproxBoundaryCEH state is randomized and cannot be merged; "

@@ -11,7 +11,8 @@
 | RK007 | pure conformance laws (deterministic fuzzing + trustworthy      |
 |       | shrinking in repro.conformance)                                 |
 | RK008 | the shard-parallelism boundary (concurrency imports only in     |
-|       | repro.parallel; engines stay pure functions of the trace)       |
+|       | repro.service/benchkit; engines stay pure functions of the      |
+|       | trace)                                                          |
 | RK009 | memo soundness: _gen-keyed query caches invalidated by every    |
 |       | public mutation path (whole-program, call-graph closure)        |
 | RK010 | no indirect wall-clock/RNG/concurrency through exempt-scope     |

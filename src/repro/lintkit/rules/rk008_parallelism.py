@@ -2,18 +2,17 @@
 
 The merge algebra makes shard-parallelism a *boundary* concern: workers
 run ordinary single-threaded engines and the fold happens at the edge
-(:mod:`repro.parallel`).  An engine or law that imports
-``multiprocessing``, ``concurrent.futures``, ``threading``, or
-``asyncio`` directly would smuggle scheduling nondeterminism into code
-whose answers must be a pure function of the trace -- replay determinism
-(RK002) and the conformance kit's shrinking both depend on that.  This
-rule keeps the allowlist honest: any process-, thread-, or event-loop-
-level machinery added outside the exempt packages is a lint failure,
-not a code-review judgement call.
+(the sharded service front, :mod:`repro.service.sharded`).  An engine
+or law that imports ``multiprocessing``, ``concurrent.futures``,
+``threading``, or ``asyncio`` directly would smuggle scheduling
+nondeterminism into code whose answers must be a pure function of the
+trace -- replay determinism (RK002) and the conformance kit's shrinking
+both depend on that.  This rule keeps the allowlist honest: any
+process-, thread-, or event-loop-level machinery added outside the
+exempt packages is a lint failure, not a code-review judgement call.
 
-Three packages are exempt, each for one structural reason:
+Two packages are exempt, each for one structural reason:
 
-* ``repro.parallel`` -- the shard boundary itself (process pools);
 * ``repro.service`` -- two sanctioned surfaces: the serving layer's
   single-consumer asyncio loop (daemon/API modules), and the sharded
   worker plane (``service/sharded.py`` + ``service/ipc.py``), where
@@ -46,15 +45,15 @@ def _root(module: str) -> str:
 @register
 class ParallelismBoundaryRule(Rule):
     rule_id = "RK008"
-    title = "concurrency imports only inside repro.parallel/service/benchkit"
+    title = "concurrency imports only inside repro.service/benchkit"
     rationale = (
-        "Engines must stay pure functions of the trace; process/thread "
-        "machinery belongs at the shard boundary (repro.parallel) and "
-        "event-loop machinery at the serving boundary (repro.service, "
+        "Engines must stay pure functions of the trace; process and "
+        "event-loop machinery belongs at the serving boundary "
+        "(repro.service: the sharded worker plane and the asyncio daemon, "
         "measured by repro.benchkit), where the merge algebra and the "
         "single-consumer fold keep answers deterministic."
     )
-    exempt = ("parallel", "service", "benchkit")
+    exempt = ("service", "benchkit")
 
     def check(self, ctx) -> Iterator[Violation]:
         for node in ast.walk(ctx.tree):
@@ -70,8 +69,7 @@ class ParallelismBoundaryRule(Rule):
                         ctx,
                         node,
                         f"concurrency import `{name}` outside the exempt "
-                        "packages (repro.parallel / repro.service / "
-                        "repro.benchkit); ship work to the pool via "
-                        "repro.parallel or serve it via repro.service and "
-                        "merge the summaries instead",
+                        "packages (repro.service / repro.benchkit); shard "
+                        "the work onto repro.service workers and merge the "
+                        "summaries instead",
                     )

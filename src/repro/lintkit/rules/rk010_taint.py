@@ -1,11 +1,11 @@
 """RK010: no transitive wall-clock / global-RNG / concurrency reach.
 
 RK001, RK002, and RK008 are per-file rules with scope carve-outs:
-``benchkit`` may read wall clocks, ``repro.parallel`` may import process
-pools, and the RNG rule only watches ``sketches``/``sampling``/
-``streams``.  That leaves a structural blind spot -- in-scope code can
-*call into* an exempt-scope helper and inherit the nondeterminism the
-carve-out was never meant to launder::
+``benchkit`` may read wall clocks, ``repro.service`` may import process
+and event-loop machinery, and the RNG rule only watches ``sketches``/
+``sampling``/``streams``.  That leaves a structural blind spot --
+in-scope code can *call into* an exempt-scope helper and inherit the
+nondeterminism the carve-out was never meant to launder::
 
     # core/trace.py (RK001 applies, but sees no wall-clock call)
     from repro.benchkit.timers import stamp   # benchkit: RK001-exempt
@@ -63,8 +63,8 @@ class _Label:
 _RNG_DIRS = ("sketches", "sampling", "streams")
 
 #: Packages whose answers must be pure functions of the trace.  Drivers
-#: (benchkit, the CLI, repro.parallel itself) are *supposed* to call the
-#: parallel facade -- that is the sanctioned RK008 pattern -- so the
+#: (benchkit, the CLI, repro.service itself) are *supposed* to call the
+#: sharded worker plane -- that is the sanctioned RK008 pattern -- so the
 #: concurrency label binds only the engine packages.
 _PURE_DIRS = (
     "core",
@@ -103,7 +103,7 @@ class TransitiveTaintRule(ProjectRule):
     rule_id = "RK010"
     title = "no indirect wall-clock/RNG/concurrency via exempt helpers"
     rationale = (
-        "Scope carve-outs (benchkit, repro.parallel) exempt helpers, not "
+        "Scope carve-outs (benchkit, repro.service) exempt helpers, not "
         "their callers; in-scope code reaching a banned sink through an "
         "exempt helper inherits nondeterminism the per-file rules "
         "cannot see."

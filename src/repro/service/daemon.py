@@ -7,7 +7,8 @@ via ``observe_batch``.  One consumer means the store never sees
 concurrent mutation, which is what keeps service answers bit-identical
 to a directly-driven engine (the differential contract of
 ``tests/service/``); throughput comes from batching, not parallel folds
-(shard-parallel ingestion stays :mod:`repro.parallel`'s job).
+(multi-core ingestion is the sharded front's job,
+:class:`~repro.service.sharded.ShardedServiceStore`).
 
 Backpressure on the bounded queue mirrors the shape of
 :class:`~repro.core.timeorder.OutOfOrderPolicy`: three named kinds with

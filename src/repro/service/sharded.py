@@ -4,7 +4,7 @@
 :class:`~repro.service.store.ServiceStore` was designed to scale into:
 ``N`` worker processes, each owning a *full* ``ServiceStore`` shard on
 the lock-step shared clock, with keys routed by CRC-32
-(:func:`repro.parallel.sharded.shard_of`, stable across interpreters).
+(:func:`shard_of`, stable across interpreters).
 The front presents the same store surface the
 :class:`~repro.service.daemon.IngestDaemon` and
 :class:`~repro.service.api.ServiceServer` already speak, so it is a
@@ -27,9 +27,8 @@ TTL sweep stops, same fold grouping; the differential harness in
 ``fold`` frame per worker; each worker merges clones of its per-key
 engines (the PR-5 monoid, in the spirit of the mergeable-summary
 treatment in Braverman et al. 2019) and the router merges the per-worker
-summaries -- or combines certified brackets when the engine family has
-no structural merge.  ``keys``/``stats``/snapshots fan out and fold the
-same way, with ledgers summed at the router.
+summaries.  ``keys``/``stats``/snapshots fan out and fold the same way,
+with ledgers summed at the router.
 
 **Admission lives at the router.**  The out-of-order policy, the
 lateness watermark heap and the ingest ledgers are the router's
@@ -57,8 +56,9 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import zlib
 from multiprocessing.connection import Connection
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.batching import KeyedTimedValue
 from repro.core.decay import DecayFunction
@@ -71,8 +71,6 @@ from repro.core.errors import (
 from repro.core.estimate import Estimate
 from repro.core.interfaces import DecayingSum, make_decaying_sum
 from repro.core.timeorder import Admission, OutOfOrderPolicy
-from repro.histograms.domination import widen_merged_estimate
-from repro.parallel.sharded import shard_of
 from repro.serialize import (
     decay_from_dict,
     decay_to_dict,
@@ -90,7 +88,7 @@ from repro.service.ipc import (
 from repro.service.store import EvictionLedger, ServiceStore
 from repro.storage.model import StorageReport
 
-__all__ = ["ShardedServiceStore", "flatten_snapshot"]
+__all__ = ["ShardedServiceStore", "flatten_snapshot", "shard_of"]
 
 _SNAPSHOT_VERSION = 1
 _SNAPSHOT_KIND = "sharded-service-store"
@@ -98,6 +96,18 @@ _SNAPSHOT_KIND = "sharded-service-store"
 #: How every successful reply starts: frames are compact JSON and replies
 #: put ``ok`` first, so a snapshot reply is checked without decoding it.
 _OK_PREFIX = b'{"ok":true'
+
+
+def shard_of(key: Hashable, shards: int) -> int:
+    """Deterministic shard index for ``key`` (stable across processes).
+
+    Uses CRC-32 of ``repr(key)`` rather than the builtin ``hash``: the
+    latter is salted per interpreter, which would scatter one key across
+    different shards in the workers and the router.
+    """
+    if shards <= 0:
+        raise InvalidParameterError(f"shards must be >= 1, got {shards}")
+    return zlib.crc32(repr(key).encode("utf-8")) % shards
 
 
 # ------------------------------------------------------------------ worker
@@ -112,7 +122,6 @@ def _worker_build_store(config: Mapping[str, Any]) -> ServiceStore:
         decay_from_dict(dict(config["decay"])),
         float(config["epsilon"]),
         ttl=config["ttl"],
-        memoize=bool(config.get("memoize", True)),
     )
 
 
@@ -176,15 +185,10 @@ def _worker_dispatch(
             "estimate": _estimate_triplet(estimate),
         }
     if op == "fold":
-        try:
-            merged = store.fold_engine()
-        except NotApplicableError:
-            merged = None
+        merged = store.fold_engine()
         return {
             "ok": True,
-            "keys": len(store),
             "engine": None if merged is None else engine_to_dict(merged),
-            "estimate": _estimate_triplet(store.query_total()),
         }
     if op == "keys":
         return {
@@ -333,7 +337,6 @@ class ShardedServiceStore:
         workers: int = 2,
         ttl: int | None = None,
         policy: OutOfOrderPolicy | None = None,
-        memoize: bool = True,
         checkpoint_every: int = 512,
         context: Any | None = None,
     ) -> None:
@@ -354,7 +357,6 @@ class ShardedServiceStore:
         self.ttl = None if ttl is None else int(ttl)
         self.workers = int(workers)
         self.checkpoint_every = int(checkpoint_every)
-        self._memoize = bool(memoize)
         #: Probed once, like the single store: forward-decay families take
         #: late items natively, so the policy never has to intervene.
         self._native = bool(
@@ -382,7 +384,6 @@ class ShardedServiceStore:
             "decay": decay_to_dict(decay),
             "epsilon": self.epsilon,
             "ttl": self.ttl,
-            "memoize": self._memoize,
         }
         if context is None:
             methods = multiprocessing.get_all_start_methods()
@@ -746,10 +747,9 @@ class ShardedServiceStore:
         """
         key = str(key)
         gen = self._write_gen.get(key, 0)
-        if self._memoize:
-            hit = self._query_cache.get(key)
-            if hit is not None and hit[0] == self._time and hit[1] == gen:
-                return hit[2]
+        hit = self._query_cache.get(key)
+        if hit is not None and hit[0] == self._time and hit[1] == gen:
+            return hit[2]
         reply = self._request(
             self._shard_of(key),
             {"op": "query", "key": key},
@@ -770,8 +770,7 @@ class ShardedServiceStore:
             self._maybe_checkpoint()
         value, lower, upper = reply["estimate"]
         estimate = Estimate(float(value), float(lower), float(upper))
-        if self._memoize:
-            self._query_cache[key] = (self._time, gen, estimate)
+        self._query_cache[key] = (self._time, gen, estimate)
         return estimate
 
     def query_total(self) -> Estimate:
@@ -779,37 +778,21 @@ class ShardedServiceStore:
 
         Each worker merges clones of its own per-key engines and ships
         one summary; the router merges the per-worker summaries in shard
-        order.  Families without a structural merge combine certified
-        brackets instead (:func:`widen_merged_estimate`).
+        order.  Workers build only
+        :func:`~repro.core.interfaces.make_decaying_sum` engines, and
+        every one of those merges structurally.
         """
-        engines: list[DecayingSum] = []
-        estimates: list[Estimate] = []
-        structural = True
-        for reply in self._fan_out("fold"):
-            if not reply["keys"]:
-                continue
-            value, lower, upper = reply["estimate"]
-            estimates.append(Estimate(float(value), float(lower), float(upper)))
-            if reply["engine"] is None:
-                structural = False
-            elif structural:
-                engines.append(engine_from_dict(reply["engine"]))
-        if not estimates:
+        engines: list[DecayingSum] = [
+            engine_from_dict(reply["engine"])
+            for reply in self._fan_out("fold")
+            if reply["engine"] is not None
+        ]
+        if not engines:
             return Estimate.exact(0.0)
-        if structural and engines:
-            merged = engines[0]
-            try:
-                for engine in engines[1:]:
-                    merged.merge(engine)
-                return merged.query()
-            except NotApplicableError:
-                # Per-worker summaries merged but the cross-worker fold
-                # is not structural; fall through to bracket widening.
-                structural = False
-        estimate = estimates[0]
-        for other in estimates[1:]:
-            estimate = widen_merged_estimate(estimate, other)
-        return estimate
+        merged = engines[0]
+        for engine in engines[1:]:
+            merged.merge(engine)
+        return merged.query()
 
     def keys(self) -> list[str]:
         merged: list[str] = []

@@ -34,6 +34,7 @@ differential contract ``tests/service/test_differential.py`` enforces).
 
 from __future__ import annotations
 
+import copy
 import heapq
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
@@ -168,7 +169,6 @@ class ServiceStore:
         ttl: int | None = None,
         policy: OutOfOrderPolicy | None = None,
         engine_factory: Callable[[], DecayingSum] | None = None,
-        memoize: bool = True,
     ) -> None:
         if not 0 < epsilon < 1:
             raise InvalidParameterError(
@@ -206,7 +206,6 @@ class ServiceStore:
         # generation to match, so any fold, merge, or clock move makes
         # the cached answer unreachable (repeated polls of a quiet key
         # skip ``query()`` re-evaluation entirely).
-        self._memoize = bool(memoize)
         self._write_gen: dict[str, int] = {}
         self._query_cache: dict[str, tuple[int, int, Estimate]] = {}
 
@@ -390,16 +389,13 @@ class ServiceStore:
         clock and answers its (exact zero) empty estimate -- the adapter
         path, where a query must mean "this key's stream so far" even
         before the first arrival.  Answers are memoized on
-        ``(store clock, key write generation)`` unless the store was
-        built with ``memoize=False``.
+        ``(store clock, key write generation)``.
         """
         engine = self._engines.get(key)
         if engine is None:
             if not create:
                 raise KeyError(key)
             engine = self.engine(key)
-        if not self._memoize:
-            return engine.query()
         gen = self._write_gen.get(key, 0)
         hit = self._query_cache.get(key)
         if hit is not None and hit[0] == self._time and hit[1] == gen:
@@ -411,29 +407,23 @@ class ServiceStore:
     def query_total(self) -> Estimate:
         """Certified estimate of the decayed sum over *every* live key.
 
-        Folds per-key summaries with the PR-5 merge algebra: clones every
-        engine through the checkpoint path and merges them in sorted key
-        order, so the answer carries the composed error bound of a
-        K-way merge.  Engine families without a structural merge fall
-        back to :func:`widen_merged_estimate` over per-key answers
-        (sound, just wider); an empty store answers an exact zero.
+        Folds per-key summaries with the ``merge`` algebra
+        (:meth:`fold_engine`), so the answer carries the composed error
+        bound of a K-way merge.  Engine families without a structural
+        merge fall back to :func:`widen_merged_estimate` over per-key
+        answers (sound, just wider); an empty store answers an exact zero.
         """
-        merged = None
         try:
             merged = self.fold_engine()
         except NotApplicableError:
-            merged = None
-        if merged is not None:
-            return merged.query()
-        if not self._engines:
-            return Estimate.exact(0.0)
-        keys = sorted(self._engines)
-        estimate = self._engines[keys[0]].query()
-        for key in keys[1:]:
-            estimate = widen_merged_estimate(
-                estimate, self._engines[key].query()
-            )
-        return estimate
+            keys = sorted(self._engines)
+            estimate = self._engines[keys[0]].query()
+            for key in keys[1:]:
+                estimate = widen_merged_estimate(
+                    estimate, self._engines[key].query()
+                )
+            return estimate
+        return Estimate.exact(0.0) if merged is None else merged.query()
 
     def fold_engine(self) -> DecayingSum | None:
         """One engine summarising all keys (clone + merge in key order).
@@ -441,12 +431,17 @@ class ServiceStore:
         ``None`` for an empty store; raises
         :class:`~repro.core.errors.NotApplicableError` when the engine
         family has no structural merge.  The clones go through the
-        serialize round-trip (bit-identical by the checkpoint contract),
+        serialize round-trip (bit-identical by the checkpoint contract)
+        or, for engines outside the checkpoint format, ``copy.deepcopy``,
         so the live per-key engines are never mutated.
         """
         merged: DecayingSum | None = None
         for key in sorted(self._engines):
-            clone = engine_from_dict(engine_to_dict(self._engines[key]))
+            engine = self._engines[key]
+            try:
+                clone: DecayingSum = engine_from_dict(engine_to_dict(engine))
+            except InvalidParameterError:  # outside the checkpoint format
+                clone = copy.deepcopy(engine)
             if merged is None:
                 merged = clone
             else:
@@ -613,7 +608,6 @@ class ServiceStore:
         passing it per batch keeps ingesting.
         """
         fresh = ServiceStore.from_dict(data)
-        fresh._memoize = self._memoize
         self._admission.restore(data)
         fresh._admission = self._admission
         vars(self).update(vars(fresh))

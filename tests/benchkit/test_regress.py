@@ -19,16 +19,15 @@ from repro.benchkit.regress import (
     DEFAULT_THRESHOLD,
     MAX_HISTOGRAM_HEADROOM,
     MIN_FORWARD_RATIO,
-    MIN_SHARD_SPEEDUP,
     check_forward_fastest,
     check_histogram_headroom,
     check_schema_lag,
-    check_shard_speedup,
     compare_reports,
     format_diff,
     load_report,
     main,
 )
+from repro.benchkit.throughput import SCHEMA_VERSION
 from repro.core.errors import InvalidParameterError
 from repro.lintkit import lint_source
 
@@ -52,27 +51,6 @@ def small_report() -> dict:
                     }
                 )
     return {"schema_version": 2, "results": rows}
-
-
-def scaling_section(cpu_count: int, speedup_at_4: float) -> dict:
-    """A minimal schema-v3 scaling section for gate tests."""
-    rows = []
-    for shards, speedup in ((1, 1.0), (4, speedup_at_4)):
-        rows.append(
-            {
-                "engine": "ewma(EXPD-0.01)",
-                "shards": shards,
-                "seconds": 0.01,
-                "items_per_sec": 100_000.0 * speedup,
-                "speedup_vs_serial": speedup,
-            }
-        )
-    return {
-        "cpu_count": cpu_count,
-        "n_items": 20_000,
-        "shard_counts": [1, 4],
-        "rows": rows,
-    }
 
 
 class TestCompareReports:
@@ -202,82 +180,6 @@ class TestSubprocessEndToEnd:
         bad = run(fresh)
         assert bad.returncode == 1, bad.stderr
         assert "REGRESSED" in bad.stdout
-
-
-class TestShardSpeedupGate:
-    def test_no_scaling_section_skips(self):
-        ok, msg = check_shard_speedup(small_report())
-        assert ok and "skipped" in msg and "no scaling section" in msg
-
-    def test_starved_runner_skips_even_below_bar(self):
-        fresh = small_report()
-        fresh["scaling"] = scaling_section(cpu_count=1, speedup_at_4=0.2)
-        ok, msg = check_shard_speedup(fresh)
-        assert ok and "skipped" in msg and "1 core(s)" in msg
-
-    def test_enforced_and_met_on_big_runner(self):
-        fresh = small_report()
-        fresh["scaling"] = scaling_section(cpu_count=8, speedup_at_4=3.1)
-        ok, msg = check_shard_speedup(fresh)
-        assert ok and "OK" in msg and "3.10x" in msg
-
-    def test_enforced_and_failed_on_big_runner(self):
-        fresh = small_report()
-        fresh["scaling"] = scaling_section(cpu_count=8, speedup_at_4=1.4)
-        ok, msg = check_shard_speedup(fresh)
-        assert not ok and "FAIL" in msg
-        assert f"{MIN_SHARD_SPEEDUP:.1f}x bar" in msg
-
-    def test_best_engine_carries_the_bar(self):
-        # One slow engine must not fail the gate while another scales.
-        fresh = small_report()
-        section = scaling_section(cpu_count=8, speedup_at_4=2.9)
-        section["rows"] += [
-            dict(row, engine="wbmh(POLYD-1)", speedup_vs_serial=0.8)
-            for row in section["rows"]
-        ]
-        fresh["scaling"] = section
-        ok, msg = check_shard_speedup(fresh)
-        assert ok and "OK" in msg and "ewma" in msg
-
-    def test_missing_4_shard_rows_skip(self):
-        fresh = small_report()
-        section = scaling_section(cpu_count=8, speedup_at_4=3.0)
-        section["rows"] = [r for r in section["rows"] if r["shards"] == 1]
-        fresh["scaling"] = section
-        ok, msg = check_shard_speedup(fresh)
-        assert ok and "skipped" in msg
-
-    def test_malformed_section_rejected(self):
-        fresh = small_report()
-        fresh["scaling"] = {"cpu_count": 8, "rows": [{"engine": "x"}]}
-        with pytest.raises(InvalidParameterError):
-            check_shard_speedup(fresh)
-
-    def test_main_fails_on_speedup_shortfall(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps(small_report()))
-        fresh_report = small_report()
-        fresh_report["scaling"] = scaling_section(
-            cpu_count=8, speedup_at_4=1.2
-        )
-        fresh = tmp_path / "fresh.json"
-        fresh.write_text(json.dumps(fresh_report))
-        assert main(["--baseline", str(base), "--fresh", str(fresh)]) == 1
-        out = capsys.readouterr().out
-        assert "shard-speedup gate FAIL" in out
-
-    def test_main_skips_on_starved_runner(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps(small_report()))
-        fresh_report = small_report()
-        fresh_report["scaling"] = scaling_section(
-            cpu_count=2, speedup_at_4=1.2
-        )
-        fresh = tmp_path / "fresh.json"
-        fresh.write_text(json.dumps(fresh_report))
-        assert main(["--baseline", str(base), "--fresh", str(fresh)]) == 0
-        assert "skipped" in capsys.readouterr().out
 
 
 def forward_report(
@@ -528,6 +430,23 @@ class TestSchemaLagGate:
         out = capsys.readouterr().out
         assert code == 1
         assert "schema-lag gate FAIL" in out
+
+    def test_current_schema_compares_against_checked_in_baseline(
+        self, tmp_path, capsys
+    ):
+        # The checked-in baseline predates the current schema (it still
+        # carries a v4 ``scaling`` section); a fresh report without one
+        # must compare cleanly against it.
+        baseline = REPO_ROOT / "benchmarks/baselines/BENCH_throughput.json"
+        fresh_report = load_report(baseline)
+        fresh_report.pop("scaling", None)
+        fresh_report["schema_version"] = SCHEMA_VERSION
+        fresh = tmp_path / "fresh.json"
+        fresh.write_text(json.dumps(fresh_report))
+        code = main(["--baseline", str(baseline), "--fresh", str(fresh)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert f"fresh schema v{SCHEMA_VERSION} >= baseline" in out
 
 
 class TestWallClockExemption:

@@ -4,7 +4,8 @@ One decayed summary per customer is :class:`ServiceStore`'s job: keys are
 created lazily on a shared clock, WBMH keys share one region schedule,
 storage is reported with shared bits counted once, and two stores that
 saw disjoint halves of the traffic fold together key by key through
-``merge_into(key, other.export_engine(key))``.
+``merge_into(key, other.export_engine(key))`` -- which is also how a
+keyed trace is backfilled in partitions split by ``shard_of``.
 """
 
 import random
@@ -21,6 +22,7 @@ from repro.core.errors import InvalidParameterError, TimeOrderError
 from repro.core.exact import ExactDecayingSum
 from repro.core.interfaces import make_decaying_sum
 from repro.service import ServiceStore
+from repro.service.sharded import shard_of
 from repro.streams.io import KeyedItem
 
 
@@ -233,3 +235,104 @@ class TestObserveBatch:
         assert store.time == 20
         for key in ("old", "new"):
             assert store.export_engine(key).time == 20
+
+
+def _keyed_trace(seed):
+    rng = random.Random(seed)
+    keys = ["alpha", "beta", "gamma", "delta"]
+    items, t = [], 0
+    for _ in range(400):
+        t += rng.choice([0, 1, 1])
+        items.append(KeyedItem(rng.choice(keys), t, float(rng.randint(1, 3))))
+    return items, t + 2, keys
+
+
+def _serial(decay, items, end):
+    store = ServiceStore(decay, 0.1)
+    store.observe_batch(items, until=end)
+    return store
+
+
+def _partitioned(decay, items, end, shards):
+    """Backfill each key partition alone, then fold them into one store."""
+    parts = [ServiceStore(decay, 0.1) for _ in range(shards)]
+    for index, part in enumerate(parts):
+        part.observe_batch(
+            [i for i in items if shard_of(i.key, shards) == index], until=end
+        )
+    for part in parts[1:]:
+        absorb(parts[0], part)
+    return parts[0]
+
+
+def _ranking(store):
+    return sorted(store.keys(), key=lambda k: (-store.query(k).value, k))
+
+
+class TestParallelFleetIngest:
+    """Key-partitioned backfill: split a keyed trace by ``shard_of``,
+    ingest each partition into its own store, fold the stores."""
+
+    @pytest.mark.parametrize(
+        "decay",
+        [ExponentialDecay(0.1), SlidingWindowDecay(50)],
+        ids=lambda d: d.describe(),
+    )
+    def test_pool_fleet_matches_serial_fleet(self, decay):
+        items, end, keys = _keyed_trace(31)
+        serial = _serial(decay, items, end)
+        pooled = _partitioned(decay, items, end, shards=2)
+        assert pooled.keys() == serial.keys()
+        assert pooled.time == end
+        for key in keys:
+            assert pooled.query(key).value == pytest.approx(
+                serial.query(key).value, rel=1e-9
+            )
+
+    def test_rankings_survive_the_pool(self):
+        items, end, _ = _keyed_trace(32)
+        decay = ExponentialDecay(0.05)
+        serial = _serial(decay, items, end)
+        pooled = _partitioned(decay, items, end, shards=2)
+        assert _ranking(pooled)[:3] == _ranking(serial)[:3]
+
+    def test_single_shard_no_pool(self):
+        items, end, keys = _keyed_trace(33)
+        pooled = _partitioned(ExponentialDecay(0.1), items, end, shards=1)
+        assert pooled.keys() == sorted({item.key for item in items})
+
+
+class TestFleetMergeAndAdopt:
+    def test_fleet_merge_generalizes_absorb(self):
+        decay = SlidingWindowDecay(40)
+        items, end, keys = _keyed_trace(41)
+        serial = _serial(decay, items, end)
+        # Key-partition by hand, merge the two halves.
+        left = ServiceStore(decay, 0.1)
+        right = ServiceStore(decay, 0.1)
+        for item in items:
+            target = left if item.key < "c" else right
+            target.observe(item.key, item.value, when=item.time)
+        left.advance_to(end)
+        right.advance_to(end)
+        absorb(left, right)
+        for key in keys:
+            got = left.query(key)
+            want = serial.query(key)
+            assert got.lower <= want.value <= got.upper or (
+                got.value == pytest.approx(want.value, rel=1e-9)
+            )
+
+    def test_merge_advances_younger_fleet(self):
+        decay = ExponentialDecay(0.1)
+        a = ServiceStore(decay, 0.1)
+        b = ServiceStore(decay, 0.1)
+        a.observe("x", 2.0, when=10)
+        b.observe("y", 3.0)  # at t=0; b's clock then moves to 4
+        b.advance_to(4)
+        a.merge_into("y", b.export_engine("y"))
+        assert a.time == 10
+        # y's mass decayed from t=0 to t=10 during alignment.
+        assert a.query("y").value == pytest.approx(
+            3.0 * decay.weight(10 - 0), rel=1e-9
+        )

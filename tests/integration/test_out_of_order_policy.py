@@ -1,12 +1,12 @@
 """One out-of-order policy, every ingestion surface.
 
-The contract: ``ingest_trace``, ``streams.io.replay``,
-``ServiceStore.observe_batch`` and ``ShardedDecayingSum.ingest`` all route
-late items through the same :class:`OutOfOrderPolicy`, with the default
-``raise`` kind preserving the historical ``TimeOrderError`` behavior,
-``drop`` matching the on-time-survivor replay plus an audited ledger, and
-``buffer`` matching the sorted replay of the surviving items bit for
-bit.  Order-insensitive engines (the forward family) accept late items
+The contract: ``ingest_trace``, ``streams.io.replay`` and
+``ServiceStore.observe_batch`` all route late items through the same
+:class:`OutOfOrderPolicy`, with the default ``raise`` kind preserving
+the historical ``TimeOrderError`` behavior, ``drop`` matching the
+on-time-survivor replay plus an audited ledger, and ``buffer`` matching
+the sorted replay of the surviving items bit for bit.
+Order-insensitive engines (the forward family) accept late items
 directly under *every* policy.
 """
 
@@ -23,7 +23,6 @@ from repro.core.exact import ExactDecayingSum
 from repro.core.forward import ForwardDecay, ForwardDecaySum
 from repro.core.interfaces import make_decaying_sum
 from repro.core.timeorder import OutOfOrderPolicy
-from repro.parallel.sharded import ShardedDecayingSum
 from repro.serialize import engine_to_dict
 from repro.service import ServiceStore
 from repro.streams.generators import StreamItem
@@ -239,46 +238,6 @@ class TestFleetSurface:
 def triplet_of(store, key):
     est = store.query(key)
     return est.value, est.lower, est.upper
-
-
-class TestShardedSurface:
-    def test_policy_threads_through_the_pool(self):
-        pool = ShardedDecayingSum(PolynomialDecay(1.0), 0.1, shards=2)
-        policy = OutOfOrderPolicy.dropping()
-        pool.ingest(LATE_TRACE, until=12, policy=policy)
-        reference = ShardedDecayingSum(PolynomialDecay(1.0), 0.1, shards=2)
-        reference.ingest(ON_TIME, until=12)
-        assert policy.dropped_count == 2
-        assert triplet(pool) == triplet(reference)
-
-    def test_default_raises(self):
-        pool = ShardedDecayingSum(PolynomialDecay(1.0), 0.1, shards=2)
-        with pytest.raises(TimeOrderError):
-            pool.ingest(LATE_TRACE)
-
-    def test_forward_pool_is_order_insensitive(self):
-        def pool_for():
-            return ShardedDecayingSum(
-                ForwardDecay("exp", 0.05),
-                0.1,
-                shards=3,
-                factory=lambda: ForwardDecaySum(ForwardDecay("exp", 0.05)),
-            )
-
-        pool = pool_for()
-        assert pool.supports_out_of_order
-        pool.ingest(LATE_TRACE, until=12)
-        reference = pool_for()
-        reference.ingest(SORTED_TRACE, until=12)
-        assert triplet(pool) == triplet(reference)
-
-    def test_backward_pool_rejects_add_at(self):
-        from repro.core.errors import NotApplicableError
-
-        pool = ShardedDecayingSum(PolynomialDecay(1.0), 0.1, shards=2)
-        assert not pool.supports_out_of_order
-        with pytest.raises(NotApplicableError):
-            pool.add_at(3, 1.0)
 
 
 class TestCrossSurfaceAgreement:

@@ -242,20 +242,20 @@ class TestRK010:
 
     def test_concurrency_label_binds_engines_not_drivers(self):
         files = {
-            "src/repro/parallel/executor.py": """
+            "src/repro/service/executor.py": """
             import multiprocessing
 
             def fan_out():
                 return multiprocessing.Pool()
             """,
             "src/repro/histograms/bad.py": """
-            from repro.parallel.executor import fan_out
+            from repro.service.executor import fan_out
 
             def merge_all():
                 return fan_out()
             """,
             "src/repro/benchkit/driver.py": """
-            from repro.parallel.executor import fan_out
+            from repro.service.executor import fan_out
 
             def bench():
                 return fan_out()

@@ -11,8 +11,8 @@ what it buys:
   retains about what the wire carried, not decoded programs;
 * the per-worker ``journal_frames``/``journal_bytes``/``checkpoint_bytes``
   counters in ``stats()`` and their resets;
-* a rejected ``restore()`` leaves keys, answers, ledgers and revival
-  state exactly as they were;
+* a rejected ``restore()`` leaves keys, answers, worker engines, ledgers
+  and revival state exactly as they were;
 * the router's read memo stays bounded under key churn.
 """
 
@@ -30,8 +30,8 @@ import pytest
 from repro.core.decay import ExponentialDecay
 from repro.core.errors import TimeOrderError
 from repro.core.forward import ForwardDecay
-from repro.parallel.sharded import shard_of
-from repro.service.sharded import ShardedServiceStore
+from repro.serialize import engine_to_dict
+from repro.service.sharded import ShardedServiceStore, shard_of
 from repro.service.store import ServiceStore
 from repro.streams.io import KeyedItem
 
@@ -72,6 +72,13 @@ def _answers(store) -> dict[str, tuple[float, float, float]]:
         estimate = store.query(key)
         out[key] = (estimate.value, estimate.lower, estimate.upper)
     return out
+
+
+def _worker_engines(front: ShardedServiceStore) -> dict[str, object]:
+    """Each key's engine as its worker holds it, past the router's memo."""
+    return {
+        key: engine_to_dict(front.export_engine(key)) for key in front.keys()
+    }
 
 
 def _assert_bit_identical(
@@ -206,10 +213,7 @@ class TestRouterMemory:
         memo = ShardedServiceStore(
             ExponentialDecay(0.05), 0.1, workers=WORKERS, ttl=8
         )
-        plain = ShardedServiceStore(
-            ExponentialDecay(0.05), 0.1, workers=WORKERS, ttl=8,
-            memoize=False,
-        )
+        plain = ServiceStore(ExponentialDecay(0.05), 0.1, ttl=8)
         try:
             for start in range(0, 5_000, 100):
                 # One fresh key per tick; the TTL evicts them behind us.
@@ -220,7 +224,7 @@ class TestRouterMemory:
                 memo.observe_batch(items)
                 plain.observe_batch(items)
                 for item in items[-5:]:
-                    want = plain.query(item.key)
+                    want = plain.engine(item.key).query()
                     for _ in range(2):  # the second poll is a memo hit
                         got = memo.query(item.key)
                         assert (got.value, got.lower, got.upper) == (
@@ -231,7 +235,6 @@ class TestRouterMemory:
             assert memo.stats()["evicted_keys"] > 4_900
         finally:
             memo.close()
-            plain.close()
 
 
 class TestRevivalStats:
@@ -281,8 +284,7 @@ class TestAtomicRestore:
     def test_rejected_restore_changes_nothing(self) -> None:
         assert shard_of("a", WORKERS) == 0 and shard_of("b", WORKERS) == 1
         front = ShardedServiceStore(
-            ExponentialDecay(0.05), 0.1, workers=WORKERS,
-            checkpoint_every=3, memoize=False,
+            ExponentialDecay(0.05), 0.1, workers=WORKERS, checkpoint_every=3
         )
         try:
             front.observe_batch(
@@ -294,6 +296,8 @@ class TestAtomicRestore:
             del bad["shards"][0]["keys"]["a"]
             bad["shards"][1]["keys"]["b"]["engine"]["time"] = 999
 
+            # Exports are journaled, so they run before the state capture.
+            engines = _worker_engines(front)
             keys, answers, stats = front.keys(), _answers(front), front.stats()
             revival = [
                 (shard.checkpoint, list(shard.journal))
@@ -308,10 +312,12 @@ class TestAtomicRestore:
                 (shard.checkpoint, list(shard.journal))
                 for shard in front._shards
             ] == revival
+            assert _worker_engines(front) == engines
             # A later revival replays the kept state, not the rejected one.
             for index in range(WORKERS):
                 _kill(front, index)
             assert _answers(front) == answers
+            assert _worker_engines(front) == engines
             assert front.revived_workers == WORKERS
         finally:
             front.close()

@@ -19,10 +19,17 @@ from repro.core.decay import (
     PolynomialDecay,
     SlidingWindowDecay,
 )
-from repro.core.errors import InvalidParameterError, TimeOrderError
+from repro.core.errors import (
+    InvalidParameterError,
+    NotApplicableError,
+    TimeOrderError,
+)
 from repro.core.estimate import Estimate
+from repro.core.exact import ExactDecayingSum
 from repro.core.interfaces import DecayingSum, make_decaying_sum
 from repro.core.timeorder import OutOfOrderPolicy
+from repro.histograms.domination import widen_merged_estimate
+from repro.histograms.matias import ApproxBoundaryCEH
 from repro.histograms.wbmh import WBMH
 from repro.service.store import EvictionLedger, ServiceStore
 from repro.streams.generators import StreamItem
@@ -317,33 +324,24 @@ class TestStats:
 class TestMemoization:
     def test_memoized_matches_unmemoized_bit_for_bit(self) -> None:
         # The read memo keys on (clock, per-key write generation): any
-        # interleaving of reads and writes must be invisible in results.
-        memo = ServiceStore(ExponentialDecay(0.05), 0.1, memoize=True)
-        plain = ServiceStore(ExponentialDecay(0.05), 0.1, memoize=False)
+        # interleaving of reads and writes must be invisible in results,
+        # so every memoized read equals a fresh read of the key's engine.
+        store = ServiceStore(ExponentialDecay(0.05), 0.1)
         items = [
             KeyedItem(f"k{i % 3}", t, 0.5 + (i % 4))
             for i, t in enumerate(range(0, 36, 2))
         ]
-        for store in (memo, plain):
-            for item in items:
-                store.observe(item.key, item.value, when=item.time)
-                store.query(item.key)  # interleaved read on every write
-            store.advance(3)
-        for key in plain.keys():
-            want = plain.query(key)
-            got = memo.query(key)
-            assert (got.value, got.lower, got.upper) == (
-                want.value,
-                want.lower,
-                want.upper,
+        for item in items:
+            store.observe(item.key, item.value, when=item.time)
+            for key in store.keys():  # interleaved reads on every write
+                assert _triplet(store.query(key)) == _triplet(
+                    store.engine(key).query()
+                )
+        store.advance(3)
+        for key in store.keys():
+            assert _triplet(store.query(key)) == _triplet(
+                store.engine(key).query()
             )
-        want_total = plain.query_total()
-        got_total = memo.query_total()
-        assert (got_total.value, got_total.lower, got_total.upper) == (
-            want_total.value,
-            want_total.lower,
-            want_total.upper,
-        )
 
     def test_repeat_read_returns_identical_estimate(self) -> None:
         store = ServiceStore(ExponentialDecay(0.05), 0.1)
@@ -356,15 +354,42 @@ class TestMemoization:
         store.advance(1)  # clock motion re-keys the memo
         assert store.query("k") is not before
 
-    def test_memoize_is_a_runtime_knob_not_snapshot_state(self) -> None:
-        # Snapshots carry stream state, not serving configuration: a
-        # restore keeps the receiving store's memoize choice.
-        source = ServiceStore(ExponentialDecay(0.05), 0.1)
-        source.observe("k", 1.0)
-        receiver = ServiceStore(ExponentialDecay(0.05), 0.1, memoize=False)
-        receiver.restore(source.to_dict())
-        assert receiver._memoize is False
-        assert receiver.query("k").value == source.query("k").value
+
+class TestUnmergeableFallback:
+    """Engine families without a structural merge (the randomized
+    :class:`ApproxBoundaryCEH`) still answer ``query_total``: the
+    certified per-key brackets add up instead."""
+
+    @staticmethod
+    def _store() -> tuple[ServiceStore, ExactDecayingSum]:
+        decay = PolynomialDecay(1.0)
+        store = ServiceStore(
+            decay,
+            0.2,
+            engine_factory=lambda: ApproxBoundaryCEH(decay, 0.2, seed=11),
+        )
+        oracle = ExactDecayingSum(decay)
+        for i in range(120):
+            store.observe(f"k{i % 3}", 1.0, when=i // 3)
+            oracle.advance_to(i // 3)
+            oracle.add(1.0)
+        return store, oracle
+
+    def test_falls_back_to_widened_answers(self) -> None:
+        store, oracle = self._store()
+        keys = store.keys()
+        assert keys == ["k0", "k1", "k2"]
+        want = store.query(keys[0])
+        for key in keys[1:]:
+            want = widen_merged_estimate(want, store.query(key))
+        total = store.query_total()
+        assert _triplet(total) == _triplet(want)
+        assert total.lower <= oracle.query().value <= total.upper
+
+    def test_fold_engine_raises_not_applicable(self) -> None:
+        store, _ = self._store()
+        with pytest.raises(NotApplicableError):
+            store.fold_engine()
 
 
 class TestSnapshot:
