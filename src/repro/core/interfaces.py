@@ -113,7 +113,6 @@ def make_decaying_sum(
     epsilon: float = 0.1,
     *,
     horizon_hint: int | None = None,
-    backend: str = "auto",
 ) -> DecayingSum:
     """Build the storage-optimal engine for ``decay`` per the paper.
 
@@ -148,14 +147,6 @@ def make_decaying_sum(
     ratio-nonincreasing check on user-defined decay functions; it must be
     at least 1 (a shorter horizon checks nothing and would silently skew
     the WBMH-vs-CEH routing).
-
-    ``backend`` selects the structure-of-arrays kernel backend for the
-    histogram routes (``"numpy"``, ``"python"``, or ``"auto"`` -- see
-    :func:`repro.histograms.soa.resolve_backend`; the
-    ``REPRO_KERNEL_BACKEND`` environment variable overrides ``"auto"``).
-    Register engines have no bucket kernels; they validate the value and
-    ignore it.  The backend never changes any answer -- only which kernel
-    twins compute it.
     """
     # Imported here to keep repro.core free of package-level import cycles.
     from repro.core.ewma import (
@@ -168,33 +159,26 @@ def make_decaying_sum(
     from repro.histograms.eh import SlidingWindowSum
     from repro.histograms.wbmh import WBMH
 
-    from repro.histograms.soa import resolve_backend
-
     if not 0 < epsilon < 1:
         raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
     if horizon_hint is not None and horizon_hint < 1:
         raise InvalidParameterError(
             f"horizon_hint must be >= 1, got {horizon_hint}"
         )
-    # Validate eagerly so register routes reject bad backend names too
-    # (interface uniformity, like epsilon above).
-    kernel_backend = resolve_backend(backend)
     if isinstance(decay, ForwardDecay):
         return ForwardDecaySum(decay)
     if isinstance(decay, ExponentialDecay):
         return ExponentialSum(decay)
     if isinstance(decay, SlidingWindowDecay):
-        return SlidingWindowSum(
-            decay.window, epsilon, kernel_backend=kernel_backend
-        )
+        return SlidingWindowSum(decay.window, epsilon)
     if isinstance(decay, PolyexponentialDecay):
         return PolyexponentialSum(decay)
     if isinstance(decay, PolyExpPolynomialDecay):
         return GeneralPolyexpSum(decay)
     horizon = horizon_hint if horizon_hint is not None else 4096
     if decay.is_ratio_nonincreasing(horizon):
-        return WBMH(decay, epsilon, kernel_backend=kernel_backend)
-    return CascadedEH(decay, epsilon, kernel_backend=kernel_backend)
+        return WBMH(decay, epsilon)
+    return CascadedEH(decay, epsilon)
 
 
 def keyed_engine_factory(
@@ -214,8 +198,5 @@ def keyed_engine_factory(
     probe = make_decaying_sum(decay, epsilon)
     if isinstance(probe, WBMH):
         schedule = probe.schedule
-        backend = probe.kernel_backend
-        return lambda: WBMH(
-            decay, epsilon, schedule=schedule, kernel_backend=backend
-        )
+        return lambda: WBMH(decay, epsilon, schedule=schedule)
     return lambda: make_decaying_sum(decay, epsilon)

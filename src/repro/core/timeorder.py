@@ -31,6 +31,7 @@ items directly; the policy never has to intervene for them.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, NoReturn, Protocol
 
 from repro.core.errors import InvalidParameterError, ReproError, TimeOrderError
@@ -90,11 +91,13 @@ class OutOfOrderPolicy:
     def note_dropped(self, value: float) -> None:
         """Record one discarded item on the policy's ledger.
 
-        A negative or NaN weight is refused, not ledgered: it would poison
-        ``dropped_weight`` for every later audit.
+        A negative, NaN or infinite weight is refused, not ledgered: it
+        would poison ``dropped_weight`` for every later audit.
         """
-        if not value >= 0:
-            raise InvalidParameterError(f"value must be >= 0, got {value}")
+        if not 0 <= value < math.inf:
+            raise InvalidParameterError(
+                f"value must be finite and >= 0, got {value}"
+            )
         self.dropped_count += 1
         self.dropped_weight += value
 
@@ -108,15 +111,21 @@ class OutOfOrderPolicy:
 
 
 def _refuse(key: str, values: list[float]) -> NoReturn:
-    """Reject a fold carrying a NaN or negative weight.
+    """Reject a fold with a NaN, infinite or negative weight, or with
+    finite weights whose total overflows.
 
-    The engines reject it too, but a sharded router ledgers a fold before
-    its worker sees it.  A NaN anywhere makes the batch sum NaN, and a
-    negative value makes the minimum negative: two C-level passes per
-    fold keep both off every ingest ledger.
+    The engines reject such weights too, but a sharded router ledgers a
+    fold before its worker sees it.  A NaN or an infinity anywhere makes
+    the batch sum non-finite, and a negative value makes the minimum
+    negative: two C-level passes per fold keep all of them off every
+    ingest ledger.
     """
-    bad = next(v for v in values if not v >= 0)
-    raise InvalidParameterError(f"value must be >= 0, got {bad} on {key!r}")
+    bad = next((v for v in values if not 0 <= v < math.inf), None)
+    if bad is None:
+        raise InvalidParameterError(f"weights on {key!r} sum to infinity")
+    raise InvalidParameterError(
+        f"value must be finite and >= 0, got {bad} on {key!r}"
+    )
 
 
 class AdmissionFront(Protocol):
@@ -307,7 +316,7 @@ class Admission:
         self, front: AdmissionFront, key: str, values: list[float]
     ) -> None:
         weight = float(sum(values))
-        if not (weight >= 0 and min(values) >= 0):
+        if not (weight < math.inf and min(values) >= 0):
             _refuse(key, values)
         front._fold(key, values)
         self.ingested_items += len(values)
@@ -316,7 +325,7 @@ class Admission:
     def _late(
         self, front: AdmissionFront, key: str, when: int, value: float
     ) -> None:
-        if not value >= 0:
+        if not 0 <= value < math.inf:
             _refuse(key, [value])
         front._late(key, when, value)
         self.ingested_items += 1
@@ -327,9 +336,10 @@ class Admission:
     ) -> None:
         # _fold, inlined: this runs once per key per tick of every batch.
         fold = front._fold
+        inf = math.inf
         for key, values in pending.items():
             weight = float(sum(values))
-            if not (weight >= 0 and min(values) >= 0):
+            if not (weight < inf and min(values) >= 0):
                 _refuse(key, values)
             fold(key, values)
             self.ingested_items += len(values)
@@ -339,15 +349,17 @@ class Admission:
     def _push(self, now: int, key: str, when: int, value: float) -> None:
         """Admit one item to the heap, or drop it behind the window.
 
-        A negative time or a negative/NaN weight is refused before it can
-        reach the heap, the watermark or a ledger.
+        A negative time or a negative, NaN or infinite weight is refused
+        before it can reach the heap, the watermark or a ledger.
         """
         policy = self.policy
         assert policy is not None
         if when < 0:
             raise InvalidParameterError(f"time must be >= 0, got {when}")
-        if not value >= 0:
-            raise InvalidParameterError(f"value must be >= 0, got {value}")
+        if not 0 <= value < math.inf:
+            raise InvalidParameterError(
+                f"value must be finite and >= 0, got {value}"
+            )
         if when > self.watermark:
             self.watermark = when
         if when < now or when < self.watermark - policy.max_lateness:

@@ -59,7 +59,6 @@ class CascadedEH:
         *,
         backend: Backend = "eh",
         estimator: Literal["upper", "lower", "midpoint"] = "midpoint",
-        kernel_backend: str = "auto",
     ) -> None:
         if not 0 < epsilon < 1:
             raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -70,17 +69,12 @@ class CascadedEH:
         self._decay = decay
         self.epsilon = float(epsilon)
         self.estimator = estimator
-        # ``backend`` names the *bucket semantics* (eh vs domination);
-        # ``kernel_backend`` independently selects the numpy/python SoA
-        # kernels inside whichever histogram is chosen.
         if backend == "eh":
             self._hist: ExponentialHistogram | DominationHistogram = (
-                ExponentialHistogram(window, epsilon, kernel_backend=kernel_backend)
+                ExponentialHistogram(window, epsilon)
             )
         elif backend == "domination":
-            self._hist = DominationHistogram(
-                window, epsilon, kernel_backend=kernel_backend
-            )
+            self._hist = DominationHistogram(window, epsilon)
         else:
             raise InvalidParameterError(f"unknown backend {backend!r}")
         self.backend = backend
@@ -101,11 +95,6 @@ class CascadedEH:
     def histogram(self) -> ExponentialHistogram | DominationHistogram:
         """The underlying bucket structure (exposed for storage benches)."""
         return self._hist
-
-    @property
-    def kernel_backend(self) -> str:
-        """Resolved SoA kernel backend of the substrate histogram."""
-        return self._hist.kernel_backend
 
     def add(self, value: float = 1.0) -> None:
         self._hist.add(value)

@@ -19,9 +19,8 @@ for at most an ``eps`` fraction of the newer mass -- giving the same
 Bucket state lives in the structure-of-arrays column store
 (:class:`~repro.histograms.soa.BucketColumns`); the per-arrival compaction
 sweep is gated by the exact no-merge pre-check
-(:func:`~repro.histograms.soa.domination_merge_possible`, vectorized under
-the numpy kernel backend), so the common dominated-by-nothing arrival costs
-one scan instead of a full list rebuild.
+(:func:`~repro.histograms.soa.domination_merge_possible`), so the common
+dominated-by-nothing arrival costs one scan instead of a full list rebuild.
 """
 
 from __future__ import annotations
@@ -33,11 +32,7 @@ from repro.core.errors import InvalidParameterError
 from repro.core.estimate import Estimate
 from repro.core.merging import align_merge_clocks, require_merge_operand
 from repro.histograms.buckets import Bucket, interleave_buckets
-from repro.histograms.soa import (
-    BucketColumns,
-    domination_merge_possible,
-    resolve_backend,
-)
+from repro.histograms.soa import BucketColumns, domination_merge_possible
 from repro.storage.model import StorageReport, bits_for_value, float_register_bits
 
 __all__ = [
@@ -92,7 +87,6 @@ class DominationHistogram:
         "epsilon",
         "compact_every",
         "effective_epsilon",
-        "kernel_backend",
         "_cols",
         "_time",
         "_total",
@@ -106,7 +100,6 @@ class DominationHistogram:
         epsilon: float,
         *,
         compact_every: int = 1,
-        kernel_backend: str = "auto",
     ) -> None:
         if window is not None and window < 1:
             raise InvalidParameterError(f"window must be >= 1, got {window}")
@@ -120,9 +113,6 @@ class DominationHistogram:
         #: Composed error budget: starts at ``epsilon`` and grows by
         #: :func:`compose_merge_epsilon` with every shard merge.
         self.effective_epsilon = float(epsilon)
-        #: Resolved kernel backend ("numpy" or "python"); selects which
-        #: sweep-kernel twins run, never what the answers are.
-        self.kernel_backend = resolve_backend(kernel_backend)
         self._cols = BucketColumns()  # oldest first
         self._time = 0
         self._total = 0.0
@@ -308,7 +298,7 @@ class DominationHistogram:
         if n < 3:
             return
         eps = self.epsilon
-        if not domination_merge_possible(counts, eps, self.kernel_backend):
+        if not domination_merge_possible(counts, eps):
             return
         starts = cols.starts
         ends = cols.ends

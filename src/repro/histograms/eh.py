@@ -29,9 +29,8 @@ construction of Theorem 1 consumes.
 Bucket state lives in a structure-of-arrays column store
 (:class:`~repro.histograms.soa.BucketColumns`); :class:`Bucket` rows are
 materialized only at the ``bucket_view()``/serialization boundary.  Bulk
-ingestion routes through the :mod:`repro.histograms.soa` kernel selected by
-``kernel_backend`` and falls back to the organic replay whenever the kernel
-declines.
+ingestion routes through the :mod:`repro.histograms.soa` kernel and falls
+back to the organic replay whenever the kernel declines.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from repro.core.merging import (
 )
 from repro.histograms.buckets import Bucket, interleave_buckets
 from repro.histograms.domination import compose_merge_epsilon
-from repro.histograms.soa import BucketColumns, eh_bulk_ingest, resolve_backend
+from repro.histograms.soa import BucketColumns, eh_bulk_ingest
 from repro.storage.model import StorageReport, bits_for_value
 
 __all__ = ["ExponentialHistogram", "SlidingWindowSum"]
@@ -75,7 +74,6 @@ class ExponentialHistogram:
         "epsilon",
         "buckets_per_size",
         "effective_epsilon",
-        "kernel_backend",
         "_cols",
         "_per_size",
         "_time",
@@ -84,13 +82,7 @@ class ExponentialHistogram:
         "_q_cache",
     )
 
-    def __init__(
-        self,
-        window: int | None,
-        epsilon: float,
-        *,
-        kernel_backend: str = "auto",
-    ) -> None:
+    def __init__(self, window: int | None, epsilon: float) -> None:
         if window is not None and window < 1:
             raise InvalidParameterError(f"window must be >= 1, got {window}")
         if not 0 < epsilon < 1:
@@ -104,9 +96,6 @@ class ExponentialHistogram:
         #: then grown by :func:`~repro.histograms.domination.
         #: compose_merge_epsilon` per merge.
         self.effective_epsilon = float(epsilon)
-        #: Resolved kernel backend ("numpy" or "python"); selects which
-        #: bulk-kernel twins run -- never what the answers are.
-        self.kernel_backend = resolve_backend(kernel_backend)
         self._cols = BucketColumns()  # oldest first; sizes non-increasing
         self._per_size: Counter[int] = Counter()
         self._time = 0
@@ -591,13 +580,9 @@ class SlidingWindowSum:
 
     __slots__ = ("_decay", "_eh")
 
-    def __init__(
-        self, window: int, epsilon: float, *, kernel_backend: str = "auto"
-    ) -> None:
+    def __init__(self, window: int, epsilon: float) -> None:
         self._decay = SlidingWindowDecay(window)
-        self._eh = ExponentialHistogram(
-            window, epsilon, kernel_backend=kernel_backend
-        )
+        self._eh = ExponentialHistogram(window, epsilon)
 
     @property
     def time(self) -> int:
@@ -611,11 +596,6 @@ class SlidingWindowSum:
     def histogram(self) -> ExponentialHistogram:
         """The underlying EH (exposed for storage experiments)."""
         return self._eh
-
-    @property
-    def kernel_backend(self) -> str:
-        """Resolved kernel backend of the substrate EH."""
-        return self._eh.kernel_backend
 
     def add(self, value: float = 1.0) -> None:
         self._eh.add(value)

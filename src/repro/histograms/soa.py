@@ -1,4 +1,4 @@
-"""Structure-of-arrays bucket kernels and the kernel-backend seam.
+"""Structure-of-arrays bucket columns and the histograms' bulk kernels.
 
 The histogram engines (:class:`~repro.histograms.eh.ExponentialHistogram`,
 :class:`~repro.histograms.domination.DominationHistogram`, and through them
@@ -6,30 +6,22 @@ The histogram engines (:class:`~repro.histograms.eh.ExponentialHistogram`,
 live bucket state in :class:`BucketColumns` -- four parallel columns
 (starts, ends, counts, levels) instead of a list of
 :class:`~repro.histograms.buckets.Bucket` objects.  The columns are plain
-Python lists in *both* backends: CPython list indexing beats numpy scalar
-indexing by 2-3x on the per-item hot paths (``add``/``advance``), so numpy
-arrays are only materialized inside the *bulk* kernels, via
-:class:`NumpyColumns` (int64/float64 staging columns with amortized
-capacity-doubling growth).
+Python lists: CPython list indexing beats numpy scalar indexing by 2-3x on
+the per-item hot paths (``add``/``advance``).
 
-The backend seam selects which *kernels* run, not which store holds state:
-
-* ``"numpy"`` -- bulk ingest kernels use vectorized sweeps (closed-form EH
-  cascade levels, the WBMH dyadic count fold, the domination no-merge
-  pre-check) wherever the math allows;
-* ``"python"`` -- the same kernels run their pure-Python twins, so numpy
-  stays an optional dependency;
-* ``"auto"`` (default) -- ``numpy`` when importable, else ``python``; the
-  ``REPRO_KERNEL_BACKEND`` environment variable overrides the default
-  without touching call sites (the CI fallback leg sets it to ``python``).
+Each bulk kernel has exactly one implementation, the faster of the
+measured candidates: the EH level walk, its closed-form pairs and the
+domination no-merge pre-check are pure-Python loops, and the WBMH lattice
+fold is a numpy sweep.
 
 Every kernel is *exact*: it either reproduces the engine's item-at-a-time
 process bit-for-bit (pinned by ``tests/property/test_property_kernel_identity``
-across backends) or declines up front -- each bulk entry point pre-scans its
-input purely and returns ``False`` without mutating anything, letting the
-caller fall back to the organic :func:`~repro.core.batching.ingest_trace`
-replay, so error semantics (including partial application before a mid-trace
-validation failure) are exactly the organic ones.
+against the organic replay) or declines up front -- each bulk entry point
+pre-scans its input purely and returns ``False`` without mutating anything,
+letting the caller fall back to the organic
+:func:`~repro.core.batching.ingest_trace` replay, so error semantics
+(including partial application before a mid-trace validation failure) are
+exactly the organic ones.
 
 EH bulk kernel
     A level simulation of the unary append-and-cascade process: per
@@ -37,10 +29,9 @@ EH bulk kernel
     below form one queue; census pops and window expiries are replayed in
     arrival order (:func:`_eh_level_walk`).  Levels where nothing can
     expire collapse to a closed form -- the pop count and pair slices are
-    computed directly (:func:`_eh_closed_pairs`), vectorized under the
-    numpy backend.  Lazy per-level expiry is equivalent to the engine's
-    eager head-walk because the global bucket list is end-sorted and
-    expiry sets are monotone in the cutoff.
+    computed directly (:func:`_eh_closed_pairs`).  Lazy per-level expiry
+    is equivalent to the engine's eager head-walk because the global
+    bucket list is end-sorted and expiry sets are monotone in the cutoff.
 
 WBMH bulk kernel
     On a fresh engine over an infinite-support decay with the scheduled
@@ -48,19 +39,24 @@ WBMH bulk kernel
     class-``s`` node ``q`` covers ``[q*2^s*w, (q+1)*2^s*w - 1]`` and is
     created at the constant schedule offset ``s_s`` past its young end.
     The kernel derives created/survivor index ranges per class in closed
-    form, folds counts layer by layer (vectorized ``frexp``-truncation
-    quantization under numpy), and self-verifies the schedule constants --
-    including a conservative mixed-class-pair safety bound -- falling back
-    to the organic replay if any check fails.
+    form, folds counts layer by layer in float64 (``frexp``-truncation
+    quantization, as ``_merge_nodes`` does), and self-verifies the
+    schedule constants -- including a conservative mixed-class-pair safety
+    bound -- falling back to the organic replay if any check fails.  The
+    float64 fold reproduces ``_merge_nodes`` only where Python arithmetic
+    would produce the same floats, so the kernel also declines on a sealed
+    integer leaf above ``2**53`` (Python sums it exactly before rounding),
+    on any sealed integer leaf without a quantizer (Python keeps the sums
+    integers), and on any folded sum that overflows to infinity.
 """
 
 from __future__ import annotations
 
-import os
+import math
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.core.errors import InvalidParameterError
-from repro.counters.approx_float import truncate_mantissa
+import numpy as np
+
 from repro.histograms.buckets import Bucket
 
 if TYPE_CHECKING:
@@ -69,30 +65,11 @@ if TYPE_CHECKING:
     from repro.histograms.wbmh import WBMH
 
 __all__ = [
-    "HAVE_NUMPY",
     "BucketColumns",
-    "NumpyColumns",
-    "resolve_backend",
     "eh_bulk_ingest",
     "wbmh_bulk_ingest",
     "domination_merge_possible",
 ]
-
-_np: Any
-try:  # pragma: no cover - exercised implicitly by backend selection
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
-
-#: True when numpy imported; the ``"auto"`` backend resolves on this.
-HAVE_NUMPY = _np is not None
-
-#: Environment override consulted by :func:`resolve_backend`.
-ENV_BACKEND = "REPRO_KERNEL_BACKEND"
-
-#: Below this many vector elements the numpy call overhead loses to the
-#: pure-Python loop, so the numpy backend stays on the scalar twin.
-_VECTOR_CUTOVER = 32
 
 #: Bulk EH ingestion expands per-tick totals into unit arrivals; traces
 #: whose totals blow past this density fall back to the organic replay,
@@ -100,32 +77,8 @@ _VECTOR_CUTOVER = 32
 #: logarithmic work.
 _EH_EXPANSION_CAP = 1024
 
-
-def resolve_backend(requested: str | None = None) -> str:
-    """Resolve a kernel-backend request to ``"numpy"`` or ``"python"``.
-
-    Explicit requests win; ``None``/``"auto"`` consults the
-    ``REPRO_KERNEL_BACKEND`` environment variable and finally numpy
-    availability.  Requesting numpy (explicitly or via the environment)
-    when it is not importable is an error rather than a silent downgrade.
-    """
-    choice = requested
-    if choice is None or choice == "auto":
-        env = os.environ.get(ENV_BACKEND, "").strip().lower()
-        if not env or env == "auto":
-            return "numpy" if HAVE_NUMPY else "python"
-        choice = env
-    if choice == "python":
-        return "python"
-    if choice == "numpy":
-        if not HAVE_NUMPY:
-            raise InvalidParameterError(
-                "kernel backend 'numpy' requested but numpy is not importable"
-            )
-        return "numpy"
-    raise InvalidParameterError(
-        f"unknown kernel backend {choice!r}; expected 'numpy', 'python' or 'auto'"
-    )
+#: Integers up to this bound convert to float64 exactly.
+_EXACT_INT = 1 << 53
 
 
 class BucketColumns:
@@ -196,105 +149,6 @@ class BucketColumns:
         return [
             Bucket(s, e, c, lv)
             for s, e, c, lv in zip(self.starts, self.ends, self.counts, self.levels)
-        ]
-
-
-class NumpyColumns:
-    """Numpy staging columns with amortized capacity-doubling growth.
-
-    The bulk kernels accumulate result rows here under the numpy backend:
-    int64 ``starts``/``ends``/``levels`` and a float64 ``counts`` column,
-    grown by doubling so that ``n`` appended rows cost ``O(n)`` copies
-    total.  This is a *staging* store -- the engines' live state stays in
-    :class:`BucketColumns` (see the module docstring for the measured
-    rationale); ``to_lists`` converts back to plain-Python columns at the
-    commit boundary.
-    """
-
-    __slots__ = ("_starts", "_ends", "_counts", "_levels", "_n")
-
-    def __init__(self, capacity: int = 16) -> None:
-        if _np is None:  # pragma: no cover - guarded by resolve_backend
-            raise InvalidParameterError("NumpyColumns requires numpy")
-        cap = max(1, int(capacity))
-        self._starts = _np.empty(cap, dtype=_np.int64)
-        self._ends = _np.empty(cap, dtype=_np.int64)
-        self._counts = _np.empty(cap, dtype=_np.float64)
-        self._levels = _np.empty(cap, dtype=_np.int64)
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def capacity(self) -> int:
-        return int(self._starts.shape[0])
-
-    def _grow_to(self, need: int) -> None:
-        cap = int(self._starts.shape[0])
-        if need <= cap:
-            return
-        while cap < need:
-            cap *= 2
-        for name in ("_starts", "_ends", "_counts", "_levels"):
-            old = getattr(self, name)
-            fresh = _np.empty(cap, dtype=old.dtype)
-            fresh[: self._n] = old[: self._n]
-            setattr(self, name, fresh)
-
-    def append(self, start: int, end: int, count: float, level: int) -> None:
-        self._grow_to(self._n + 1)
-        i = self._n
-        self._starts[i] = start
-        self._ends[i] = end
-        self._counts[i] = count
-        self._levels[i] = level
-        self._n = i + 1
-
-    def extend(
-        self,
-        starts: Any,
-        ends: Any,
-        counts: Any,
-        levels: Any,
-    ) -> None:
-        """Append a block of rows (sequences or numpy arrays)."""
-        k = len(starts)
-        if not k:
-            return
-        self._grow_to(self._n + k)
-        i = self._n
-        self._starts[i : i + k] = starts
-        self._ends[i : i + k] = ends
-        self._counts[i : i + k] = counts
-        self._levels[i : i + k] = levels
-        self._n = i + k
-
-    def columns(self) -> tuple[Any, Any, Any, Any]:
-        """Live views of the filled prefix (no copies)."""
-        n = self._n
-        return (
-            self._starts[:n],
-            self._ends[:n],
-            self._counts[:n],
-            self._levels[:n],
-        )
-
-    def to_lists(self) -> tuple[list[int], list[int], list[float], list[int]]:
-        n = self._n
-        return (
-            self._starts[:n].tolist(),
-            self._ends[:n].tolist(),
-            self._counts[:n].tolist(),
-            self._levels[:n].tolist(),
-        )
-
-    def to_buckets(self) -> list[Bucket]:
-        """Materialize row objects (Python scalars via ``tolist``)."""
-        starts, ends, counts, levels = self.to_lists()
-        return [
-            Bucket(s, e, c, lv)
-            for s, e, c, lv in zip(starts, ends, counts, levels)
         ]
 
 
@@ -415,7 +269,7 @@ def _eh_level_walk(  # lintkit: hot
     return head, cT, (cS, cE, cC, cL)
 
 
-def _eh_closed_pairs(
+def _eh_closed_pairs(  # lintkit: hot
     qS: list[int],
     qE: list[int],
     qC: list[float],
@@ -423,17 +277,15 @@ def _eh_closed_pairs(
     arrT: list[int],
     n_run: int,
     cap: int,
-    use_numpy: bool,
 ) -> tuple[int, list[int], tuple[list[int], list[int], list[float], list[int]]]:
     """Closed-form level processing when nothing at the level can expire.
 
     With no expiries the census trajectory is deterministic: the first pop
     fires at the ``cap + 1 - n_run``-th arrival and every second arrival
     after it, each consuming the two oldest queue elements.  The pair
-    merges collapse to strided slices -- vectorized min/max under the
-    numpy backend -- and the carry trigger times are a stride of the
-    arrival times.  Bit-identical to :func:`_eh_level_walk` on the same
-    input by construction.
+    merges collapse to strided slices, and the carry trigger times are a
+    stride of the arrival times.  Bit-identical to :func:`_eh_level_walk`
+    on the same input by construction.
     """
     k = len(arrT)
     j1 = cap + 1 - n_run
@@ -443,29 +295,21 @@ def _eh_closed_pairs(
     cT = arrT[j1 - 1 :: 2]
     consumed = 2 * pairs
     cC = [qC[2 * p] + qC[2 * p + 1] for p in range(pairs)]
-    if use_numpy and pairs >= _VECTOR_CUTOVER:
-        s = _np.fromiter(qS, dtype=_np.int64, count=consumed).reshape(pairs, 2)
-        e = _np.fromiter(qE, dtype=_np.int64, count=consumed).reshape(pairs, 2)
-        lv = _np.fromiter(qL, dtype=_np.int64, count=consumed).reshape(pairs, 2)
-        cS = _np.minimum(s[:, 0], s[:, 1]).tolist()
-        cE = _np.maximum(e[:, 0], e[:, 1]).tolist()
-        cL = (_np.maximum(lv[:, 0], lv[:, 1]) + 1).tolist()
-    else:
-        cS = []
-        cE = []
-        cL = []
-        for p in range(pairs):
-            a = 2 * p
-            b = a + 1
-            sa = qS[a]
-            sb = qS[b]
-            cS.append(sa if sa < sb else sb)
-            ea = qE[a]
-            eb = qE[b]
-            cE.append(ea if ea > eb else eb)
-            la = qL[a]
-            lb = qL[b]
-            cL.append((la if la > lb else lb) + 1)
+    cS: list[int] = []
+    cE: list[int] = []
+    cL: list[int] = []
+    for p in range(pairs):
+        a = 2 * p
+        b = a + 1
+        sa = qS[a]
+        sb = qS[b]
+        cS.append(sa if sa < sb else sb)
+        ea = qE[a]
+        eb = qE[b]
+        cE.append(ea if ea > eb else eb)
+        la = qL[a]
+        lb = qL[b]
+        cL.append((la if la > lb else lb) + 1)
     return consumed, cT, (cS, cE, cC, cL)
 
 
@@ -485,7 +329,6 @@ def eh_bulk_ingest(
     ticks, tick_counts = scanned
     window = hist.window
     cap = hist.buckets_per_size + 1
-    use_numpy = hist.kernel_backend == "numpy"
     cols = hist._cols
     t_last = ticks[-1]
 
@@ -510,17 +353,15 @@ def eh_bulk_ingest(
         order.append(size)
         i = j
 
-    # Level-1 arrivals: one unit element per item, stamped with its tick.
+    # Level-1 arrivals: one unit element per item, stamped with its tick
+    # (singleton ticks, the common case on dense traces, skip the list).
     arrT: list[int] = []
-    if use_numpy and len(ticks) >= _VECTOR_CUTOVER:
-        arrT = _np.repeat(
-            _np.fromiter(ticks, dtype=_np.int64, count=len(ticks)),
-            _np.fromiter(tick_counts, dtype=_np.int64, count=len(ticks)),
-        ).tolist()
-    else:
-        for t, c in zip(ticks, tick_counts):
-            if c:
-                arrT.extend([t] * c)
+    append = arrT.append
+    for t, c in zip(ticks, tick_counts):
+        if c == 1:
+            append(t)
+        elif c:
+            arrT.extend([t] * c)
     arrS: list[int] = arrT
     arrE: list[int] = arrT
     arrC: list[float] = [1] * len(arrT)
@@ -547,7 +388,7 @@ def eh_bulk_ingest(
             no_expiry = min(qE) > t_last - window
         if no_expiry:
             consumed, cT, carry = _eh_closed_pairs(
-                qS, qE, qC, qL, arrT, n_run, cap, use_numpy
+                qS, qE, qC, qL, arrT, n_run, cap
             )
         else:
             assert window is not None
@@ -682,22 +523,6 @@ def _wbmh_mixed_pairs_safe(
     return True
 
 
-def _wbmh_fold_level_py(  # lintkit: hot
-    prev: list[float],
-    n_parents: int,
-    level: int,
-    quantizer: Any,
-    bits: int,
-) -> list[float]:
-    """Pure-Python count fold for one lattice class (numpy twin below)."""
-    cur: list[float] = []
-    for q in range(n_parents):
-        c = prev[2 * q] + prev[2 * q + 1]
-        if quantizer is not None and c > 0:
-            c = truncate_mantissa(c, bits)
-        cur.append(c)
-    return cur
-
 
 def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
     """Whole-trace bulk ingestion for a *fresh* scheduled-strategy WBMH.
@@ -708,7 +533,8 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
     the same ``_rebuild`` path serialization uses.  Declines (``False``,
     nothing mutated) on: a non-fresh engine, finite decay support (expiry
     interacts with the lattice), the scan strategy, out-of-order or
-    invalid input, or any failed schedule self-check.
+    invalid input, a count the float64 fold cannot reproduce, or any
+    failed schedule self-check.
     """
     if (
         wbmh.merge_strategy != "scheduled"
@@ -733,7 +559,9 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
             return False
         times.append(t)
         vals.append(v)
-    if not times:
+    # An infinite weight passes the loop's check; the organic replay
+    # refuses it.
+    if not times or not sum(vals) < math.inf:
         return False
     t_final = times[-1]
     w = wbmh._seal_width
@@ -770,38 +598,37 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
             live_count = v if live_count is None else live_count + v
     leaf_counts: list[float] = [0.0 if x is None else x for x in leaf]
 
-    # Fold counts class by class (quantizing exactly as _merge_nodes does,
-    # with the per-class mantissa width memoized out of the inner loop).
+    # ``_merge_nodes`` adds leaves in Python: an integer pair sums exactly
+    # and stays an integer until the quantizer rounds it to a float.  The
+    # float64 fold agrees only where every integer leaf converts exactly
+    # and is quantized at its first merge.  An integer above 2**53 reads
+    # at least 2**53 in float64, so one vectorized max clears the common
+    # case.
     quantizer = wbmh._quantizer
-    use_numpy = wbmh.kernel_backend == "numpy"
-    by_class: list[Any] = [leaf_counts]
-    for s in range(1, top_class + 1):
-        n_parents = created[s]
-        bits = quantizer.mantissa_bits(s) if quantizer is not None else 52
-        prev_counts = by_class[s - 1]
-        if use_numpy and n_parents >= _VECTOR_CUTOVER:
-            arr = _np.asarray(prev_counts, dtype=_np.float64)
-            sums = arr[: 2 * n_parents].reshape(n_parents, 2).sum(axis=1)
+    leaves = np.array(leaf_counts, dtype=np.float64)
+    if quantizer is None or (n_leaves and leaves.max() >= _EXACT_INT):
+        for x in leaf_counts:
+            if not isinstance(x, float) and (quantizer is None or x > _EXACT_INT):
+                return False
+
+    # Fold counts class by class, quantizing exactly as _merge_nodes does.
+    by_class: list[Any] = [leaves]
+    with np.errstate(over="ignore"):  # an overflowing sum declines below
+        for s in range(1, top_class + 1):
+            pairs = 2 * created[s]
+            below = by_class[s - 1]
+            sums = below[0:pairs:2] + below[1:pairs:2]
             if quantizer is not None:
-                scale = float(1 << bits)
-                m, e = _np.frexp(sums)
-                sums = _np.ldexp(_np.floor(m * scale) / scale, e)
+                scale = float(1 << quantizer.mantissa_bits(s))
+                m, e = np.frexp(sums)
+                sums = np.ldexp(np.floor(m * scale) / scale, e)
+            if not np.isfinite(sums).all():
+                return False
             by_class.append(sums)
-        else:
-            if isinstance(prev_counts, list):
-                prev_list = prev_counts
-            else:
-                prev_list = prev_counts.tolist()
-            by_class.append(
-                _wbmh_fold_level_py(prev_list, n_parents, s, quantizer, bits)
-            )
 
     # Survivors per class: nodes not yet consumed by the cascade above.
     # Classes descend oldest-first; within a class, index order is time
-    # order.  Assemble through the staging columns under numpy.
-    staging: NumpyColumns | None = (
-        NumpyColumns(capacity=64) if use_numpy else None
-    )
+    # order.  Class 0 keeps the Python leaf values (integers stay ints).
     buckets: list[Bucket] = []
     for s in range(top_class, -1, -1):
         width = (1 << s) * w
@@ -809,27 +636,9 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
         hi = created[s]
         if lo >= hi:
             continue
-        counts_here = by_class[s]
-        if staging is not None:
-            idx = _np.arange(lo, hi, dtype=_np.int64)
-            block = (
-                counts_here[lo:hi]
-                if not isinstance(counts_here, list)
-                else _np.asarray(counts_here[lo:hi], dtype=_np.float64)
-            )
-            staging.extend(
-                idx * width,
-                (idx + 1) * width - 1,
-                block,
-                _np.full(hi - lo, s, dtype=_np.int64),
-            )
-        else:
-            for q in range(lo, hi):
-                buckets.append(
-                    Bucket(q * width, (q + 1) * width - 1, counts_here[q], s)
-                )
-    if staging is not None:
-        buckets = staging.to_buckets()
+        survived = leaf_counts[lo:hi] if s == 0 else by_class[s][lo:hi].tolist()
+        for q, count in enumerate(survived, lo):
+            buckets.append(Bucket(q * width, (q + 1) * width - 1, count, s))
 
     max_level = 0
     for s in range(1, top_class + 1):
@@ -849,8 +658,8 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
 # ------------------------------------------------------------- domination
 
 
-def domination_merge_possible(
-    counts: Sequence[float], epsilon: float, backend: str
+def domination_merge_possible(  # lintkit: hot
+    counts: Sequence[float], epsilon: float
 ) -> bool:
     """Exact pre-check for the domination compaction sweep.
 
@@ -859,24 +668,11 @@ def domination_merge_possible(
     ``epsilon`` times its strictly-newer suffix sum, the sweep never
     merges and is a guaranteed no-op.  The arithmetic mirrors the sweep
     exactly (same accumulation order, same comparison), so a ``False``
-    answer is a proof, not a heuristic.  Vectorized under the numpy
-    backend for long bucket lists.
+    answer is a proof, not a heuristic.
     """
-    n = len(counts)
-    if n < 2:
-        return False
-    if backend == "numpy" and n >= _VECTOR_CUTOVER * 2:
-        arr = _np.asarray(counts, dtype=_np.float64)
-        # suffix[i] = sum of counts newer than i, accumulated newest-first
-        # exactly like the sweep's running total.
-        suffix = _np.zeros(n, dtype=_np.float64)
-        suffix[:-1] = _np.cumsum(arr[::-1])[::-1][1:]
-        pair = arr[:-1] + arr[1:]
-        return bool(_np.any(pair <= epsilon * suffix[1:]))
     suffix = 0.0
-    for i in range(n - 1, 0, -1):
+    for i in range(len(counts) - 1, 0, -1):
         if counts[i - 1] + counts[i] <= epsilon * suffix:
             return True
         suffix += counts[i]
     return False
-

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Iterable, Iterator, Literal, Sequence
 
 from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
@@ -67,7 +68,7 @@ from repro.core.merging import (
 from repro.counters.approx_float import FixedQuantizer, LevelQuantizer
 from repro.histograms.boundaries import RegionSchedule
 from repro.histograms.buckets import Bucket
-from repro.histograms.soa import resolve_backend, wbmh_bulk_ingest
+from repro.histograms.soa import wbmh_bulk_ingest
 from repro.storage.model import StorageReport, bits_for_value
 
 __all__ = ["WBMH"]
@@ -139,7 +140,6 @@ class WBMH:
         check_horizon: int = 4096,
         merge_strategy: Literal["scheduled", "scan"] = "scheduled",
         schedule: RegionSchedule | None = None,
-        kernel_backend: str = "auto",
     ) -> None:
         if ratio is None:
             if not 0 < epsilon < 1:
@@ -170,9 +170,6 @@ class WBMH:
         self._decay = decay
         self.epsilon = float(epsilon)
         self.merge_strategy = merge_strategy
-        #: Resolved kernel backend ("numpy" or "python"); selects which
-        #: bulk-lattice kernel twins run, never what the answers are.
-        self.kernel_backend = resolve_backend(kernel_backend)
         if schedule is not None:
             # A fleet of streams over the same decay shares one schedule
             # (its boundaries are stream-independent); the caller must pass
@@ -223,8 +220,10 @@ class WBMH:
         return self._seal_width
 
     def add(self, value: float = 1.0) -> None:
-        if not value >= 0:
-            raise InvalidParameterError(f"value must be >= 0, got {value}")
+        if not 0 <= value < math.inf:
+            raise InvalidParameterError(
+                f"value must be finite and >= 0, got {value}"
+            )
         if value == 0:
             return
         start, end = self._live_interval()
@@ -248,9 +247,12 @@ class WBMH:
         have = False
         nonzero = 0
         live = self._live
+        inf = math.inf
         for value in values:
-            if not value >= 0:
-                raise InvalidParameterError(f"value must be >= 0, got {value}")
+            if not 0 <= value < inf:
+                raise InvalidParameterError(
+                    f"value must be finite and >= 0, got {value}"
+                )
             if value == 0:
                 continue
             if not have:

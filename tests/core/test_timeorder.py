@@ -202,3 +202,43 @@ class TestAdmission:
             admission.observe_batch(front, [keyed(0, 1.0), keyed(0, -1.0)])
         assert front.folds == []
         assert (admission.ingested_items, admission.ingested_weight) == (0, 0.0)
+
+    def test_infinite_weights_are_refused_on_every_path(self):
+        inf = float("inf")
+        policy = OutOfOrderPolicy.dropping()
+        with pytest.raises(InvalidParameterError, match="finite"):
+            policy.note_dropped(inf)
+        assert (policy.dropped_count, policy.dropped_weight) == (0, 0.0)
+
+        # One fold (_fold) and one batch (_fold_pending), with an infinite
+        # value or with finite values whose total overflows.
+        admission = Admission()
+        front = RecordingFront()
+        with pytest.raises(InvalidParameterError, match="finite"):
+            admission.observe(front, "k", inf, None)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            admission.observe_batch(front, [keyed(0, 1.0), keyed(0, inf)])
+        with pytest.raises(InvalidParameterError, match="infinity"):
+            admission.observe_values(front, "k", [1e308, 1e308])
+        with pytest.raises(InvalidParameterError, match="infinity"):
+            admission.observe_batch(front, [keyed(0, 1e308), keyed(0, 1e308)])
+        assert front.folds == []
+        assert (admission.ingested_items, admission.ingested_weight) == (0, 0.0)
+
+        # The lateness heap (_push).
+        policy = OutOfOrderPolicy.buffered(4)
+        admission = Admission(policy)
+        front = RecordingFront()
+        with pytest.raises(InvalidParameterError, match="finite"):
+            admission.observe_batch(front, [keyed(0, 2.0), keyed(1, inf)])
+        admission.flush(front)
+        assert front.folds == [(0, "k", 2.0)]
+        assert (policy.dropped_count, admission.watermark) == (0, 0)
+
+        # A late item on a natively order-insensitive front (_late).
+        front = RecordingFront(time=5)
+        front.native_out_of_order = True
+        admission = Admission()
+        with pytest.raises(InvalidParameterError, match="finite"):
+            admission.observe(front, "k", inf, 2)
+        assert (admission.ingested_items, admission.ingested_weight) == (0, 0.0)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.core.decay import (
 )
 from repro.core.errors import InvalidParameterError, NotApplicableError
 from repro.core.exact import ExactDecayingSum
+from repro.histograms.soa import wbmh_bulk_ingest
 from repro.histograms.wbmh import WBMH
 
 
@@ -221,6 +223,30 @@ class TestEdgeCases:
             w.add(-1.0)
         with pytest.raises(InvalidParameterError):
             w.advance(-1)
+
+    def test_rejects_infinite_weight_on_every_write_path(self):
+        # An infinite count would raise OverflowError out of a later
+        # merge's quantization, about a dozen ticks after the write.
+        inf = math.inf
+        items = [SimpleNamespace(time=0, value=inf), SimpleNamespace(time=4, value=1.0)]
+        writes = (
+            lambda w: w.add(inf),
+            lambda w: w.add_batch([1.0, inf]),
+            lambda w: w.ingest(items),
+        )
+        for write in writes:
+            w = WBMH(PolynomialDecay(1.0), 0.1)
+            w.add(2.0)
+            before = (w.time, w.bucket_view(), w._items)
+            with pytest.raises(InvalidParameterError, match="finite"):
+                write(w)
+            assert (w.time, w.bucket_view(), w._items) == before
+            w.advance(400)
+            est = w.query()
+            assert 0 < est.lower <= est.upper < inf
+        # The bulk kernel's pre-scan declines, so a fresh engine's ingest
+        # refuses through the organic replay too.
+        assert not wbmh_bulk_ingest(WBMH(PolynomialDecay(1.0), 0.1), items)
 
 
 class TestAddBatchSinglePass:

@@ -294,7 +294,8 @@ class TestRK011:
         assert marker_lines(eh, "hot")
         assert marker_lines(batching, "hot")
         # The SoA kernel module must keep its per-item append path and
-        # both bulk-kernel inner loops under RK011's allocation scoping.
+        # its pure-Python kernel loops (EH level walk and closed-form
+        # pairs, domination pre-check) under RK011's allocation scoping.
         assert len(marker_lines(soa, "hot")) >= 3
 
     def test_unmarked_function_unconstrained(self):

@@ -9,24 +9,20 @@ These properties pin that at the bucket level (stronger than the query
 triplet used by ``test_property_batching``), and assert the EH bucket
 bound ``O((1/eps) * log W)`` that the flattened cascade must not loosen.
 
-The structure-of-arrays pass adds a second axis: every engine runs its
-bulk and organic paths under either the numpy or the pure-python kernel
-twins (:func:`repro.histograms.soa.resolve_backend`).  The cross-backend
-classes below drive both twins over the same hypothesis traces --
-through ``ingest`` (the bulk-kernel entry) *and* organic replay -- and
-require identical bucket columns, plus the EH invariant that counts stay
-Python ints under the numpy backend (numpy scalars would poison the
-big-int carry arithmetic downstream).
+The structure-of-arrays pass adds bulk kernels behind ``ingest``
+(:mod:`repro.histograms.soa`).  The bulk-vs-organic class below drives
+the same hypothesis traces through ``ingest`` *and* the organic
+advance/add replay and requires identical bucket columns, plus the EH
+invariant that counts stay Python ints (a float or numpy scalar would
+poison the big-int carry arithmetic downstream).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decay import ExponentialDecay, PolynomialDecay
 from repro.histograms.ceh import CascadedEH
 from repro.histograms.eh import ExponentialHistogram
-from repro.histograms.soa import HAVE_NUMPY
 from repro.histograms.wbmh import WBMH
 from repro.streams.generators import StreamItem
 
@@ -168,67 +164,55 @@ def _rounds_to_items(rounds):
     return items, t
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="needs both kernel backends")
 class TestCrossBackendIdentity:
+    """The two back ends of ``ingest`` -- the bulk kernel and the organic
+    replay -- produce identical engines."""
+
     @settings(max_examples=150, deadline=None)
     @given(windows, epsilons, eh_rounds)
     def test_eh_ingest_and_organic_agree(self, window, eps, rounds):
-        """numpy vs python kernels, both through the bulk ``ingest`` entry
-        and organic advance/add replay: four bit-identical engines."""
+        """The bulk ``ingest`` entry vs organic advance/add replay:
+        bit-identical engines with Python-int counts."""
         items, end = _rounds_to_items(rounds)
-        states = []
-        for backend in ("numpy", "python"):
-            bulk = ExponentialHistogram(window, eps, kernel_backend=backend)
-            bulk.ingest(items, until=end)
-            organic = ExponentialHistogram(window, eps, kernel_backend=backend)
-            for gap, batch in rounds:
-                organic.advance(gap)
-                organic.add_batch(batch)
-            states.append(eh_state(bulk))
-            states.append(eh_state(organic))
-            for hist in (bulk, organic):
-                for count in hist._cols.counts:
-                    assert type(count) is int, backend
+        bulk = ExponentialHistogram(window, eps)
+        bulk.ingest(items, until=end)
+        organic = ExponentialHistogram(window, eps)
+        for gap, batch in rounds:
+            organic.advance(gap)
+            organic.add_batch(batch)
+        for hist in (bulk, organic):
+            for count in hist._cols.counts:
+                assert type(count) is int
         # dict equality, not repr: the census Counter's *insertion order*
         # may differ between build paths while the state is identical.
-        assert all(state == states[0] for state in states[1:]), states
+        assert eh_state(bulk) == eh_state(organic)
 
     @settings(max_examples=100, deadline=None)
     @given(wbmh_decays, epsilons, wbmh_rounds, st.booleans())
     def test_wbmh_ingest_and_organic_agree(self, decay, eps, rounds, quantize):
         items, end = _rounds_to_items(rounds)
-        states = []
-        for backend in ("numpy", "python"):
-            bulk = WBMH(
-                type(decay)(**_decay_params(decay)),
-                eps,
-                quantize=quantize,
-                kernel_backend=backend,
-            )
-            bulk.ingest(items, until=end)
-            organic = WBMH(
-                type(decay)(**_decay_params(decay)),
-                eps,
-                quantize=quantize,
-                kernel_backend=backend,
-            )
-            for gap, batch in rounds:
-                organic.advance(gap)
-                organic.add_batch(batch)
-            states.append(wbmh_state(bulk))
-            states.append(wbmh_state(organic))
-        assert all(state == states[0] for state in states[1:]), states
+        bulk = WBMH(decay, eps, quantize=quantize)
+        bulk.ingest(items, until=end)
+        organic = WBMH(
+            type(decay)(**_decay_params(decay)), eps, quantize=quantize
+        )
+        for gap, batch in rounds:
+            organic.advance(gap)
+            organic.add_batch(batch)
+        assert wbmh_state(bulk) == wbmh_state(organic)
 
     @settings(max_examples=75, deadline=None)
     @given(epsilons, eh_rounds)
-    def test_ceh_backends_agree(self, eps, rounds):
+    def test_ceh_ingest_and_organic_agree(self, eps, rounds):
         items, end = _rounds_to_items(rounds)
+        bulk = CascadedEH(PolynomialDecay(1.0), eps)
+        bulk.ingest(items, until=end)
+        organic = CascadedEH(PolynomialDecay(1.0), eps)
+        for gap, batch in rounds:
+            organic.advance(gap)
+            organic.add_batch(batch)
         states = []
-        for backend in ("numpy", "python"):
-            engine = CascadedEH(
-                PolynomialDecay(1.0), eps, kernel_backend=backend
-            )
-            engine.ingest(items, until=end)
+        for engine in (bulk, organic):
             est = engine.query()
             states.append(
                 (

@@ -11,11 +11,13 @@ the StoreFront seam the daemon/server/adapter consume.
 
 from __future__ import annotations
 
+import math
 import zlib
+from collections import namedtuple
 
 import pytest
 
-from repro.core.decay import ExponentialDecay
+from repro.core.decay import ExponentialDecay, PolynomialDecay
 from repro.core.errors import InvalidParameterError, TimeOrderError
 from repro.core.estimate import Estimate
 from repro.core.interfaces import make_decaying_sum
@@ -27,6 +29,10 @@ from repro.service.sharded import (
 )
 from repro.service.store import ServiceStore, StoreFront
 from repro.streams.io import KeyedItem
+
+#: A bare keyed item: unlike ``KeyedItem`` it lets non-finite weights
+#: through, so the router's own admission checks are what is tested.
+Row = namedtuple("Row", "key time value")
 
 
 def _triplet(estimate: Estimate) -> tuple[float, float, float]:
@@ -217,6 +223,31 @@ class TestReadsAndWrites:
                     [KeyedItem("a", 9, 1.0)],
                     policy=OutOfOrderPolicy.buffered(2),
                 )
+        finally:
+            front.close()
+
+
+    def test_infinite_weight_is_refused_before_the_router_ledgers(
+        self,
+    ) -> None:
+        # The router ledgers a fold before its worker's engine sees it, so
+        # admission must refuse the infinite weight itself.
+        front = ShardedServiceStore(PolynomialDecay(1.0), 0.1, workers=2)
+        try:
+            front.observe("a", 2.0, when=0)
+            front.advance_to(1)
+            before = front.stats()
+            with pytest.raises(InvalidParameterError):
+                front.observe("k", math.inf, when=1)
+            with pytest.raises(InvalidParameterError):
+                front.observe_batch([Row("k", 1, 1.0), Row("k", 1, math.inf)])
+            assert front.stats() == before
+            assert front.keys() == ["a"]
+            front.advance_to(400)
+            twin = ServiceStore(PolynomialDecay(1.0), 0.1)
+            twin.observe("a", 2.0, when=0)
+            twin.advance_to(400)
+            assert _triplet(front.query("a")) == _triplet(twin.query("a"))
         finally:
             front.close()
 

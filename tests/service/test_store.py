@@ -10,7 +10,9 @@ snapshots continue bit-identically.
 from __future__ import annotations
 
 import json
+import math
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -34,6 +36,10 @@ from repro.histograms.wbmh import WBMH
 from repro.service.store import EvictionLedger, ServiceStore
 from repro.streams.generators import StreamItem
 from repro.streams.io import KeyedItem
+
+#: A bare keyed item: unlike ``KeyedItem`` it lets non-finite weights
+#: through, so the store's own admission checks are what is tested.
+Row = namedtuple("Row", "key time value")
 
 
 def _triplet(estimate: Estimate) -> tuple[float, float, float]:
@@ -115,6 +121,25 @@ class TestFolding:
         direct.add_batch([1.0, 2.0])
         assert _triplet(store.query("k")) == _triplet(direct.query())
         assert store.ingested_items == 2
+
+    def test_infinite_weight_is_refused_with_ledgers_unchanged(self) -> None:
+        # An infinite WBMH count would raise OverflowError out of a merge
+        # a dozen ticks later, mid-advance; admission refuses it up front.
+        store = ServiceStore(PolynomialDecay(1.0), 0.1)
+        store.observe("a", 2.0, when=0)
+        store.advance_to(1)
+        before = store.stats()
+        with pytest.raises(InvalidParameterError):
+            store.observe("k", math.inf, when=1)
+        with pytest.raises(InvalidParameterError):
+            store.observe_batch([Row("k", 1, 1.0), Row("k", 1, math.inf)])
+        assert store.stats() == before
+        assert store.keys() == ["a"]
+        store.advance_to(400)
+        direct = make_decaying_sum(PolynomialDecay(1.0), 0.1)
+        direct.add(2.0)
+        direct.advance_to(400)
+        assert _triplet(store.query("a")) == _triplet(direct.query())
 
     def test_query_unknown_key_raises_keyerror(self) -> None:
         store = ServiceStore(ExponentialDecay(0.05))
