@@ -82,9 +82,12 @@ class ExponentialSum:
         return self._decay
 
     def add(self, value: float = 1.0) -> None:
-        if not value >= 0:
-            raise InvalidParameterError(f"value must be >= 0, got {value}")
-        self._sum += value
+        total = self._sum + value
+        if not (value >= 0 and total < math.inf):
+            raise InvalidParameterError(
+                f"value must be >= 0 and keep the register finite, got {value}"
+            )
+        self._sum = total
         self._items += 1
 
     def add_batch(self, values: Sequence[float]) -> None:
@@ -92,8 +95,9 @@ class ExponentialSum:
 
         The fold keeps the left-to-right accumulation order of sequential
         ``add`` calls, so the register is bit-identical either way.
-        Validation shares the fold loop (one pass, no intermediate list);
-        the register is only written once the whole batch has passed.
+        Validation shares the fold loop (one pass, no intermediate list;
+        an overflow check after it); the register is only written once the
+        whole batch has passed.
         """
         acc = self._sum
         n = 0
@@ -102,6 +106,8 @@ class ExponentialSum:
                 raise InvalidParameterError(f"value must be >= 0, got {value}")
             acc += value
             n += 1
+        if not acc < math.inf:
+            raise InvalidParameterError("weights must keep the register finite")
         self._sum = acc
         self._items += n
 
@@ -328,11 +334,8 @@ class PolyexpPipeline:
         return list(self._m)
 
     def add(self, value: float = 1.0) -> None:
-        if not value >= 0:
-            raise InvalidParameterError(f"value must be >= 0, got {value}")
         # A new item has age 0: w_0(0) = 1, w_j(0) = 0 for j >= 1.
-        self._m[0] += value
-        self._items += 1
+        self.add_batch((value,))
 
     def add_batch(self, values: Sequence[float]) -> None:
         """Fold a batch into ``M_0`` (the only register items touch at age
@@ -345,6 +348,8 @@ class PolyexpPipeline:
                 raise InvalidParameterError(f"value must be >= 0, got {value}")
             acc += value
             n += 1
+        if not acc < math.inf:
+            raise InvalidParameterError("weights must keep the register finite")
         self._m[0] = acc
         self._items += n
 

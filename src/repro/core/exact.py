@@ -9,6 +9,7 @@ grows linearly with elapsed time.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Iterable, Sequence
 
@@ -58,14 +59,17 @@ class ExactDecayingSum:
         return self._items
 
     def add(self, value: float = 1.0) -> None:
-        if not value >= 0:
-            raise InvalidParameterError(f"value must be >= 0, got {value}")
-        self._items += 1
-        if self._values and self._values[-1][0] == self._time:
-            t, v = self._values[-1]
-            self._values[-1] = (t, v + value)
+        if not 0 <= value < math.inf:
+            raise InvalidParameterError(f"value must be finite and >= 0, got {value}")
+        tail = self._values
+        if tail and tail[-1][0] == self._time:
+            total = tail[-1][1] + value
+            if total == math.inf:
+                raise InvalidParameterError("weights must keep f(t) finite")
+            tail[-1] = (self._time, total)
         else:
-            self._values.append((self._time, value))
+            tail.append((self._time, value))
+        self._items += 1
 
     def add_batch(self, values: Sequence[float]) -> None:
         """Fold a batch into the current tick's slot: one deque write per
@@ -93,6 +97,8 @@ class ExactDecayingSum:
                 raise InvalidParameterError(f"value must be >= 0, got {value}")
             acc += value
             n += 1
+        if not acc < math.inf:
+            raise InvalidParameterError("weights must keep f(t) finite")
         self._items += n
         if fresh:
             tail.append((self._time, acc))

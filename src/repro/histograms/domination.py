@@ -25,6 +25,7 @@ dominated-by-nothing arrival costs one scan instead of a full list rebuild.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
@@ -130,8 +131,8 @@ class DominationHistogram:
         return self._total
 
     def add(self, value: float = 1.0) -> None:  # lintkit: hot
-        if not value >= 0:
-            raise InvalidParameterError(f"value must be >= 0, got {value}")
+        if not 0 <= value < math.inf:
+            raise InvalidParameterError(f"value must be finite and >= 0, got {value}")
         if value == 0:
             return
         self._gen += 1

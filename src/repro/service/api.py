@@ -241,7 +241,12 @@ class ServiceServer:
             if method == "GET" and path == "/keys":
                 return _json_response(200, self._keys_payload())
             if method == "POST" and path == "/ingest":
-                return await self._http_ingest(body)
+                accepted = await self._ingest(json.loads(body.decode("utf-8")))
+                return _json_response(200, {
+                    "accepted": accepted,
+                    "queued": self.daemon is not None,
+                    "time": self.store.time,
+                })
             if method == "GET" and path == "/snapshot":
                 return _json_response(200, self.store.to_dict())
             if method == "POST" and path == "/restore":
@@ -260,18 +265,22 @@ class ServiceServer:
 
     def _query(self, key: str) -> bytes:
         try:
-            estimate = self.store.query(key)
+            return _json_response(200, self._answer(key))
         except KeyError:
             return _json_response(
                 404, {"error": f"unknown key {key!r}", "key": key}
             )
-        return _json_response(200, {
+
+    def _answer(self, key: str) -> dict[str, Any]:
+        """The HTTP and WS answer to a query; ``KeyError`` if absent."""
+        estimate = self.store.query(key)
+        return {
             "key": key,
             "time": self.store.time,
             "value": estimate.value,
             "lower": estimate.lower,
             "upper": estimate.upper,
-        })
+        }
 
     def _keys_payload(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
@@ -282,19 +291,6 @@ class ServiceServer:
         if self.daemon is not None:
             payload["daemon"] = self.daemon.stats()
         return payload
-
-    async def _http_ingest(self, body: bytes) -> bytes:
-        request = json.loads(body.decode("utf-8"))
-        items = [
-            KeyedItem(row["key"], row["time"], row.get("value", 1.0))
-            for row in request.get("items", [])
-        ]
-        await self._ingest_items(items, request.get("until"))
-        return _json_response(200, {
-            "accepted": len(items),
-            "queued": self.daemon is not None,
-            "time": self.store.time,
-        })
 
     # -------------------------------------------------------- ws endpoint
 
@@ -349,40 +345,34 @@ class ServiceServer:
             if op == "query":
                 key = str(request["key"])
                 try:
-                    estimate = self.store.query(key)
+                    return self._answer(key)
                 except KeyError:
                     return {"error": f"unknown key {key!r}", "key": key}
-                return {
-                    "key": key,
-                    "time": self.store.time,
-                    "value": estimate.value,
-                    "lower": estimate.lower,
-                    "upper": estimate.upper,
-                }
             if op == "stats":
                 return self._keys_payload()
             if op == "ingest":
-                items = [
-                    KeyedItem(row["key"], row["time"], row.get("value", 1.0))
-                    for row in request.get("items", [])
-                ]
-                await self._ingest_items(items, request.get("until"))
-                return {"accepted": len(items), "time": self.store.time}
+                accepted = await self._ingest(request)
+                return {"accepted": accepted, "time": self.store.time}
             return {"error": f"unknown op {op!r}"}
         except (ReproError, ValueError, KeyError, TypeError) as exc:
             return {"error": repr(exc)}
 
-    async def _ingest_items(
-        self, items: list[KeyedItem], until: Any
-    ) -> None:
+    async def _ingest(self, request: dict[str, Any]) -> int:
+        """Parse an ingest request's rows and ingest them; the row count."""
+        items = [
+            KeyedItem(row["key"], row["time"], row.get("value", 1.0))
+            for row in request.get("items", [])
+        ]
+        until = request.get("until")
         until_t = None if until is None else int(until)
         if self.daemon is None:
             self.store.observe_batch(items, until=until_t)
-            return
-        await self.daemon.submit_many(items)
-        await self.daemon.drain()
-        if until_t is not None:
-            self.store.advance_to(until_t)
+        else:
+            await self.daemon.submit_many(items)
+            await self.daemon.drain()
+            if until_t is not None:
+                self.store.advance_to(until_t)
+        return len(items)
 
 
 # ------------------------------------------------------------------ client

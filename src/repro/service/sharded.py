@@ -376,10 +376,10 @@ class ShardedServiceStore:
         self.eviction_base = EvictionLedger()
         self.revived_workers = 0
         self.dead_at_close = 0
-        # Router-side read memo, same contract as the store's: a write
-        # routed through this front bumps the key's generation.
-        self._write_gen: dict[str, int] = {}
-        self._query_cache: dict[str, tuple[int, int, Estimate]] = {}
+        #: Router-side read memo, the store's contract: this tick's
+        #: answers.  A write routed through this front drops the key's
+        #: entry and a clock move clears them all.
+        self._memo: dict[str, Estimate] = {}
         self._config = {
             "decay": decay_to_dict(decay),
             "epsilon": self.epsilon,
@@ -592,19 +592,12 @@ class ShardedServiceStore:
         return shard_of(str(key), self.workers)
 
     def _note_write(self, key: str) -> None:
-        self._write_gen[key] = self._write_gen.get(key, 0) + 1
+        self._memo.pop(key, None)
 
     def _set_time(self, when: int) -> None:
-        """Move the router clock; the read memo dies with the old tick.
-
-        A memo hit needs ``hit[0] == self._time``, so no entry of an
-        earlier tick can ever hit again: dropping them all keeps both
-        dicts bounded by the keys touched in one tick under key churn,
-        without changing a single hit.
-        """
+        """Move the router clock; the read memo dies with the old tick."""
         self._time = when
-        self._write_gen.clear()
-        self._query_cache.clear()
+        self._memo.clear()
 
     # --------------------------------------------------------------- clock
 
@@ -741,15 +734,14 @@ class ShardedServiceStore:
     def query(self, key: str, *, create: bool = False) -> Estimate:
         """Certified estimate for ``key`` from its owning shard.
 
-        Memoized at the router on ``(clock, key write generation)`` --
-        every write to the key routes through this front, so a repeated
-        poll of a quiet key answers without any IPC at all.
+        Memoized at the router for the rest of the tick, until the key's
+        next write -- every write to the key routes through this front, so
+        a repeated poll of a quiet key answers without any IPC at all.
         """
         key = str(key)
-        gen = self._write_gen.get(key, 0)
-        hit = self._query_cache.get(key)
-        if hit is not None and hit[0] == self._time and hit[1] == gen:
-            return hit[2]
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         reply = self._request(
             self._shard_of(key),
             {"op": "query", "key": key},
@@ -759,9 +751,7 @@ class ShardedServiceStore:
             if not create:
                 raise KeyError(key)
             # Creation is a write: journal it (replay must recreate the
-            # engine) and bump the generation so stale hits die.
-            self._note_write(key)
-            gen = self._write_gen[key]
+            # engine).
             reply = self._request(
                 self._shard_of(key),
                 {"op": "query", "key": key, "create": True},
@@ -769,8 +759,9 @@ class ShardedServiceStore:
             )
             self._maybe_checkpoint()
         value, lower, upper = reply["estimate"]
-        estimate = Estimate(float(value), float(lower), float(upper))
-        self._query_cache[key] = (self._time, gen, estimate)
+        estimate = self._memo[key] = Estimate(
+            float(value), float(lower), float(upper)
+        )
         return estimate
 
     def query_total(self) -> Estimate:
@@ -867,7 +858,6 @@ class ShardedServiceStore:
             {"op": "export", "key": key},
             journal=True,
         )
-        self._note_write(key)
         self._maybe_checkpoint()
         return engine_from_dict(reply["engine"])
 
@@ -879,7 +869,6 @@ class ShardedServiceStore:
             {"op": "storage", "key": key},
             journal=True,  # may create the engine, like ServiceStore.engine
         )
-        self._note_write(key)
         self._maybe_checkpoint()
         return _report(reply)
 

@@ -12,9 +12,9 @@ schedules shared across keys) over a shared clock, plus:
   recorded on the store's :class:`EvictionLedger` (count + decayed weight
   at eviction time) so capacity decisions stay auditable.  No wall-clock
   is read anywhere (lintkit RK001): "idle" means stream time, which is
-  the only notion of time the paper's aggregates have.  The expiry heap
-  holds one entry per live key, re-armed when it pops for a key touched
-  since it was pushed.
+  the only notion of time the paper's aggregates have.  The last-seen
+  map is the TTL index: it runs from the oldest last-seen tick and, within
+  a tick, in first-write order, so a sweep evicts a prefix of it.
 * **An admission stage.**  Every write passes through the store's
   :class:`~repro.core.timeorder.Admission`: the out-of-order policy,
   the persistent lateness heap of the ``buffer`` kind (an item arriving
@@ -35,7 +35,6 @@ differential contract ``tests/service/test_differential.py`` enforces).
 from __future__ import annotations
 
 import copy
-import heapq
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 from repro.core.batching import KeyedTimedValue
@@ -191,23 +190,18 @@ class ServiceStore:
             getattr(self._factory(), "supports_out_of_order", False)
         )
         self._admission = Admission(policy)
+        #: Per-key engines in insertion order (the lock-step advance loop).
         self._engines: dict[str, DecayingSum] = {}
+        #: The TTL index: every stored key's last-seen tick, oldest tick
+        #: first and, within a tick, in first-write order.  A key's first
+        #: write at a new tick moves it to the end.
         self._last_seen: dict[str, int] = {}
-        #: TTL bookkeeping: one ``(expiry, first touch, key)`` heap entry
-        #: per live key, where "first touch" numbers the key's first touch
-        #: at its last-seen tick (kept in ``_first_touch``).
-        self._expiry: list[tuple[int, int, str]] = []
-        self._expiry_seq = 0
-        self._first_touch: dict[str, int] = {}
         self._time = 0
         self.eviction = EvictionLedger()
-        # Read-path memo: key -> (clock, write generation, Estimate).  A
-        # hit requires both the store clock and the key's write
-        # generation to match, so any fold, merge, or clock move makes
-        # the cached answer unreachable (repeated polls of a quiet key
-        # skip ``query()`` re-evaluation entirely).
-        self._write_gen: dict[str, int] = {}
-        self._query_cache: dict[str, tuple[int, int, Estimate]] = {}
+        #: Read memo: this tick's answers.  A write drops the key's entry
+        #: and a clock move clears them all, so repeated polls of a quiet
+        #: key skip ``query()`` re-evaluation within a tick.
+        self._memo: dict[str, Estimate] = {}
 
     # ------------------------------------------------------------- clock
 
@@ -247,6 +241,7 @@ class ServiceStore:
         if steps == 0:
             return
         self._time += steps
+        self._memo.clear()
         for engine in self._engines.values():
             engine.advance(steps)
         self._sweep()
@@ -300,63 +295,56 @@ class ServiceStore:
         self.advance(when - self._time)
 
     def _fold(self, key: str, values: list[float]) -> None:
-        self._engine_for(key).add_batch(values)
-        self._touch(key)
+        engine = self._engine_for(key)
+        engine.add_batch(values)
+        self._touch(key, engine)
 
     def _late(self, key: str, when: int, value: float) -> None:
-        self._engine_for(key).add_at(when, value)  # type: ignore[attr-defined]
-        self._touch(key)
+        engine = self._engine_for(key)
+        engine.add_at(when, value)  # type: ignore[attr-defined]
+        self._touch(key, engine)
 
     def _engine_for(self, key: str) -> DecayingSum:
+        """``key``'s engine, or a fresh one at the store clock that only
+        :meth:`_touch` stores: a refused write leaves no key behind."""
         engine = self._engines.get(key)
         if engine is None:
             engine = self._factory()
             if self._time:
                 engine.advance(self._time)
-            self._engines[key] = engine
         return engine
 
     # ----------------------------------------------------------- eviction
 
-    def _touch(self, key: str) -> None:
-        self._write_gen[key] = self._write_gen.get(key, 0) + 1
-        now = self._time
-        last = self._last_seen.get(key)
-        if last == now:
-            return
-        self._last_seen[key] = now
-        if self.ttl is not None:
-            self._expiry_seq += 1
-            self._first_touch[key] = self._expiry_seq
-            if last is None:  # a new key arms its one expiry entry
-                heapq.heappush(
-                    self._expiry, (now + self.ttl, self._expiry_seq, key)
-                )
+    def _touch(self, key: str, engine: DecayingSum) -> None:
+        """Record a write on ``key``: drop its memo entry and, on its first
+        write at this tick, move it to the TTL index's end (storing the
+        engine of a new key)."""
+        if self._memo:
+            self._memo.pop(key, None)
+        seen = self._last_seen
+        last = seen.get(key)
+        if last != self._time:
+            if last is None:
+                self._engines[key] = engine
+            else:
+                del seen[key]
+            seen[key] = self._time
 
     def _sweep(self) -> None:
-        """Evict keys idle for >= ttl ticks.
-
-        Keys due at the same tick leave in the order of their first touch
-        at their last-seen tick.  An entry that comes due for a key touched
-        since it was armed is re-armed at ``last_seen + ttl`` instead.
-        """
-        ttl = self.ttl
-        if ttl is None:
+        """Evict keys idle for >= ttl ticks: the TTL index's due prefix,
+        in index order (``evicted_weight`` sums in that order)."""
+        if self.ttl is None:
             return
-        heap = self._expiry
-        while heap and heap[0][0] <= self._time:
-            expiry, _, key = heap[0]
-            due = self._last_seen[key] + ttl
-            if due > expiry:
-                heapq.heapreplace(heap, (due, self._first_touch[key], key))
-                continue
-            heapq.heappop(heap)
-            engine = self._engines.pop(key)
+        cutoff = self._time - self.ttl
+        due: list[str] = []
+        for key, last in self._last_seen.items():
+            if last > cutoff:
+                break
+            due.append(key)
+        for key in due:
             del self._last_seen[key]
-            del self._first_touch[key]
-            self._query_cache.pop(key, None)
-            self._write_gen.pop(key, None)
-            self.eviction.note(engine.query().value)
+            self.eviction.note(self._engines.pop(key).query().value)
 
     # ------------------------------------------------------------- reads
 
@@ -376,10 +364,9 @@ class ServiceStore:
         memo -- use :meth:`observe`/:meth:`observe_values`/
         :meth:`merge_into` for writes, or treat the handle as read-only.
         """
-        created = key not in self._engines
         engine = self._engine_for(key)
-        if created:
-            self._touch(key)
+        if key not in self._engines:
+            self._touch(key, engine)
         return engine
 
     def query(self, key: str, *, create: bool = False) -> Estimate:
@@ -388,20 +375,18 @@ class ServiceStore:
         With ``create`` an unknown key gets a fresh engine at the store
         clock and answers its (exact zero) empty estimate -- the adapter
         path, where a query must mean "this key's stream so far" even
-        before the first arrival.  Answers are memoized on
-        ``(store clock, key write generation)``.
+        before the first arrival.  Answers are memoized for the rest of
+        the tick, until the key's next write.
         """
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         engine = self._engines.get(key)
         if engine is None:
             if not create:
                 raise KeyError(key)
             engine = self.engine(key)
-        gen = self._write_gen.get(key, 0)
-        hit = self._query_cache.get(key)
-        if hit is not None and hit[0] == self._time and hit[1] == gen:
-            return hit[2]
-        estimate = engine.query()
-        self._query_cache[key] = (self._time, gen, estimate)
+        estimate = self._memo[key] = engine.query()
         return estimate
 
     def query_total(self) -> Estimate:
@@ -454,15 +439,17 @@ class ServiceStore:
         The write-path twin of reading through :meth:`engine`: clocks
         align by advancing the younger side (store engines move in
         lock-step with the store clock, so the store advances as a
-        whole), and the key's write generation is bumped so the read
-        memo cannot serve a pre-merge answer.
+        whole), and the key's memo entry is dropped so the read memo
+        cannot serve a pre-merge answer.  A refused merge into a new key
+        leaves no key.
         """
         if other.time > self._time:
             self.advance_to(other.time)
         elif other.time < self._time:
             other.advance_to(self._time)
-        self.engine(key).merge(other)
-        self._touch(key)
+        engine = self._engine_for(key)
+        engine.merge(other)
+        self._touch(key, engine)
 
     def export_engine(self, key: str) -> DecayingSum:
         """A checkpoint-faithful clone of ``key``'s engine.
@@ -497,11 +484,8 @@ class ServiceStore:
     def key_stats(self) -> dict[str, dict[str, Any]]:
         """Per-key staleness view (``GET /keys``)."""
         return {
-            key: {
-                "last_seen": self._last_seen.get(key, 0),
-                "idle": self._time - self._last_seen.get(key, 0),
-            }
-            for key in sorted(self._engines)
+            key: {"last_seen": last, "idle": self._time - last}
+            for key, last in sorted(self._last_seen.items())
         }
 
     def storage_report(self) -> StorageReport:
@@ -516,9 +500,10 @@ class ServiceStore:
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe snapshot: config, clock, ledgers, per-key engines.
 
-        Engines serialize through :func:`repro.serialize.engine_to_dict`;
-        stores built on a custom ``engine_factory`` cannot be rebuilt from
-        configuration and refuse to snapshot.
+        Keys are listed in TTL index order.  Engines serialize through
+        :func:`repro.serialize.engine_to_dict`; stores built on a custom
+        ``engine_factory`` cannot be rebuilt from configuration and refuse
+        to snapshot.
         """
         if self._custom_factory:
             raise InvalidParameterError(
@@ -539,16 +524,21 @@ class ServiceStore:
             **self._admission.to_dict(),
             "keys": {
                 key: {
-                    "engine": engine_to_dict(engine),
-                    "last_seen": self._last_seen.get(key, 0),
+                    "engine": engine_to_dict(self._engines[key]),
+                    "last_seen": last,
                 }
-                for key, engine in self._engines.items()
+                for key, last in self._last_seen.items()
             },
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ServiceStore":
-        """Rebuild a store that continues bit-identically to the original."""
+        """Rebuild a store that continues bit-identically to the original.
+
+        Keys are stably sorted by ``last_seen`` into the TTL index: a no-op
+        for the snapshots :meth:`to_dict` writes, which list keys in index
+        order.
+        """
         if data.get("version") != _SNAPSHOT_VERSION:
             raise InvalidParameterError(
                 f"unsupported snapshot version {data.get('version')!r}"
@@ -571,7 +561,10 @@ class ServiceStore:
         # Restored keys share the WBMH region schedule fresh keys get.
         template = store._factory()
         schedule = template.schedule if isinstance(template, WBMH) else None
-        for key, state in data["keys"].items():
+        keys = sorted(
+            data["keys"].items(), key=lambda item: int(item[1]["last_seen"])
+        )
+        for key, state in keys:
             if state.get("sharded"):
                 raise InvalidParameterError(
                     f"snapshot key {key!r} holds per-key engine replicas, "
@@ -585,17 +578,6 @@ class ServiceStore:
                 )
             store._engines[key] = engine
             store._last_seen[key] = int(state["last_seen"])
-            if store.ttl is not None:
-                store._expiry_seq += 1
-                store._first_touch[key] = store._expiry_seq
-                heapq.heappush(
-                    store._expiry,
-                    (
-                        store._last_seen[key] + store.ttl,
-                        store._expiry_seq,
-                        key,
-                    ),
-                )
         return store
 
     def restore(self, data: dict[str, Any]) -> None:

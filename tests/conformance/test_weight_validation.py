@@ -1,39 +1,84 @@
-"""Every engine cell refuses a NaN or negative weight on every write path.
+"""Every engine cell refuses a NaN, infinite or negative weight on every
+write path.
 
-A NaN that slips into an engine poisons every later answer: some cells
-then raise on ``query``, and the polyexponential register answers 0.0.
-So ``add`` and ``add_batch`` raise
+A NaN or an infinity that slips into an engine poisons every later
+answer: some cells then raise on ``query``, others answer ``inf`` or NaN
+brackets, and the polyexponential register answers 0.0.  So ``add``,
+``add_batch`` and ``ingest`` raise
 :class:`~repro.core.errors.InvalidParameterError` on every
-``default_specs()`` cell, and the engine keeps answering finite values.
+``default_specs()`` cell and on the engines outside it (the exact
+reference, the domination histogram, also behind ``CascadedEH``, and the
+quantized EXPD register), and the engine keeps answering finite values.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import pytest
 
 from repro.conformance.engines import default_specs
+from repro.core.decay import ExponentialDecay, PolynomialDecay
 from repro.core.errors import InvalidParameterError
+from repro.core.ewma import QuantizedExponentialSum
+from repro.core.exact import ExactDecayingSum
+from repro.histograms.ceh import CascadedEH
+from repro.histograms.domination import DominationHistogram
 
 SPECS = default_specs()
+FACTORIES = {name: spec.build for name, spec in SPECS.items()}
+FACTORIES.update(
+    {
+        "exact": lambda: ExactDecayingSum(PolynomialDecay(1.0)),
+        "domination": lambda: DominationHistogram(16, 0.1),
+        "ceh-domination": lambda: CascadedEH(
+            PolynomialDecay(1.0), 0.1, backend="domination"
+        ),
+        "quantized-expd": lambda: QuantizedExponentialSum(
+            ExponentialDecay(0.05), 20
+        ),
+    }
+)
+
+#: A bare trace item: ``StreamItem`` refuses non-finite weights itself.
+Item = namedtuple("Item", "time value")
+
+BAD = [math.nan, math.inf, -1.0]
+BAD_IDS = ["nan", "inf", "negative"]
 
 
-@pytest.mark.parametrize("bad", [math.nan, -1.0], ids=["nan", "negative"])
-@pytest.mark.parametrize("write", ["add", "add_batch"])
-@pytest.mark.parametrize("name", sorted(SPECS), ids=str)
+def _triplet(engine) -> tuple[float, float, float]:
+    estimate = engine.query()
+    return (estimate.value, estimate.lower, estimate.upper)
+
+
+@pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
+@pytest.mark.parametrize("write", ["add", "add_batch", "ingest"])
+@pytest.mark.parametrize("name", sorted(FACTORIES), ids=str)
 def test_bad_weight_is_refused(name: str, write: str, bad: float) -> None:
-    engine = SPECS[name].build()
+    engine = FACTORIES[name]()
     engine.add(1.0)
     engine.advance(2)
     with pytest.raises(InvalidParameterError):
         if write == "add":
             engine.add(bad)
-        else:
+        elif write == "add_batch":
             engine.add_batch([1.0, bad])
+        else:
+            engine.ingest([Item(3, 1.0), Item(3, bad)])
     engine.advance(1)
-    estimate = engine.query()
-    assert all(
-        math.isfinite(x)
-        for x in (estimate.value, estimate.lower, estimate.upper)
-    )
+    assert all(math.isfinite(x) for x in _triplet(engine))
+
+
+@pytest.mark.parametrize("name", ["expd", "polyexppoly"])
+def test_register_refuses_weights_that_overflow_it(name: str) -> None:
+    # Every weight is finite; the register's sum would not be.
+    engine = SPECS[name].build()
+    engine.add(1e308)
+    before = _triplet(engine)
+    with pytest.raises(InvalidParameterError):
+        engine.add(1e308)
+    with pytest.raises(InvalidParameterError):
+        engine.add_batch([1.0, 1e308])
+    assert _triplet(engine) == before

@@ -7,6 +7,8 @@ what it buys:
 * revival after SIGKILL at three points (right after a checkpoint,
   mid-journal, right after ``restore()``) on a forward-decay cell with
   native late entries stays bit-identical to a single ``ServiceStore``;
+* a worker revived under a TTL evicts in the single store's order, so
+  ``evicted_weight`` stays bit-identical too;
 * every journal entry and checkpoint is ``bytes``, and the router
   retains about what the wire carried, not decoded programs;
 * the per-worker ``journal_frames``/``journal_bytes``/``checkpoint_bytes``
@@ -88,7 +90,8 @@ def _assert_bit_identical(
     assert _answers(front) == _answers(single)
     want, got = single.stats(), front.stats()
     for field in ("keys", "ingested_items", "ingested_weight",
-                  "evicted_keys", "dropped_count", "buffered"):
+                  "evicted_keys", "evicted_weight", "dropped_count",
+                  "buffered"):
         assert got[field] == want[field], field
 
 
@@ -172,6 +175,47 @@ class TestRevivalFromWireBytes:
             front.close()
 
 
+class TestRevivalKeepsTheTTLOrder:
+    @staticmethod
+    def _batches(seed: int) -> list[list[KeyedItem]]:
+        """In-order batches over six keys, many sharing a tick."""
+        rng = random.Random(seed)
+        clock = 0
+        batches = []
+        for _ in range(10):
+            batch = []
+            for _ in range(8):
+                clock += rng.choice((0, 0, 1, 3))
+                batch.append(
+                    KeyedItem(f"k{rng.randrange(6)}", clock,
+                              rng.randint(1, 9) / 4)
+                )
+            batches.append(batch)
+        return batches
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_kill_every_batch_under_a_ttl(self, seed: int) -> None:
+        # One worker, so evicted_weight sums in the single store's order;
+        # every batch's frame is a checkpoint the next revival restores.
+        decay = ExponentialDecay(0.05)
+        single = ServiceStore(decay, 0.1, ttl=4)
+        front = ShardedServiceStore(
+            decay, 0.1, workers=1, checkpoint_every=1, ttl=4
+        )
+        try:
+            batches = self._batches(seed)
+            for batch in batches:
+                single.observe_batch(batch)
+                front.observe_batch(batch)
+                _kill(front, 0)
+            single.advance_to(single.time + 10)
+            front.advance_to(single.time)
+            assert front.revived_workers == len(batches)
+            _assert_bit_identical(single, front)
+        finally:
+            front.close()
+
+
 class TestRouterMemory:
     def test_router_retains_wire_bytes_not_programs(self) -> None:
         batches = [
@@ -230,8 +274,7 @@ class TestRouterMemory:
                         assert (got.value, got.lower, got.upper) == (
                             want.value, want.lower, want.upper
                         )
-                assert len(memo._write_gen) <= 5
-                assert len(memo._query_cache) <= 5
+                assert len(memo._memo) <= 5
             assert memo.stats()["evicted_keys"] > 4_900
         finally:
             memo.close()

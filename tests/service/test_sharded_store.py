@@ -17,7 +17,11 @@ from collections import namedtuple
 
 import pytest
 
-from repro.core.decay import ExponentialDecay, PolynomialDecay
+from repro.core.decay import (
+    ExponentialDecay,
+    PolynomialDecay,
+    SlidingWindowDecay,
+)
 from repro.core.errors import InvalidParameterError, TimeOrderError
 from repro.core.estimate import Estimate
 from repro.core.interfaces import make_decaying_sum
@@ -248,6 +252,30 @@ class TestReadsAndWrites:
             twin.observe("a", 2.0, when=0)
             twin.advance_to(400)
             assert _triplet(front.query("a")) == _triplet(twin.query("a"))
+        finally:
+            front.close()
+
+
+    def test_refused_write_leaves_no_key_on_the_worker(self) -> None:
+        # The worker's EH engine refuses 1.5 (it takes integer counts);
+        # neither the fold nor the merge may leave the new key behind.
+        front = ShardedServiceStore(
+            SlidingWindowDecay(8), 0.1, workers=2, ttl=4
+        )
+        try:
+            front.observe("good", 1.0, when=10)
+            before = (front.keys(), front.key_stats(), front.stats()["keys"])
+            with pytest.raises(InvalidParameterError):
+                front.observe("bad", 1.5, when=10)
+            other = make_decaying_sum(SlidingWindowDecay(9), 0.1)
+            other.advance(10)
+            with pytest.raises(InvalidParameterError):
+                front.merge_into("bad", other)
+            assert (
+                front.keys(), front.key_stats(), front.stats()["keys"]
+            ) == before
+            front.advance_to(1000)
+            assert front.keys() == []
         finally:
             front.close()
 

@@ -28,6 +28,7 @@ from repro.core.errors import (
 )
 from repro.core.estimate import Estimate
 from repro.core.exact import ExactDecayingSum
+from repro.core.forward import ForwardDecay
 from repro.core.interfaces import DecayingSum, make_decaying_sum
 from repro.core.timeorder import OutOfOrderPolicy
 from repro.histograms.domination import widen_merged_estimate
@@ -146,6 +147,44 @@ class TestFolding:
         with pytest.raises(KeyError):
             store.query("ghost")
 
+    @staticmethod
+    def _view(store: ServiceStore) -> tuple[object, ...]:
+        return (store.keys(), store.key_stats(), store.stats()["keys"])
+
+    def test_refused_fold_leaves_no_key(self) -> None:
+        # EH takes integer counts: the engine refuses 1.5 after admission
+        # let it through, and the new key must not outlive the refusal.
+        store = ServiceStore(SlidingWindowDecay(8), ttl=4)
+        store.observe("good", 1.0, when=10)
+        before = self._view(store)
+        with pytest.raises(InvalidParameterError):
+            store.observe("bad", 1.5, when=10)
+        with pytest.raises(InvalidParameterError):
+            store.observe_batch([KeyedItem("bad", 10, 1.5)])
+        assert self._view(store) == before
+        store.advance_to(1000)
+        assert store.keys() == [] and store.eviction.evicted_keys == 1
+
+    def test_refused_late_item_leaves_no_key(self) -> None:
+        # Forward decay takes late items through add_at, which refuses a
+        # negative time.
+        store = ServiceStore(ForwardDecay("exp", 0.05), ttl=4)
+        store.observe("good", 1.0, when=5)
+        before = self._view(store)
+        with pytest.raises(InvalidParameterError):
+            store.observe("bad", 1.0, when=-1)
+        assert self._view(store) == before
+
+    def test_refused_merge_leaves_no_key(self) -> None:
+        store = ServiceStore(ExponentialDecay(0.05), ttl=4)
+        store.observe("good", 1.0, when=3)
+        before = self._view(store)
+        other = make_decaying_sum(ExponentialDecay(0.5), 0.1)
+        other.advance(3)
+        with pytest.raises(InvalidParameterError):
+            store.merge_into("bad", other)
+        assert self._view(store) == before
+
     def test_keys_sorted_and_membership(self) -> None:
         store = ServiceStore(ExponentialDecay(0.05))
         store.observe("b", 1.0)
@@ -225,11 +264,11 @@ class TestTTLEviction:
         assert _triplet(store.query("k")) == _triplet(fresh.query())
 
     def test_hot_key_keeps_one_expiry_entry(self) -> None:
-        # The expiry heap grows with keys, not with touches.
+        # The TTL index grows with keys, not with touches.
         store = ServiceStore(ExponentialDecay(0.05), ttl=10**6)
         store.observe_batch(KeyedItem("hot", t, 1.0) for t in range(50_000))
         assert store.keys() == ["hot"]
-        assert len(store._expiry) == 1
+        assert store._last_seen == {"hot": 49_999}
 
     @pytest.mark.parametrize("seed", range(12))
     def test_randomized_eviction_ledger_matches_a_model(self, seed) -> None:
@@ -258,7 +297,10 @@ class TestTTLEviction:
             assert store.keys() == sorted(model.engines)
             assert store.eviction.evicted_keys == model.evicted_keys
             assert store.eviction.evicted_weight == model.evicted_weight
-            assert len(store._expiry) == len(store)
+            # The TTL index holds every live key, in eviction order.
+            assert list(store._last_seen) == sorted(
+                model.engines, key=lambda k: (model.last[k], model.first[k])
+            )
             for key, engine in model.engines.items():
                 assert _triplet(store.query(key)) == _triplet(engine.query())
 
@@ -441,6 +483,29 @@ class TestSnapshot:
         for key in store.keys():
             assert _triplet(clone.query(key)) == _triplet(store.query(key))
         assert clone.stats() == store.stats()
+
+    def test_restore_keeps_the_ttl_order(self) -> None:
+        # "a" and "c" share last-seen tick 2, where "c" was written first
+        # although "a" was created first.  The restored store must evict
+        # them in that order, or evicted_weight drifts in the last ulp.
+        store = ServiceStore(ExponentialDecay(0.05), ttl=6)
+        store.observe_batch(
+            [
+                KeyedItem("b", 0, 2.0),
+                KeyedItem("a", 1, 1.0),
+                KeyedItem("c", 2, 4.0),
+                KeyedItem("a", 2, 1.0),
+            ]
+        )
+        snapshot = store.to_dict()
+        assert list(snapshot["keys"]) == ["b", "c", "a"]
+        clone = ServiceStore.from_dict(snapshot)
+        tail = [KeyedItem("b", 6, 4.0), KeyedItem("b", 8, 3.0)]
+        store.observe_batch(tail)
+        clone.observe_batch(tail)
+        assert store.eviction.evicted_keys == 3
+        assert clone.stats() == store.stats()
+        assert clone.to_dict() == store.to_dict()
 
     def test_restored_wbmh_keys_share_one_schedule(self) -> None:
         # Restore (from_dict, POST /restore, a sharded worker's checkpoint
