@@ -45,7 +45,7 @@ from repro.core.forward import ForwardDecay, ForwardDecaySum
 from repro.core.interfaces import DecayingSum
 from repro.histograms.ceh import CascadedEH
 from repro.histograms.eh import ExponentialHistogram, SlidingWindowSum
-from repro.histograms.wbmh import WBMH
+from repro.histograms.wbmh import WBMH, Lattice
 from repro.streams.generators import StreamItem, bernoulli_stream, bursty_stream
 
 __all__ = [
@@ -376,10 +376,10 @@ def _phase_sources() -> "list[tuple[type, str, str]]":
         (ExponentialHistogram, "_expire", "expire"),
         (DominationHistogram, "_compact", "cascade"),
         (DominationHistogram, "_expire", "expire"),
-        (WBMH, "_seal", "cascade"),
-        (WBMH, "_merge_scan", "cascade"),
-        (WBMH, "_merge_scheduled", "cascade"),
-        (WBMH, "_expire", "expire"),
+        (Lattice, "_seal", "cascade"),
+        (Lattice, "_merge_scan", "cascade"),
+        (Lattice, "_merge_scheduled", "cascade"),
+        (Lattice, "_expire", "expire"),
     ]
 
 

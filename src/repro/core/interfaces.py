@@ -27,21 +27,14 @@ The factory :func:`make_decaying_sum` picks the best engine for a given
 decay family, mirroring the paper's guidance: the single-register recurrence
 for exponential decay, the Exponential Histogram for sliding windows, WBMH
 for ratio-nonincreasing (e.g. polynomial) decay, and the cascaded EH for
-everything else.  :func:`keyed_engine_factory` builds the same engines for
-many keyed streams at once, with the stream-independent WBMH region
-schedule shared between them.
+everything else.  A keyed store holds the same engines for many streams
+through its keyed-engine seam (:mod:`repro.service.keyed`), where WBMH
+keys share one stream-independent bucket lattice.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterable,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.core.batching import TimedValue
 from repro.core.decay import (
@@ -57,7 +50,7 @@ from repro.core.estimate import Estimate
 if TYPE_CHECKING:
     from repro.storage.model import StorageReport
 
-__all__ = ["DecayingSum", "keyed_engine_factory", "make_decaying_sum"]
+__all__ = ["DecayingSum", "make_decaying_sum"]
 
 
 @runtime_checkable
@@ -180,23 +173,3 @@ def make_decaying_sum(
         return WBMH(decay, epsilon)
     return CascadedEH(decay, epsilon)
 
-
-def keyed_engine_factory(
-    decay: DecayFunction, epsilon: float = 0.1
-) -> Callable[[], DecayingSum]:
-    """A builder of :func:`make_decaying_sum`'s engine, one per keyed stream.
-
-    Every engine it builds is the one ``make_decaying_sum(decay, epsilon)``
-    builds, except that all WBMH engines share one
-    :class:`~repro.histograms.boundaries.RegionSchedule`: region boundaries
-    depend on the decay and the clock, never on the stream (section 5), so a
-    fleet of per-key summaries stores them once.  The factory probes one
-    engine up front and reuses its schedule.
-    """
-    from repro.histograms.wbmh import WBMH
-
-    probe = make_decaying_sum(decay, epsilon)
-    if isinstance(probe, WBMH):
-        schedule = probe.schedule
-        return lambda: WBMH(decay, epsilon, schedule=schedule)
-    return lambda: make_decaying_sum(decay, epsilon)

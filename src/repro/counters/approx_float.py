@@ -58,6 +58,12 @@ class LevelQuantizer:
         if not 0 < eps < 1:
             raise InvalidParameterError(f"eps must be in (0, 1), got {eps}")
         self.eps = float(eps)
+        # Per-level constants, grown on demand: WBMH reads a drift factor
+        # per bucket on every query and a mantissa width on every merge.
+        # ``_drift[i]`` is the running product the loop below would reach
+        # after ``i`` factors, so cached and fresh values are the same floats.
+        self._drift = [1.0]
+        self._bits: dict[int, int] = {}
 
     def beta(self, level: int) -> float:
         """Relative rounding tolerance at merge depth ``level >= 1``."""
@@ -70,8 +76,11 @@ class LevelQuantizer:
 
         Chosen so that truncation error ``2**(1 - bits) <= beta(level)``.
         """
-        b = self.beta(level)
-        return max(1, math.ceil(1.0 - math.log2(b)))
+        bits = self._bits.get(level)
+        if bits is None:
+            b = self.beta(level)
+            bits = self._bits[level] = max(1, math.ceil(1.0 - math.log2(b)))
+        return bits
 
     def quantize(self, x: float, level: int) -> float:
         """Truncate ``x`` for storage at merge depth ``level``."""
@@ -79,10 +88,10 @@ class LevelQuantizer:
 
     def drift_factor(self, level: int) -> float:
         """Upper bound on ``true / stored`` after ``level`` nested merges."""
-        factor = 1.0
-        for i in range(1, level + 1):
-            factor *= 1.0 + self.beta(i)
-        return factor
+        drift = self._drift
+        while len(drift) <= level:
+            drift.append(drift[-1] * (1.0 + self.beta(len(drift))))
+        return drift[level] if level > 0 else 1.0
 
 
 class FixedQuantizer:
@@ -106,6 +115,7 @@ class FixedQuantizer:
         self.horizon = int(horizon)
         self._beta = eps / math.log2(horizon)
         self._bits = max(1, math.ceil(1.0 - math.log2(self._beta)))
+        self._drift: dict[int, float] = {}
 
     def beta(self, level: int) -> float:
         if level < 1:
@@ -119,4 +129,7 @@ class FixedQuantizer:
         return truncate_mantissa(x, self._bits)
 
     def drift_factor(self, level: int) -> float:
-        return (1.0 + self._beta) ** level
+        drift = self._drift.get(level)
+        if drift is None:
+            drift = self._drift[level] = (1.0 + self._beta) ** level
+        return drift

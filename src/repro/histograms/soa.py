@@ -34,8 +34,9 @@ EH bulk kernel
     bucket list is end-sorted and expiry sets are monotone in the cutoff.
 
 WBMH bulk kernel
-    On a fresh engine over an infinite-support decay with the scheduled
-    merge strategy, the bucket lattice is stream-independent and dyadic:
+    On a fresh standalone engine (its lattice holds just its column) over
+    an infinite-support decay with the scheduled merge strategy, the
+    bucket lattice is stream-independent and dyadic:
     class-``s`` node ``q`` covers ``[q*2^s*w, (q+1)*2^s*w - 1]`` and is
     created at the constant schedule offset ``s_s`` past its young end.
     The kernel derives created/survivor index ranges per class in closed
@@ -53,7 +54,7 @@ WBMH bulk kernel
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from repro.histograms.buckets import Bucket
 if TYPE_CHECKING:
     from repro.core.batching import TimedValue
     from repro.histograms.eh import ExponentialHistogram
-    from repro.histograms.wbmh import WBMH
+    from repro.histograms.wbmh import WBMH, Lattice
 
 __all__ = [
     "BucketColumns",
@@ -449,7 +450,7 @@ def eh_bulk_ingest(
 
 
 def _wbmh_class_chain(
-    wbmh: "WBMH", t_final: int, n_leaves: int
+    lattice: "Lattice", t_final: int, n_leaves: int
 ) -> tuple[list[int], list[int]] | None:
     """Derive the per-class schedule constants and created counts.
 
@@ -463,8 +464,8 @@ def _wbmh_class_chain(
     ``t_final``; ``None`` when the schedule breaks any closed-form
     precondition.
     """
-    schedule = wbmh.schedule
-    w = wbmh._seal_width
+    schedule = lattice.schedule
+    w = lattice._seal_width
     offsets: list[int] = [0]
     created: list[int] = [n_leaves]
     age = 1
@@ -491,7 +492,7 @@ def _wbmh_class_chain(
 
 
 def _wbmh_mixed_pairs_safe(
-    wbmh: "WBMH", offsets: list[int], top_class: int, t_final: int
+    lattice: "Lattice", offsets: list[int], top_class: int, t_final: int
 ) -> bool:
     """Conservative proof that no mixed-class pair ever merges by
     ``t_final``.
@@ -504,8 +505,8 @@ def _wbmh_mixed_pairs_safe(
     holds.  Equality is treated as unsafe (same-tick pop order could then
     matter), declining to the organic replay.
     """
-    schedule = wbmh.schedule
-    w = wbmh._seal_width
+    schedule = lattice.schedule
+    w = lattice._seal_width
     for c_l in range(1, top_class + 1):
         for c_r in range(c_l):
             span = ((1 << c_l) + (1 << c_r)) * w - 1
@@ -529,21 +530,25 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
 
     Builds the stream-independent dyadic bucket lattice in closed form
     (module docstring), folds counts class by class with the engine's own
-    quantization, and reconstructs the node chain plus merge heap through
-    the same ``_rebuild`` path serialization uses.  Declines (``False``,
-    nothing mutated) on: a non-fresh engine, finite decay support (expiry
-    interacts with the lattice), the scan strategy, out-of-order or
-    invalid input, a count the float64 fold cannot reproduce, or any
-    failed schedule self-check.
+    quantization, and reconstructs the node chain plus merge heap of the
+    engine's one-column lattice through the same ``_rebuild`` path
+    serialization uses.  Declines (``False``, nothing mutated) on: a
+    non-fresh engine, a lattice with other columns (or a shared one),
+    finite decay support (expiry interacts with the lattice), the scan
+    strategy, out-of-order or invalid input, a count the float64 fold
+    cannot reproduce, or any failed schedule self-check.
     """
+    lattice = wbmh.lattice
     if (
-        wbmh.merge_strategy != "scheduled"
-        or wbmh._support is not None
-        or wbmh._time != 0
-        or wbmh._head is not None
-        or wbmh._live is not None
+        lattice.merge_strategy != "scheduled"
+        or lattice.shared
+        or len(lattice._live) != 1
+        or lattice._support is not None
+        or lattice._time != 0
+        or lattice._head is not None
+        or lattice._live[0]
         or wbmh._items != 0
-        or wbmh._merge_heap
+        or lattice._merge_heap
     ):
         return False
     times: list[int] = []
@@ -564,21 +569,12 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
     if not times or not sum(vals) < math.inf:
         return False
     t_final = times[-1]
-    w = wbmh._seal_width
+    w = lattice._seal_width
     n_leaves = t_final // w
-    chain = _wbmh_class_chain(wbmh, t_final, n_leaves)
-    if chain is None:
+    classes = _wbmh_classes(lattice, t_final)
+    if classes is None:
         return False
-    offsets, created = chain
-    top_class = 0
-    for s in range(len(created) - 1, 0, -1):
-        if created[s] > 0:
-            top_class = s
-            break
-    if top_class and not _wbmh_mixed_pairs_safe(
-        wbmh, offsets, top_class, t_final
-    ):
-        return False
+    created, top_class = classes
 
     # Leaf counts: fold items into their seal intervals in arrival order
     # (type-preserving: the first value seeds the count exactly as the
@@ -604,7 +600,7 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
     # and is quantized at its first merge.  An integer above 2**53 reads
     # at least 2**53 in float64, so one vectorized max clears the common
     # case.
-    quantizer = wbmh._quantizer
+    quantizer = lattice._quantizer
     leaves = np.array(leaf_counts, dtype=np.float64)
     if quantizer is None or (n_leaves and leaves.max() >= _EXACT_INT):
         for x in leaf_counts:
@@ -629,30 +625,80 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
     # Survivors per class: nodes not yet consumed by the cascade above.
     # Classes descend oldest-first; within a class, index order is time
     # order.  Class 0 keeps the Python leaf values (integers stay ints).
-    buckets: list[Bucket] = []
-    for s in range(top_class, -1, -1):
-        width = (1 << s) * w
-        lo = 2 * created[s + 1] if s + 1 < len(created) else 0
-        hi = created[s]
-        if lo >= hi:
-            continue
+    nodes: list[tuple[int, int, int, list[float]]] = []
+    for s, lo, hi, width in _wbmh_survivors(created, top_class, w):
         survived = leaf_counts[lo:hi] if s == 0 else by_class[s][lo:hi].tolist()
         for q, count in enumerate(survived, lo):
-            buckets.append(Bucket(q * width, (q + 1) * width - 1, count, s))
+            nodes.append((q * width, (q + 1) * width - 1, s, [count]))
 
-    max_level = 0
-    for s in range(1, top_class + 1):
-        if created[s] > 0:
-            max_level = s
-
-    wbmh._time = t_final
-    wbmh._rebuild(buckets)
+    lattice._time = t_final
+    lattice._rebuild(nodes)
     if live_count is not None:
-        lo_t, hi_t = wbmh._live_interval()
-        wbmh._live = Bucket(lo_t, hi_t, live_count)
+        lattice._live[0] = live_count
     wbmh._items = nonzero
-    wbmh._max_level = max_level
+    lattice._max_level = top_class
     return True
+
+
+def _wbmh_classes(
+    lattice: "Lattice", t_final: int
+) -> tuple[list[int], int] | None:
+    """``(created, top_class)`` of a fresh lattice at ``t_final``.
+
+    ``created[s]`` counts the class-``s`` nodes born by ``t_final`` and
+    ``top_class`` is the highest class with any (the lattice's
+    ``max_level``); ``None`` when a schedule self-check fails.
+    """
+    chain = _wbmh_class_chain(lattice, t_final, t_final // lattice._seal_width)
+    if chain is None:
+        return None
+    offsets, created = chain
+    top_class = 0
+    for s in range(len(created) - 1, 0, -1):
+        if created[s] > 0:
+            top_class = s
+            break
+    if top_class and not _wbmh_mixed_pairs_safe(
+        lattice, offsets, top_class, t_final
+    ):
+        return None
+    return created, top_class
+
+
+def _wbmh_survivors(
+    created: list[int], top_class: int, w: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """``(class, first, end, width)`` per class of the nodes not yet
+    consumed by the cascade above, oldest class first; within a class,
+    index order is time order."""
+    for s in range(top_class, -1, -1):
+        lo = 2 * created[s + 1] if s + 1 < len(created) else 0
+        if lo < created[s]:
+            yield s, lo, created[s], (1 << s) * w
+
+
+def wbmh_fresh_nodes(
+    lattice: "Lattice", t_final: int
+) -> tuple[list[tuple[int, int, int]], int] | None:
+    """The nodes ``(start, end, level)`` and ``max_level`` that a fresh
+    scheduled lattice over an infinite-support decay holds at ``t_final``,
+    in closed form (module docstring); ``None`` where the closed form does
+    not apply.  Lets a lattice with no counts jump its clock in
+    ``O(log t_final + nodes)`` instead of replaying every seal and merge.
+    """
+    if lattice.merge_strategy != "scheduled" or lattice._support is not None:
+        return None
+    classes = _wbmh_classes(lattice, t_final)
+    if classes is None:
+        return None
+    created, top_class = classes
+    w = lattice._seal_width
+    nodes = [
+        (q * width, (q + 1) * width - 1, s)
+        for s, lo, hi, width in _wbmh_survivors(created, top_class, w)
+        for q in range(lo, hi)
+    ]
+    return nodes, top_class
 
 
 # ------------------------------------------------------------- domination

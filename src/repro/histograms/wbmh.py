@@ -19,6 +19,26 @@ is known, to the flat ``beta = eps/log N``
 ``O(log D(g) * log log N)`` bits: ``O(log N log log N)`` for polynomial
 decay, versus the cascaded EH's ``O(log^2 N)``.
 
+Lattice and count columns
+-------------------------
+Because the boundaries never depend on the stream, WBMH state splits in
+two.  A :class:`Lattice` holds what the clock and the schedule decide:
+the sealed nodes with their (start, end, level), the merge heap, sealing,
+expiry and ``max_level``.  The counts form a matrix with one row per
+sealed node and one *column* per stream, plus one live count per column.
+A merge adds the two nodes' rows and quantizes each element at the merged
+node's level -- the one-stream merge rule, applied to every column at
+once.  A :class:`WBMH` is one column of a lattice: standalone, it owns a
+private lattice holding that single column; a keyed store
+(:mod:`repro.service.keyed`) puts all of its keys' columns on one shared
+lattice, so the seals and merges run once per tick whatever the key count.
+
+:meth:`WBMH.absorb` is the one operation whose levels depend on the
+stream: a bucket that holds counts from both operands goes one level up.
+A column of a shared lattice whose levels would diverge first moves to a
+private lattice of its own (copy on write), so the shared levels stay
+those of a fresh stream.
+
 Merge scheduling
 ----------------
 Two strategies with identical merge *criteria*:
@@ -50,6 +70,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from operator import add
 from typing import Iterable, Iterator, Literal, Sequence
 
 from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
@@ -68,231 +89,205 @@ from repro.core.merging import (
 from repro.counters.approx_float import FixedQuantizer, LevelQuantizer
 from repro.histograms.boundaries import RegionSchedule
 from repro.histograms.buckets import Bucket
-from repro.histograms.soa import wbmh_bulk_ingest
+from repro.histograms.soa import wbmh_bulk_ingest, wbmh_fresh_nodes
 from repro.storage.model import StorageReport, bits_for_value
 
-__all__ = ["WBMH"]
+__all__ = ["Lattice", "WBMH"]
 
 _NEVER = 1 << 62
 
 #: Version of a retired node: heap entries carry versions >= 1.
 _RETIRED = -1
 
+#: The count of an empty cell, and of a column with no live bucket.  Every
+#: such cell holds this one float, so an idle stream costs a pointer per
+#: cell rather than a float object each.
+_ZERO = 0.0
+
+#: Column of a released engine: no row reaches it, so any further use of
+#: the engine fails loudly instead of reading a reused column.
+_DETACHED = 1 << 62
+
 
 class _Node:
-    """Doubly-linked bucket node (O(1) merges for the scheduler).
+    """A sealed lattice node: one bucket span, its level and its counts.
 
-    ``ver`` counts the merge-heap entries pushed for the pair this node
-    starts; only the entry carrying the current count may act.  A node
-    leaving the list (merged, expired, or replaced by ``_rebuild``) is
-    *retired*: its links are cleared, so no ``prev``/``next`` cycle is
-    left for the cyclic GC and reference counting frees it once its last
-    heap entry pops.  A merged or expired node also takes the version
-    ``_RETIRED``, which no entry carries (``_rebuild`` clears the heap).
+    ``row`` holds one count per column of the lattice.  ``ver`` counts the
+    merge-heap entries pushed for the pair this node starts; only the
+    entry carrying the current count may act.  A node leaving the list
+    (merged, expired, or replaced by ``_rebuild``) is *retired*: its links
+    are cleared, so no ``prev``/``next`` cycle is left for the cyclic GC
+    and reference counting frees it once its last heap entry pops.  A
+    merged or expired node also takes the version ``_RETIRED``, which no
+    entry carries (``_rebuild`` clears the heap).
     """
 
-    __slots__ = ("bucket", "prev", "next", "seq", "ver")
+    __slots__ = ("start", "end", "level", "row", "prev", "next", "seq", "ver")
 
-    def __init__(self, bucket: Bucket, seq: int) -> None:
-        self.bucket = bucket
+    def __init__(
+        self, start: int, end: int, level: int, row: list[float], seq: int
+    ) -> None:
+        self.start = start
+        self.end = end
+        self.level = level
+        self.row = row
         self.prev: _Node | None = None
         self.next: _Node | None = None
         self.seq = seq
         self.ver = 0
 
 
-class WBMH:
-    """Decaying sum for ratio-nonincreasing decay (POLYD and slower).
+class Lattice:
+    """The stream-independent half of WBMH, and the count matrix on it.
 
-    Parameters
-    ----------
-    decay:
-        The decay function. Must satisfy ``g(x)/g(x+1)`` non-increasing
-        (checked numerically up to ``check_horizon``) unless
-        ``strict=False``, in which case the certified bracket remains valid
-        but may widen beyond ``epsilon``.
-    epsilon:
-        Overall relative-accuracy target in (0, 1). Ignored when ``ratio``
-        is given explicitly (used by the paper-trace tests, which need the
-        example's ratio of 5).
-    quantize:
-        Store bucket counts approximately (the Lemma 5.1 configuration).
-        With ``quantize=False`` counts are exact floats and only the region
-        ratio contributes to the bracket.
-    horizon:
-        When given, use the paper's known-N rounding (``beta = eps/log N``
-        at every merge level, ``log(1/eps) + log log N`` mantissa bits);
-        otherwise the horizon-oblivious ``beta_i ~ eps/i**2`` schedule.
-    merge_strategy:
-        ``"scheduled"`` (default, event-driven) or ``"scan"`` (the paper's
-        every-tick sweep); see the module docstring.
+    Holds the clock, the sealed node list, the merge heap, the schedule,
+    the quantizer and ``max_level``, plus one count column per stream
+    (module docstring).  Streams join through :meth:`member` and leave
+    through :meth:`release`; a released column index is reused by the
+    next member, so column storage stays bounded by the peak number of
+    members.  ``shared`` marks a lattice whose levels must stay those of
+    a fresh stream (a keyed store's): a member whose levels would diverge
+    moves to a private lattice instead (:meth:`WBMH.absorb`), and members
+    cannot advance it on their own.
     """
+
+    __slots__ = (
+        "_decay", "epsilon", "schedule", "_quantizer", "merge_strategy",
+        "_seal_width", "_support", "_time", "_head", "_tail", "_n_sealed",
+        "_seq", "_merge_heap", "_max_level", "_live", "_free", "shared",
+    )
 
     def __init__(
         self,
         decay: DecayFunction,
-        epsilon: float = 0.1,
-        *,
-        ratio: float | None = None,
-        quantize: bool = True,
-        horizon: int | None = None,
-        strict: bool = True,
-        check_horizon: int = 4096,
-        merge_strategy: Literal["scheduled", "scan"] = "scheduled",
-        schedule: RegionSchedule | None = None,
+        epsilon: float,
+        schedule: RegionSchedule,
+        quantizer: LevelQuantizer | FixedQuantizer | None,
+        merge_strategy: str,
     ) -> None:
-        if ratio is None:
-            if not 0 < epsilon < 1:
-                raise InvalidParameterError(
-                    f"epsilon must be in (0, 1), got {epsilon}"
-                )
-            # The bracket width compounds the region spread (1 + eps_r) with
-            # the count drift (1 + eps_c). Spread is the expensive term (it
-            # sets the region count, hence the bucket count), so it gets
-            # most of the budget; eps_c takes the exact remainder so that
-            # (1 + eps_r)(1 + eps_c) = 1 + eps.
-            eps_r = 0.8 * epsilon
-            ratio = 1.0 + eps_r
-            count_eps = (epsilon - eps_r) / (1.0 + eps_r)
-        else:
-            if not ratio > 1.0:
-                raise InvalidParameterError(f"ratio must be > 1, got {ratio}")
-            count_eps = min(0.5, (ratio - 1.0) / 2.0)
-        if merge_strategy not in ("scheduled", "scan"):
-            raise InvalidParameterError(
-                f"unknown merge_strategy {merge_strategy!r}"
-            )
-        if strict and not decay.is_ratio_nonincreasing(check_horizon):
-            raise NotApplicableError(
-                f"{decay.describe()} violates the WBMH ratio condition; "
-                "use CascadedEH, or pass strict=False to accept wider brackets"
-            )
         self._decay = decay
-        self.epsilon = float(epsilon)
+        self.epsilon = epsilon
+        self.schedule = schedule
+        self._quantizer = quantizer
         self.merge_strategy = merge_strategy
-        if schedule is not None:
-            # A fleet of streams over the same decay shares one schedule
-            # (its boundaries are stream-independent); the caller must pass
-            # a schedule built for the same decay and ratio.
-            if schedule.ratio != ratio or schedule.decay is not decay:
-                raise InvalidParameterError(
-                    "shared schedule must match the decay function and ratio"
-                )
-            self.schedule = schedule
-        else:
-            self.schedule = RegionSchedule(decay, ratio)
-        if not quantize:
-            self._quantizer = None
-        elif horizon is not None:
-            self._quantizer = FixedQuantizer(count_eps, horizon)
-        else:
-            self._quantizer = LevelQuantizer(count_eps)
-        self._seal_width = self.schedule.first_width
+        self._seal_width = schedule.first_width
         # Support is consulted on every expiry check; decay implementations
         # may compute it, so pin the answer once (decay functions are
         # immutable by contract).
         self._support = decay.support()
         self._time = 0
-        self._head: _Node | None = None  # oldest sealed bucket
-        self._tail: _Node | None = None  # newest sealed bucket
+        self._head: _Node | None = None  # oldest sealed node
+        self._tail: _Node | None = None  # newest sealed node
         self._n_sealed = 0
-        self._live: Bucket | None = None
         self._seq = itertools.count()
         # Heap of (fire_time, seq, version, left_node); an entry whose
         # version is not its node's current one is dropped on pop.
         self._merge_heap: list[tuple[int, int, int, _Node]] = []
-        self._items = 0
         self._max_level = 0
+        #: Live count per column (``_ZERO``: no live bucket).
+        self._live: list[float] = []
+        #: Released column indices, reused by the next member.
+        self._free: list[int] = []
+        self.shared = False
 
-    # ------------------------------------------------------------------ API
+    # ----------------------------------------------------------- columns
 
-    @property
-    def time(self) -> int:
-        return self._time
+    def member(self) -> "WBMH":
+        """A new stream on this lattice: a zero column at the lattice clock."""
+        engine = WBMH.__new__(WBMH)
+        engine._lat = self
+        engine._col = self._join()
+        engine._items = 0
+        return engine
 
-    @property
-    def decay(self) -> DecayFunction:
-        return self._decay
+    def release(self, engine: "WBMH") -> None:
+        """``engine``'s column leaves; the engine is unusable afterwards."""
+        col = engine._col
+        self._live[col] = _ZERO
+        node = self._head
+        while node is not None:
+            node.row[col] = _ZERO
+            node = node.next
+        self._free.append(col)
+        engine._col = _DETACHED
 
-    @property
-    def seal_width(self) -> int:
-        """Ticks between bucket seals (width of region 0)."""
-        return self._seal_width
+    def adopt(self, engine: "WBMH") -> bool:
+        """Move a private one-column ``engine`` onto this lattice.
 
-    def add(self, value: float = 1.0) -> None:
-        if not 0 <= value < math.inf:
-            raise InvalidParameterError(
-                f"value must be finite and >= 0, got {value}"
-            )
-        if value == 0:
-            return
-        start, end = self._live_interval()
-        if self._live is None:
-            self._live = Bucket(start, end, value)
-        else:
-            self._live = Bucket(start, end, self._live.count + value)
-        self._items += 1
-
-    def add_batch(self, values: Sequence[float]) -> None:  # lintkit: hot
-        """Fold a batch into the live bucket: one bucket write per batch,
-        bit-identical to sequential ``add`` calls (left-to-right sum,
-        zeros skipped).
-
-        Single fused pass: validation and the fold share one loop over a
-        local accumulator, the live interval is computed exactly once per
-        batch, and the live bucket is only written after the whole batch
-        has been checked (nothing mutates on a mid-batch rejection).
+        Succeeds when ``engine``'s lattice has this one's configuration,
+        clock, ``max_level`` and node spans and levels -- for a shared
+        lattice, when it is the lattice a fresh stream would have.  The
+        engine keeps its identity and its counts; its old lattice is
+        emptied.  Returns ``False``, changing nothing, otherwise.
         """
-        count = 0.0
-        have = False
-        nonzero = 0
-        live = self._live
-        inf = math.inf
-        for value in values:
-            if not 0 <= value < inf:
-                raise InvalidParameterError(
-                    f"value must be finite and >= 0, got {value}"
-                )
-            if value == 0:
-                continue
-            if not have:
-                count = live.count + value if live is not None else value
-                have = True
-            else:
-                count += value
-            nonzero += 1
-        if not have:
-            return
-        start, end = self._live_interval()
-        self._live = Bucket(start, end, count)
-        self._items += nonzero
+        old = engine._lat
+        if (
+            old is self
+            or old.shared
+            or len(old._live) != 1
+            or old._shape() != self._shape()
+        ):
+            return False
+        col = self._join()
+        src = engine._col
+        mine, theirs = self._head, old._head
+        while mine is not None and theirs is not None:
+            mine.row[col] = theirs.row[src] or _ZERO
+            mine, theirs = mine.next, theirs.next
+        self._live[col] = old._live[src] or _ZERO
+        old._rebuild([])
+        engine._lat = self
+        engine._col = col
+        return True
 
-    def advance_to(self, when: int) -> None:
-        """Advance the clock to the absolute time ``when >= time``."""
-        advance_engine_to(self, when)
+    def _join(self) -> int:
+        if self._free:
+            return self._free.pop()  # its cells already read zero
+        self._live.append(_ZERO)
+        node = self._head
+        while node is not None:
+            node.row.append(_ZERO)
+            node = node.next
+        return len(self._live) - 1
 
-    def ingest(
-        self, items: Iterable[TimedValue], *, until: int | None = None
-    ) -> None:
-        """Consume a time-sorted trace through the batch path.
+    def _shape(self) -> tuple[object, ...]:
+        """Everything but the counts: configuration, clock and nodes."""
+        q = self._quantizer
+        nodes = []
+        node = self._head
+        while node is not None:
+            nodes.append((node.start, node.end, node.level))
+            node = node.next
+        return (
+            type(self._decay), self.epsilon, self.merge_strategy,
+            self.schedule.ratio, self._seal_width, self._support,
+            None if q is None else (type(q), q.eps, getattr(q, "horizon", 0)),
+            self._time, self._max_level, nodes,
+        )
 
-        A *fresh* scheduled-strategy histogram over an infinite-support
-        decay builds its whole bucket lattice in closed form
-        (:func:`repro.histograms.soa.wbmh_bulk_ingest`); anything else --
-        or any trace/schedule the kernel's self-checks decline -- replays
-        through the organic :func:`~repro.core.batching.ingest_trace`.
-        Both paths are bit-identical, ``until`` handling included.
-        """
-        seq = items if isinstance(items, Sequence) else list(items)
-        if wbmh_bulk_ingest(self, seq):
-            if until is not None:
-                advance_engine_to(self, until)
-            return
-        ingest_trace(self, seq, until=until)
+    def _fork(self) -> "Lattice":
+        """An empty private lattice at this one's clock and ``max_level``,
+        with the same configuration and schedule; the caller rebuilds it."""
+        twin = Lattice(
+            self._decay, self.epsilon, self.schedule, self._quantizer,
+            self.merge_strategy,
+        )
+        twin._time = self._time
+        twin._max_level = self._max_level
+        return twin
+
+    # ------------------------------------------------------------- clock
 
     def advance(self, steps: int = 1) -> None:
+        """Advance the clock, sealing, merging and expiring every column."""
         if steps < 0:
             raise InvalidParameterError(f"steps must be >= 0, got {steps}")
+        if (
+            len(self._free) == len(self._live)
+            and steps > self._seal_width * (self._n_sealed + 1)
+            and self._jump(self._time + steps)
+        ):
+            return
         if self.merge_strategy == "scan":
             # Paper-faithful reference: one sweep per tick.
             for _ in range(steps):
@@ -329,7 +324,7 @@ class WBMH:
             if sup is not None:
                 head = self._head
                 if head is not None:
-                    expiry = head.bucket.end + sup + 1
+                    expiry = head.end + sup + 1
                     if expiry < nxt:
                         nxt = expiry
             if nxt <= t:
@@ -340,210 +335,30 @@ class WBMH:
             if heap and heap[0][0] <= t:
                 self._merge_scheduled()
             head = self._head
-            if sup is not None and head is not None and t - head.bucket.end > sup:
+            if sup is not None and head is not None and t - head.end > sup:
                 self._expire()
 
-    def query(self) -> Estimate:
-        """Certified-bracket estimate of ``S_g(T)``.
+    def _jump(self, when: int) -> bool:
+        """Jump a lattice that holds no column in use to ``when``.
 
-        Every item in a bucket spanning times ``[start, end]`` has age in
-        ``[T - end, T - start]``; stored counts under-estimate true counts
-        by at most the level's drift factor. The bracket combines both.
+        Such a lattice is the one a fresh stream has at its clock (a
+        shared lattice never diverges), so it is rebuilt as the fresh
+        lattice at ``when`` in closed form (:func:`wbmh_fresh_nodes`),
+        the way a snapshot restore rebuilds one.  Taken only for jumps
+        longer than the node list, where a replay would cost more.
+        Returns ``False``, changing nothing, where the closed form does
+        not apply.
         """
-        lower = 0.0
-        upper = 0.0
-        for b in self._iter_buckets():
-            if b.count == 0.0:
-                continue
-            newest_age = self._time - b.end if self._time >= b.end else 0
-            oldest_age = self._time - b.start
-            drift = (
-                self._quantizer.drift_factor(b.level)
-                if self._quantizer is not None and b.level > 0
-                else 1.0
-            )
-            lower += b.count * self._decay.weight(oldest_age)
-            upper += b.count * drift * self._decay.weight(newest_age)
-        return Estimate(value=0.5 * (lower + upper), lower=lower, upper=upper)
-
-    def query_decay(self, other: DecayFunction) -> Estimate:
-        """Certified bracket for a *different* decay function.
-
-        Bucket intervals bound every item's age regardless of which decay
-        built the lattice, so any non-increasing ``other`` gets a valid
-        bracket ``[sum c*g'(oldest), sum c*drift*g'(newest)]``. The width
-        is only guaranteed to be within ``epsilon`` when ``other`` varies
-        no faster across each region than the histogram's own decay; for
-        faster-varying functions the bracket is honest but wide.
-        """
-        lower = 0.0
-        upper = 0.0
-        for b in self._iter_buckets():
-            if b.count == 0.0:
-                continue
-            newest_age = self._time - b.end if self._time >= b.end else 0
-            oldest_age = self._time - b.start
-            drift = (
-                self._quantizer.drift_factor(b.level)
-                if self._quantizer is not None and b.level > 0
-                else 1.0
-            )
-            lower += b.count * other.weight(oldest_age)
-            upper += b.count * drift * other.weight(newest_age)
-        return Estimate(value=0.5 * (lower + upper), lower=lower, upper=upper)
-
-    def bucket_view(self) -> list[Bucket]:
-        """Snapshot of all buckets (sealed then live), oldest first."""
-        return list(self._iter_buckets())
-
-    def bucket_count(self) -> int:
-        return self._n_sealed + (1 if self._live is not None else 0)
-
-    def bucket_arrival_sets(self) -> list[tuple[int, int]]:
-        """(start, end) time intervals, newest first -- for the paper-trace
-        fidelity tests that compare against the section 5 example."""
-        spans = [(b.start, b.end) for b in self._iter_buckets()]
-        spans.reverse()
-        return spans
-
-    def merge(self, other: "WBMH") -> None:
-        """Clock-aligned :meth:`absorb`: the younger operand advances first.
-
-        The sealing lattice is a function of (decay, ratio, clock) alone --
-        never of the stream -- so once the younger operand's clock catches
-        up (sealing and merging exactly as live ticks would), the two
-        lattices coincide and the strict equal-clock ``absorb`` applies.
-        Costs at most one extra quantization level per bucket, which the
-        level-indexed drift factors already price into the bracket.
-        """
-        require_merge_operand(self, other)
-        require_same_decay(self._decay, other._decay)
-        align_merge_clocks(self, other)
-        self.absorb(other)
-
-    def absorb(self, other: "WBMH") -> None:
-        """Merge another WBMH over the same configuration into this one.
-
-        This is the distributed-streams payoff of stream-*independent*
-        boundaries (paper section 2.3/5): two WBMHs with the same decay,
-        ratio and clock have bit-identical bucket lattices regardless of
-        their streams, so their union is computed by adding counts
-        bucket-by-bucket -- no re-insertion, no extra error beyond one
-        quantization level. (Engines with stream-dependent boundaries --
-        EH, domination histograms -- cannot be merged this way, which is
-        exactly why the paper stresses the distinction.)
-        """
-        if other is self:
-            raise InvalidParameterError("cannot absorb an engine into itself")
-        if other._time != self._time:
-            raise TimeOrderError(
-                f"clock mismatch: {self._time} vs {other._time}"
-            )
-        if (
-            other.schedule.ratio != self.schedule.ratio
-            or other._seal_width != self._seal_width
-            or type(other._decay) is not type(self._decay)
-        ):
-            raise InvalidParameterError(
-                "absorb requires the same decay function and ratio"
-            )
-        mine = [b for b in self._iter_buckets_sealed()]
-        theirs = [b for b in other._iter_buckets_sealed()]
-        if [(b.start, b.end) for b in mine] != [(b.start, b.end) for b in theirs]:
-            raise InvalidParameterError(
-                "bucket lattices differ -- engines were not driven in "
-                "lock-step (check advance calls)"
-            )
-        merged: list[Bucket] = []
-        for a, b in zip(mine, theirs):
-            count = a.count + b.count
-            level = max(a.level, b.level)
-            if count > 0 and (a.count > 0 and b.count > 0):
-                level += 1
-                if self._quantizer is not None:
-                    count = self._quantizer.quantize(count, level)
-            self._max_level = max(self._max_level, level)
-            merged.append(Bucket(a.start, a.end, count, level))
-        self._rebuild(merged)
-        if other._live is not None:
-            if self._live is None:
-                self._live = other._live
-            else:
-                self._live = Bucket(
-                    self._live.start,
-                    self._live.end,
-                    self._live.count + other._live.count,
-                    max(self._live.level, other._live.level),
-                )
-        self._items += other._items
-
-    def _iter_buckets_sealed(self) -> Iterator[Bucket]:
-        node = self._head
-        while node is not None:
-            yield node.bucket
-            node = node.next
-
-    def _rebuild(self, buckets: list[Bucket]) -> None:
-        """Replace the sealed list (and reschedule pending merges)."""
-        node = self._head
-        while node is not None:
-            nxt = node.next
-            node.prev = node.next = None
-            node = nxt
-        self._head = None
-        self._tail = None
-        self._n_sealed = 0
-        self._merge_heap.clear()
-        for b in buckets:
-            node = _Node(b, next(self._seq))
-            node.prev = self._tail
-            if self._tail is not None:
-                self._tail.next = node
-            else:
-                self._head = node
-            self._tail = node
-            self._n_sealed += 1
-            if self.merge_strategy == "scheduled" and node.prev is not None:
-                self._push_pair(node.prev)
-
-    def storage_report(self) -> StorageReport:
-        """Lemma 5.1 accounting.
-
-        Per stream: one quantized count per bucket (exponent of log log N
-        bits plus the level's mantissa width) and the clock register. The
-        region schedule is stream-independent: its boundaries count as
-        shared bits (one ``log N``-bit age per computed region start).
-        """
-        horizon = max(2, self._time)
-        exp_bits = max(1, (max(1, horizon).bit_length()).bit_length())
-        count_bits = 0
-        buckets = self.bucket_view()
-        for b in buckets:
-            if self._quantizer is not None:
-                mant = self._quantizer.mantissa_bits(max(1, b.level))
-            else:
-                mant = 52
-            count_bits += exp_bits + mant + 1
-        shared = bits_for_value(horizon) * self.schedule.region_count()
-        return StorageReport(
-            engine="wbmh",
-            buckets=len(buckets),
-            timestamp_bits=0,
-            count_bits=count_bits,
-            register_bits=bits_for_value(max(1, self._time)),
-            shared_bits=shared,
-            notes={"max_level": float(self._max_level)},
-        )
+        shape = wbmh_fresh_nodes(self, when)
+        if shape is None:
+            return False
+        nodes, self._max_level = shape
+        self._time = when
+        width = len(self._live)
+        self._rebuild([(s, e, level, [_ZERO] * width) for s, e, level in nodes])
+        return True
 
     # ----------------------------------------------------------- structure
-
-    def _iter_buckets(self) -> Iterator[Bucket]:
-        node = self._head
-        while node is not None:
-            yield node.bucket
-            node = node.next
-        if self._live is not None:
-            yield self._live
 
     def _live_interval(self) -> tuple[int, int]:
         k = self._time // self._seal_width
@@ -553,19 +368,8 @@ class WBMH:
         k = self._time // self._seal_width - 1
         return k * self._seal_width, (k + 1) * self._seal_width - 1
 
-    def _seal(self) -> None:
-        """Close the previous lattice interval, empty or not.
-
-        Sealing an empty interval as a zero-count bucket keeps the bucket
-        *lattice* deterministic: merge decisions then depend only on the
-        clock and the schedule, never on the stream -- the paper's
-        stream-independence property. Zero buckets merge away like any
-        other and contribute nothing to queries.
-        """
-        start, end = self._previous_interval()
-        bucket = self._live if self._live is not None else Bucket(start, end, 0.0)
-        self._live = None
-        node = _Node(bucket, next(self._seq))
+    def _link(self, node: _Node) -> None:
+        """Append ``node`` as the newest sealed node and schedule its pair."""
         node.prev = self._tail
         if self._tail is not None:
             self._tail.next = node
@@ -576,18 +380,57 @@ class WBMH:
         if self.merge_strategy == "scheduled" and node.prev is not None:
             self._push_pair(node.prev)
 
+    def _seal(self) -> None:
+        """Close the previous lattice interval, empty or not.
+
+        Sealing an empty interval as a zero-count bucket keeps the bucket
+        *lattice* deterministic: merge decisions then depend only on the
+        clock and the schedule, never on the stream -- the paper's
+        stream-independence property. Zero buckets merge away like any
+        other and contribute nothing to queries.  The live counts become
+        the new node's row.
+        """
+        start, end = self._previous_interval()
+        row = self._live
+        self._live = [_ZERO] * len(row)
+        self._link(_Node(start, end, 0, row, next(self._seq)))
+
+    def _rebuild(self, nodes: list[tuple[int, int, int, list[float]]]) -> None:
+        """Replace the sealed list with ``(start, end, level, row)`` nodes
+        (and reschedule pending merges)."""
+        node = self._head
+        while node is not None:
+            nxt = node.next
+            node.prev = node.next = None
+            node = nxt
+        self._head = None
+        self._tail = None
+        self._n_sealed = 0
+        self._merge_heap.clear()
+        for start, end, level, row in nodes:
+            self._link(_Node(start, end, level, row, next(self._seq)))
+
     def _merge_nodes(self, left: _Node) -> _Node:
-        """Merge ``left`` with its right neighbour; returns the new node."""
+        """Merge ``left`` with its right neighbour; returns the new node.
+
+        Each column adds its two counts and, when the sum is positive,
+        quantizes it at the merged level.
+        """
         right = left.next
         assert right is not None
-        older, newer = left.bucket, right.bucket
-        merged_count = older.count + newer.count
-        level = max(older.level, newer.level) + 1
-        if self._quantizer is not None and merged_count > 0:
-            merged_count = self._quantizer.quantize(merged_count, level)
-        merged = Bucket(older.start, newer.end, merged_count, level)
-        self._max_level = max(self._max_level, level)
-        node = _Node(merged, next(self._seq))
+        level = max(left.level, right.level) + 1
+        q = self._quantizer
+        if q is None:
+            row = [s or _ZERO for s in map(add, left.row, right.row)]
+        else:
+            quantize = q.quantize
+            row = [
+                quantize(s, level) if s else _ZERO
+                for s in map(add, left.row, right.row)
+            ]
+        if level > self._max_level:
+            self._max_level = level
+        node = _Node(left.start, right.end, level, row, next(self._seq))
         node.prev = left.prev
         node.next = right.next
         if left.prev is not None:
@@ -607,8 +450,8 @@ class WBMH:
         right = left.next
         if right is None:
             return False
-        young_age = max(0, self._time - right.bucket.end)
-        old_age = self._time - left.bucket.start
+        young_age = max(0, self._time - right.end)
+        old_age = self._time - left.start
         return self.schedule.same_region(young_age, old_age)
 
     # ------------------------------------------------------ scan strategy
@@ -642,8 +485,8 @@ class WBMH:
         right = left.next
         if right is None:
             return _NEVER
-        young_ref = right.bucket.end
-        old_ref = left.bucket.start
+        young_ref = right.end
+        old_ref = left.start
         age = self._time - young_ref
         if age < 0:
             age = 0
@@ -684,7 +527,7 @@ class WBMH:
         sup = self._support
         if sup is None:
             return
-        while self._head is not None and self._time - self._head.bucket.end > sup:
+        while self._head is not None and self._time - self._head.end > sup:
             dead = self._head
             self._head = dead.next
             dead.next = None
@@ -694,3 +537,395 @@ class WBMH:
             else:
                 self._tail = None
             self._n_sealed -= 1
+
+
+class WBMH:
+    """Decaying sum for ratio-nonincreasing decay (POLYD and slower).
+
+    One count column of a :class:`Lattice` (module docstring).  Built
+    directly, the engine owns a private lattice holding just its column.
+
+    Parameters
+    ----------
+    decay:
+        The decay function. Must satisfy ``g(x)/g(x+1)`` non-increasing
+        (checked numerically up to ``check_horizon``) unless
+        ``strict=False``, in which case the certified bracket remains valid
+        but may widen beyond ``epsilon``.
+    epsilon:
+        Overall relative-accuracy target in (0, 1). Ignored when ``ratio``
+        is given explicitly (used by the paper-trace tests, which need the
+        example's ratio of 5).
+    quantize:
+        Store bucket counts approximately (the Lemma 5.1 configuration).
+        With ``quantize=False`` counts are exact floats and only the region
+        ratio contributes to the bracket.
+    horizon:
+        When given, use the paper's known-N rounding (``beta = eps/log N``
+        at every merge level, ``log(1/eps) + log log N`` mantissa bits);
+        otherwise the horizon-oblivious ``beta_i ~ eps/i**2`` schedule.
+    merge_strategy:
+        ``"scheduled"`` (default, event-driven) or ``"scan"`` (the paper's
+        every-tick sweep); see the module docstring.
+    """
+
+    __slots__ = ("_lat", "_col", "_items")
+
+    def __init__(
+        self,
+        decay: DecayFunction,
+        epsilon: float = 0.1,
+        *,
+        ratio: float | None = None,
+        quantize: bool = True,
+        horizon: int | None = None,
+        strict: bool = True,
+        check_horizon: int = 4096,
+        merge_strategy: Literal["scheduled", "scan"] = "scheduled",
+    ) -> None:
+        if ratio is None:
+            if not 0 < epsilon < 1:
+                raise InvalidParameterError(
+                    f"epsilon must be in (0, 1), got {epsilon}"
+                )
+            # The bracket width compounds the region spread (1 + eps_r) with
+            # the count drift (1 + eps_c). Spread is the expensive term (it
+            # sets the region count, hence the bucket count), so it gets
+            # most of the budget; eps_c takes the exact remainder so that
+            # (1 + eps_r)(1 + eps_c) = 1 + eps.
+            eps_r = 0.8 * epsilon
+            ratio = 1.0 + eps_r
+            count_eps = (epsilon - eps_r) / (1.0 + eps_r)
+        else:
+            if not ratio > 1.0:
+                raise InvalidParameterError(f"ratio must be > 1, got {ratio}")
+            count_eps = min(0.5, (ratio - 1.0) / 2.0)
+        if merge_strategy not in ("scheduled", "scan"):
+            raise InvalidParameterError(
+                f"unknown merge_strategy {merge_strategy!r}"
+            )
+        if strict and not decay.is_ratio_nonincreasing(check_horizon):
+            raise NotApplicableError(
+                f"{decay.describe()} violates the WBMH ratio condition; "
+                "use CascadedEH, or pass strict=False to accept wider brackets"
+            )
+        quantizer: LevelQuantizer | FixedQuantizer | None
+        if not quantize:
+            quantizer = None
+        elif horizon is not None:
+            quantizer = FixedQuantizer(count_eps, horizon)
+        else:
+            quantizer = LevelQuantizer(count_eps)
+        self._lat = Lattice(
+            decay, float(epsilon), RegionSchedule(decay, ratio), quantizer,
+            merge_strategy,
+        )
+        self._col = self._lat._join()
+        self._items = 0
+
+    # ------------------------------------------------------------------ API
+
+    @property
+    def time(self) -> int:
+        return self._lat._time
+
+    @property
+    def decay(self) -> DecayFunction:
+        return self._lat._decay
+
+    @property
+    def lattice(self) -> Lattice:
+        """The lattice this engine is a column of."""
+        return self._lat
+
+    @property
+    def epsilon(self) -> float:
+        return self._lat.epsilon
+
+    @property
+    def merge_strategy(self) -> str:
+        return self._lat.merge_strategy
+
+    @property
+    def schedule(self) -> RegionSchedule:
+        return self._lat.schedule
+
+    @property
+    def seal_width(self) -> int:
+        """Ticks between bucket seals (width of region 0)."""
+        return self._lat._seal_width
+
+    def add(self, value: float = 1.0) -> None:
+        if not 0 <= value < math.inf:
+            raise InvalidParameterError(
+                f"value must be finite and >= 0, got {value}"
+            )
+        if value == 0:
+            return
+        live = self._lat._live
+        count = live[self._col]
+        live[self._col] = count + value if count else value
+        self._items += 1
+
+    def add_batch(self, values: Sequence[float]) -> None:  # lintkit: hot
+        """Fold a batch into the live count: one write per batch,
+        bit-identical to sequential ``add`` calls (left-to-right sum,
+        zeros skipped).
+
+        Single fused pass: validation and the fold share one loop over a
+        local accumulator, and the live count is only written after the
+        whole batch has been checked (nothing mutates on a mid-batch
+        rejection).
+        """
+        count = 0.0
+        have = False
+        nonzero = 0
+        live = self._lat._live
+        col = self._col
+        first = live[col]
+        inf = math.inf
+        for value in values:
+            if not 0 <= value < inf:
+                raise InvalidParameterError(
+                    f"value must be finite and >= 0, got {value}"
+                )
+            if value == 0:
+                continue
+            if not have:
+                count = first + value if first else value
+                have = True
+            else:
+                count += value
+            nonzero += 1
+        if not have:
+            return
+        live[col] = count
+        self._items += nonzero
+
+    def advance_to(self, when: int) -> None:
+        """Advance the clock to the absolute time ``when >= time``."""
+        advance_engine_to(self, when)
+
+    def ingest(
+        self, items: Iterable[TimedValue], *, until: int | None = None
+    ) -> None:
+        """Consume a time-sorted trace through the batch path.
+
+        A *fresh* scheduled-strategy histogram over an infinite-support
+        decay builds its whole bucket lattice in closed form
+        (:func:`repro.histograms.soa.wbmh_bulk_ingest`); anything else --
+        or any trace/schedule the kernel's self-checks decline -- replays
+        through the organic :func:`~repro.core.batching.ingest_trace`.
+        Both paths are bit-identical, ``until`` handling included.
+        """
+        seq = items if isinstance(items, Sequence) else list(items)
+        if wbmh_bulk_ingest(self, seq):
+            if until is not None:
+                advance_engine_to(self, until)
+            return
+        ingest_trace(self, seq, until=until)
+
+    def advance(self, steps: int = 1) -> None:
+        """Advance the clock; a shared lattice moves only with its store."""
+        if self._lat.shared and steps:
+            raise InvalidParameterError(
+                "this engine is a column of a shared lattice; advance the "
+                "store that owns it"
+            )
+        self._lat.advance(steps)
+
+    def query(self) -> Estimate:
+        """Certified-bracket estimate of ``S_g(T)``.
+
+        Every item in a bucket spanning times ``[start, end]`` has age in
+        ``[T - end, T - start]``; stored counts under-estimate true counts
+        by at most the level's drift factor. The bracket combines both.
+        """
+        return self.query_decay(self._lat._decay)
+
+    def query_decay(self, other: DecayFunction) -> Estimate:
+        """Certified bracket for any non-increasing decay ``other``.
+
+        Bucket intervals bound every item's age regardless of which decay
+        built the lattice, so any non-increasing ``other`` gets a valid
+        bracket ``[sum c*g'(oldest), sum c*drift*g'(newest)]``. The width
+        is only guaranteed to be within ``epsilon`` when ``other`` varies
+        no faster across each region than the histogram's own decay; for
+        faster-varying functions the bracket is honest but wide.
+        """
+        lat = self._lat
+        col = self._col
+        now = lat._time
+        q = lat._quantizer
+        weight = other.weight
+        lower = 0.0
+        upper = 0.0
+        node = lat._head
+        while node is not None:
+            count = node.row[col]
+            if count != 0.0:
+                end = node.end
+                newest_age = now - end if now >= end else 0
+                level = node.level
+                drift = q.drift_factor(level) if q is not None and level > 0 else 1.0
+                lower += count * weight(now - node.start)
+                upper += count * drift * weight(newest_age)
+            node = node.next
+        count = lat._live[col]
+        if count != 0.0:
+            start, end = lat._live_interval()
+            newest_age = now - end if now >= end else 0
+            lower += count * weight(now - start)
+            upper += count * weight(newest_age)  # level 0: drift 1
+        return Estimate(value=0.5 * (lower + upper), lower=lower, upper=upper)
+
+    def bucket_view(self) -> list[Bucket]:
+        """Snapshot of all buckets (sealed then live), oldest first."""
+        return list(self._iter_buckets())
+
+    def bucket_count(self) -> int:
+        lat = self._lat
+        return lat._n_sealed + (1 if lat._live[self._col] else 0)
+
+    def bucket_arrival_sets(self) -> list[tuple[int, int]]:
+        """(start, end) time intervals, newest first -- for the paper-trace
+        fidelity tests that compare against the section 5 example."""
+        spans = [(b.start, b.end) for b in self._iter_buckets()]
+        spans.reverse()
+        return spans
+
+    def merge(self, other: "WBMH") -> None:
+        """Clock-aligned :meth:`absorb`: the younger operand advances first.
+
+        The sealing lattice is a function of (decay, ratio, clock) alone --
+        never of the stream -- so once the younger operand's clock catches
+        up (sealing and merging exactly as live ticks would), the two
+        lattices coincide and the strict equal-clock ``absorb`` applies.
+        Costs at most one extra quantization level per bucket, which the
+        level-indexed drift factors already price into the bracket.
+        """
+        require_merge_operand(self, other)
+        require_same_decay(self.decay, other.decay)
+        align_merge_clocks(self, other)
+        self.absorb(other)
+
+    def absorb(self, other: "WBMH") -> None:
+        """Merge another WBMH over the same configuration into this one.
+
+        This is the distributed-streams payoff of stream-*independent*
+        boundaries (paper section 2.3/5): two WBMHs with the same decay,
+        ratio and clock have bit-identical bucket lattices regardless of
+        their streams, so their union is computed by adding counts
+        bucket-by-bucket -- no re-insertion, no extra error beyond one
+        quantization level. (Engines with stream-dependent boundaries --
+        EH, domination histograms -- cannot be merged this way, which is
+        exactly why the paper stresses the distinction.)
+
+        A bucket holding counts from both operands goes one level up.  On
+        a shared lattice, a column whose levels would change moves to a
+        private lattice first; otherwise only its counts change.
+        """
+        if other is self:
+            raise InvalidParameterError("cannot absorb an engine into itself")
+        lat, theirs = self._lat, other._lat
+        if theirs._time != lat._time:
+            raise TimeOrderError(
+                f"clock mismatch: {lat._time} vs {theirs._time}"
+            )
+        if (
+            theirs.schedule.ratio != lat.schedule.ratio
+            or theirs._seal_width != lat._seal_width
+            or type(theirs._decay) is not type(lat._decay)
+        ):
+            raise InvalidParameterError(
+                "absorb requires the same decay function and ratio"
+            )
+        mine = list(self._iter_buckets_sealed())
+        their = list(other._iter_buckets_sealed())
+        if [(b.start, b.end) for b in mine] != [(b.start, b.end) for b in their]:
+            raise InvalidParameterError(
+                "bucket lattices differ -- engines were not driven in "
+                "lock-step (check advance calls)"
+            )
+        merged: list[tuple[int, int, int, list[float]]] = []
+        max_level = lat._max_level
+        same_levels = True
+        for a, b in zip(mine, their):
+            count = a.count + b.count
+            level = max(a.level, b.level)
+            if count > 0 and (a.count > 0 and b.count > 0):
+                level += 1
+                if lat._quantizer is not None:
+                    count = lat._quantizer.quantize(count, level)
+            max_level = max(max_level, level)
+            same_levels = same_levels and level == a.level
+            merged.append((a.start, a.end, level, [count or _ZERO]))
+        live = lat._live[self._col]
+        extra = theirs._live[other._col]
+        if extra:
+            live = live + extra if live else extra
+        if lat.shared:
+            if same_levels and max_level == lat._max_level:
+                col = self._col
+                node = lat._head
+                for _, _, _, (count,) in merged:
+                    assert node is not None
+                    node.row[col] = count
+                    node = node.next
+                lat._live[col] = live
+                self._items += other._items
+                return
+            private = lat._fork()
+            lat.release(self)
+            self._lat = lat = private
+            self._col = lat._join()
+        lat._max_level = max_level
+        lat._rebuild(merged)
+        lat._live[self._col] = live
+        self._items += other._items
+
+    def _iter_buckets_sealed(self) -> Iterator[Bucket]:
+        col = self._col
+        node = self._lat._head
+        while node is not None:
+            yield Bucket(node.start, node.end, node.row[col], node.level)
+            node = node.next
+
+    def storage_report(self) -> StorageReport:
+        """Lemma 5.1 accounting.
+
+        Per stream: one quantized count per bucket (exponent of log log N
+        bits plus the level's mantissa width) and the clock register. The
+        region schedule is stream-independent: its boundaries count as
+        shared bits (one ``log N``-bit age per computed region start).
+        """
+        lat = self._lat
+        horizon = max(2, lat._time)
+        exp_bits = max(1, (max(1, horizon).bit_length()).bit_length())
+        count_bits = 0
+        buckets = self.bucket_view()
+        for b in buckets:
+            if lat._quantizer is not None:
+                mant = lat._quantizer.mantissa_bits(max(1, b.level))
+            else:
+                mant = 52
+            count_bits += exp_bits + mant + 1
+        shared = bits_for_value(horizon) * lat.schedule.region_count()
+        return StorageReport(
+            engine="wbmh",
+            buckets=len(buckets),
+            timestamp_bits=0,
+            count_bits=count_bits,
+            register_bits=bits_for_value(max(1, lat._time)),
+            shared_bits=shared,
+            notes={"max_level": float(lat._max_level)},
+        )
+
+    # ----------------------------------------------------------- structure
+
+    def _iter_buckets(self) -> Iterator[Bucket]:
+        yield from self._iter_buckets_sealed()
+        count = self._lat._live[self._col]
+        if count:
+            start, end = self._lat._live_interval()
+            yield Bucket(start, end, count)

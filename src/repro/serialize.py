@@ -42,7 +42,6 @@ from repro.core.ewma import ExponentialSum, GeneralPolyexpSum, PolyexponentialSu
 from repro.core.exact import ExactDecayingSum
 from repro.core.forward import ForwardDecay, ForwardDecaySum, _accumulate
 from repro.counters.approx_float import FixedQuantizer, LevelQuantizer
-from repro.histograms.boundaries import RegionSchedule
 from repro.histograms.buckets import Bucket
 from repro.histograms.ceh import CascadedEH
 from repro.histograms.domination import DominationHistogram
@@ -229,16 +228,19 @@ def engine_to_dict(engine: Any) -> dict[str, Any]:
             "histogram": engine_to_dict(engine.histogram),
         }
     if isinstance(engine, WBMH):
-        if isinstance(engine._quantizer, FixedQuantizer):
+        lattice = engine.lattice
+        quantizer = lattice._quantizer
+        if isinstance(quantizer, FixedQuantizer):
             quant: dict[str, Any] = {
                 "kind": "fixed",
-                "eps": engine._quantizer.eps,
-                "horizon": engine._quantizer.horizon,
+                "eps": quantizer.eps,
+                "horizon": quantizer.horizon,
             }
-        elif isinstance(engine._quantizer, LevelQuantizer):
-            quant = {"kind": "level", "eps": engine._quantizer.eps}
+        elif isinstance(quantizer, LevelQuantizer):
+            quant = {"kind": "level", "eps": quantizer.eps}
         else:
             quant = {"kind": "none"}
+        live = lattice._live[engine._col]
         return {
             "version": _FORMAT_VERSION,
             "engine": "wbmh",
@@ -249,14 +251,9 @@ def engine_to_dict(engine: Any) -> dict[str, Any]:
             "quantizer": quant,
             "time": engine.time,
             "sealed": _buckets_out(engine._iter_buckets_sealed()),
-            "live": (
-                None
-                if engine._live is None
-                else [engine._live.start, engine._live.end,
-                      engine._live.count, engine._live.level]
-            ),
+            "live": [*lattice._live_interval(), live, 0] if live else None,
             "items": engine._items,
-            "max_level": engine._max_level,
+            "max_level": lattice._max_level,
         }
     raise InvalidParameterError(
         f"cannot serialize engine type {type(engine).__name__} "
@@ -264,15 +261,8 @@ def engine_to_dict(engine: Any) -> dict[str, Any]:
     )
 
 
-def engine_from_dict(
-    data: dict[str, Any], *, schedule: RegionSchedule | None = None
-) -> Any:
-    """Restore an engine serialized by :func:`engine_to_dict`.
-
-    ``schedule`` is a region schedule for a WBMH snapshot to share instead
-    of building its own: a keyed store passes the one its fresh keys
-    share.  It must be the schedule of the snapshot's decay and ratio.
-    """
+def engine_from_dict(data: dict[str, Any]) -> Any:
+    """Restore an engine serialized by :func:`engine_to_dict`."""
     version = data.get("version")
     if version != _FORMAT_VERSION:
         raise InvalidParameterError(f"unsupported snapshot version {version!r}")
@@ -387,26 +377,30 @@ def engine_from_dict(
             kwargs["quantize"] = False
         elif quant["kind"] == "fixed":
             kwargs["horizon"] = int(quant["horizon"])
-        if schedule is not None:
-            if decay_to_dict(schedule.decay) != data["decay"]:
-                raise InvalidParameterError(
-                    "shared schedule must match the snapshot's decay"
-                )
-            decay = schedule.decay
-            kwargs["schedule"] = schedule
         engine = WBMH(decay, float(data["epsilon"]), **kwargs)
+        lattice = engine.lattice
         if quant["kind"] == "level":
-            engine._quantizer = LevelQuantizer(float(quant["eps"]))
+            lattice._quantizer = LevelQuantizer(float(quant["eps"]))
         elif quant["kind"] == "fixed":
-            engine._quantizer = FixedQuantizer(
+            lattice._quantizer = FixedQuantizer(
                 float(quant["eps"]), int(quant["horizon"])
             )
-        engine._time = int(data["time"])
-        engine._rebuild(_buckets_in(data["sealed"]))
+        lattice._time = int(data["time"])
+        lattice._rebuild(
+            [(b.start, b.end, b.level, [b.count])
+             for b in _buckets_in(data["sealed"])]
+        )
         if data["live"] is not None:
             s, e, c, lv = data["live"]
-            engine._live = Bucket(int(s), int(e), float(c), int(lv))
+            # The live bucket is the current lattice interval at level 0.
+            live = Bucket(int(s), int(e), float(c), int(lv))
+            if (live.start, live.end) != lattice._live_interval() or live.level:
+                raise InvalidParameterError(
+                    f"live bucket {data['live']!r} is not the level-0 "
+                    f"interval of clock {lattice._time}"
+                )
+            lattice._live[engine._col] = live.count
         engine._items = int(data["items"])
-        engine._max_level = int(data["max_level"])
+        lattice._max_level = int(data["max_level"])
         return engine
     raise InvalidParameterError(f"unknown engine kind {kind!r}")

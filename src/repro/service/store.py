@@ -3,9 +3,12 @@
 A :class:`ServiceStore` is the library's keyed store -- the paper's
 section 1.1 deployment, one decayed summary per customer -- and what the
 ingestion daemon folds into and the query API reads from.  It keeps one
-engine per key (:func:`~repro.core.interfaces.keyed_engine_factory`: the
-:func:`~repro.core.interfaces.make_decaying_sum` engine, with WBMH region
-schedules shared across keys) over a shared clock, plus:
+engine per key over a shared clock (the
+:func:`~repro.core.interfaces.make_decaying_sum` engine, or a custom
+``engine_factory``'s).  Its keyed-engine seam (:mod:`repro.service.keyed`)
+holds them and advances them once per tick: WBMH keys are count columns
+of one shared bucket lattice, so seals and merges run once per tick
+whatever the key count.  The store adds:
 
 * **TTL eviction driven by the engine clock.**  A key idle for ``ttl``
   ticks is dropped on the next clock advance, and every eviction is
@@ -42,19 +45,20 @@ from repro.core.decay import DecayFunction
 from repro.core.errors import (
     InvalidParameterError,
     NotApplicableError,
+    ReproError,
     TimeOrderError,
 )
 from repro.core.estimate import Estimate
-from repro.core.interfaces import DecayingSum, keyed_engine_factory
+from repro.core.interfaces import DecayingSum
 from repro.core.timeorder import Admission, OutOfOrderPolicy
 from repro.histograms.domination import widen_merged_estimate
-from repro.histograms.wbmh import WBMH
 from repro.serialize import (
     decay_from_dict,
     decay_to_dict,
     engine_from_dict,
     engine_to_dict,
 )
+from repro.service.keyed import keyed_engines
 from repro.storage.model import StorageReport
 
 __all__ = ["EvictionLedger", "ServiceStore", "StoreFront"]
@@ -179,19 +183,11 @@ class ServiceStore:
         self.epsilon = float(epsilon)
         self.ttl = None if ttl is None else int(ttl)
         self._custom_factory = engine_factory is not None
-        self._factory = (
-            engine_factory
-            if engine_factory is not None
-            else keyed_engine_factory(decay, self.epsilon)
-        )
-        #: Probed once: the factory's engines accept late items natively
-        #: (the forward-decay family), so no policy ever has to intervene.
-        self._native = bool(
-            getattr(self._factory(), "supports_out_of_order", False)
-        )
+        #: The keyed-engine seam, and its key -> engine map (in key
+        #: creation order), read directly on the hot paths.
+        self._keyed = keyed_engines(decay, self.epsilon, engine_factory)
+        self._engines = self._keyed.engines
         self._admission = Admission(policy)
-        #: Per-key engines in insertion order (the lock-step advance loop).
-        self._engines: dict[str, DecayingSum] = {}
         #: The TTL index: every stored key's last-seen tick, oldest tick
         #: first and, within a tick, in first-write order.  A key's first
         #: write at a new tick moves it to the end.
@@ -215,8 +211,9 @@ class ServiceStore:
 
     @property
     def native_out_of_order(self) -> bool:
-        """Whether this store's engines take late items via ``add_at``."""
-        return self._native
+        """Whether this store's engines take late items via ``add_at``
+        (the forward-decay family), so no policy ever has to intervene."""
+        return self._keyed.native_out_of_order
 
     @property
     def policy(self) -> OutOfOrderPolicy | None:
@@ -242,8 +239,7 @@ class ServiceStore:
             return
         self._time += steps
         self._memo.clear()
-        for engine in self._engines.values():
-            engine.advance(steps)
+        self._keyed.advance(steps)
         self._sweep()
 
     def advance_to(self, when: int) -> None:
@@ -295,23 +291,32 @@ class ServiceStore:
         self.advance(when - self._time)
 
     def _fold(self, key: str, values: list[float]) -> None:
-        engine = self._engine_for(key)
+        engine = self._engines.get(key)
+        if engine is None:
+            self._create(key, lambda fresh: fresh.add_batch(values))
+            return
         engine.add_batch(values)
         self._touch(key, engine)
 
     def _late(self, key: str, when: int, value: float) -> None:
-        engine = self._engine_for(key)
-        engine.add_at(when, value)  # type: ignore[attr-defined]
+        engine: Any = self._engines.get(key)
+        if engine is None:
+            self._create(key, lambda fresh: fresh.add_at(when, value))
+            return
+        engine.add_at(when, value)
         self._touch(key, engine)
 
-    def _engine_for(self, key: str) -> DecayingSum:
-        """``key``'s engine, or a fresh one at the store clock that only
-        :meth:`_touch` stores: a refused write leaves no key behind."""
-        engine = self._engines.get(key)
-        if engine is None:
-            engine = self._factory()
-            if self._time:
-                engine.advance(self._time)
+    def _create(self, key: str, write: Callable[[Any], None]) -> DecayingSum:
+        """A new key: ``write`` goes to a fresh engine at the store clock,
+        which is kept only if the write is accepted.  A refused write
+        releases it, so it leaves neither a key nor a lattice column."""
+        engine = self._keyed.new()
+        try:
+            write(engine)
+        except (ReproError, ValueError, TypeError):
+            self._keyed.release(engine)
+            raise
+        self._touch(key, engine)
         return engine
 
     # ----------------------------------------------------------- eviction
@@ -326,7 +331,7 @@ class ServiceStore:
         last = seen.get(key)
         if last != self._time:
             if last is None:
-                self._engines[key] = engine
+                self._keyed.keep(key, engine)
             else:
                 del seen[key]
             seen[key] = self._time
@@ -344,7 +349,9 @@ class ServiceStore:
             due.append(key)
         for key in due:
             del self._last_seen[key]
-            self.eviction.note(self._engines.pop(key).query().value)
+            engine = self._engines.pop(key)
+            self.eviction.note(engine.query().value)
+            self._keyed.release(engine)
 
     # ------------------------------------------------------------- reads
 
@@ -363,10 +370,12 @@ class ServiceStore:
         Mutating the engine behind the store's back bypasses the read
         memo -- use :meth:`observe`/:meth:`observe_values`/
         :meth:`merge_into` for writes, or treat the handle as read-only.
+        A WBMH key's engine is a column of the store's shared lattice: it
+        cannot advance on its own, and it is unusable once the key leaves.
         """
-        engine = self._engine_for(key)
-        if key not in self._engines:
-            self._touch(key, engine)
+        engine = self._engines.get(key)
+        if engine is None:
+            engine = self._create(key, lambda fresh: None)
         return engine
 
     def query(self, key: str, *, create: bool = False) -> Estimate:
@@ -441,14 +450,18 @@ class ServiceStore:
         lock-step with the store clock, so the store advances as a
         whole), and the key's memo entry is dropped so the read memo
         cannot serve a pre-merge answer.  A refused merge into a new key
-        leaves no key.
+        leaves no key.  A WBMH key whose levels the merge makes diverge
+        from the store's shared lattice moves to a private lattice.
         """
         if other.time > self._time:
             self.advance_to(other.time)
         elif other.time < self._time:
             other.advance_to(self._time)
-        engine = self._engine_for(key)
-        engine.merge(other)
+        engine = self._engines.get(key)
+        if engine is None:
+            self._create(key, lambda fresh: self._keyed.merge(fresh, other))
+            return
+        self._keyed.merge(engine, other)
         self._touch(key, engine)
 
     def export_engine(self, key: str) -> DecayingSum:
@@ -537,7 +550,9 @@ class ServiceStore:
 
         Keys are stably sorted by ``last_seen`` into the TTL index: a no-op
         for the snapshots :meth:`to_dict` writes, which list keys in index
-        order.
+        order.  The keyed seam first advances to the snapshot clock; a
+        WBMH key whose buckets match the lattice a fresh key has there
+        joins it, and any other keeps a private lattice.
         """
         if data.get("version") != _SNAPSHOT_VERSION:
             raise InvalidParameterError(
@@ -554,13 +569,11 @@ class ServiceStore:
         )
         store._admission.restore(data)
         store._time = int(data["time"])
+        store._keyed.advance(store._time)
         ledger = data["eviction"]
         store.eviction = EvictionLedger(
             ledger["evicted_keys"], ledger["evicted_weight"]
         )
-        # Restored keys share the WBMH region schedule fresh keys get.
-        template = store._factory()
-        schedule = template.schedule if isinstance(template, WBMH) else None
         keys = sorted(
             data["keys"].items(), key=lambda item: int(item[1]["last_seen"])
         )
@@ -570,13 +583,13 @@ class ServiceStore:
                     f"snapshot key {key!r} holds per-key engine replicas, "
                     "which stores no longer build"
                 )
-            engine = engine_from_dict(state["engine"], schedule=schedule)
+            engine = engine_from_dict(state["engine"])
             if engine.time != store._time:
                 raise TimeOrderError(
                     f"snapshot engine for {key!r} at clock {engine.time}, "
                     f"store at {store._time}"
                 )
-            store._engines[key] = engine
+            store._keyed.keep(key, engine)
             store._last_seen[key] = int(state["last_seen"])
         return store
 

@@ -213,11 +213,11 @@ class TestPhaseBreakdown:
 
     def test_timers_are_unpatched_afterwards(self):
         from repro.histograms.eh import ExponentialHistogram
-        from repro.histograms.wbmh import WBMH
+        from repro.histograms.wbmh import Lattice
 
-        before = (ExponentialHistogram._cascade, WBMH._seal)
+        before = (ExponentialHistogram._cascade, Lattice._seal)
         histogram_phase_breakdown(50)
-        assert (ExponentialHistogram._cascade, WBMH._seal) == before
+        assert (ExponentialHistogram._cascade, Lattice._seal) == before
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -92,3 +92,39 @@ class TestFixedQuantizer:
     def test_rejects_bad_horizon(self):
         with pytest.raises(InvalidParameterError):
             FixedQuantizer(0.1, horizon=1)
+
+
+class TestMemoizedLevelConstants:
+    """The per-level caches hold the very floats a fresh computation gives.
+
+    WBMH reads a drift factor for every bucket of every query and a
+    mantissa width on every merge, so both quantizers cache them per
+    level; the cache must not move a single bit of any bracket.
+    """
+
+    @staticmethod
+    def _fresh_level(q: LevelQuantizer, level: int) -> tuple[float, int]:
+        factor = 1.0
+        for i in range(1, level + 1):
+            factor *= 1.0 + q.beta(i)
+        bits = max(1, math.ceil(1.0 - math.log2(q.beta(level)))) if level else 0
+        return factor, bits
+
+    @pytest.mark.parametrize("eps", [0.0111, 0.1, 0.5])
+    def test_level_quantizer_cache_is_bit_exact(self, eps):
+        # Out of order, and twice: the cache fills on demand.
+        q = LevelQuantizer(eps)
+        for level in [7, 0, 64, 3, *range(65), 64, 1]:
+            factor, bits = self._fresh_level(q, level)
+            assert q.drift_factor(level).hex() == factor.hex()
+            if level:
+                assert q.mantissa_bits(level) == bits
+
+    @pytest.mark.parametrize("horizon", [2, 1000, 1 << 40])
+    def test_fixed_quantizer_cache_is_bit_exact(self, horizon):
+        q = FixedQuantizer(0.1, horizon)
+        beta = 0.1 / math.log2(horizon)
+        bits = max(1, math.ceil(1.0 - math.log2(beta)))
+        for level in [9, *range(65), 0, 64]:
+            assert q.drift_factor(level).hex() == ((1.0 + beta) ** level).hex()
+            assert q.mantissa_bits(level) == bits

@@ -16,7 +16,7 @@ from repro.core.decay import (
 from repro.core.errors import InvalidParameterError, NotApplicableError
 from repro.core.exact import ExactDecayingSum
 from repro.histograms.soa import wbmh_bulk_ingest
-from repro.histograms.wbmh import WBMH
+from repro.histograms.wbmh import WBMH, Lattice
 
 
 class TestApplicability:
@@ -250,23 +250,24 @@ class TestEdgeCases:
 
 
 class TestAddBatchSinglePass:
-    def test_10k_batch_does_one_interval_check(self):
-        """The fused ``add_batch`` loop touches the lattice interval exactly
-        once per batch, however large -- the regression this pins is the
-        old double iteration (one validation pass, one fold pass, each
-        consulting the schedule)."""
+    def test_10k_batch_does_one_interval_check(self, monkeypatch):
+        """The fused ``add_batch`` loop never touches the lattice interval,
+        however large the batch: the live count is one number per column,
+        and its interval is the lattice's.  The regression this pins is a
+        double iteration (one validation pass, one fold pass), each
+        consulting the schedule."""
         w = WBMH(PolynomialDecay(1.0), 0.1)
         calls = 0
-        real = w._live_interval
+        real = Lattice._live_interval
 
-        def counting():
+        def counting(self):
             nonlocal calls
             calls += 1
-            return real()
+            return real(self)
 
-        w._live_interval = counting  # type: ignore[method-assign]
+        monkeypatch.setattr(Lattice, "_live_interval", counting)
         w.add_batch([1.0] * 10_000)
-        assert calls == 1
+        assert calls == 0
         assert w.bucket_count() == 1
         assert w.query().value == 10_000.0
 

@@ -99,25 +99,28 @@ class TestScheduledCorrectness:
             w.advance(1)
         # Lazy deletion keeps some stale entries, but the heap must stay
         # within a small multiple of the live pair count.
-        assert len(w._merge_heap) < 20 * w.bucket_count() + 50
+        assert len(w.lattice._merge_heap) < 20 * w.bucket_count() + 50
 
     def test_each_pending_pair_has_one_current_entry(self):
         # A pair's newest heap entry is the only one that may act: every
         # older entry (and every entry of a retired node) carries a stale
         # version, and the current one fires at the pair's fire time.
         def check(w):
+            lattice = w.lattice
             current = Counter(
-                id(node) for _, _, ver, node in w._merge_heap if ver == node.ver
+                id(node)
+                for _, _, ver, node in lattice._merge_heap
+                if ver == node.ver
             )
             fire_times = {
                 id(node): fire
-                for fire, _, ver, node in w._merge_heap
+                for fire, _, ver, node in lattice._merge_heap
                 if ver == node.ver
             }
             pending = 0
-            node = w._head
+            node = lattice._head
             while node is not None:
-                fire = w._pair_fire_time(node)
+                fire = lattice._pair_fire_time(node)
                 if fire < wbmh_module._NEVER:
                     pending += 1
                     assert current[id(node)] == 1
@@ -130,7 +133,7 @@ class TestScheduledCorrectness:
         rng = random.Random(15)
         decay = PolynomialDecay(1.0)
         w = WBMH(decay, 0.2)
-        other = WBMH(decay, 0.2, schedule=w.schedule)
+        other = WBMH(decay, 0.2)
         for step in range(3000):
             w.add(rng.randint(0, 3))
             other.add(1.0)
@@ -150,11 +153,13 @@ class TestScheduledCorrectness:
             w.add(1.0)
             w.advance(1)
         live = set()
-        node = w._head
+        node = w.lattice._head
         while node is not None:
             live.add(id(node))
             node = node.next
-        retired = [n for _, _, _, n in w._merge_heap if id(n) not in live]
+        retired = [
+            n for _, _, _, n in w.lattice._merge_heap if id(n) not in live
+        ]
         assert retired
         for node in retired:
             assert node.prev is None and node.next is None
