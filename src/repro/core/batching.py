@@ -190,13 +190,15 @@ class _EngineFront:
     """One engine as a one-key :class:`~repro.core.timeorder.Admission`
     front: the ``buffer`` policy of :func:`ingest_trace`."""
 
-    __slots__ = ("_engine",)
+    __slots__ = ("_engine", "integer_weights")
 
     #: Order-insensitive engines never reach a buffering front.
     native_out_of_order = False
 
     def __init__(self, engine: BatchEngine) -> None:
         self._engine = engine
+        #: The engine's declared weight domain, checked at admission.
+        self.integer_weights = bool(getattr(engine, "integer_weights", False))
 
     @property
     def time(self) -> int:

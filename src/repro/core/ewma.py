@@ -131,6 +131,17 @@ class ExponentialSum:
     def query(self) -> Estimate:
         return Estimate.exact(self._sum)
 
+    def check(self) -> None:
+        """Refuse a register no write can produce: it is finite and >= 0.
+
+        Run on restore (:func:`repro.serialize.engine_from_dict`), never
+        on the ingest path, whose writes keep the register in range.
+        """
+        if not 0 <= self._sum < math.inf:
+            raise InvalidParameterError(
+                f"EXPD register must be finite and >= 0, got {self._sum}"
+            )
+
     def absorb(self, other: "ExponentialSum") -> None:
         """Merge another EXPD register over the same decay and clock.
 
@@ -161,7 +172,10 @@ class ExponentialSum:
         require_merge_operand(self, other)
         require_same_decay(self._decay, other._decay)
         align_merge_clocks(self, other)
-        self._sum += other._sum
+        total = self._sum + other._sum
+        if not total < math.inf:
+            raise InvalidParameterError("merge must keep the register finite")
+        self._sum = total
         self._items += other._items
 
     def storage_report(self) -> StorageReport:

@@ -532,6 +532,20 @@ class ForwardDecaySum:
         value = total * 2.0 ** (top * _BLOCK_BITS - f_t)
         return Estimate.exact(value)
 
+    def check(self) -> None:
+        """Refuse blocks no write can produce: every block numerator is a
+        non-negative integer.
+
+        Run on restore (:func:`repro.serialize.engine_from_dict`), never
+        on the ingest path, whose writes bank only non-negative integers.
+        """
+        for k, (num, _) in self._buckets.items():
+            if not (isinstance(num, int) and num >= 0):
+                raise InvalidParameterError(
+                    f"forward block {k} numerator must be a non-negative "
+                    f"integer, got {num!r}"
+                )
+
     def storage_report(self) -> StorageReport:
         self._flush_pending()
         register_bits = 0

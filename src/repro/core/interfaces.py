@@ -23,6 +23,14 @@ protocol:
   histogram engines compose their error budgets (see
   :mod:`repro.core.merging`).
 
+Each family also declares its weight domain.  Item values are
+non-negative and finite; the EH-based families count integer arrivals
+and say so with a true ``integer_weights`` attribute, refusing fractions
+too.  An engine without the attribute takes any non-negative finite
+value.  Keyed stores read the declaration once, as they read the
+forward-decay family's ``supports_out_of_order``, and refuse a weight
+outside the domain before it reaches a ledger.
+
 The factory :func:`make_decaying_sum` picks the best engine for a given
 decay family, mirroring the paper's guidance: the single-register recurrence
 for exponential decay, the Exponential Histogram for sliding windows, WBMH

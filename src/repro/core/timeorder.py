@@ -26,6 +26,11 @@ policy.
 Engines that are natively order-insensitive -- the forward-decay family,
 which exposes ``supports_out_of_order`` and ``add_at`` -- accept late
 items directly; the policy never has to intervene for them.
+
+Admission also checks each weight against the front's weight domain
+before it reaches a ledger or the lateness heap: non-negative and finite,
+and an integer on fronts whose engines declare ``integer_weights`` (the
+EH-based families).  The engines keep their own checks.
 """
 
 from __future__ import annotations
@@ -110,22 +115,32 @@ class OutOfOrderPolicy:
         return f"OutOfOrderPolicy({self.kind!r}{window})"
 
 
-def _refuse(key: str, values: list[float]) -> NoReturn:
-    """Reject a fold with a NaN, infinite or negative weight, or with
+def _fractional(values: Iterable[float]) -> bool:
+    """Whether any value lies off the integers (NaN and inf included)."""
+    return any(v % 1 for v in values)
+
+
+def _refuse(key: str, values: list[float], integer: bool) -> NoReturn:
+    """Reject a fold with a weight outside the front's domain, or with
     finite weights whose total overflows.
 
     The engines reject such weights too, but a sharded router ledgers a
     fold before its worker sees it.  A NaN or an infinity anywhere makes
     the batch sum non-finite, and a negative value makes the minimum
     negative: two C-level passes per fold keep all of them off every
-    ingest ledger.
+    ingest ledger, and an integer domain adds one pass for fractions.
     """
     bad = next((v for v in values if not 0 <= v < math.inf), None)
-    if bad is None:
-        raise InvalidParameterError(f"weights on {key!r} sum to infinity")
-    raise InvalidParameterError(
-        f"value must be finite and >= 0, got {bad} on {key!r}"
-    )
+    if bad is not None:
+        raise InvalidParameterError(
+            f"value must be finite and >= 0, got {bad} on {key!r}"
+        )
+    bad = next((v for v in values if integer and v % 1), None)
+    if bad is not None:
+        raise InvalidParameterError(
+            f"value must be a non-negative integer, got {bad} on {key!r}"
+        )
+    raise InvalidParameterError(f"weights on {key!r} sum to infinity")
 
 
 class AdmissionFront(Protocol):
@@ -135,6 +150,8 @@ class AdmissionFront(Protocol):
     one key's same-time values at the clock (one call per key per
     distinct arrival time), and ``_late(key, when, value)`` hands a late
     item to engines that take it natively (``add_at``).
+    ``integer_weights`` is the front's weight domain: non-negative
+    integers when true, non-negative finite floats otherwise.
     """
 
     @property
@@ -142,6 +159,9 @@ class AdmissionFront(Protocol):
 
     @property
     def native_out_of_order(self) -> bool: ...
+
+    @property
+    def integer_weights(self) -> bool: ...
 
     def _adv(self, when: int) -> None: ...
 
@@ -199,7 +219,7 @@ class Admission:
         policy = self.policy
         native = front.native_out_of_order
         if policy is not None and policy.kind == "buffer" and not native:
-            self._push(now, key, when, value)
+            self._push(now, key, when, value, front.integer_weights)
             self._drain(front, self.watermark - policy.max_lateness)
             return
         if when < now:
@@ -245,9 +265,10 @@ class Admission:
                     "bounded-lateness buffering is store state; install the "
                     "buffer policy on the store's constructor"
                 )
+            integer = front.integer_weights
             try:
                 for item in items:
-                    self._push(now, item.key, item.time, item.value)
+                    self._push(now, item.key, item.time, item.value, integer)
             finally:
                 # A refused item still releases what is due before it.
                 now = self._drain(front, self.watermark - pol.max_lateness)
@@ -316,8 +337,11 @@ class Admission:
         self, front: AdmissionFront, key: str, values: list[float]
     ) -> None:
         weight = float(sum(values))
-        if not (weight < math.inf and min(values) >= 0):
-            _refuse(key, values)
+        integer = front.integer_weights
+        if not (weight < math.inf and min(values) >= 0) or (
+            integer and _fractional(values)
+        ):
+            _refuse(key, values, integer)
         front._fold(key, values)
         self.ingested_items += len(values)
         self.ingested_weight += weight
@@ -325,8 +349,9 @@ class Admission:
     def _late(
         self, front: AdmissionFront, key: str, when: int, value: float
     ) -> None:
-        if not 0 <= value < math.inf:
-            _refuse(key, [value])
+        integer = front.integer_weights
+        if not 0 <= value < math.inf or (integer and value % 1):
+            _refuse(key, [value], integer)
         front._late(key, when, value)
         self.ingested_items += 1
         self.ingested_weight += float(value)
@@ -337,29 +362,32 @@ class Admission:
         # _fold, inlined: this runs once per key per tick of every batch.
         fold = front._fold
         inf = math.inf
+        integer = front.integer_weights
         for key, values in pending.items():
             weight = float(sum(values))
-            if not (weight < inf and min(values) >= 0):
-                _refuse(key, values)
+            if not (weight < inf and min(values) >= 0) or (
+                integer and _fractional(values)
+            ):
+                _refuse(key, values, integer)
             fold(key, values)
             self.ingested_items += len(values)
             self.ingested_weight += weight
         pending.clear()
 
-    def _push(self, now: int, key: str, when: int, value: float) -> None:
+    def _push(
+        self, now: int, key: str, when: int, value: float, integer: bool
+    ) -> None:
         """Admit one item to the heap, or drop it behind the window.
 
-        A negative time or a negative, NaN or infinite weight is refused
+        A negative time or a weight outside the front's domain is refused
         before it can reach the heap, the watermark or a ledger.
         """
         policy = self.policy
         assert policy is not None
         if when < 0:
             raise InvalidParameterError(f"time must be >= 0, got {when}")
-        if not 0 <= value < math.inf:
-            raise InvalidParameterError(
-                f"value must be finite and >= 0, got {value}"
-            )
+        if not 0 <= value < math.inf or (integer and value % 1):
+            _refuse(key, [value], integer)
         if when > self.watermark:
             self.watermark = when
         if when < now or when < self.watermark - policy.max_lateness:

@@ -96,6 +96,12 @@ class CascadedEH:
         """The underlying bucket structure (exposed for storage benches)."""
         return self._hist
 
+    @property
+    def integer_weights(self) -> bool:
+        """The weight domain: integer counts on the EH backend, any
+        non-negative finite weight on the domination backend."""
+        return self.backend == "eh"
+
     def add(self, value: float = 1.0) -> None:
         self._hist.add(value)
 

@@ -82,6 +82,9 @@ class ExponentialHistogram:
         "_q_cache",
     )
 
+    #: The weight domain: a 0/1-stream structure counts integer arrivals.
+    integer_weights = True
+
     def __init__(self, window: int | None, epsilon: float) -> None:
         if window is not None and window < 1:
             raise InvalidParameterError(f"window must be >= 1, got {window}")
@@ -579,6 +582,9 @@ class SlidingWindowSum:
     """
 
     __slots__ = ("_decay", "_eh")
+
+    #: The weight domain of the EH it wires up: integer counts.
+    integer_weights = True
 
     def __init__(self, window: int, epsilon: float) -> None:
         self._decay = SlidingWindowDecay(window)

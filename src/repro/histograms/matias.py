@@ -121,6 +121,9 @@ class ApproxBoundaryCEH:
         age error into weight error.
     """
 
+    #: The weight domain: a decaying 0/1 count takes integer counts.
+    integer_weights = True
+
     def __init__(
         self,
         decay: DecayFunction,

@@ -262,7 +262,12 @@ def engine_to_dict(engine: Any) -> dict[str, Any]:
 
 
 def engine_from_dict(data: dict[str, Any]) -> Any:
-    """Restore an engine serialized by :func:`engine_to_dict`."""
+    """Restore an engine serialized by :func:`engine_to_dict`.
+
+    A restore is a write path: an EXPD register or forward-decay block that
+    no write can produce is refused by the engine's ``check()`` with
+    :class:`~repro.core.errors.InvalidParameterError`.
+    """
     version = data.get("version")
     if version != _FORMAT_VERSION:
         raise InvalidParameterError(f"unsupported snapshot version {version!r}")
@@ -273,6 +278,7 @@ def engine_from_dict(data: dict[str, Any]) -> Any:
         engine._time = int(data["time"])
         engine._sum = float(data["sum"])
         engine._items = int(data["items"])
+        engine.check()
         return engine
     if kind in ("polyexp", "polyexppoly"):
         decay = decay_from_dict(data["decay"])
@@ -319,6 +325,7 @@ def engine_from_dict(data: dict[str, Any]) -> Any:
             if num:
                 _accumulate(fwd._buckets, int(k), int(num), int(exp))
         fwd._items = int(data["items"])
+        fwd.check()
         return fwd
     if kind in ("eh", "sliwin-sum"):
         if kind == "sliwin-sum":

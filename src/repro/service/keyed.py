@@ -45,6 +45,10 @@ class KeyedEngines(Protocol):
     def native_out_of_order(self) -> bool:
         """Whether the engines take late items through ``add_at``."""
 
+    @property
+    def integer_weights(self) -> bool:
+        """Whether the engines take only non-negative integer weights."""
+
     def new(self) -> DecayingSum:
         """A fresh engine at the seam clock, not yet kept under a key."""
 
@@ -72,16 +76,22 @@ class PerKeyEngines:
         self.engines: dict[str, DecayingSum] = {}
         self._factory = factory
         #: The first engine is built up front to learn whether the family
-        #: takes late items; it becomes the first key's engine.
+        #: takes late items and what weights it takes; it becomes the
+        #: first key's engine.
         self._spare: DecayingSum | None = factory() if first is None else first
         self._native = bool(
             getattr(self._spare, "supports_out_of_order", False)
         )
+        self._integer = bool(getattr(self._spare, "integer_weights", False))
         self._time = 0
 
     @property
     def native_out_of_order(self) -> bool:
         return self._native
+
+    @property
+    def integer_weights(self) -> bool:
+        return self._integer
 
     def new(self) -> DecayingSum:
         engine = self._spare
@@ -126,6 +136,10 @@ class LatticeKeys:
 
     @property
     def native_out_of_order(self) -> bool:
+        return False
+
+    @property
+    def integer_weights(self) -> bool:
         return False
 
     def new(self) -> WBMH:

@@ -39,23 +39,30 @@ via ``["late", ...]`` entries).  Eviction ledgers accumulate worker-side
 and are summed at the router.
 
 **Workers are revivable.**  Every state-mutating frame is journaled
-per worker before it is sent; every ``checkpoint_every`` journaled
-frames the router snapshots the worker and truncates its journal.  When
-a worker dies mid-batch (EOF/broken pipe), the router respawns it,
-restores the checkpoint, and replays the journal -- workers are
-deterministic functions of their frame sequence, so the revived shard
-is bit-identical and no admitted weight is lost.  Revivals are counted
-on ``stats()["revived_workers"]``.  The journal and the checkpoint are
-kept as the exact bytes of the pipe: each frame is encoded once, sent,
-and journaled as those bytes, and the worker's ``snapshot`` reply is
-itself a ``restore`` frame, kept undecoded -- so the router's revival
-state costs what the wire does, not a tree of decoded Python objects.
+per worker before it is sent.  Once a worker's journal holds twice the
+bytes of its last checkpoint (any journaled frame, before the first),
+the router snapshots the worker and truncates its journal, so between
+calls a journal stays under twice its checkpoint whatever the request
+sizes: the revival state costs what the shard holds, not what the
+traffic was.  When a worker dies mid-batch (EOF/broken pipe), the router
+respawns it, restores the checkpoint, and replays the journal -- workers
+are deterministic functions of their frame sequence, so the revived
+shard is bit-identical and no admitted weight is lost.  Revivals are
+counted on ``stats()["revived_workers"]``.  The journal and the
+checkpoint are kept as the exact bytes of the pipe: each frame is
+encoded once, sent, and journaled as those bytes, and the worker's
+``snapshot`` reply is itself a ``restore`` frame, kept undecoded -- so
+the router's revival state costs what the wire does, not a tree of
+decoded Python objects.  The worker encodes that reply one key at a time
+(:func:`_snapshot_frame`), never holding its whole snapshot as a tree.
 """
 
 from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import os
+import stat
 import zlib
 from multiprocessing.connection import Connection
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -96,6 +103,14 @@ _SNAPSHOT_KIND = "sharded-service-store"
 #: How every successful reply starts: frames are compact JSON and replies
 #: put ``ok`` first, so a snapshot reply is checked without decoding it.
 _OK_PREFIX = b'{"ok":true'
+
+#: A shard is checkpointed when its journal reaches this many times the
+#: bytes of its last checkpoint.  Twice, not once: every checkpoint is a
+#: full snapshot of the shard (12-21 ms of CPU for 512 forward-decay keys
+#: on a 2-vCPU machine), pacing at once took about 1.8 times as many on a
+#: 2-worker forward-decay feed, and it left that benchmark's memory peak
+#: where twice left it.
+_CHECKPOINT_RATIO = 2
 
 
 def shard_of(key: Hashable, shards: int) -> int:
@@ -162,9 +177,36 @@ def _report(reply: Mapping[str, Any]) -> StorageReport:
     )
 
 
+def _snapshot_frame(store: ServiceStore) -> bytes:
+    """The worker's ``snapshot`` reply, encoded one key at a time.
+
+    Byte for byte ``encode_frame({"ok": True, "op": "restore", "data":
+    store.to_dict()})``, without ever holding the snapshot as one tree:
+    the reply is encoded with an empty ``keys`` object, cut after its
+    opening brace, and each key's ``"key":{...}`` member is appended from
+    that key's own one-entry frame.  One growing buffer, not a list of
+    parts, so the peak is about twice the frame whatever the key count.
+    """
+    head = encode_frame(
+        {
+            "ok": True,
+            "op": "restore",
+            "data": {**store.snapshot_head(), "keys": {}},
+        }
+    )
+    frame = bytearray(head[:-3])  # cut "}}}": the keys, data, reply ends
+    comma = b""
+    for key, state in store.snapshot_keys():
+        frame += comma
+        frame += encode_frame({key: state})[1:-1]
+        comma = b","
+    frame += b"}}}"
+    return bytes(frame)
+
+
 def _worker_dispatch(
     store: ServiceStore, frame: Mapping[str, Any]
-) -> dict[str, Any]:
+) -> dict[str, Any] | bytes:
     op = frame.get("op")
     if op == "ingest":
         _worker_exec_ingest(store, frame.get("prog") or [])
@@ -201,7 +243,7 @@ def _worker_dispatch(
     if op == "snapshot":
         # Shaped as a restore frame: the router keeps these exact bytes as
         # the worker's checkpoint and replays them verbatim on revival.
-        return {"ok": True, "op": "restore", "data": store.to_dict()}
+        return _snapshot_frame(store)
     if op == "restore":
         store.restore(dict(frame["data"]))
         return {"ok": True, "time": store.time}
@@ -241,8 +283,35 @@ def _worker_dispatch(
     return {"ok": False, "error": f"InvalidParameterError(unknown op {op!r})"}
 
 
+def _close_inherited_sockets(own: Connection) -> None:
+    """Close every socket a forked worker inherited but its own pipe.
+
+    A fork copies all of the router process's descriptors: its server's
+    listening and client sockets, and the other shards' pipes.  Held open
+    here, the connection of a request that revived this worker would
+    stay open after the server closed it, and its client would wait for
+    the end of the reply until the worker exited.
+    """
+    for listing in ("/proc/self/fd", "/dev/fd"):
+        try:
+            fds = [int(name) for name in os.listdir(listing)]
+        except OSError:
+            continue
+        for fd in fds:
+            if fd <= 2 or fd == own.fileno():
+                continue
+            try:
+                mode = os.fstat(fd).st_mode
+            except OSError:  # the listing's own descriptor, closed since
+                continue
+            if stat.S_ISSOCK(mode):
+                os.close(fd)
+        return
+
+
 def _worker_main(conn: Connection, config: dict[str, Any]) -> None:
     """One shard: build the store, serve frames until EOF/shutdown."""
+    _close_inherited_sockets(conn)
     store = _worker_build_store(config)
     while True:
         try:
@@ -265,9 +334,15 @@ def _worker_main(conn: Connection, config: dict[str, Any]) -> None:
 # ------------------------------------------------------------------ router
 
 class _Shard:
-    """Router-side worker bookkeeping: pipe, process, journal, checkpoint."""
+    """Router-side worker bookkeeping: pipe, process, journal, checkpoint.
 
-    __slots__ = ("conn", "process", "journal", "journal_bytes", "checkpoint")
+    A revival replaces the pipe and the process and keeps the rest.
+    """
+
+    __slots__ = (
+        "conn", "process", "journal", "journal_bytes", "checkpoint",
+        "checkpoints",
+    )
 
     def __init__(self, conn: Connection, process: Any) -> None:
         self.conn = conn
@@ -279,14 +354,24 @@ class _Shard:
         #: An encoded ``restore`` frame of the worker store the journal
         #: replays on top of.
         self.checkpoint: bytes | None = None
+        #: Checkpoints adopted so far.
+        self.checkpoints = 0
 
     def log(self, data: bytes) -> None:
         self.journal.append(data)
         self.journal_bytes += len(data)
 
+    def due(self) -> bool:
+        """Whether the journal reached ``_CHECKPOINT_RATIO`` times the
+        checkpoint's bytes (none yet counts as 0); never when empty."""
+        return bool(self.journal) and self.journal_bytes >= (
+            _CHECKPOINT_RATIO * len(self.checkpoint or b"")
+        )
+
     def reset(self, checkpoint: bytes) -> None:
         """Adopt a new checkpoint; the journal restarts empty."""
         self.checkpoint = checkpoint
+        self.checkpoints += 1
         self.journal = []
         self.journal_bytes = 0
 
@@ -322,11 +407,13 @@ class ShardedServiceStore:
     Constructor arguments mirror :class:`ServiceStore` (``ttl`` on the
     shared clock, ``policy`` for late items -- the ``buffer`` kind must
     be installed here because its watermark heap is router state);
-    ``workers`` is the process count, ``checkpoint_every`` bounds the
-    per-worker revival journal, and ``context`` picks the
+    ``workers`` is the process count and ``context`` picks the
     multiprocessing start method (default: ``fork`` where available --
     worker startup cost matters when a store front is built per request
-    batch in tests -- otherwise the platform default).
+    batch in tests -- otherwise the platform default).  Each worker's
+    revival journal is bounded by its checkpoint: once the journal holds
+    twice the checkpoint's bytes, the router takes a new checkpoint, so
+    there is no journal size to configure.
     """
 
     def __init__(
@@ -337,7 +424,6 @@ class ShardedServiceStore:
         workers: int = 2,
         ttl: int | None = None,
         policy: OutOfOrderPolicy | None = None,
-        checkpoint_every: int = 512,
         context: Any | None = None,
     ) -> None:
         if workers < 1:
@@ -348,24 +434,17 @@ class ShardedServiceStore:
             )
         if ttl is not None and ttl < 1:
             raise InvalidParameterError(f"ttl must be >= 1, got {ttl}")
-        if checkpoint_every < 1:
-            raise InvalidParameterError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
         self._decay = decay
         self.epsilon = float(epsilon)
         self.ttl = None if ttl is None else int(ttl)
         self.workers = int(workers)
-        self.checkpoint_every = int(checkpoint_every)
         #: Probed once, like the single store: forward-decay families take
-        #: late items natively, so the policy never has to intervene.
-        self._native = bool(
-            getattr(
-                make_decaying_sum(decay, self.epsilon),
-                "supports_out_of_order",
-                False,
-            )
-        )
+        #: late items natively, so the policy never has to intervene, and
+        #: the EH-based families count integer arrivals, so admission
+        #: refuses fractional weights before any ledger.
+        probe = make_decaying_sum(decay, self.epsilon)
+        self._native = bool(getattr(probe, "supports_out_of_order", False))
+        self._integer = bool(getattr(probe, "integer_weights", False))
         self._time = 0
         self._admission = Admission(policy)
         #: Per-shard programs admission is compiling; shipped (one ingest
@@ -392,13 +471,15 @@ class ShardedServiceStore:
             )
         self._ctx = context
         self._shards: list[_Shard] = [
-            self._spawn(index) for index in range(self.workers)
+            _Shard(*self._spawn(index)) for index in range(self.workers)
         ]
         self._closed = False
 
     # ----------------------------------------------------------- lifecycle
 
-    def _spawn(self, index: int) -> _Shard:
+    def _spawn(self, index: int) -> tuple[Connection, Any]:
+        """Start shard ``index``'s worker: the router's pipe end and the
+        process."""
         parent, child = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
@@ -408,7 +489,7 @@ class ShardedServiceStore:
         )
         process.start()
         child.close()
-        return _Shard(parent, process)
+        return parent, process
 
     def close(self) -> None:
         """Shut every worker down and join it (idempotent)."""
@@ -456,16 +537,12 @@ class ShardedServiceStore:
         that was in flight when the worker died), or ``None`` for an
         empty journal.
         """
-        old = self._shards[index]
-        old.conn.close()
-        if old.process.is_alive():
-            old.process.terminate()
-        old.process.join(timeout=5)
-        shard = self._spawn(index)
-        shard.checkpoint = old.checkpoint
-        shard.journal = old.journal
-        shard.journal_bytes = old.journal_bytes
-        self._shards[index] = shard
+        shard = self._shards[index]
+        shard.conn.close()
+        if shard.process.is_alive():
+            shard.process.terminate()
+        shard.process.join(timeout=5)
+        shard.conn, shard.process = self._spawn(index)
         last_reply: bytes | None = None
         if shard.checkpoint is not None:
             send_frame(shard.conn, shard.checkpoint)
@@ -519,6 +596,8 @@ class ShardedServiceStore:
     ) -> dict[str, Any]:
         """One frame round trip, decoded; worker errors re-raised."""
         reply = self._exchange(index, encode_frame(frame), journal=journal)
+        if journal:
+            self._maybe_checkpoint()
         return _checked(decode_frame(reply))
 
     def _broadcast_raw(
@@ -562,10 +641,11 @@ class ShardedServiceStore:
             None if reply is None else decode_frame(reply)
             for reply in self._broadcast_raw(frames, journal=journal)
         ]
+        if journal:
+            self._maybe_checkpoint()
         for reply in replies:
             if reply is not None:
                 _checked(reply)
-        self._maybe_checkpoint()
         return replies
 
     def _fan_out(self, op: str) -> list[dict[str, Any]]:
@@ -574,19 +654,19 @@ class ShardedServiceStore:
         return [reply for reply in replies if reply is not None]
 
     def _maybe_checkpoint(self) -> None:
-        """Snapshot shards whose journal outgrew ``checkpoint_every``.
+        """Snapshot every shard whose journal is due (:meth:`_Shard.due`).
 
+        Runs after every journaled exchange, also one a worker refused.
         The snapshot reply is a ready ``restore`` frame; its bytes become
         the checkpoint as received, never decoded at the router.
         """
-        for index in range(self.workers):
-            if len(self._shards[index].journal) < self.checkpoint_every:
+        for index, shard in enumerate(self._shards):
+            if not shard.due():
                 continue
             reply = self._exchange(index, _frame("snapshot"), journal=False)
             if not reply.startswith(_OK_PREFIX):
                 _checked(decode_frame(reply))  # raises the worker's error
-            # _exchange may have revived the shard: look it up afresh.
-            self._shards[index].reset(reply)
+            shard.reset(reply)
 
     def _shard_of(self, key: str) -> int:
         return shard_of(str(key), self.workers)
@@ -613,6 +693,11 @@ class ShardedServiceStore:
     def native_out_of_order(self) -> bool:
         """Whether shard engines take late items via ``add_at``."""
         return self._native
+
+    @property
+    def integer_weights(self) -> bool:
+        """Whether shard engines take only non-negative integer weights."""
+        return self._integer
 
     @property
     def policy(self) -> OutOfOrderPolicy | None:
@@ -693,7 +778,6 @@ class ShardedServiceStore:
             {"op": "merge_key", "key": key, "engine": engine_to_dict(other)},
             journal=True,
         )
-        self._maybe_checkpoint()
 
     def _adv(self, when: int) -> None:
         """Every shard advances at every global tick: same sweep stops,
@@ -757,7 +841,6 @@ class ShardedServiceStore:
                 {"op": "query", "key": key, "create": True},
                 journal=True,
             )
-            self._maybe_checkpoint()
         value, lower, upper = reply["estimate"]
         estimate = self._memo[key] = Estimate(
             float(value), float(lower), float(upper)
@@ -812,7 +895,9 @@ class ShardedServiceStore:
 
         Each ``per_worker`` entry also carries the router's revival state
         for that worker: ``journal_frames``/``journal_bytes`` since the
-        last checkpoint and the checkpoint's ``checkpoint_bytes``.
+        last checkpoint, the checkpoint's ``checkpoint_bytes``, and the
+        ``checkpoints`` taken so far (by the byte rule, :meth:`to_dict`
+        and :meth:`restore`).
         """
         replies = self._fan_out("stats")
         per_worker: list[dict[str, Any]] = []
@@ -824,6 +909,7 @@ class ShardedServiceStore:
             stats["journal_frames"] = len(shard.journal)
             stats["journal_bytes"] = shard.journal_bytes
             stats["checkpoint_bytes"] = len(shard.checkpoint or b"")
+            stats["checkpoints"] = shard.checkpoints
             per_worker.append(stats)
             keys += int(stats["keys"])
             evicted_keys += int(stats["evicted_keys"])
@@ -858,7 +944,6 @@ class ShardedServiceStore:
             {"op": "export", "key": key},
             journal=True,
         )
-        self._maybe_checkpoint()
         return engine_from_dict(reply["engine"])
 
     def key_storage_report(self, key: str) -> StorageReport:
@@ -869,7 +954,6 @@ class ShardedServiceStore:
             {"op": "storage", "key": key},
             journal=True,  # may create the engine, like ServiceStore.engine
         )
-        self._maybe_checkpoint()
         return _report(reply)
 
     # ------------------------------------------------------------ snapshot
@@ -971,7 +1055,6 @@ class ShardedServiceStore:
         data: dict[str, Any],
         *,
         workers: int | None = None,
-        checkpoint_every: int = 512,
         context: Any | None = None,
     ) -> "ShardedServiceStore":
         """Spawn a fresh worker pool and restore ``data`` into it."""
@@ -985,7 +1068,6 @@ class ShardedServiceStore:
             float(data["epsilon"]),
             workers=count,
             ttl=data.get("ttl"),
-            checkpoint_every=checkpoint_every,
             context=context,
         )
         store.restore(data)

@@ -38,7 +38,7 @@ differential contract ``tests/service/test_differential.py`` enforces).
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.core.batching import KeyedTimedValue
 from repro.core.decay import DecayFunction
@@ -214,6 +214,12 @@ class ServiceStore:
         """Whether this store's engines take late items via ``add_at``
         (the forward-decay family), so no policy ever has to intervene."""
         return self._keyed.native_out_of_order
+
+    @property
+    def integer_weights(self) -> bool:
+        """Whether this store's engines take only non-negative integer
+        weights (the EH-based families), which admission then enforces."""
+        return self._keyed.integer_weights
 
     @property
     def policy(self) -> OutOfOrderPolicy | None:
@@ -513,11 +519,15 @@ class ServiceStore:
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe snapshot: config, clock, ledgers, per-key engines.
 
-        Keys are listed in TTL index order.  Engines serialize through
-        :func:`repro.serialize.engine_to_dict`; stores built on a custom
-        ``engine_factory`` cannot be rebuilt from configuration and refuse
-        to snapshot.
+        The :meth:`snapshot_head` followed by ``keys``, which maps each key
+        to its :meth:`snapshot_keys` state in TTL index order.  Stores
+        built on a custom ``engine_factory`` cannot be rebuilt from
+        configuration and refuse to snapshot.
         """
+        return {**self.snapshot_head(), "keys": dict(self.snapshot_keys())}
+
+    def snapshot_head(self) -> dict[str, Any]:
+        """Every :meth:`to_dict` field but the trailing ``keys`` object."""
         if self._custom_factory:
             raise InvalidParameterError(
                 "stores built on a custom engine_factory are not "
@@ -535,14 +545,18 @@ class ServiceStore:
                 "evicted_weight": self.eviction.evicted_weight,
             },
             **self._admission.to_dict(),
-            "keys": {
-                key: {
-                    "engine": engine_to_dict(self._engines[key]),
-                    "last_seen": last,
-                }
-                for key, last in self._last_seen.items()
-            },
         }
+
+    def snapshot_keys(self) -> Iterator[tuple[str, dict[str, Any]]]:
+        """Each key's snapshot state, one at a time, in TTL index order:
+        its engine through :func:`repro.serialize.engine_to_dict` and its
+        last-seen tick."""
+        engines = self._engines
+        for key, last in self._last_seen.items():
+            yield key, {
+                "engine": engine_to_dict(engines[key]),
+                "last_seen": last,
+            }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ServiceStore":

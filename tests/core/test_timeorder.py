@@ -54,6 +54,7 @@ class RecordingFront:
     """An admission front that records every fold as ``(time, key, value)``."""
 
     native_out_of_order = False
+    integer_weights = False
 
     def __init__(self, time=0):
         self.time = time
@@ -242,3 +243,45 @@ class TestAdmission:
         with pytest.raises(InvalidParameterError, match="finite"):
             admission.observe(front, "k", inf, 2)
         assert (admission.ingested_items, admission.ingested_weight) == (0, 0.0)
+
+    def test_integer_domain_refuses_fractions_on_every_path(self):
+        # One fold (_fold), one batch (_fold_pending): a fraction whose
+        # batch sums to an integer is refused too.
+        admission = Admission()
+        front = RecordingFront()
+        front.integer_weights = True
+        with pytest.raises(InvalidParameterError, match="integer"):
+            admission.observe(front, "k", 1.5, None)
+        with pytest.raises(InvalidParameterError, match="integer"):
+            admission.observe_values(front, "k", [0.5, 0.5])
+        with pytest.raises(InvalidParameterError, match="integer"):
+            admission.observe_batch(
+                front, [keyed(0, 1.0), keyed(1, 2.0), keyed(1, 0.25)]
+            )
+        with pytest.raises(InvalidParameterError, match="finite"):
+            admission.observe(front, "k", -1.0, None)
+        assert front.folds == [(0, "k", 1.0)]
+        assert (admission.ingested_items, admission.ingested_weight) == (
+            1, 1.0
+        )
+
+        # The lateness heap (_push): refused before the heap and watermark.
+        policy = OutOfOrderPolicy.buffered(4)
+        admission = Admission(policy)
+        front = RecordingFront()
+        front.integer_weights = True
+        with pytest.raises(InvalidParameterError, match="integer"):
+            admission.observe_batch(front, [keyed(0, 2.0), keyed(3, 0.5)])
+        admission.flush(front)
+        assert front.folds == [(0, "k", 2.0)]
+        assert (len(admission._heap), admission.watermark) == (0, 0)
+
+        # A late item (_late), and integral floats and ints pass.
+        front = RecordingFront(time=5)
+        front.native_out_of_order = True
+        front.integer_weights = True
+        admission = Admission()
+        with pytest.raises(InvalidParameterError, match="integer"):
+            admission.observe(front, "k", 2.5, 2)
+        admission.observe_values(front, "k", [3.0, 2])
+        assert front.folds == [(5, "k", 3.0), (5, "k", 2)]

@@ -1,0 +1,225 @@
+"""Both store fronts refuse what no engine could hold, before any state.
+
+* **Weight domain.**  Each engine family declares its weight domain
+  (``integer_weights`` for the EH-based families), and both fronts'
+  admission refuses an out-of-domain weight before any ledger.  A
+  sharded router ledgers and ships a fold before its worker's engine
+  sees it, so without the check a refused fold on one shard left the
+  front a tick ahead of the single store, with the refused batch's
+  other folds applied.
+* **Restore is a write path.**  ``engine_from_dict`` runs the engine's
+  ``check()``: an EXPD register that is negative, infinite or NaN, and a
+  forward-decay block with a negative numerator, are refused by
+  ``ServiceStore.from_dict``, ``POST /restore`` and
+  ``ShardedServiceStore.restore``, and each refusal changes nothing.
+  An EXPD merge that would overflow the register is refused as well, so
+  no write leaves a store whose snapshot cannot be restored.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import copy
+import math
+from typing import Any, Callable
+
+import pytest
+
+from repro.conformance.engines import default_specs
+from repro.core.decay import (
+    ExponentialDecay,
+    LinearDecay,
+    PolynomialDecay,
+    SlidingWindowDecay,
+)
+from repro.core.errors import InvalidParameterError
+from repro.core.forward import ForwardDecay
+from repro.service.api import http_request
+from repro.service.loadgen import ServiceHarness
+from repro.service.sharded import ShardedServiceStore, shard_of
+from repro.service.store import ServiceStore
+from repro.streams.io import KeyedItem
+
+
+class TestWeightDomain:
+    @pytest.mark.parametrize("cell", sorted(default_specs()))
+    def test_declared_domain_is_what_the_engine_refuses(self, cell) -> None:
+        spec = default_specs()[cell]
+        engine = spec.build()
+        integer = getattr(engine, "integer_weights", False)
+        assert ServiceStore(spec.decay, spec.epsilon).integer_weights is integer
+        if integer:
+            with pytest.raises(InvalidParameterError):
+                engine.add(1.5)
+        else:
+            engine.add(1.5)
+        engine.add(2.0)
+
+    @pytest.mark.parametrize(
+        "decay",
+        [SlidingWindowDecay(8), LinearDecay(32)],
+        ids=["sliwin", "linear-ceh"],
+    )
+    def test_refused_fold_stops_both_fronts_at_the_same_tick(
+        self, decay
+    ) -> None:
+        assert shard_of("good", 2) != shard_of("b", 2)
+        batch = [
+            KeyedItem("good", 10, 1.0),
+            KeyedItem("b", 10, 1.5),
+            KeyedItem("good", 11, 2.0),
+        ]
+        single = ServiceStore(decay, 0.1)
+        sharded = ShardedServiceStore(decay, 0.1, workers=2)
+        try:
+            assert single.integer_weights and sharded.integer_weights
+            for front in (single, sharded):
+                with pytest.raises(InvalidParameterError, match="integer"):
+                    front.observe_batch(batch)
+                assert front.time == 10
+                assert front.stats()["ingested_items"] == 1
+                assert front.stats()["ingested_weight"] == 1.0
+                assert front.query("good").value == 1.0
+                assert front.keys() == ["good"]
+        finally:
+            sharded.close()
+
+    def test_finite_domain_fronts_take_fractions(self) -> None:
+        sharded = ShardedServiceStore(PolynomialDecay(1.0), 0.1, workers=2)
+        try:
+            assert not sharded.integer_weights
+            sharded.observe_batch([KeyedItem("b", 10, 1.5)])
+            assert sharded.stats()["ingested_weight"] == 1.5
+        finally:
+            sharded.close()
+
+
+def _negate_first_block(state: dict[str, Any]) -> None:
+    state["blocks"][0][1] = -state["blocks"][0][1]
+
+
+#: (decay, edit of one key's engine state): each is a state no write makes.
+PROBES: dict[str, tuple[Callable[[], Any], Callable[[dict[str, Any]], None]]] = {
+    "ewma-negative": (
+        lambda: ExponentialDecay(0.05),
+        lambda state: state.update(sum=-5.0),
+    ),
+    "ewma-inf": (
+        lambda: ExponentialDecay(0.05),
+        lambda state: state.update(sum=math.inf),
+    ),
+    "ewma-nan": (
+        lambda: ExponentialDecay(0.05),
+        lambda state: state.update(sum=math.nan),
+    ),
+    "fwd-negated-block": (
+        lambda: ForwardDecay("exp", 0.05),
+        _negate_first_block,
+    ),
+}
+
+
+def _feed(store) -> None:
+    store.observe_batch(
+        [KeyedItem(key, t, 1.0 + t) for t in range(6) for key in "ab"]
+    )
+
+
+def _snapshots(probe: str) -> tuple[Any, dict[str, Any], dict[str, Any]]:
+    """The probe's decay, a good snapshot, and its edited twin."""
+    make_decay, edit = PROBES[probe]
+    store = ServiceStore(make_decay(), 0.1)
+    _feed(store)
+    good = store.to_dict()
+    bad = copy.deepcopy(good)
+    edit(bad["keys"]["a"]["engine"])
+    return make_decay(), good, bad
+
+
+def _answers(store) -> dict[str, tuple[float, float, float]]:
+    return {
+        key: (e.value, e.lower, e.upper)
+        for key in store.keys()
+        for e in [store.query(key)]
+    }
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+class TestRestoreRefusesUnreachableState:
+    def test_from_dict_and_in_place_restore(self, probe: str) -> None:
+        decay, good, bad = _snapshots(probe)
+        with pytest.raises(InvalidParameterError):
+            ServiceStore.from_dict(bad)
+        store = ServiceStore.from_dict(good)
+        with pytest.raises(InvalidParameterError):
+            store.restore(bad)
+        assert store.to_dict() == good
+
+    def test_sharded_restore(self, probe: str) -> None:
+        decay, good, bad = _snapshots(probe)
+        front = ShardedServiceStore(decay, 0.1, workers=2)
+        try:
+            _feed(front)
+            answers, stats = _answers(front), front.stats()
+            with pytest.raises(InvalidParameterError):
+                front.restore(bad)
+            assert _answers(front) == answers
+            assert front.stats() == stats
+        finally:
+            front.close()
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["single", "sharded"])
+    def test_post_restore_answers_400(self, probe: str, workers) -> None:
+        decay, _, bad = _snapshots(probe)
+
+        async def main() -> None:
+            harness = ServiceHarness(decay, workers=workers)
+            await harness.start()
+            try:
+                host, port = harness.host, harness.port
+                await http_request(
+                    host, port, "POST", "/ingest",
+                    {"items": [{"key": "a", "time": 1, "value": 2.0}]},
+                )
+                _, before = await http_request(host, port, "GET", "/snapshot")
+                status, body = await http_request(
+                    host, port, "POST", "/restore", bad
+                )
+                assert status == 400, body
+                assert "InvalidParameterError" in body["error"]
+                _, after = await http_request(host, port, "GET", "/snapshot")
+                assert after == before
+            finally:
+                await harness.stop()
+
+        asyncio.run(main())
+
+
+@pytest.mark.parametrize("workers", [None, 2], ids=["single", "sharded"])
+def test_overflowing_merge_is_refused_and_the_store_stays_restorable(
+    workers,
+) -> None:
+    # A merge is a write path too: a register it would overflow is state
+    # that check() refuses on restore, so the merge itself refuses it.
+    decay = ExponentialDecay(0.05)
+    store = (
+        ServiceStore(decay, 0.1)
+        if workers is None
+        else ShardedServiceStore(decay, 0.1, workers=workers)
+    )
+    try:
+        store.observe("a", 1e308)
+        other = ServiceStore(decay, 0.1)
+        other.observe("a", 1e308)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            store.merge_into("a", other.export_engine("a"))
+        assert store.query("a").value == 1e308
+        assert ServiceStore.from_dict(other.to_dict()).query("a").value == 1e308
+        snapshot = store.to_dict()
+        if workers is None:
+            assert ServiceStore.from_dict(snapshot).to_dict() == snapshot
+        else:
+            store.restore(snapshot)
+            assert store.query("a").value == 1e308
+    finally:
+        store.close()

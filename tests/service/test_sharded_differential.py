@@ -202,11 +202,14 @@ class TestWorkerCrash:
         cut = len(items) // 2
         single = ServiceStore(ExponentialDecay(0.05), 0.1)
         sharded = ShardedServiceStore(
-            ExponentialDecay(0.05), 0.1, workers=WORKERS, checkpoint_every=8
+            ExponentialDecay(0.05), 0.1, workers=WORKERS
         )
         try:
             single.observe_batch(items[:cut])
             sharded.observe_batch(items[:cut])
+            # The byte rule checkpointed the first journaled frame, so the
+            # revival replays a checkpoint and not only a journal.
+            assert sharded.stats()["per_worker"][1]["checkpoints"] >= 1
             victim = sharded.worker_pids()[1]
             os.kill(victim, signal.SIGKILL)
             deadline = _time.monotonic() + 10.0
@@ -235,11 +238,15 @@ class TestWorkerCrash:
         items = keyed_trace(200, 5, seed=2)
         single = ServiceStore(ExponentialDecay(0.05), 0.1)
         sharded = ShardedServiceStore(
-            ExponentialDecay(0.05), 0.1, workers=WORKERS, checkpoint_every=4
+            ExponentialDecay(0.05), 0.1, workers=WORKERS
         )
         try:
             single.observe_batch(items)
             sharded.observe_batch(items)
+            assert all(
+                worker["checkpoints"] >= 1
+                for worker in sharded.stats()["per_worker"]
+            )
             for victim in list(sharded.worker_pids()):
                 os.kill(victim, signal.SIGKILL)
             # Every worker is dead: the next reads must revive all three
@@ -373,11 +380,10 @@ class TestLongHorizonForward:
         items = _long_forward_trace(seed=5)
         cut = len(items) // 2
         single = ServiceStore(decay, 0.1)
-        sharded = ShardedServiceStore(
-            decay, 0.1, workers=WORKERS, checkpoint_every=8
-        )
+        sharded = ShardedServiceStore(decay, 0.1, workers=WORKERS)
         try:
             _feed((single, sharded), items[:cut])
+            assert sharded.stats()["per_worker"][0]["checkpoints"] >= 1
             victim = sharded.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
             deadline = _time.monotonic() + 10.0

@@ -9,10 +9,18 @@ what it buys:
   native late entries stays bit-identical to a single ``ServiceStore``;
 * a worker revived under a TTL evicts in the single store's order, so
   ``evicted_weight`` stays bit-identical too;
+* a worker that dies on its checkpoint exchange -- after a journaled
+  frame's reply, before the ``snapshot`` frame -- is revived from its old
+  checkpoint and journal and checkpointed again;
 * every journal entry and checkpoint is ``bytes``, and the router
   retains about what the wire carried, not decoded programs;
+* the byte rule: between calls a journal stays under twice its
+  checkpoint, whatever the batch sizes;
+* a worker's ``snapshot`` reply, encoded one key at a time, equals the
+  one-shot encoding of ``store.to_dict()`` byte for byte and peaks at a
+  small multiple of its own size;
 * the per-worker ``journal_frames``/``journal_bytes``/``checkpoint_bytes``
-  counters in ``stats()`` and their resets;
+  /``checkpoints`` counters in ``stats()`` and their resets;
 * a rejected ``restore()`` leaves keys, answers, worker engines, ledgers
   and revival state exactly as they were;
 * the router's read memo stays bounded under key churn.
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import json
 import os
 import random
 import signal
@@ -29,11 +38,22 @@ import tracemalloc
 
 import pytest
 
-from repro.core.decay import ExponentialDecay
+from repro.conformance.engines import default_specs
+from repro.core.decay import (
+    ExponentialDecay,
+    PolynomialDecay,
+    SlidingWindowDecay,
+)
 from repro.core.errors import TimeOrderError
 from repro.core.forward import ForwardDecay
 from repro.serialize import engine_to_dict
-from repro.service.sharded import ShardedServiceStore, shard_of
+from repro.service.ipc import decode_frame, encode_frame
+from repro.service.sharded import (
+    ShardedServiceStore,
+    _worker_dispatch,
+    flatten_snapshot,
+    shard_of,
+)
 from repro.service.store import ServiceStore
 from repro.streams.io import KeyedItem
 
@@ -95,6 +115,14 @@ def _assert_bit_identical(
         assert got[field] == want[field], field
 
 
+def _held(front: ShardedServiceStore) -> int:
+    """The revival state's wire bytes: every journal and checkpoint."""
+    return sum(
+        shard.journal_bytes + len(shard.checkpoint or b"")
+        for shard in front._shards
+    )
+
+
 def _assert_wire_bytes(front: ShardedServiceStore) -> None:
     for shard in front._shards:
         assert all(type(frame) is bytes for frame in shard.journal)
@@ -103,9 +131,7 @@ def _assert_wire_bytes(front: ShardedServiceStore) -> None:
 
 def _fwd_pair() -> tuple[ServiceStore, ShardedServiceStore]:
     decay = ForwardDecay("exp", 0.05)
-    front = ShardedServiceStore(
-        decay, 0.1, workers=WORKERS, checkpoint_every=4
-    )
+    front = ShardedServiceStore(decay, 0.1, workers=WORKERS)
     assert front.native_out_of_order
     return ServiceStore(decay, 0.1), front
 
@@ -138,8 +164,11 @@ class TestRevivalFromWireBytes:
                 single.observe_batch(batch)
                 front.observe_batch(batch)
                 _assert_wire_bytes(front)
-                # Once before the first checkpoint, once on top of one.
-                if len(front._shards[1].journal) == 2 and kills < 2:
+                # Twice on top of a checkpoint, with two journaled frames
+                # to replay (the byte rule checkpoints the first frame).
+                shard = front._shards[1]
+                if len(shard.journal) == 2 and kills < 2:
+                    assert shard.checkpoint is not None
                     _kill(front, 1)
                     kills += 1
             assert kills == 2 and front.revived_workers == 2
@@ -196,17 +225,17 @@ class TestRevivalKeepsTheTTLOrder:
     @pytest.mark.parametrize("seed", range(10))
     def test_kill_every_batch_under_a_ttl(self, seed: int) -> None:
         # One worker, so evicted_weight sums in the single store's order;
-        # every batch's frame is a checkpoint the next revival restores.
+        # every batch ends in a checkpoint (forced by to_dict) that the
+        # next revival restores.
         decay = ExponentialDecay(0.05)
         single = ServiceStore(decay, 0.1, ttl=4)
-        front = ShardedServiceStore(
-            decay, 0.1, workers=1, checkpoint_every=1, ttl=4
-        )
+        front = ShardedServiceStore(decay, 0.1, workers=1, ttl=4)
         try:
             batches = self._batches(seed)
             for batch in batches:
                 single.observe_batch(batch)
                 front.observe_batch(batch)
+                front.to_dict()
                 _kill(front, 0)
             single.advance_to(single.time + 10)
             front.advance_to(single.time)
@@ -227,13 +256,12 @@ class TestRouterMemory:
             for b in range(61)
         ]
         front = ShardedServiceStore(
-            ExponentialDecay(0.05), 0.1, workers=WORKERS,
-            checkpoint_every=100_000,
+            ExponentialDecay(0.05), 0.1, workers=WORKERS
         )
         try:
             # Warm-up batch: lazily built router state is not retention.
             front.observe_batch(batches[0])
-            journal_before = sum(s.journal_bytes for s in front._shards)
+            held_before = _held(front)
             gc.collect()
             tracemalloc.start()
             try:
@@ -249,7 +277,9 @@ class TestRouterMemory:
                 len(frame) for shard in front._shards for frame in shard.journal
             )
             assert journal == sum(s.journal_bytes for s in front._shards)
-            assert retained <= 2 * (journal - journal_before)
+            # What the router keeps is the journal plus the checkpoint:
+            # wire bytes, with little more than their object headers.
+            assert retained <= 2 * (_held(front) - held_before)
         finally:
             front.close()
 
@@ -282,7 +312,9 @@ class TestRouterMemory:
 
 class TestRevivalStats:
     @staticmethod
-    def _revival(front: ShardedServiceStore) -> list[tuple[int, int, int]]:
+    def _revival(
+        front: ShardedServiceStore,
+    ) -> list[tuple[int, int, int, int]]:
         rows = []
         for shard, worker in zip(front._shards, front.stats()["per_worker"]):
             assert worker["journal_frames"] == len(shard.journal)
@@ -290,34 +322,63 @@ class TestRevivalStats:
             assert worker["checkpoint_bytes"] == (
                 0 if shard.checkpoint is None else len(shard.checkpoint)
             )
+            assert worker["checkpoints"] == shard.checkpoints
             rows.append(
                 (worker["journal_frames"], worker["journal_bytes"],
-                 worker["checkpoint_bytes"])
+                 worker["checkpoint_bytes"], worker["checkpoints"])
             )
         return rows
 
     def test_counters_track_and_reset(self) -> None:
         front = ShardedServiceStore(
-            ExponentialDecay(0.05), 0.1, workers=WORKERS, checkpoint_every=3
+            ExponentialDecay(0.05), 0.1, workers=WORKERS
         )
         try:
+            # Nothing journaled: no checkpoint, not even at start-up.
+            assert self._revival(front) == [(0, 0, 0, 0)] * WORKERS
+            # Before the first checkpoint a shard's counts as 0 bytes, so
+            # its first journaled frame is checkpointed at once.
             front.observe("a", 1.0, when=1)
-            front.advance(1)
-            for frames, size, checkpoint in self._revival(front):
-                assert frames == 2 and size > 0 and checkpoint == 0
-            front.advance(1)  # the third journaled frame: checkpoint
-            for frames, size, checkpoint in self._revival(front):
-                assert frames == 0 and size == 0 and checkpoint > 0
-            front.observe("b", 2.0, when=5)
-            assert all(row[0] == 1 for row in self._revival(front))
+            for frames, size, checkpoint, taken in self._revival(front):
+                assert (frames, size, taken) == (0, 0, 1) and checkpoint > 0
+            # Clock steps journal until a journal reaches twice its
+            # checkpoint's bytes; that call checkpoints it.
+            rows = self._revival(front)
+            for step in range(2, 200):
+                front.advance(1)
+                frame = len(
+                    encode_frame({"op": "ingest", "prog": [["adv", step]]})
+                )
+                want = []
+                for frames, size, checkpoint, taken in rows:
+                    if size + frame >= 2 * checkpoint:
+                        want.append((0, 0, taken + 1))
+                    else:
+                        want.append((frames + 1, size + frame, taken))
+                rows = self._revival(front)
+                assert [(f, s, t) for f, s, _, t in rows] == want
+                for frames, size, checkpoint, _ in rows:
+                    assert size < 2 * checkpoint
+                if all(taken >= 3 for *_, taken in rows):
+                    break
+            else:
+                pytest.fail("the byte rule never checkpointed twice more")
+            # to_dict() and restore() checkpoint every shard, and count.
+            counts = [row[3] for row in self._revival(front)]
             snapshot = front.to_dict()
-            for frames, size, checkpoint in self._revival(front):
-                assert frames == 0 and size == 0 and checkpoint > 0
-            front.advance(2)
-            assert all(row[0] == 1 for row in self._revival(front))
+            for (frames, size, checkpoint, taken), count in zip(
+                self._revival(front), counts
+            ):
+                assert (frames, size, taken) == (0, 0, count + 1)
+                assert checkpoint > 0
+            front.observe("b", 2.0, when=front.time + 3)
+            assert [row[0] for row in self._revival(front)] == [1] * WORKERS
             front.restore(snapshot)
-            for frames, size, checkpoint in self._revival(front):
-                assert frames == 0 and size == 0 and checkpoint > 0
+            for (frames, size, checkpoint, taken), count in zip(
+                self._revival(front), counts
+            ):
+                assert (frames, size, taken) == (0, 0, count + 2)
+                assert checkpoint > 0
             _assert_wire_bytes(front)
         finally:
             front.close()
@@ -327,7 +388,7 @@ class TestAtomicRestore:
     def test_rejected_restore_changes_nothing(self) -> None:
         assert shard_of("a", WORKERS) == 0 and shard_of("b", WORKERS) == 1
         front = ShardedServiceStore(
-            ExponentialDecay(0.05), 0.1, workers=WORKERS, checkpoint_every=3
+            ExponentialDecay(0.05), 0.1, workers=WORKERS
         )
         try:
             front.observe_batch(
@@ -364,3 +425,219 @@ class TestAtomicRestore:
             assert front.revived_workers == WORKERS
         finally:
             front.close()
+
+
+class TestDeathOnCheckpointExchange:
+    """SIGKILL after a journaled frame's reply, before its checkpoint."""
+
+    @staticmethod
+    def _dying(front: ShardedServiceStore, index: int) -> list[int]:
+        """Kill shard ``index`` whenever ``_maybe_checkpoint`` is about to
+        snapshot it; returns the list of journal lengths at each kill."""
+        checkpoint = front._maybe_checkpoint
+        kills: list[int] = []
+
+        def dying_checkpoint() -> None:
+            shard = front._shards[index]
+            if shard.due():
+                kills.append(len(shard.journal))
+                _kill(front, index)
+            checkpoint()
+
+        front._maybe_checkpoint = dying_checkpoint
+        return kills
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_revives_and_checkpoints_again_under_a_ttl(self, seed: int) -> None:
+        # One worker, so its snapshot is the single store's to_dict() and
+        # evicted_weight sums in the single store's order.
+        decay = ExponentialDecay(0.05)
+        single = ServiceStore(decay, 0.1, ttl=4)
+        front = ShardedServiceStore(decay, 0.1, workers=1, ttl=4)
+        kills = self._dying(front, 0)
+        try:
+            for batch in TestRevivalKeepsTheTTLOrder._batches(seed):
+                shard = front._shards[0]
+                before = (len(kills), shard.checkpoints, front.revived_workers)
+                single.observe_batch(batch)
+                front.observe_batch(batch)
+                if len(kills) == before[0]:
+                    continue
+                # Revived from the old checkpoint (none, the first time)
+                # plus the journal, then checkpointed again.
+                assert shard.checkpoints == before[1] + 1
+                assert front.revived_workers == before[2] + 1
+                assert shard.journal == [] and shard.journal_bytes == 0
+                assert decode_frame(shard.checkpoint)["data"] == single.to_dict()
+            # The first kill had no checkpoint to restore; the others did.
+            assert kills[0] == 1 and len(kills) >= 2
+            single.advance_to(single.time + 10)
+            front.advance_to(single.time)
+            _assert_bit_identical(single, front)
+            assert flatten_snapshot(front.to_dict()) == single.to_dict()
+            assert front.stats()["evicted_weight"].hex() == (
+                single.stats()["evicted_weight"].hex()
+            )
+        finally:
+            front.close()
+
+    @pytest.mark.parametrize("seed", (3, 8))
+    def test_revives_a_forward_shard_with_late_entries(self, seed: int) -> None:
+        single, front = _fwd_pair()
+        kills = self._dying(front, 1)
+        try:
+            for batch in _late_batches(seed):
+                single.observe_batch(batch)
+                front.observe_batch(batch)
+                _assert_wire_bytes(front)
+            assert len(kills) >= 2
+            assert front.revived_workers == len(kills)
+            assert front._shards[1].checkpoints == len(kills)
+            _assert_bit_identical(single, front)
+            assert _worker_engines(front) == {
+                key: engine_to_dict(single.engine(key)) for key in single.keys()
+            }
+        finally:
+            front.close()
+
+
+def _batch_sizes(rng: random.Random, count: int) -> list[int]:
+    """``count`` batch sizes from 1 to 5,000, spread over the decades."""
+    sizes = [1, 5_000, 1, 2, 5_000, 1]
+    while len(sizes) < count:
+        sizes.append(min(5_000, int(10 ** rng.uniform(0, 3.7))))
+    return sizes
+
+
+class TestJournalBound:
+    @pytest.mark.parametrize(
+        "decay",
+        [ExponentialDecay(0.05), ForwardDecay("exp", 0.05)],
+        ids=["expd", "fwd-exp"],
+    )
+    def test_journal_stays_under_twice_its_checkpoint(self, decay) -> None:
+        rng = random.Random(17)
+        front = ShardedServiceStore(decay, 0.1, workers=WORKERS)
+        clock = 0
+        try:
+            for size in _batch_sizes(rng, 24):
+                batch = []
+                for _ in range(size):
+                    clock += rng.choice((0, 0, 0, 1))
+                    batch.append(
+                        KeyedItem(f"k{rng.randrange(300)}", clock,
+                                  rng.randint(1, 9) / 4)
+                    )
+                front.observe_batch(batch)
+                for worker in front.stats()["per_worker"]:
+                    if worker["journal_frames"] or worker["checkpoints"]:
+                        assert worker["journal_bytes"] < (
+                            2 * worker["checkpoint_bytes"]
+                        )
+        finally:
+            front.close()
+
+
+def _forward_shard() -> ServiceStore:
+    """A shard of the 2-worker forward-decay benchmark: 512 keys, a fifth
+    of the items late."""
+    rng = random.Random(5)
+    store = ServiceStore(ForwardDecay("exp", 0.05), 0.1)
+    items = []
+    for tick in range(4_000):
+        for _ in range(3):
+            late = rng.random() < 0.2
+            items.append(
+                KeyedItem(f"key-{rng.randrange(512)}",
+                          tick - rng.randint(1, 20) if late and tick > 20
+                          else tick,
+                          rng.randint(1, 40) / 8)
+            )
+    store.observe_batch(items)
+    return store
+
+
+def _keyed_store(decay, keys: int, ticks: int, ttl=None) -> ServiceStore:
+    """``keys`` keys on ``decay``, integer weights, every key written."""
+    rng = random.Random(keys)
+    store = ServiceStore(decay, 0.1, ttl=ttl)
+    items = [
+        KeyedItem(f"k{rng.randrange(keys)}", tick, float(rng.randint(1, 6)))
+        for tick in range(ticks)
+        for _ in range(3)
+    ]
+    items += [KeyedItem(f"k{i}", ticks, 1.0) for i in range(keys)]
+    store.observe_batch(items)
+    return store
+
+
+def _one_shot(store: ServiceStore) -> bytes:
+    return encode_frame({"ok": True, "op": "restore", "data": store.to_dict()})
+
+
+def _streamed(store: ServiceStore) -> bytes:
+    reply = _worker_dispatch(store, {"op": "snapshot"})
+    assert type(reply) is bytes
+    return reply
+
+
+class TestSnapshotFrame:
+    @pytest.mark.parametrize("cell", sorted(default_specs()))
+    def test_equals_the_one_shot_encoding_on_every_cell(self, cell) -> None:
+        spec = default_specs()[cell]
+        store = ServiceStore(spec.decay, spec.epsilon)
+        assert _streamed(store) == _one_shot(store)  # empty
+        rng = random.Random(len(cell))
+        clock = 0
+        items = []
+        for _ in range(400):
+            clock += rng.choice((0, 1, 2))
+            items.append(
+                KeyedItem(f"k{rng.randrange(9)}", clock,
+                          float(rng.randint(1, 7)))
+            )
+        store.observe_batch(items, until=clock + 5)
+        assert _streamed(store) == _one_shot(store)
+
+    def test_equals_the_one_shot_encoding_with_a_private_lattice_key(
+        self,
+    ) -> None:
+        store = _keyed_store(PolynomialDecay(1.0), 6, 600)
+        store.merge_into("k0", store.export_engine("k1"))
+        assert store.engine("k0").lattice is not store._keyed._lattice
+        assert _streamed(store) == _one_shot(store)
+
+    def test_equals_the_one_shot_encoding_after_evictions_and_restore(
+        self,
+    ) -> None:
+        store = _keyed_store(ExponentialDecay(0.05), 40, 300, ttl=5)
+        store.advance(3)
+        assert store.eviction.evicted_keys > 0
+        assert _streamed(store) == _one_shot(store)
+        restored = ServiceStore.from_dict(json.loads(_one_shot(store))["data"])
+        assert _streamed(restored) == _streamed(store)
+        assert _streamed(restored) == _one_shot(restored)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _forward_shard,
+            lambda: _keyed_store(SlidingWindowDecay(64), 4_096, 2_000),
+            lambda: _keyed_store(PolynomialDecay(1.0), 64, 3_000),
+        ],
+        ids=["fwd-512", "eh-4096", "wbmh-64"],
+    )
+    def test_encoding_peaks_at_a_small_multiple_of_the_frame(
+        self, build
+    ) -> None:
+        store = build()
+        assert _streamed(store) == _one_shot(store)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            frame = _streamed(store)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(frame)

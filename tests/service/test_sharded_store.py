@@ -58,8 +58,6 @@ class TestConstruction:
             ShardedServiceStore(ExponentialDecay(0.05), workers=0)
         with pytest.raises(InvalidParameterError):
             ShardedServiceStore(ExponentialDecay(0.05), ttl=0)
-        with pytest.raises(InvalidParameterError):
-            ShardedServiceStore(ExponentialDecay(0.05), checkpoint_every=0)
 
     def test_satisfies_store_front_protocol(self, store) -> None:
         assert isinstance(store, StoreFront)
