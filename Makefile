@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-baseline loc typecheck check conformance conformance-service conformance-service-sharded bench bench-throughput bench-compare bench-service bench-service-scaling bench-service-compare examples clean all
+.PHONY: install test lint lint-baseline loc typecheck check conformance conformance-service conformance-service-sharded bench examples clean all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -60,39 +60,6 @@ check: test lint conformance
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Ingestion-throughput baseline: writes BENCH_throughput.json (repo root).
-bench-throughput:
-	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro.benchkit.throughput \
-		--items 20000 --bulk-value 100000 --out BENCH_throughput.json
-
-# Regression gate: fresh measurement vs the checked-in baseline. Fails
-# (exit 1) when any (engine, trace, mode) cell drops more than 30%.
-bench-compare: bench-throughput
-	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro.benchkit.regress \
-		--baseline benchmarks/baselines/BENCH_throughput.json \
-		--fresh BENCH_throughput.json
-
-# Service-layer baseline: live daemon + HTTP query path; writes
-# BENCH_service.json (repo root).
-bench-service:
-	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro.benchkit.service \
-		--items 20000 --keys 64 --queries 400 --out BENCH_service.json
-
-# The same measurement plus the scaling section: sharded 2- and
-# 4-worker fronts against the single-process reference. The regress
-# gate enforces the 4-worker speedup only on >= 4-cpu machines.
-bench-service-scaling:
-	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro.benchkit.service \
-		--items 20000 --keys 64 --queries 400 \
-		--scaling --scaling-workers 2,4 --out BENCH_service.json
-
-# Service regress gate: fresh measurement vs the checked-in baseline.
-# Fails (exit 1) on >30% ingest-throughput drop or p99 query inflation.
-bench-service-compare: bench-service
-	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro.benchkit.service \
-		--baseline benchmarks/baselines/BENCH_service.json \
-		--fresh BENCH_service.json
-
 examples:
 	@for ex in examples/*.py; do \
 		echo "=== $$ex ==="; \
@@ -101,8 +68,7 @@ examples:
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \
-		benchmarks/results .benchmarks CONFORMANCE.json coverage.xml \
-		BENCH_service.json
+		benchmarks/results .benchmarks CONFORMANCE.json coverage.xml
 	find . -name __pycache__ -type d -exec rm -rf {} +
 
 all: install test bench

@@ -1,21 +1,7 @@
-"""Benchmark harness utilities: sweep runners, throughput, table printers."""
+"""Benchmark harness utilities: accuracy sweeps and table printers."""
 
 from repro.benchkit.harness import AccuracyResult, growth_exponent, measure_accuracy
-from repro.benchkit.regress import CellDiff, compare_reports, load_report
 from repro.benchkit.reporting import banner, format_series, format_table, print_table
-from repro.benchkit.throughput import (
-    SCHEMA_VERSION,
-    ThroughputResult,
-    default_engines,
-    default_traces,
-    eh_bulk_speedup,
-    measure_throughput,
-    numpy_dense_baseline,
-    run_suite,
-    validate_report,
-    wbmh_advance_speedup,
-    write_report,
-)
 
 __all__ = [
     "AccuracyResult",
@@ -25,18 +11,4 @@ __all__ = [
     "print_table",
     "format_series",
     "banner",
-    "SCHEMA_VERSION",
-    "ThroughputResult",
-    "measure_throughput",
-    "default_engines",
-    "default_traces",
-    "eh_bulk_speedup",
-    "wbmh_advance_speedup",
-    "numpy_dense_baseline",
-    "run_suite",
-    "validate_report",
-    "write_report",
-    "CellDiff",
-    "compare_reports",
-    "load_report",
 ]

@@ -1,9 +1,8 @@
 """Machine-readable conformance reports (CI artifact + nightly log).
 
-Mirrors the :mod:`repro.benchkit.throughput` reporting contract: a
-versioned JSON schema, a :func:`validate_report` shared by the writer and
-the CI job that consumes the artifact, and a human-readable formatter for
-the terminal.
+A versioned JSON schema, a :func:`validate_report` shared by the writer
+and the CI job that consumes the artifact, and a human-readable
+formatter for the terminal.
 """
 
 from __future__ import annotations

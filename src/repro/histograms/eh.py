@@ -332,6 +332,25 @@ class ExponentialHistogram:
         self._per_size = Counter(int(c) for c in self._cols.counts)
         self._total += other._total
 
+    def check(self) -> None:
+        """Refuse buckets no write can produce: every count is a positive
+        integer power of two, and the buckets are in end-time order (which
+        the expiry and query walks rely on, and ``merge`` keeps).
+
+        Run on restore (:func:`repro.serialize.engine_from_dict`), never
+        on the ingest path, whose inserts and cascades keep both.
+        """
+        for count in self._cols.counts:
+            if not 1 <= count < math.inf or count % 1 or (
+                int(count) & (int(count) - 1)
+            ):
+                raise InvalidParameterError(
+                    f"EH bucket count must be a power of two, got {count}"
+                )
+        ends = self._cols.ends
+        if any(a > b for a, b in zip(ends, ends[1:])):
+            raise InvalidParameterError("EH buckets must be in end-time order")
+
     def bucket_view(self) -> list[Bucket]:
         """Snapshot of live buckets, oldest first (consumed by CEH)."""
         return self._cols.to_buckets()
@@ -359,11 +378,14 @@ class ExponentialHistogram:
     def _load_buckets(self, buckets: Iterable[Bucket]) -> None:
         """Adopt a row-wise bucket list wholesale (serialization restore).
 
-        Rebuilds the size census and the running total from the rows and
-        invalidates the query memo; the caller owns the clock.
+        Refuses what :meth:`check` refuses, before the size census reads a
+        NaN or infinite count as an integer; then rebuilds the census and
+        the running total from the rows and invalidates the query memo.
+        The caller owns the clock.
         """
         self._gen += 1
         self._cols.load_buckets(buckets)
+        self.check()
         counts = self._cols.counts
         self._per_size = Counter(int(c) for c in counts)
         self._total = sum(int(c) for c in counts)

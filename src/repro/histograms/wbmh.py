@@ -779,6 +779,19 @@ class WBMH:
             upper += count * weight(newest_age)  # level 0: drift 1
         return Estimate(value=0.5 * (lower + upper), lower=lower, upper=upper)
 
+    def check(self) -> None:
+        """Refuse counts no write can produce: every sealed and live count
+        is finite and >= 0.
+
+        Run on restore (:func:`repro.serialize.engine_from_dict`), never
+        on the ingest path, whose writes refuse NaN and inf weights.
+        """
+        for bucket in self._iter_buckets():
+            if not 0 <= bucket.count < math.inf:
+                raise InvalidParameterError(
+                    f"WBMH count must be finite and >= 0, got {bucket.count}"
+                )
+
     def bucket_view(self) -> list[Bucket]:
         """Snapshot of all buckets (sealed then live), oldest first."""
         return list(self._iter_buckets())

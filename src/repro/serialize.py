@@ -264,8 +264,9 @@ def engine_to_dict(engine: Any) -> dict[str, Any]:
 def engine_from_dict(data: dict[str, Any]) -> Any:
     """Restore an engine serialized by :func:`engine_to_dict`.
 
-    A restore is a write path: an EXPD register or forward-decay block that
-    no write can produce is refused by the engine's ``check()`` with
+    A restore is a write path: an EXPD register, forward-decay block, EH
+    bucket or WBMH count that no write can produce is refused by the
+    engine's ``check()`` with
     :class:`~repro.core.errors.InvalidParameterError`.
     """
     version = data.get("version")
@@ -338,7 +339,7 @@ def engine_from_dict(data: dict[str, Any]) -> Any:
                 float(data["epsilon"]),
             )
         target._time = int(data["time"])
-        target._load_buckets(_buckets_in(data["buckets"]))
+        target._load_buckets(_buckets_in(data["buckets"]))  # runs check()
         # Older (pre-merge) snapshots carry no composed budget.
         target.effective_epsilon = float(
             data.get("effective_epsilon", data["epsilon"])
@@ -409,5 +410,6 @@ def engine_from_dict(data: dict[str, Any]) -> Any:
             lattice._live[engine._col] = live.count
         engine._items = int(data["items"])
         lattice._max_level = int(data["max_level"])
+        engine.check()
         return engine
     raise InvalidParameterError(f"unknown engine kind {kind!r}")

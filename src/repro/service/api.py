@@ -31,7 +31,9 @@ WebSocket, which stays open for its frame loop.  Framing is bounded: a
 request whose ``Content-Length`` is not a decimal integer or exceeds
 64 MiB is answered 400 and counted on ``bad_requests``, and a WebSocket
 frame over the same cap is refused with close code 1009 before its
-payload is read.  The module also ships
+payload is read.  A client that has not sent its whole request within
+30 s is closed and counted on ``read_timeouts``; a WebSocket or the TCP
+feed may idle as long as it likes.  The module also ships
 the matching asyncio client helpers (:func:`http_request`,
 :class:`WSClient`) used by the test harness and the latency benchmark.
 """
@@ -56,6 +58,8 @@ _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _MAX_HEADER = 16 * 1024
 #: Cap on an HTTP body and on a WebSocket frame payload.
 _MAX_BODY = 64 * 1024 * 1024
+#: Seconds a client has to send a request's head and body.
+_READ_TIMEOUT = 30.0
 #: RFC 6455 close code 1009: "message too big".
 _CLOSE_TOO_BIG = (1009).to_bytes(2, "big")
 
@@ -147,6 +151,9 @@ class ServiceServer:
         self.requests = 0
         #: Requests refused for their framing (answered 400).
         self.bad_requests = 0
+        #: Connections closed because the request stalled past
+        #: ``_READ_TIMEOUT``.
+        self.read_timeouts = 0
         self.ws_connections = 0
 
     async def start(
@@ -169,7 +176,13 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await asyncio.wait_for(
+                    self._read_request(reader), _READ_TIMEOUT
+                )
+            except asyncio.TimeoutError:
+                self.read_timeouts += 1
+                return
             if request is None:
                 return
             method, path, headers, body = request

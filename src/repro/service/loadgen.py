@@ -1,7 +1,8 @@
 """Load generation for the service layer: workload + one-call harness.
 
 Two jobs, both deliberately free of wall-clock reads (RK001 -- timing
-is :mod:`repro.benchkit.service`'s business):
+is the benchmarks' business: ``bench/`` end to end, and the multi-core
+ratio in ``benchmarks/test_bench_sharded_scaling.py``):
 
 * :func:`keyed_trace` builds the deterministic keyed workload (seeded
   RNG only, RK002): ``n_items`` observations spread over ``n_keys``

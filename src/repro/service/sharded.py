@@ -65,11 +65,13 @@ import os
 import stat
 import zlib
 from multiprocessing.connection import Connection
-from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from repro.core.batching import KeyedTimedValue
 from repro.core.decay import DecayFunction
 from repro.core.errors import (
+    DecayFunctionError,
+    EmptyAggregateError,
     InvalidParameterError,
     NotApplicableError,
     ReproError,
@@ -280,7 +282,14 @@ def _worker_dispatch(
         return {"ok": True, "time": store.time}
     if op == "shutdown":
         return {"ok": True}
-    return {"ok": False, "error": f"InvalidParameterError(unknown op {op!r})"}
+    return _error_reply(InvalidParameterError(f"unknown op {op!r}"))
+
+
+def _error_reply(exc: BaseException) -> dict[str, Any]:
+    """A refusal as the router re-raises it: the exception's type name
+    and its message (a ``KeyError``'s message is its key)."""
+    message = exc.args[0] if len(exc.args) == 1 else str(exc)
+    return {"ok": False, "error": type(exc).__name__, "message": str(message)}
 
 
 def _close_inherited_sockets(own: Connection) -> None:
@@ -321,7 +330,7 @@ def _worker_main(conn: Connection, config: dict[str, Any]) -> None:
         try:
             reply = _worker_dispatch(store, frame)
         except (ReproError, KeyError, ValueError, TypeError) as exc:
-            reply = {"ok": False, "error": repr(exc)}
+            reply = _error_reply(exc)
         try:
             send_frame(conn, reply)
         except WorkerDiedError:
@@ -376,23 +385,34 @@ class _Shard:
         self.journal_bytes = 0
 
 
-def _raise_worker_error(message: str) -> None:
-    """Re-raise a worker-reported error as the matching local type."""
-    if message.startswith("KeyError"):
-        raise KeyError(message)
-    if message.startswith("TimeOrderError"):
-        raise TimeOrderError(message)
-    if message.startswith("NotApplicableError"):
-        raise NotApplicableError(message)
-    if message.startswith("InvalidParameterError"):
-        raise InvalidParameterError(message)
-    raise ReproError(message)
+#: Worker refusals re-raised as their own type (:func:`_error_reply`);
+#: any other type arrives as a :class:`ReproError` naming it.
+_WORKER_ERRORS: dict[str, type[Exception]] = {
+    cls.__name__: cls
+    for cls in (
+        KeyError, ValueError, TypeError, ReproError, InvalidParameterError,
+        DecayFunctionError, NotApplicableError, TimeOrderError,
+        EmptyAggregateError,
+    )
+}
+
+
+def _raise_worker_error(kind: str, message: str) -> NoReturn:
+    """Re-raise a worker-reported error as the matching local type, with
+    the worker's message, so it reads as the single store's would."""
+    cls = _WORKER_ERRORS.get(kind)
+    if cls is None:
+        raise ReproError(f"{kind}: {message}")
+    raise cls(message)
 
 
 def _checked(reply: dict[str, Any]) -> dict[str, Any]:
     """``reply`` itself when it reports success; else raise its error."""
     if not reply.get("ok", False):
-        _raise_worker_error(str(reply.get("error", "worker error")))
+        _raise_worker_error(
+            str(reply.get("error", "ReproError")),
+            str(reply.get("message", "worker error")),
+        )
     return reply
 
 
@@ -550,7 +570,7 @@ class ShardedServiceStore:
             if not reply.get("ok"):
                 raise WorkerDiedError(
                     f"shard {index} checkpoint replay failed: "
-                    f"{reply.get('error')}"
+                    f"{reply.get('error')}: {reply.get('message')}"
                 )
         for data in shard.journal:
             send_frame(shard.conn, data)

@@ -257,6 +257,23 @@ class TestForwardDecaySum:
         assert triplet(a) == triplet(b)
         assert a.time == b.time == 600
 
+    def test_ingest_banks_a_block_once(self, monkeypatch):
+        """Contributions on the -52 grid defer into one exact integer per
+        block: 20,000 items inside one scale block touch the block twice
+        (the deferred total and the last run), not once per item run."""
+        flushed = []
+
+        def counted(*args, _orig=forward._flush):
+            flushed.append(args[1])
+            return _orig(*args)
+
+        monkeypatch.setattr(forward, "_flush", counted)
+        items = [StreamItem(t // 2, 1.0 + t % 3) for t in range(20_000)]
+        s = ForwardDecaySum(ForwardDecay("exp", 0.001))
+        s.ingest(items)
+        assert flushed == [0, 0]
+        assert len(s._buckets) == 1
+
     def test_add_batch_bit_identical_to_adds(self):
         values = [1.0, 1.0, 1.0, 0.25, 7.5, 0.0, 1.0]
         a = ForwardDecaySum(ForwardDecay("poly", 1.2))

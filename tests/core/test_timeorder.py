@@ -285,3 +285,30 @@ class TestAdmission:
             admission.observe(front, "k", 2.5, 2)
         admission.observe_values(front, "k", [3.0, 2])
         assert front.folds == [(5, "k", 3.0), (5, "k", 2)]
+
+    def test_batch_folds_once_per_key_per_tick(self):
+        # 12 ticks x 3 keys x 4 interleaved items: one clock move per
+        # tick after the first, one fold per (tick, key), every value in
+        # arrival order.
+        calls = {"_adv": 0, "_fold": 0}
+
+        class CountingFront(RecordingFront):
+            def _adv(self, when):
+                calls["_adv"] += 1
+                super()._adv(when)
+
+            def _fold(self, key, values):
+                calls["_fold"] += 1
+                super()._fold(key, values)
+
+        items = [
+            keyed(t, float(i), f"k{i % 3}") for t in range(12) for i in range(12)
+        ]
+        front = CountingFront()
+        admission = Admission()
+        admission.observe_batch(front, items)
+        assert calls == {"_adv": 11, "_fold": 36}
+        assert sorted(front.folds) == sorted(
+            (item.time, item.key, item.value) for item in items
+        )
+        assert admission.ingested_items == 144

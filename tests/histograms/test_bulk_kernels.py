@@ -12,19 +12,20 @@ reach.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import json
 
 import pytest
 
-from repro.benchkit.throughput import default_traces
 from repro.core.batching import ingest_trace
 from repro.core.decay import ExponentialDecay, PolynomialDecay
 from repro.histograms.ceh import CascadedEH
-from repro.histograms.eh import SlidingWindowSum
+from repro.histograms.eh import ExponentialHistogram, SlidingWindowSum
 from repro.histograms.soa import eh_bulk_ingest, wbmh_bulk_ingest
-from repro.histograms.wbmh import WBMH
+from repro.histograms.wbmh import WBMH, Lattice
 from repro.serialize import engine_to_dict
-from repro.streams.generators import StreamItem
+from repro.streams.generators import StreamItem, bernoulli_stream, bursty_stream
 
 
 def snapshot_bytes(engine) -> str:
@@ -92,7 +93,20 @@ ENGINES = {
 
 @pytest.fixture(scope="module")
 def traces():
-    return default_traces(20000, seed=7)
+    """Two 20,000-item traces at opposite ends of the batch path: ``dense``
+    is about one unit item per tick, ``bursty`` has on/off phases with
+    eight same-tick items per arrival inside a burst."""
+    n = 20000
+    dense = list(bernoulli_stream(int(n / 0.9) + 1, 0.9, seed=7))[:n]
+    burst_src = bursty_stream(
+        1 << 30, on_mean=8, off_mean=24, rate_on=1.0, seed=7
+    )
+    bursty = [
+        StreamItem(item.time, 1.0)
+        for item in itertools.islice(burst_src, n // 8)
+        for _ in range(8)
+    ]
+    return {"dense": dense, "bursty": bursty}
 
 
 class TestBenchmarkScaleIdentity:
@@ -107,3 +121,43 @@ class TestBenchmarkScaleIdentity:
         assert bulk.time == organic.time == items[-1].time
         assert snapshot_bytes(bulk) == snapshot_bytes(organic)
         assert triplet(bulk) == triplet(organic)
+
+
+#: The organic replay's per-tick entry points: one clock move and one
+#: fold per distinct arrival time.
+PER_TICK = {
+    ExponentialHistogram: ("advance", "add", "add_batch"),
+    Lattice: ("advance",),
+    WBMH: ("add", "add_batch"),
+}
+
+
+def count_per_tick_calls(monkeypatch) -> collections.Counter:
+    calls: collections.Counter = collections.Counter()
+    for cls, names in PER_TICK.items():
+        for name in names:
+            def counted(self, *args, _orig=getattr(cls, name),
+                        _name=f"{cls.__name__}.{name}", **kwargs):
+                calls[_name] += 1
+                return _orig(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestIngestTakesTheKernel:
+    """``ingest`` builds a benchmark-scale trace in closed form: not one
+    per-tick engine call, where the organic replay makes one clock move
+    and one fold per distinct arrival time."""
+
+    @pytest.mark.parametrize("trace", ["dense", "bursty"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES), ids=str)
+    def test_no_per_tick_calls(self, traces, engine: str, trace: str,
+                               monkeypatch):
+        items = traces[trace]
+        calls = count_per_tick_calls(monkeypatch)
+        ENGINES[engine]().ingest(items)
+        assert sum(calls.values()) == 0
+        ingest_trace(ENGINES[engine](), items)
+        times = {item.time for item in items}
+        assert sum(calls.values()) == 2 * len(times) - (0 in times)

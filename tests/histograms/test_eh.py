@@ -1,5 +1,6 @@
 """Unit tests for the Exponential Histogram (paper section 4.1)."""
 
+import collections
 import math
 import random
 
@@ -9,6 +10,7 @@ from repro.core.decay import SlidingWindowDecay
 from repro.core.errors import InvalidParameterError
 from repro.core.exact import ExactDecayingSum
 from repro.histograms.eh import ExponentialHistogram, SlidingWindowSum
+from repro.histograms.soa import BucketColumns
 
 
 def run_stream(eh, exact, length, p, seed):
@@ -242,6 +244,23 @@ class TestBulkInsert:
         eh = ExponentialHistogram(None, 0.01)
         eh.add(10**5)
         assert eh.bucket_count() <= eh.buckets_per_size * (10**5).bit_length() + 1
+
+    def test_bulk_add_runs_no_unary_step(self, monkeypatch):
+        """The bulk insert's speedup as a count: ``add(10**5)`` appends
+        no size-1 bucket and runs no cascade step, where the unary loop
+        runs 10**5 of each."""
+        calls = collections.Counter()
+        for cls, name in ((ExponentialHistogram, "_cascade"),
+                          (BucketColumns, "append")):
+            def counted(self, *args, _orig=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _orig(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        ExponentialHistogram(None, 0.01).add(10**5)
+        assert calls == {}
+        ExponentialHistogram(None, 0.01)._add_ones_unary(10**5)
+        assert calls == {"_cascade": 10**5, "append": 10**5}
 
     def test_add_batch_loops_bulk_add(self):
         a = ExponentialHistogram(64, 0.1)

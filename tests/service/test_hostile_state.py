@@ -8,10 +8,13 @@
   front a tick ahead of the single store, with the refused batch's
   other folds applied.
 * **Restore is a write path.**  ``engine_from_dict`` runs the engine's
-  ``check()``: an EXPD register that is negative, infinite or NaN, and a
-  forward-decay block with a negative numerator, are refused by
-  ``ServiceStore.from_dict``, ``POST /restore`` and
-  ``ShardedServiceStore.restore``, and each refusal changes nothing.
+  ``check()``: an EXPD register that is negative, infinite or NaN, a
+  forward-decay block with a negative numerator, an EH bucket count that
+  is not a power of two (an infinite one included), EH buckets out of
+  end-time order, and a NaN or
+  infinite WBMH count, are refused by ``ServiceStore.from_dict``,
+  ``POST /restore`` and ``ShardedServiceStore.restore``, each refusal
+  changes nothing, and both fronts answer it in the same words.
   An EXPD merge that would overflow the register is refused as well, so
   no write leaves a store whose snapshot cannot be restored.
 """
@@ -116,6 +119,26 @@ PROBES: dict[str, tuple[Callable[[], Any], Callable[[dict[str, Any]], None]]] = 
         lambda: ForwardDecay("exp", 0.05),
         _negate_first_block,
     ),
+    "eh-count-not-a-power-of-two": (
+        lambda: SlidingWindowDecay(64),
+        lambda state: state["buckets"][-1].__setitem__(2, 3),
+    ),
+    "eh-buckets-reversed": (
+        lambda: SlidingWindowDecay(64),
+        lambda state: state["buckets"].reverse(),
+    ),
+    "eh-inf-count": (
+        lambda: SlidingWindowDecay(64),
+        lambda state: state["buckets"][-1].__setitem__(2, math.inf),
+    ),
+    "wbmh-nan-count": (
+        lambda: PolynomialDecay(1.0),
+        lambda state: state["sealed"][0].__setitem__(2, math.nan),
+    ),
+    "wbmh-inf-count": (
+        lambda: PolynomialDecay(1.0),
+        lambda state: state["sealed"][0].__setitem__(2, math.inf),
+    ),
 }
 
 
@@ -171,6 +194,9 @@ class TestRestoreRefusesUnreachableState:
     @pytest.mark.parametrize("workers", [None, 2], ids=["single", "sharded"])
     def test_post_restore_answers_400(self, probe: str, workers) -> None:
         decay, _, bad = _snapshots(probe)
+        # Both fronts answer with the single store's own refusal.
+        with pytest.raises(InvalidParameterError) as refusal:
+            ServiceStore(decay, 0.1).restore(bad)
 
         async def main() -> None:
             harness = ServiceHarness(decay, workers=workers)
@@ -186,7 +212,7 @@ class TestRestoreRefusesUnreachableState:
                     host, port, "POST", "/restore", bad
                 )
                 assert status == 400, body
-                assert "InvalidParameterError" in body["error"]
+                assert body == {"error": repr(refusal.value)}
                 _, after = await http_request(host, port, "GET", "/snapshot")
                 assert after == before
             finally:

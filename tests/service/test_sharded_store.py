@@ -26,6 +26,8 @@ from repro.core.errors import InvalidParameterError, TimeOrderError
 from repro.core.estimate import Estimate
 from repro.core.interfaces import make_decaying_sum
 from repro.core.timeorder import OutOfOrderPolicy
+from repro.service import sharded
+from repro.service.ipc import decode_frame
 from repro.service.sharded import (
     ShardedServiceStore,
     flatten_snapshot,
@@ -186,6 +188,20 @@ class TestReadsAndWrites:
         assert _triplet(exported.query()) == _triplet(store.query("k"))
         assert exported.query().value == pytest.approx(6.0)
 
+    def test_worker_refusals_keep_their_type_and_text(self, store) -> None:
+        # A worker's refusal reads exactly as the single store's: the
+        # same type, the same message, no repr nested inside.
+        single = ServiceStore(ExponentialDecay(0.05), 0.1)
+        other = make_decaying_sum(ExponentialDecay(0.1), 0.1)
+        refusals = []
+        for front in (single, store):
+            front.observe("a", 1.0)
+            with pytest.raises(InvalidParameterError) as refusal:
+                front.merge_into("a", other)
+            refusals.append(repr(refusal.value))
+        assert refusals[0] == refusals[1]
+        assert refusals[0].count("InvalidParameterError") == 1
+
     def test_key_stats_and_reports(self, store) -> None:
         store.observe("a", 1.0)
         store.observe("b", 2.0, when=3)
@@ -315,6 +331,73 @@ class TestMemoization:
             assert memo.query_total().value == pytest.approx(
                 single.query_total().value, rel=1e-12
             )
+
+
+def _pipe_log(monkeypatch, front) -> list[tuple]:
+    """Record the router's pipe traffic: ``("send", shard, op)`` per frame
+    sent, ``("recv", shard)`` per reply read."""
+    shard_at = {id(shard.conn): i for i, shard in enumerate(front._shards)}
+    events: list[tuple] = []
+    send, recv = sharded.send_frame, sharded.recv_frame_bytes
+
+    def logged_send(conn, data):
+        events.append(("send", shard_at[id(conn)], decode_frame(data)["op"]))
+        send(conn, data)
+
+    def logged_recv(conn):
+        events.append(("recv", shard_at[id(conn)]))
+        return recv(conn)
+
+    monkeypatch.setattr(sharded, "send_frame", logged_send)
+    monkeypatch.setattr(sharded, "recv_frame_bytes", logged_recv)
+    return events
+
+
+class TestFrameCounts:
+    """The router's IPC work as exact counts, on a 3-worker front."""
+
+    #: 12 keys over 30 ticks; every shard owns at least one key.
+    ITEMS = [KeyedItem(f"k{i % 12}", i // 4, 1.0) for i in range(120)]
+
+    def test_one_ingest_frame_per_shard_per_write_call(
+        self, store, monkeypatch
+    ) -> None:
+        assert {shard_of(item.key, 3) for item in self.ITEMS} == {0, 1, 2}
+        events = _pipe_log(monkeypatch, store)
+        store.observe_batch(self.ITEMS)
+        ingest = [event for event in events if event[2:] == ("ingest",)]
+        assert ingest == [("send", 0, "ingest"), ("send", 1, "ingest"),
+                          ("send", 2, "ingest")]
+
+    def test_every_frame_is_sent_before_any_reply_is_read(
+        self, store, monkeypatch
+    ) -> None:
+        # The workers fold concurrently only if the router sends all its
+        # frames before it blocks on the first reply.
+        events = _pipe_log(monkeypatch, store)
+        store.observe_batch(self.ITEMS)
+        assert events[:6] == [
+            ("send", 0, "ingest"), ("send", 1, "ingest"),
+            ("send", 2, "ingest"), ("recv", 0), ("recv", 1), ("recv", 2),
+        ]
+        del events[:]
+        store.stats()
+        assert events == [
+            ("send", 0, "stats"), ("send", 1, "stats"),
+            ("send", 2, "stats"), ("recv", 0), ("recv", 1), ("recv", 2),
+        ]
+
+    def test_repeat_reads_in_a_tick_cost_one_frame(
+        self, store, monkeypatch
+    ) -> None:
+        store.observe_batch(self.ITEMS)
+        events = _pipe_log(monkeypatch, store)
+        for _ in range(5):
+            for key in ("k0", "k1", "k2"):
+                store.query(key)
+        queries = [event for event in events if event[0] == "send"]
+        assert len(queries) == 3
+        assert {event[2] for event in queries} == {"query"}
 
 
 class TestSnapshot:

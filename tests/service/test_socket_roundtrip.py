@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.decay import ExponentialDecay, PolynomialDecay
 from repro.core.forward import ForwardDecay
+from repro.service import api
 from repro.service.api import WSClient, _frame, _mask, _read_frame, http_request
 from repro.service.daemon import BackpressurePolicy, IngestDaemon
 from repro.service.loadgen import ServiceHarness, keyed_trace
@@ -187,6 +188,32 @@ class TestFraming:
                 )
                 assert status == 200
                 assert harness.server.requests == 1
+            await _assert_no_leaked_tasks()
+
+        _run(main)
+
+    def test_stalled_request_is_closed_and_counted(self, monkeypatch) -> None:
+        # One client stalls inside the head, one inside the body; both
+        # are closed once the read timeout passes, and nothing is left
+        # running after stop().
+        monkeypatch.setattr(api, "_READ_TIMEOUT", 0.2)
+
+        async def main() -> None:
+            async with ServiceHarness(ExponentialDecay(0.05)) as harness:
+                for partial in (
+                    b"GET /heal",
+                    b"POST /ingest HTTP/1.1\r\nContent-Length: 9\r\n\r\n{",
+                ):
+                    reader, writer = await asyncio.open_connection(
+                        harness.host, harness.port
+                    )
+                    writer.write(partial)
+                    await writer.drain()
+                    assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                    writer.close()
+                    await writer.wait_closed()
+                assert harness.server.read_timeouts == 2
+                assert harness.server.requests == 0
             await _assert_no_leaked_tasks()
 
         _run(main)
@@ -399,6 +426,30 @@ class TestBackpressure:
             assert stats["fold_errors"] == 0
             await daemon.stop()
             assert daemon.stats()["running"] is False
+            await _assert_no_leaked_tasks()
+
+        _run(main)
+
+    def test_batch_max_sets_the_fold_count(self) -> None:
+        # Ten items queue before the consumer runs, so it drains them in
+        # batch_max-sized batches: 4 + 4 + 2, one store fold each.
+        async def main() -> None:
+            store = ServiceStore(ExponentialDecay(0.05))
+            folds: list[int] = []
+            fold = store.observe_batch
+
+            def counted(items, **kwargs):
+                folds.append(len(items))
+                fold(items, **kwargs)
+
+            store.observe_batch = counted  # type: ignore[method-assign]
+            daemon = IngestDaemon(store, maxsize=16, batch_max=4)
+            await daemon.start()
+            await daemon.submit_many(self._items(10))
+            await daemon.drain()
+            assert folds == [4, 4, 2]
+            assert daemon.stats()["batches_folded"] == 3
+            await daemon.stop()
             await _assert_no_leaked_tasks()
 
         _run(main)
