@@ -142,32 +142,13 @@ class ExponentialSum:
                 f"EXPD register must be finite and >= 0, got {self._sum}"
             )
 
-    def absorb(self, other: "ExponentialSum") -> None:
-        """Merge another EXPD register over the same decay and clock.
-
-        Decaying sums are linear in the stream, so distributed EXPD
-        registers merge by addition.
-        """
-        if other is self:
-            raise InvalidParameterError("cannot absorb an engine into itself")
-        if not isinstance(other, ExponentialSum):
-            raise InvalidParameterError("can only absorb another ExponentialSum")
-        if other._decay.lam != self._decay.lam:
-            raise InvalidParameterError("absorb requires the same decay rate")
-        if other._time != self._time:
-            raise TimeOrderError(
-                f"clock mismatch: {self._time} vs {other._time}"
-            )
-        self._sum += other._sum
-        self._items += other._items
-
     def merge(self, other: "ExponentialSum") -> None:
         """Fold another EXPD register into this one by addition.
 
         ``S_EXPD`` is linear in the stream, so the union stream's register
         is the sum of the shard registers.  Unequal clocks are aligned by
         advancing the younger operand (a pure ``factor**steps`` scale)
-        first; ``absorb`` remains the stricter equal-clock primitive.
+        first.
         """
         require_merge_operand(self, other)
         require_same_decay(self._decay, other._decay)
@@ -393,9 +374,24 @@ class PolyexpPipeline:
             raise TimeOrderError(
                 f"clock mismatch: {self._time} vs {other._time}"
             )
-        for j in range(self.k + 1):
-            self._m[j] += other._m[j]
+        moments = [a + b for a, b in zip(self._m, other._m)]
+        if not all(m < math.inf for m in moments):
+            raise InvalidParameterError("merge must keep the moments finite")
+        self._m = moments
         self._items += other._items
+
+    def check(self) -> None:
+        """Refuse moments no write can produce: each is finite and >= 0.
+
+        Run on restore (:func:`repro.serialize.engine_from_dict`), never
+        on the ingest path, whose writes keep ``M_0`` in range.
+        """
+        for j, moment in enumerate(self._m):
+            if not 0 <= moment < math.inf:
+                raise InvalidParameterError(
+                    f"polyexponential moment M_{j} must be finite and >= 0, "
+                    f"got {moment}"
+                )
 
     def combine(self, poly_coeffs: Sequence[float]) -> float:
         """Decaying sum under ``g(a) = (sum_j c_j a**j) exp(-lam a)``.

@@ -198,19 +198,7 @@ class ForwardDecaySum:
     gracefully to 0.0 instead of overflowing.
     """
 
-    __slots__ = (
-        "_decay",
-        "_time",
-        "_buckets",
-        "_items",
-        "_cache_t",
-        "_k",
-        "_blo",
-        "_bhi",
-        "_w",
-        "_slot",
-        "_pend",
-    )
+    __slots__ = ("_decay", "_time", "_buckets", "_items")
 
     #: Forward state is a function of the item multiset: ingestion accepts
     #: items stamped at or before the clock (``add_at``) without error.
@@ -223,18 +211,6 @@ class ForwardDecaySum:
         self._time = 0
         self._buckets: dict[int, list[int]] = {}  # k -> [num, exp]
         self._items = 0
-        # Item-mode hot-loop cache, mirroring the local cache in `ingest`:
-        # the residual weight for the current timestamp, the live block (its
-        # index *and* slot), and an exact integer of deferred -52-exponent
-        # contributions.  Integer addition is associative, so flushing the
-        # pending total in one shot is bit-identical to banking each item.
-        self._cache_t = -1
-        self._k = 0
-        self._blo = 0.0  # lintkit: not-serialized
-        self._bhi = -1.0  # empty range: the next add recomputes the block
-        self._w = 1.0  # lintkit: not-serialized
-        self._slot: list[int] | None = None
-        self._pend = 0
 
     # -------------------------------------------------------------- clock
 
@@ -259,62 +235,8 @@ class ForwardDecaySum:
     # ------------------------------------------------------------- writes
 
     def add(self, value: float = 1.0) -> None:
-        if not value >= 0:
-            raise InvalidParameterError(f"value must be >= 0, got {value}")
-        when = self._time
-        if when != self._cache_t:
-            f = self._decay.log2_g(when)
-            if not self._blo <= f < self._bhi:
-                if self._pend:
-                    self._slot = _flush(
-                        self._buckets, self._k, self._slot, self._pend, -52, 1
-                    )
-                    self._pend = 0
-                k = int(f * _INV_BLOCK)
-                self._k = k
-                self._blo = float(k << 6)
-                self._bhi = self._blo + 64.0
-                self._slot = self._buckets.get(k)
-            self._w = 2.0 ** (f - self._blo)
-            self._cache_t = when
-        x = value * self._w
-        if x >= 1.0:
-            if x >= _P52:
-                # Mirror the _exact_parts branches: x is already
-                # integer-valued here and x * _P52 could overflow.
-                if x == math.inf:
-                    raise InvalidParameterError(
-                        "forward contribution overflows a float; values "
-                        "this large are outside the engine's domain"
-                    )
-                self._slot = _flush(
-                    self._buckets, self._k, self._slot, int(x), 0, 1
-                )
-            else:
-                self._pend += int(x * _P52)
-        elif x > 0.0:
-            num, den = x.as_integer_ratio()
-            self._slot = _flush(
-                self._buckets, self._k, self._slot, num, 1 - den.bit_length(), 1
-            )
-        self._items += 1
-
-    def _flush_pending(self) -> None:
-        """Bank the deferred item-mode total and drop the block cache.
-
-        Called before any observation of ``_buckets`` (query, storage,
-        merge, serialize) and before every write path that manages its own
-        block cache -- those paths may create the block this cache believes
-        is absent, so the cached slot is invalidated wholesale.  Exact
-        integer accumulation makes the flushed state bit-identical to
-        banking each deferred item individually.
-        """
-        if self._pend:
-            _flush(self._buckets, self._k, self._slot, self._pend, -52, 1)
-            self._pend = 0
-        self._cache_t = -1
-        self._bhi = -1.0
-        self._slot = None
+        """Bank one item at the clock: a one-item :meth:`add_batch`."""
+        self.add_batch((value,))
 
     def add_at(self, when: int, value: float = 1.0) -> None:
         """Record an item stamped ``when``, late or not.
@@ -327,19 +249,18 @@ class ForwardDecaySum:
             raise InvalidParameterError(f"when must be >= 0, got {when}")
         if not value >= 0:
             raise InvalidParameterError(f"value must be >= 0, got {value}")
-        self._flush_pending()
         self._bank(when, value)  # raises on overflow before the clock moves
         if when > self._time:
             self._time = when
         self._items += 1
 
     def add_batch(self, values: Sequence[float]) -> None:
-        """Bank a same-instant batch; bit-identical to sequential adds.
+        """Bank a same-instant batch; bit-identical to one :meth:`add_at`
+        per value at the clock.
 
         A rejected value raises with the values before it banked and
-        counted, as sequential adds would leave them.
+        counted, as those ``add_at`` calls would leave them.
         """
-        self._flush_pending()
         when = self._time
         decay = self._decay
         f = decay.log2_g(when)
@@ -389,7 +310,6 @@ class ForwardDecaySum:
         order; an item that raises leaves the items before it banked,
         counted and on the clock, as that replay would.
         """
-        self._flush_pending()
         decay = self._decay
         exp_kind = decay.kind == "exp"
         cfac = decay.rate * _LOG2_E
@@ -515,7 +435,6 @@ class ForwardDecaySum:
         deterministic rounding, then renormalized by ``2**-log2 g(T)`` in
         the exponent: a pure function of ``(item multiset, T)``.
         """
-        self._flush_pending()
         buckets = self._buckets
         if not buckets:
             return Estimate.exact(0.0)
@@ -547,7 +466,6 @@ class ForwardDecaySum:
                 )
 
     def storage_report(self) -> StorageReport:
-        self._flush_pending()
         register_bits = 0
         for num, _ in self._buckets.values():
             # mantissa bits plus one block-exponent field per bucket
@@ -572,8 +490,6 @@ class ForwardDecaySum:
         require_merge_operand(self, other)
         require_same_decay(self._decay, other._decay)
         align_merge_clocks(self, other)
-        self._flush_pending()
-        other._flush_pending()
         buckets = self._buckets
         for k, (num, exp) in other._buckets.items():
             if num:
@@ -594,9 +510,9 @@ def _exact_parts(contribution: float) -> tuple[int, int]:
     integer-valued (exponent 0); in ``[1, 2**52)`` the fixed ``2**-52``
     grid holds every mantissa bit a double can have (see :data:`_P52`);
     below 1 the slower ``as_integer_ratio`` path keeps the sub-unit bits.
-    Every write path (``add``/``add_at``/``add_batch``/``ingest``/
-    ``merge``) must agree with this function bit for bit -- it is what
-    makes the block state a pure function of the item multiset.
+    Every write path (``add_at``/``add_batch``/``ingest``/``merge``)
+    must agree with this function bit for bit -- it is what makes the
+    block state a pure function of the item multiset.
     """
     if contribution >= _P52:
         if contribution == math.inf:

@@ -49,7 +49,6 @@ class CascadedEH:
         "estimator",
         "backend",
         "_hist",
-        "_q_cache",
     )
 
     def __init__(
@@ -78,10 +77,6 @@ class CascadedEH:
         else:
             raise InvalidParameterError(f"unknown backend {backend!r}")
         self.backend = backend
-        # Memo of the Eq. 4 walk, keyed by the backend's mutation
-        # generation; any write or clock move through *this* adapter or the
-        # backend itself bumps the generation and invalidates it.
-        self._q_cache: tuple[int, Estimate] | None = None
 
     @property
     def time(self) -> int:
@@ -131,34 +126,17 @@ class CascadedEH:
         ``[T - end, T - start]``; the decaying contribution is therefore in
         ``[count * g(T - start), count * g(T - end)]``. Ages beyond the decay
         support get weight zero automatically, which handles the bucket that
-        straddles the support boundary.
-
-        Memoised per backend mutation generation: between writes the cached
-        (immutable) :class:`Estimate` is returned without re-walking the
-        bucket list.
+        straddles the support boundary.  The point value is the
+        ``estimator`` end of that bracket, or its midpoint.
         """
-        gen = self._hist._gen
-        cached = self._q_cache
-        if cached is not None and cached[0] == gen:
-            return cached[1]
-        now = self._hist.time
-        g = self._decay.weight
-        upper = 0.0
-        lower = 0.0
-        for b in self._hist.bucket_view():
-            newest_age = now - b.end
-            oldest_age = now - b.start
-            upper += b.count * g(newest_age)
-            lower += b.count * g(oldest_age)
+        lower, upper = self._bracket(self._decay)
         if self.estimator == "upper":
             value = upper
         elif self.estimator == "lower":
             value = lower
         else:
             value = 0.5 * (upper + lower)
-        est = Estimate(value=value, lower=lower, upper=upper)
-        self._q_cache = (gen, est)
-        return est
+        return Estimate(value=value, lower=lower, upper=upper)
 
     def query_decay(self, other: DecayFunction) -> Estimate:
         """Answer for a *different* decay function from the same structure.
@@ -174,13 +152,19 @@ class CascadedEH:
             raise InvalidParameterError(
                 "requested decay function outlives the structure's window"
             )
+        lower, upper = self._bracket(other)
+        return Estimate(value=0.5 * (upper + lower), lower=lower, upper=upper)
+
+    def _bracket(self, decay: DecayFunction) -> tuple[float, float]:
+        """``(lower, upper)``: Eq. 4 weighted by bucket starts and ends."""
         now = self._hist.time
+        weight = decay.weight
         upper = 0.0
         lower = 0.0
         for b in self._hist.bucket_view():
-            upper += b.count * other.weight(now - b.end)
-            lower += b.count * other.weight(now - b.start)
-        return Estimate(value=0.5 * (upper + lower), lower=lower, upper=upper)
+            upper += b.count * weight(now - b.end)
+            lower += b.count * weight(now - b.start)
+        return lower, upper
 
     def merge(self, other: "CascadedEH") -> None:
         """Merge another cascaded histogram over the same decay and backend.

@@ -92,7 +92,6 @@ class DominationHistogram:
         "_time",
         "_total",
         "_since_compact",
-        "_gen",
     )
 
     def __init__(
@@ -118,9 +117,6 @@ class DominationHistogram:
         self._time = 0
         self._total = 0.0
         self._since_compact = 0
-        # Mutation generation: bumped by every state change so cached
-        # queries (CEH's per-tick memo) can detect staleness in O(1).
-        self._gen = 0
 
     @property
     def time(self) -> int:
@@ -135,14 +131,18 @@ class DominationHistogram:
             raise InvalidParameterError(f"value must be finite and >= 0, got {value}")
         if value == 0:
             return
-        self._gen += 1
+        total = self._total + value
+        if not total < math.inf:  # no bucket may reach inf (see check)
+            raise InvalidParameterError(
+                f"value must keep the histogram total finite, got {value}"
+            )
         cols = self._cols
         ends = cols.ends
         if ends and ends[-1] == self._time:
             cols.counts[-1] = cols.counts[-1] + value
         else:
             cols.append(self._time, self._time, value, 0)
-        self._total += value
+        self._total = total
         self._since_compact += 1
         if self._since_compact >= self.compact_every:
             self._compact()
@@ -158,8 +158,6 @@ class DominationHistogram:
     def advance(self, steps: int = 1) -> None:
         if steps < 0:
             raise InvalidParameterError(f"steps must be >= 0, got {steps}")
-        if steps:
-            self._gen += 1
         self._time += steps
         self._expire()
 
@@ -192,7 +190,9 @@ class DominationHistogram:
         align_merge_clocks(self, other)
         if not len(other._cols):
             return
-        self._gen += 1
+        total = self._total + other._total
+        if not total < math.inf:
+            raise InvalidParameterError("merge must keep the total finite")
         if len(self._cols):
             self.effective_epsilon = compose_merge_epsilon(
                 self.effective_epsilon, other.effective_epsilon
@@ -204,7 +204,7 @@ class DominationHistogram:
             self.effective_epsilon = other.effective_epsilon
             union = other._cols.to_buckets()
         self._cols.load_buckets(union)
-        self._total += other._total
+        self._total = total
         self._compact()
         self._since_compact = 0
 
@@ -252,6 +252,27 @@ class DominationHistogram:
             upper=total,
         )
 
+    def check(self) -> None:
+        """Refuse buckets no write can produce: every count is finite and
+        > 0 (``add`` skips zeros), and the buckets are in end-time order
+        (which the expiry and query walks rely on, and ``merge`` keeps).
+
+        Run on restore (:func:`repro.serialize.engine_from_dict`), never
+        on the ingest path, whose writes refuse NaN, inf and negative
+        values.
+        """
+        for count in self._cols.counts:
+            if not 0 < count < math.inf:
+                raise InvalidParameterError(
+                    f"domination bucket count must be finite and > 0, "
+                    f"got {count}"
+                )
+        ends = self._cols.ends
+        if any(a > b for a, b in zip(ends, ends[1:])):
+            raise InvalidParameterError(
+                "domination buckets must be in end-time order"
+            )
+
     def bucket_view(self) -> list[Bucket]:
         """Snapshot of live buckets, oldest first (consumed by CEH)."""
         return self._cols.to_buckets()
@@ -276,12 +297,12 @@ class DominationHistogram:
     def _load_buckets(self, buckets: Iterable[Bucket]) -> None:
         """Adopt a row-wise bucket list wholesale (serialization restore).
 
-        Rebuilds the running total from the rows (same oldest-first
-        accumulation order as before) and invalidates cached queries; the
-        caller owns the clock and the compaction countdown.
+        Refuses what :meth:`check` refuses, then rebuilds the running
+        total from the rows (same oldest-first accumulation order as
+        before); the caller owns the clock and the compaction countdown.
         """
-        self._gen += 1
         self._cols.load_buckets(buckets)
+        self.check()
         self._total = sum(self._cols.counts)
 
     def _compact(self) -> None:

@@ -78,8 +78,6 @@ class ExponentialHistogram:
         "_per_size",
         "_time",
         "_total",
-        "_gen",
-        "_q_cache",
     )
 
     #: The weight domain: a 0/1-stream structure counts integer arrivals.
@@ -103,10 +101,6 @@ class ExponentialHistogram:
         self._per_size: Counter[int] = Counter()
         self._time = 0
         self._total = 0  # sum of bucket counts (ints: powers of two)
-        # Mutation generation (bumped by every state change) and the
-        # per-generation memo of the full-window answer.
-        self._gen = 0
-        self._q_cache: tuple[int, Estimate] | None = None
 
     @property
     def time(self) -> int:
@@ -139,7 +133,6 @@ class ExponentialHistogram:
         if count == 1:
             # Fast path: one unary insert IS the cascade process -- no need
             # for the flattened simulation's run bookkeeping.
-            self._gen += 1
             t = self._time
             self._cols.append(t, t, 1, 0)
             self._total += 1
@@ -149,7 +142,6 @@ class ExponentialHistogram:
             if n > self.buckets_per_size + 1:
                 self._cascade()
         elif count:
-            self._gen += 1
             self._bulk_insert(count)
 
     def add_batch(self, values: Sequence[float]) -> None:  # lintkit: hot
@@ -174,7 +166,6 @@ class ExponentialHistogram:
             total += int(value)
         if not total:
             return
-        self._gen += 1
         if total <= _UNARY_CUTOVER:
             # Small totals: the literal unary process beats the flattened
             # simulation's fixed setup cost (cutover measured empirically;
@@ -196,8 +187,6 @@ class ExponentialHistogram:
     def advance(self, steps: int = 1) -> None:
         if steps < 0:
             raise InvalidParameterError(f"steps must be >= 0, got {steps}")
-        if steps:
-            self._gen += 1
         self._time += steps
         # Expiry guard: only walk the bucket list when the oldest bucket
         # can actually have left the window.
@@ -230,22 +219,10 @@ class ExponentialHistogram:
         ingest_trace(self, seq, until=until)
 
     def query(self) -> Estimate:
-        """Estimate the count over the full window (ages ``0..W-1``).
-
-        Memoised per mutation generation: query-heavy workloads between
-        writes hit the cached :class:`Estimate` (immutable, so sharing is
-        safe) instead of re-walking the bucket list.  Any ``add``,
-        ``advance`` or ``merge`` invalidates the memo by bumping ``_gen``.
-        """
-        cached = self._q_cache
-        if cached is not None and cached[0] == self._gen:
-            return cached[1]
+        """Estimate the count over the full window (ages ``0..W-1``)."""
         if self.window is None:
-            est = Estimate.exact(float(self._total))
-        else:
-            est = self.query_window(self.window)
-        self._q_cache = (self._gen, est)
-        return est
+            return Estimate.exact(float(self._total))
+        return self.query_window(self.window)
 
     def query_window(self, w: int) -> Estimate:
         """Estimate the count of items with age ``< w`` (paper Lemma 4.1)."""
@@ -317,7 +294,6 @@ class ExponentialHistogram:
         align_merge_clocks(self, other)
         if not len(other._cols):
             return
-        self._gen += 1
         if len(self._cols):
             self.effective_epsilon = compose_merge_epsilon(
                 self.effective_epsilon, other.effective_epsilon
@@ -380,10 +356,8 @@ class ExponentialHistogram:
 
         Refuses what :meth:`check` refuses, before the size census reads a
         NaN or infinite count as an integer; then rebuilds the census and
-        the running total from the rows and invalidates the query memo.
-        The caller owns the clock.
+        the running total from the rows.  The caller owns the clock.
         """
-        self._gen += 1
         self._cols.load_buckets(buckets)
         self.check()
         counts = self._cols.counts
@@ -401,11 +375,9 @@ class ExponentialHistogram:
         """Adopt bulk-kernel result columns (see :mod:`repro.histograms.soa`).
 
         The kernel has already applied expiry at ``t_last``; this commit
-        replaces the columns, rebuilds the census/total, moves the clock,
-        and bumps the generation so query memos invalidate exactly as the
-        organic replay would have.
+        replaces the columns, rebuilds the census/total and moves the
+        clock, leaving the state the organic replay would have.
         """
-        self._gen += 1
         self._cols.replace(starts, ends, counts, levels)
         self._per_size = Counter(int(c) for c in counts)
         self._total = sum(int(c) for c in counts)
@@ -516,8 +488,8 @@ class ExponentialHistogram:
         """The pre-batching O(count) unary insert (reference only).
 
         Kept as the ground truth the bulk path is verified against
-        (structure-identical buckets) and as the baseline the throughput
-        benchmark measures its speedup over.
+        (structure-identical buckets) and as the per-unit cascade count
+        the bulk path's work gate compares with.
         """
         t = self._time
         for _ in range(count):

@@ -3,21 +3,23 @@
 The paper's guarantees only hold if every engine obeys the discrete-time
 ``DecayingSum`` protocol: monotone clocks, reproducible randomness,
 certified estimate bounds, bit-level storage accounting.  This package
-enforces those invariants *statically* with twelve repo-specific rules:
+enforces those invariants *statically* with eleven repo-specific rules:
 
 * **per-file rules** (RK001-RK008, RK011) -- classic AST walks over one
   file at a time;
-* **whole-program rules** (RK009, RK010, RK012) -- built on an
-  import-resolved symbol table, call graph, and taint fixpoint
+* **whole-program rules** (RK010, RK012) -- built on an import-resolved
+  symbol table, call graph, and taint fixpoint
   (:mod:`repro.lintkit.graph`, :mod:`repro.lintkit.dataflow`), so they
-  see facts that span modules: a memo bump deleted three calls below the
-  public surface, a wall-clock read laundered through an exempt helper,
-  an engine attribute the checkpoint codec forgot.
+  see facts that span modules: a wall-clock read laundered through an
+  exempt helper, an engine attribute the checkpoint codec forgot.
+
+Rule ids are never reused: the number between RK008 and RK010 belongs
+to a retired rule and stays unassigned.
 
 Every file is parsed exactly once into a shared :class:`FileContext`
 pool that feeds both rule kinds.  Suppression pragmas
 (``# lintkit: ignore[RKxxx]``, also honoured on decorator lines),
-markers (``# lintkit: hot``, ``# lintkit: not-serialized``), and
+the ``# lintkit: hot`` marker, and
 check-in-able suppression baselines (``--baseline`` /
 ``--write-baseline``) control adoption.
 

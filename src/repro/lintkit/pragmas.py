@@ -17,12 +17,9 @@ to (or above, on) a decorator -- so the engine also honours pragmas
 placed on any decorator line of the same definition
 (:func:`bind_decorator_pragmas`).
 
-Two *marker* comments (not suppressions) also live here:
-
-* ``# lintkit: hot`` on a ``def`` line (or a decorator line of it) opts
-  the function into RK011's allocation-free-loop contract;
-* ``# lintkit: not-serialized`` on an ``__init__`` assignment documents
-  an attribute as deliberately absent from checkpoints (RK012).
+One *marker* comment (not a suppression) also lives here:
+``# lintkit: hot`` on a ``def`` line (or a decorator line of it) opts
+the function into RK011's allocation-free-loop contract.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ _PRAGMA_RE = re.compile(
     r"(?:\[(?P<rules>[A-Za-z0-9_,\s]*)\])?"
 )
 
-_MARKER_RE = re.compile(r"#\s*lintkit:\s*(?P<word>hot|not-serialized)\b")
+_MARKER_RE = re.compile(r"#\s*lintkit:\s*(?P<word>hot)\b")
 
 
 @dataclass

@@ -13,17 +13,17 @@
 | RK008 | the shard-parallelism boundary (concurrency imports only in     |
 |       | repro.service/benchkit; engines stay pure functions of the      |
 |       | trace)                                                          |
-| RK009 | memo soundness: _gen-keyed query caches invalidated by every    |
-|       | public mutation path (whole-program, call-graph closure)        |
 | RK010 | no indirect wall-clock/RNG/concurrency through exempt-scope     |
 |       | helpers (whole-program, taint fixpoint with witness chains)     |
 | RK011 | allocation-free loop bodies in `# lintkit: hot` kernels         |
 | RK012 | checkpoint completeness: serialize/restore cover every          |
 |       | persistent engine attribute and agree on snapshot keys          |
 
-RK001-RK008 and RK011 are per-file rules; RK009, RK010, and RK012 are
+RK001-RK008 and RK011 are per-file rules; RK010 and RK012 are
 whole-program rules built on :mod:`repro.lintkit.graph` and
-:mod:`repro.lintkit.dataflow`.
+:mod:`repro.lintkit.dataflow`.  Ids are never reused: the number
+between RK008 and RK010 belongs to a retired rule and stays unassigned,
+as RK000 is reserved for files that fail to parse.
 """
 
 from repro.lintkit.rules import (  # noqa: F401  (registration side effects)
@@ -35,7 +35,6 @@ from repro.lintkit.rules import (  # noqa: F401  (registration side effects)
     rk006_annotations,
     rk007_pure_laws,
     rk008_parallelism,
-    rk009_memo,
     rk010_taint,
     rk011_hotpath,
     rk012_serialization,

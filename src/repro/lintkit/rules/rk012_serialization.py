@@ -11,12 +11,11 @@ defines both ``engine_to_dict`` and ``engine_from_dict``:
 
 * **attribute coverage** -- every persistent attribute (``__slots__``
   union ``__init__`` assignments) of each engine class named in an
-  ``isinstance`` branch must be accounted for: accessed by either codec
-  side (directly or through a property/method the codec calls),
-  rebuilt by the constructor from its parameters, part of the ``_gen``
-  memo machinery (RK009's concern, deliberately not snapshotted), or
-  explicitly waived with ``# lintkit: not-serialized`` on its
-  ``__init__`` assignment line;
+  ``isinstance`` branch must be accessed by either codec side (directly
+  or through a property/method the codec calls) or rebuilt by the
+  constructor from its parameters.  There is no exemption: an engine's
+  state is exactly what its snapshot holds or its constructor derives,
+  so a cache kept beside that state is a finding;
 * **read keys exist** -- every ``data["k"]`` a restore branch requires
   must be written by the matching serialize branch (``.get`` reads have
   defaults and are exempt);
@@ -36,16 +35,69 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.lintkit.graph import ClassInfo, ModuleInfo, ProjectGraph, _dotted
-from repro.lintkit.pragmas import marker_lines
 from repro.lintkit.registry import ProjectRule, Violation, register
-from repro.lintkit.rules._classstate import (
-    GEN_ATTR,
-    expand_attr_coverage,
-    gen_memo_attrs,
-)
 
 #: Envelope keys every snapshot carries; not state, never "unrestored".
 _ENVELOPE = frozenset({"version", "engine"})
+
+
+def _self_attr(node: ast.expr) -> str | None:
+    """``X`` when ``node`` is exactly ``self.X``, else ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _closure_of(
+    graph: ProjectGraph, cls: ClassInfo, name: str
+) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """``name`` and every method it reaches via ``self`` calls, resolved
+    through project-known bases."""
+    seen: set[str] = set()
+    queue = [name]
+    while queue:
+        current = queue.pop(0)
+        if current in seen:
+            continue
+        seen.add(current)
+        found = graph.lookup_method(cls, current)
+        if found is None:
+            continue
+        node = found[1]
+        yield node
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Call):
+                callee = _self_attr(inner.func)
+                if callee is not None and callee not in seen:
+                    queue.append(callee)
+
+
+def _expand_attr_coverage(
+    graph: ProjectGraph, cls: ClassInfo, names: set[str]
+) -> set[str]:
+    """Close a set of accessed member names over trivial indirection.
+
+    A serializer that reads ``engine.time`` or calls
+    ``engine.bucket_view()`` covers the attributes those members touch
+    (``_time``, ``_buckets``); this follows each accessed name that is a
+    method or property of ``cls`` and collects every ``self.X`` it reads
+    or writes, recursively through further ``self`` calls.
+    """
+    covered: set[str] = set()
+    for name in names:
+        covered.add(name)
+        if graph.lookup_method(cls, name) is None:
+            continue
+        for node in _closure_of(graph, cls, name):
+            for inner in ast.walk(node):
+                attr = _self_attr(inner) if isinstance(inner, ast.expr) else None
+                if attr is not None:
+                    covered.add(attr)
+    return covered
 
 
 @dataclass
@@ -304,11 +356,8 @@ class SerializationCompletenessRule(ProjectRule):
         from_attrs: set[str],
         path: str,
     ) -> Iterator[Violation]:
-        covered = expand_attr_coverage(graph, cls, tb.attrs | from_attrs)
+        covered = _expand_attr_coverage(graph, cls, tb.attrs | from_attrs)
         covered |= cls.ctor_covered
-        covered |= gen_memo_attrs(cls)
-        covered.add(GEN_ATTR)
-        covered |= self._waived(graph, cls)
         for attr in sorted(cls.state_attrs() - covered):
             anchor = cls.init_attr_lines.get(attr)
             yield Violation(
@@ -319,8 +368,7 @@ class SerializationCompletenessRule(ProjectRule):
                 message=(
                     f"{cls.name}.{attr} is persistent state the checkpoint "
                     "codec neither writes nor restores; serialize it or "
-                    "mark its __init__ assignment `# lintkit: "
-                    "not-serialized`"
+                    "derive it in the constructor"
                 ),
                 evidence=(
                     f"{cls.qualname}.{attr}"
@@ -331,15 +379,3 @@ class SerializationCompletenessRule(ProjectRule):
     @staticmethod
     def _kinds(kinds: set[str]) -> str:
         return ", ".join(f'"{k}"' for k in sorted(kinds))
-
-    def _waived(self, graph: ProjectGraph, cls: ClassInfo) -> set[str]:
-        """Attrs whose ``__init__`` line carries ``# lintkit: not-serialized``."""
-        module = graph.modules.get(cls.module)
-        if module is None:
-            return set()
-        marked = marker_lines(module.ctx.source, "not-serialized")
-        return {
-            attr
-            for attr, line in cls.init_attr_lines.items()
-            if line in marked
-        }

@@ -177,8 +177,6 @@ def engine_to_dict(engine: Any) -> dict[str, Any]:
         # The scale blocks are exact arbitrary-precision integers;
         # Python's json handles big ints natively, so the snapshot stays
         # JSON-safe and the restore is bit-identical by construction.
-        # Deferred item-mode contributions must land first.
-        engine._flush_pending()
         return {
             "version": _FORMAT_VERSION,
             "engine": "forward",
@@ -264,10 +262,11 @@ def engine_to_dict(engine: Any) -> dict[str, Any]:
 def engine_from_dict(data: dict[str, Any]) -> Any:
     """Restore an engine serialized by :func:`engine_to_dict`.
 
-    A restore is a write path: an EXPD register, forward-decay block, EH
-    bucket or WBMH count that no write can produce is refused by the
-    engine's ``check()`` with
-    :class:`~repro.core.errors.InvalidParameterError`.
+    A restore is a write path: an EXPD register, polyexponential moment,
+    forward-decay block, EH or domination bucket, or WBMH count that no
+    write can produce is refused by the engine's ``check()`` with
+    :class:`~repro.core.errors.InvalidParameterError`, and so is a CEH
+    whose histogram is not the backend its decay and ``backend`` name.
     """
     version = data.get("version")
     if version != _FORMAT_VERSION:
@@ -305,6 +304,7 @@ def engine_from_dict(data: dict[str, Any]) -> Any:
         pipe_engine._pipe._m = moments
         pipe_engine._pipe._time = int(data["time"])
         pipe_engine._pipe._items = int(data["items"])
+        pipe_engine._pipe.check()
         return pipe_engine
     if kind == "exact":
         engine = ExactDecayingSum(decay_from_dict(data["decay"]))
@@ -352,7 +352,7 @@ def engine_from_dict(data: dict[str, Any]) -> Any:
             compact_every=int(data["compact_every"]),
         )
         engine._time = int(data["time"])
-        engine._load_buckets(_buckets_in(data["buckets"]))
+        engine._load_buckets(_buckets_in(data["buckets"]))  # runs check()
         engine._since_compact = int(data["since_compact"])
         engine.effective_epsilon = float(
             data.get("effective_epsilon", data["epsilon"])
@@ -365,7 +365,14 @@ def engine_from_dict(data: dict[str, Any]) -> Any:
             backend=data["backend"],
             estimator=data["estimator"],
         )
-        engine._hist = engine_from_dict(data["histogram"])
+        hist = engine_from_dict(data["histogram"])
+        if type(hist) is not type(engine._hist) or hist.window != engine._window():
+            raise InvalidParameterError(
+                f"CEH histogram {data['histogram'].get('engine')!r} over "
+                f"window {hist.window} is not the {engine.backend!r} backend "
+                f"its decay needs"
+            )
+        engine._hist = hist
         return engine
     if kind == "service-key":
         # Lazy import: repro.service imports this module for its per-key

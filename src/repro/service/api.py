@@ -33,7 +33,9 @@ request whose ``Content-Length`` is not a decimal integer or exceeds
 frame over the same cap is refused with close code 1009 before its
 payload is read.  A client that has not sent its whole request within
 30 s is closed and counted on ``read_timeouts``; a WebSocket or the TCP
-feed may idle as long as it likes.  The module also ships
+feed may idle as long as it likes.  ``stop()`` closes the listener,
+then every connection still open (a WebSocket, a half-sent request),
+and returns once their handlers have.  The module also ships
 the matching asyncio client helpers (:func:`http_request`,
 :class:`WSClient`) used by the test harness and the latency benchmark.
 """
@@ -48,7 +50,7 @@ import json
 from typing import Any
 
 from repro.core.errors import ReproError
-from repro.service.daemon import IngestDaemon
+from repro.service.daemon import IngestDaemon, Serving, close_served
 from repro.service.store import StoreFront
 from repro.streams.io import KeyedItem
 
@@ -148,6 +150,7 @@ class ServiceServer:
         self.store = store
         self.daemon = daemon
         self._server: asyncio.AbstractServer | None = None
+        self._serving: Serving = {}
         self.requests = 0
         #: Requests refused for their framing (answered 400).
         self.bad_requests = 0
@@ -165,8 +168,11 @@ class ServiceServer:
         return str(sock_host), int(sock_port)
 
     async def stop(self) -> None:
+        """Close the listener and every open connection; return once no
+        handler is left running."""
         if self._server is not None:
             self._server.close()
+            await close_served(self._serving)
             await self._server.wait_closed()
             self._server = None
 
@@ -175,6 +181,7 @@ class ServiceServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._serving[writer] = asyncio.current_task()
         try:
             try:
                 request = await asyncio.wait_for(
@@ -207,6 +214,7 @@ class ServiceServer:
             writer.close()
             with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()
+            del self._serving[writer]
 
     async def _read_request(
         self, reader: asyncio.StreamReader

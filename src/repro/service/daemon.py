@@ -38,9 +38,24 @@ from repro.core.timeorder import OutOfOrderPolicy
 from repro.service.store import StoreFront
 from repro.streams.io import KeyedItem
 
-__all__ = ["BackpressurePolicy", "IngestDaemon"]
+__all__ = ["BackpressurePolicy", "IngestDaemon", "close_served"]
 
 _KINDS = ("block", "drop", "shed")
+
+#: A server's open connections: each one's writer and handler task.
+Serving = dict[asyncio.StreamWriter, "asyncio.Task[Any] | None"]
+
+
+async def close_served(serving: Serving) -> None:
+    """Close every connection in ``serving``; await their handlers, which
+    finish what they had read once their reader sees end-of-stream."""
+    for writer in list(serving):
+        writer.close()
+    me = asyncio.current_task()
+    await asyncio.gather(
+        *[task for task in serving.values() if task not in (None, me)],
+        return_exceptions=True,
+    )
 
 
 class BackpressurePolicy:
@@ -115,6 +130,7 @@ class IngestDaemon:
         self._queue: asyncio.Queue[KeyedItem] = asyncio.Queue(maxsize)
         self._task: asyncio.Task[None] | None = None
         self._servers: list[asyncio.AbstractServer] = []
+        self._feeds: Serving = {}
         self.batches_folded = 0
         self.items_folded = 0
         self.bad_lines = 0
@@ -133,13 +149,21 @@ class IngestDaemon:
     async def stop(self, *, drain: bool = True) -> None:
         """Stop cleanly: close feeds, optionally drain, cancel the consumer.
 
-        With ``drain`` the queue empties through the store first and the
-        store's lateness buffer flushes, so no accepted item is lost on
-        shutdown; without it the queue's remaining items are discarded
-        onto the backpressure ledger.
+        The TCP listeners close first, then every open feed connection;
+        each feed handler submits the lines it had already read before it
+        ends.  With ``drain`` the queue then empties through the store and
+        the store's lateness buffer flushes, so no accepted item is lost
+        on shutdown; without it, or without a running consumer, the
+        queue's items are discarded onto the backpressure ledger.
         """
         for server in self._servers:
             server.close()
+        if self._task is None or self._task.done():
+            # Nothing makes room in the queue: discard onto the ledger so
+            # a feed blocked on a full queue can finish.
+            self._task = asyncio.create_task(self._discard())
+        await close_served(self._feeds)
+        for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
         if drain and self._task is not None and not self._task.done():
@@ -159,6 +183,12 @@ class IngestDaemon:
     async def drain(self) -> None:
         """Wait until everything submitted so far has folded into the store."""
         await self._queue.join()
+
+    async def _discard(self) -> None:
+        while True:
+            item = await self._queue.get()
+            self.backpressure.note_dropped(item.value)
+            self._queue.task_done()
 
     # ------------------------------------------------------------ produce
 
@@ -240,6 +270,7 @@ class IngestDaemon:
     async def _handle_feed(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._feeds[writer] = asyncio.current_task()
         try:
             while True:
                 line = await reader.readline()
@@ -263,6 +294,7 @@ class IngestDaemon:
             # to account for beyond the close itself.
             with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()
+            del self._feeds[writer]
 
     # -------------------------------------------------------------- stats
 

@@ -18,12 +18,13 @@ once per tick:
   engine per key, each advanced.
 
 :func:`keyed_engines` picks between them from the engine the decay
-routes to; nothing else chooses.
+routes to; nothing else chooses.  Both refuse a restored engine that is
+not the store's own kind (:func:`_shape`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Any, Callable, Protocol
 
 from repro.core.decay import DecayFunction
 from repro.core.errors import InvalidParameterError
@@ -32,6 +33,29 @@ from repro.histograms.wbmh import WBMH
 from repro.serialize import decay_to_dict
 
 __all__ = ["KeyedEngines", "LatticeKeys", "PerKeyEngines", "keyed_engines"]
+
+
+def _shape(engine: DecayingSum) -> dict[str, Any]:
+    """What a restored engine must share with the store's own: class,
+    decay, epsilon and, for a CEH, backend and estimator (where the
+    engine has them; exact register engines have no epsilon)."""
+    hist = getattr(engine, "histogram", None)
+    shape = {
+        "engine": type(engine).__name__,
+        "decay": decay_to_dict(engine.decay),
+        "epsilon": getattr(engine, "epsilon", getattr(hist, "epsilon", None)),
+        "backend": getattr(engine, "backend", None),
+        "estimator": getattr(engine, "estimator", None),
+    }
+    return {name: value for name, value in shape.items() if value is not None}
+
+
+def _require_shape(own: dict[str, Any], key: str, engine: DecayingSum) -> None:
+    if _shape(engine) != own:
+        raise InvalidParameterError(
+            f"snapshot engine for {key!r} is {_shape(engine)}, not the "
+            f"store's {own}"
+        )
 
 
 class KeyedEngines(Protocol):
@@ -53,7 +77,11 @@ class KeyedEngines(Protocol):
         """A fresh engine at the seam clock, not yet kept under a key."""
 
     def keep(self, key: str, engine: DecayingSum) -> None:
-        """Store ``engine`` under ``key`` (a fresh or restored engine)."""
+        """Store the fresh engine :meth:`new` gave under ``key``."""
+
+    def restore(self, key: str, engine: DecayingSum) -> None:
+        """Store a snapshot's ``engine``; refuse one that is not the
+        store's own kind with ``InvalidParameterError``."""
 
     def release(self, engine: DecayingSum) -> None:
         """An engine leaves the store: evicted, or refused its first write."""
@@ -84,6 +112,9 @@ class PerKeyEngines:
         )
         self._integer = bool(getattr(self._spare, "integer_weights", False))
         self._time = 0
+        #: Set on the first restore: a custom factory's decay need not
+        #: be serializable, and only a snapshot needs it.
+        self._own: dict[str, Any] | None = None
 
     @property
     def native_out_of_order(self) -> bool:
@@ -104,6 +135,12 @@ class PerKeyEngines:
         return engine
 
     def keep(self, key: str, engine: DecayingSum) -> None:
+        self.engines[key] = engine
+
+    def restore(self, key: str, engine: DecayingSum) -> None:
+        if self._own is None:
+            self._own = _shape(self._factory())
+        _require_shape(self._own, key, engine)
         self.engines[key] = engine
 
     def release(self, engine: DecayingSum) -> None:
@@ -128,7 +165,7 @@ class LatticeKeys:
 
     def __init__(self, engine: WBMH) -> None:
         self.engines: dict[str, DecayingSum] = {}
-        self._decay = decay_to_dict(engine.decay)
+        self._own = _shape(engine)
         self._lattice = engine.lattice
         self._lattice.release(engine)
         self._lattice.shared = True
@@ -146,18 +183,17 @@ class LatticeKeys:
         return self._lattice.member()
 
     def keep(self, key: str, engine: DecayingSum) -> None:
-        """Store ``engine``; a restored engine joins the shared lattice
-        when it is the lattice a fresh key would have at this clock."""
-        if (
-            not isinstance(engine, WBMH) or engine.lattice is not self._lattice
-        ) and engine not in self._private:
-            if decay_to_dict(engine.decay) != self._decay:
-                raise InvalidParameterError(
-                    f"engine for {key!r} maintains {engine.decay.describe()}"
-                    ", not the store's decay"
-                )
-            if not (isinstance(engine, WBMH) and self._lattice.adopt(engine)):
-                self._private[engine] = None
+        """Store a fresh engine: a lattice column, or private already if
+        its first write was a diverging merge."""
+        self.engines[key] = engine
+
+    def restore(self, key: str, engine: DecayingSum) -> None:
+        """Store a restored WBMH; it joins the shared lattice when it is
+        the lattice a fresh key would have at this clock."""
+        _require_shape(self._own, key, engine)
+        assert isinstance(engine, WBMH)
+        if not self._lattice.adopt(engine):
+            self._private[engine] = None
         self.engines[key] = engine
 
     def release(self, engine: DecayingSum) -> None:

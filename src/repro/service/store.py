@@ -566,7 +566,9 @@ class ServiceStore:
         for the snapshots :meth:`to_dict` writes, which list keys in index
         order.  The keyed seam first advances to the snapshot clock; a
         WBMH key whose buckets match the lattice a fresh key has there
-        joins it, and any other keeps a private lattice.
+        joins it, and any other keeps a private lattice.  A key whose
+        engine is not the store's own kind (class, decay, epsilon, CEH
+        backend and estimator) is refused.
         """
         if data.get("version") != _SNAPSHOT_VERSION:
             raise InvalidParameterError(
@@ -603,7 +605,7 @@ class ServiceStore:
                     f"snapshot engine for {key!r} at clock {engine.time}, "
                     f"store at {store._time}"
                 )
-            store._keyed.keep(key, engine)
+            store._keyed.restore(key, engine)
             store._last_seen[key] = int(state["last_seen"])
         return store
 

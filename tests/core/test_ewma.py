@@ -169,6 +169,17 @@ class TestPolyexpPipeline:
         with pytest.raises(InvalidParameterError):
             PolyexpPipeline(1, 0.1).combine([1.0, 1.0, 1.0])
 
+    def test_overflowing_merge_is_refused(self):
+        # check() refuses an infinite moment on restore, so no merge may
+        # make one; the refused merge leaves the moments as they were.
+        a, b = PolyexpPipeline(2, 0.1), PolyexpPipeline(2, 0.1)
+        a.add(1e308)
+        b.add(1e308)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            a.merge(b)
+        assert a.moments() == [1e308, 0.0, 0.0]
+        a.check()
+
     def test_storage_scales_with_k(self):
         small = PolyexpPipeline(1, 0.1).storage_report().per_stream_bits
         large = PolyexpPipeline(5, 0.1).storage_report().per_stream_bits

@@ -100,6 +100,23 @@ class TestInvariants:
             DominationHistogram(None, 0.1, compact_every=0)
 
 
+class TestOverflow:
+    def test_writes_that_would_reach_inf_are_refused(self):
+        # check() refuses an infinite count on restore, so no write may
+        # make one: the state before a refused add or merge is kept.
+        h = DominationHistogram(10, 0.1)
+        h.add(1e308)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            h.add(1e308)
+        other = DominationHistogram(10, 0.1)
+        other.add(1e308)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            h.merge(other)
+        assert h.bucket_count() == 1
+        assert (h.total_in_buckets, h.query().value) == (1e308, 1e308)
+        h.check()
+
+
 class TestSubWindows:
     def test_sub_window_queries_bracket_truth(self):
         h = DominationHistogram(128, 0.1)

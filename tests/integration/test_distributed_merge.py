@@ -114,6 +114,9 @@ class TestWBMHAbsorb:
 
 
 class TestEwmaAbsorb:
+    """EXPD registers absorb one another through ``merge``, the one EWMA
+    merge: the union stream's register is the sum of the registers."""
+
     def test_registers_add(self):
         lam = 0.05
         a = ExponentialSum(ExponentialDecay(lam))
@@ -128,17 +131,13 @@ class TestEwmaAbsorb:
             a.advance(1)
             b.advance(1)
             union.advance(1)
-        a.absorb(b)
+        a.merge(b)
         assert a.query().value == pytest.approx(union.query().value)
 
     def test_rejects_mismatches(self):
         a = ExponentialSum(ExponentialDecay(0.1))
         b = ExponentialSum(ExponentialDecay(0.2))
         with pytest.raises(InvalidParameterError):
-            a.absorb(b)
-        c = ExponentialSum(ExponentialDecay(0.1))
-        c.advance(3)
-        with pytest.raises(TimeOrderError):
-            a.absorb(c)
+            a.merge(b)
         with pytest.raises(InvalidParameterError):
-            a.absorb(a)
+            a.merge(a)

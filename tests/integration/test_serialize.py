@@ -128,3 +128,53 @@ class TestEngineRoundtrip:
     def test_unknown_engine_kind(self):
         with pytest.raises(InvalidParameterError):
             engine_from_dict({"version": 1, "engine": "mystery"})
+
+
+def _domination_states():
+    """A domination histogram and a domination-backend CEH, 30 ticks in."""
+    hist = DominationHistogram(100, 0.1)
+    ceh = CascadedEH(PolynomialDecay(1.0), 0.1, backend="domination")
+    for engine in (hist, ceh):
+        for t in range(30):
+            engine.add(1.5 + t % 4)
+            engine.advance(1)
+    return {
+        "domination": engine_to_dict(hist),
+        "ceh-domination": engine_to_dict(ceh),
+    }
+
+
+def _buckets(state):
+    return state["histogram"]["buckets"] if "histogram" in state else state["buckets"]
+
+
+class TestRestoreChecks:
+    """A restore refuses bucket states no domination write produces."""
+
+    @pytest.mark.parametrize("kind", ["domination", "ceh-domination"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows[0].__setitem__(2, float("nan")),
+            lambda rows: rows[0].__setitem__(2, float("inf")),
+            lambda rows: rows[-1].__setitem__(2, 0.0),
+            lambda rows: rows[-1].__setitem__(2, -2.0),
+            lambda rows: rows.reverse(),
+        ],
+        ids=["nan", "inf", "zero", "negative", "reversed"],
+    )
+    def test_unreachable_buckets_refused(self, kind, edit):
+        state = _domination_states()[kind]
+        assert engine_from_dict(state).query().upper < float("inf")
+        edit(_buckets(state))
+        with pytest.raises(InvalidParameterError):
+            engine_from_dict(state)
+
+    def test_ceh_histogram_must_be_its_backend(self):
+        state = engine_to_dict(CascadedEH(LinearDecay(80), 0.1))
+        state["histogram"] = engine_to_dict(DominationHistogram(81, 0.1))
+        with pytest.raises(InvalidParameterError, match="backend"):
+            engine_from_dict(state)
+        state["histogram"] = engine_to_dict(ExponentialHistogram(40, 0.1))
+        with pytest.raises(InvalidParameterError, match="window 40"):
+            engine_from_dict(state)

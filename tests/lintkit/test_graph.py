@@ -3,7 +3,7 @@ taint fixpoint.
 
 The ``fixtures/graphpkg`` package is small enough to state its full graph
 by hand; these tests pin the resolution semantics the project rules
-(RK009/RK010/RK012) build on -- relative imports, re-exports through
+(RK010/RK012) build on -- relative imports, re-exports through
 ``__init__``, inherited-method dispatch through ``self`` -- so a graph
 regression fails here with a named edge, not three rules deep.
 """

@@ -76,7 +76,7 @@ class TestRegistryAndEngine:
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == [
             "RK001", "RK002", "RK003", "RK004", "RK005", "RK006", "RK007",
-            "RK008", "RK009", "RK010", "RK011", "RK012",
+            "RK008", "RK010", "RK011", "RK012",
         ]
 
     def test_project_rules_flagged_as_such(self):
@@ -85,7 +85,7 @@ class TestRegistryAndEngine:
         kinds = {
             rule.rule_id: isinstance(rule, ProjectRule) for rule in all_rules()
         }
-        assert kinds["RK009"] and kinds["RK010"] and kinds["RK012"]
+        assert kinds["RK010"] and kinds["RK012"]
         assert not kinds["RK001"] and not kinds["RK011"]
 
     def test_rules_carry_catalog_metadata(self):

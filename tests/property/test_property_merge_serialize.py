@@ -69,7 +69,7 @@ class TestAbsorbProperties:
             a.add(va)
             b.add(vb)
             union.add(va + vb)
-        a.absorb(b)
+        a.merge(b)
         assert a.query().value == pytest.approx(union.query().value)
 
 

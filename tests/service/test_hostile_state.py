@@ -8,13 +8,15 @@
   front a tick ahead of the single store, with the refused batch's
   other folds applied.
 * **Restore is a write path.**  ``engine_from_dict`` runs the engine's
-  ``check()``: an EXPD register that is negative, infinite or NaN, a
-  forward-decay block with a negative numerator, an EH bucket count that
-  is not a power of two (an infinite one included), EH buckets out of
-  end-time order, and a NaN or
+  ``check()``: an EXPD register or a polyexponential moment that is
+  negative, infinite or NaN, a forward-decay block with a negative
+  numerator, an EH bucket count that is not a power of two (an infinite
+  one included), EH buckets out of end-time order, and a NaN or
   infinite WBMH count, are refused by ``ServiceStore.from_dict``,
   ``POST /restore`` and ``ShardedServiceStore.restore``, each refusal
-  changes nothing, and both fronts answer it in the same words.
+  changes nothing, and both fronts answer it in the same words.  So is
+  a key whose engine is sound but not the store's own kind: another
+  engine class or decay, or a CEH on another backend.
   An EXPD merge that would overflow the register is refused as well, so
   no write leaves a store whose snapshot cannot be restored.
 """
@@ -32,11 +34,15 @@ from repro.conformance.engines import default_specs
 from repro.core.decay import (
     ExponentialDecay,
     LinearDecay,
+    PolyexponentialDecay,
     PolynomialDecay,
     SlidingWindowDecay,
 )
 from repro.core.errors import InvalidParameterError
+from repro.core.exact import ExactDecayingSum
 from repro.core.forward import ForwardDecay
+from repro.histograms.ceh import CascadedEH
+from repro.serialize import engine_to_dict
 from repro.service.api import http_request
 from repro.service.loadgen import ServiceHarness
 from repro.service.sharded import ShardedServiceStore, shard_of
@@ -101,6 +107,21 @@ def _negate_first_block(state: dict[str, Any]) -> None:
     state["blocks"][0][1] = -state["blocks"][0][1]
 
 
+def _replace_with(make_engine: Callable[[], Any]):
+    """An edit swapping the key's engine for ``make_engine()`` holding one
+    item at the store clock (5): a state that engine can reach, but an
+    engine that is not the store's own."""
+
+    def edit(state: dict[str, Any]) -> None:
+        engine = make_engine()
+        engine.add(5.0)
+        engine.advance(5)
+        state.clear()
+        state.update(engine_to_dict(engine))
+
+    return edit
+
+
 #: (decay, edit of one key's engine state): each is a state no write makes.
 PROBES: dict[str, tuple[Callable[[], Any], Callable[[dict[str, Any]], None]]] = {
     "ewma-negative": (
@@ -138,6 +159,28 @@ PROBES: dict[str, tuple[Callable[[], Any], Callable[[dict[str, Any]], None]]] = 
     "wbmh-inf-count": (
         lambda: PolynomialDecay(1.0),
         lambda state: state["sealed"][0].__setitem__(2, math.inf),
+    ),
+    "polyexp-negative-moment": (
+        lambda: PolyexponentialDecay(2, 0.1),
+        lambda state: state["moments"].__setitem__(0, -5.0),
+    ),
+    "polyexp-nan-moment": (
+        lambda: PolyexponentialDecay(2, 0.1),
+        lambda state: state["moments"].__setitem__(1, math.nan),
+    ),
+    "polyexp-inf-moment": (
+        lambda: PolyexponentialDecay(2, 0.1),
+        lambda state: state["moments"].__setitem__(2, math.inf),
+    ),
+    "foreign-exact-engine": (
+        lambda: ExponentialDecay(0.05),
+        _replace_with(lambda: ExactDecayingSum(PolynomialDecay(1.0))),
+    ),
+    "ceh-foreign-backend": (
+        lambda: LinearDecay(80),
+        _replace_with(
+            lambda: CascadedEH(LinearDecay(80), 0.1, backend="domination")
+        ),
     ),
 }
 

@@ -11,6 +11,7 @@ so the policies face a genuinely full queue.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import math
 from typing import Awaitable, Callable
@@ -279,6 +280,76 @@ class TestTcpFeed:
             finally:
                 await harness.stop()
             await _assert_no_leaked_tasks()
+
+        _run(main)
+
+
+class TestStop:
+    def test_stop_closes_every_connection_it_serves(self) -> None:
+        # An open WebSocket, a half-sent request and an open feed: once
+        # both servers have stopped, no handler is left and every client
+        # reads end-of-stream; a line sent afterwards reaches no queue.
+        line = json.dumps({"key": "a", "time": 1, "value": 2.0}).encode()
+
+        async def main() -> None:
+            harness = ServiceHarness(ExponentialDecay(0.05), serve_feed=True)
+            await harness.start()
+            ws = await WSClient.connect(harness.host, harness.port)
+            assert (await ws.request({"op": "stats"}))["keys"] == []
+            half_reader, half_writer = await asyncio.open_connection(
+                harness.host, harness.port
+            )
+            half_writer.write(b"GET /heal")
+            await half_writer.drain()
+            feed_reader, feed_writer = await asyncio.open_connection(
+                harness.feed_host, harness.feed_port
+            )
+            feed_writer.write(line + b"\n")
+            await feed_writer.drain()
+            await asyncio.wait_for(_feed_settled(harness.daemon, 1), 5.0)
+            await harness.stop()
+            await _assert_no_leaked_tasks()
+            for reader in (ws._reader, half_reader, feed_reader):
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            with contextlib.suppress(ConnectionError):
+                feed_writer.write(line + b"\n")
+                await feed_writer.drain()
+            await asyncio.sleep(0.1)
+            assert harness.daemon.stats()["queue_depth"] == 0
+            assert harness.daemon.items_folded == 1
+            assert harness.store.query("a").value == 2.0
+            for writer in (ws._writer, half_writer, feed_writer):
+                writer.close()
+                with contextlib.suppress(ConnectionError):
+                    await writer.wait_closed()
+            await _assert_no_leaked_tasks()
+
+        _run(main)
+
+
+    def test_stop_without_a_consumer_ledgers_a_blocked_feed(self) -> None:
+        # No consumer drains a one-slot queue, so the feed handler blocks
+        # on its second line; stop() still returns, with every line sent
+        # on the ledger and no task left.
+        async def main() -> None:
+            store = ServiceStore(ExponentialDecay(0.05))
+            daemon = IngestDaemon(store, maxsize=1)
+            host, port = await daemon.serve_tcp()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(
+                json.dumps({"key": "a", "time": t}).encode() + b"\n"
+                for t in range(3)
+            ))
+            await writer.drain()
+            while not daemon.stats()["queue_depth"]:
+                await asyncio.sleep(0.01)
+            await asyncio.wait_for(daemon.stop(drain=False), 5.0)
+            await _assert_no_leaked_tasks()
+            assert daemon.backpressure.dropped_count == 3
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            with contextlib.suppress(ConnectionError):
+                await writer.wait_closed()
 
         _run(main)
 
