@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-baseline loc typecheck check conformance conformance-service conformance-service-sharded bench examples clean all
+.PHONY: install test lint lint-baseline loc keybytes typecheck check conformance conformance-service conformance-service-sharded bench examples clean all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -50,6 +50,13 @@ conformance-service-sharded:
 loc:
 	@find src/repro -name '*.py' -print0 | xargs -0 cat \
 		| grep -Ecv '^[[:space:]]*(#.*)?$$'
+
+# What a keyed store's key holds, per engine family: GC-tracked objects
+# and traced bytes per key at 4,096 keys (repro.storage.footprint), as a
+# markdown table.  tests/service/test_key_footprint.py gates the same
+# figures.
+keybytes:
+	@PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro.storage.footprint
 
 # Requires the `lint` extra (pip install -e .[lint]).
 typecheck:

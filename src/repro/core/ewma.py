@@ -14,6 +14,7 @@ experiments, and the polyexponential pipeline of section 3.4: decay by
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
@@ -46,6 +47,19 @@ __all__ = [
 ]
 
 
+@lru_cache
+def _tick_factor(lam: float) -> float:
+    """``exp(-lam)``, the per-tick decay factor.  One float per rate: a
+    keyed store holds one register per key, all over the same decay."""
+    return math.exp(-lam)
+
+
+@lru_cache
+def _inverse_factorials(k: int) -> tuple[float, ...]:
+    """``1/j!`` for ``j <= k``, one tuple per pipeline order."""
+    return tuple(1.0 / math.factorial(i) for i in range(k + 1))
+
+
 def _expd_register_bits(lam: float, time: int, items: int, mantissa_bits: int) -> int:
     """Bits of one EXPD register under the storage model.
 
@@ -68,7 +82,7 @@ class ExponentialSum:
         if not isinstance(decay, ExponentialDecay):
             raise InvalidParameterError("ExponentialSum requires ExponentialDecay")
         self._decay = decay
-        self._factor = math.exp(-decay.lam)
+        self._factor = _tick_factor(decay.lam)
         self._sum = 0.0
         self._time = 0
         self._items = 0
@@ -314,9 +328,9 @@ class PolyexpPipeline:
             raise InvalidParameterError(f"lambda must be > 0, got {lam}")
         self.k = int(k)
         self.lam = float(lam)
-        self._factor = math.exp(-lam)
+        self._factor = _tick_factor(self.lam)
         self._m = [0.0] * (self.k + 1)
-        self._inv_fact = [1.0 / math.factorial(i) for i in range(self.k + 1)]
+        self._inv_fact = _inverse_factorials(self.k)
         self._time = 0
         self._items = 0
 

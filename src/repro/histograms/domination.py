@@ -16,7 +16,7 @@ bucket itself does, so at query time any straddling bucket still accounts
 for at most an ``eps`` fraction of the newer mass -- giving the same
 ``(1 +- eps)`` window guarantees as the classic EH, for real values.
 
-Bucket state lives in the structure-of-arrays column store
+The histogram is a structure-of-arrays column store
 (:class:`~repro.histograms.soa.BucketColumns`); the per-arrival compaction
 sweep is gated by the exact no-merge pre-check
 (:func:`~repro.histograms.soa.domination_merge_possible`), so the common
@@ -75,7 +75,7 @@ def widen_merged_estimate(a: Estimate, b: Estimate) -> Estimate:
     )
 
 
-class DominationHistogram:
+class DominationHistogram(BucketColumns):
     """Sliding-window sum of non-negative reals with ``(1 +- eps)`` error.
 
     ``window=None`` disables expiry (infinite-support decay). Merging runs
@@ -88,7 +88,6 @@ class DominationHistogram:
         "epsilon",
         "compact_every",
         "effective_epsilon",
-        "_cols",
         "_time",
         "_total",
         "_since_compact",
@@ -107,13 +106,13 @@ class DominationHistogram:
             raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
         if compact_every < 1:
             raise InvalidParameterError("compact_every must be >= 1")
+        super().__init__()  # the columns, oldest first
         self.window = window
         self.epsilon = float(epsilon)
         self.compact_every = int(compact_every)
         #: Composed error budget: starts at ``epsilon`` and grows by
         #: :func:`compose_merge_epsilon` with every shard merge.
         self.effective_epsilon = float(epsilon)
-        self._cols = BucketColumns()  # oldest first
         self._time = 0
         self._total = 0.0
         self._since_compact = 0
@@ -136,12 +135,11 @@ class DominationHistogram:
             raise InvalidParameterError(
                 f"value must keep the histogram total finite, got {value}"
             )
-        cols = self._cols
-        ends = cols.ends
+        ends = self.ends
         if ends and ends[-1] == self._time:
-            cols.counts[-1] = cols.counts[-1] + value
+            self.counts[-1] = self.counts[-1] + value
         else:
-            cols.append(self._time, self._time, value, 0)
+            self.append(self._time, self._time, value, 0)
         self._total = total
         self._since_compact += 1
         if self._since_compact >= self.compact_every:
@@ -188,22 +186,20 @@ class DominationHistogram:
                 f"cannot merge windows {self.window} and {other.window}"
             )
         align_merge_clocks(self, other)
-        if not len(other._cols):
+        if not other.ends:
             return
         total = self._total + other._total
         if not total < math.inf:
             raise InvalidParameterError("merge must keep the total finite")
-        if len(self._cols):
+        if self.ends:
             self.effective_epsilon = compose_merge_epsilon(
                 self.effective_epsilon, other.effective_epsilon
             )
-            union = interleave_buckets(
-                self._cols.to_buckets(), other._cols.to_buckets()
-            )
+            union = interleave_buckets(self.bucket_view(), other.bucket_view())
         else:
             self.effective_epsilon = other.effective_epsilon
-            union = other._cols.to_buckets()
-        self._cols.load_buckets(union)
+            union = other.bucket_view()
+        self.load_buckets(union)
         self._total = total
         self._compact()
         self._since_compact = 0
@@ -230,9 +226,9 @@ class DominationHistogram:
         # most one straddler (disjoint spans); a shard-merged one can carry
         # one straddler per operand, so *every* contributing bucket whose
         # start falls outside the window is summed into the slack.
-        starts = self._cols.starts
-        ends = self._cols.ends
-        counts = self._cols.counts
+        starts = self.starts
+        ends = self.ends
+        counts = self.counts
         for i in range(len(ends) - 1, -1, -1):
             if ends[i] <= cutoff:
                 break
@@ -261,30 +257,23 @@ class DominationHistogram:
         on the ingest path, whose writes refuse NaN, inf and negative
         values.
         """
-        for count in self._cols.counts:
+        for count in self.counts:
             if not 0 < count < math.inf:
                 raise InvalidParameterError(
                     f"domination bucket count must be finite and > 0, "
                     f"got {count}"
                 )
-        ends = self._cols.ends
+        ends = self.ends
         if any(a > b for a, b in zip(ends, ends[1:])):
             raise InvalidParameterError(
                 "domination buckets must be in end-time order"
             )
 
-    def bucket_view(self) -> list[Bucket]:
-        """Snapshot of live buckets, oldest first (consumed by CEH)."""
-        return self._cols.to_buckets()
-
-    def bucket_count(self) -> int:
-        return len(self._cols)
-
     def storage_report(self) -> StorageReport:
         horizon = self.window if self.window is not None else max(1, self._time)
         ts_bits = bits_for_value(horizon)
-        n = len(self._cols)
-        max_count = max(self._cols.counts, default=1.0)
+        n = self.bucket_count()
+        max_count = max(self.counts, default=1.0)
         per_count = float_register_bits(max(2.0, max_count), mantissa_bits=24)
         return StorageReport(
             engine="domination",
@@ -301,9 +290,9 @@ class DominationHistogram:
         total from the rows (same oldest-first accumulation order as
         before); the caller owns the clock and the compaction countdown.
         """
-        self._cols.load_buckets(buckets)
+        self.load_buckets(buckets)
         self.check()
-        self._total = sum(self._cols.counts)
+        self._total = sum(self.counts)
 
     def _compact(self) -> None:
         """One newest-to-oldest merge sweep.
@@ -314,17 +303,16 @@ class DominationHistogram:
         (:func:`~repro.histograms.soa.domination_merge_possible`) proves
         most sweeps are no-ops before any column is rebuilt.
         """
-        cols = self._cols
-        counts = cols.counts
+        counts = self.counts
         n = len(counts)
         if n < 3:
             return
         eps = self.epsilon
         if not domination_merge_possible(counts, eps):
             return
-        starts = cols.starts
-        ends = cols.ends
-        levels = cols.levels
+        starts = self.starts
+        ends = self.ends
+        levels = self.levels
         out_s: list[int] = []  # newest first while building
         out_e: list[int] = []
         out_c: list[float] = []
@@ -368,18 +356,17 @@ class DominationHistogram:
         out_e.reverse()
         out_c.reverse()
         out_l.reverse()
-        cols.replace(out_s, out_e, out_c, out_l)
+        self.replace(out_s, out_e, out_c, out_l)
 
     def _expire(self) -> None:
         if self.window is None:
             return
         cutoff = self._time - self.window
-        cols = self._cols
-        ends = cols.ends
-        counts = cols.counts
+        ends = self.ends
+        counts = self.counts
         drop = 0
         n = len(ends)
         while drop < n and ends[drop] <= cutoff:
             self._total -= counts[drop]
             drop += 1
-        cols.drop_head(drop)
+        self.drop_head(drop)

@@ -26,28 +26,29 @@ the oldest bucket's start is ever consulted) so that
 from the same structure (paper Lemma 4.1), which is what the cascaded
 construction of Theorem 1 consumes.
 
-Bucket state lives in a structure-of-arrays column store
+The histogram is a structure-of-arrays column store
 (:class:`~repro.histograms.soa.BucketColumns`); :class:`Bucket` rows are
 materialized only at the ``bucket_view()``/serialization boundary.  Bulk
 ingestion routes through the :mod:`repro.histograms.soa` kernel and falls
 back to the organic replay whenever the kernel declines.
+
+A keyed store holds one histogram per key, so an instance holds its own
+columns, a size census (a list: entry ``j`` counts the buckets of size
+``2**j``), its clock and running total, and otherwise only references
+to values its keys share (window, epsilon).  :class:`SlidingWindowSum`
+*is* the histogram, with a ``decay`` derived from its window.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Iterable, Sequence
 
 from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
 from repro.core.decay import DecayFunction, SlidingWindowDecay
 from repro.core.errors import InvalidParameterError
 from repro.core.estimate import Estimate
-from repro.core.merging import (
-    align_merge_clocks,
-    require_merge_operand,
-    require_same_decay,
-)
+from repro.core.merging import align_merge_clocks, require_merge_operand
 from repro.histograms.buckets import Bucket, interleave_buckets
 from repro.histograms.domination import compose_merge_epsilon
 from repro.histograms.soa import BucketColumns, eh_bulk_ingest
@@ -61,7 +62,24 @@ __all__ = ["ExponentialHistogram", "SlidingWindowSum"]
 _UNARY_CUTOVER = 16
 
 
-class ExponentialHistogram:
+def _census(counts: Iterable[float]) -> list[int]:
+    """Buckets per size: entry ``j`` counts the buckets of size ``2**j``,
+    up to the largest size present.  A count that is not a power of two
+    (a cascade on a shard-merged list can pair unequal sizes) has no
+    entry: the cascade only ever reads power-of-two sizes."""
+    per: list[int] = []
+    for count in counts:
+        c = int(count)
+        if c & (c - 1):
+            continue
+        j = c.bit_length() - 1
+        if j >= len(per):
+            per.extend([0] * (j + 1 - len(per)))
+        per[j] += 1
+    return per
+
+
+class ExponentialHistogram(BucketColumns):
     """Sliding-window 0/1 counter with ``(1 +- eps)`` guarantees.
 
     ``window=None`` builds an *unbounded* EH that never expires buckets;
@@ -74,7 +92,6 @@ class ExponentialHistogram:
         "epsilon",
         "buckets_per_size",
         "effective_epsilon",
-        "_cols",
         "_per_size",
         "_time",
         "_total",
@@ -88,6 +105,7 @@ class ExponentialHistogram:
             raise InvalidParameterError(f"window must be >= 1, got {window}")
         if not 0 < epsilon < 1:
             raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+        super().__init__()  # the columns: oldest first, sizes non-increasing
         self.window = window
         self.epsilon = float(epsilon)
         # At most m+1 buckets of each size; m = ceil(1/eps) bounds the
@@ -97,8 +115,8 @@ class ExponentialHistogram:
         #: then grown by :func:`~repro.histograms.domination.
         #: compose_merge_epsilon` per merge.
         self.effective_epsilon = float(epsilon)
-        self._cols = BucketColumns()  # oldest first; sizes non-increasing
-        self._per_size: Counter[int] = Counter()
+        #: Entry ``j`` counts the buckets of size ``2**j`` (see _census).
+        self._per_size: list[int] = []
         self._time = 0
         self._total = 0  # sum of bucket counts (ints: powers of two)
 
@@ -134,13 +152,15 @@ class ExponentialHistogram:
             # Fast path: one unary insert IS the cascade process -- no need
             # for the flattened simulation's run bookkeeping.
             t = self._time
-            self._cols.append(t, t, 1, 0)
+            self.append(t, t, 1, 0)
             self._total += 1
             per = self._per_size
-            n = per.get(1, 0) + 1
-            per[1] = n
-            if n > self.buckets_per_size + 1:
-                self._cascade()
+            if per:
+                per[0] += 1
+                if per[0] > self.buckets_per_size + 1:
+                    self._cascade()
+            else:
+                per.append(1)
         elif count:
             self._bulk_insert(count)
 
@@ -170,17 +190,18 @@ class ExponentialHistogram:
             # Small totals: the literal unary process beats the flattened
             # simulation's fixed setup cost (cutover measured empirically;
             # both are bit-identical by construction).
-            cols = self._cols
             per = self._per_size
             m1 = self.buckets_per_size + 1
             t = self._time
             for _ in range(total):
-                cols.append(t, t, 1, 0)
+                self.append(t, t, 1, 0)
                 self._total += 1
-                n = per.get(1, 0) + 1
-                per[1] = n
-                if n > m1:
-                    self._cascade()
+                if per:
+                    per[0] += 1
+                    if per[0] > m1:
+                        self._cascade()
+                else:
+                    per.append(1)
         else:
             self._bulk_insert(total)
 
@@ -191,7 +212,7 @@ class ExponentialHistogram:
         # Expiry guard: only walk the bucket list when the oldest bucket
         # can actually have left the window.
         if self.window is not None:
-            ends = self._cols.ends
+            ends = self.ends
             if ends and ends[0] <= self._time - self.window:
                 self._expire()
 
@@ -242,9 +263,9 @@ class ExponentialHistogram:
         # contributing bucket can straddle the boundary; after a shard
         # merge (interleaved spans) each operand contributes at most one
         # straddler, so every contributing bucket is tested.
-        starts = self._cols.starts
-        ends = self._cols.ends
-        counts = self._cols.counts
+        starts = self.starts
+        ends = self.ends
+        counts = self.counts
         for i in range(len(ends) - 1, -1, -1):
             if ends[i] <= cutoff:
                 break
@@ -292,20 +313,18 @@ class ExponentialHistogram:
                 f"cannot merge windows {self.window} and {other.window}"
             )
         align_merge_clocks(self, other)
-        if not len(other._cols):
+        if not other.ends:
             return
-        if len(self._cols):
+        if self.ends:
             self.effective_epsilon = compose_merge_epsilon(
                 self.effective_epsilon, other.effective_epsilon
             )
-            union = interleave_buckets(
-                self._cols.to_buckets(), other._cols.to_buckets()
-            )
+            union = interleave_buckets(self.bucket_view(), other.bucket_view())
         else:
             self.effective_epsilon = other.effective_epsilon
-            union = other._cols.to_buckets()
-        self._cols.load_buckets(union)
-        self._per_size = Counter(int(c) for c in self._cols.counts)
+            union = other.bucket_view()
+        self.load_buckets(union)
+        self._per_size = _census(self.counts)
         self._total += other._total
 
     def check(self) -> None:
@@ -313,26 +332,45 @@ class ExponentialHistogram:
         integer power of two, and the buckets are in end-time order (which
         the expiry and query walks rely on, and ``merge`` keeps).
 
+        A histogram that never merged (``effective_epsilon == epsilon``)
+        also keeps the run structure of Datar et al.: sizes never grow
+        toward the newest bucket, at most ``m + 1`` buckets share a size,
+        and each bucket's ``level`` is ``log2`` of its count.  A merge
+        interleaves two such lists, so merged histograms are exempt.
+
         Run on restore (:func:`repro.serialize.engine_from_dict`), never
-        on the ingest path, whose inserts and cascades keep both.
+        on the ingest path, whose inserts and cascades keep all of it.
         """
-        for count in self._cols.counts:
+        for count in self.counts:
             if not 1 <= count < math.inf or count % 1 or (
                 int(count) & (int(count) - 1)
             ):
                 raise InvalidParameterError(
                     f"EH bucket count must be a power of two, got {count}"
                 )
-        ends = self._cols.ends
+        ends = self.ends
         if any(a > b for a, b in zip(ends, ends[1:])):
             raise InvalidParameterError("EH buckets must be in end-time order")
-
-    def bucket_view(self) -> list[Bucket]:
-        """Snapshot of live buckets, oldest first (consumed by CEH)."""
-        return self._cols.to_buckets()
-
-    def bucket_count(self) -> int:
-        return len(self._cols)
+        if self.effective_epsilon != self.epsilon:
+            return
+        m1 = self.buckets_per_size + 1
+        run = 0
+        prev = math.inf
+        for count, level in zip(self.counts, self.levels):
+            if count > prev:
+                raise InvalidParameterError(
+                    "EH bucket sizes must not grow toward the newest bucket"
+                )
+            run = run + 1 if count == prev else 1
+            if run > m1:
+                raise InvalidParameterError(
+                    f"EH holds more than {m1} buckets of size {count}"
+                )
+            if level != int(count).bit_length() - 1:
+                raise InvalidParameterError(
+                    f"EH bucket of count {count} has level {level}"
+                )
+            prev = count
 
     def storage_report(self) -> StorageReport:
         """Per Datar et al.: one timestamp (log N bits) and one size exponent
@@ -340,8 +378,8 @@ class ExponentialHistogram:
         register."""
         horizon = self.window if self.window is not None else max(1, self._time)
         ts_bits = bits_for_value(horizon)
-        n = len(self._cols)
-        max_size = max((int(c) for c in self._cols.counts), default=1)
+        n = self.bucket_count()
+        max_size = max((int(c) for c in self.counts), default=1)
         size_exp_bits = bits_for_value(max(1, max_size.bit_length()))
         return StorageReport(
             engine="eh",
@@ -356,13 +394,13 @@ class ExponentialHistogram:
 
         Refuses what :meth:`check` refuses, before the size census reads a
         NaN or infinite count as an integer; then rebuilds the census and
-        the running total from the rows.  The caller owns the clock.
+        the running total from the rows.  The caller owns the clock and
+        sets ``effective_epsilon`` first (it decides the run check).
         """
-        self._cols.load_buckets(buckets)
+        self.load_buckets(buckets)
         self.check()
-        counts = self._cols.counts
-        self._per_size = Counter(int(c) for c in counts)
-        self._total = sum(int(c) for c in counts)
+        self._per_size = _census(self.counts)
+        self._total = sum(int(c) for c in self.counts)
 
     def _commit_bulk(
         self,
@@ -378,8 +416,8 @@ class ExponentialHistogram:
         replaces the columns, rebuilds the census/total and moves the
         clock, leaving the state the organic replay would have.
         """
-        self._cols.replace(starts, ends, counts, levels)
-        self._per_size = Counter(int(c) for c in counts)
+        self.replace(starts, ends, counts, levels)
+        self._per_size = _census(counts)
         self._total = sum(int(c) for c in counts)
         self._time = t_last
 
@@ -407,7 +445,8 @@ class ExponentialHistogram:
         """
         now = self._time
         m = self.buckets_per_size
-        buckets = self._cols.to_buckets()
+        per = self._per_size
+        buckets = self.bucket_view()
         self._total += count
         idx = len(buckets)  # boundary between unprocessed head and this run
         processed: list[list[Bucket]] = []  # survivors, smallest size first
@@ -415,6 +454,7 @@ class ExponentialHistogram:
         rep = count  # how many identical copies of ``template`` arrive
         template = Bucket(now, now, 1)
         size = 1
+        j = 0  # size == 2**j
         while explicit or rep:
             run_begin = idx
             while run_begin > 0 and int(buckets[run_begin - 1].count) == size:
@@ -463,14 +503,17 @@ class ExponentialHistogram:
                 Bucket(now, now, template.count, template.level)
                 for _ in range(rep - used_templates)
             ]
-            if survivors:
-                self._per_size[size] = len(survivors)
+            # Every level that receives an arrival keeps at least one
+            # bucket (m of them once it carries).
+            if j == len(per):
+                per.append(len(survivors))
             else:
-                self._per_size.pop(size, None)
+                per[j] = len(survivors)
             processed.append(survivors)
             rep = remaining
             template = Bucket(now, now, template.count * 2, template.level + 1)
             size *= 2
+            j += 1
         out = buckets[:idx] + [
             bucket for run in reversed(processed) for bucket in run
         ]
@@ -482,7 +525,7 @@ class ExponentialHistogram:
             (a.end, a.start) > (b.end, b.start) for a, b in zip(out, out[1:])
         ):
             out.sort(key=lambda b: (b.end, b.start))
-        self._cols.load_buckets(out)
+        self.load_buckets(out)
 
     def _add_ones_unary(self, count: int) -> None:
         """The pre-batching O(count) unary insert (reference only).
@@ -492,9 +535,13 @@ class ExponentialHistogram:
         the bulk path's work gate compares with.
         """
         t = self._time
+        per = self._per_size
         for _ in range(count):
-            self._cols.append(t, t, 1, 0)
-            self._per_size[1] += 1
+            self.append(t, t, 1, 0)
+            if per:
+                per[0] += 1
+            else:
+                per.append(1)
             self._total += 1
             self._cascade()
 
@@ -510,15 +557,14 @@ class ExponentialHistogram:
         """
         m1 = self.buckets_per_size + 1
         per = self._per_size
-        cols = self._cols
-        starts = cols.starts
-        ends = cols.ends
-        counts = cols.counts
-        levels = cols.levels
-        size = 1
-        below = 0  # census total of sizes strictly smaller than `size`
-        while per.get(size, 0) > m1:
-            n_here = per[size]
+        starts = self.starts
+        ends = self.ends
+        counts = self.counts
+        levels = self.levels
+        j = 0  # the size is 2**j
+        below = 0  # census total of sizes strictly smaller than 2**j
+        n_here = per[0]
+        while n_here > m1:
             a = len(ends) - below - n_here
             b = a + 1
             # Union span (min/max): bit-identical to the classic disjoint
@@ -537,101 +583,72 @@ class ExponentialHistogram:
             counts[a : b + 1] = [counts[a] + counts[b]]
             levels[a : b + 1] = [(la if la > lb else lb) + 1]
             n_left = n_here - 2
-            if n_left:
-                per[size] = n_left
-            else:
-                # Prune zeroed sizes so the census stays bounded on long
-                # streams.
-                del per[size]
+            per[j] = n_left
             below += n_left
-            per[size * 2] = per.get(size * 2, 0) + 1
-            size *= 2
+            j += 1
+            if j < len(per):
+                n_here = per[j] + 1
+                per[j] = n_here
+            else:
+                per.append(1)
+                n_here = 1
 
     def _expire(self) -> None:
         if self.window is None:
             return
         cutoff = self._time - self.window
-        cols = self._cols
-        ends = cols.ends
-        counts = cols.counts
+        ends = self.ends
+        counts = self.counts
         per = self._per_size
         drop = 0
         n = len(ends)
         while drop < n and ends[drop] <= cutoff:
             size = int(counts[drop])
             self._total -= size
-            per[size] -= 1
-            if not per[size]:
-                del per[size]
             drop += 1
-        cols.drop_head(drop)
+            if size & (size - 1):
+                continue  # not a power of two: no census entry (_census)
+            j = size.bit_length() - 1
+            if j < len(per):
+                per[j] -= 1
+            else:  # only a shard-merged list holds a size its census lost
+                per.extend([0] * (j - len(per)))
+                per.append(-1)
+        self.drop_head(drop)
+        # Expiry takes the oldest, hence largest, buckets: trim the census
+        # to the largest size left.
+        while per and not per[-1]:
+            per.pop()
 
 
-class SlidingWindowSum:
-    """DecayingSum adapter: SLIWIN decay answered by an EH.
+class SlidingWindowSum(ExponentialHistogram):
+    """DecayingSum under SLIWIN decay: the EH itself.
 
     The decaying sum under :class:`SlidingWindowDecay` *is* the window
-    count, so this class simply wires the protocol onto
-    :class:`ExponentialHistogram`.
+    count, so this class is the :class:`ExponentialHistogram` with the
+    protocol's ``decay``, derived from the window rather than stored: a
+    keyed store holds one engine per key, and the decay is the same for
+    all of them.  ``merge`` is the EH's, which refuses another type or
+    window, so it refuses every other decay.
     """
 
-    __slots__ = ("_decay", "_eh")
-
-    #: The weight domain of the EH it wires up: integer counts.
-    integer_weights = True
+    __slots__ = ()
 
     def __init__(self, window: int, epsilon: float) -> None:
-        self._decay = SlidingWindowDecay(window)
-        self._eh = ExponentialHistogram(window, epsilon)
-
-    @property
-    def time(self) -> int:
-        return self._eh.time
+        super().__init__(SlidingWindowDecay(window).window, epsilon)
 
     @property
     def decay(self) -> DecayFunction:
-        return self._decay
+        assert self.window is not None
+        return SlidingWindowDecay(self.window)
 
     @property
     def histogram(self) -> ExponentialHistogram:
-        """The underlying EH (exposed for storage experiments)."""
-        return self._eh
-
-    def add(self, value: float = 1.0) -> None:
-        self._eh.add(value)
-
-    def add_batch(self, values: Sequence[float]) -> None:
-        self._eh.add_batch(values)
-
-    def advance(self, steps: int = 1) -> None:
-        self._eh.advance(steps)
-
-    def advance_to(self, when: int) -> None:
-        self._eh.advance_to(when)
-
-    def ingest(
-        self, items: Iterable[TimedValue], *, until: int | None = None
-    ) -> None:
-        # Forward straight to the substrate so the replay loop's per-item
-        # advance/add calls skip the adapter hop (identical semantics: the
-        # adapter's clock IS the histogram's clock).
-        self._eh.ingest(items, until=until)
-
-    def query(self) -> Estimate:
-        return self._eh.query()
-
-    def merge(self, other: "SlidingWindowSum") -> None:
-        """Delegate to the substrate EH's bucket-interleave merge."""
-        require_merge_operand(self, other)
-        require_same_decay(self._decay, other._decay)
-        self._eh.merge(other._eh)
-
-    @property
-    def effective_epsilon(self) -> float:
-        """Composed error budget of the substrate EH."""
-        return self._eh.effective_epsilon
+        """The underlying EH, which is this engine (kept for storage
+        experiments that read a histogram engine's substrate)."""
+        return self
 
     def storage_report(self) -> StorageReport:
-        report = self._eh.storage_report()
+        report = super().storage_report()
         report.engine = "sliwin-eh"
         return report

@@ -2,12 +2,13 @@
 
 The histogram engines (:class:`~repro.histograms.eh.ExponentialHistogram`,
 :class:`~repro.histograms.domination.DominationHistogram`, and through them
-:class:`~repro.histograms.ceh.CascadedEH` and the WBMH bulk path) keep their
-live bucket state in :class:`BucketColumns` -- four parallel columns
-(starts, ends, counts, levels) instead of a list of
-:class:`~repro.histograms.buckets.Bucket` objects.  The columns are plain
-Python lists: CPython list indexing beats numpy scalar indexing by 2-3x on
-the per-item hot paths (``add``/``advance``).
+:class:`~repro.histograms.ceh.CascadedEH`) are :class:`BucketColumns`: they
+keep their live bucket state in four parallel columns (starts, ends,
+counts, levels) held in their own slots, instead of a list of
+:class:`~repro.histograms.buckets.Bucket` objects or a column object of
+their own (a keyed store holds one histogram per key).  The columns are
+plain Python lists: CPython list indexing beats numpy scalar indexing by
+2-3x on the per-item hot paths (``add``/``advance``).
 
 Each bulk kernel has exactly one implementation, the faster of the
 measured candidates: the EH level walk, its closed-form pairs and the
@@ -86,11 +87,13 @@ class BucketColumns:
     """Structure-of-arrays bucket store: four parallel columns.
 
     ``starts``/``ends`` are arrival-time stamps, ``counts`` the bucket
-    totals (ints for EH powers of two, floats for domination/WBMH), and
+    totals (ints for EH powers of two, floats for domination), and
     ``levels`` the merge depths.  Rows are oldest-first and end-sorted,
     exactly like the former ``list[Bucket]`` representation; the engines
-    index the columns directly on their hot paths and materialize
-    :class:`Bucket` rows only at the ``bucket_view()`` boundary.
+    subclass it, index the columns directly on their hot paths and
+    materialize :class:`Bucket` rows only at the ``bucket_view()``
+    boundary.  It defines no ``__len__``, so an empty histogram is still
+    truthy; the engines count rows with ``bucket_count()``.
     """
 
     __slots__ = ("starts", "ends", "counts", "levels")
@@ -101,7 +104,7 @@ class BucketColumns:
         self.counts: list[float] = []
         self.levels: list[int] = []
 
-    def __len__(self) -> int:
+    def bucket_count(self) -> int:
         return len(self.ends)
 
     def append(self, start: int, end: int, count: float, level: int) -> None:  # lintkit: hot
@@ -145,8 +148,9 @@ class BucketColumns:
             levels.append(b.level)
         self.replace(starts, ends, counts, levels)
 
-    def to_buckets(self) -> list[Bucket]:
-        """Materialize row objects (the ``bucket_view()`` boundary)."""
+    def bucket_view(self) -> list[Bucket]:
+        """Snapshot of live buckets as row objects, oldest first (consumed
+        by CEH, merges and serialization)."""
         return [
             Bucket(s, e, c, lv)
             for s, e, c, lv in zip(self.starts, self.ends, self.counts, self.levels)
@@ -195,8 +199,8 @@ def _eh_prescan(
     # oldest-first (violated only after a shard merge), runs at rest never
     # exceed the census cap, and nothing is already past the expiry
     # cutoff.  Any violation routes the whole call to the organic replay.
-    counts = hist._cols.counts
-    ends = hist._cols.ends
+    counts = hist.counts
+    ends = hist.ends
     cap = hist.buckets_per_size + 1
     prev_size = None
     run_len = 0
@@ -330,12 +334,11 @@ def eh_bulk_ingest(
     ticks, tick_counts = scanned
     window = hist.window
     cap = hist.buckets_per_size + 1
-    cols = hist._cols
     t_last = ticks[-1]
 
     # Slice the existing columns into per-size runs (contiguous because
     # sizes are non-increasing oldest-first; verified by the pre-scan).
-    counts_col = cols.counts
+    counts_col = hist.counts
     runs: dict[int, tuple[list[int], list[int], list[float], list[int]]] = {}
     order: list[int] = []
     n0 = len(counts_col)
@@ -346,10 +349,10 @@ def eh_bulk_ingest(
         while j < n0 and int(counts_col[j]) == size:
             j += 1
         runs[size] = (
-            cols.starts[i:j],
-            cols.ends[i:j],
+            hist.starts[i:j],
+            hist.ends[i:j],
             counts_col[i:j],
-            cols.levels[i:j],
+            hist.levels[i:j],
         )
         order.append(size)
         i = j

@@ -23,9 +23,9 @@ defines both ``engine_to_dict`` and ``engine_from_dict``:
   (beyond the ``version``/``engine`` envelope) must be consumed by a
   matching restore branch.
 
-Branches delegating to ``engine_to_dict`` recursively (the
-``sliwin-sum`` wrapper) emit keys this parser cannot enumerate, so the
-read-keys check is skipped where a delegating branch matches.
+Branches delegating to ``engine_to_dict`` recursively (the CEH
+branch's nested histogram) may emit keys this parser cannot enumerate,
+so the read-keys check is skipped where a delegating branch matches.
 """
 
 from __future__ import annotations

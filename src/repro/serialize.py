@@ -188,15 +188,13 @@ def engine_to_dict(engine: Any) -> dict[str, Any]:
             ],
             "items": engine._items,
         }
-    if isinstance(engine, SlidingWindowSum):
-        inner = engine_to_dict(engine.histogram)
-        inner["engine"] = "sliwin-sum"
-        inner["window"] = engine.decay.window
-        return inner
     if isinstance(engine, ExponentialHistogram):
+        # A sliding-window sum is its EH: one snapshot layout, two kinds.
         return {
             "version": _FORMAT_VERSION,
-            "engine": "eh",
+            "engine": (
+                "sliwin-sum" if isinstance(engine, SlidingWindowSum) else "eh"
+            ),
             "window": engine.window,
             "epsilon": engine.epsilon,
             "effective_epsilon": engine.effective_epsilon,
@@ -330,21 +328,23 @@ def engine_from_dict(data: dict[str, Any]) -> Any:
         return fwd
     if kind in ("eh", "sliwin-sum"):
         if kind == "sliwin-sum":
-            wrapper = SlidingWindowSum(int(data["window"]), float(data["epsilon"]))
-            target = wrapper.histogram
+            hist: ExponentialHistogram = SlidingWindowSum(
+                int(data["window"]), float(data["epsilon"])
+            )
         else:
-            wrapper = None
-            target = ExponentialHistogram(
+            hist = ExponentialHistogram(
                 None if data["window"] is None else int(data["window"]),
                 float(data["epsilon"]),
             )
-        target._time = int(data["time"])
-        target._load_buckets(_buckets_in(data["buckets"]))  # runs check()
-        # Older (pre-merge) snapshots carry no composed budget.
-        target.effective_epsilon = float(
+        hist._time = int(data["time"])
+        # Older (pre-merge) snapshots carry no composed budget.  Set it
+        # before the buckets: it decides whether check() holds them to
+        # the unmerged run structure.
+        hist.effective_epsilon = float(
             data.get("effective_epsilon", data["epsilon"])
         )
-        return wrapper if wrapper is not None else target
+        hist._load_buckets(_buckets_in(data["buckets"]))  # runs check()
+        return hist
     if kind == "domination":
         engine = DominationHistogram(
             None if data["window"] is None else int(data["window"]),

@@ -45,7 +45,6 @@ from __future__ import annotations
 import asyncio
 import base64
 import contextlib
-import hashlib
 import json
 from typing import Any
 
@@ -75,6 +74,10 @@ class _FrameTooLarge(Exception):
 
 
 def _ws_accept(key: str) -> str:
+    # Imported here: only a WebSocket upgrade needs OpenSSL's hash module,
+    # so a server that never upgrades a socket never loads it.
+    import hashlib
+
     digest = hashlib.sha1((key + _WS_GUID).encode("ascii")).digest()
     return base64.b64encode(digest).decode("ascii")
 

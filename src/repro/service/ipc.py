@@ -66,13 +66,16 @@ def decode_frame(data: bytes) -> dict[str, Any]:
     return obj
 
 
-def send_frame(conn: Connection, obj: dict[str, Any] | bytes) -> None:
+def send_frame(
+    conn: Connection, obj: dict[str, Any] | bytes | bytearray
+) -> None:
     """Write one frame; :class:`WorkerDiedError` if the peer is gone.
 
-    ``obj`` is a frame body or its :func:`encode_frame` bytes; the router
-    passes bytes so the copy it journals is exactly what went on the pipe.
+    ``obj`` is a frame body or its encoded bytes (any bytes-like buffer):
+    the router passes bytes so the copy it journals is exactly what went
+    on the pipe, and a worker sends the buffer it built its snapshot in.
     """
-    data = obj if isinstance(obj, bytes) else encode_frame(obj)
+    data = obj if isinstance(obj, (bytes, bytearray)) else encode_frame(obj)
     try:
         conn.send_bytes(data)
     except (BrokenPipeError, ConnectionError, OSError) as exc:

@@ -39,11 +39,10 @@ def _shape(engine: DecayingSum) -> dict[str, Any]:
     """What a restored engine must share with the store's own: class,
     decay, epsilon and, for a CEH, backend and estimator (where the
     engine has them; exact register engines have no epsilon)."""
-    hist = getattr(engine, "histogram", None)
     shape = {
         "engine": type(engine).__name__,
         "decay": decay_to_dict(engine.decay),
-        "epsilon": getattr(engine, "epsilon", getattr(hist, "epsilon", None)),
+        "epsilon": getattr(engine, "epsilon", None),
         "backend": getattr(engine, "backend", None),
         "estimator": getattr(engine, "estimator", None),
     }

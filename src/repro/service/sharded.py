@@ -179,7 +179,7 @@ def _report(reply: Mapping[str, Any]) -> StorageReport:
     )
 
 
-def _snapshot_frame(store: ServiceStore) -> bytes:
+def _snapshot_frame(store: ServiceStore) -> bytearray:
     """The worker's ``snapshot`` reply, encoded one key at a time.
 
     Byte for byte ``encode_frame({"ok": True, "op": "restore", "data":
@@ -187,7 +187,9 @@ def _snapshot_frame(store: ServiceStore) -> bytes:
     the reply is encoded with an empty ``keys`` object, cut after its
     opening brace, and each key's ``"key":{...}`` member is appended from
     that key's own one-entry frame.  One growing buffer, not a list of
-    parts, so the peak is about twice the frame whatever the key count.
+    parts, and the worker sends that buffer itself, not a ``bytes`` copy
+    of it: the peak stays near the frame's own size whatever the key
+    count.
     """
     head = encode_frame(
         {
@@ -203,12 +205,12 @@ def _snapshot_frame(store: ServiceStore) -> bytes:
         frame += encode_frame({key: state})[1:-1]
         comma = b","
     frame += b"}}}"
-    return bytes(frame)
+    return frame
 
 
 def _worker_dispatch(
     store: ServiceStore, frame: Mapping[str, Any]
-) -> dict[str, Any] | bytes:
+) -> dict[str, Any] | bytearray:
     op = frame.get("op")
     if op == "ingest":
         _worker_exec_ingest(store, frame.get("prog") or [])

@@ -10,7 +10,6 @@ sort on load).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -67,6 +66,8 @@ class KeyedItem:
 
 def write_csv(items: Iterable[StreamItem | KeyedItem], path: str | Path) -> int:
     """Write items to CSV; returns the number of rows written."""
+    import csv  # only the CSV paths load it; a server never does
+
     items = list(items)
     keyed = any(isinstance(i, KeyedItem) for i in items)
     with open(path, "w", newline="") as f:
@@ -87,6 +88,8 @@ def read_csv(
     path: str | Path, *, sort: bool = False
 ) -> list[StreamItem] | list[KeyedItem]:
     """Read a trace CSV written by :func:`write_csv` (or compatible)."""
+    import csv
+
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)

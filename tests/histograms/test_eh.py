@@ -198,7 +198,7 @@ def snapshot(eh):
     """Full structural state: bucket list, per-size census, running total."""
     return (
         [(b.start, b.end, b.count, b.level) for b in eh.bucket_view()],
-        dict(eh._per_size),
+        list(eh._per_size),
         eh.total_in_buckets,
     )
 
@@ -280,24 +280,41 @@ class TestBulkInsert:
             eh.add_batch([1, -3])
 
 
-class TestPerSizePruning:
-    """Satellite fix: `_per_size` must not retain zero-count entries."""
+def census_of(eh):
+    """The size census rebuilt from the buckets: entry ``j`` counts the
+    buckets of size ``2**j``, up to the largest size present."""
+    census = []
+    for bucket in eh.bucket_view():
+        j = int(bucket.count).bit_length() - 1
+        census += [0] * (j + 1 - len(census))
+        census[j] += 1
+    return census
 
-    def test_no_zero_entries_after_cascades(self):
+
+class TestPerSizePruning:
+    """The size census stays bounded: its length is the largest live
+    bucket size's exponent plus one, so long streams cannot grow it."""
+
+    @staticmethod
+    def bound(eh):
+        return max((int(b.count).bit_length() for b in eh.bucket_view()),
+                   default=0)
+
+    def test_census_bounded_after_cascades(self):
         eh = ExponentialHistogram(None, 0.3)
         for _ in range(500):
             eh.add(1)
-        assert all(n > 0 for n in eh._per_size.values())
+        assert len(eh._per_size) == self.bound(eh)
 
-    def test_no_zero_entries_after_expiry(self):
+    def test_census_empty_after_expiry(self):
         eh = ExponentialHistogram(32, 0.3)
         for _ in range(300):
             eh.add(1)
             eh.advance(1)
+            assert len(eh._per_size) <= self.bound(eh)
         eh.advance(64)  # expire everything
         assert eh.bucket_count() == 0
-        assert all(n > 0 for n in eh._per_size.values())
-        assert eh._per_size == {}
+        assert eh._per_size == []
 
     def test_census_matches_buckets_exactly(self):
         rng = random.Random(9)
@@ -305,8 +322,4 @@ class TestPerSizePruning:
         for _ in range(400):
             eh.add(rng.choice([0, 1, 4]))
             eh.advance(rng.randrange(2))
-            census = {}
-            for bucket in eh.bucket_view():
-                size = int(bucket.count)
-                census[size] = census.get(size, 0) + 1
-            assert dict(eh._per_size) == census
+            assert eh._per_size == census_of(eh)

@@ -178,3 +178,25 @@ class TestRestoreChecks:
         state["histogram"] = engine_to_dict(ExponentialHistogram(40, 0.1))
         with pytest.raises(InvalidParameterError, match="window 40"):
             engine_from_dict(state)
+
+    def test_eh_run_check_skips_merged_histograms(self):
+        # Two shards' interleaved buckets break the unmerged run structure
+        # (sizes grow toward the newest bucket), and a merged histogram
+        # restores them as they are; the same rows under the unmerged
+        # budget are refused.
+        a = SlidingWindowSum(64, 0.1)
+        b = SlidingWindowSum(64, 0.1)
+        for t in range(40):
+            a.add(1 + (t % 3 == 0) * 30)
+            b.add(1)
+            a.advance(1)
+            b.advance(1)
+        a.merge(b)
+        state = engine_to_dict(a)
+        sizes = [row[2] for row in state["buckets"]]
+        assert any(x < y for x, y in zip(sizes, sizes[1:]))
+        restored = engine_from_dict(state)
+        assert engine_to_dict(restored) == state
+        state["effective_epsilon"] = state["epsilon"]
+        with pytest.raises(InvalidParameterError, match="grow"):
+            engine_from_dict(state)

@@ -152,6 +152,22 @@ PROBES: dict[str, tuple[Callable[[], Any], Callable[[dict[str, Any]], None]]] = 
         lambda: SlidingWindowDecay(64),
         lambda state: state["buckets"][-1].__setitem__(2, math.inf),
     ),
+    # The run structure of an unmerged EH (the fed key holds five
+    # buckets of size 2, then m + 1 = 11 of size 1): each edit below
+    # keeps counts powers of two, ends in order and levels at log2(count)
+    # except where it breaks that one rule.
+    "eh-size-grows-toward-newest": (
+        lambda: SlidingWindowDecay(64),
+        lambda state: state["buckets"].__setitem__(-1, [5, 5, 4, 2]),
+    ),
+    "eh-run-longer-than-m-plus-one": (
+        lambda: SlidingWindowDecay(64),
+        lambda state: state["buckets"].append([5, 5, 1, 0]),
+    ),
+    "eh-level-not-log2-count": (
+        lambda: SlidingWindowDecay(64),
+        lambda state: state["buckets"][-1].__setitem__(3, 1),
+    ),
     "wbmh-nan-count": (
         lambda: PolynomialDecay(1.0),
         lambda state: state["sealed"][0].__setitem__(2, math.nan),
