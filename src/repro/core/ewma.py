@@ -14,6 +14,7 @@ experiments, and the polyexponential pipeline of section 3.4: decay by
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -58,6 +59,48 @@ def _tick_factor(lam: float) -> float:
 def _inverse_factorials(k: int) -> tuple[float, ...]:
     """``1/j!`` for ``j <= k``, one tuple per pipeline order."""
     return tuple(1.0 / math.factorial(i) for i in range(k + 1))
+
+
+#: A write may not raise a pipeline's :func:`_reach` to this or past it.
+#: ``check`` refuses a reach of twice this: a state the writes made stays
+#: below that after any rounding of its advances, and no rounding carries
+#: a reach below that past the float range.
+_WRITE_REACH = sys.float_info.max / 4
+
+
+def _reach(
+    moments: Sequence[float], lam: float, inv_fact: Sequence[float]
+) -> float:
+    """A bound on every value a pipeline holding ``moments`` forms from
+    now on: each moment, and each partial sum ``advance`` takes before it
+    applies ``exp(-lam)``, on this tick and on every later one.
+
+    ``V_i = sum_{j <= i} lam**(j - i) M_j`` is at least ``M_i``, and no
+    advance raises it: ``s`` ticks run the flow ``dM_i/dt = M_{i-1} -
+    lam M_i`` for time ``s``, along which ``dV_i/dt = -lam M_i``.  A
+    partial sum on the way to ``M_i`` is at most ``sum_{j <= i} M_j /
+    (i - j)!``, hence at most ``sum_{j <= i} V_j / (i - j)!``, which does
+    not grow either.  The reach, the largest of those sums, therefore
+    only falls as the clock advances: a state passes a test on it
+    whenever the state it was advanced from did.  Past the float range
+    it reads ``inf``.
+    """
+    v: list[float] = []
+    acc = 0.0
+    for moment in moments:
+        acc = acc / lam + moment
+        v.append(acc)
+    return max(
+        sum(v[j] * inv_fact[i - j] for j in range(i + 1)) for i in range(len(v))
+    )
+
+
+@lru_cache
+def _growth_bound(k: int, lam: float) -> float:
+    """:func:`_reach` of moments that are all 1.  The reach sums moments
+    with non-negative coefficients, so no moments reach further than
+    their largest times this."""
+    return _reach((1.0,) * (k + 1), lam, _inverse_factorials(k))
 
 
 def _expd_register_bits(lam: float, time: int, items: int, mantissa_bits: int) -> int:
@@ -319,7 +362,9 @@ class PolyexpPipeline:
     the section 3.4 reduction.
     """
 
-    __slots__ = ("k", "lam", "_factor", "_m", "_inv_fact", "_time", "_items")
+    __slots__ = (
+        "k", "lam", "_factor", "_m", "_inv_fact", "_growth", "_time", "_items",
+    )
 
     def __init__(self, k: int, lam: float) -> None:
         if k < 0:
@@ -331,6 +376,7 @@ class PolyexpPipeline:
         self._factor = _tick_factor(self.lam)
         self._m = [0.0] * (self.k + 1)
         self._inv_fact = _inverse_factorials(self.k)
+        self._growth = _growth_bound(self.k, self.lam)
         self._time = 0
         self._items = 0
 
@@ -349,7 +395,11 @@ class PolyexpPipeline:
     def add_batch(self, values: Sequence[float]) -> None:
         """Fold a batch into ``M_0`` (the only register items touch at age
         0); bit-identical to sequential ``add`` calls. One pass: validation
-        rides the fold loop and the register is written once at the end."""
+        rides the fold loop and the register is written once at the end.
+
+        A batch is refused, changing nothing, when it raises the moments'
+        :func:`_reach` to ``_WRITE_REACH``, so no later advance turns a
+        finite weight into an infinite moment."""
         acc = self._m[0]
         n = 0
         for value in values:
@@ -357,10 +407,23 @@ class PolyexpPipeline:
                 raise InvalidParameterError(f"value must be >= 0, got {value}")
             acc += value
             n += 1
-        if not acc < math.inf:
-            raise InvalidParameterError("weights must keep the register finite")
+        if not self._admits([acc, *self._m[1:]]):
+            raise InvalidParameterError(
+                "weights must keep every moment finite on later ticks"
+            )
         self._m[0] = acc
         self._items += n
+
+    def _admits(self, moments: list[float]) -> bool:
+        """Whether a write may leave ``moments``: it does not raise their
+        :func:`_reach` to ``_WRITE_REACH``.  A reach only falls as the
+        clock advances, so a write that adds nothing is always admitted."""
+        if max(moments) * self._growth < _WRITE_REACH:
+            return True
+        reach = _reach(moments, self.lam, self._inv_fact)
+        return reach < _WRITE_REACH or reach <= _reach(
+            self._m, self.lam, self._inv_fact
+        )
 
     def advance(self, steps: int = 1) -> None:
         if steps < 0:
@@ -389,16 +452,21 @@ class PolyexpPipeline:
                 f"clock mismatch: {self._time} vs {other._time}"
             )
         moments = [a + b for a, b in zip(self._m, other._m)]
-        if not all(m < math.inf for m in moments):
-            raise InvalidParameterError("merge must keep the moments finite")
+        if not self._admits(moments):
+            raise InvalidParameterError(
+                "merge must keep every moment finite on later ticks"
+            )
         self._m = moments
         self._items += other._items
 
     def check(self) -> None:
-        """Refuse moments no write can produce: each is finite and >= 0.
+        """Refuse moments no write can produce: each is finite and >= 0,
+        and their :func:`_reach` is below twice ``_WRITE_REACH``, so no
+        later advance carries them past the float range.
 
         Run on restore (:func:`repro.serialize.engine_from_dict`), never
-        on the ingest path, whose writes keep ``M_0`` in range.
+        on the ingest path, whose writes keep the reach below
+        ``_WRITE_REACH``.
         """
         for j, moment in enumerate(self._m):
             if not 0 <= moment < math.inf:
@@ -406,6 +474,10 @@ class PolyexpPipeline:
                     f"polyexponential moment M_{j} must be finite and >= 0, "
                     f"got {moment}"
                 )
+        if not _reach(self._m, self.lam, self._inv_fact) < 2 * _WRITE_REACH:
+            raise InvalidParameterError(
+                "polyexponential moments must stay finite on later ticks"
+            )
 
     def combine(self, poly_coeffs: Sequence[float]) -> float:
         """Decaying sum under ``g(a) = (sum_j c_j a**j) exp(-lam a)``.

@@ -13,7 +13,8 @@ plain Python lists: CPython list indexing beats numpy scalar indexing by
 Each bulk kernel has exactly one implementation, the faster of the
 measured candidates: the EH level walk, its closed-form pairs and the
 domination no-merge pre-check are pure-Python loops, and the WBMH lattice
-fold is a numpy sweep.
+fold is a numpy sweep.  numpy is imported inside that kernel only, so a
+process that never runs it (a served store) never loads numpy.
 
 Every kernel is *exact*: it either reproduces the engine's item-at-a-time
 process bit-for-bit (pinned by ``tests/property/test_property_kernel_identity``
@@ -56,8 +57,6 @@ from __future__ import annotations
 
 import math
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from repro.histograms.buckets import Bucket
 
@@ -578,6 +577,9 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
     if classes is None:
         return False
     created, top_class = classes
+    # Imported here, not at module level: no served path runs this
+    # kernel, so a served process never loads numpy.
+    import numpy as np
 
     # Leaf counts: fold items into their seal intervals in arrival order
     # (type-preserving: the first value seeds the count exactly as the
@@ -628,16 +630,17 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
     # Survivors per class: nodes not yet consumed by the cascade above.
     # Classes descend oldest-first; within a class, index order is time
     # order.  Class 0 keeps the Python leaf values (integers stay ints).
-    nodes: list[tuple[int, int, int, list[float]]] = []
+    nodes: list[tuple[int, int, int, dict[int, float]]] = []
     for s, lo, hi, width in _wbmh_survivors(created, top_class, w):
         survived = leaf_counts[lo:hi] if s == 0 else by_class[s][lo:hi].tolist()
         for q, count in enumerate(survived, lo):
-            nodes.append((q * width, (q + 1) * width - 1, s, [count]))
+            row = {0: count} if count else {}
+            nodes.append((q * width, (q + 1) * width - 1, s, row))
 
     lattice._time = t_final
     lattice._rebuild(nodes)
     if live_count is not None:
-        lattice._live[0] = live_count
+        lattice._set_live(0, live_count)
     wbmh._items = nonzero
     lattice._max_level = top_class
     return True

@@ -24,14 +24,17 @@ Lattice and count columns
 Because the boundaries never depend on the stream, WBMH state splits in
 two.  A :class:`Lattice` holds what the clock and the schedule decide:
 the sealed nodes with their (start, end, level), the merge heap, sealing,
-expiry and ``max_level``.  The counts form a matrix with one row per
-sealed node and one *column* per stream, plus one live count per column.
-A merge adds the two nodes' rows and quantizes each element at the merged
-node's level -- the one-stream merge rule, applied to every column at
-once.  A :class:`WBMH` is one column of a lattice: standalone, it owns a
-private lattice holding that single column; a keyed store
-(:mod:`repro.service.keyed`) puts all of its keys' columns on one shared
-lattice, so the seals and merges run once per tick whatever the key count.
+expiry and ``max_level``.  The counts form a sparse matrix with one row
+per sealed node and one *column* per stream, plus one live count per
+column.  A row holds only its non-zero cells (an absent cell reads
+``_ZERO``): a seal builds its row from the columns written since the
+last seal, and a merge adds the two rows over the union of their cells
+and quantizes each sum at the merged node's level -- the one-stream merge
+rule, applied to every column that holds a count.  A :class:`WBMH` is one
+column of a lattice: standalone, it owns a private lattice holding that
+single column; a keyed store (:mod:`repro.service.keyed`) puts all of its
+keys' columns on one shared lattice, so the seals and merges run once per
+tick whatever the key count, and cost the non-zero counts they touch.
 
 :meth:`WBMH.absorb` is the one operation whose levels depend on the
 stream: a bucket that holds counts from both operands goes one level up.
@@ -70,7 +73,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from operator import add
 from typing import Iterable, Iterator, Literal, Sequence
 
 from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
@@ -99,9 +101,7 @@ _NEVER = 1 << 62
 #: Version of a retired node: heap entries carry versions >= 1.
 _RETIRED = -1
 
-#: The count of an empty cell, and of a column with no live bucket.  Every
-#: such cell holds this one float, so an idle stream costs a pointer per
-#: cell rather than a float object each.
+#: The count of an absent cell, and of a column with no live bucket.
 _ZERO = 0.0
 
 #: Column of a released engine: no row reaches it, so any further use of
@@ -112,7 +112,8 @@ _DETACHED = 1 << 62
 class _Node:
     """A sealed lattice node: one bucket span, its level and its counts.
 
-    ``row`` holds one count per column of the lattice.  ``ver`` counts the
+    ``row`` maps a column to its count and holds only non-zero counts; a
+    column it does not hold reads ``_ZERO``.  ``ver`` counts the
     merge-heap entries pushed for the pair this node starts; only the
     entry carrying the current count may act.  A node leaving the list
     (merged, expired, or replaced by ``_rebuild``) is *retired*: its links
@@ -125,7 +126,7 @@ class _Node:
     __slots__ = ("start", "end", "level", "row", "prev", "next", "seq", "ver")
 
     def __init__(
-        self, start: int, end: int, level: int, row: list[float], seq: int
+        self, start: int, end: int, level: int, row: dict[int, float], seq: int
     ) -> None:
         self.start = start
         self.end = end
@@ -154,7 +155,8 @@ class Lattice:
     __slots__ = (
         "_decay", "epsilon", "schedule", "_quantizer", "merge_strategy",
         "_seal_width", "_support", "_time", "_head", "_tail", "_n_sealed",
-        "_seq", "_merge_heap", "_max_level", "_live", "_free", "shared",
+        "_seq", "_merge_heap", "_max_level", "_live", "_dirty", "_free",
+        "shared",
     )
 
     def __init__(
@@ -186,6 +188,10 @@ class Lattice:
         self._max_level = 0
         #: Live count per column (``_ZERO``: no live bucket).
         self._live: list[float] = []
+        #: Columns written since the last seal, which builds its row from
+        #: these alone.  A released column may linger here; its live count
+        #: then reads zero and the seal skips it.
+        self._dirty: list[int] = []
         #: Released column indices, reused by the next member.
         self._free: list[int] = []
         self.shared = False
@@ -206,7 +212,7 @@ class Lattice:
         self._live[col] = _ZERO
         node = self._head
         while node is not None:
-            node.row[col] = _ZERO
+            node.row.pop(col, None)
             node = node.next
         self._free.append(col)
         engine._col = _DETACHED
@@ -232,9 +238,11 @@ class Lattice:
         src = engine._col
         mine, theirs = self._head, old._head
         while mine is not None and theirs is not None:
-            mine.row[col] = theirs.row[src] or _ZERO
+            count = theirs.row.get(src)
+            if count:
+                mine.row[col] = count
             mine, theirs = mine.next, theirs.next
-        self._live[col] = old._live[src] or _ZERO
+        self._set_live(col, old._live[src])
         old._rebuild([])
         engine._lat = self
         engine._col = col
@@ -242,13 +250,15 @@ class Lattice:
 
     def _join(self) -> int:
         if self._free:
-            return self._free.pop()  # its cells already read zero
+            return self._free.pop()  # no row holds it; its live count is zero
         self._live.append(_ZERO)
-        node = self._head
-        while node is not None:
-            node.row.append(_ZERO)
-            node = node.next
         return len(self._live) - 1
+
+    def _set_live(self, col: int, count: float) -> None:
+        """Set ``col``'s live count, marking the column for the next seal."""
+        if count and not self._live[col]:
+            self._dirty.append(col)
+        self._live[col] = count or _ZERO
 
     def _shape(self) -> tuple[object, ...]:
         """Everything but the counts: configuration, clock and nodes."""
@@ -354,8 +364,7 @@ class Lattice:
             return False
         nodes, self._max_level = shape
         self._time = when
-        width = len(self._live)
-        self._rebuild([(s, e, level, [_ZERO] * width) for s, e, level in nodes])
+        self._rebuild([(s, e, level, {}) for s, e, level in nodes])
         return True
 
     # ----------------------------------------------------------- structure
@@ -387,15 +396,25 @@ class Lattice:
         *lattice* deterministic: merge decisions then depend only on the
         clock and the schedule, never on the stream -- the paper's
         stream-independence property. Zero buckets merge away like any
-        other and contribute nothing to queries.  The live counts become
-        the new node's row.
+        other and contribute nothing to queries.  The non-zero live counts
+        of the columns written since the last seal become the new node's
+        row, and their live counts go back to zero; no other column is
+        visited.
         """
         start, end = self._previous_interval()
-        row = self._live
-        self._live = [_ZERO] * len(row)
+        live = self._live
+        row: dict[int, float] = {}
+        for col in self._dirty:
+            count = live[col]
+            if count:
+                row[col] = count
+                live[col] = _ZERO
+        self._dirty.clear()
         self._link(_Node(start, end, 0, row, next(self._seq)))
 
-    def _rebuild(self, nodes: list[tuple[int, int, int, list[float]]]) -> None:
+    def _rebuild(
+        self, nodes: list[tuple[int, int, int, dict[int, float]]]
+    ) -> None:
         """Replace the sealed list with ``(start, end, level, row)`` nodes
         (and reschedule pending merges)."""
         node = self._head
@@ -413,21 +432,30 @@ class Lattice:
     def _merge_nodes(self, left: _Node) -> _Node:
         """Merge ``left`` with its right neighbour; returns the new node.
 
-        Each column adds its two counts and, when the sum is positive,
-        quantizes it at the merged level.
+        Each column holding a count on either side adds its two counts
+        (an absent one reads ``_ZERO``, so an integer count turns float as
+        in any sum) and quantizes the sum at the merged level.
         """
         right = left.next
         assert right is not None
         level = max(left.level, right.level) + 1
         q = self._quantizer
+        old, young = left.row, right.row
+        get = young.get
         if q is None:
-            row = [s or _ZERO for s in map(add, left.row, right.row)]
+            row = {col: count + get(col, _ZERO) for col, count in old.items()}
+            for col, count in young.items():
+                if col not in old:
+                    row[col] = _ZERO + count
         else:
             quantize = q.quantize
-            row = [
-                quantize(s, level) if s else _ZERO
-                for s in map(add, left.row, right.row)
-            ]
+            row = {
+                col: quantize(count + get(col, _ZERO), level)
+                for col, count in old.items()
+            }
+            for col, count in young.items():
+                if col not in old:
+                    row[col] = quantize(_ZERO + count, level)
         if level > self._max_level:
             self._max_level = level
         node = _Node(left.start, right.end, level, row, next(self._seq))
@@ -523,6 +551,72 @@ class Lattice:
 
     # -------------------------------------------------------------- expiry
 
+    # ------------------------------------------------------------- restore
+
+    def check(self) -> None:
+        """Refuse a node list that no run reaches at this clock.
+
+        Spans do not depend on the stream, and a merge of two engines
+        keeps them, so where the closed form applies
+        (:func:`wbmh_fresh_nodes`) they must be a fresh lattice's at this
+        clock, and ``max_level`` at least its.  Elsewhere they must be
+        whole seal intervals that follow each other with no overlap and no
+        gap and end where the live interval begins, from tick 0 under an
+        infinite support and from an unexpired head otherwise.  A node's
+        level counts the merges below it, so it is at least the depth of a
+        binary tree over the span's seal intervals (an engine that absorbed
+        another sits above it) and at most ``max_level``.
+        """
+        if self._time < 0:
+            raise InvalidParameterError(f"WBMH clock {self._time} is negative")
+        w = self._seal_width
+        spans: list[tuple[int, int]] = []
+        node = self._head
+        while node is not None:
+            start, end, level = node.start, node.end, node.level
+            width = end - start + 1
+            if start % w or width % w or width <= 0:
+                raise InvalidParameterError(
+                    f"WBMH span [{start}, {end}] is not whole seal "
+                    f"intervals of width {w}"
+                )
+            depth = (width // w - 1).bit_length()
+            if not depth <= level <= self._max_level:
+                raise InvalidParameterError(
+                    f"WBMH level {level} of span [{start}, {end}] is outside "
+                    f"[{depth}, max_level {self._max_level}]"
+                )
+            spans.append((start, end))
+            node = node.next
+        fresh = None
+        if self.merge_strategy == "scheduled" and self._support is None:
+            fresh = wbmh_fresh_nodes(_reference(self), self._time)
+        if fresh is not None:
+            nodes, top = fresh
+            if spans != [(s, e) for s, e, _ in nodes] or self._max_level < top:
+                raise InvalidParameterError(
+                    f"WBMH spans or max_level are not those of a lattice at "
+                    f"clock {self._time}"
+                )
+            return
+        # Newest first, each span must end where the next one begins; the
+        # oldest begins at tick 0 or where its predecessor has expired.
+        now, sup = self._time, self._support
+        begin = self._live_interval()[0]
+        tiled = True
+        for start, end in reversed(spans):
+            tiled = tiled and end == begin - 1
+            begin = start
+        if begin and (sup is None or now - begin < sup):
+            tiled = False
+        if sup is not None and spans and now - spans[0][1] > sup:
+            tiled = False
+        if not tiled:
+            raise InvalidParameterError(
+                f"WBMH spans {spans} do not tile the ages up to the live "
+                f"interval at clock {now}"
+            )
+
     def _expire(self) -> None:
         sup = self._support
         if sup is None:
@@ -537,6 +631,33 @@ class Lattice:
             else:
                 self._tail = None
             self._n_sealed -= 1
+
+
+#: One empty lattice per decay, ratio and merge strategy, on which
+#: :meth:`Lattice.check` computes a fresh lattice's nodes.  Those depend
+#: on that configuration and the clock alone, so this is a cache: what
+#: it holds changes how fast ``check`` runs, never what it answers.  The
+#: keys of a restored snapshot share one warm schedule instead of each
+#: walking the regions on its own cold one, and a checked lattice's
+#: schedule (whose computed regions its ``shared_bits`` count) stays as
+#: its rebuild left it.  A built-in decay's ``repr`` names it exactly; an
+#: entry holds its decay, so an id in a default ``repr`` is not reused
+#: while the entry lives.
+_REFERENCES: dict[tuple[object, ...], Lattice] = {}
+
+
+def _reference(lattice: Lattice) -> Lattice:
+    decay, ratio = lattice._decay, lattice.schedule.ratio
+    key = (type(decay), repr(decay), ratio, lattice.merge_strategy)
+    ref = _REFERENCES.get(key)
+    if ref is None:
+        if len(_REFERENCES) >= 16:
+            _REFERENCES.clear()
+        ref = _REFERENCES[key] = Lattice(
+            decay, lattice.epsilon, RegionSchedule(decay, ratio), None,
+            lattice.merge_strategy,
+        )
+    return ref
 
 
 class WBMH:
@@ -662,9 +783,15 @@ class WBMH:
             )
         if value == 0:
             return
-        live = self._lat._live
-        count = live[self._col]
-        live[self._col] = count + value if count else value
+        lat = self._lat
+        live = lat._live
+        col = self._col
+        count = live[col]
+        if count:
+            live[col] = count + value
+        else:
+            live[col] = value
+            lat._dirty.append(col)
         self._items += 1
 
     def add_batch(self, values: Sequence[float]) -> None:  # lintkit: hot
@@ -680,7 +807,8 @@ class WBMH:
         count = 0.0
         have = False
         nonzero = 0
-        live = self._lat._live
+        lat = self._lat
+        live = lat._live
         col = self._col
         first = live[col]
         inf = math.inf
@@ -699,6 +827,8 @@ class WBMH:
             nonzero += 1
         if not have:
             return
+        if not first:
+            lat._dirty.append(col)
         live[col] = count
         self._items += nonzero
 
@@ -762,8 +892,8 @@ class WBMH:
         upper = 0.0
         node = lat._head
         while node is not None:
-            count = node.row[col]
-            if count != 0.0:
+            count = node.row.get(col)
+            if count is not None:
                 end = node.end
                 newest_age = now - end if now >= end else 0
                 level = node.level
@@ -780,8 +910,8 @@ class WBMH:
         return Estimate(value=0.5 * (lower + upper), lower=lower, upper=upper)
 
     def check(self) -> None:
-        """Refuse counts no write can produce: every sealed and live count
-        is finite and >= 0.
+        """Refuse state no run can produce: every sealed and live count
+        is finite and >= 0, and the lattice passes :meth:`Lattice.check`.
 
         Run on restore (:func:`repro.serialize.engine_from_dict`), never
         on the ingest path, whose writes refuse NaN and inf weights.
@@ -791,6 +921,7 @@ class WBMH:
                 raise InvalidParameterError(
                     f"WBMH count must be finite and >= 0, got {bucket.count}"
                 )
+        self._lat.check()
 
     def bucket_view(self) -> list[Bucket]:
         """Snapshot of all buckets (sealed then live), oldest first."""
@@ -860,7 +991,7 @@ class WBMH:
                 "bucket lattices differ -- engines were not driven in "
                 "lock-step (check advance calls)"
             )
-        merged: list[tuple[int, int, int, list[float]]] = []
+        merged: list[tuple[int, int, int, float]] = []
         max_level = lat._max_level
         same_levels = True
         for a, b in zip(mine, their):
@@ -872,7 +1003,7 @@ class WBMH:
                     count = lat._quantizer.quantize(count, level)
             max_level = max(max_level, level)
             same_levels = same_levels and level == a.level
-            merged.append((a.start, a.end, level, [count or _ZERO]))
+            merged.append((a.start, a.end, level, count))
         live = lat._live[self._col]
         extra = theirs._live[other._col]
         if extra:
@@ -881,52 +1012,68 @@ class WBMH:
             if same_levels and max_level == lat._max_level:
                 col = self._col
                 node = lat._head
-                for _, _, _, (count,) in merged:
+                for _, _, _, count in merged:
                     assert node is not None
-                    node.row[col] = count
+                    if count:
+                        node.row[col] = count
                     node = node.next
-                lat._live[col] = live
+                lat._set_live(col, live)
                 self._items += other._items
                 return
             private = lat._fork()
             lat.release(self)
             self._lat = lat = private
             self._col = lat._join()
+        col = self._col
         lat._max_level = max_level
-        lat._rebuild(merged)
-        lat._live[self._col] = live
+        lat._rebuild(
+            [(s, e, level, {col: c} if c else {}) for s, e, level, c in merged]
+        )
+        lat._set_live(col, live)
         self._items += other._items
 
     def _iter_buckets_sealed(self) -> Iterator[Bucket]:
         col = self._col
         node = self._lat._head
         while node is not None:
-            yield Bucket(node.start, node.end, node.row[col], node.level)
+            count = node.row.get(col, _ZERO)
+            yield Bucket(node.start, node.end, count, node.level)
             node = node.next
 
     def storage_report(self) -> StorageReport:
         """Lemma 5.1 accounting.
 
-        Per stream: one quantized count per bucket (exponent of log log N
-        bits plus the level's mantissa width) and the clock register. The
-        region schedule is stream-independent: its boundaries count as
-        shared bits (one ``log N``-bit age per computed region start).
+        Per stream, what the stream stores: a one-bit flag per sealed node
+        saying whether the node's row holds a count for this column, then
+        each stored count (exponent of log log N bits plus the level's
+        mantissa width) with its flag, and the clock register; a non-zero
+        live count costs what a stored count does.  Rows hold only non-zero
+        counts, so a zero bucket costs its 1-bit flag, and a stream with no
+        zero bucket costs what one count per bucket cost when rows were
+        dense.  The region schedule is stream-independent: its boundaries
+        count as shared bits (one ``log N``-bit age per computed region
+        start).
         """
         lat = self._lat
+        q = lat._quantizer
+        col = self._col
         horizon = max(2, lat._time)
         exp_bits = max(1, (max(1, horizon).bit_length()).bit_length())
         count_bits = 0
-        buckets = self.bucket_view()
-        for b in buckets:
-            if lat._quantizer is not None:
-                mant = lat._quantizer.mantissa_bits(max(1, b.level))
-            else:
-                mant = 52
+        node = lat._head
+        while node is not None:
+            count_bits += 1
+            if col in node.row:
+                mant = 52 if q is None else q.mantissa_bits(max(1, node.level))
+                count_bits += exp_bits + mant
+            node = node.next
+        if lat._live[col]:
+            mant = 52 if q is None else q.mantissa_bits(1)
             count_bits += exp_bits + mant + 1
         shared = bits_for_value(horizon) * lat.schedule.region_count()
         return StorageReport(
             engine="wbmh",
-            buckets=len(buckets),
+            buckets=self.bucket_count(),
             timestamp_bits=0,
             count_bits=count_bits,
             register_bits=bits_for_value(max(1, lat._time)),

@@ -401,8 +401,9 @@ def engine_from_dict(data: dict[str, Any]) -> Any:
                 float(quant["eps"]), int(quant["horizon"])
             )
         lattice._time = int(data["time"])
+        col = engine._col
         lattice._rebuild(
-            [(b.start, b.end, b.level, [b.count])
+            [(b.start, b.end, b.level, {col: b.count} if b.count else {})
              for b in _buckets_in(data["sealed"])]
         )
         if data["live"] is not None:
@@ -414,7 +415,7 @@ def engine_from_dict(data: dict[str, Any]) -> Any:
                     f"live bucket {data['live']!r} is not the level-0 "
                     f"interval of clock {lattice._time}"
                 )
-            lattice._live[engine._col] = live.count
+            lattice._set_live(col, live.count)
         engine._items = int(data["items"])
         lattice._max_level = int(data["max_level"])
         engine.check()

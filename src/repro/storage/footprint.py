@@ -8,9 +8,11 @@ can pin them) and the bytes ``tracemalloc`` traces for it (engine state,
 the key's string and its entries in the store's dicts).
 
 Every family's store is built the same way: ``ServiceStore(decay, 0.1)``
-with each key written a unit weight at ticks 0 and 3.  Run it as
-``python -m repro.storage.footprint`` (``make keybytes``) for the table
-at 4,096 keys.
+with each key written a unit weight at ticks 0 and 3.  One more row,
+``wbmh-staggered``, writes key ``i`` once, at tick ``i``: its keys write at
+different ticks, so the shared WBMH lattice grows nodes that most keys
+hold no count on.  Run it as ``python -m repro.storage.footprint``
+(``make keybytes``) for the table at 4,096 keys.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from repro.core.forward import ForwardDecay
 from repro.service.store import ServiceStore
 from repro.streams.io import KeyedItem
 
-__all__ = ["FAMILIES", "bytes_per_key", "objects_per_key", "main"]
+__all__ = [
+    "FAMILIES", "bytes_per_key", "objects_per_key", "staggered_bytes_per_key",
+    "main",
+]
 
 #: One decay per per-key engine family a store routes to.
 FAMILIES: dict[str, Callable[[], DecayFunction]] = {
@@ -56,6 +61,12 @@ def _store(family: str, keys: int) -> ServiceStore:
     return store
 
 
+def _staggered(keys: int) -> ServiceStore:
+    store = ServiceStore(FAMILIES["wbmh"](), 0.1)
+    store.observe_batch([KeyedItem(f"k{i}", i, 1.0) for i in range(keys)])
+    return store
+
+
 def _held(store: ServiceStore) -> tuple[int, int]:
     """GC-tracked objects and traced bytes while ``store`` is alive (it
     is an argument so that it is)."""
@@ -74,10 +85,21 @@ def objects_per_key(family: str, keys: int = 512) -> float:
 
 def bytes_per_key(family: str, keys: int = 4096) -> float:
     """Bytes ``tracemalloc`` traces for a ``keys``-key store, per key."""
+    return _traced(lambda: _store(family, keys)) / keys
+
+
+def staggered_bytes_per_key(keys: int = 4096) -> float:
+    """Bytes per key of a WBMH store whose key ``i`` wrote once, at tick
+    ``i``: the whole shared lattice over ``keys`` ticks, spread over its
+    keys."""
+    return _traced(lambda: _staggered(keys)) / keys
+
+
+def _traced(build: Callable[[], ServiceStore]) -> int:
     gc.collect()
     tracemalloc.start()
     try:
-        return _held(_store(family, keys))[1] / keys
+        return _held(build())[1]
     finally:
         tracemalloc.stop()
 
@@ -91,6 +113,7 @@ def main() -> int:
             f"| {family} | {objects_per_key(family):g} | "
             f"{bytes_per_key(family):,.0f} B |"
         )
+    print(f"| wbmh-staggered | - | {staggered_bytes_per_key():,.0f} B |")
     return 0
 
 

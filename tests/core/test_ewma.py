@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -171,14 +172,59 @@ class TestPolyexpPipeline:
 
     def test_overflowing_merge_is_refused(self):
         # check() refuses an infinite moment on restore, so no merge may
-        # make one; the refused merge leaves the moments as they were.
+        # make one, now or on a later tick; the refused merge leaves the
+        # moments as they were.  Each operand alone stays finite on every
+        # tick (the (2, 0.1) pipeline keeps weights up to about 4.1e305);
+        # their sum would not.
         a, b = PolyexpPipeline(2, 0.1), PolyexpPipeline(2, 0.1)
-        a.add(1e308)
-        b.add(1e308)
+        a.add(3e305)
+        b.add(3e305)
         with pytest.raises(InvalidParameterError, match="finite"):
             a.merge(b)
-        assert a.moments() == [1e308, 0.0, 0.0]
+        assert a.moments() == [3e305, 0.0, 0.0]
         a.check()
+
+    @pytest.mark.parametrize(
+        "k, lam",
+        [(1, 0.2), (2, 0.1), (2, 0.05), (3, 0.2), (5, 0.1), (2, 0.001)],
+    )
+    def test_largest_admitted_weight_keeps_every_moment_finite(self, k, lam):
+        # A moment can grow past the weight that made it before it decays
+        # (M_k peaks k/lam ticks on), so a finite weight is not enough:
+        # bisect for the largest weight a fresh pipeline admits and drive
+        # it through 2k/lam ticks.  On every tick the moments stay finite,
+        # the state passes check() (so its snapshot restores), and writes
+        # that add nothing, or too little to move a moment, are admitted.
+        def admitted(weight: float) -> bool:
+            try:
+                PolyexpPipeline(k, lam).add(weight)
+            except InvalidParameterError:
+                return False
+            return True
+
+        lo, hi = 1.0, sys.float_info.max
+        assert admitted(lo) and not admitted(hi)
+        while math.nextafter(lo, hi) < hi:
+            mid = lo + (hi - lo) / 2
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+        assert lo > 1e300
+        pipe = PolyexpPipeline(k, lam)
+        pipe.add(lo)
+        empty = PolyexpPipeline(k, lam)
+        peak = lo
+        for _ in range(math.ceil(2 * k / lam)):
+            pipe.advance()
+            empty.advance()
+            assert all(math.isfinite(m) for m in pipe.moments())
+            peak = max(peak, *pipe.moments())
+            before = pipe.moments()
+            pipe.add(0.0)
+            pipe.add(1.0)
+            pipe.add_batch(())
+            pipe.merge(empty)
+            assert pipe.moments() == before
+            pipe.check()
+        assert peak > lo  # the moments did grow past the weight
 
     def test_storage_scales_with_k(self):
         small = PolyexpPipeline(1, 0.1).storage_report().per_stream_bits

@@ -323,3 +323,58 @@ class TestPerSizePruning:
             eh.add(rng.choice([0, 1, 4]))
             eh.advance(rng.randrange(2))
             assert eh._per_size == census_of(eh)
+
+
+class TestShardMergedCascade:
+    """A shard-merged list interleaves two size runs, so its buckets of
+    one size need not be contiguous; its cascades must still pair equal
+    sizes, or a count stops being a power of two and the snapshot no
+    longer restores."""
+
+    @staticmethod
+    def _fuzz(seed: int) -> ExponentialHistogram:
+        # Three shards merged repeatedly into one histogram, between
+        # unit adds, bulk adds, batches and advances on all four.
+        rng = random.Random(seed)
+        window = rng.choice((16, 64, 256))
+        epsilon = rng.choice((0.1, 0.2, 0.5))
+        main = ExponentialHistogram(window, epsilon)
+        shards = [ExponentialHistogram(window, epsilon) for _ in range(3)]
+        for _ in range(80):
+            op = rng.random()
+            target = rng.choice(shards + [main])
+            if op < 0.35:
+                target.add(rng.choice((1, 1, 1, 2, 3, 7, 40)))
+            elif op < 0.55:
+                target.add_batch(
+                    [rng.randint(0, 4) for _ in range(rng.randint(1, 9))]
+                )
+            elif op < 0.8:
+                target.advance(rng.randint(0, 4))
+            else:
+                main.merge(rng.choice(shards))
+            for count in main.counts:
+                assert int(count) & (int(count) - 1) == 0, (seed, count)
+        return main
+
+    def test_merged_fuzz_keeps_power_of_two_counts_and_restores(self):
+        from repro.serialize import engine_from_dict, engine_to_dict
+
+        merged = 0
+        for seed in range(1_500):
+            hist = self._fuzz(seed)
+            merged += hist.effective_epsilon != hist.epsilon
+            state = engine_to_dict(hist)
+            assert engine_to_dict(engine_from_dict(state)) == state, seed
+        assert merged > 1_000
+
+    def test_census_counts_every_bucket_of_a_merged_list(self):
+        for seed in range(200):
+            hist = self._fuzz(seed)
+            census = collections.Counter(
+                int(c).bit_length() - 1 for c in hist.counts
+            )
+            assert hist._per_size == [
+                census[j] for j in range(len(hist._per_size))
+            ]
+            assert sum(hist._per_size) == hist.bucket_count()

@@ -195,6 +195,18 @@ class TestStorage:
         cb = c.storage_report().per_stream_bits
         assert wb < cb
 
+    def test_a_bucket_without_a_count_costs_its_one_bit_flag(self):
+        # Rows hold only non-zero counts, and the report charges what the
+        # stream stores: a 1-bit flag per bucket, then a quantized count
+        # after the flag of each bucket that holds one.  The lattice seals
+        # buckets whether or not the stream wrote, so a stream that never
+        # wrote holds only flags.
+        idle = WBMH(PolynomialDecay(1.0), 0.1)
+        idle.advance(300)
+        report = idle.storage_report()
+        assert report.buckets > 5
+        assert report.count_bits == report.buckets
+
     def test_shared_bits_reported_separately(self):
         w = WBMH(PolynomialDecay(1.0), 0.1)
         for _ in range(100):

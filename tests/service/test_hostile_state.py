@@ -9,10 +9,12 @@
   other folds applied.
 * **Restore is a write path.**  ``engine_from_dict`` runs the engine's
   ``check()``: an EXPD register or a polyexponential moment that is
-  negative, infinite or NaN, a forward-decay block with a negative
-  numerator, an EH bucket count that is not a power of two (an infinite
-  one included), EH buckets out of end-time order, and a NaN or
-  infinite WBMH count, are refused by ``ServiceStore.from_dict``,
+  negative, infinite or NaN, polyexponential moments that would grow
+  past the float range on a later tick, a forward-decay block with a
+  negative numerator, an EH bucket count that is not a power of two
+  (an infinite one included), EH buckets out of end-time order, a NaN
+  or infinite WBMH count, and WBMH spans or levels that no lattice
+  holds at the snapshot's clock, are refused by ``ServiceStore.from_dict``,
   ``POST /restore`` and ``ShardedServiceStore.restore``, each refusal
   changes nothing, and both fronts answer it in the same words.  So is
   a key whose engine is sound but not the store's own kind: another
@@ -37,6 +39,7 @@ from repro.core.decay import (
     PolyexponentialDecay,
     PolynomialDecay,
     SlidingWindowDecay,
+    TableDecay,
 )
 from repro.core.errors import InvalidParameterError
 from repro.core.exact import ExactDecayingSum
@@ -93,6 +96,21 @@ class TestWeightDomain:
         finally:
             sharded.close()
 
+    def test_polyexponential_weight_that_grows_past_the_float_range(
+        self,
+    ) -> None:
+        # 1e307 is finite, but M_2 of a (2, 0.1) key grows to about 27
+        # times it: by tick 9 the key would answer an exact inf and its
+        # snapshot would not restore.  The write is refused, and a weight
+        # the moments can carry is kept.
+        store = ServiceStore(PolyexponentialDecay(2, 0.1), 0.1)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            store.observe("a", 1e307, when=0)
+        store.observe("a", 1e305, when=0)
+        store.advance_to(30)
+        assert math.isfinite(store.query("a").value)
+        assert ServiceStore.from_dict(store.to_dict()).keys() == ["a"]
+
     def test_finite_domain_fronts_take_fractions(self) -> None:
         sharded = ShardedServiceStore(PolynomialDecay(1.0), 0.1, workers=2)
         try:
@@ -120,6 +138,25 @@ def _replace_with(make_engine: Callable[[], Any]):
         state.update(engine_to_dict(engine))
 
     return edit
+
+
+def _shift_newest_span(state: dict[str, Any]) -> None:
+    state["sealed"][-1][0] += 1_000
+    state["sealed"][-1][1] += 1_000
+
+
+def _widen_oldest_span(state: dict[str, Any]) -> None:
+    """The two oldest spans of the fed key, [0, 1] and [2, 3] at level 1,
+    as one span from tick 0, at a level and ``max_level`` that such a
+    span allows: only the spans are wrong."""
+    state["sealed"][:2] = [[0, 3, 10.0, 2]]
+    state["max_level"] = 2
+
+
+def _finite_support() -> TableDecay:
+    """A WBMH decay with finite support: its lattice expires old nodes,
+    so restore checks the spans without the fresh lattice's closed form."""
+    return TableDecay([(1.0 + age) ** -0.25 for age in range(4_200)])
 
 
 #: (decay, edit of one key's engine state): each is a state no write makes.
@@ -176,6 +213,34 @@ PROBES: dict[str, tuple[Callable[[], Any], Callable[[dict[str, Any]], None]]] = 
         lambda: PolynomialDecay(1.0),
         lambda state: state["sealed"][0].__setitem__(2, math.inf),
     ),
+    # WBMH spans follow from the clock alone, and levels from the merges
+    # below each node.  The fed key holds unit spans [0, 0] .. [4, 4] at
+    # level 0 under polyd 1, and [0, 1], [2, 3] at level 1 then [4, 4]
+    # under polyd 0.25 (and the finite-support table like it).
+    "wbmh-span-in-the-future": (
+        lambda: PolynomialDecay(1.0),
+        _shift_newest_span,
+    ),
+    "wbmh-newest-node-duplicated": (
+        lambda: PolynomialDecay(1.0),
+        lambda state: state["sealed"].append(list(state["sealed"][-1])),
+    ),
+    "wbmh-oldest-span-widened-to-tick-0": (
+        lambda: PolynomialDecay(0.25),
+        _widen_oldest_span,
+    ),
+    "wbmh-level-above-max-level": (
+        lambda: PolynomialDecay(1.0),
+        lambda state: state["sealed"][0].__setitem__(3, 40),
+    ),
+    "wbmh-level-below-its-span": (
+        lambda: PolynomialDecay(0.25),
+        lambda state: state["sealed"][0].__setitem__(3, 0),
+    ),
+    "wbmh-finite-support-gap": (
+        _finite_support,
+        lambda state: state["sealed"].pop(1),
+    ),
     "polyexp-negative-moment": (
         lambda: PolyexponentialDecay(2, 0.1),
         lambda state: state["moments"].__setitem__(0, -5.0),
@@ -187,6 +252,11 @@ PROBES: dict[str, tuple[Callable[[], Any], Callable[[dict[str, Any]], None]]] = 
     "polyexp-inf-moment": (
         lambda: PolyexponentialDecay(2, 0.1),
         lambda state: state["moments"].__setitem__(2, math.inf),
+    ),
+    # Finite today, but M_2 would pass the float range nine ticks on.
+    "polyexp-moment-overflows-later": (
+        lambda: PolyexponentialDecay(2, 0.1),
+        lambda state: state.__setitem__("moments", [1e307, 0.0, 0.0]),
     ),
     "foreign-exact-engine": (
         lambda: ExponentialDecay(0.05),

@@ -5,7 +5,8 @@ objects a key adds are pinned exactly (:mod:`repro.storage.footprint`
 counts them: GC-tracked objects per key after writes at two ticks), and
 its traced bytes stay under ceilings about 10% above the CPython 3.11
 figures at 4,096 keys.  The WBMH keys are columns of one shared lattice,
-whose nodes are not per key.
+whose nodes are not per key and whose rows hold only non-zero counts, so
+keys that write at different ticks stay under a ceiling too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ from repro.core.decay import (
     SlidingWindowDecay,
 )
 from repro.service.store import ServiceStore
-from repro.storage.footprint import FAMILIES, bytes_per_key, objects_per_key
+from repro.storage.footprint import (
+    FAMILIES,
+    bytes_per_key,
+    objects_per_key,
+    staggered_bytes_per_key,
+)
 from repro.streams.io import KeyedItem
 
 REPO_ROOT = Path(__file__).parents[2]
@@ -42,7 +48,7 @@ OBJECTS = {
 }
 
 #: Traced bytes per key at 4,096 keys (CPython 3.11: sliwin 744,
-#: ceh-linear 848, polyexp 472, fwd 580, ewma 280, wbmh 303).
+#: ceh-linear 848, polyexp 480, fwd 580, ewma 280, wbmh 323).
 BYTES = {
     "sliwin": 800,
     "ceh-linear": 930,
@@ -65,6 +71,12 @@ def test_objects_per_key_are_pinned(family: str) -> None:
 @pytest.mark.parametrize("family", sorted(BYTES))
 def test_bytes_per_key_stay_under_their_ceiling(family: str) -> None:
     assert bytes_per_key(family) <= BYTES[family]
+
+
+def test_wbmh_keys_writing_at_different_ticks_stay_under_a_ceiling() -> None:
+    """4,096 keys, key i written once at tick i (CPython 3.11: 303 B).  A
+    full-width lattice row would charge every key a cell on every node."""
+    assert staggered_bytes_per_key() <= 335
 
 
 def _engines(decay, keys: int = 3) -> list:
@@ -96,14 +108,24 @@ def test_a_sliding_window_key_is_its_histogram() -> None:
 
 def test_importing_the_service_loads_no_hash_or_csv_module() -> None:
     """A server that never upgrades a socket to WebSocket never loads
-    OpenSSL's hash module, and no server path reads CSV."""
+    OpenSSL's hash module, no server path reads CSV, and numpy stays
+    unloaded while a store is built and written (only the WBMH bulk
+    kernel, which no served path runs, uses it)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     )
     code = (
-        "import sys, repro.service; print(sorted(m for m in "
-        "('hashlib', '_hashlib', 'csv') if m in sys.modules))"
+        "import sys\n"
+        "from repro.core.decay import PolynomialDecay\n"
+        "from repro.service import (IngestDaemon, ServiceServer,\n"
+        "    ServiceStore, ShardedServiceStore)\n"
+        "from repro.streams.io import KeyedItem\n"
+        "store = ServiceStore(PolynomialDecay(1.0), 0.1)\n"
+        "store.observe_batch([KeyedItem('k', t, 1.0) for t in range(40)])\n"
+        "store.query('k')\n"
+        "print(sorted(m for m in ('hashlib', '_hashlib', 'csv', 'numpy')\n"
+        "    if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

@@ -473,6 +473,25 @@ class TestSnapshot:
         )
         return store
 
+    def test_a_shard_merged_sliding_window_key_restores(self) -> None:
+        # A sliding-window key that takes a merge every 50 writes holds an
+        # interleaved bucket list; its later cascades must keep every count
+        # a power of two, or its snapshot (and a sharded worker's
+        # checkpoint) cannot be restored.
+        for seed in range(200):
+            rng = random.Random(seed)
+            store = ServiceStore(SlidingWindowDecay(64), 0.2)
+            donor = ServiceStore(SlidingWindowDecay(64), 0.2)
+            when = 0
+            for i in range(1, 401):
+                when += rng.choice((0, 0, 1, 2))
+                store.observe("k", rng.randint(1, 3), when=when)
+                donor.observe("k", rng.randint(1, 3), when=when)
+                if i % 50 == 0:
+                    store.merge_into("k", donor.export_engine("k"))
+            snapshot = store.to_dict()
+            assert ServiceStore.from_dict(snapshot).to_dict() == snapshot, seed
+
     def test_roundtrip_continues_bit_identically(self) -> None:
         store = self._seeded(ttl=12)
         clone = ServiceStore.from_dict(store.to_dict())

@@ -16,7 +16,8 @@ a key's levels diverge (the key moves to a private lattice), a refused
 first write, restores of snapshots holding diverged keys, and head
 buckets expiring under a finite-support decay.  The lattice work itself
 is gated by exact counts: one store does the seals and merges of one
-engine, whatever its key count.
+engine, whatever its key count, and writes into their rows only the
+non-zero cells its keys' standalone engines write.
 """
 
 from __future__ import annotations
@@ -212,6 +213,64 @@ class TestLatticeWorkGate:
             assert len(store) == min(n_keys, len(items))
             assert counts == expected, n_keys
 
+    @staticmethod
+    def _count_cells(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
+        """Count the cells each seal and merge writes into its new row."""
+        counts = {"cells": 0}
+        seal, merge = Lattice._seal, Lattice._merge_nodes
+
+        def counting_seal(self: Lattice) -> None:
+            seal(self)
+            assert self._tail is not None
+            counts["cells"] += len(self._tail.row)
+
+        def counting_merge(self: Lattice, left):  # type: ignore[no-untyped-def]
+            node = merge(self, left)
+            counts["cells"] += len(node.row)
+            return node
+
+        monkeypatch.setattr(Lattice, "_seal", counting_seal)
+        monkeypatch.setattr(Lattice, "_merge_nodes", counting_merge)
+        return counts
+
+    def test_a_store_builds_only_its_keys_non_zero_cells(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # Rows are sparse: a seal or a merge on the shared lattice writes
+        # the cells of the keys that hold a count there, so the store
+        # builds exactly the non-zero cells its keys' standalone engines
+        # build over the same trace, not nodes x keys.
+        counts = self._count_cells(monkeypatch)
+        rng = random.Random(9)
+        n_keys, end = 1_024, 300
+        keys = [f"k{i % n_keys}" for i in range(3_000)]
+        rng.shuffle(keys)
+        ticks = sorted(rng.choices(range(1, end - 40), k=len(keys)))
+        items = [
+            KeyedItem(key, when, rng.randint(1, 4))
+            for key, when in zip(keys, ticks)
+        ]
+        store = ServiceStore(PolynomialDecay(1.0), _EPSILON)
+        for lo in range(0, len(items), 500):
+            store.observe_batch(items[lo : lo + 500])
+        store.advance_to(end)
+        assert len(store) == n_keys
+        shared = counts["cells"]
+
+        counts["cells"] = 0
+        by_key: dict[str, list[KeyedItem]] = {}
+        for item in items:
+            by_key.setdefault(item.key, []).append(item)
+        for writes in by_key.values():
+            standalone = WBMH(PolynomialDecay(1.0), _EPSILON)
+            for item in writes:
+                standalone.advance_to(item.time)
+                standalone.add(item.value)
+            standalone.advance_to(end)
+        assert shared == counts["cells"]
+        # Under a tenth of what a full-width row per node would hold.
+        assert 0 < shared < end * n_keys // 10
+
 
 class TestSharedLatticeMatchesPerKeyEngines:
     def test_keys_created_at_random_ticks(self) -> None:
@@ -296,7 +355,7 @@ class TestSharedLatticeMatchesPerKeyEngines:
         assert _columns_in_use(lattice) == len(store) == 0
         node = lattice._head
         while node is not None:
-            assert len(node.row) == len(lattice._live)
+            assert not node.row
             node = node.next
 
     def test_diverging_merge_before_and_after_a_checkpoint(self) -> None:
