@@ -190,20 +190,3 @@ class ConformanceSuite:
             result.cases += cells
             result.findings.extend(findings)
         return result
-
-    def run_traces(
-        self, traces: Iterable[tuple[str, Trace]]
-    ) -> RunResult:
-        """Check explicit ``(name, trace)`` pairs (corpus replay path)."""
-        named = list(traces)
-        result = RunResult(
-            engines=sorted(self.specs),
-            laws=[law.law_id for law in self.laws],
-            seeds=len(named),
-            start_seed=0,
-        )
-        for _, trace in named:
-            cells, findings = self.check_trace(trace)
-            result.cases += cells
-            result.findings.extend(findings)
-        return result

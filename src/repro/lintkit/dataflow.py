@@ -85,6 +85,3 @@ class TaintAnalysis:
                     )
                     next_frontier.append(caller)
             frontier = next_frontier
-
-    def taint_of(self, label: str, qualname: str) -> Taint | None:
-        return self.tainted.get(label, {}).get(qualname)

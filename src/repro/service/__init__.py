@@ -14,13 +14,14 @@ explicitly, not re-exported here: it pulls in :mod:`repro.conformance`,
 which a serving process has no reason to load.
 
 Scale-out past one core is :mod:`repro.service.sharded`:
-:class:`~repro.service.sharded.ShardedServiceStore` satisfies the same
-:class:`~repro.service.store.StoreFront` seam the daemon and server
-program against, with per-key state sharded by CRC-32 onto worker
-processes and cross-shard answers folded via engine ``merge``.  Both
-fronts admit writes through one
+:class:`~repro.service.sharded.ShardedServiceStore` shards per-key state
+by CRC-32 onto worker processes and folds cross-shard answers via engine
+``merge``.  Both stores subclass one front,
+:class:`~repro.service.store.StoreFront`, the seam the daemon and server
+program against: it admits every write through one
 :class:`~repro.core.timeorder.Admission` stage (out-of-order policy,
-lateness heap, ingest ledgers).
+lateness heap, ingest ledgers), and both fronts write and restore one
+``service-store`` snapshot format, so either restores the other's.
 
 Concurrency note: asyncio is confined to ``daemon.py``/``api.py``/
 ``loadgen.py``, and multiprocessing to ``sharded.py``/``ipc.py``, under

@@ -76,7 +76,8 @@ class ServiceBackedEngine:
     worker processes -- the multi-process serving path -- instead of an
     in-process :class:`~repro.service.store.ServiceStore`; any
     :class:`~repro.service.store.StoreFront` can also be passed in
-    directly via ``store``.
+    directly via ``store``.  Both fronts snapshot in one format, so the
+    cell's snapshot records the worker count beside the store's.
     """
 
     def __init__(
@@ -186,31 +187,32 @@ class ServiceBackedEngine:
     # ------------------------------------------------------------ snapshot
 
     def snapshot_state(self) -> dict[str, Any]:
-        """The :func:`repro.serialize.engine_to_dict` hook for this class."""
+        """The :func:`repro.serialize.engine_to_dict` hook for this class:
+        the store's snapshot and, for a sharded front, its worker count
+        (``None`` for a single store)."""
         return {
             "version": _SNAPSHOT_VERSION,
             "engine": _SNAPSHOT_KIND,
             "key": self._key,
+            "workers": getattr(self._store, "workers", None),
             "store": self._store.to_dict(),
         }
 
     @classmethod
     def from_snapshot(cls, data: dict[str, Any]) -> "ServiceBackedEngine":
-        """Rebuild from :meth:`snapshot_state` (the ``service-key`` kind).
-
-        Dispatches on the inner store kind, so a cell served from a
-        sharded front round-trips back onto a fresh worker pool.
-        """
+        """Rebuild from :meth:`snapshot_state` (the ``service-key`` kind):
+        a cell served from a sharded front round-trips onto a fresh pool
+        of as many workers."""
         if data.get("engine") != _SNAPSHOT_KIND:
             raise InvalidParameterError(
                 f"not a service-key snapshot: {data.get('engine')!r}"
             )
-        store_data = data["store"]
-        store: StoreFront
-        if store_data.get("kind") == "sharded-service-store":
-            store = _SHARDED_FRONT.from_dict(store_data)
-        else:
-            store = ServiceStore.from_dict(store_data)
+        workers = data.get("workers")
+        store: StoreFront = (
+            ServiceStore.from_dict(data["store"])
+            if workers is None
+            else _SHARDED_FRONT.from_dict(data["store"], workers=int(workers))
+        )
         return cls(store.decay, store.epsilon, key=str(data["key"]), store=store)
 
     def __repr__(self) -> str:

@@ -12,31 +12,35 @@ drop-in behind the existing HTTP/WS API.
 
 **The IPC plane is batched.**  One write call becomes at most one
 frame per shard (:mod:`repro.service.ipc`, length-prefixed JSON): the
-store's :class:`~repro.core.timeorder.Admission` stage -- the same one
-the single-process store runs -- turns the call into ``adv``/``fold``/
-``late`` operations, and the router appends them to per-shard *programs*
-(``["adv", t]`` clock steps shared by every shard plus that shard's own
-``["fold", key, values]`` / ``["late", key, when, value]`` entries), so
-the router's cost is O(shards) frames per batch, not O(items).  Every
-shard executes every global clock step, which keeps the worker stores
-bit-identical to the single-process store (same advance pattern, same
-TTL sweep stops, same fold grouping; the differential harness in
+front's :class:`~repro.core.timeorder.Admission` stage -- the
+:class:`~repro.service.store.StoreFront` the single-process store also
+subclasses -- turns the call into ``adv``/``fold``/``late`` operations,
+and the router appends them to per-shard *programs* (``["adv", t]``
+clock steps shared by every shard plus that shard's own ``["fold", key,
+values]`` / ``["late", key, when, value]`` entries), so the router's
+cost is O(shards) frames per batch, not O(items).  Every shard executes
+every global clock step, which keeps the worker stores bit-identical to
+the single-process store (same advance pattern, same TTL sweep stops,
+same fold grouping; the differential harness in
 ``tests/service/test_sharded_differential.py`` pins exactly this).
+
+**Admission lives at the router.**  The out-of-order policy, the
+lateness watermark heap and the ingest ledgers are the router's
+``Admission`` stage, run against the *global* clock -- late admission is a
+global ordering decision.  A worker applies each program entry through
+its store's ``_adv``/``_fold``/``_late``, the methods the single store's
+own admission calls, so no entry passes a second admission stage:
+workers keep keys, engines and eviction ledgers, and nothing else.
 
 **Cross-shard reads fold via ``merge``.**  ``query_total`` fans out one
 ``fold`` frame per worker; each worker merges clones of its per-key
 engines (the PR-5 monoid, in the spirit of the mergeable-summary
 treatment in Braverman et al. 2019) and the router merges the per-worker
-summaries.  ``keys``/``stats``/snapshots fan out and fold the same way,
-with ledgers summed at the router.
-
-**Admission lives at the router.**  The out-of-order policy, the
-lateness watermark heap and the ingest ledgers are the router's
-``Admission`` stage, run against the *global* clock -- late admission is a
-global ordering decision -- so workers only ever see clean in-order
-programs (natively order-insensitive engines still take their late items
-via ``["late", ...]`` entries).  Eviction ledgers accumulate worker-side
-and are summed at the router.
+summaries.  ``keys`` and ``stats`` fan out the same way, with eviction
+ledgers summed at the router.  A snapshot is the fan-in at rest: the
+router's head and every worker's keys make one plain ``service-store``
+snapshot, the single store's format, and a restore splits its keys onto
+however many workers the front has.
 
 **Workers are revivable.**  Every state-mutating frame is journaled
 per worker before it is sent.  Once a worker's journal holds twice the
@@ -64,10 +68,10 @@ import multiprocessing
 import os
 import stat
 import zlib
+from dataclasses import asdict
 from multiprocessing.connection import Connection
-from typing import Any, Hashable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Any, Hashable, Mapping, NoReturn, Sequence
 
-from repro.core.batching import KeyedTimedValue
 from repro.core.decay import DecayFunction
 from repro.core.errors import (
     DecayFunctionError,
@@ -94,13 +98,10 @@ from repro.service.ipc import (
     recv_frame_bytes,
     send_frame,
 )
-from repro.service.store import EvictionLedger, ServiceStore
+from repro.service.store import EvictionLedger, ServiceStore, StoreFront
 from repro.storage.model import StorageReport
 
-__all__ = ["ShardedServiceStore", "flatten_snapshot", "shard_of"]
-
-_SNAPSHOT_VERSION = 1
-_SNAPSHOT_KIND = "sharded-service-store"
+__all__ = ["ShardedServiceStore", "shard_of"]
 
 #: How every successful reply starts: frames are compact JSON and replies
 #: put ``ok`` first, so a snapshot reply is checked without decoding it.
@@ -130,9 +131,9 @@ def shard_of(key: Hashable, shards: int) -> int:
 # ------------------------------------------------------------------ worker
 #
 # Module-level so every multiprocessing start method can import it by name.
-# The worker is a plain frame-dispatch loop over one ServiceStore; it holds
-# no policy (admission runs at the router) and exits on EOF, a ``shutdown``
-# frame, or a dead router.
+# The worker is a plain frame-dispatch loop over one ServiceStore; its
+# store's admission stage is never used (admission runs at the router), and
+# it exits on EOF, a ``shutdown`` frame, or a dead router.
 
 def _worker_build_store(config: Mapping[str, Any]) -> ServiceStore:
     return ServiceStore(
@@ -142,41 +143,8 @@ def _worker_build_store(config: Mapping[str, Any]) -> ServiceStore:
     )
 
 
-def _worker_exec_ingest(
-    store: ServiceStore, prog: Sequence[Sequence[Any]]
-) -> None:
-    """Run one compiled ingest program against the shard store."""
-    for entry in prog:
-        op = entry[0]
-        if op == "adv":
-            store.advance_to(int(entry[1]))
-        elif op == "fold":
-            store.observe_values(
-                str(entry[1]), [float(v) for v in entry[2]]
-            )
-        elif op == "late":
-            store.observe(
-                str(entry[1]), float(entry[3]), when=int(entry[2])
-            )
-        else:
-            raise InvalidParameterError(f"unknown program entry {op!r}")
-
-
 def _estimate_triplet(estimate: Estimate) -> list[float]:
     return [estimate.value, estimate.lower, estimate.upper]
-
-
-def _report(reply: Mapping[str, Any]) -> StorageReport:
-    """A worker's ``storage`` reply as a :class:`StorageReport`."""
-    rep = reply["report"]
-    return StorageReport(
-        engine=str(rep["engine"]),
-        buckets=int(rep["buckets"]),
-        timestamp_bits=int(rep["timestamp_bits"]),
-        count_bits=int(rep["count_bits"]),
-        register_bits=int(rep["register_bits"]),
-        shared_bits=int(rep["shared_bits"]),
-    )
 
 
 def _snapshot_frame(store: ServiceStore) -> bytearray:
@@ -213,7 +181,20 @@ def _worker_dispatch(
 ) -> dict[str, Any] | bytearray:
     op = frame.get("op")
     if op == "ingest":
-        _worker_exec_ingest(store, frame.get("prog") or [])
+        # The router's admission checked and ledgered every entry; they
+        # go to the methods the single store's own admission calls.
+        for entry in frame.get("prog") or []:
+            kind = entry[0]
+            if kind == "adv":
+                store._adv(int(entry[1]))
+            elif kind == "fold":
+                store._fold(str(entry[1]), [float(v) for v in entry[2]])
+            elif kind == "late":
+                store._late(str(entry[1]), int(entry[2]), float(entry[3]))
+            else:
+                raise InvalidParameterError(
+                    f"unknown program entry {kind!r}"
+                )
         return {"ok": True, "time": store.time}
     if op == "query":
         key = str(frame["key"])
@@ -243,7 +224,14 @@ def _worker_dispatch(
             "key_stats": store.key_stats(),
         }
     if op == "stats":
-        return {"ok": True, "stats": store.stats()}
+        return {
+            "ok": True,
+            "stats": {
+                "time": store.time,
+                "keys": len(store),
+                **store.eviction.to_dict(),
+            },
+        }
     if op == "snapshot":
         # Shaped as a restore frame: the router keeps these exact bytes as
         # the worker's checkpoint and replays them verbatim on revival.
@@ -266,22 +254,7 @@ def _worker_dispatch(
             if key is None
             else store.key_storage_report(str(key))
         )
-        return {
-            "ok": True,
-            "report": {
-                "engine": report.engine,
-                "buckets": report.buckets,
-                "timestamp_bits": report.timestamp_bits,
-                "count_bits": report.count_bits,
-                "register_bits": report.register_bits,
-                "shared_bits": report.shared_bits,
-            },
-        }
-    if op == "flush":
-        store.flush()
-        return {"ok": True, "time": store.time}
-    if op == "ping":
-        return {"ok": True, "time": store.time}
+        return {"ok": True, "report": asdict(report)}
     if op == "shutdown":
         return {"ok": True}
     return _error_reply(InvalidParameterError(f"unknown op {op!r}"))
@@ -423,7 +396,7 @@ def _frame(op: str) -> bytes:
     return encode_frame({"op": op})
 
 
-class ShardedServiceStore:
+class ShardedServiceStore(StoreFront):
     """``workers`` ServiceStore shards behind one store front.
 
     Constructor arguments mirror :class:`ServiceStore` (``ttl`` on the
@@ -450,25 +423,13 @@ class ShardedServiceStore:
     ) -> None:
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        if not 0 < epsilon < 1:
-            raise InvalidParameterError(
-                f"epsilon must be in (0, 1), got {epsilon}"
-            )
-        if ttl is not None and ttl < 1:
-            raise InvalidParameterError(f"ttl must be >= 1, got {ttl}")
-        self._decay = decay
-        self.epsilon = float(epsilon)
-        self.ttl = None if ttl is None else int(ttl)
+        super().__init__(decay, epsilon, ttl, policy)
         self.workers = int(workers)
-        #: Probed once, like the single store: forward-decay families take
-        #: late items natively, so the policy never has to intervene, and
-        #: the EH-based families count integer arrivals, so admission
-        #: refuses fractional weights before any ledger.
+        #: The router holds no engine, so it reads the family's flags off
+        #: one it builds and drops.
         probe = make_decaying_sum(decay, self.epsilon)
         self._native = bool(getattr(probe, "supports_out_of_order", False))
         self._integer = bool(getattr(probe, "integer_weights", False))
-        self._time = 0
-        self._admission = Admission(policy)
         #: Per-shard programs admission is compiling; shipped (one ingest
         #: frame per non-empty program) when each write call returns.
         self._progs: list[list[list[Any]]] = [[] for _ in range(self.workers)]
@@ -477,10 +438,6 @@ class ShardedServiceStore:
         self.eviction_base = EvictionLedger()
         self.revived_workers = 0
         self.dead_at_close = 0
-        #: Router-side read memo, the store's contract: this tick's
-        #: answers.  A write routed through this front drops the key's
-        #: entry and a clock move clears them all.
-        self._memo: dict[str, Estimate] = {}
         self._config = {
             "decay": decay_to_dict(decay),
             "epsilon": self.epsilon,
@@ -703,103 +660,17 @@ class ShardedServiceStore:
 
     # --------------------------------------------------------------- clock
 
-    @property
-    def time(self) -> int:
-        return self._time
-
-    @property
-    def decay(self) -> DecayFunction:
-        return self._decay
-
-    @property
-    def native_out_of_order(self) -> bool:
-        """Whether shard engines take late items via ``add_at``."""
-        return self._native
-
-    @property
-    def integer_weights(self) -> bool:
-        """Whether shard engines take only non-negative integer weights."""
-        return self._integer
-
-    @property
-    def policy(self) -> OutOfOrderPolicy | None:
-        """The store-level out-of-order policy (owned by admission)."""
-        return self._admission.policy
-
-    @property
-    def ingested_items(self) -> int:
-        return self._admission.ingested_items
-
-    @property
-    def ingested_weight(self) -> float:
-        return self._admission.ingested_weight
-
     def advance(self, steps: int = 1) -> None:
         """Advance the shared clock on every shard (TTL sweeps run there)."""
         if steps < 0:
             raise InvalidParameterError(f"steps must be >= 0, got {steps}")
         self.advance_to(self._time + steps)
 
-    def advance_to(self, when: int) -> None:
-        with self._shipping():
-            self._admission.advance_to(self, when)
-
     # -------------------------------------------------------------- writes
     #
-    # The router's admission stage (the single store's very algorithm, run
-    # against the global clock) calls back into _adv/_fold/_late below;
-    # they only compile per-shard programs, which _shipping sends.
-
-    def observe(
-        self, key: str, value: float = 1.0, *, when: int | None = None
-    ) -> None:
-        """Record one item on ``key``'s stream, optionally at ``when``."""
-        with self._shipping():
-            self._admission.observe(self, str(key), float(value), when)
-
-    def observe_values(self, key: str, values: Iterable[float]) -> None:
-        """Fold several same-time values into ``key`` at the current clock."""
-        with self._shipping():
-            self._admission.observe_values(
-                self, str(key), [float(v) for v in values]
-            )
-
-    def observe_batch(
-        self,
-        items: Iterable[KeyedTimedValue],
-        *,
-        until: int | None = None,
-        policy: OutOfOrderPolicy | None = None,
-    ) -> None:
-        """Record a time-sorted keyed trace: one frame per shard per batch.
-
-        Semantics (and ledger float order) match
-        :meth:`ServiceStore.observe_batch` exactly -- both run
-        :meth:`repro.core.timeorder.Admission.observe_batch`.
-        """
-        with self._shipping():
-            self._admission.observe_batch(
-                self, items, until=until, policy=policy
-            )
-
-    def flush(self) -> None:
-        """Drain the router's lateness buffer (end of feed / shutdown)."""
-        with self._shipping():
-            self._admission.flush(self)
-
-    def merge_into(self, key: str, other: DecayingSum) -> None:
-        """Fold another summary into ``key``'s engine on its owning shard."""
-        if other.time > self._time:
-            self.advance_to(other.time)
-        elif other.time < self._time:
-            other.advance_to(self._time)
-        key = str(key)
-        self._note_write(key)
-        self._request(
-            self._shard_of(key),
-            {"op": "merge_key", "key": key, "engine": engine_to_dict(other)},
-            journal=True,
-        )
+    # The front's admission stage, run against the global clock, calls
+    # back into _adv/_fold/_late below; they only compile per-shard
+    # programs, which _ship sends.
 
     def _adv(self, when: int) -> None:
         """Every shard advances at every global tick: same sweep stops,
@@ -811,7 +682,9 @@ class ShardedServiceStore:
 
     def _fold(self, key: str, values: list[float]) -> None:
         key = str(key)
-        self._progs[self._shard_of(key)].append(["fold", key, values])
+        self._progs[self._shard_of(key)].append(
+            ["fold", key, [float(v) for v in values]]
+        )
         self._note_write(key)
 
     def _late(self, key: str, when: int, value: float) -> None:
@@ -821,19 +694,25 @@ class ShardedServiceStore:
         )
         self._note_write(key)
 
-    @contextlib.contextmanager
-    def _shipping(self) -> Iterator[None]:
-        """Send what admission compiled -- also when it raised midway."""
-        try:
-            yield
-        finally:
-            progs, self._progs = self._progs, [[] for _ in range(self.workers)]
-            frames: list[bytes | None] = [
-                encode_frame({"op": "ingest", "prog": prog}) if prog else None
-                for prog in progs
-            ]
-            if any(frame is not None for frame in frames):
-                self._broadcast(frames, journal=True)
+    def _merge(self, key: str, other: DecayingSum) -> None:
+        key = str(key)
+        self._note_write(key)
+        self._request(
+            self._shard_of(key),
+            {"op": "merge_key", "key": key, "engine": engine_to_dict(other)},
+            journal=True,
+        )
+
+    def _ship(self) -> None:
+        """Send what admission compiled: one ``ingest`` frame per
+        non-empty program, also when admission raised midway."""
+        progs, self._progs = self._progs, [[] for _ in range(self.workers)]
+        frames: list[bytes | None] = [
+            encode_frame({"op": "ingest", "prog": prog}) if prog else None
+            for prog in progs
+        ]
+        if any(frame is not None for frame in frames):
+            self._broadcast(frames, journal=True)
 
     # --------------------------------------------------------------- reads
 
@@ -913,45 +792,55 @@ class ShardedServiceStore:
         return True
 
     def stats(self) -> dict[str, Any]:
-        """The ledger block: router ledgers + worker ledgers, folded.
+        """The ledger block: the router's admission ledgers, the workers'
+        keys and evictions summed, and one ``per_worker`` entry each.
 
-        Each ``per_worker`` entry also carries the router's revival state
-        for that worker: ``journal_frames``/``journal_bytes`` since the
-        last checkpoint, the checkpoint's ``checkpoint_bytes``, and the
+        A worker keeps its clock, keys and evictions (``time``, ``keys``,
+        ``evicted_keys``, ``evicted_weight``); its entry adds the router's
+        revival state for it: ``journal_frames``/``journal_bytes`` since
+        the last checkpoint, the checkpoint's ``checkpoint_bytes``, and the
         ``checkpoints`` taken so far (by the byte rule, :meth:`to_dict`
         and :meth:`restore`).
         """
-        replies = self._fan_out("stats")
         per_worker: list[dict[str, Any]] = []
-        keys = 0
-        evicted_keys = self.eviction_base.evicted_keys
-        evicted_weight = self.eviction_base.evicted_weight
-        for shard, reply in zip(self._shards, replies):
-            stats = reply["stats"]
-            stats["journal_frames"] = len(shard.journal)
-            stats["journal_bytes"] = shard.journal_bytes
-            stats["checkpoint_bytes"] = len(shard.checkpoint or b"")
-            stats["checkpoints"] = shard.checkpoints
-            per_worker.append(stats)
-            keys += int(stats["keys"])
-            evicted_keys += int(stats["evicted_keys"])
-            evicted_weight += float(stats["evicted_weight"])
+        for shard, reply in zip(self._shards, self._fan_out("stats")):
+            per_worker.append({
+                **reply["stats"],
+                "journal_frames": len(shard.journal),
+                "journal_bytes": shard.journal_bytes,
+                "checkpoint_bytes": len(shard.checkpoint or b""),
+                "checkpoints": shard.checkpoints,
+            })
         return {
-            "time": self._time,
-            "keys": keys,
-            "evicted_keys": evicted_keys,
-            "evicted_weight": evicted_weight,
-            **self._admission.stats(),
+            **self._ledgers(
+                sum(int(worker["keys"]) for worker in per_worker),
+                self._evictions(per_worker),
+            ),
             "workers": self.workers,
             "revived_workers": self.revived_workers,
             "per_worker": per_worker,
         }
 
+    def _evictions(
+        self, ledgers: Sequence[Mapping[str, Any]]
+    ) -> EvictionLedger:
+        """The restored evictions plus every worker's, in shard order."""
+        total = EvictionLedger(
+            self.eviction_base.evicted_keys, self.eviction_base.evicted_weight
+        )
+        for ledger in ledgers:
+            total.evicted_keys += int(ledger["evicted_keys"])
+            total.evicted_weight += float(ledger["evicted_weight"])
+        return total
+
     def storage_report(self) -> StorageReport:
         """Aggregate worker storage (shared bits counted once)."""
         return StorageReport.aggregate(
             f"sharded-service[{self.workers}]",
-            (_report(reply) for reply in self._fan_out("storage")),
+            (
+                StorageReport(**reply["report"])
+                for reply in self._fan_out("storage")
+            ),
         )
 
     def export_engine(self, key: str) -> DecayingSum:
@@ -976,16 +865,19 @@ class ShardedServiceStore:
             {"op": "storage", "key": key},
             journal=True,  # may create the engine, like ServiceStore.engine
         )
-        return _report(reply)
+        return StorageReport(**reply["report"])
 
     # ------------------------------------------------------------ snapshot
 
     def to_dict(self) -> dict[str, Any]:
-        """Global snapshot: router state + one snapshot per shard.
+        """The front's ``service-store`` snapshot, the single store's format.
 
-        Fetching the shard snapshots doubles as a checkpoint: each
-        worker's journal is truncated against the state just captured,
-        whose reply bytes become the new checkpoint as received.
+        The router's head (clock, admission state, and the restored
+        evictions plus every worker's, in shard order) and every worker's
+        keys, in shard order.  Fetching the worker snapshots doubles as a
+        checkpoint: each worker's journal is truncated against the state
+        just captured, whose reply bytes become the new checkpoint as
+        received.
         """
         replies = self._broadcast_raw(
             [_frame("snapshot")] * self.workers, journal=False
@@ -994,62 +886,45 @@ class ShardedServiceStore:
         for reply in replies:
             assert reply is not None
             shards.append(_checked(decode_frame(reply))["data"])
-        for shard, reply in zip(self._shards, replies):
+        keys: dict[str, Any] = {}
+        for shard, reply, data in zip(self._shards, replies, shards):
             assert reply is not None
             shard.reset(reply)
-        return {
-            "version": _SNAPSHOT_VERSION,
-            "kind": _SNAPSHOT_KIND,
-            "decay": decay_to_dict(self._decay),
-            "epsilon": self.epsilon,
-            "ttl": self.ttl,
-            "workers": self.workers,
-            "time": self._time,
-            "eviction_base": {
-                "evicted_keys": self.eviction_base.evicted_keys,
-                "evicted_weight": self.eviction_base.evicted_weight,
-            },
-            **self._admission.to_dict(),
-            "shards": shards,
-        }
+            keys.update(data["keys"])
+        eviction = self._evictions([data["eviction"] for data in shards])
+        return {**self._head(eviction), "keys": keys}
 
     def restore(self, data: dict[str, Any]) -> None:
-        """Replace all state from a snapshot -- sharded *or* single-store.
+        """Replace all state from a ``service-store`` snapshot.
 
-        A ``sharded-service-store`` snapshot is flattened and re-split by
-        the current worker count (so a 4-worker snapshot restores into a
-        2-worker front), and a plain ``service-store`` snapshot is split
-        by CRC-32 straight onto the shards: scale-out of a single-process
-        deployment is one snapshot/restore pair.
+        Keys are split by CRC-32 onto this front's workers, so a snapshot
+        of a single store or of a front with any worker count restores
+        here: scale-out and scale-in are one snapshot/restore pair.
         """
-        kind = data.get("kind")
-        if kind == _SNAPSHOT_KIND:
-            plain = flatten_snapshot(data)
-        elif kind == "service-store":
-            plain = data
-        else:
-            raise InvalidParameterError(
-                f"not a service snapshot: kind={kind!r}"
-            )
-        if data.get("version") != _SNAPSHOT_VERSION:
-            raise InvalidParameterError(
-                f"unsupported snapshot version {data.get('version')!r}"
-            )
+        self._check_head(data)
         # Everything the router adopts is parsed before any worker sees
         # the snapshot, so a malformed router block changes nothing (the
         # admission block by a trial parse; the live stage adopts it last).
-        time = int(plain["time"])
-        Admission.from_dict(plain)
-        ledger = plain["eviction"]
+        time = int(data["time"])
+        Admission.from_dict(data)
+        ledger = data["eviction"]
         eviction_base = EvictionLedger(
             ledger["evicted_keys"], ledger["evicted_weight"]
         )
+        parts: list[dict[str, Any]] = [{} for _ in self._shards]
+        for key, state in data["keys"].items():
+            parts[self._shard_of(str(key))][key] = state
+        # A worker's part holds its keys only: the router keeps the
+        # admission state and the restored evictions.
+        empty = {"eviction": EvictionLedger().to_dict(), **Admission().to_dict()}
         # Restore frames are not journaled: once every worker accepts,
         # each frame *is* that worker's new checkpoint and the journals
         # restart empty.
         frames = [
-            encode_frame({"op": "restore", "data": worker_dict})
-            for worker_dict in self._split_snapshot(plain)
+            encode_frame(
+                {"op": "restore", "data": {**data, **empty, "keys": part}}
+            )
+            for part in parts
         ]
         replies = [
             decode_frame(reply)
@@ -1068,7 +943,7 @@ class ShardedServiceStore:
         for shard, frame in zip(self._shards, frames):
             shard.reset(frame)
         self._set_time(time)  # also drops the read memo: all state changed
-        self._admission.restore(plain)
+        self._admission.restore(data)
         self.eviction_base = eviction_base
 
     @classmethod
@@ -1076,89 +951,24 @@ class ShardedServiceStore:
         cls,
         data: dict[str, Any],
         *,
-        workers: int | None = None,
+        workers: int = 2,
         context: Any | None = None,
     ) -> "ShardedServiceStore":
-        """Spawn a fresh worker pool and restore ``data`` into it."""
-        if data.get("kind") not in (_SNAPSHOT_KIND, "service-store"):
-            raise InvalidParameterError(
-                f"not a service snapshot: kind={data.get('kind')!r}"
+        """Spawn ``workers`` workers and restore ``data`` into them.
+
+        The snapshot's version and kind are checked before any worker
+        starts, and a refused restore closes the pool it started.
+        """
+        cls._check_head(data)
+        with contextlib.ExitStack() as refused:
+            store = cls(
+                decay_from_dict(dict(data["decay"])),
+                float(data["epsilon"]),
+                workers=workers,
+                ttl=data.get("ttl"),
+                context=context,
             )
-        count = int(data.get("workers", 2)) if workers is None else workers
-        store = cls(
-            decay_from_dict(dict(data["decay"])),
-            float(data["epsilon"]),
-            workers=count,
-            ttl=data.get("ttl"),
-            context=context,
-        )
-        store.restore(data)
+            refused.callback(store.close)
+            store.restore(data)
+            refused.pop_all()
         return store
-
-    def _split_snapshot(
-        self, plain: Mapping[str, Any]
-    ) -> list[dict[str, Any]]:
-        """Partition a plain service-store snapshot onto the shards."""
-        buckets: list[dict[str, Any]] = [{} for _ in self._shards]
-        for key, state in plain["keys"].items():
-            buckets[self._shard_of(str(key))][key] = state
-        worker_dicts: list[dict[str, Any]] = []
-        for bucket in buckets:
-            worker_dicts.append(
-                {
-                    "version": 1,
-                    "kind": "service-store",
-                    "decay": plain["decay"],
-                    "epsilon": plain["epsilon"],
-                    "ttl": plain["ttl"],
-                    "time": int(plain["time"]),
-                    "eviction": {"evicted_keys": 0, "evicted_weight": 0.0},
-                    **Admission().to_dict(),
-                    "keys": bucket,
-                }
-            )
-        return worker_dicts
-
-
-def flatten_snapshot(data: Mapping[str, Any]) -> dict[str, Any]:
-    """Fold a sharded snapshot into one plain ``service-store`` snapshot.
-
-    The inverse of the restore-time split: per-shard key maps are
-    disjoint by construction, shard eviction ledgers sum onto the
-    router's inherited base, and router-owned state (clock, watermark,
-    lateness buffer, policy, ingest ledgers) carries over verbatim.  The
-    result restores into a single-process :class:`ServiceStore` -- the
-    scale-*in* direction of the deployment story.
-    """
-    if data.get("kind") != _SNAPSHOT_KIND:
-        raise InvalidParameterError(
-            f"not a sharded-service-store snapshot: kind={data.get('kind')!r}"
-        )
-    keys: dict[str, Any] = {}
-    base = data.get("eviction_base", {"evicted_keys": 0, "evicted_weight": 0.0})
-    evicted_keys = int(base["evicted_keys"])
-    evicted_weight = float(base["evicted_weight"])
-    for shard in data["shards"]:
-        for key, state in shard["keys"].items():
-            if key in keys:
-                raise InvalidParameterError(
-                    f"key {key!r} appears on two shards; snapshot corrupt"
-                )
-            keys[key] = state
-        ledger = shard["eviction"]
-        evicted_keys += int(ledger["evicted_keys"])
-        evicted_weight += float(ledger["evicted_weight"])
-    return {
-        "version": 1,
-        "kind": "service-store",
-        "decay": data["decay"],
-        "epsilon": data["epsilon"],
-        "ttl": data["ttl"],
-        "time": int(data["time"]),
-        "eviction": {
-            "evicted_keys": evicted_keys,
-            "evicted_weight": evicted_weight,
-        },
-        **Admission.from_dict(data).to_dict(),
-        "keys": keys,
-    }

@@ -22,12 +22,18 @@ whatever the key count.  The store adds:
   :class:`~repro.core.timeorder.Admission`: the out-of-order policy,
   the persistent lateness heap of the ``buffer`` kind (an item arriving
   one batch late still lands in the right key's engine; :meth:`flush`
-  drains the heap when the feed ends) and the ingest ledgers.  The store
-  applies what admission emits in-process; the sharded front runs the
-  very same stage.
+  drains the heap when the feed ends) and the ingest ledgers.
 * **Ledgers for everything lossy.**  Dropped late items live on the
   policy (as everywhere in the library), evictions on the store, and
   both are surfaced verbatim by ``GET /keys`` (:mod:`repro.service.api`).
+
+The admission stage, the clock, the read memo, the configuration checks
+and the heads of the ledger block and of the snapshot are
+:class:`StoreFront`'s, which both keyed stores subclass: this store
+applies what admission emits in-process, and the multi-process
+:class:`~repro.service.sharded.ShardedServiceStore` ships it to worker
+stores, which apply it as this store does.  Both write and read one
+``service-store`` snapshot format.
 
 This module is deliberately asyncio-free: the store is a plain
 synchronous structure a single consumer task owns, which is what keeps
@@ -38,7 +44,8 @@ differential contract ``tests/service/test_differential.py`` enforces).
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
+from abc import ABC, abstractmethod
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.batching import KeyedTimedValue
 from repro.core.decay import DecayFunction
@@ -64,73 +71,7 @@ from repro.storage.model import StorageReport
 __all__ = ["EvictionLedger", "ServiceStore", "StoreFront"]
 
 _SNAPSHOT_VERSION = 1
-
-
-@runtime_checkable
-class StoreFront(Protocol):
-    """The store seam the daemon, API server, and harness program against.
-
-    Anything with this surface can sit behind
-    :class:`~repro.service.daemon.IngestDaemon` and
-    :class:`~repro.service.api.ServiceServer`: the single-process
-    :class:`ServiceStore` and the multi-process
-    :class:`~repro.service.sharded.ShardedServiceStore` both satisfy it,
-    which is what makes the sharded front a drop-in behind the existing
-    HTTP/WS API.  Purely structural -- neither store subclasses anything.
-    """
-
-    @property
-    def time(self) -> int: ...
-
-    @property
-    def decay(self) -> DecayFunction: ...
-
-    @property
-    def native_out_of_order(self) -> bool: ...
-
-    def observe(
-        self, key: str, value: float = 1.0, *, when: int | None = None
-    ) -> None: ...
-
-    def observe_values(self, key: str, values: Iterable[float]) -> None: ...
-
-    def observe_batch(
-        self,
-        items: Iterable[KeyedTimedValue],
-        *,
-        until: int | None = None,
-        policy: OutOfOrderPolicy | None = None,
-    ) -> None: ...
-
-    def advance(self, steps: int = 1) -> None: ...
-
-    def advance_to(self, when: int) -> None: ...
-
-    def flush(self) -> None: ...
-
-    def query(self, key: str, *, create: bool = False) -> Estimate: ...
-
-    def query_total(self) -> Estimate: ...
-
-    def keys(self) -> list[str]: ...
-
-    def key_stats(self) -> dict[str, dict[str, Any]]: ...
-
-    def stats(self) -> dict[str, Any]: ...
-
-    def storage_report(self) -> StorageReport: ...
-
-    def key_storage_report(self, key: str) -> StorageReport: ...
-
-    def merge_into(self, key: str, other: DecayingSum) -> None: ...
-
-    def export_engine(self, key: str) -> DecayingSum: ...
-
-    def to_dict(self) -> dict[str, Any]: ...
-
-    def restore(self, data: dict[str, Any]) -> None: ...
-
-    def close(self) -> None: ...
+_SNAPSHOT_KIND = "service-store"
 
 
 class EvictionLedger:
@@ -146,6 +87,12 @@ class EvictionLedger:
         self.evicted_keys += 1
         self.evicted_weight += weight
 
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "evicted_keys": self.evicted_keys,
+            "evicted_weight": self.evicted_weight,
+        }
+
     def __repr__(self) -> str:
         return (
             f"EvictionLedger(evicted_keys={self.evicted_keys}, "
@@ -153,7 +100,261 @@ class EvictionLedger:
         )
 
 
-class ServiceStore:
+class StoreFront(ABC):
+    """What both keyed stores share, and the seam the daemon, API server,
+    harness and conformance adapter program against.
+
+    :class:`ServiceStore` and
+    :class:`~repro.service.sharded.ShardedServiceStore` subclass it, which
+    is what makes the sharded front a drop-in behind the HTTP/WS API.  The
+    front holds the configuration (checked here), the clock, the read memo
+    of this tick's answers and the :class:`~repro.core.timeorder.Admission`
+    stage every write goes through: admission calls back into the
+    subclass's ``_adv``/``_fold``/``_late``, and :meth:`_ship` runs when
+    each write call returns.  It also aligns clocks for
+    :meth:`merge_into` and writes the heads of the ``GET /keys`` ledger
+    block and of the ``service-store`` snapshot.
+    """
+
+    #: Whether the engines take late items via ``add_at`` (the
+    #: forward-decay family), so no policy ever has to intervene, and
+    #: whether they take only non-negative integer weights (the EH-based
+    #: families), which admission then enforces.  Set by each subclass
+    #: from the engines it builds.
+    _native: bool
+    _integer: bool
+
+    def __init__(
+        self,
+        decay: DecayFunction,
+        epsilon: float,
+        ttl: int | None,
+        policy: OutOfOrderPolicy | None,
+    ) -> None:
+        if not 0 < epsilon < 1:
+            raise InvalidParameterError(
+                f"epsilon must be in (0, 1), got {epsilon}"
+            )
+        if ttl is not None and ttl < 1:
+            raise InvalidParameterError(f"ttl must be >= 1, got {ttl}")
+        self._decay = decay
+        self.epsilon = float(epsilon)
+        self.ttl = None if ttl is None else int(ttl)
+        self._admission = Admission(policy)
+        self._time = 0
+        #: Read memo: this tick's answers.  A write drops the key's entry
+        #: and a clock move clears them all, so repeated polls of a quiet
+        #: key skip re-evaluation within a tick.
+        self._memo: dict[str, Estimate] = {}
+
+    # ------------------------------------------------------------- clock
+
+    @property
+    def time(self) -> int:
+        return self._time
+
+    @property
+    def decay(self) -> DecayFunction:
+        return self._decay
+
+    @property
+    def native_out_of_order(self) -> bool:
+        return self._native
+
+    @property
+    def integer_weights(self) -> bool:
+        return self._integer
+
+    @property
+    def policy(self) -> OutOfOrderPolicy | None:
+        """The store-level out-of-order policy (owned by admission)."""
+        return self._admission.policy
+
+    @property
+    def ingested_items(self) -> int:
+        return self._admission.ingested_items
+
+    @property
+    def ingested_weight(self) -> float:
+        return self._admission.ingested_weight
+
+    @abstractmethod
+    def advance(self, steps: int = 1) -> None: ...
+
+    def advance_to(self, when: int) -> None:
+        try:
+            self._admission.advance_to(self, when)
+        finally:
+            self._ship()
+
+    # ------------------------------------------------------------ writes
+    #
+    # Every write goes through the admission stage, which calls back into
+    # the subclass's _adv/_fold/_late (repro.core.timeorder.Admission).
+
+    def observe(
+        self, key: str, value: float = 1.0, *, when: int | None = None
+    ) -> None:
+        """Record one item on ``key``'s stream, optionally at ``when``.
+
+        On-time items advance the whole store to ``when`` (lock-step keeps
+        per-key structures mergeable); late items follow the store policy,
+        or go straight to ``add_at`` when the engines are natively
+        order-insensitive.
+        """
+        try:
+            self._admission.observe(self, key, value, when)
+        finally:
+            self._ship()
+
+    def observe_values(self, key: str, values: Iterable[float]) -> None:
+        """Fold several same-time values into ``key`` at the current clock."""
+        try:
+            self._admission.observe_values(self, key, values)
+        finally:
+            self._ship()
+
+    def observe_batch(
+        self,
+        items: Iterable[KeyedTimedValue],
+        *,
+        until: int | None = None,
+        policy: OutOfOrderPolicy | None = None,
+    ) -> None:
+        """Record a time-sorted keyed trace through the batch path.
+
+        The clock advances once per distinct arrival time and each key's
+        same-time values fold in a single ``add_batch`` -- bit-identical
+        to the equivalent :meth:`observe` calls.  Late items follow
+        :meth:`repro.core.timeorder.Admission.observe_batch`.
+        ``until`` advances the clock past the last item.
+        """
+        try:
+            self._admission.observe_batch(
+                self, items, until=until, policy=policy
+            )
+        finally:
+            self._ship()
+
+    def flush(self) -> None:
+        """Drain the lateness buffer (end of feed / daemon shutdown)."""
+        try:
+            self._admission.flush(self)
+        finally:
+            self._ship()
+
+    def merge_into(self, key: str, other: DecayingSum) -> None:
+        """Fold another summary of the same decay into ``key``'s engine.
+
+        The write-path twin of reading an engine: clocks align by
+        advancing the younger side (store engines move in lock-step with
+        the store clock, so the store advances as a whole), and the key's
+        memo entry is dropped so the read memo cannot serve a pre-merge
+        answer.  A refused merge into a new key leaves no key.
+        """
+        if other.time > self._time:
+            self.advance_to(other.time)
+        elif other.time < self._time:
+            other.advance_to(self._time)
+        self._merge(key, other)
+
+    @abstractmethod
+    def _adv(self, when: int) -> None:
+        """Move the clock to ``when`` (admission's ``adv``)."""
+
+    @abstractmethod
+    def _fold(self, key: str, values: list[float]) -> None:
+        """Fold ``key``'s same-time ``values`` at the clock."""
+
+    @abstractmethod
+    def _late(self, key: str, when: int, value: float) -> None:
+        """Hand a late item to engines that take it natively."""
+
+    @abstractmethod
+    def _merge(self, key: str, other: DecayingSum) -> None:
+        """Fold ``other``, already at the store clock, into ``key``."""
+
+    @abstractmethod
+    def _ship(self) -> None:
+        """Runs when every write call returns, also one admission refused
+        partway: what the call compiled is due now."""
+
+    # ------------------------------------------------------------- reads
+
+    @abstractmethod
+    def query(self, key: str, *, create: bool = False) -> Estimate: ...
+
+    @abstractmethod
+    def query_total(self) -> Estimate: ...
+
+    @abstractmethod
+    def keys(self) -> list[str]: ...
+
+    @abstractmethod
+    def key_stats(self) -> dict[str, dict[str, Any]]: ...
+
+    @abstractmethod
+    def stats(self) -> dict[str, Any]: ...
+
+    @abstractmethod
+    def storage_report(self) -> StorageReport: ...
+
+    @abstractmethod
+    def key_storage_report(self, key: str) -> StorageReport: ...
+
+    @abstractmethod
+    def export_engine(self, key: str) -> DecayingSum: ...
+
+    @abstractmethod
+    def close(self) -> None: ...
+
+    def _ledgers(self, keys: int, eviction: EvictionLedger) -> dict[str, Any]:
+        """The ``GET /keys`` ledger block of a front holding ``keys`` keys
+        whose evictions are ``eviction``: everything lossy, accounted."""
+        return {
+            "time": self._time,
+            "keys": keys,
+            **eviction.to_dict(),
+            **self._admission.stats(),
+        }
+
+    # ---------------------------------------------------------- snapshot
+
+    @abstractmethod
+    def to_dict(self) -> dict[str, Any]: ...
+
+    @abstractmethod
+    def restore(self, data: dict[str, Any]) -> None: ...
+
+    def _head(self, eviction: EvictionLedger) -> dict[str, Any]:
+        """Every ``service-store`` snapshot field but the trailing ``keys``
+        object, for a front whose evictions are ``eviction``."""
+        return {
+            "version": _SNAPSHOT_VERSION,
+            "kind": _SNAPSHOT_KIND,
+            "decay": decay_to_dict(self._decay),
+            "epsilon": self.epsilon,
+            "ttl": self.ttl,
+            "time": self._time,
+            "eviction": eviction.to_dict(),
+            **self._admission.to_dict(),
+        }
+
+    @staticmethod
+    def _check_head(data: Mapping[str, Any]) -> None:
+        """Refuse anything but a ``service-store`` snapshot of this
+        version."""
+        if data.get("version") != _SNAPSHOT_VERSION:
+            raise InvalidParameterError(
+                f"unsupported snapshot version {data.get('version')!r}"
+            )
+        if data.get("kind") != _SNAPSHOT_KIND:
+            raise InvalidParameterError(
+                f"not a service-store snapshot: kind={data.get('kind')!r}"
+            )
+
+
+class ServiceStore(StoreFront):
     """Per-key decaying sums behind the ingestion daemon and query API.
 
     ``ttl`` is measured on the shared engine clock: a key whose last
@@ -173,71 +374,27 @@ class ServiceStore:
         policy: OutOfOrderPolicy | None = None,
         engine_factory: Callable[[], DecayingSum] | None = None,
     ) -> None:
-        if not 0 < epsilon < 1:
-            raise InvalidParameterError(
-                f"epsilon must be in (0, 1), got {epsilon}"
-            )
-        if ttl is not None and ttl < 1:
-            raise InvalidParameterError(f"ttl must be >= 1, got {ttl}")
-        self._decay = decay
-        self.epsilon = float(epsilon)
-        self.ttl = None if ttl is None else int(ttl)
+        super().__init__(decay, epsilon, ttl, policy)
         self._custom_factory = engine_factory is not None
         #: The keyed-engine seam, and its key -> engine map (in key
         #: creation order), read directly on the hot paths.
         self._keyed = keyed_engines(decay, self.epsilon, engine_factory)
         self._engines = self._keyed.engines
-        self._admission = Admission(policy)
+        self._native = self._keyed.native_out_of_order
+        self._integer = self._keyed.integer_weights
         #: The TTL index: every stored key's last-seen tick, oldest tick
         #: first and, within a tick, in first-write order.  A key's first
         #: write at a new tick moves it to the end.
         self._last_seen: dict[str, int] = {}
-        self._time = 0
         self.eviction = EvictionLedger()
-        #: Read memo: this tick's answers.  A write drops the key's entry
-        #: and a clock move clears them all, so repeated polls of a quiet
-        #: key skip ``query()`` re-evaluation within a tick.
-        self._memo: dict[str, Estimate] = {}
 
     # ------------------------------------------------------------- clock
-
-    @property
-    def time(self) -> int:
-        return self._time
-
-    @property
-    def decay(self) -> DecayFunction:
-        return self._decay
-
-    @property
-    def native_out_of_order(self) -> bool:
-        """Whether this store's engines take late items via ``add_at``
-        (the forward-decay family), so no policy ever has to intervene."""
-        return self._keyed.native_out_of_order
-
-    @property
-    def integer_weights(self) -> bool:
-        """Whether this store's engines take only non-negative integer
-        weights (the EH-based families), which admission then enforces."""
-        return self._keyed.integer_weights
-
-    @property
-    def policy(self) -> OutOfOrderPolicy | None:
-        """The store-level out-of-order policy (owned by admission)."""
-        return self._admission.policy
-
-    @property
-    def ingested_items(self) -> int:
-        return self._admission.ingested_items
-
-    @property
-    def ingested_weight(self) -> float:
-        return self._admission.ingested_weight
 
     def advance(self, steps: int = 1) -> None:
         """Advance the shared clock; TTL eviction runs on every advance.
 
-        This is how the store applies admission's ``adv`` operation.
+        Every clock move of the store runs through here, admission's
+        ``adv`` operation included.
         """
         if steps < 0:
             raise InvalidParameterError(f"steps must be >= 0, got {steps}")
@@ -248,53 +405,16 @@ class ServiceStore:
         self._keyed.advance(steps)
         self._sweep()
 
-    def advance_to(self, when: int) -> None:
-        self._admission.advance_to(self, when)
-
     # ------------------------------------------------------------ writes
     #
-    # Every write goes through the admission stage, which calls back into
-    # _adv/_fold/_late below (repro.core.timeorder.Admission).
-
-    def observe(
-        self, key: str, value: float = 1.0, *, when: int | None = None
-    ) -> None:
-        """Record one item on ``key``'s stream, optionally at ``when``.
-
-        On-time items advance the whole store to ``when`` (lock-step keeps
-        per-key structures mergeable); late items follow the store policy,
-        or go straight to ``add_at`` when the engines are natively
-        order-insensitive.
-        """
-        self._admission.observe(self, key, value, when)
-
-    def observe_values(self, key: str, values: Iterable[float]) -> None:
-        """Fold several same-time values into ``key`` at the current clock."""
-        self._admission.observe_values(self, key, values)
-
-    def observe_batch(
-        self,
-        items: Iterable[KeyedTimedValue],
-        *,
-        until: int | None = None,
-        policy: OutOfOrderPolicy | None = None,
-    ) -> None:
-        """Record a time-sorted keyed trace through the batch path.
-
-        The clock advances once per distinct arrival time and each key's
-        same-time values fold in a single ``add_batch`` -- bit-identical
-        to the equivalent :meth:`observe` calls.  Late items follow
-        :meth:`repro.core.timeorder.Admission.observe_batch`.
-        ``until`` advances the clock past the last item.
-        """
-        self._admission.observe_batch(self, items, until=until, policy=policy)
-
-    def flush(self) -> None:
-        """Drain the lateness buffer (end of feed / daemon shutdown)."""
-        self._admission.flush(self)
+    # What admission emits, applied in-process.  A sharded front's worker
+    # applies its programs through these very methods.
 
     def _adv(self, when: int) -> None:
         self.advance(when - self._time)
+
+    def _ship(self) -> None:
+        """Nothing is due: every write was applied as admission made it."""
 
     def _fold(self, key: str, values: list[float]) -> None:
         engine = self._engines.get(key)
@@ -448,21 +568,10 @@ class ServiceStore:
                 merged.merge(clone)
         return merged
 
-    def merge_into(self, key: str, other: DecayingSum) -> None:
-        """Fold another summary of the same decay into ``key``'s engine.
-
-        The write-path twin of reading through :meth:`engine`: clocks
-        align by advancing the younger side (store engines move in
-        lock-step with the store clock, so the store advances as a
-        whole), and the key's memo entry is dropped so the read memo
-        cannot serve a pre-merge answer.  A refused merge into a new key
-        leaves no key.  A WBMH key whose levels the merge makes diverge
-        from the store's shared lattice moves to a private lattice.
-        """
-        if other.time > self._time:
-            self.advance_to(other.time)
-        elif other.time < self._time:
-            other.advance_to(self._time)
+    def _merge(self, key: str, other: DecayingSum) -> None:
+        """:meth:`merge_into`'s fold.  A WBMH key whose levels the merge
+        makes diverge from the store's shared lattice moves to a private
+        lattice."""
         engine = self._engines.get(key)
         if engine is None:
             self._create(key, lambda fresh: self._keyed.merge(fresh, other))
@@ -492,13 +601,7 @@ class ServiceStore:
 
     def stats(self) -> dict[str, Any]:
         """The ``GET /keys`` ledger block: everything lossy, accounted."""
-        return {
-            "time": self._time,
-            "keys": len(self._engines),
-            "evicted_keys": self.eviction.evicted_keys,
-            "evicted_weight": self.eviction.evicted_weight,
-            **self._admission.stats(),
-        }
+        return self._ledgers(len(self._engines), self.eviction)
 
     def key_stats(self) -> dict[str, dict[str, Any]]:
         """Per-key staleness view (``GET /keys``)."""
@@ -533,19 +636,7 @@ class ServiceStore:
                 "stores built on a custom engine_factory are not "
                 "checkpointable; snapshot the engines yourself"
             )
-        return {
-            "version": _SNAPSHOT_VERSION,
-            "kind": "service-store",
-            "decay": decay_to_dict(self._decay),
-            "epsilon": self.epsilon,
-            "ttl": self.ttl,
-            "time": self._time,
-            "eviction": {
-                "evicted_keys": self.eviction.evicted_keys,
-                "evicted_weight": self.eviction.evicted_weight,
-            },
-            **self._admission.to_dict(),
-        }
+        return self._head(self.eviction)
 
     def snapshot_keys(self) -> Iterator[tuple[str, dict[str, Any]]]:
         """Each key's snapshot state, one at a time, in TTL index order:
@@ -570,14 +661,7 @@ class ServiceStore:
         engine is not the store's own kind (class, decay, epsilon, CEH
         backend and estimator) is refused.
         """
-        if data.get("version") != _SNAPSHOT_VERSION:
-            raise InvalidParameterError(
-                f"unsupported snapshot version {data.get('version')!r}"
-            )
-        if data.get("kind") != "service-store":
-            raise InvalidParameterError(
-                f"not a service-store snapshot: kind={data.get('kind')!r}"
-            )
+        cls._check_head(data)
         store = cls(
             decay_from_dict(data["decay"]),
             float(data["epsilon"]),

@@ -1,9 +1,12 @@
 """Unit tests for the exact reference engine."""
 
+import random
+
 import pytest
 
 from repro.core.decay import (
     ExponentialDecay,
+    LinearDecay,
     PolynomialDecay,
     SlidingWindowDecay,
 )
@@ -97,3 +100,46 @@ class TestQueryAtAgeOffset:
         s = ExactDecayingSum(PolynomialDecay(1.0))
         with pytest.raises(InvalidParameterError):
             s.query_at_age_offset(-1)
+
+
+_DECAYS = [
+    PolynomialDecay(1.0),
+    ExponentialDecay(0.03),
+    SlidingWindowDecay(50),
+    LinearDecay(120),
+]
+
+
+class TestDirectSum:
+    """The engine against ``sum(v * g(T - t))`` written out item by item:
+    one value per tick over 300 ticks, 40% of them zero."""
+
+    @staticmethod
+    def _replay(decay, extra: int) -> tuple[ExactDecayingSum, float]:
+        rng = random.Random(3)
+        values = [
+            0.0 if rng.random() < 0.4 else rng.uniform(0.0, 2.0)
+            for _ in range(300)
+        ]
+        engine = ExactDecayingSum(decay)
+        for tick, value in enumerate(values):
+            if tick:
+                engine.advance(1)
+            if value:
+                engine.add(value)
+        engine.advance(extra)
+        now = len(values) - 1 + extra
+        direct = sum(
+            value * decay.weight(now - tick) for tick, value in enumerate(values)
+        )
+        return engine, direct
+
+    @pytest.mark.parametrize("decay", _DECAYS, ids=lambda d: d.describe())
+    def test_matches_exact_engine(self, decay):
+        engine, direct = self._replay(decay, 0)
+        assert engine.query().value == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("decay", _DECAYS, ids=lambda d: d.describe())
+    def test_extra_age(self, decay):
+        engine, direct = self._replay(decay, 17)
+        assert engine.query().value == pytest.approx(direct, rel=1e-9)

@@ -11,6 +11,7 @@ keys that write at different ticks stay under a ceiling too.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +28,6 @@ from repro.service.store import ServiceStore
 from repro.storage.footprint import (
     FAMILIES,
     bytes_per_key,
-    objects_per_key,
     staggered_bytes_per_key,
 )
 from repro.streams.io import KeyedItem
@@ -59,13 +59,44 @@ BYTES = {
 }
 
 
+def _run(code: str) -> str:
+    """``code``'s standard output in a fresh interpreter on this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def objects() -> dict[str, float]:
+    """Objects per key of every family, counted in one fresh interpreter
+    as ``make keybytes`` does: the count is a difference of the whole
+    process's GC-tracked objects, which objects left by earlier tests in
+    the same process would move."""
+    return json.loads(_run(
+        "import json\n"
+        "from repro.storage.footprint import FAMILIES, objects_per_key\n"
+        "print(json.dumps({f: objects_per_key(f) for f in FAMILIES}))"
+    ))
+
+
 def test_every_family_is_gated() -> None:
     assert set(OBJECTS) == set(BYTES) == set(FAMILIES)
 
 
 @pytest.mark.parametrize("family", sorted(OBJECTS))
-def test_objects_per_key_are_pinned(family: str) -> None:
-    assert objects_per_key(family) == OBJECTS[family]
+def test_objects_per_key_are_pinned(
+    family: str, objects: dict[str, float]
+) -> None:
+    assert objects[family] == OBJECTS[family]
 
 
 @pytest.mark.parametrize("family", sorted(BYTES))
@@ -111,10 +142,6 @@ def test_importing_the_service_loads_no_hash_or_csv_module() -> None:
     OpenSSL's hash module, no server path reads CSV, and numpy stays
     unloaded while a store is built and written (only the WBMH bulk
     kernel, which no served path runs, uses it)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    )
     code = (
         "import sys\n"
         "from repro.core.decay import PolynomialDecay\n"
@@ -127,11 +154,4 @@ def test_importing_the_service_loads_no_hash_or_csv_module() -> None:
         "print(sorted(m for m in ('hashlib', '_hashlib', 'csv', 'numpy')\n"
         "    if m in sys.modules))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert proc.stdout.strip() == "[]"
+    assert _run(code).strip() == "[]"

@@ -42,7 +42,7 @@ from repro.core.timeorder import OutOfOrderPolicy
 from repro.service.daemon import IngestDaemon
 from repro.service.loadgen import keyed_trace
 from repro.streams.io import KeyedItem
-from repro.service.sharded import ShardedServiceStore, flatten_snapshot
+from repro.service.sharded import ShardedServiceStore
 from repro.service.store import ServiceStore
 
 #: Same seven storage architectures as tests/service/test_differential.py.
@@ -329,9 +329,9 @@ class TestAdmissionAgrees:
         try:
             _feed((single, sharded), items[:cut])
             assert sharded.stats()["buffered"] > 0
-            # Sharded -> single through flatten_snapshot, single -> sharded
-            # through restore; the heap travels both ways.
-            adopted = ServiceStore.from_dict(flatten_snapshot(sharded.to_dict()))
+            # Both fronts write one snapshot format, so the heap travels
+            # both ways.
+            adopted = ServiceStore.from_dict(sharded.to_dict())
             revived = ShardedServiceStore.from_dict(
                 single.to_dict(), workers=WORKERS
             )
@@ -414,8 +414,7 @@ class TestLongHorizonForward:
                 ), key
             held = [
                 len(state["engine"]["blocks"])
-                for shard in sharded.to_dict()["shards"]
-                for state in shard["keys"].values()
+                for state in sharded.to_dict()["keys"].values()
             ]
             assert len(held) == len(single.keys())
             assert max(held) <= forward._WINDOW

@@ -46,12 +46,12 @@ from repro.core.decay import (
 )
 from repro.core.errors import TimeOrderError
 from repro.core.forward import ForwardDecay
+from repro.core.timeorder import Admission
 from repro.serialize import engine_to_dict
 from repro.service.ipc import decode_frame, encode_frame
 from repro.service.sharded import (
     ShardedServiceStore,
     _worker_dispatch,
-    flatten_snapshot,
     shard_of,
 )
 from repro.service.store import ServiceStore
@@ -397,8 +397,8 @@ class TestAtomicRestore:
             snapshot = front.to_dict()
             front.observe_batch([KeyedItem("b", 20, 2.0)])
             bad = copy.deepcopy(snapshot)
-            del bad["shards"][0]["keys"]["a"]
-            bad["shards"][1]["keys"]["b"]["engine"]["time"] = 999
+            del bad["keys"]["a"]
+            bad["keys"]["b"]["engine"]["time"] = 999
 
             # Exports are journaled, so they run before the state capture.
             engines = _worker_engines(front)
@@ -449,7 +449,8 @@ class TestDeathOnCheckpointExchange:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_revives_and_checkpoints_again_under_a_ttl(self, seed: int) -> None:
-        # One worker, so its snapshot is the single store's to_dict() and
+        # One worker, so its snapshot is the single store's to_dict() (but
+        # for the admission block, which the router keeps) and
         # evicted_weight sums in the single store's order.
         decay = ExponentialDecay(0.05)
         single = ServiceStore(decay, 0.1, ttl=4)
@@ -468,13 +469,15 @@ class TestDeathOnCheckpointExchange:
                 assert shard.checkpoints == before[1] + 1
                 assert front.revived_workers == before[2] + 1
                 assert shard.journal == [] and shard.journal_bytes == 0
-                assert decode_frame(shard.checkpoint)["data"] == single.to_dict()
+                assert decode_frame(shard.checkpoint)["data"] == {
+                    **single.to_dict(), **Admission().to_dict()
+                }
             # The first kill had no checkpoint to restore; the others did.
             assert kills[0] == 1 and len(kills) >= 2
             single.advance_to(single.time + 10)
             front.advance_to(single.time)
             _assert_bit_identical(single, front)
-            assert flatten_snapshot(front.to_dict()) == single.to_dict()
+            assert front.to_dict() == single.to_dict()
             assert front.stats()["evicted_weight"].hex() == (
                 single.stats()["evicted_weight"].hex()
             )

@@ -4,14 +4,16 @@ The differential suite (test_sharded_differential.py) proves the
 multi-process front computes the same numbers as the single store; this
 file pins the machinery itself: crc32 routing, the lock-step shared
 clock across workers, the batched IPC plane's journaling/checkpoint
-lifecycle, snapshot portability in both directions (sharded <-> plain,
-including worker-count changes), the router-owned lateness buffer, and
+lifecycle, the one snapshot format both fronts write and restore
+(including worker-count changes), the router-owned lateness buffer, and
 the StoreFront seam the daemon/server/adapter consume.
 """
 
 from __future__ import annotations
 
+import asyncio
 import math
+import multiprocessing
 import zlib
 from collections import namedtuple
 
@@ -24,13 +26,16 @@ from repro.core.decay import (
 )
 from repro.core.errors import InvalidParameterError, TimeOrderError
 from repro.core.estimate import Estimate
+from repro.core.forward import ForwardDecay
 from repro.core.interfaces import make_decaying_sum
-from repro.core.timeorder import OutOfOrderPolicy
+from repro.core.timeorder import Admission, OutOfOrderPolicy
 from repro.service import sharded
+from repro.service.api import http_request
 from repro.service.ipc import decode_frame
+from repro.service.loadgen import ServiceHarness
 from repro.service.sharded import (
     ShardedServiceStore,
-    flatten_snapshot,
+    _worker_dispatch,
     shard_of,
 )
 from repro.service.store import ServiceStore, StoreFront
@@ -412,8 +417,8 @@ class TestSnapshot:
     def test_round_trip_preserves_queries(self, store) -> None:
         self._seed(store)
         data = store.to_dict()
-        assert data["kind"] == "sharded-service-store"
-        clone = ShardedServiceStore.from_dict(data)
+        assert data["kind"] == "service-store"
+        clone = ShardedServiceStore.from_dict(data, workers=store.workers)
         try:
             assert clone.workers == store.workers
             assert clone.time == store.time
@@ -441,7 +446,7 @@ class TestSnapshot:
 
     def test_flatten_to_plain_service_store(self, store) -> None:
         self._seed(store)
-        plain_data = flatten_snapshot(store.to_dict())
+        plain_data = store.to_dict()
         assert plain_data["kind"] == "service-store"
         plain = ServiceStore.from_dict(plain_data)
         assert plain.time == store.time
@@ -465,3 +470,128 @@ class TestSnapshot:
         for shard in store._shards:
             assert shard.journal == []
             assert shard.checkpoint is not None
+
+    def test_refused_from_dict_leaves_no_worker_running(self) -> None:
+        twin = ServiceStore(ExponentialDecay(0.05), 0.1)
+        self._seed(twin)
+        late_engine = twin.to_dict()
+        late_engine["keys"]["k0"]["engine"]["time"] = 999
+        before = set(multiprocessing.active_children())
+        # Refused by the head check before any worker starts, and by a
+        # worker's restore after the pool started.
+        for bad in ({**twin.to_dict(), "version": 2}, late_engine):
+            with pytest.raises((InvalidParameterError, TimeOrderError)) as held:
+                ShardedServiceStore.from_dict(bad)
+            # Checked while the exception, whose traceback holds the
+            # refused front, is still referenced.
+            assert held.traceback
+            assert set(multiprocessing.active_children()) <= before
+
+
+class TestOneSnapshotFormat:
+    def test_servers_restore_each_others_snapshots(self) -> None:
+        """A single-store server restores a sharded server's snapshot and
+        the reverse, and then every key answers the same on both."""
+        decay = ExponentialDecay(0.05)
+        items = [KeyedItem(f"k{i % 7}", i // 3, 1.0 + i % 4) for i in range(60)]
+
+        async def answers(harness: ServiceHarness) -> dict[str, dict]:
+            host, port = harness.host, harness.port
+            _, listing = await http_request(host, port, "GET", "/keys")
+            out = {}
+            for key in listing["keys"]:
+                status, answer = await http_request(
+                    host, port, "GET", f"/query/{key}"
+                )
+                assert status == 200
+                out[key] = answer
+            return out
+
+        async def cross(source: ServiceHarness, target: ServiceHarness) -> None:
+            status, snapshot = await http_request(
+                source.host, source.port, "GET", "/snapshot"
+            )
+            assert status == 200
+            status, body = await http_request(
+                target.host, target.port, "POST", "/restore", snapshot
+            )
+            assert (status, body.get("restored")) == (200, True)
+            want = await answers(source)
+            assert len(want) == 7
+            assert await answers(target) == want
+
+        async def main() -> None:
+            async with ServiceHarness(decay) as single, ServiceHarness(
+                decay, workers=2
+            ) as front:
+                front.store.observe_batch(items[:40])
+                single.store.observe_batch(items[20:])
+                await cross(front, single)
+                single.store.observe_batch(items[40:])
+                await cross(single, front)
+
+        asyncio.run(main())
+
+
+class TestWorkerPrograms:
+    """A worker applies the router's programs without admitting them
+    again: the router's admission already checked and ledgered them."""
+
+    PROGRAM = [
+        ["adv", 2],
+        ["fold", "a", [1.0, 2.5]],
+        ["fold", "b", [4.0]],
+        ["adv", 5],
+        ["late", "a", 3, 0.5],
+        ["fold", "b", [1.0]],
+    ]
+
+    def test_ingest_makes_no_call_into_the_worker_admission(
+        self, monkeypatch
+    ) -> None:
+        decay = ForwardDecay("exp", 0.05)
+        calls: list[str] = []
+
+        def counted(name, method):
+            def wrapper(self, *args, **kwargs):
+                calls.append(name)
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        for name in (
+            "observe", "observe_values", "observe_batch", "advance_to",
+            "flush", "stats", "to_dict", "restore", "_admit_late", "_fold",
+            "_late", "_fold_pending", "_push", "_drain",
+        ):
+            monkeypatch.setattr(
+                Admission, name, counted(name, getattr(Admission, name))
+            )
+        worker = ServiceStore(decay, 0.1)
+        reply = _worker_dispatch(
+            worker, {"op": "ingest", "prog": self.PROGRAM}
+        )
+        assert reply == {"ok": True, "time": 5}
+        assert calls == []
+        monkeypatch.undo()
+        # The same entries through the single store's public writes.
+        single = ServiceStore(decay, 0.1)
+        single.advance_to(2)
+        single.observe_values("a", [1.0, 2.5])
+        single.observe_values("b", [4.0])
+        single.advance_to(5)
+        single.observe("a", 0.5, when=3)
+        single.observe_values("b", [1.0])
+        assert worker.to_dict()["keys"] == single.to_dict()["keys"]
+        for key in ("a", "b"):
+            assert _triplet(worker.query(key)) == _triplet(single.query(key))
+
+    def test_a_worker_reports_only_what_it_keeps(self) -> None:
+        with ShardedServiceStore(ExponentialDecay(0.05), 0.1, workers=1) as front:
+            front.observe_batch([KeyedItem("a", 1, 2.0), KeyedItem("b", 3, 1.0)])
+            (worker,) = front.stats()["per_worker"]
+            assert worker == {
+                "time": 3, "keys": 2, "evicted_keys": 0, "evicted_weight": 0.0,
+                "journal_frames": 0, "journal_bytes": 0,
+                "checkpoint_bytes": worker["checkpoint_bytes"],
+                "checkpoints": 1,
+            }
