@@ -110,8 +110,13 @@ class ConformanceSuite:
 
             # With service_workers every cell is served from a sharded
             # multi-process front (svcNw- naming), so the laws cross the
-            # IPC plane end to end instead of an in-process store.
-            resolved = service_specs(resolved, workers=service_workers)
+            # IPC plane end to end instead of an in-process store.  That
+            # makes this service mode a driver of the worker plane, the
+            # sanctioned RK008 pattern, so RK010's concurrency chain into
+            # ShardedServiceStore is accepted here and only here.
+            resolved = service_specs(  # lintkit: ignore[RK010]
+                resolved, workers=service_workers
+            )
             if laws is None:
                 # Default to the laws whose contract the store must
                 # preserve verbatim; callers can still pass any catalog.

@@ -22,10 +22,10 @@ brackets by even one ulp.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Protocol, Sequence
+from typing import Any, Callable, Hashable, Iterable, Protocol, Sequence
 
-from repro.core.errors import NotApplicableError, TimeOrderError
-from repro.core.timeorder import Admission, OutOfOrderPolicy
+from repro.core.errors import TimeOrderError
+from repro.core.timeorder import Admission, OutOfOrderPolicy, Program
 
 __all__ = [
     "TimedValue",
@@ -117,22 +117,16 @@ def ingest_trace(  # lintkit: hot
     the default ``raise`` policy fails with :class:`TimeOrderError` on the
     first out-of-order item, ``drop`` skips and counts them, and
     ``buffer`` reorders them within a bounded lateness window through the
-    keyed stores' :class:`~repro.core.timeorder.Admission` stage, run
-    over the engine as a one-key front.  The heap drains when the trace
-    ends, so the engine equals the sorted replay of the surviving items,
-    bit for bit.  Engines advertising ``supports_out_of_order`` (the
-    forward-decay family) take late items directly via ``add_at`` under
-    every policy.
+    keyed stores' :class:`~repro.core.timeorder.Admission` stage, whose
+    programs run over the engine as over a one-key front.  The heap drains
+    when the trace ends, so the engine equals the sorted replay of the
+    surviving items, bit for bit.  Engines advertising
+    ``supports_out_of_order`` (the forward-decay family) take late items
+    directly via ``add_at`` under every policy.
     """
     native = getattr(engine, "supports_out_of_order", False)
     if policy is not None and policy.kind == "buffer" and not native:
-        front = _EngineFront(engine)
-        admission = Admission(policy)
-        for item in items:
-            admission.observe(front, "", item.value, item.time)
-        admission.flush(front)
-        if until is not None:
-            admission.advance_to(front, until)
+        _ingest_buffered(engine, items, until, policy)
         return
     drop = policy is not None and policy.kind == "drop"
     # Hand-rolled lookahead loop instead of itertools.groupby: the engine
@@ -186,29 +180,26 @@ def ingest_trace(  # lintkit: hot
             engine.advance(until - engine.time)
 
 
-class _EngineFront:
-    """One engine as a one-key :class:`~repro.core.timeorder.Admission`
-    front: the ``buffer`` policy of :func:`ingest_trace`."""
+def _ingest_buffered(
+    engine: BatchEngine, items: Iterable[TimedValue], until: int | None,
+    policy: OutOfOrderPolicy,
+) -> None:
+    """The ``buffer`` policy of :func:`ingest_trace`: each admission call's
+    program runs over the engine at once; a refusal raises where it is."""
+    admission = Admission(policy)
+    integer = bool(getattr(engine, "integer_weights", False))
 
-    __slots__ = ("_engine", "integer_weights")
+    def run(admit: Callable[..., None], *args: Any) -> None:
+        prog = Program(engine.time, integer=integer)
+        admit(prog, *args)
+        for entry in prog.entries:
+            if entry[0] == "adv":
+                engine.advance(entry[1] - engine.time)
+            else:
+                engine.add_batch(entry[2])
 
-    #: Order-insensitive engines never reach a buffering front.
-    native_out_of_order = False
-
-    def __init__(self, engine: BatchEngine) -> None:
-        self._engine = engine
-        #: The engine's declared weight domain, checked at admission.
-        self.integer_weights = bool(getattr(engine, "integer_weights", False))
-
-    @property
-    def time(self) -> int:
-        return self._engine.time
-
-    def _adv(self, when: int) -> None:
-        self._engine.advance(when - self._engine.time)
-
-    def _fold(self, key: str, values: list[float]) -> None:
-        self._engine.add_batch(values)
-
-    def _late(self, key: str, when: int, value: float) -> None:
-        raise NotApplicableError("a one-engine front takes no late items")
+    for item in items:
+        run(admission.observe, "", item.value, item.time)
+    run(admission.flush)
+    if until is not None:
+        run(admission.advance_to, until)

@@ -15,13 +15,15 @@ and both keyed store fronts all take it:
   newest arrival seen, is ``max_lateness`` ticks past it; items later
   than the window are dropped and counted.
 
-:class:`Admission` is the one implementation of that rule.  It turns a
-feed into an ordered stream of clock moves and same-time folds on an
-:class:`AdmissionFront`: the keyed stores
+:class:`Admission` is the one implementation of that rule.  It compiles
+each write call into one :class:`Program`: an ordered list of clock moves
+(``adv``), same-time folds (``fold``) and natively late items (``late``)
+that the front then runs.  The keyed stores
 (:class:`~repro.service.store.ServiceStore`,
 :class:`~repro.service.sharded.ShardedServiceStore`) are fronts, and so
 is the single engine that ``ingest_trace`` drives under the ``buffer``
-policy.
+policy.  A front skips an entry its engine refuses and runs the rest,
+and the ingest ledgers hold the entries that ran, in program order.
 
 Engines that are natively order-insensitive -- the forward-decay family,
 which exposes ``supports_out_of_order`` and ``add_at`` -- accept late
@@ -37,14 +39,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, NoReturn, Protocol
+from typing import TYPE_CHECKING, Any, Container, Iterable, Mapping, NoReturn
 
 from repro.core.errors import InvalidParameterError, ReproError, TimeOrderError
 
 if TYPE_CHECKING:
     from repro.core.batching import KeyedTimedValue
 
-__all__ = ["Admission", "AdmissionFront", "OutOfOrderPolicy"]
+__all__ = ["Admission", "OutOfOrderPolicy", "Program"]
 
 _KINDS = ("raise", "drop", "buffer")
 
@@ -124,11 +126,12 @@ def _refuse(key: str, values: list[float], integer: bool) -> NoReturn:
     """Reject a fold with a weight outside the front's domain, or with
     finite weights whose total overflows.
 
-    The engines reject such weights too, but a sharded router ledgers a
-    fold before its worker sees it.  A NaN or an infinity anywhere makes
-    the batch sum non-finite, and a negative value makes the minimum
-    negative: two C-level passes per fold keep all of them off every
-    ingest ledger, and an integer domain adds one pass for fractions.
+    The engines reject such weights too, but only once the program runs,
+    on a sharded front in another process: checked here, they stop the
+    compile the same way on every front.  A NaN or an infinity anywhere
+    makes the batch sum non-finite, and a negative value makes the
+    minimum negative: two C-level passes per fold keep all of them out of
+    every program, and an integer domain adds one pass for fractions.
     """
     bad = next((v for v in values if not 0 <= v < math.inf), None)
     if bad is not None:
@@ -143,31 +146,30 @@ def _refuse(key: str, values: list[float], integer: bool) -> NoReturn:
     raise InvalidParameterError(f"weights on {key!r} sum to infinity")
 
 
-class AdmissionFront(Protocol):
-    """What a front offers its admission stage.
+class Program:
+    """One write call, compiled: an ``ingest`` frame's ``prog``.
 
-    ``_adv(when)`` moves the front's clock, ``_fold(key, values)`` folds
-    one key's same-time values at the clock (one call per key per
-    distinct arrival time), and ``_late(key, when, value)`` hands a late
-    item to engines that take it natively (``add_at``).
-    ``integer_weights`` is the front's weight domain: non-negative
-    integers when true, non-negative finite floats otherwise.
+    ``entries``: ``("adv", when)`` moves the clock, ``("fold", key,
+    values)`` folds one key's same-time values, ``("late", key, when,
+    value)`` hands a late item to ``add_at``.  Tuples, which JSON encodes
+    as arrays, so a held program adds next to nothing to the garbage
+    collector's work.  ``time`` is the clock reached; ``native`` and
+    ``integer`` are the front's flags.
     """
 
-    @property
-    def time(self) -> int: ...
+    __slots__ = ("entries", "time", "native", "integer")
 
-    @property
-    def native_out_of_order(self) -> bool: ...
+    def __init__(
+        self, time: int, native: bool = False, integer: bool = False
+    ) -> None:
+        self.entries: list[tuple[Any, ...]] = []
+        self.time = time
+        self.native = native
+        self.integer = integer
 
-    @property
-    def integer_weights(self) -> bool: ...
-
-    def _adv(self, when: int) -> None: ...
-
-    def _fold(self, key: str, values: list[float]) -> None: ...
-
-    def _late(self, key: str, when: int, value: float) -> None: ...
+    def adv(self, when: int) -> None:
+        self.entries.append(("adv", when))
+        self.time = when
 
 
 class Admission:
@@ -175,18 +177,19 @@ class Admission:
 
     Every write -- ``observe``, ``observe_values``, ``observe_batch``
     (with ``until``), ``advance_to`` and ``flush`` -- goes through here,
-    and comes out as ``_adv``/``_fold``/``_late`` calls on the front.
-    One stage for every front is what makes their clocks, fold grouping
-    and ledgers agree bit for bit.
+    and comes out as one :class:`Program` that the front runs.  Each
+    entry is ledgered as it is compiled; if the front's engines refused
+    some, :meth:`ledger` ledgers the call again from what ran.  One stage
+    for every front is what makes their clocks, fold grouping and ledgers
+    agree bit for bit.
 
     ``policy`` is the front-level policy; the ``buffer`` kind must be
     installed here (not per call) because its heap is state that survives
     across ingest batches: an item arriving one batch late still lands in
     the right key, and :meth:`flush` drains the heap when the feed ends.
 
-    The stage keeps no reference to its front -- the front passes itself
-    to every call -- so a stage forms no reference cycle with the store
-    that owns it, and the clock (``front.time``) stays front state.
+    A refusal here stops the compile; the front still runs the entries
+    before it.
     """
 
     __slots__ = (
@@ -206,173 +209,167 @@ class Admission:
     # ------------------------------------------------------------ writes
 
     def observe(
-        self, front: AdmissionFront, key: str, value: float, when: int | None
+        self, prog: Program, key: str, value: float, when: int | None
     ) -> None:
         """One item on ``key``'s stream, at ``when`` (default: the clock).
 
         On-time items move the clock to ``when`` first; late items follow
-        the policy, or go to ``_late`` on natively order-insensitive
-        fronts.
+        the policy, or become ``late`` entries on natively
+        order-insensitive fronts.
         """
-        now = front.time
+        now = prog.time
         when = now if when is None else int(when)
         policy = self.policy
-        native = front.native_out_of_order
-        if policy is not None and policy.kind == "buffer" and not native:
-            self._push(now, key, when, value, front.integer_weights)
-            self._drain(front, self.watermark - policy.max_lateness)
+        if policy is not None and policy.kind == "buffer" and not prog.native:
+            self._push(now, key, when, value, prog.integer)
+            self._drain(prog, self.watermark - policy.max_lateness)
             return
         if when < now:
-            self._admit_late(front, policy, key, when, value)
+            self._admit_late(prog, policy, key, when, value)
             return
         if when > now:
-            front._adv(when)
-        self._fold(front, key, [value])
+            prog.adv(when)
+        self._fold(prog, {key: [value]})
 
     def observe_values(
-        self, front: AdmissionFront, key: str, values: Iterable[float]
+        self, prog: Program, key: str, values: Iterable[float]
     ) -> None:
         """Several same-time values on ``key``, folded at the clock."""
         batch = list(values)
         if batch:
-            self._fold(front, key, batch)
+            self._fold(prog, {key: batch})
 
     def observe_batch(
         self,
-        front: AdmissionFront,
+        prog: Program,
         items: Iterable[KeyedTimedValue],
         *,
         until: int | None = None,
         policy: OutOfOrderPolicy | None = None,
     ) -> None:
-        """A time-sorted keyed trace: one ``_adv`` per distinct arrival time.
+        """A time-sorted keyed trace: one ``adv`` per distinct arrival time.
 
-        Each key's same-time values fold in one ``_fold`` -- bit-identical
-        to the equivalent :meth:`observe` calls.  Late items go to
-        ``_late`` on natively order-insensitive fronts and otherwise
-        follow ``policy`` (default: the front's policy): ``raise`` fails
-        after folding exactly the items before the offending one, ``drop``
-        counts them on the policy ledger, and the front-level ``buffer``
-        policy routes *everything* through the persistent heap.  ``until``
-        moves the clock past the last item.
+        Each key's same-time values fold in one ``fold`` entry --
+        bit-identical to the equivalent :meth:`observe` calls.  Late items
+        become ``late`` entries on natively order-insensitive fronts and
+        otherwise follow ``policy`` (default: the front's policy):
+        ``raise`` fails after folding exactly the items before the
+        offending one, ``drop`` counts them on the policy ledger, and the
+        front-level ``buffer`` policy routes *everything* through the
+        persistent heap.  ``until`` moves the clock past the last item.
         """
         pol = self.policy if policy is None else policy
-        native = front.native_out_of_order
-        now = front.time
-        if pol is not None and pol.kind == "buffer" and not native:
+        now = prog.time
+        if pol is not None and pol.kind == "buffer" and not prog.native:
             if pol is not self.policy:
                 raise InvalidParameterError(
                     "bounded-lateness buffering is store state; install the "
                     "buffer policy on the store's constructor"
                 )
-            integer = front.integer_weights
+            integer = prog.integer
             try:
                 for item in items:
                     self._push(now, item.key, item.time, item.value, integer)
             finally:
                 # A refused item still releases what is due before it.
-                now = self._drain(front, self.watermark - pol.max_lateness)
+                self._drain(prog, self.watermark - pol.max_lateness)
         else:
             pending: dict[str, list[float]] = {}
             for item in items:
                 when = item.time
                 if when < now:
                     try:
-                        self._admit_late(front, pol, item.key, when, item.value)
+                        self._admit_late(prog, pol, item.key, when, item.value)
                     except ReproError:
                         # Fold exactly the items before the offending one.
-                        self._fold_pending(front, pending)
+                        self._fold(prog, pending)
                         raise
                     continue
                 if when > now:
-                    self._fold_pending(front, pending)
-                    front._adv(when)
+                    self._fold(prog, pending)
+                    prog.adv(when)
                     now = when
                 pending.setdefault(item.key, []).append(item.value)
-            self._fold_pending(front, pending)
+            self._fold(prog, pending)
         if until is not None:
-            self.advance_to(front, until)
+            self.advance_to(prog, until)
 
-    def advance_to(self, front: AdmissionFront, when: int) -> None:
+    def advance_to(self, prog: Program, when: int) -> None:
         """Move the clock to ``when``; it never moves back."""
-        now = front.time
+        now = prog.time
         if when < now:
             raise TimeOrderError(
                 f"cannot move the clock back: {now} -> {when}"
             )
         if when > now:
-            front._adv(when)
+            prog.adv(when)
 
-    def flush(self, front: AdmissionFront) -> None:
+    def flush(self, prog: Program) -> None:
         """Drain the lateness heap (end of feed / daemon shutdown).
 
         Items released while draining fold in time order, advancing the
         clock as they land; anything the clock already passed (an explicit
         ``advance_to`` outran the watermark) drops onto the policy ledger.
         """
-        self._drain(front, None)
+        self._drain(prog, None)
+
+    def ledger(
+        self, prog: Program, refused: Container[int], start: tuple[int, float]
+    ) -> None:
+        """Re-ledger a call that started at ``start``: every entry but the
+        ``refused`` ones, in program order, as compiling added them."""
+        items, weight = start
+        for index, entry in enumerate(prog.entries):
+            if entry[0] == "adv" or index in refused:
+                continue
+            values = entry[2] if entry[0] == "fold" else (entry[3],)
+            items += len(values)
+            weight += float(sum(values))
+        self.ingested_items, self.ingested_weight = items, weight
 
     # ----------------------------------------------------------- helpers
 
     def _admit_late(
         self,
-        front: AdmissionFront,
+        prog: Program,
         policy: OutOfOrderPolicy | None,
         key: str,
         when: int,
         value: float,
     ) -> None:
-        """One item behind the clock: ``_late``, a drop, or an error."""
-        if front.native_out_of_order:
-            self._late(front, key, when, value)
+        """One item behind the clock: a ``late`` entry, a drop, or an
+        error."""
+        if prog.native:
+            self._late(prog, key, when, value)
         elif policy is not None and policy.kind != "raise":
             policy.note_dropped(value)
         else:
             raise TimeOrderError(
-                f"item time {when} precedes the clock {front.time}; "
+                f"item time {when} precedes the clock {prog.time}; "
                 "sort the feed or pass an OutOfOrderPolicy"
             )
 
-    def _fold(
-        self, front: AdmissionFront, key: str, values: list[float]
-    ) -> None:
-        weight = float(sum(values))
-        integer = front.integer_weights
-        if not (weight < math.inf and min(values) >= 0) or (
-            integer and _fractional(values)
-        ):
-            _refuse(key, values, integer)
-        front._fold(key, values)
-        self.ingested_items += len(values)
-        self.ingested_weight += weight
-
-    def _late(
-        self, front: AdmissionFront, key: str, when: int, value: float
-    ) -> None:
-        integer = front.integer_weights
-        if not 0 <= value < math.inf or (integer and value % 1):
-            _refuse(key, [value], integer)
-        front._late(key, when, value)
-        self.ingested_items += 1
-        self.ingested_weight += float(value)
-
-    def _fold_pending(
-        self, front: AdmissionFront, pending: dict[str, list[float]]
-    ) -> None:
-        # _fold, inlined: this runs once per key per tick of every batch.
-        fold = front._fold
-        inf = math.inf
-        integer = front.integer_weights
+    def _fold(self, prog: Program, pending: dict[str, list[float]]) -> None:
+        """One ``fold`` entry per key of ``pending``, which it empties."""
+        entries, integer = prog.entries, prog.integer
         for key, values in pending.items():
             weight = float(sum(values))
-            if not (weight < inf and min(values) >= 0) or (
+            if not (weight < math.inf and min(values) >= 0) or (
                 integer and _fractional(values)
             ):
                 _refuse(key, values, integer)
-            fold(key, values)
+            entries.append(("fold", key, tuple(values)))
             self.ingested_items += len(values)
             self.ingested_weight += weight
         pending.clear()
+
+    def _late(self, prog: Program, key: str, when: int, value: float) -> None:
+        integer = prog.integer
+        if not 0 <= value < math.inf or (integer and value % 1):
+            _refuse(key, [value], integer)
+        prog.entries.append(("late", key, when, value))
+        self.ingested_items += 1
+        self.ingested_weight += float(value)
 
     def _push(
         self, now: int, key: str, when: int, value: float, integer: bool
@@ -396,13 +393,10 @@ class Admission:
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, key, value))
 
-    def _drain(self, front: AdmissionFront, frontier: int | None) -> int:
-        """Fold heap items due at ``frontier`` (all, for ``None``).
-
-        Returns the clock after the last release.
-        """
+    def _drain(self, prog: Program, frontier: int | None) -> None:
+        """Fold heap items due at ``frontier`` (all, for ``None``)."""
         heap = self._heap
-        now = front.time
+        now = prog.time
         while heap and (frontier is None or heap[0][0] <= frontier):
             when, _, key, value = heapq.heappop(heap)
             if when < now:
@@ -410,10 +404,9 @@ class Admission:
                 self.policy.note_dropped(value)
                 continue
             if when > now:
-                front._adv(when)
+                prog.adv(when)
                 now = when
-            self._fold(front, key, [value])
-        return now
+            self._fold(prog, {key: [value]})
 
     # --------------------------------------------------- ledgers/snapshot
 
@@ -449,13 +442,6 @@ class Admission:
                 for when, seq, key, value in sorted(self._heap)
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Admission":
-        """A stage holding a snapshot's admission fields."""
-        admission = cls()
-        admission.restore(data)
-        return admission
 
     def restore(self, data: Mapping[str, Any]) -> None:
         """Adopt a snapshot's admission fields in place (atomically).

@@ -39,16 +39,6 @@ from repro.service.store import ServiceStore, StoreFront
 from repro.storage.model import StorageReport
 from repro.streams.io import KeyedItem
 
-#: Late-bound alias for the multi-process front.  The conformance suite
-#: reaches this module through a resolvable call edge
-#: (``suite -> service_specs``), and lintkit RK010's concurrency label
-#: binds the conformance package; routing construction through an
-#: assignment (dynamic to the call-graph resolver, like the factory
-#: registries elsewhere) keeps the *suite machinery* clean while the
-#: worker pool itself stays a sanctioned ``repro.service`` concern --
-#: the same carve-out shape RK008 grants the service package.
-_SHARDED_FRONT = ShardedServiceStore
-
 __all__ = [
     "ServiceBackedEngine",
     "service_spec",
@@ -96,7 +86,7 @@ class ServiceBackedEngine:
         if store is not None:
             self._store: StoreFront = store
         elif workers is not None:
-            self._store = _SHARDED_FRONT(decay, epsilon, workers=workers)
+            self._store = ShardedServiceStore(decay, epsilon, workers=workers)
         else:
             self._store = ServiceStore(decay, epsilon)
         self._key = key
@@ -211,7 +201,9 @@ class ServiceBackedEngine:
         store: StoreFront = (
             ServiceStore.from_dict(data["store"])
             if workers is None
-            else _SHARDED_FRONT.from_dict(data["store"], workers=int(workers))
+            else ShardedServiceStore.from_dict(
+                data["store"], workers=int(workers)
+            )
         )
         return cls(store.decay, store.epsilon, key=str(data["key"]), store=store)
 

@@ -14,23 +14,25 @@ drop-in behind the existing HTTP/WS API.
 frame per shard (:mod:`repro.service.ipc`, length-prefixed JSON): the
 front's :class:`~repro.core.timeorder.Admission` stage -- the
 :class:`~repro.service.store.StoreFront` the single-process store also
-subclasses -- turns the call into ``adv``/``fold``/``late`` operations,
-and the router appends them to per-shard *programs* (``["adv", t]``
-clock steps shared by every shard plus that shard's own ``["fold", key,
-values]`` / ``["late", key, when, value]`` entries), so the router's
-cost is O(shards) frames per batch, not O(items).  Every shard executes
-every global clock step, which keeps the worker stores bit-identical to
-the single-process store (same advance pattern, same TTL sweep stops,
-same fold grouping; the differential harness in
-``tests/service/test_sharded_differential.py`` pins exactly this).
+subclasses -- compiles the call into one program of
+``adv``/``fold``/``late`` entries, and the router splits it into
+per-shard parts (``["adv", t]`` clock steps shared by every shard plus
+that shard's own ``["fold", key, values]`` / ``["late", key, when,
+value]`` entries), so the router's cost is O(shards) frames per batch,
+not O(items).  Every shard executes every global clock step, which keeps
+the worker stores bit-identical to the single-process store (same
+advance pattern, same TTL sweep stops, same fold grouping; the
+differential harness in ``tests/service/test_sharded_differential.py``
+pins exactly this).
 
 **Admission lives at the router.**  The out-of-order policy, the
 lateness watermark heap and the ingest ledgers are the router's
 ``Admission`` stage, run against the *global* clock -- late admission is a
-global ordering decision.  A worker applies each program entry through
-its store's ``_adv``/``_fold``/``_late``, the methods the single store's
-own admission calls, so no entry passes a second admission stage:
-workers keep keys, engines and eviction ledgers, and nothing else.
+global ordering decision.  A worker runs its part with the single store's
+executor (``ServiceStore._run``), so no entry passes a second admission
+stage: workers keep keys, engines and eviction ledgers, and nothing
+else.  A worker skips an entry its engine refuses, as the single store
+does, and names it in its reply; the router ledgers every other entry.
 
 **Cross-shard reads fold via ``merge``.**  ``query_total`` fans out one
 ``fold`` frame per worker; each worker merges clones of its per-key
@@ -70,7 +72,7 @@ import stat
 import zlib
 from dataclasses import asdict
 from multiprocessing.connection import Connection
-from typing import Any, Hashable, Mapping, NoReturn, Sequence
+from typing import Any, Hashable, Mapping, Sequence
 
 from repro.core.decay import DecayFunction
 from repro.core.errors import (
@@ -143,10 +145,6 @@ def _worker_build_store(config: Mapping[str, Any]) -> ServiceStore:
     )
 
 
-def _estimate_triplet(estimate: Estimate) -> list[float]:
-    return [estimate.value, estimate.lower, estimate.upper]
-
-
 def _snapshot_frame(store: ServiceStore) -> bytearray:
     """The worker's ``snapshot`` reply, encoded one key at a time.
 
@@ -181,21 +179,15 @@ def _worker_dispatch(
 ) -> dict[str, Any] | bytearray:
     op = frame.get("op")
     if op == "ingest":
-        # The router's admission checked and ledgered every entry; they
-        # go to the methods the single store's own admission calls.
-        for entry in frame.get("prog") or []:
-            kind = entry[0]
-            if kind == "adv":
-                store._adv(int(entry[1]))
-            elif kind == "fold":
-                store._fold(str(entry[1]), [float(v) for v in entry[2]])
-            elif kind == "late":
-                store._late(str(entry[1]), int(entry[2]), float(entry[3]))
-            else:
-                raise InvalidParameterError(
-                    f"unknown program entry {kind!r}"
-                )
-        return {"ok": True, "time": store.time}
+        # The router's admission compiled and checked the program; each
+        # entry an engine refused comes back with its index in the part.
+        refused = store._run(frame.get("prog") or [])
+        reply: dict[str, Any] = {"ok": True, "time": store.time}
+        if refused:
+            reply["refused"] = [
+                [index, _error_reply(exc)] for index, exc in refused.items()
+            ]
+        return reply
     if op == "query":
         key = str(frame["key"])
         if frame.get("create"):
@@ -209,7 +201,7 @@ def _worker_dispatch(
             "ok": True,
             "found": True,
             "time": store.time,
-            "estimate": _estimate_triplet(estimate),
+            "estimate": [estimate.value, estimate.lower, estimate.upper],
         }
     if op == "fold":
         merged = store.fold_engine()
@@ -372,22 +364,19 @@ _WORKER_ERRORS: dict[str, type[Exception]] = {
 }
 
 
-def _raise_worker_error(kind: str, message: str) -> NoReturn:
-    """Re-raise a worker-reported error as the matching local type, with
-    the worker's message, so it reads as the single store's would."""
+def _worker_error(reply: Mapping[str, Any]) -> Exception:
+    """A worker's error reply as the matching local type, with the
+    worker's message, so it reads as the single store's would."""
+    kind = str(reply.get("error", "ReproError"))
+    message = str(reply.get("message", "worker error"))
     cls = _WORKER_ERRORS.get(kind)
-    if cls is None:
-        raise ReproError(f"{kind}: {message}")
-    raise cls(message)
+    return ReproError(f"{kind}: {message}") if cls is None else cls(message)
 
 
 def _checked(reply: dict[str, Any]) -> dict[str, Any]:
     """``reply`` itself when it reports success; else raise its error."""
     if not reply.get("ok", False):
-        _raise_worker_error(
-            str(reply.get("error", "ReproError")),
-            str(reply.get("message", "worker error")),
-        )
+        raise _worker_error(reply)
     return reply
 
 
@@ -425,24 +414,12 @@ class ShardedServiceStore(StoreFront):
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
         super().__init__(decay, epsilon, ttl, policy)
         self.workers = int(workers)
-        #: The router holds no engine, so it reads the family's flags off
-        #: one it builds and drops.
-        probe = make_decaying_sum(decay, self.epsilon)
-        self._native = bool(getattr(probe, "supports_out_of_order", False))
-        self._integer = bool(getattr(probe, "integer_weights", False))
-        #: Per-shard programs admission is compiling; shipped (one ingest
-        #: frame per non-empty program) when each write call returns.
-        self._progs: list[list[list[Any]]] = [[] for _ in range(self.workers)]
+        self._adopt(decay, self.epsilon, self.ttl)
         #: Evictions inherited from a restored snapshot; live evictions
         #: accumulate on the worker stores and are summed on top.
         self.eviction_base = EvictionLedger()
         self.revived_workers = 0
         self.dead_at_close = 0
-        self._config = {
-            "decay": decay_to_dict(decay),
-            "epsilon": self.epsilon,
-            "ttl": self.ttl,
-        }
         if context is None:
             methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context(
@@ -453,6 +430,20 @@ class ShardedServiceStore(StoreFront):
             _Shard(*self._spawn(index)) for index in range(self.workers)
         ]
         self._closed = False
+
+    def _adopt(
+        self, decay: DecayFunction, epsilon: float, ttl: int | None
+    ) -> None:
+        """Take the configuration workers are built with.  The router
+        holds no engine: it reads the family's flags off one it drops."""
+        self._decay, self.epsilon = decay, float(epsilon)
+        self.ttl = None if ttl is None else int(ttl)
+        probe = make_decaying_sum(decay, self.epsilon)
+        self._native = bool(getattr(probe, "supports_out_of_order", False))
+        self._integer = bool(getattr(probe, "integer_weights", False))
+        self._config = dict(
+            decay=decay_to_dict(decay), epsilon=self.epsilon, ttl=self.ttl
+        )
 
     # ----------------------------------------------------------- lifecycle
 
@@ -650,9 +641,6 @@ class ShardedServiceStore(StoreFront):
     def _shard_of(self, key: str) -> int:
         return shard_of(str(key), self.workers)
 
-    def _note_write(self, key: str) -> None:
-        self._memo.pop(key, None)
-
     def _set_time(self, when: int) -> None:
         """Move the router clock; the read memo dies with the old tick."""
         self._time = when
@@ -667,52 +655,53 @@ class ShardedServiceStore(StoreFront):
         self.advance_to(self._time + steps)
 
     # -------------------------------------------------------------- writes
-    #
-    # The front's admission stage, run against the global clock, calls
-    # back into _adv/_fold/_late below; they only compile per-shard
-    # programs, which _ship sends.
 
-    def _adv(self, when: int) -> None:
-        """Every shard advances at every global tick: same sweep stops,
-        same engine advance pattern, as the single-process store."""
-        when = int(when)
-        self._set_time(when)
-        for prog in self._progs:
-            prog.append(["adv", when])
-
-    def _fold(self, key: str, values: list[float]) -> None:
-        key = str(key)
-        self._progs[self._shard_of(key)].append(
-            ["fold", key, [float(v) for v in values]]
+    def _run(self, prog: Sequence[Sequence[Any]]) -> dict[int, Exception]:
+        """Split the program by shard and ship it: one ``ingest`` frame
+        per shard with an entry, holding every ``adv`` (same sweep stops
+        as the single store) and its own keys' ``fold``/``late`` entries.
+        Refusals come back by index in a part, mapped to ``prog``'s."""
+        parts: list[list[list[Any]]] = [[] for _ in self._shards]
+        for entry in prog:
+            if entry[0] == "adv":
+                step: list[Any] = ["adv", int(entry[1])]
+                self._set_time(step[1])
+                for part in parts:
+                    part.append(step)
+                continue
+            key = str(entry[1])
+            self._memo.pop(key, None)
+            parts[self._shard_of(key)].append(
+                ["fold", key, [float(v) for v in entry[2]]]
+                if entry[0] == "fold"
+                else ["late", key, int(entry[2]), float(entry[3])]
+            )
+        if not any(parts):
+            return {}
+        replies = self._broadcast(
+            [
+                encode_frame({"op": "ingest", "prog": part}) if part else None
+                for part in parts
+            ],
+            journal=True,
         )
-        self._note_write(key)
-
-    def _late(self, key: str, when: int, value: float) -> None:
-        key = str(key)
-        self._progs[self._shard_of(key)].append(
-            ["late", key, int(when), float(value)]
-        )
-        self._note_write(key)
+        refused: dict[int, Exception] = {}
+        for shard, reply in enumerate(replies):
+            if reply and "refused" in reply:
+                origin = [i for i, entry in enumerate(prog) if entry[0] == "adv"
+                          or self._shard_of(entry[1]) == shard]
+                for at, error in reply["refused"]:
+                    refused[origin[at]] = _worker_error(error)
+        return dict(sorted(refused.items()))
 
     def _merge(self, key: str, other: DecayingSum) -> None:
         key = str(key)
-        self._note_write(key)
+        self._memo.pop(key, None)
         self._request(
             self._shard_of(key),
             {"op": "merge_key", "key": key, "engine": engine_to_dict(other)},
             journal=True,
         )
-
-    def _ship(self) -> None:
-        """Send what admission compiled: one ``ingest`` frame per
-        non-empty program, also when admission raised midway."""
-        progs, self._progs = self._progs, [[] for _ in range(self.workers)]
-        frames: list[bytes | None] = [
-            encode_frame({"op": "ingest", "prog": prog}) if prog else None
-            for prog in progs
-        ]
-        if any(frame is not None for frame in frames):
-            self._broadcast(frames, journal=True)
 
     # --------------------------------------------------------------- reads
 
@@ -906,7 +895,8 @@ class ShardedServiceStore(StoreFront):
         # the snapshot, so a malformed router block changes nothing (the
         # admission block by a trial parse; the live stage adopts it last).
         time = int(data["time"])
-        Admission.from_dict(data)
+        decay = decay_from_dict(dict(data["decay"]))
+        Admission().restore(data)
         ledger = data["eviction"]
         eviction_base = EvictionLedger(
             ledger["evicted_keys"], ledger["evicted_weight"]
@@ -942,6 +932,9 @@ class ShardedServiceStore(StoreFront):
             _checked(rejected[0])
         for shard, frame in zip(self._shards, frames):
             shard.reset(frame)
+        # Every worker accepted the snapshot's configuration, so the
+        # router adopts it too, as the single store's restore does.
+        self._adopt(decay, float(data["epsilon"]), data["ttl"])
         self._set_time(time)  # also drops the read memo: all state changed
         self._admission.restore(data)
         self.eviction_base = eviction_base

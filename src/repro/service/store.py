@@ -22,17 +22,22 @@ whatever the key count.  The store adds:
   :class:`~repro.core.timeorder.Admission`: the out-of-order policy,
   the persistent lateness heap of the ``buffer`` kind (an item arriving
   one batch late still lands in the right key's engine; :meth:`flush`
-  drains the heap when the feed ends) and the ingest ledgers.
+  drains the heap when the feed ends) and the ingest ledgers.  It
+  compiles each write call into one program, which the store's one
+  executor (``_run``) runs.  An entry its engine refuses is skipped and
+  left off ``ingested_*``, the rest apply, and the call raises the first
+  refusal in program order.
 * **Ledgers for everything lossy.**  Dropped late items live on the
   policy (as everywhere in the library), evictions on the store, and
   both are surfaced verbatim by ``GET /keys`` (:mod:`repro.service.api`).
 
 The admission stage, the clock, the read memo, the configuration checks
 and the heads of the ledger block and of the snapshot are
-:class:`StoreFront`'s, which both keyed stores subclass: this store
-applies what admission emits in-process, and the multi-process
-:class:`~repro.service.sharded.ShardedServiceStore` ships it to worker
-stores, which apply it as this store does.  Both write and read one
+:class:`StoreFront`'s, which both keyed stores subclass: this store runs
+admission's programs in-process, and the multi-process
+:class:`~repro.service.sharded.ShardedServiceStore` splits them by shard
+for worker stores, which run their parts with this store's executor, so
+a refusal leaves both in one state.  Both write and read one
 ``service-store`` snapshot format.
 
 This module is deliberately asyncio-free: the store is a plain
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.batching import KeyedTimedValue
 from repro.core.decay import DecayFunction
@@ -57,7 +62,7 @@ from repro.core.errors import (
 )
 from repro.core.estimate import Estimate
 from repro.core.interfaces import DecayingSum
-from repro.core.timeorder import Admission, OutOfOrderPolicy
+from repro.core.timeorder import Admission, OutOfOrderPolicy, Program
 from repro.histograms.domination import widen_merged_estimate
 from repro.serialize import (
     decay_from_dict,
@@ -109,9 +114,9 @@ class StoreFront(ABC):
     is what makes the sharded front a drop-in behind the HTTP/WS API.  The
     front holds the configuration (checked here), the clock, the read memo
     of this tick's answers and the :class:`~repro.core.timeorder.Admission`
-    stage every write goes through: admission calls back into the
-    subclass's ``_adv``/``_fold``/``_late``, and :meth:`_ship` runs when
-    each write call returns.  It also aligns clocks for
+    stage every write goes through: admission compiles each write call
+    into one program, which the subclass's :meth:`_run` runs.  It also
+    aligns clocks for
     :meth:`merge_into` and writes the heads of the ``GET /keys`` ledger
     block and of the ``service-store`` snapshot.
     """
@@ -182,15 +187,12 @@ class StoreFront(ABC):
     def advance(self, steps: int = 1) -> None: ...
 
     def advance_to(self, when: int) -> None:
-        try:
-            self._admission.advance_to(self, when)
-        finally:
-            self._ship()
+        self._write(self._admission.advance_to, when)
 
     # ------------------------------------------------------------ writes
     #
-    # Every write goes through the admission stage, which calls back into
-    # the subclass's _adv/_fold/_late (repro.core.timeorder.Admission).
+    # Every write goes through the admission stage, which compiles it into
+    # one program that the subclass's _run runs (_write).
 
     def observe(
         self, key: str, value: float = 1.0, *, when: int | None = None
@@ -202,17 +204,11 @@ class StoreFront(ABC):
         or go straight to ``add_at`` when the engines are natively
         order-insensitive.
         """
-        try:
-            self._admission.observe(self, key, value, when)
-        finally:
-            self._ship()
+        self._write(self._admission.observe, key, value, when)
 
     def observe_values(self, key: str, values: Iterable[float]) -> None:
         """Fold several same-time values into ``key`` at the current clock."""
-        try:
-            self._admission.observe_values(self, key, values)
-        finally:
-            self._ship()
+        self._write(self._admission.observe_values, key, values)
 
     def observe_batch(
         self,
@@ -229,19 +225,13 @@ class StoreFront(ABC):
         :meth:`repro.core.timeorder.Admission.observe_batch`.
         ``until`` advances the clock past the last item.
         """
-        try:
-            self._admission.observe_batch(
-                self, items, until=until, policy=policy
-            )
-        finally:
-            self._ship()
+        self._write(
+            self._admission.observe_batch, items, until=until, policy=policy
+        )
 
     def flush(self) -> None:
         """Drain the lateness buffer (end of feed / daemon shutdown)."""
-        try:
-            self._admission.flush(self)
-        finally:
-            self._ship()
+        self._write(self._admission.flush)
 
     def merge_into(self, key: str, other: DecayingSum) -> None:
         """Fold another summary of the same decay into ``key``'s engine.
@@ -258,26 +248,27 @@ class StoreFront(ABC):
             other.advance_to(self._time)
         self._merge(key, other)
 
-    @abstractmethod
-    def _adv(self, when: int) -> None:
-        """Move the clock to ``when`` (admission's ``adv``)."""
+    def _write(self, admit: Callable[..., None], *args: Any, **kw: Any) -> None:
+        """Compile one write call, run what compiled (also before a refusal)
+        and raise the first refusal in program order, an engine's first."""
+        admission = self._admission
+        start = admission.ingested_items, admission.ingested_weight
+        prog = Program(self._time, self._native, self._integer)
+        try:
+            admit(prog, *args, **kw)
+        finally:
+            refused = self._run(prog.entries)
+            if refused:
+                admission.ledger(prog, refused, start)
+                raise next(iter(refused.values()))
 
     @abstractmethod
-    def _fold(self, key: str, values: list[float]) -> None:
-        """Fold ``key``'s same-time ``values`` at the clock."""
-
-    @abstractmethod
-    def _late(self, key: str, when: int, value: float) -> None:
-        """Hand a late item to engines that take it natively."""
+    def _run(self, prog: Sequence[Sequence[Any]]) -> dict[int, Exception]:
+        """Run a program; the entries engines refused, by index, in order."""
 
     @abstractmethod
     def _merge(self, key: str, other: DecayingSum) -> None:
         """Fold ``other``, already at the store clock, into ``key``."""
-
-    @abstractmethod
-    def _ship(self) -> None:
-        """Runs when every write call returns, also one admission refused
-        partway: what the call compiled is due now."""
 
     # ------------------------------------------------------------- reads
 
@@ -406,44 +397,39 @@ class ServiceStore(StoreFront):
         self._sweep()
 
     # ------------------------------------------------------------ writes
-    #
-    # What admission emits, applied in-process.  A sharded front's worker
-    # applies its programs through these very methods.
 
-    def _adv(self, when: int) -> None:
-        self.advance(when - self._time)
-
-    def _ship(self) -> None:
-        """Nothing is due: every write was applied as admission made it."""
-
-    def _fold(self, key: str, values: list[float]) -> None:
-        engine = self._engines.get(key)
-        if engine is None:
-            self._create(key, lambda fresh: fresh.add_batch(values))
-            return
-        engine.add_batch(values)
-        self._touch(key, engine)
-
-    def _late(self, key: str, when: int, value: float) -> None:
-        engine: Any = self._engines.get(key)
-        if engine is None:
-            self._create(key, lambda fresh: fresh.add_at(when, value))
-            return
-        engine.add_at(when, value)
-        self._touch(key, engine)
-
-    def _create(self, key: str, write: Callable[[Any], None]) -> DecayingSum:
-        """A new key: ``write`` goes to a fresh engine at the store clock,
-        which is kept only if the write is accepted.  A refused write
-        releases it, so it leaves neither a key nor a lattice column."""
-        engine = self._keyed.new()
-        try:
-            write(engine)
-        except (ReproError, ValueError, TypeError):
-            self._keyed.release(engine)
-            raise
-        self._touch(key, engine)
-        return engine
+    def _run(self, prog: Sequence[Sequence[Any]]) -> dict[int, Exception]:
+        """The executor, once per write call here and once per ``ingest``
+        frame on a sharded worker; every ``adv`` goes through
+        :meth:`advance`.  A refused entry is skipped and the rest run, the
+        one rule under which a shard split cannot change what a front
+        holds; a refused first write leaves no key."""
+        refused: dict[int, Exception] = {}
+        engines = self._engines
+        for index, entry in enumerate(prog):
+            kind = entry[0]
+            if kind == "adv":
+                self.advance(entry[1] - self._time)
+                continue
+            key = entry[1]
+            engine: Any = engines.get(key)
+            if engine is None:
+                engine = self._keyed.new()
+            try:
+                if kind == "fold":
+                    engine.add_batch(entry[2])
+                elif kind == "late":
+                    engine.add_at(entry[2], entry[3])
+                else:
+                    raise InvalidParameterError(f"unknown program entry {kind!r}")
+            except (ReproError, ValueError, TypeError) as exc:
+                if key not in engines:  # fresh: no key, nor a lattice column
+                    self._keyed.release(engine)
+                self._memo.pop(key, None)  # forward decay keeps a prefix
+                refused[index] = exc
+                continue
+            self._touch(key, engine)
+        return refused
 
     # ----------------------------------------------------------- eviction
 
@@ -501,7 +487,8 @@ class ServiceStore(StoreFront):
         """
         engine = self._engines.get(key)
         if engine is None:
-            engine = self._create(key, lambda fresh: None)
+            engine = self._keyed.new()
+            self._touch(key, engine)
         return engine
 
     def query(self, key: str, *, create: bool = False) -> Estimate:
@@ -574,9 +561,13 @@ class ServiceStore(StoreFront):
         lattice."""
         engine = self._engines.get(key)
         if engine is None:
-            self._create(key, lambda fresh: self._keyed.merge(fresh, other))
-            return
-        self._keyed.merge(engine, other)
+            engine = self._keyed.new()
+        try:
+            self._keyed.merge(engine, other)
+        except (ReproError, ValueError, TypeError):
+            if key not in self._engines:  # a refused new key leaves no key
+                self._keyed.release(engine)
+            raise
         self._touch(key, engine)
 
     def export_engine(self, key: str) -> DecayingSum:

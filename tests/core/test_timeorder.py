@@ -6,7 +6,7 @@ from collections import namedtuple
 import pytest
 
 from repro.core.errors import InvalidParameterError, TimeOrderError
-from repro.core.timeorder import Admission, OutOfOrderPolicy
+from repro.core.timeorder import Admission, OutOfOrderPolicy, Program
 
 
 class TestOutOfOrderPolicy:
@@ -51,32 +51,54 @@ class TestOutOfOrderPolicy:
 
 
 class RecordingFront:
-    """An admission front that records every fold as ``(time, key, value)``."""
+    """A front over ``admission`` that records every fold it runs as
+    ``(time, key, value)``.
+
+    Each write call compiles one program, runs it -- also when admission
+    refused partway -- and ledgers what ran, as the keyed stores do.
+    """
 
     native_out_of_order = False
     integer_weights = False
 
-    def __init__(self, time=0):
+    def __init__(self, admission, time=0):
+        self.admission = admission
         self.time = time
         self.folds = []
+        self.programs = []
 
-    def _adv(self, when):
-        assert when > self.time, "admission moved the clock backwards"
-        self.time = when
+    def __getattr__(self, name):
+        admit = getattr(self.admission, name)
 
-    def _fold(self, key, values):
-        self.folds.extend((self.time, key, value) for value in values)
+        def write(*args, **kwargs):
+            prog = Program(
+                self.time, self.native_out_of_order, self.integer_weights
+            )
+            try:
+                admit(prog, *args, **kwargs)
+            finally:
+                self.programs.append(prog.entries)
+                self._run(prog.entries)
 
-    def _late(self, key, when, value):
-        raise AssertionError("a non-native front got a late item")
+        return write
+
+    def _run(self, entries):
+        for entry in entries:
+            if entry[0] == "adv":
+                assert entry[1] > self.time, "admission moved the clock back"
+                self.time = entry[1]
+            elif entry[0] == "fold":
+                self.folds.extend((self.time, entry[1], v) for v in entry[2])
+            else:
+                assert self.native_out_of_order, "a late item reached a front"
+                self.folds.append((entry[2], entry[1], entry[3]))
 
 
 def reorder(items, policy):
     """Items through a buffered Admission, as ``(time, key, value)``."""
-    front = RecordingFront()
-    admission = Admission(policy)
-    admission.observe_batch(front, items)
-    admission.flush(front)
+    front = RecordingFront(Admission(policy))
+    front.observe_batch(items)
+    front.flush()
     return front.folds
 
 
@@ -96,8 +118,8 @@ class TestBoundedReorder:
         # The heap is front state: a per-call buffer policy is refused.
         admission = Admission(OutOfOrderPolicy.dropping())
         with pytest.raises(InvalidParameterError):
-            admission.observe_batch(
-                RecordingFront(), [], policy=OutOfOrderPolicy.buffered(2)
+            RecordingFront(admission).observe_batch(
+                [], policy=OutOfOrderPolicy.buffered(2)
             )
 
     def test_sorted_input_passes_through(self):
@@ -167,10 +189,10 @@ class TestAdmission:
         for item in (keyed(1, float("nan")), keyed(1, -1.0), keyed(-1, 1.0)):
             policy = OutOfOrderPolicy.buffered(4)
             admission = Admission(policy)
-            front = RecordingFront()
+            front = RecordingFront(admission)
             with pytest.raises(InvalidParameterError):
-                admission.observe_batch(front, [keyed(0, 2.0), item])
-            admission.flush(front)
+                front.observe_batch([keyed(0, 2.0), item])
+            front.flush()
             assert front.folds == [(0, "k", 2.0)]
             assert admission.ingested_weight == 2.0
             assert policy.dropped_count == 0
@@ -178,29 +200,27 @@ class TestAdmission:
     def test_late_nan_under_drop_folds_the_items_before_it(self):
         policy = OutOfOrderPolicy.dropping()
         admission = Admission(policy)
-        front = RecordingFront(time=5)
+        front = RecordingFront(admission, time=5)
         with pytest.raises(InvalidParameterError):
-            admission.observe_batch(
-                front, [keyed(5, 1.0), keyed(2, float("nan"))]
-            )
+            front.observe_batch([keyed(5, 1.0), keyed(2, float("nan"))])
         assert front.folds == [(5, "k", 1.0)]
         assert policy.dropped_count == 0
         assert policy.dropped_weight == 0.0
 
     def test_raise_policy_folds_the_items_before_the_late_one(self):
         admission = Admission()
-        front = RecordingFront(time=5)
+        front = RecordingFront(admission, time=5)
         with pytest.raises(TimeOrderError):
-            admission.observe_batch(front, [keyed(5, 1.0), keyed(2, 1.0)])
+            front.observe_batch([keyed(5, 1.0), keyed(2, 1.0)])
         assert front.folds == [(5, "k", 1.0)]
 
     def test_nan_fold_is_refused_before_the_front_and_ledger(self):
         admission = Admission()
-        front = RecordingFront()
+        front = RecordingFront(admission)
         with pytest.raises(InvalidParameterError):
-            admission.observe(front, "k", float("nan"), None)
+            front.observe("k", float("nan"), None)
         with pytest.raises(InvalidParameterError):
-            admission.observe_batch(front, [keyed(0, 1.0), keyed(0, -1.0)])
+            front.observe_batch([keyed(0, 1.0), keyed(0, -1.0)])
         assert front.folds == []
         assert (admission.ingested_items, admission.ingested_weight) == (0, 0.0)
 
@@ -211,55 +231,55 @@ class TestAdmission:
             policy.note_dropped(inf)
         assert (policy.dropped_count, policy.dropped_weight) == (0, 0.0)
 
-        # One fold (_fold) and one batch (_fold_pending), with an infinite
+        # One item and one batch (both _fold), with an infinite
         # value or with finite values whose total overflows.
         admission = Admission()
-        front = RecordingFront()
+        front = RecordingFront(admission)
         with pytest.raises(InvalidParameterError, match="finite"):
-            admission.observe(front, "k", inf, None)
+            front.observe("k", inf, None)
         with pytest.raises(InvalidParameterError, match="finite"):
-            admission.observe_batch(front, [keyed(0, 1.0), keyed(0, inf)])
+            front.observe_batch([keyed(0, 1.0), keyed(0, inf)])
         with pytest.raises(InvalidParameterError, match="infinity"):
-            admission.observe_values(front, "k", [1e308, 1e308])
+            front.observe_values("k", [1e308, 1e308])
         with pytest.raises(InvalidParameterError, match="infinity"):
-            admission.observe_batch(front, [keyed(0, 1e308), keyed(0, 1e308)])
+            front.observe_batch([keyed(0, 1e308), keyed(0, 1e308)])
         assert front.folds == []
         assert (admission.ingested_items, admission.ingested_weight) == (0, 0.0)
 
         # The lateness heap (_push).
         policy = OutOfOrderPolicy.buffered(4)
         admission = Admission(policy)
-        front = RecordingFront()
+        front = RecordingFront(admission)
         with pytest.raises(InvalidParameterError, match="finite"):
-            admission.observe_batch(front, [keyed(0, 2.0), keyed(1, inf)])
-        admission.flush(front)
+            front.observe_batch([keyed(0, 2.0), keyed(1, inf)])
+        front.flush()
         assert front.folds == [(0, "k", 2.0)]
         assert (policy.dropped_count, admission.watermark) == (0, 0)
 
         # A late item on a natively order-insensitive front (_late).
-        front = RecordingFront(time=5)
-        front.native_out_of_order = True
         admission = Admission()
+        front = RecordingFront(admission, time=5)
+        front.native_out_of_order = True
         with pytest.raises(InvalidParameterError, match="finite"):
-            admission.observe(front, "k", inf, 2)
+            front.observe("k", inf, 2)
         assert (admission.ingested_items, admission.ingested_weight) == (0, 0.0)
 
     def test_integer_domain_refuses_fractions_on_every_path(self):
-        # One fold (_fold), one batch (_fold_pending): a fraction whose
+        # One item and one batch (both _fold): a fraction whose
         # batch sums to an integer is refused too.
         admission = Admission()
-        front = RecordingFront()
+        front = RecordingFront(admission)
         front.integer_weights = True
         with pytest.raises(InvalidParameterError, match="integer"):
-            admission.observe(front, "k", 1.5, None)
+            front.observe("k", 1.5, None)
         with pytest.raises(InvalidParameterError, match="integer"):
-            admission.observe_values(front, "k", [0.5, 0.5])
+            front.observe_values("k", [0.5, 0.5])
         with pytest.raises(InvalidParameterError, match="integer"):
-            admission.observe_batch(
-                front, [keyed(0, 1.0), keyed(1, 2.0), keyed(1, 0.25)]
+            front.observe_batch(
+                [keyed(0, 1.0), keyed(1, 2.0), keyed(1, 0.25)]
             )
         with pytest.raises(InvalidParameterError, match="finite"):
-            admission.observe(front, "k", -1.0, None)
+            front.observe("k", -1.0, None)
         assert front.folds == [(0, "k", 1.0)]
         assert (admission.ingested_items, admission.ingested_weight) == (
             1, 1.0
@@ -268,47 +288,58 @@ class TestAdmission:
         # The lateness heap (_push): refused before the heap and watermark.
         policy = OutOfOrderPolicy.buffered(4)
         admission = Admission(policy)
-        front = RecordingFront()
+        front = RecordingFront(admission)
         front.integer_weights = True
         with pytest.raises(InvalidParameterError, match="integer"):
-            admission.observe_batch(front, [keyed(0, 2.0), keyed(3, 0.5)])
-        admission.flush(front)
+            front.observe_batch([keyed(0, 2.0), keyed(3, 0.5)])
+        front.flush()
         assert front.folds == [(0, "k", 2.0)]
         assert (len(admission._heap), admission.watermark) == (0, 0)
 
         # A late item (_late), and integral floats and ints pass.
-        front = RecordingFront(time=5)
+        admission = Admission()
+        front = RecordingFront(admission, time=5)
         front.native_out_of_order = True
         front.integer_weights = True
-        admission = Admission()
         with pytest.raises(InvalidParameterError, match="integer"):
-            admission.observe(front, "k", 2.5, 2)
-        admission.observe_values(front, "k", [3.0, 2])
+            front.observe("k", 2.5, 2)
+        front.observe_values("k", [3.0, 2])
         assert front.folds == [(5, "k", 3.0), (5, "k", 2)]
 
     def test_batch_folds_once_per_key_per_tick(self):
         # 12 ticks x 3 keys x 4 interleaved items: one clock move per
         # tick after the first, one fold per (tick, key), every value in
         # arrival order.
-        calls = {"_adv": 0, "_fold": 0}
-
-        class CountingFront(RecordingFront):
-            def _adv(self, when):
-                calls["_adv"] += 1
-                super()._adv(when)
-
-            def _fold(self, key, values):
-                calls["_fold"] += 1
-                super()._fold(key, values)
-
         items = [
             keyed(t, float(i), f"k{i % 3}") for t in range(12) for i in range(12)
         ]
-        front = CountingFront()
         admission = Admission()
-        admission.observe_batch(front, items)
-        assert calls == {"_adv": 11, "_fold": 36}
+        front = RecordingFront(admission)
+        front.observe_batch(items)
+        (prog,) = front.programs
+        kinds = [entry[0] for entry in prog]
+        assert (kinds.count("adv"), kinds.count("fold")) == (11, 36)
         assert sorted(front.folds) == sorted(
             (item.time, item.key, item.value) for item in items
         )
         assert admission.ingested_items == 144
+
+    def test_ledger_re_adds_what_ran_in_program_order(self):
+        # Compiling ledgers every entry; a front whose engines refused
+        # some re-ledgers the call from its start, in program order.
+        admission = Admission()
+        prog = Program(0, native=True)
+        admission.observe_batch(
+            prog, [keyed(0, 1e16, "a"), keyed(0, 3.0, "b"), keyed(1, 1.0, "a")]
+        )
+        admission.observe(prog, "b", 1.0, 0)
+        assert [entry[0] for entry in prog.entries] == [
+            "fold", "fold", "adv", "fold", "late",
+        ]
+        assert admission.ingested_items == 4
+        admission.ledger(prog, {1: ValueError("refused")}, (0, 0.0))
+        # (1e16 + 1) + 1 rounds to 1e16 twice; 1e16 + (1 + 1) or a
+        # ledgered 3.0 would not.
+        assert (admission.ingested_items, admission.ingested_weight) == (
+            3, 1e16
+        )

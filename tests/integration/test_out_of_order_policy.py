@@ -17,7 +17,7 @@ import pytest
 from repro.conformance.engines import default_specs
 from repro.core.batching import ingest_trace
 from repro.core.decay import ExponentialDecay, PolynomialDecay
-from repro.core.errors import TimeOrderError
+from repro.core.errors import InvalidParameterError, TimeOrderError
 from repro.core.ewma import ExponentialSum
 from repro.core.exact import ExactDecayingSum
 from repro.core.forward import ForwardDecay, ForwardDecaySum
@@ -154,6 +154,19 @@ class TestIngestTraceMatrix:
             assert engine_to_dict(engine) == engine_to_dict(reference)
             assert policy.dropped_count == len(dropped)
             assert policy.dropped_weight == sum(i.value for i in dropped)
+
+    def test_buffer_stops_at_the_first_engine_refusal(self):
+        # A register overflow raises where it happens, as on the other
+        # paths: the items before it stay applied, those after it never
+        # run, and the clock stands where the refused item's tick left it.
+        items = [StreamItem(0, 1.5e308), StreamItem(1, 1.0),
+                 StreamItem(2, 1.5e308), StreamItem(3, 1.0)]
+        engine = make_decaying_sum(ExponentialDecay(0.05), 0.1)
+        with pytest.raises(InvalidParameterError, match="register finite"):
+            ingest_trace(engine, items, policy=OutOfOrderPolicy.buffered(0))
+        prefix = make_decaying_sum(ExponentialDecay(0.05), 0.1)
+        ingest_trace(prefix, items[:2], until=2)
+        assert engine_to_dict(engine) == engine_to_dict(prefix)
 
     def test_forward_engines_bypass_every_policy(self):
         for make_policy in (

@@ -19,6 +19,12 @@ traces under every out-of-order policy (and natively late items on the
 forward-decay engines) leave both fronts with identical answers and
 identical admission ledgers -- across a mid-stream snapshot that still
 holds buffered items, too.
+
+The refusal clause: an entry an engine refuses (a register overflow) is
+skipped on every front and the rest of the write call applies, so the
+split of a program by shard changes nothing -- not the clock, the keys,
+the ledgers, the raised error, or whether a snapshot restores -- also
+when the refusing worker was killed before the program reached it.
 """
 
 from __future__ import annotations
@@ -36,13 +42,13 @@ from repro.conformance.engines import default_specs
 from repro.conformance.fuzz import trace_for_seed
 from repro.core import forward
 from repro.core.decay import ExponentialDecay
-from repro.core.errors import TimeOrderError
+from repro.core.errors import InvalidParameterError, TimeOrderError
 from repro.core.forward import ForwardDecay, ForwardDecaySum
 from repro.core.timeorder import OutOfOrderPolicy
 from repro.service.daemon import IngestDaemon
 from repro.service.loadgen import keyed_trace
 from repro.streams.io import KeyedItem
-from repro.service.sharded import ShardedServiceStore
+from repro.service.sharded import ShardedServiceStore, shard_of
 from repro.service.store import ServiceStore
 
 #: Same seven storage architectures as tests/service/test_differential.py.
@@ -484,3 +490,209 @@ class TestAdmissionOnBothFronts:
             assert stats["watermark"] == 19
         finally:
             store.close()
+
+
+def _bits(estimate) -> tuple[str, str, str]:
+    return tuple(x.hex() for x in (estimate.value, estimate.lower, estimate.upper))
+
+
+def _view(front) -> dict:
+    """Everything a refusal may not split: clock, keys, answer bits and
+    the ledgers."""
+    stats = front.stats()
+    return {
+        "time": front.time,
+        "keys": front.keys(),
+        "answers": {key: _bits(front.query(key)) for key in front.keys()},
+        **{
+            field: stats[field]
+            for field in ("ingested_items", "ingested_weight", "dropped_count",
+                          "dropped_weight", "buffered", "watermark",
+                          "evicted_keys", "evicted_weight")
+        },
+    }
+
+
+def _assert_one_state(fronts) -> None:
+    """Every front's view is the first front's, evicted weight (summed
+    per worker, in shard order) up to float summation order."""
+    want = _view(fronts[0])
+    weight = want.pop("evicted_weight")
+    for front in fronts[1:]:
+        got = _view(front)
+        assert got.pop("evicted_weight") == pytest.approx(weight, rel=1e-12)
+        assert got == want
+
+
+def _write(front, call) -> tuple[str, str] | None:
+    """Run one write call; the type and message of what it raised."""
+    try:
+        call(front)
+    except (InvalidParameterError, TimeOrderError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _restores_everywhere(front) -> None:
+    """``front``'s snapshot restores into both front kinds, which then
+    answer every key as ``front`` does."""
+    data = front.to_dict()
+    want = {key: _bits(front.query(key)) for key in front.keys()}
+    plain = ServiceStore.from_dict(data)
+    assert {key: _bits(plain.query(key)) for key in plain.keys()} == want
+    with ShardedServiceStore.from_dict(data, workers=2) as wide:
+        assert {key: _bits(wide.query(key)) for key in wide.keys()} == want
+
+
+#: (cell, weight): a weight one EWMA register takes once but not twice
+#: within about 30 ticks, and one no polyexponential (2, 0.1) key takes.
+REFUSAL_CELLS = [("expd", 1.5e308), ("polyexp", 1e307)]
+
+
+def _refusal_trace(huge: float, seed: int, late: float) -> list[KeyedItem]:
+    """A keyed trace over 5 keys with about 1 in 12 weights ``huge``
+    and a ``late`` share of the items 1-6 ticks late."""
+    rng = random.Random(seed)
+    items, now = [], 0
+    for _ in range(96):
+        now += rng.random() < 0.4
+        when = max(0, now - rng.randint(1, 6)) if rng.random() < late else now
+        value = huge if rng.random() < 1 / 12 else round(rng.uniform(0.0, 4.0), 3)
+        items.append(KeyedItem(f"k{rng.randrange(5)}", when, value))
+    return items
+
+
+class TestRefusals:
+    """An engine refusal is skipped on every front, the same way."""
+
+    def test_refused_fold_leaves_every_front_in_one_state(self) -> None:
+        decay = ExponentialDecay(0.05)
+        assert shard_of("a", 2) != shard_of("d", 2)
+        items = [KeyedItem("a", 1, 1e308), KeyedItem("b", 1, 1.0),
+                 KeyedItem("a", 2, 1e308), KeyedItem("d", 3, 1.0)]
+        fronts = [
+            ServiceStore(decay, 0.1),
+            ShardedServiceStore(decay, 0.1, workers=1),
+            ShardedServiceStore(decay, 0.1, workers=2),
+        ]
+        try:
+            for front in fronts:
+                with pytest.raises(
+                    InvalidParameterError, match="register finite"
+                ):
+                    front.observe_batch(items)
+                assert (front.time, front.keys()) == (3, ["a", "b", "d"])
+                assert front.stats()["ingested_items"] == 3
+                assert [w["time"] for w in front.stats().get(
+                    "per_worker", [])] in ([], [3], [3, 3])
+                _restores_everywhere(front)
+            _assert_one_state(fronts)
+        finally:
+            for front in fronts:
+                front.close()
+
+    def test_a_partly_banked_refusal_reads_the_same_on_both_fronts(
+        self,
+    ) -> None:
+        # A forward-decay batch keeps the values it banked before the one
+        # it refuses, so no front may answer from this tick's read memo.
+        decay = ForwardDecay("exp", 0.05)
+        fronts = [ServiceStore(decay, 0.1),
+                  ShardedServiceStore(decay, 0.1, workers=1)]
+        try:
+            for front in fronts:
+                front.observe("k", 1.0, when=100)
+                front.query("k")
+                with pytest.raises(InvalidParameterError, match="overflows"):
+                    front.observe_values("k", [1.0, 1.7e308])
+            _assert_one_state(fronts)
+        finally:
+            for front in fronts:
+                front.close()
+
+    @pytest.mark.parametrize("policy", ("raise", "drop", "buffer"))
+    @pytest.mark.parametrize("cell,huge", REFUSAL_CELLS)
+    def test_seeded_refusals_agree(self, cell, huge, policy) -> None:
+        spec = default_specs()[cell]
+        make_policy = {
+            "raise": lambda: None,
+            "drop": OutOfOrderPolicy.dropping,
+            "buffer": lambda: OutOfOrderPolicy.buffered(4),
+        }[policy]
+        refused = 0
+        for seed in range(3):
+            # Without a policy a late item refuses the rest of its call,
+            # so that trace holds only a few.
+            items = _refusal_trace(huge, seed, 0.02 if policy == "raise" else 0.2)
+            fronts = [
+                ServiceStore(
+                    spec.decay, spec.epsilon, ttl=8, policy=make_policy()
+                ),
+                *(
+                    ShardedServiceStore(
+                        spec.decay, spec.epsilon, workers=workers, ttl=8,
+                        policy=make_policy(),
+                    )
+                    for workers in (1, 3)
+                ),
+            ]
+            try:
+                calls = [
+                    lambda f, lo=lo: f.observe_batch(items[lo:lo + 12])
+                    for lo in range(0, len(items), 12)
+                ] + [lambda f: f.flush(),
+                     lambda f: f.observe_values("k0", [huge, 1.0]),
+                     lambda f: f.advance_to(f.time + 9)]
+                for call in calls:
+                    errors = [_write(front, call) for front in fronts]
+                    assert errors[1] == errors[0] and errors[2] == errors[0]
+                    refused += errors[0] is not None and "finite" in errors[0][1]
+                    _assert_one_state(fronts)
+                for front in fronts:
+                    _restores_everywhere(front)
+            finally:
+                for front in fronts:
+                    front.close()
+        assert refused, "no engine refused a weight: the trace tests nothing"
+
+    def test_a_revived_worker_refuses_as_an_unkilled_one(self) -> None:
+        decay = ExponentialDecay(0.05)
+        victim_shard = shard_of("a", 2)
+        assert shard_of("b", 2) != victim_shard
+        before = [KeyedItem("a", 1, 1.5e308), KeyedItem("b", 1, 1.0),
+                  KeyedItem("d", 2, 1.0)]
+        refused = [KeyedItem("a", 3, 1.5e308), KeyedItem("b", 3, 2.0),
+                   KeyedItem("d", 4, 1.0), KeyedItem("a", 5, 1.0)]
+        single = ServiceStore(decay, 0.1, ttl=6)
+        killed = ShardedServiceStore(decay, 0.1, workers=2, ttl=6)
+        unkilled = ShardedServiceStore(decay, 0.1, workers=2, ttl=6)
+        fronts = (single, killed, unkilled)
+        try:
+            for front in fronts:
+                front.observe_batch(before)
+            killed.to_dict()  # a checkpoint, and then a journal to replay
+            killed.observe("b", 1.0)
+            unkilled.observe("b", 1.0)
+            single.observe("b", 1.0)
+            victim = killed.worker_pids()[victim_shard]
+            os.kill(victim, signal.SIGKILL)
+            deadline = _time.monotonic() + 10.0
+            while _time.monotonic() < deadline:
+                try:
+                    os.kill(victim, 0)
+                except ProcessLookupError:
+                    break
+                _time.sleep(0.05)
+            errors = [
+                _write(front, lambda f: f.observe_batch(refused, until=9))
+                for front in fronts
+            ]
+            assert errors[0] is not None and "register finite" in errors[0][1]
+            assert errors[1] == errors[0] and errors[2] == errors[0]
+            assert killed.revived_workers == 1
+            assert unkilled.revived_workers == 0
+            _assert_one_state(fronts)
+            assert killed.to_dict() == unkilled.to_dict()
+        finally:
+            killed.close()
+            unkilled.close()

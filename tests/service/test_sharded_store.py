@@ -29,6 +29,7 @@ from repro.core.estimate import Estimate
 from repro.core.forward import ForwardDecay
 from repro.core.interfaces import make_decaying_sum
 from repro.core.timeorder import Admission, OutOfOrderPolicy
+from repro.serialize import decay_to_dict
 from repro.service import sharded
 from repro.service.api import http_request
 from repro.service.ipc import decode_frame
@@ -487,6 +488,46 @@ class TestSnapshot:
             assert held.traceback
             assert set(multiprocessing.active_children()) <= before
 
+    def test_restore_adopts_the_snapshot_configuration(self, store) -> None:
+        twin = ServiceStore(ExponentialDecay(0.1), 0.2, ttl=50)
+        self._seed(twin)
+        data = twin.to_dict()
+        # A refused restore keeps the front's own configuration.
+        bad = {**data, "keys": {**data["keys"], "zz": {
+            **data["keys"]["k0"], "engine": {
+                **data["keys"]["k0"]["engine"], "time": 999}}}}
+        with pytest.raises(TimeOrderError):
+            store.restore(bad)
+        assert decay_to_dict(store.decay) == decay_to_dict(
+            ExponentialDecay(0.05)
+        )
+        assert (store.epsilon, store.ttl) == (0.1, None)
+        store.restore(data)
+        assert decay_to_dict(store.decay) == data["decay"]
+        assert (store.epsilon, store.ttl) == (0.2, 50)
+        again = ServiceStore.from_dict(store.to_dict())
+        assert again.keys() == twin.keys()
+        for key in twin.keys():
+            assert _triplet(again.query(key)) == _triplet(twin.query(key))
+
+    def test_restore_adopts_the_snapshot_weight_domain(self) -> None:
+        # An EH snapshot takes only integer weights: after the restore the
+        # router's admission refuses 1.5 exactly as the single store does,
+        # before any EH worker sees it.
+        data = ServiceStore(SlidingWindowDecay(8), 0.1).to_dict()
+        batch = [KeyedItem("good", 10, 1.0), KeyedItem("b", 10, 1.5),
+                 KeyedItem("good", 11, 2.0)]
+        single = ServiceStore.from_dict(data)
+        with ShardedServiceStore(ExponentialDecay(0.05), 0.1) as front:
+            front.restore(data)
+            assert front.integer_weights
+            for target in (single, front):
+                with pytest.raises(InvalidParameterError, match="integer"):
+                    target.observe_batch(batch)
+                assert target.time == 10
+                assert target.stats()["ingested_items"] == 1
+                assert target.keys() == ["good"]
+
 
 class TestOneSnapshotFormat:
     def test_servers_restore_each_others_snapshots(self) -> None:
@@ -561,7 +602,7 @@ class TestWorkerPrograms:
         for name in (
             "observe", "observe_values", "observe_batch", "advance_to",
             "flush", "stats", "to_dict", "restore", "_admit_late", "_fold",
-            "_late", "_fold_pending", "_push", "_drain",
+            "_late", "_push", "_drain",
         ):
             monkeypatch.setattr(
                 Admission, name, counted(name, getattr(Admission, name))
@@ -584,6 +625,64 @@ class TestWorkerPrograms:
         assert worker.to_dict()["keys"] == single.to_dict()["keys"]
         for key in ("a", "b"):
             assert _triplet(worker.query(key)) == _triplet(single.query(key))
+
+    def test_a_worker_names_the_entries_its_engines_refuse(self) -> None:
+        worker = ServiceStore(ExponentialDecay(0.05), 0.1)
+        reply = _worker_dispatch(worker, {"op": "ingest", "prog": [
+            ["adv", 1], ["fold", "a", [1e308]], ["fold", "b", [1.0]],
+            ["adv", 2], ["fold", "a", [1e308]], ["fold", "c", [2.0]],
+            ["fold", "a", [1.0]],
+        ]})
+        # Each refused entry's index in the frame, and the error reply
+        # the worker gives a refused frame.
+        assert reply == {"ok": True, "time": 2, "refused": [[4, {
+            "ok": False, "error": "InvalidParameterError",
+            "message": "weights must keep the register finite",
+        }]]}
+        assert worker.keys() == ["a", "b", "c"]
+        single = ServiceStore(ExponentialDecay(0.05), 0.1)
+        single.observe_batch([KeyedItem("a", 1, 1e308), KeyedItem("b", 1, 1.0),
+                              KeyedItem("c", 2, 2.0), KeyedItem("a", 2, 1.0)])
+        assert worker.to_dict()["keys"] == single.to_dict()["keys"]
+
+    def test_one_executor_run_per_write_call_and_per_frame(
+        self, monkeypatch
+    ) -> None:
+        """The single store runs one program per write call, a worker one
+        per ``ingest`` frame, and every clock move of either goes through
+        ``ServiceStore.advance``."""
+        runs: list[int] = []
+        advances: list[int] = []
+        run, advance = ServiceStore._run, ServiceStore.advance
+
+        def counted_run(self, prog):
+            runs.append(len(prog))
+            return run(self, prog)
+
+        def counted_advance(self, steps=1):
+            advances.append(steps)
+            advance(self, steps)
+
+        monkeypatch.setattr(ServiceStore, "_run", counted_run)
+        monkeypatch.setattr(ServiceStore, "advance", counted_advance)
+        single = ServiceStore(ForwardDecay("exp", 0.05), 0.1)
+        single.observe_batch([KeyedItem(f"k{i % 3}", i // 2, 1.0)
+                              for i in range(20)])
+        single.observe("a", 2.0, when=12)
+        single.observe("a", 2.0, when=3)  # late: add_at
+        single.observe_values("b", [1.0, 2.0])
+        single.advance_to(15)
+        single.advance_to(15)  # an empty program still runs once
+        single.flush()
+        assert runs == [29, 2, 1, 1, 1, 0, 0]
+        assert advances == [1] * 9 + [3, 3]
+        del runs[:], advances[:]
+        worker = ServiceStore(ForwardDecay("exp", 0.05), 0.1)
+        for prog in (self.PROGRAM, [["adv", 6], ["fold", "a", [1.0]]],
+                     [["adv", 7], ["fold", "b", [1.0]]]):
+            _worker_dispatch(worker, {"op": "ingest", "prog": prog})
+        assert runs == [6, 2, 2]
+        assert advances == [2, 3, 1, 1]
 
     def test_a_worker_reports_only_what_it_keeps(self) -> None:
         with ShardedServiceStore(ExponentialDecay(0.05), 0.1, workers=1) as front:
