@@ -8,7 +8,7 @@ install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m pytest tests/
 
 # AST invariant linter (full RK001-RK012 rule set, including the
 # whole-program call-graph/taint rules; docs/STATIC_ANALYSIS.md);
@@ -65,12 +65,12 @@ typecheck:
 check: test lint conformance
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 examples:
 	@for ex in examples/*.py; do \
 		echo "=== $$ex ==="; \
-		$(PYTHON) $$ex || exit 1; \
+		PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) $$ex || exit 1; \
 	done
 
 clean:

@@ -17,17 +17,21 @@ from dataclasses import replace
 from typing import Callable, Iterable
 
 from repro.conformance.engines import EngineSpec
-from repro.core.batching import ingest_trace
+from repro.core.batching import EngineBase
 from repro.core.decay import DecayFunction
 from repro.core.estimate import Estimate
 from repro.core.interfaces import DecayingSum
-from repro.streams.generators import StreamItem
 
 __all__ = ["MUTATIONS", "mutant_spec", "mutant_specs"]
 
 
-class _Delegating:
-    """Protocol-complete pass-through around a real engine."""
+class _Delegating(EngineBase):
+    """Protocol-complete pass-through around a real engine.
+
+    ``ingest`` is the inherited replay against *self*, not the inner
+    engine: a subclass overriding add_batch must see the batch path,
+    exactly as a really-broken engine would.
+    """
 
     def __init__(self, inner: DecayingSum) -> None:
         self._inner = inner
@@ -51,14 +55,6 @@ class _Delegating:
 
     def advance_to(self, t: int) -> None:
         self._inner.advance_to(t)
-
-    def ingest(
-        self, items: Iterable[StreamItem], *, until: int | None = None
-    ) -> None:
-        # Route through the shared replay loop against *self*, not the
-        # inner engine: a subclass overriding add_batch must see the batch
-        # path, exactly as a really-broken engine would.
-        ingest_trace(self, items, until=until)
 
     def query(self) -> Estimate:
         return self._inner.query()

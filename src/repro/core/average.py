@@ -5,13 +5,16 @@ numerator over the value stream ``{(t_i, f_i)}`` and the denominator over
 the unit stream ``{(t_i, 1)}``. As the paper observes, an approximate
 average follows from approximate solutions to the two decaying-sum
 instances; the bracket of the ratio is obtained by interval division of the
-component brackets.
+component brackets.  :class:`~repro.core.forward.ForwardDecayAverage` is
+this class over two forward-decay sums.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
+from repro.core.batching import EngineBase
 from repro.core.decay import DecayFunction
 from repro.core.errors import EmptyAggregateError, InvalidParameterError
 from repro.core.estimate import Estimate
@@ -21,13 +24,18 @@ from repro.storage.model import StorageReport
 __all__ = ["DecayingAverage"]
 
 
-class DecayingAverage:
+class DecayingAverage(EngineBase):
     """Time-decaying weighted average over any decay function.
 
     By default both component sums use the storage-optimal engine chosen by
     :func:`repro.core.interfaces.make_decaying_sum`; callers may inject
     pre-built engines (e.g. two exact engines for ground truth).
     """
+
+    __slots__ = ("_decay", "_num", "_den", "_items")
+
+    #: The ``engine`` name of :meth:`storage_report`.
+    _report_name = "avg"
 
     def __init__(
         self,
@@ -74,6 +82,11 @@ class DecayingAverage:
         self._den.add(1.0)
         self._items += 1
 
+    def add_batch(self, values: Sequence[float]) -> None:
+        """Several observations at the current time, one :meth:`add` each."""
+        for value in values:
+            self.add(value)
+
     def advance(self, steps: int = 1) -> None:
         self._num.advance(steps)
         self._den.advance(steps)
@@ -97,5 +110,8 @@ class DecayingAverage:
 
     def storage_report(self) -> StorageReport:
         return self._num.storage_report().combined(
-            self._den.storage_report(), engine="avg"
+            self._den.storage_report(), engine=self._report_name
         )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._decay!r}, time={self.time})"

@@ -9,8 +9,8 @@ Every engine exposes the same three batch entry points:
 Engines implement ``add_batch`` natively (a register fold for the EXPD
 family, a binary-decomposition bulk insert for the EH family, a live-bucket
 fold for WBMH); the engine-independent parts -- clock arithmetic and the
-group-by-arrival-time replay loop -- live here so per-engine code stays a
-thin, fast fold.
+group-by-arrival-time replay loop -- live here, in :class:`EngineBase`,
+which every engine inherits, so per-engine code stays a thin, fast fold.
 
 Equivalence contract (enforced by ``tests/property/test_property_batching``):
 for every engine, ``add_batch(values)`` is *bit-identical* to
@@ -31,7 +31,7 @@ __all__ = [
     "TimedValue",
     "KeyedTimedValue",
     "BatchEngine",
-    "advance_engine_to",
+    "EngineBase",
     "ingest_trace",
 ]
 
@@ -82,18 +82,40 @@ class BatchEngine(Protocol):
     def add_batch(self, values: Sequence[float]) -> None: ...
 
 
-def advance_engine_to(engine: BatchEngine, when: int) -> None:
-    """Advance ``engine``'s clock to the absolute time ``when``.
+class EngineBase:
+    """The engine-independent half of every engine's batch surface.
 
-    Raises :class:`TimeOrderError` if ``when`` precedes the engine clock --
-    decaying-sum clocks are monotone (paper section 2).
+    Engines inherit ``advance_to`` and the trace-replay ``ingest`` from
+    here and implement only ``time``, ``advance``, ``add`` and
+    ``add_batch`` (:class:`BatchEngine`); an engine with a faster replay
+    (a bulk kernel, order-free forward banking) overrides ``ingest``.
+    No state: ``__slots__`` is empty, so a subclass's layout is its own.
     """
-    if when < engine.time:
-        raise TimeOrderError(
-            f"cannot move the clock back: {engine.time} -> {when}"
-        )
-    if when > engine.time:
-        engine.advance(when - engine.time)
+
+    __slots__ = ()
+
+    def advance_to(self: BatchEngine, when: int) -> None:
+        """Advance the clock to the absolute time ``when``.
+
+        Raises :class:`TimeOrderError` if ``when`` precedes the engine
+        clock -- decaying-sum clocks are monotone (paper section 2).
+        """
+        if when < self.time:
+            raise TimeOrderError(
+                f"cannot move the clock back: {self.time} -> {when}"
+            )
+        if when > self.time:
+            self.advance(when - self.time)
+
+    def ingest(
+        self: BatchEngine,
+        items: Iterable[TimedValue],
+        *,
+        until: int | None = None,
+    ) -> None:
+        """Consume a time-sorted trace through the batch path
+        (:func:`ingest_trace`)."""
+        ingest_trace(self, items, until=until)
 
 
 def ingest_trace(  # lintkit: hot

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
+from repro.core.batching import EngineBase
 from repro.core.decay import (
     DecayFunction,
     ExponentialDecay,
@@ -116,7 +116,7 @@ def _expd_register_bits(lam: float, time: int, items: int, mantissa_bits: int) -
     return exponent_bits + mantissa_bits + 1
 
 
-class ExponentialSum:
+class ExponentialSum(EngineBase):
     """EXPD decaying sum via the single-register recurrence (paper Eq. 1)."""
 
     __slots__ = ("_decay", "_factor", "_sum", "_time", "_items")
@@ -174,16 +174,6 @@ class ExponentialSum:
         if steps:
             self._sum *= self._factor**steps
             self._time += steps
-
-    def advance_to(self, when: int) -> None:
-        """Advance the clock to the absolute time ``when >= time``."""
-        advance_engine_to(self, when)
-
-    def ingest(
-        self, items: Iterable[TimedValue], *, until: int | None = None
-    ) -> None:
-        """Consume a time-sorted trace through the batch path."""
-        ingest_trace(self, items, until=until)
 
     def query(self) -> Estimate:
         return Estimate.exact(self._sum)
@@ -505,24 +495,17 @@ class PolyexpPipeline:
         )
 
 
-class GeneralPolyexpSum:
-    """Decaying sum under ``p(x) e^{-lam x}`` via the §3.4 reduction.
+class _PolyexpSum(EngineBase):
+    """The §3.4 pipeline behind one decay: everything but the answer.
 
-    ``k + 1`` pipelined exponential registers track the moments
-    ``M_0..M_k``; the answer is the linear combination
-    ``sum_j c_j * j! * M_j``. Exact up to float arithmetic, constant work
-    per tick, Theta(k log N) bits.
+    A subclass holds ``_decay`` and ``_pipe`` and says how the moments
+    ``M_0..M_k`` combine into its decaying sum (``query``).
     """
 
-    __slots__ = ("_decay", "_pipe")
+    __slots__ = ()
 
-    def __init__(self, decay: PolyExpPolynomialDecay) -> None:
-        if not isinstance(decay, PolyExpPolynomialDecay):
-            raise InvalidParameterError(
-                "GeneralPolyexpSum requires PolyExpPolynomialDecay"
-            )
-        self._decay = decay
-        self._pipe = PolyexpPipeline(len(decay.coeffs) - 1, decay.lam)
+    _decay: DecayFunction
+    _pipe: PolyexpPipeline
 
     @property
     def time(self) -> int:
@@ -541,31 +524,45 @@ class GeneralPolyexpSum:
     def advance(self, steps: int = 1) -> None:
         self._pipe.advance(steps)
 
-    def advance_to(self, when: int) -> None:
-        advance_engine_to(self, when)
-
-    def ingest(
-        self, items: Iterable[TimedValue], *, until: int | None = None
-    ) -> None:
-        ingest_trace(self, items, until=until)
-
-    def query(self) -> Estimate:
-        return Estimate.exact(self._pipe.combine(self._decay.coeffs))
-
-    def merge(self, other: "GeneralPolyexpSum") -> None:
+    def merge(self, other: "_PolyexpSum") -> None:
         """Moment-register addition after clock alignment (§3.4 linearity)."""
         require_merge_operand(self, other)
         require_same_decay(self._decay, other._decay)
         align_merge_clocks(self, other)
         self._pipe.merge(other._pipe)
 
+
+class GeneralPolyexpSum(_PolyexpSum):
+    """Decaying sum under ``p(x) e^{-lam x}`` via the §3.4 reduction.
+
+    ``k + 1`` pipelined exponential registers track the moments
+    ``M_0..M_k``; the answer is the linear combination
+    ``sum_j c_j * j! * M_j``. Exact up to float arithmetic, constant work
+    per tick, Theta(k log N) bits.
+    """
+
+    __slots__ = ("_decay", "_pipe")
+
+    _decay: PolyExpPolynomialDecay
+
+    def __init__(self, decay: PolyExpPolynomialDecay) -> None:
+        if not isinstance(decay, PolyExpPolynomialDecay):
+            raise InvalidParameterError(
+                "GeneralPolyexpSum requires PolyExpPolynomialDecay"
+            )
+        self._decay = decay
+        self._pipe = PolyexpPipeline(len(decay.coeffs) - 1, decay.lam)
+
+    def query(self) -> Estimate:
+        return Estimate.exact(self._pipe.combine(self._decay.coeffs))
+
     def storage_report(self) -> StorageReport:
         report = self._pipe.storage_report()
-        report.engine = f"polyexp-poly[deg={len(self._decay.coeffs) - 1}]"
+        report.engine = f"polyexp-poly[deg={self._pipe.k}]"
         return report
 
 
-class PolyexponentialSum:
+class PolyexponentialSum(_PolyexpSum):
     """Decaying sum under :class:`PolyexponentialDecay` via the pipeline."""
 
     __slots__ = ("_decay", "_pipe")
@@ -578,41 +575,9 @@ class PolyexponentialSum:
         self._decay = decay
         self._pipe = PolyexpPipeline(decay.k, decay.lam)
 
-    @property
-    def time(self) -> int:
-        return self._pipe.time
-
-    @property
-    def decay(self) -> DecayFunction:
-        return self._decay
-
-    def add(self, value: float = 1.0) -> None:
-        self._pipe.add(value)
-
-    def add_batch(self, values: Sequence[float]) -> None:
-        self._pipe.add_batch(values)
-
-    def advance(self, steps: int = 1) -> None:
-        self._pipe.advance(steps)
-
-    def advance_to(self, when: int) -> None:
-        advance_engine_to(self, when)
-
-    def ingest(
-        self, items: Iterable[TimedValue], *, until: int | None = None
-    ) -> None:
-        ingest_trace(self, items, until=until)
-
     def query(self) -> Estimate:
         # g(a) = a**k exp(-lam a)/k! = w_k(a), i.e. exactly M_k.
-        return Estimate.exact(self._pipe.moments()[self._decay.k])
-
-    def merge(self, other: "PolyexponentialSum") -> None:
-        """Moment-register addition after clock alignment (§3.4 linearity)."""
-        require_merge_operand(self, other)
-        require_same_decay(self._decay, other._decay)
-        align_merge_clocks(self, other)
-        self._pipe.merge(other._pipe)
+        return Estimate.exact(self._pipe.moments()[self._pipe.k])
 
     def storage_report(self) -> StorageReport:
         return self._pipe.storage_report()

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
+from repro.core.batching import EngineBase
 from repro.core.decay import DecayFunction
 from repro.core.errors import InvalidParameterError
 from repro.core.estimate import Estimate
@@ -27,7 +27,7 @@ from repro.storage.model import StorageReport, bits_for_value
 __all__ = ["ExactDecayingSum"]
 
 
-class ExactDecayingSum:
+class ExactDecayingSum(EngineBase):
     """Ground-truth decaying sum via full stream retention.
 
     Items older than the decay support are dropped (they will never again
@@ -110,16 +110,6 @@ class ExactDecayingSum:
             raise InvalidParameterError(f"steps must be >= 0, got {steps}")
         self._time += steps
         self._expire()
-
-    def advance_to(self, when: int) -> None:
-        """Advance the clock to the absolute time ``when >= time``."""
-        advance_engine_to(self, when)
-
-    def ingest(
-        self, items: Iterable[TimedValue], *, until: int | None = None
-    ) -> None:
-        """Consume a time-sorted trace through the batch path."""
-        ingest_trace(self, items, until=until)
 
     def merge(self, other: "ExactDecayingSum") -> None:
         """Fold ``other``'s retained per-time totals into this engine.

@@ -46,13 +46,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from repro.core.batching import TimedValue, advance_engine_to
+from repro.core.average import DecayingAverage
+from repro.core.batching import EngineBase, TimedValue
 from repro.core.decay import DecayFunction
-from repro.core.errors import (
-    EmptyAggregateError,
-    InvalidParameterError,
-    NotApplicableError,
-)
+from repro.core.errors import InvalidParameterError, NotApplicableError
 from repro.core.estimate import Estimate
 from repro.core.merging import (
     align_merge_clocks,
@@ -181,7 +178,7 @@ def _scaled_float(num: int, exp: int) -> float:
         return math.inf
 
 
-class ForwardDecaySum:
+class ForwardDecaySum(EngineBase):
     """Forward decaying sum with order-independent exact accumulation.
 
     State is a sparse map of at most ``D`` scale blocks
@@ -227,10 +224,6 @@ class ForwardDecaySum:
         if steps < 0:
             raise InvalidParameterError(f"steps must be >= 0, got {steps}")
         self._time += steps
-
-    def advance_to(self, when: int) -> None:
-        """Advance the clock to the absolute time ``when >= time``."""
-        advance_engine_to(self, when)
 
     # ------------------------------------------------------------- writes
 
@@ -413,7 +406,7 @@ class ForwardDecaySum:
             if now > self._time:
                 self._time = now
         if until is not None:
-            advance_engine_to(self, until)
+            self.advance_to(until)
 
     # The tail flush and :meth:`add_batch` share :func:`_flush`; the loop
     # body above inlines the same arithmetic to spare a call per run.
@@ -601,50 +594,35 @@ def _flush(
     return slot
 
 
-class ForwardDecayAverage:
-    """Forward-decayed average: the ratio of two :class:`ForwardDecaySum`.
+class ForwardDecayAverage(DecayingAverage):
+    """Forward-decayed average: a
+    :class:`~repro.core.average.DecayingAverage` over two
+    :class:`ForwardDecaySum`.
 
     The per-query normalization ``g(T - L)`` cancels in the ratio, so the
     average inherits forward decay's order-insensitivity; both components
-    answer exactly, hence the bracket is the point value itself.  Mirrors
-    :class:`~repro.core.average.DecayingAverage` (which serves the
-    backward engines) including its empty-stream behavior.
+    answer exactly, hence the bracket is the point value itself.
     """
 
-    __slots__ = ("_decay", "_num", "_den", "_items")
+    __slots__ = ()
 
     supports_out_of_order = True
+
+    _report_name = "forward-avg"
+
+    _num: ForwardDecaySum
+    _den: ForwardDecaySum
 
     def __init__(self, decay: ForwardDecay) -> None:
         if not isinstance(decay, ForwardDecay):
             raise InvalidParameterError(
                 "ForwardDecayAverage requires ForwardDecay"
             )
-        self._decay = decay
-        self._num = ForwardDecaySum(decay)
-        self._den = ForwardDecaySum(decay)
-        self._items = 0
-
-    @property
-    def time(self) -> int:
-        return self._num.time
-
-    @property
-    def decay(self) -> DecayFunction:
-        return self._decay
-
-    @property
-    def items_observed(self) -> int:
-        return self._items
-
-    def add(self, value: float) -> None:
-        if not value >= 0:
-            raise InvalidParameterError(
-                f"value must be >= 0 for decaying averages, got {value}"
-            )
-        self._num.add(value)
-        self._den.add(1.0)
-        self._items += 1
+        super().__init__(
+            decay,
+            numerator=ForwardDecaySum(decay),
+            denominator=ForwardDecaySum(decay),
+        )
 
     def add_at(self, when: int, value: float) -> None:
         """Record a (possibly late) observation stamped ``when``."""
@@ -656,34 +634,8 @@ class ForwardDecayAverage:
         self._den.add_at(when, 1.0)
         self._items += 1
 
-    def advance(self, steps: int = 1) -> None:
-        self._num.advance(steps)
-        self._den.advance(steps)
 
-    def advance_to(self, when: int) -> None:
-        advance_engine_to(self, when)
-
-    def query(self) -> Estimate:
-        """``A_g(T)``: exact interval-free ratio of the component sums."""
-        if self._items == 0:
-            raise EmptyAggregateError("decaying average of an empty stream")
-        den = self._den.query().value
-        if den <= 0.0:
-            raise EmptyAggregateError(
-                "all observed items have decayed to zero weight"
-            )
-        return Estimate.exact(self._num.query().value / den)
-
-    def storage_report(self) -> StorageReport:
-        return self._num.storage_report().combined(
-            self._den.storage_report(), engine="forward-avg"
-        )
-
-    def __repr__(self) -> str:
-        return f"ForwardDecayAverage({self._decay!r}, time={self.time})"
-
-
-class ExactForwardSum:
+class ExactForwardSum(EngineBase):
     """O(N) item-retaining forward reference (the conformance oracle).
 
     Keeps every item and evaluates ``sum v * 2**(f(t) - f(T))`` directly
@@ -718,9 +670,6 @@ class ExactForwardSum:
             raise InvalidParameterError(f"steps must be >= 0, got {steps}")
         self._time += steps
 
-    def advance_to(self, when: int) -> None:
-        advance_engine_to(self, when)
-
     def add(self, value: float = 1.0) -> None:
         self.add_at(self._time, value)
 
@@ -744,7 +693,7 @@ class ExactForwardSum:
         for item in items:
             self.add_at(item.time, item.value)
         if until is not None:
-            advance_engine_to(self, until)
+            self.advance_to(until)
 
     def query(self) -> Estimate:
         f_t = self._decay.log2_g(self._time)

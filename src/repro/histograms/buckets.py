@@ -16,7 +16,7 @@ from typing import Sequence
 
 from repro.core.errors import InvalidParameterError
 
-__all__ = ["Bucket", "merge_buckets", "union_buckets", "interleave_buckets"]
+__all__ = ["Bucket", "merge_buckets", "interleave_buckets"]
 
 
 @dataclass(slots=True)
@@ -68,24 +68,6 @@ def merge_buckets(older: Bucket, newer: Bucket) -> Bucket:
         end=newer.end,
         count=older.count + newer.count,
         level=max(older.level, newer.level) + 1,
-    )
-
-
-def union_buckets(a: Bucket, b: Bucket) -> Bucket:
-    """Merge two buckets whose spans may *overlap*.
-
-    Histograms produced by a shard merge (:meth:`ExponentialHistogram.merge`)
-    interleave two bucket lists, so a later in-structure merge can pair
-    buckets whose time intervals overlap.  The union span
-    ``[min(starts), max(ends)]`` covers every absorbed item, keeping the
-    certified bracket sound; for the classic disjoint case it degenerates to
-    exactly :func:`merge_buckets`'s span, bit for bit.
-    """
-    return Bucket(
-        start=a.start if a.start <= b.start else b.start,
-        end=a.end if a.end >= b.end else b.end,
-        count=a.count + b.count,
-        level=max(a.level, b.level) + 1,
     )
 
 

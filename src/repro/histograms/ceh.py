@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Literal, Sequence
 
-from repro.core.batching import TimedValue, advance_engine_to
+from repro.core.batching import EngineBase, TimedValue
 from repro.core.decay import DecayFunction
 from repro.core.errors import InvalidParameterError
 from repro.core.estimate import Estimate
@@ -40,7 +40,7 @@ __all__ = ["CascadedEH"]
 Backend = Literal["eh", "domination"]
 
 
-class CascadedEH:
+class CascadedEH(EngineBase):
     """Decaying sum under any decay function, via one EH (Theorem 1)."""
 
     __slots__ = (
@@ -107,9 +107,6 @@ class CascadedEH:
 
     def advance(self, steps: int = 1) -> None:
         self._hist.advance(steps)
-
-    def advance_to(self, when: int) -> None:
-        advance_engine_to(self, when)
 
     def ingest(
         self, items: Iterable[TimedValue], *, until: int | None = None

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
+from repro.core.batching import EngineBase
 from repro.core.errors import InvalidParameterError
 from repro.core.estimate import Estimate
 from repro.core.merging import align_merge_clocks, require_merge_operand
@@ -75,7 +75,7 @@ def widen_merged_estimate(a: Estimate, b: Estimate) -> Estimate:
     )
 
 
-class DominationHistogram(BucketColumns):
+class DominationHistogram(BucketColumns, EngineBase):
     """Sliding-window sum of non-negative reals with ``(1 +- eps)`` error.
 
     ``window=None`` disables expiry (infinite-support decay). Merging runs
@@ -158,16 +158,6 @@ class DominationHistogram(BucketColumns):
             raise InvalidParameterError(f"steps must be >= 0, got {steps}")
         self._time += steps
         self._expire()
-
-    def advance_to(self, when: int) -> None:
-        """Advance the clock to the absolute time ``when >= time``."""
-        advance_engine_to(self, when)
-
-    def ingest(
-        self, items: Iterable[TimedValue], *, until: int | None = None
-    ) -> None:
-        """Consume a time-sorted trace through the batch path."""
-        ingest_trace(self, items, until=until)
 
     def merge(self, other: "DominationHistogram") -> None:
         """Interleave another domination histogram's buckets into this one.

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
+from repro.core.batching import EngineBase, TimedValue, ingest_trace
 from repro.core.decay import DecayFunction, SlidingWindowDecay
 from repro.core.errors import InvalidParameterError
 from repro.core.estimate import Estimate
@@ -76,7 +76,7 @@ def _census(counts: Iterable[float]) -> list[int]:
     return per
 
 
-class ExponentialHistogram(BucketColumns):
+class ExponentialHistogram(BucketColumns, EngineBase):
     """Sliding-window 0/1 counter with ``(1 +- eps)`` guarantees.
 
     ``window=None`` builds an *unbounded* EH that never expires buckets;
@@ -213,10 +213,6 @@ class ExponentialHistogram(BucketColumns):
             if ends and ends[0] <= self._time - self.window:
                 self._expire()
 
-    def advance_to(self, when: int) -> None:
-        """Advance the clock to the absolute time ``when >= time``."""
-        advance_engine_to(self, when)
-
     def ingest(
         self, items: Iterable[TimedValue], *, until: int | None = None
     ) -> None:
@@ -232,7 +228,7 @@ class ExponentialHistogram(BucketColumns):
         seq = items if isinstance(items, Sequence) else list(items)
         if eh_bulk_ingest(self, seq):
             if until is not None:
-                advance_engine_to(self, until)
+                self.advance_to(until)
             return
         ingest_trace(self, seq, until=until)
 

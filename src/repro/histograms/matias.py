@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
+from repro.core.batching import EngineBase
 from repro.core.decay import DecayFunction
 from repro.core.errors import InvalidParameterError, NotApplicableError
 from repro.core.estimate import Estimate
@@ -100,7 +100,7 @@ class _ABucket:
         self.newest = newest
 
 
-class ApproxBoundaryCEH:
+class ApproxBoundaryCEH(EngineBase):
     """Decaying 0/1 count with approximate bucket boundaries.
 
     Parameters
@@ -192,16 +192,6 @@ class ApproxBoundaryCEH:
             b.newest.advance(steps)
         if self._oldest_reg is not None:
             self._oldest_reg.advance(steps)
-
-    def advance_to(self, when: int) -> None:
-        """Advance the clock to the absolute time ``when >= time``."""
-        advance_engine_to(self, when)
-
-    def ingest(
-        self, items: Iterable[TimedValue], *, until: int | None = None
-    ) -> None:
-        """Consume a time-sorted trace through the batch path."""
-        ingest_trace(self, items, until=until)
 
     def query(self) -> Estimate:
         """Decaying count via Eq. 4 over estimated boundary ages.

@@ -75,7 +75,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Literal, Sequence
 
-from repro.core.batching import TimedValue, advance_engine_to, ingest_trace
+from repro.core.batching import EngineBase, TimedValue, ingest_trace
 from repro.core.decay import DecayFunction
 from repro.core.errors import (
     InvalidParameterError,
@@ -660,7 +660,7 @@ def _reference(lattice: Lattice) -> Lattice:
     return ref
 
 
-class WBMH:
+class WBMH(EngineBase):
     """Decaying sum for ratio-nonincreasing decay (POLYD and slower).
 
     One count column of a :class:`Lattice` (module docstring).  Built
@@ -832,10 +832,6 @@ class WBMH:
         live[col] = count
         self._items += nonzero
 
-    def advance_to(self, when: int) -> None:
-        """Advance the clock to the absolute time ``when >= time``."""
-        advance_engine_to(self, when)
-
     def ingest(
         self, items: Iterable[TimedValue], *, until: int | None = None
     ) -> None:
@@ -851,7 +847,7 @@ class WBMH:
         seq = items if isinstance(items, Sequence) else list(items)
         if wbmh_bulk_ingest(self, seq):
             if until is not None:
-                advance_engine_to(self, until)
+                self.advance_to(until)
             return
         ingest_trace(self, seq, until=until)
 

@@ -5,13 +5,14 @@ The paper's guarantees only hold if every engine obeys the discrete-time
 certified estimate bounds, bit-level storage accounting.  This package
 enforces those invariants *statically* with eleven repo-specific rules:
 
-* **per-file rules** (RK001-RK008, RK011) -- classic AST walks over one
-  file at a time;
-* **whole-program rules** (RK010, RK012) -- built on an import-resolved
-  symbol table, call graph, and taint fixpoint
+* **per-file rules** (RK001, RK002, RK004-RK008, RK011) -- classic AST
+  walks over one file at a time;
+* **whole-program rules** (RK003, RK010, RK012) -- built on an
+  import-resolved symbol table, call graph, and taint fixpoint
   (:mod:`repro.lintkit.graph`, :mod:`repro.lintkit.dataflow`), so they
-  see facts that span modules: a wall-clock read laundered through an
-  exempt helper, an engine attribute the checkpoint codec forgot.
+  see facts that span modules: an engine member inherited from a base in
+  another module, process machinery reached through an exempt helper,
+  an engine attribute the checkpoint codec forgot.
 
 Rule ids are never reused: the number between RK008 and RK010 belongs
 to a retired rule and stays unassigned.

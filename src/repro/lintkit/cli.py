@@ -28,9 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lintkit",
         description=(
             "AST-based invariant linter for the decayed-aggregate engines "
-            "(file rules RK001-RK008 and RK011, whole-program rules RK010 "
-            "and RK012; "
-            "see docs/STATIC_ANALYSIS.md)"
+            "(file rules RK001, RK002, RK004-RK008 and RK011, whole-program "
+            "rules RK003, RK010 and RK012; see docs/STATIC_ANALYSIS.md)"
         ),
     )
     parser.add_argument(

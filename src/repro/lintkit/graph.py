@@ -1,9 +1,10 @@
 """Whole-program layer: import resolution, symbol table, call graph.
 
-Per-file AST rules (RK001-RK008) structurally cannot see facts that span
-modules: a wall-clock read reached *through* a helper, an engine slot a
-serializer forgot, a memo bump deleted three call levels below the public
-surface.  This module builds the shared project model those checks need:
+Per-file AST rules structurally cannot see facts that span modules: an
+engine member inherited from a base in another module, process machinery
+reached *through* a helper, an engine slot a serializer forgot, a memo
+bump deleted three call levels below the public surface.  This module
+builds the shared project model those checks need:
 
 * :class:`ModuleInfo` -- one linted file: its dotted module name, the
   bindings its imports introduce (absolute *and* relative, so re-exports
@@ -80,11 +81,15 @@ class ClassInfo:
     module: str
     name: str
     node: ast.ClassDef
-    #: Base-class names as written (dotted), resolved lazily by the graph.
+    #: Base-class names as written (dotted; ``Base[T]`` reads ``Base``),
+    #: resolved lazily by the graph.
     bases: tuple[str, ...]
     methods: dict[str, ast.FunctionDef | ast.AsyncFunctionDef]
     #: Method names wrapped in ``@property`` (read accessors).
     properties: frozenset[str]
+    #: Names bound by assignment in the class body (constants, aliases,
+    #: annotated fields).
+    class_attrs: frozenset[str]
     slots: tuple[str, ...]
     #: Attribute -> line of its first ``self.X = ...`` inside ``__init__``.
     init_attr_lines: dict[str, int]
@@ -230,11 +235,18 @@ def _self_reads_in(expr: ast.expr) -> set[str]:
 def _build_class(module: str, node: ast.ClassDef) -> ClassInfo:
     methods: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
     properties: set[str] = set()
+    class_attrs: set[str] = set()
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods[stmt.name] = stmt
             if _is_property(stmt):
                 properties.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            class_attrs.update(
+                t.id for t in stmt.targets if isinstance(t, ast.Name)
+            )
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            class_attrs.add(stmt.target.id)
     init_attr_lines: dict[str, int] = {}
     ctor_covered: set[str] = set()
     init = methods.get("__init__")
@@ -265,7 +277,12 @@ def _build_class(module: str, node: ast.ClassDef) -> ClassInfo:
                     ctor_covered.add(attr)
                     changed = True
     bases = tuple(
-        name for name in (_dotted(b) for b in node.bases) if name is not None
+        name
+        for name in (
+            _dotted(b.value if isinstance(b, ast.Subscript) else b)
+            for b in node.bases
+        )
+        if name is not None
     )
     return ClassInfo(
         module=module,
@@ -274,6 +291,7 @@ def _build_class(module: str, node: ast.ClassDef) -> ClassInfo:
         bases=bases,
         methods=methods,
         properties=frozenset(properties),
+        class_attrs=frozenset(class_attrs),
         slots=_slots_of(node),
         init_attr_lines=init_attr_lines,
         ctor_covered=frozenset(ctor_covered),

@@ -16,8 +16,8 @@ parses every file exactly once into a context pool both kinds consume.
 
 Scoping is path-part based so it works no matter where the tree is checked
 out: ``applies_to=("sampling",)`` makes a rule fire only on files that have
-a ``sampling`` directory component, and ``exempt=("benchkit",)`` skips any
-file under a ``benchkit`` component.
+a ``sampling`` directory component, and ``exempt=("service",)`` skips any
+file under a ``service`` component.
 """
 
 from __future__ import annotations

@@ -8,19 +8,20 @@ This rule makes the contract static: any class *marked* as an engine (by
 name convention or by explicitly listing ``DecayingSum`` as a base) must
 define ``time``, ``decay``, ``add``, ``add_batch``, ``advance``,
 ``advance_to``, ``ingest``, ``query``, ``merge`` and ``storage_report``
-in its own body or a base class in the same module.
+in its own body or in a base class.  It is a whole-program rule: bases
+resolve through :meth:`repro.lintkit.graph.ProjectGraph.mro`, whichever
+project module they live in (``repro.core.batching.EngineBase`` supplies
+every engine's ``advance_to``).
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from repro.lintkit.registry import Rule, Violation, register
-
-if TYPE_CHECKING:
-    from repro.lintkit.engine import FileContext
+from repro.lintkit.graph import ClassInfo, ProjectContext, _build_class
+from repro.lintkit.registry import ProjectRule, Violation, register
 
 #: The DecayingSum protocol surface (core/interfaces.py).
 REQUIRED_MEMBERS = (
@@ -46,40 +47,19 @@ _ENGINE_BASES = frozenset({"DecayingSum"})
 _ABSTRACT_BASES = frozenset({"Protocol", "ABC", "ABCMeta"})
 
 
-def _base_names(node: ast.ClassDef) -> set[str]:
-    names: set[str] = set()
-    for base in node.bases:
-        if isinstance(base, ast.Name):
-            names.add(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.add(base.attr)
-        elif isinstance(base, ast.Subscript):
-            # Protocol[T] / Generic[T]
-            value = base.value
-            if isinstance(value, ast.Name):
-                names.add(value.id)
-            elif isinstance(value, ast.Attribute):
-                names.add(value.attr)
-    return names
-
-
-def _own_members(node: ast.ClassDef) -> set[str]:
-    """Names bound directly in the class body (defs, properties, assigns)."""
-    members: set[str] = set()
-    for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            members.add(stmt.name)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            members.add(stmt.target.id)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    members.add(target.id)
-    return members
+def _is_engine(cls: ClassInfo) -> bool:
+    if cls.name.startswith("_"):
+        return False
+    bases = {base.rpartition(".")[2] for base in cls.bases}
+    if bases & _ABSTRACT_BASES:
+        return False  # the protocol/ABC itself, not an engine
+    if bases & _ENGINE_BASES:
+        return True
+    return _ENGINE_NAME_RE.search(cls.name) is not None
 
 
 @register
-class EngineProtocolRule(Rule):
+class EngineProtocolRule(ProjectRule):
     rule_id = "RK003"
     title = "engine classes must define the full DecayingSum protocol"
     rationale = (
@@ -88,48 +68,27 @@ class EngineProtocolRule(Rule):
         "call time where the paper's bounds no longer protect you."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        classes: dict[str, ast.ClassDef] = {
-            node.name: node
-            for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.ClassDef)
-        }
-        for name, node in classes.items():
-            if not self._is_engine(node):
-                continue
-            members = self._members_with_bases(node, classes)
-            missing = [m for m in REQUIRED_MEMBERS if m not in members]
-            if missing:
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"engine class `{name}` is missing DecayingSum protocol "
-                    f"member(s): {', '.join(missing)}",
-                )
-
-    def _is_engine(self, node: ast.ClassDef) -> bool:
-        if node.name.startswith("_"):
-            return False
-        bases = _base_names(node)
-        if bases & _ABSTRACT_BASES:
-            return False  # the protocol/ABC itself, not an engine
-        if bases & _ENGINE_BASES:
-            return True
-        return _ENGINE_NAME_RE.search(node.name) is not None
-
-    def _members_with_bases(
-        self, node: ast.ClassDef, classes: dict[str, ast.ClassDef]
-    ) -> set[str]:
-        """Own members plus members of same-module bases, transitively."""
-        members = _own_members(node)
-        seen = {node.name}
-        stack = [b for b in _base_names(node) if b in classes]
-        while stack:
-            base = stack.pop()
-            if base in seen:
-                continue
-            seen.add(base)
-            base_node = classes[base]
-            members |= _own_members(base_node)
-            stack.extend(b for b in _base_names(base_node) if b in classes)
-        return members
+    def check_project(self, project: ProjectContext) -> Iterator[Violation]:
+        graph = project.graph
+        for ctx in project.files:
+            for node in ast.walk(ctx.tree):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                cls = _build_class(ctx.module, node)
+                if not _is_engine(cls):
+                    continue
+                members: set[str] = set()
+                for owner in graph.mro(cls):
+                    members |= owner.methods.keys() | owner.class_attrs
+                missing = [m for m in REQUIRED_MEMBERS if m not in members]
+                if missing:
+                    yield Violation(
+                        rule_id=self.rule_id,
+                        path=ctx.display_path,
+                        line=node.lineno,
+                        col=node.col_offset,
+                        message=(
+                            f"engine class `{node.name}` is missing DecayingSum "
+                            f"protocol member(s): {', '.join(missing)}"
+                        ),
+                    )

@@ -9,20 +9,16 @@ nondeterminism into code whose answers must be a pure function of the
 trace -- replay determinism (RK002) and the conformance kit's shrinking
 both depend on that.  This rule keeps the allowlist honest: any
 process-, thread-, or event-loop-level machinery added outside the
-exempt packages is a lint failure, not a code-review judgement call.
+exempt package is a lint failure, not a code-review judgement call.
 
-Two packages are exempt, each for one structural reason:
-
-* ``repro.service`` -- two sanctioned surfaces: the serving layer's
-  single-consumer asyncio loop (daemon/API modules), and the sharded
-  worker plane (``service/sharded.py`` + ``service/ipc.py``), where
-  ``multiprocessing`` pipes carry batched frames to per-worker stores.
-  The *store* itself stays synchronous either way: workers run ordinary
-  single-threaded ``ServiceStore`` shards in lock-step, so every reply
-  is still a pure function of the routed trace;
-* ``repro.benchkit`` -- measures the service layer end-to-end (including
-  the sharded front's scaling section), so it must be able to drive
-  that event loop (mirroring its RK001 wall-clock exemption).
+One package is exempt: ``repro.service``, with two sanctioned surfaces --
+the serving layer's single-consumer asyncio loop (daemon/API modules),
+and the sharded worker plane (``service/sharded.py`` +
+``service/ipc.py``), where ``multiprocessing`` pipes carry batched
+frames to per-worker stores.  The *store* itself stays synchronous
+either way: workers run ordinary single-threaded ``ServiceStore`` shards
+in lock-step, so every reply is still a pure function of the routed
+trace.
 """
 
 from __future__ import annotations
@@ -45,15 +41,15 @@ def _root(module: str) -> str:
 @register
 class ParallelismBoundaryRule(Rule):
     rule_id = "RK008"
-    title = "concurrency imports only inside repro.service/benchkit"
+    title = "concurrency imports only inside repro.service"
     rationale = (
         "Engines must stay pure functions of the trace; process and "
         "event-loop machinery belongs at the serving boundary "
-        "(repro.service: the sharded worker plane and the asyncio daemon, "
-        "measured by repro.benchkit), where the merge algebra and the "
-        "single-consumer fold keep answers deterministic."
+        "(repro.service: the sharded worker plane and the asyncio daemon), "
+        "where the merge algebra and the single-consumer fold keep answers "
+        "deterministic."
     )
-    exempt = ("service", "benchkit")
+    exempt = ("service",)
 
     def check(self, ctx) -> Iterator[Violation]:
         for node in ast.walk(ctx.tree):
@@ -69,7 +65,7 @@ class ParallelismBoundaryRule(Rule):
                         ctx,
                         node,
                         f"concurrency import `{name}` outside the exempt "
-                        "packages (repro.service / repro.benchkit); shard "
-                        "the work onto repro.service workers and merge the "
-                        "summaries instead",
+                        "package (repro.service); shard the work onto "
+                        "repro.service workers and merge the summaries "
+                        "instead",
                     )

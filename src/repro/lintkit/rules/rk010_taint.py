@@ -1,24 +1,26 @@
-"""RK010: no transitive wall-clock / global-RNG / concurrency reach.
+"""RK010: no transitive global-RNG / concurrency reach.
 
-RK001, RK002, and RK008 are per-file rules with scope carve-outs:
-``benchkit`` may read wall clocks, ``repro.service`` may import process
-and event-loop machinery, and the RNG rule only watches ``sketches``/
-``sampling``/``streams``.  That leaves a structural blind spot --
-in-scope code can *call into* an exempt-scope helper and inherit the
-nondeterminism the carve-out was never meant to launder::
+RK002 and RK008 are per-file rules with scope carve-outs:
+``repro.service`` may import process and event-loop machinery, and the
+RNG rule only watches ``sketches``/``sampling``/``streams``.  That leaves
+a structural blind spot -- in-scope code can *call into* an exempt-scope
+helper and inherit the nondeterminism the carve-out was never meant to
+launder::
 
-    # core/trace.py (RK001 applies, but sees no wall-clock call)
-    from repro.benchkit.timers import stamp   # benchkit: RK001-exempt
-    def ingest(...):
-        t = stamp()          # time.time() two hops away
+    # histograms/bad.py (RK008 applies, but sees no concurrency import)
+    from repro.service.pool import fan_out    # service: RK008-exempt
+    def merge_all(...):
+        return fan_out()     # multiprocessing.Pool() two hops away
 
 This whole-program rule closes the gap with the taint fixpoint from
 :mod:`repro.lintkit.dataflow`: a function in a label's scope that calls
 an out-of-scope project helper whose call closure reaches a banned sink
 is flagged at the crossing call site, with the full witness chain
-(``f -> g -> time.time``) attached as evidence.  Direct calls are left
-to the per-file rules, and crossings are reported once at the boundary
-edge rather than once per transitive caller.
+(``f -> g -> multiprocessing.Pool``) attached as evidence.  Direct calls
+are left to the per-file rules, and crossings are reported once at the
+boundary edge rather than once per transitive caller.  RK001 exempts no
+package, so a wall-clock read has no exempt helper to hide in: RK001
+reports every one where it is made.
 """
 
 from __future__ import annotations
@@ -28,13 +30,8 @@ from typing import Callable, Iterator
 
 from repro.lintkit.dataflow import TaintAnalysis
 from repro.lintkit.registry import ProjectRule, Violation, register
-from repro.lintkit.rules.rk001_wallclock import _BANNED as _WALLCLOCK
 from repro.lintkit.rules.rk002_rng import _NUMPY_OK, _RANDOM_OK
 from repro.lintkit.rules.rk008_parallelism import _BANNED_ROOTS
-
-
-def _is_wallclock(target: str) -> bool:
-    return target in _WALLCLOCK
 
 
 def _is_global_rng(target: str) -> bool:
@@ -78,12 +75,6 @@ _PURE_DIRS = (
 
 _LABELS = (
     _Label(
-        name="wall-clock",
-        describe="a wall-clock read",
-        predicate=_is_wallclock,
-        in_scope=lambda parts: "benchkit" not in parts,
-    ),
-    _Label(
         name="global-rng",
         describe="the module-global RNG",
         predicate=_is_global_rng,
@@ -101,12 +92,13 @@ _LABELS = (
 @register
 class TransitiveTaintRule(ProjectRule):
     rule_id = "RK010"
-    title = "no indirect wall-clock/RNG/concurrency via exempt helpers"
+    title = "no indirect RNG/concurrency via exempt helpers"
     rationale = (
-        "Scope carve-outs (benchkit, repro.service) exempt helpers, not "
-        "their callers; in-scope code reaching a banned sink through an "
-        "exempt helper inherits nondeterminism the per-file rules "
-        "cannot see."
+        "Scope carve-outs (repro.service for concurrency, code outside "
+        "sketches/sampling/streams for the global RNG) exempt helpers, "
+        "not their callers; in-scope code reaching a "
+        "banned sink through an exempt helper inherits nondeterminism the "
+        "per-file rules cannot see."
     )
 
     def check_project(self, project) -> Iterator[Violation]:

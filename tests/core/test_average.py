@@ -10,8 +10,13 @@ from repro.core.decay import (
     PolynomialDecay,
     SlidingWindowDecay,
 )
-from repro.core.errors import EmptyAggregateError, InvalidParameterError
+from repro.core.errors import (
+    EmptyAggregateError,
+    InvalidParameterError,
+    TimeOrderError,
+)
 from repro.core.exact import ExactDecayingSum
+from repro.streams.generators import StreamItem
 
 
 def exact_average(decay):
@@ -103,3 +108,40 @@ class TestErrors:
         avg.add(1.0)
         avg.advance(1)
         assert avg.storage_report().engine == "avg"
+
+
+class TestBatchSurface:
+    """The engine base's ``advance_to``/``ingest`` and ``add_batch``."""
+
+    ITEMS = [(0, 1.0), (0, 3.0), (2, 2.0), (5, 4.0), (5, 0.5), (9, 8.0)]
+
+    def test_ingest_equals_the_item_loop(self):
+        decay = PolynomialDecay(1.0)
+        batched = exact_average(decay)
+        batched.ingest([StreamItem(t, v) for t, v in self.ITEMS], until=12)
+        looped = exact_average(decay)
+        for t, v in self.ITEMS:
+            looped.advance_to(t)
+            looped.add(v)
+        looped.advance_to(12)
+        assert batched.time == looped.time == 12
+        assert batched.items_observed == looped.items_observed == 6
+        assert batched.query() == looped.query()
+
+    def test_add_batch_is_one_add_per_value(self):
+        a = exact_average(PolynomialDecay(1.0))
+        b = exact_average(PolynomialDecay(1.0))
+        a.add_batch([2.0, 5.0])
+        b.add(2.0)
+        b.add(5.0)
+        assert a.query() == b.query()
+        with pytest.raises(InvalidParameterError):
+            a.add_batch([1.0, -1.0])
+        assert a.items_observed == 3  # the values before the refusal count
+
+    def test_advance_to_refuses_the_past(self):
+        avg = exact_average(PolynomialDecay(1.0))
+        avg.advance_to(4)
+        with pytest.raises(TimeOrderError, match="4 -> 3"):
+            avg.advance_to(3)
+        assert avg.time == 4

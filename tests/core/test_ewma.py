@@ -107,6 +107,61 @@ class TestQuantizedExponentialSum:
         with pytest.raises(InvalidParameterError):
             QuantizedExponentialSum(ExponentialDecay(0.1), mantissa_bits=0)
 
+    def test_merged_registers_bracket_the_exact_sum(self):
+        # Shards on their own clocks, merged one after another: every
+        # merge aligns clocks and re-quantizes, and the bracket must still
+        # hold the exact engine's merged answer.
+        decay = ExponentialDecay(0.05)
+        checks = 0
+        for seed in range(500):
+            rng = random.Random(seed)
+            bits = rng.choice([4, 8, 16, 24])
+            shards = []
+            for _ in range(rng.randint(2, 4)):
+                q = QuantizedExponentialSum(decay, mantissa_bits=bits)
+                exact = ExactDecayingSum(decay)
+                for _ in range(rng.randint(0, 30)):
+                    value = rng.choice([0.0, 1.0, 2.5, 7.0, 0.1])
+                    q.add(value)
+                    exact.add(value)
+                    steps = rng.randint(0, 3)
+                    q.advance(steps)
+                    exact.advance(steps)
+                shards.append((q, exact))
+            q, exact = shards[0]
+            for other_q, other_exact in shards[1:]:
+                q.merge(other_q)
+                exact.merge(other_exact)
+                est = q.query()
+                truth = exact.query().value
+                assert est.lower <= truth <= est.upper, (seed, est, truth)
+                checks += 1
+        assert checks > 500
+
+    def test_merge_refuses_other_registers(self):
+        decay = ExponentialDecay(0.05)
+        q = QuantizedExponentialSum(decay, mantissa_bits=12)
+        q.add(3.0)
+        with pytest.raises(InvalidParameterError, match="QuantizedExponentialSum"):
+            q.merge(ExponentialSum(decay))
+        with pytest.raises(InvalidParameterError, match="mantissa widths"):
+            q.merge(QuantizedExponentialSum(decay, mantissa_bits=13))
+        assert q.query().value == 3.0
+
+    def test_storage_report_names_the_width(self):
+        decay = ExponentialDecay(0.05)
+        q = QuantizedExponentialSum(decay, mantissa_bits=12)
+        plain = ExponentialSum(decay)
+        for engine in (q, plain):
+            engine.add(1.0)
+            engine.advance(10)
+        report = q.storage_report()
+        assert report.engine == "ewma[12b]"
+        # Same exponent field as the full register, 12 mantissa bits
+        # instead of 52, and no claim to be exact.
+        assert report.register_bits == plain.storage_report().register_bits - 40
+        assert "exact" not in report.notes
+
 
 class TestEwmaRegister:
     def test_classic_update_formula(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import forward
+from repro.core.average import DecayingAverage
 from repro.core.decay import ExponentialDecay, PolynomialDecay
 from repro.core.errors import (
     EmptyAggregateError,
@@ -523,3 +524,25 @@ class TestForwardDecayAverage:
         avg = ForwardDecayAverage(ForwardDecay("exp", 0.1))
         with pytest.raises(InvalidParameterError):
             avg.add(-1.0)
+
+    def test_is_a_decaying_average_with_its_own_name(self):
+        avg = ForwardDecayAverage(ForwardDecay("exp", 0.1))
+        assert isinstance(avg, DecayingAverage)
+        avg.add(2.0)
+        avg.advance_to(7)
+        assert avg.storage_report().engine == "forward-avg"
+        assert repr(avg) == (
+            "ForwardDecayAverage(ForwardDecay(kind='exp', rate=0.1), time=7)"
+        )
+        assert not hasattr(avg, "__dict__")
+
+    def test_ingest_takes_late_items_in_any_order(self):
+        items = [(3, 2.0), (9, 5.0), (1, 8.0), (9, 1.0), (4, 0.5)]
+        shuffled = ForwardDecayAverage(ForwardDecay("poly", 1.2))
+        shuffled.ingest([StreamItem(t, v) for t, v in items], until=12)
+        replayed = ForwardDecayAverage(ForwardDecay("poly", 1.2))
+        for t, v in sorted(items):
+            replayed.add_at(t, v)
+        replayed.advance_to(12)
+        assert shuffled.items_observed == replayed.items_observed == 5
+        assert shuffled.query() == replayed.query()

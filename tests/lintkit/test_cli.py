@@ -127,18 +127,22 @@ class TestBaselines:
 
 class TestEvidenceReporting:
     SRC_A = (
-        "from repro.benchkit.timers import stamp\n"
+        "from repro.service.pool import fan_out\n"
         "def ingest():\n"
-        "    return stamp()\n"
+        "    return fan_out()\n"
     )
-    SRC_B = "import time\ndef stamp():\n    return time.time()\n"
+    SRC_B = (
+        "import multiprocessing\n"
+        "def fan_out():\n"
+        "    return multiprocessing.Pool()\n"
+    )
 
     def _project(self, tmp_path):
         root = tmp_path / "src" / "repro"
         (root / "core").mkdir(parents=True)
-        (root / "benchkit").mkdir()
+        (root / "service").mkdir()
         (root / "core" / "trace.py").write_text(self.SRC_A, encoding="utf-8")
-        (root / "benchkit" / "timers.py").write_text(
+        (root / "service" / "pool.py").write_text(
             self.SRC_B, encoding="utf-8"
         )
         return tmp_path / "src"
@@ -154,16 +158,16 @@ class TestEvidenceReporting:
         assert row["rule"] == "RK010"
         assert row["evidence"] == [
             "repro.core.trace.ingest",
-            "repro.benchkit.timers.stamp",
-            "time.time",
+            "repro.service.pool.fan_out",
+            "multiprocessing.Pool",
         ]
 
     def test_text_mode_renders_chain_inline(self, tmp_path):
         proc = run_lintkit(str(self._project(tmp_path)), "--select", "RK010")
         assert proc.returncode == 1
         assert (
-            "[repro.core.trace.ingest -> repro.benchkit.timers.stamp"
-            " -> time.time]" in proc.stdout
+            "[repro.core.trace.ingest -> repro.service.pool.fan_out"
+            " -> multiprocessing.Pool]" in proc.stdout
         )
 
 

@@ -1,4 +1,4 @@
-"""Tests for the whole-program rules RK010 and RK012 (and RK011).
+"""Tests for the whole-program rules RK003, RK010 and RK012 (and RK011).
 
 Two layers: synthetic micro-projects (assembled in memory via
 ``FileContext.from_source``) pin each rule's contract, and *mutant*
@@ -58,17 +58,17 @@ def load_tree(mutate: dict[str, tuple[str, str]] | None = None):
 
 class TestRK010:
     FILES = {
-        "src/repro/benchkit/timers.py": """
-        import time
+        "src/repro/service/pool.py": """
+        import multiprocessing
 
-        def stamp():
-            return time.time()
+        def fan_out():
+            return multiprocessing.Pool()
         """,
         "src/repro/core/trace.py": """
-        from repro.benchkit.timers import stamp
+        from repro.service.pool import fan_out
 
         def ingest():
-            return stamp()
+            return fan_out()
         """,
     }
 
@@ -79,10 +79,10 @@ class TestRK010:
         assert v.path == "src/repro/core/trace.py"
         assert v.evidence == (
             "repro.core.trace.ingest",
-            "repro.benchkit.timers.stamp",
-            "time.time",
+            "repro.service.pool.fan_out",
+            "multiprocessing.Pool",
         )
-        assert "time.time" in v.message
+        assert "multiprocessing.Pool" in v.message
         assert "[repro.core.trace.ingest -> " in v.render()
 
     def test_direct_calls_left_to_per_file_rules(self):
@@ -101,11 +101,11 @@ class TestRK010:
 
     def test_exempt_caller_is_not_flagged(self):
         files = dict(self.FILES)
-        files["src/repro/benchkit/driver.py"] = """
-        from repro.benchkit.timers import stamp
+        files["src/repro/service/driver.py"] = """
+        from repro.service.pool import fan_out
 
         def measure():
-            return stamp()
+            return fan_out()
         """
         found = lint_project(files, ["RK010"])
         assert {v.path for v in found} == {"src/repro/core/trace.py"}
@@ -146,6 +146,109 @@ class TestRK010:
 
     def test_shipped_tree_is_clean(self):
         assert lint_contexts(load_tree(), select=["RK010"]) == []
+
+    def test_pragma_suppresses_concurrency_crossing(self):
+        files = dict(self.FILES)
+        files["src/repro/core/trace.py"] = """
+        from repro.service.pool import fan_out
+
+        def ingest():
+            return fan_out()  # lintkit: ignore[RK010]
+        """
+        assert lint_project(files, ["RK010"]) == []
+
+    def test_wall_clock_helper_is_flagged_where_it_reads(self):
+        # No package may read a clock, so a helper's read is RK001's
+        # finding at the helper itself; there is no crossing to report.
+        files = {
+            "src/repro/benchkit/timers.py": """
+            import time
+
+            def stamp():
+                return time.time()
+            """,
+            "src/repro/core/trace.py": """
+            from repro.benchkit.timers import stamp
+
+            def ingest():
+                return stamp()
+            """,
+        }
+        found = lint_project(files, ["RK001", "RK010"])
+        assert [(v.rule_id, v.path) for v in found] == [
+            ("RK001", "src/repro/benchkit/timers.py")
+        ]
+
+
+# --------------------------------------------------------------- RK003
+
+
+class TestRK003:
+    BASE = """
+    class EngineBase:
+        def advance_to(self, when):
+            self.advance(when - self.time)
+
+        def ingest(self, items, *, until=None):
+            pass
+    """
+    ENGINE = """
+    from repro.core.skeleton import EngineBase
+
+    class TwoModuleSum(EngineBase):
+        @property
+        def time(self):
+            return 0
+
+        @property
+        def decay(self):
+            return None
+
+        def add(self, value=1.0): ...
+        def add_batch(self, values): ...
+        def advance(self, steps=1): ...
+        def query(self): ...
+        def merge(self, other): ...
+        def storage_report(self): ...
+    """
+
+    def _files(self, base: str) -> dict[str, str]:
+        return {
+            "src/repro/core/skeleton.py": base,
+            "src/repro/histograms/two.py": self.ENGINE,
+        }
+
+    def test_members_inherited_from_another_module_count(self):
+        assert lint_project(self._files(self.BASE), ["RK003"]) == []
+
+    def test_member_missing_from_the_other_module_base_is_flagged(self):
+        base = self.BASE.replace("def ingest(", "def replay(")
+        found = lint_project(self._files(base), ["RK003"])
+        assert [(v.rule_id, v.path, v.line) for v in found] == [
+            ("RK003", "src/repro/histograms/two.py", 4)
+        ]
+        assert found[0].message.endswith("member(s): ingest")
+
+    def test_shipped_tree_is_clean(self):
+        assert lint_contexts(load_tree(), select=["RK003"]) == []
+
+    def test_engine_base_without_advance_to_flags_every_engine(self):
+        found = lint_contexts(
+            load_tree({
+                "core/batching.py": (
+                    "    def advance_to(self: BatchEngine",
+                    "    def advance_by(self: BatchEngine",
+                )
+            }),
+            select=["RK003"],
+        )
+        flagged = {v.message.split("`")[1] for v in found}
+        assert {
+            "ExponentialSum", "PolyexponentialSum", "GeneralPolyexpSum",
+            "ExactDecayingSum", "ForwardDecaySum", "ExactForwardSum",
+            "CascadedEH", "WBMH", "ApproxBoundaryCEH", "SlidingWindowSum",
+        } <= flagged
+        assert all(v.message.endswith("member(s): advance_to") for v in found)
 
 
 # --------------------------------------------------------------- RK011

@@ -46,7 +46,7 @@ class TestWallClock:
         )
         assert _ids(found) == ["RK001", "RK001"]
 
-    def test_benchkit_exempt(self):
+    def test_benchkit_not_exempt(self):
         found = _lint(
             """
             import time
@@ -56,7 +56,8 @@ class TestWallClock:
             """,
             "repro/benchkit/harness.py",
         )
-        assert found == []
+        assert _ids(found) == ["RK001"]
+        assert "time.perf_counter" in found[0].message
 
     def test_model_clock_ok(self):
         found = _lint(
@@ -684,14 +685,16 @@ class TestParallelismBoundary:
             )
         ) == ["RK008"]
 
-    def test_service_and_benchkit_packages_are_exempt(self):
+    def test_only_the_service_package_is_exempt(self):
         source = """
             import asyncio
             from asyncio import StreamReader
             """
         assert _lint(source, "repro/service/daemon.py", "RK008") == []
         assert _lint(source, "repro/service/api.py", "RK008") == []
-        assert _lint(source, "repro/benchkit/service.py", "RK008") == []
+        found = _lint(source, "repro/benchkit/service.py", "RK008")
+        assert _ids(found) == ["RK008", "RK008"]
+        assert "(repro.service)" in found[0].message
 
     def test_sharded_worker_plane_is_exempt(self):
         # The multi-process sharded front is the second sanctioned
