@@ -10,9 +10,9 @@ normalized ratios bits/log^2 N (flat for CEH) and bits/(log N log log N)
 linear number of buckets and the single-register recurrence wins).
 
 FWD-storage sweeps stream *duration* instead: a forward-decay sum holds
-only the scale blocks within ``_WINDOW`` of its top one, so its bits stay
-flat however long the stream runs, where one block per 64 bits of
-``log2 g`` would grow linearly with time.
+only the scale blocks at or above its edge, at most ``_WINDOW`` of them,
+so its bits stay flat however long the stream runs, where one block per
+64 bits of ``log2 g`` would grow linearly with time.
 """
 
 import math
@@ -154,7 +154,12 @@ def test_forward_storage_is_flat(record_table, benchmark):
         ),
     )
     assert all(r[3] <= _WINDOW for r in rows)
-    # Past one window of blocks the state stops growing with T.
+    # A full block of unit items every 4 ticks banks the geometric sum
+    # 2**64 / (1 - 2**(-0.2 log2 e)), about 2**66.5, so its floor
+    # (forward._floor_of) lies 16 blocks below it: the edge keeps those
+    # 16, the full block and the partial top one.
+    assert [r[3] for r in rows if r[0] >= 1 << 16] == [18, 18, 18]
+    # Past one edge's span of blocks the state stops growing with T.
     bits = {r[0]: r[4] for r in rows}
     assert bits[1 << 20] == pytest.approx(bits[1 << 16], rel=0.05)
     assert rows[-1][2] > 16 * rows[-1][3]

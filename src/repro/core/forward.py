@@ -33,12 +33,17 @@ fixed at ``L = 0`` -- renormalization happens per query, dividing by
 
 Bounded state
 -------------
-A block far enough below the top one folds to exactly ``+0.0`` in every
-answer, so the engine keeps at most ``D = 34`` scale blocks, the ones
-within ``D`` of its top (derivation at :data:`_WINDOW`).  Per-key state,
-snapshots and the query fold are therefore O(D) blocks whatever the
-stream length, every answer is bit-identical to keeping every block, and
-the state is still a pure function of the item multiset.
+A block far enough below a held block cannot change a bit of any
+answer: it is worth under half an ulp of that block's term in the
+query fold.  The engine keeps exactly the blocks at or above the
+*edge*, the highest of the lowest block each held block leaves able to
+matter (:func:`_floor_of`) and the content-independent floor
+``top - D + 1`` (``D = 34``, derivation at :data:`_WINDOW`).  Per-key
+state, snapshots and the query fold are therefore at most ``D`` blocks
+whatever the stream length -- on a steady stream about as many as one
+block's own value reaches, 18 for unit items at rate 0.05 -- every answer
+is bit-identical to keeping every block, and the state is still a pure
+function of the item multiset.
 """
 
 from __future__ import annotations
@@ -86,8 +91,18 @@ _INV_BLOCK = 0.015625
 #: in one block: ``d = 34``.  Adding ``+0.0`` leaves the fold unchanged
 #: and the top block is never dropped, so every answer is bit-identical
 #: to keeping every block, while the state stays at most 34 blocks
-#: however long the stream runs.
+#: however long the stream runs.  It is the edge's content-independent
+#: floor: a top holding ``5e-324 * w`` raises the edge no higher.
 _WINDOW = 34
+
+#: ``1 + 76 + 1024 + 53``: block ``j`` is absorbed by a held block ``b``
+#: worth ``2**L_b`` or more in its own scale once ``64 * (b - j) >=
+#: _ABSORB - L_b``.  Up to ``2**76`` contributions below ``2**1024`` fold
+#: to a term under ``2**(1 + 76 + 1024)`` in ``j``'s scale (the 1 covers
+#: the sticky-bit truncation), hence under ``2**(L_b - 53)`` -- half an
+#: ulp of ``b``'s term -- in ``b``'s, and the highest-first fold's running
+#: total never falls below ``b``'s term, so adding ``j`` changes no bit.
+_ABSORB = 1154
 
 #: ``2**52``.  For ``x >= 1`` the product ``x * 2**52`` is integer-valued
 #: (a double has no mantissa bits below ``2**-52`` once ``x >= 1``), so
@@ -96,6 +111,11 @@ _WINDOW = 34
 _P52 = 4503599627370496.0
 
 _LOG2_E = 1.0 / math.log(2.0)
+
+_OVERFLOW = (
+    "forward contribution overflows a float; values this large are outside "
+    "the engine's domain"
+)
 
 
 class ForwardDecay(DecayFunction):
@@ -181,14 +201,15 @@ def _scaled_float(num: int, exp: int) -> float:
 class ForwardDecaySum(EngineBase):
     """Forward decaying sum with order-independent exact accumulation.
 
-    State is a sparse map of at most ``D`` scale blocks
-    ``k -> num * 2**exp`` (exact integers, see the module docstring):
+    State is a sparse map of the scale blocks at or above the edge, in
+    increasing block order, ``k -> num * 2**exp`` (exact integers, see
+    the module docstring):
     ingest banks each item's float contribution exactly, so the state --
     and therefore every query -- is a function of the item multiset
     alone.  Late items are accepted directly (``supports_out_of_order``);
-    one landing ``D`` or more blocks below the top is counted but cannot
-    change an answer, so it is not banked.  The clock only ever moves
-    forward to the newest timestamp seen.
+    one landing below the edge is counted but cannot change an answer,
+    so it is not banked.  The clock only ever moves forward to the
+    newest timestamp seen.
 
     ``query`` folds the blocks highest-first into a float and divides by
     ``g(T - L)`` in the exponent, so long quiet periods underflow
@@ -206,7 +227,7 @@ class ForwardDecaySum(EngineBase):
             raise InvalidParameterError("ForwardDecaySum requires ForwardDecay")
         self._decay = decay
         self._time = 0
-        self._buckets: dict[int, list[int]] = {}  # k -> [num, exp]
+        self._buckets: dict[int, list[int]] = {}  # k -> [num, exp], k rising
         self._items = 0
 
     # -------------------------------------------------------------- clock
@@ -251,42 +272,37 @@ class ForwardDecaySum(EngineBase):
         """Bank a same-instant batch; bit-identical to one :meth:`add_at`
         per value at the clock.
 
-        A rejected value raises with the values before it banked and
-        counted, as those ``add_at`` calls would leave them.
+        The whole batch is checked before any of it is banked (every value
+        non-negative, every contribution finite), so a refused batch
+        leaves the engine as it was.
         """
-        when = self._time
-        decay = self._decay
-        f = decay.log2_g(when)
+        f = self._decay.log2_g(self._time)
         k = int(f * _INV_BLOCK)
         w = 2.0 ** (f - (k << 6))
+        for value in values:
+            if not value >= 0:
+                raise InvalidParameterError(f"value must be >= 0, got {value}")
+            if value * w == math.inf:
+                raise InvalidParameterError(_OVERFLOW)
         buckets = self._buckets
         slot = buckets.get(k)
-        n = 0
         run = 0
-        last = math.nan  # equal to no value: the first one is checked
+        last = math.nan  # equal to no value: the first one starts a run
         num = 0
         exp = 0
-        try:
-            for value in values:
-                if value == last:
-                    run += 1
-                    n += 1
-                    continue
-                if run and num:
-                    slot = _flush(buckets, k, slot, num, exp, run)
-                if not value >= 0:
-                    raise InvalidParameterError(
-                        f"value must be >= 0, got {value}"
-                    )
-                num, exp = _exact_parts(value * w)
-                last = value
-                run = 1
-                n += 1
-        finally:
-            # A value raises after the runs before it are banked.
-            self._items += n
+        for value in values:
+            if value == last:
+                run += 1
+                continue
+            if run and num:
+                slot = _flush(buckets, k, slot, num, exp, run)
+            num, exp = _exact_parts(value * w)
+            last = value
+            run = 1
         if run and num:
             _flush(buckets, k, slot, num, exp, run)
+        self._items += len(values)
+        _settle(buckets, (k,))
 
     def ingest(
         self, items: Iterable[TimedValue], *, until: int | None = None
@@ -301,13 +317,15 @@ class ForwardDecaySum(EngineBase):
         the same integer as ``run`` sequential adds).  Bit-identical to
         replaying the items one at a time through :meth:`add_at`, in any
         order; an item that raises leaves the items before it banked,
-        counted and on the clock, as that replay would.
+        counted and on the clock, as that replay would.  The edge is
+        re-evaluated once per block entered, after the loop.
         """
         decay = self._decay
         exp_kind = decay.kind == "exp"
         cfac = decay.rate * _LOG2_E
         log2g = decay.log2_g
         buckets = self._buckets
+        touched: set[int] = set()
         now = self._time
         n = 0
         run = 0
@@ -358,6 +376,7 @@ class ForwardDecaySum(EngineBase):
                         blo = float(k << 6)
                         bhi = blo + 64.0
                         slot = buckets.get(k)
+                        touched.add(k)
                     w = 2.0 ** (f - blo)
                 if run and num:
                     # Contributions >= 1 land on the fixed -52 grid; defer
@@ -376,11 +395,7 @@ class ForwardDecaySum(EngineBase):
                         # overflow.
                         if x == math.inf:
                             run = 0  # banked just above
-                            raise InvalidParameterError(
-                                "forward contribution overflows a float; "
-                                "values this large are outside the "
-                                "engine's domain"
-                            )
+                            raise InvalidParameterError(_OVERFLOW)
                         num = int(x)
                         exp = 0
                     else:
@@ -400,6 +415,7 @@ class ForwardDecaySum(EngineBase):
                 slot = _flush(buckets, k, slot, num, exp, run)
             if pend:
                 _flush(buckets, k, slot, pend, -52, 1)
+            _settle(buckets, touched)
             self._items += n
             if last_t > now:
                 now = last_t
@@ -418,6 +434,7 @@ class ForwardDecaySum(EngineBase):
         num, exp = _exact_parts(value * 2.0 ** (f - (k << 6)))
         if num:
             _accumulate(self._buckets, k, num, exp)
+            _settle(self._buckets, (k,))
 
     # -------------------------------------------------------------- reads
 
@@ -431,10 +448,9 @@ class ForwardDecaySum(EngineBase):
         buckets = self._buckets
         if not buckets:
             return Estimate.exact(0.0)
-        blocks = sorted(buckets, reverse=True)
-        top = blocks[0]
+        top = next(reversed(buckets))
         total = 0.0
-        for k in blocks:
+        for k in reversed(buckets):
             num, exp = buckets[k]
             if num:
                 total += _scaled_float(
@@ -444,19 +460,50 @@ class ForwardDecaySum(EngineBase):
         value = total * 2.0 ** (top * _BLOCK_BITS - f_t)
         return Estimate.exact(value)
 
-    def check(self) -> None:
-        """Refuse blocks no write can produce: every block numerator is a
-        non-negative integer.
+    def _load_blocks(self, blocks: Iterable[Sequence[int]]) -> None:
+        """Hold the restored ``[k, num, exp]`` blocks at or above the edge.
 
-        Run on restore (:func:`repro.serialize.engine_from_dict`), never
-        on the ingest path, whose writes bank only non-negative integers.
+        Every block is checked before any is held, so a snapshot cannot
+        size an allocation through the exponent it names; a block written
+        by :func:`repro.serialize.engine_to_dict` under any earlier rule
+        (every block, or the 34-block window) restores to the edge with
+        the same answer.
         """
-        for k, (num, _) in self._buckets.items():
-            if not (isinstance(num, int) and num >= 0):
+        if self._time < 0:
+            raise InvalidParameterError(
+                f"forward clock must be >= 0, got {self._time}"
+            )
+        top = int(self._decay.log2_g(self._time) * _INV_BLOCK)
+        held: dict[int, list[int]] = {}
+        last = -1
+        for k, num, exp in blocks:
+            # Writes bank into blocks 0 to the clock's, at the exponents
+            # _exact_parts and the block sums produce, and no block
+            # reaches 2**_ABSORB (2**130 near-DBL_MAX items), which keeps
+            # every block at or above its own _floor_of.
+            if not (isinstance(k, int) and last < k <= top):
                 raise InvalidParameterError(
-                    f"forward block {k} numerator must be a non-negative "
-                    f"integer, got {num!r}"
+                    f"forward blocks must be increasing integers in "
+                    f"[0, {top}], got {k!r} after {last}"
                 )
+            if not (
+                isinstance(num, int)
+                and isinstance(exp, int)
+                and -1074 <= exp <= 0
+                and 0 <= num
+                and num.bit_length() - 1 + exp < _ABSORB
+            ):
+                raise InvalidParameterError(
+                    f"forward block {k} must hold a non-negative integer "
+                    f"below 2**{_ABSORB} at an exponent in [-1074, 0], got "
+                    f"[{num!r}, {exp!r}]"
+                )
+            last = k
+            if num:
+                held[k] = [num, exp]
+        self._buckets = held
+        if held:
+            _settle(held, held, next(reversed(held)) - _WINDOW + 1)
 
     def storage_report(self) -> StorageReport:
         register_bits = 0
@@ -487,6 +534,7 @@ class ForwardDecaySum(EngineBase):
         for k, (num, exp) in other._buckets.items():
             if num:
                 _accumulate(buckets, k, num, exp)
+        _settle(buckets, other._buckets)
         self._items += other._items
 
     def __repr__(self) -> str:
@@ -509,10 +557,7 @@ def _exact_parts(contribution: float) -> tuple[int, int]:
     """
     if contribution >= _P52:
         if contribution == math.inf:
-            raise InvalidParameterError(
-                "forward contribution overflows a float; values this large "
-                "are outside the engine's domain"
-            )
+            raise InvalidParameterError(_OVERFLOW)
         return int(contribution), 0
     if contribution >= 1.0:
         return int(contribution * _P52), -52
@@ -522,27 +567,75 @@ def _exact_parts(contribution: float) -> tuple[int, int]:
     return num, 1 - den.bit_length()
 
 
+def _floor_of(k: int, slot: list[int]) -> int:
+    """The lowest block that block ``k`` leaves able to move an answer.
+
+    With ``L = floor(log2(num * 2**exp))`` the block's scale,
+    ``k + floor((L - _ABSORB) / 64) + 1``: every block ``j`` below it has
+    ``64 * (k - j) >= _ABSORB - L`` (see :data:`_ABSORB`).  It is at most
+    ``k`` (no block reaches ``2**_ABSORB``), and it only rises as block
+    ``k`` grows.
+    """
+    num, exp = slot
+    return k + 1 + ((num.bit_length() - 1 + exp - _ABSORB) >> 6)
+
+
+def _settle(
+    buckets: dict[int, list[int]], touched: Iterable[int], edge: int = 0
+) -> int:
+    """Raise ``edge`` to the :func:`_floor_of` of each held block in
+    ``touched``, drop every block below it, and return it.
+
+    A write call passes the blocks it banked into, once, after banking
+    (``_open`` has kept the window's floor, ``top - _WINDOW + 1``): a
+    block it did not touch had its floor below the old edge, which no
+    held block is under, so those floors need no second look.  The edge
+    only rises as the multiset grows and a dropped block never sets it
+    (its floor is at most itself), so the blocks kept -- exactly those
+    at or above the edge of the whole item multiset -- stay a pure
+    function of it.  ``buckets`` is in increasing block order, so the
+    blocks dropped are its first ones.
+    """
+    for k in touched:
+        slot = buckets.get(k)
+        if slot is not None:
+            floor = _floor_of(k, slot)
+            if floor > edge:
+                edge = floor
+    while buckets:
+        low = next(iter(buckets))
+        if low >= edge:
+            break
+        del buckets[low]
+    return edge
+
+
 def _open(
     buckets: dict[int, list[int]], k: int, num: int, exp: int
 ) -> list[int] | None:
-    """Create block ``k`` holding ``num * 2**exp``, inside the window.
+    """Create block ``k`` holding ``num * 2**exp``, unless it lies below
+    the edge (the write is then dropped and ``None`` returned).
 
-    The one place the :data:`_WINDOW` rule lives, run only when a block
-    is created: a new top deletes every block ``_WINDOW`` or more below
-    it, and a block that far below the top is not created at all (the
-    write is dropped and ``None`` returned).  Either way the blocks kept
-    are exactly those within ``_WINDOW`` of the top of the whole item
-    multiset, so the state stays a pure function of it.
+    Run only when a block is created.  A new top raises the window's
+    floor, dropping the blocks under it; a block at or above the lowest
+    held one is at or above the edge the call started with, so only a
+    block below every held one settles the edge of them all first.
+    Blocks stay in increasing order: a new top is appended, and a late
+    block re-sorts the few held.
     """
-    if buckets:
-        top = max(buckets)
-        if k <= top - _WINDOW:
-            return None
-        if k > top:
-            floor = k - _WINDOW
-            for old in [b for b in buckets if b <= floor]:
-                del buckets[old]
-    slot = buckets[k] = [num, exp]
+    slot = [num, exp]
+    top = next(reversed(buckets), -1)
+    if k > top:
+        _settle(buckets, (), k - _WINDOW + 1)
+        buckets[k] = slot
+        return slot
+    if k < next(iter(buckets)) and k < _settle(
+        buckets, buckets, top - _WINDOW + 1
+    ):
+        return None
+    held = sorted([*buckets.items(), (k, slot)])
+    buckets.clear()
+    buckets.update(held)
     return slot
 
 
@@ -577,8 +670,7 @@ def _flush(
     ``num * run`` is the same integer as ``run`` sequential additions, so
     run-length collapsing preserves the bit-identity contracts.  Returns
     the (possibly freshly created) slot so callers can keep it cached,
-    or ``None`` when block ``k`` lies outside the window (see
-    :func:`_open`).
+    or ``None`` when block ``k`` lies below the edge (see :func:`_open`).
     """
     add = num if run == 1 else num * run
     if slot is None:

@@ -129,8 +129,8 @@ def make_decaying_sum(
       histogram engines' domination bounds do not apply to them.
     * forward decay (Cormode et al., ICDE 2009) ->
       :class:`repro.core.forward.ForwardDecaySum` (O(1) ingest, no
-      compaction, natively order-insensitive; at most D = 34 scale
-      blocks however long the stream runs).
+      compaction, natively order-insensitive; only the scale blocks that
+      can still move an answer, at most 34, however long the stream runs).
     * ratio-nonincreasing decay (POLYD and slower) ->
       :class:`repro.histograms.wbmh.WBMH`
       (O(log D(g) log log N) bits, Lemma 5.1).

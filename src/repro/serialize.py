@@ -40,7 +40,7 @@ from repro.core.decay import (
 from repro.core.errors import InvalidParameterError
 from repro.core.ewma import ExponentialSum, GeneralPolyexpSum, PolyexponentialSum
 from repro.core.exact import ExactDecayingSum
-from repro.core.forward import ForwardDecay, ForwardDecaySum, _accumulate
+from repro.core.forward import ForwardDecay, ForwardDecaySum
 from repro.counters.approx_float import FixedQuantizer, LevelQuantizer
 from repro.histograms.buckets import Bucket
 from repro.histograms.ceh import CascadedEH
@@ -318,13 +318,8 @@ def engine_from_dict(data: dict[str, Any]) -> Any:
             )
         fwd = ForwardDecaySum(forward_decay)
         fwd._time = int(data["time"])
-        for k, num, exp in data["blocks"]:
-            # Through the engine's own block rule, so a snapshot holding
-            # blocks the window no longer keeps restores bounded.
-            if num:
-                _accumulate(fwd._buckets, int(k), int(num), int(exp))
         fwd._items = int(data["items"])
-        fwd.check()
+        fwd._load_blocks(data["blocks"])  # checks every block, then the edge
         return fwd
     if kind in ("eh", "sliwin-sum"):
         if kind == "sliwin-sum":

@@ -425,7 +425,6 @@ class ServiceStore(StoreFront):
             except (ReproError, ValueError, TypeError) as exc:
                 if key not in engines:  # fresh: no key, nor a lattice column
                     self._keyed.release(engine)
-                self._memo.pop(key, None)  # forward decay keeps a prefix
                 refused[index] = exc
                 continue
             self._touch(key, engine)

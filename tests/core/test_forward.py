@@ -207,35 +207,19 @@ class TestForwardDecaySum:
         # inside the window they still move the answer; at exactly
         # _WINDOW blocks below the top they fold to +0.0, so dropping
         # them changes no bit.
-        decay = ForwardDecay("exp", 0.05)
-
-        def block(t):
-            return int(decay.log2_g(t) / 64)
-
-        def first_time_in(k):
-            t = 0
-            while block(t) < k:
-                t += 1
-            return t
-
         top = forward._WINDOW + 6
-        t_top = first_time_in(top)
-        tiny = [StreamItem(t_top, 5e-324)]
-        alone = ForwardDecaySum(decay)
-        alone.ingest(tiny)
-        for depth in (forward._WINDOW - 1, forward._WINDOW):
-            t_low = first_time_in(top - depth)
-            w_low = 2.0 ** (decay.log2_g(t_low) - 64 * (top - depth))
-            huge = [StreamItem(t_low, 1.7e308 / w_low)] * (1 << 16)
-            s = ForwardDecaySum(decay)
-            s.ingest(huge + tiny if late_first else tiny + huge)
-            assert len(engine_to_dict(s)["blocks"]) == (
-                2 if depth < forward._WINDOW else 1
-            )
-            if depth < forward._WINDOW:
-                assert s.query().value > alone.query().value
-            else:
-                assert triplet(s) == triplet(alone)
+        _assert_edge_at(
+            top, 5e-324, forward._WINDOW - 1, late_first=late_first
+        )
+
+    @pytest.mark.parametrize("late_first", [True, False])
+    def test_content_edge_is_answer_neutral(self, late_first):
+        # The same contributions under a top block worth 1.5 * 2**66 in
+        # its own scale: its floor, top + floor((66 - 1154) / 64) + 1,
+        # puts the edge 16 blocks down.  There they fold to 2**16 in the
+        # top's scale, above half its ulp (2**13); one block lower to
+        # 2**-48, which the fold absorbs bit for bit.
+        _assert_edge_at(40, 1.5 * 2.0**66, 16, late_first=late_first)
 
     def test_quiet_period_underflows_to_zero(self):
         s = ForwardDecaySum(ForwardDecay("exp", 1.0))
@@ -274,6 +258,37 @@ class TestForwardDecaySum:
         s.ingest(items)
         assert flushed == [0, 0]
         assert len(s._buckets) == 1
+
+    def test_edge_is_evaluated_once_per_block_touched(self, monkeypatch):
+        """A write call re-evaluates the edge after banking, once for each
+        block it touched: 20,000 items in one block cost one evaluation,
+        and a write into held blocks evaluates only theirs."""
+        decay = ForwardDecay("exp", 0.001)  # 44,361 ticks per block
+        s = ForwardDecaySum(decay)
+        s.ingest([StreamItem(t, 1.0) for t in range(0, 100_000, 1000)])
+        other = ForwardDecaySum(decay)
+        other.ingest([StreamItem(10, 2.0), StreamItem(60_000, 2.0)])
+        floors = []
+
+        def counted(k, slot, _orig=forward._floor_of):
+            floors.append(k)
+            return _orig(k, slot)
+
+        monkeypatch.setattr(forward, "_floor_of", counted)
+        items = [StreamItem(90_000 + t // 2, 1.0 + t % 3) for t in range(20_000)]
+        writes = [
+            (lambda: s.ingest(items), [2]),
+            (lambda: s.add_batch([1.0] * 500), [2]),
+            (lambda: s.add_at(50_000, 1.0), [1]),
+            (lambda: s.merge(other), [0, 1]),
+            (lambda: ForwardDecaySum(decay).ingest(items), [2]),
+            (lambda: engine_from_dict(engine_to_dict(s)), [0, 1, 2]),
+        ]
+        for write, touched in writes:
+            floors.clear()
+            write()
+            assert sorted(floors) == touched
+        assert sorted(s._buckets) == [0, 1, 2]
 
     def test_add_batch_bit_identical_to_adds(self):
         values = [1.0, 1.0, 1.0, 0.25, 7.5, 0.0, 1.0]
@@ -359,10 +374,11 @@ def _prefix_replay(engine, write, args) -> bool:
 class TestRejectedWritesKeepTheirPrefix:
     """A write that rejects an item mid-call leaves the accepted prefix.
 
-    ``ingest`` is documented as replay through ``add_at`` and
-    ``add_batch`` as sequential ``add`` calls, so an item that raises
-    must leave exactly the state those replays leave when they stop at
-    it: every earlier item banked, counted and on the clock.
+    ``ingest`` is documented as replay through ``add_at``, so an item
+    that raises must leave exactly the state that replay leaves when it
+    stops at it: every earlier item banked, counted and on the clock.
+    ``add_batch`` is the exception, pinned here against the same replay:
+    it checks the whole batch first, so a refused batch banks nothing.
     """
 
     def test_ingest_keeps_items_before_a_nan(self):
@@ -373,14 +389,15 @@ class TestRejectedWritesKeepTheirPrefix:
             s.ingest(items)
         assert (s.time, s._items) == (40, 40)
 
-    def test_add_batch_counts_values_before_a_negative(self):
+    def test_refused_add_batch_banks_nothing(self):
         s = ForwardDecaySum(ForwardDecay("exp", 0.1))
+        s.add_at(5, 1.0)  # w = 2**(0.5 log2 e) > 1.06: 1.7e308 * w overflows
+        before = engine_to_dict(s)
         with pytest.raises(InvalidParameterError):
             s.add_batch([1.5, 1.5, 2.0, -1.0])
-        reference = ForwardDecaySum(ForwardDecay("exp", 0.1))
-        for value in (1.5, 1.5, 2.0):
-            reference.add(value)
-        assert engine_to_dict(s) == engine_to_dict(reference)
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            s.add_batch([1.0, 1.7e308])
+        assert engine_to_dict(s) == before
 
     @pytest.mark.parametrize("value", [-1.0, math.nan])
     def test_add_batch_rejects_a_leading_bad_value(self, value):
@@ -432,7 +449,9 @@ class TestRejectedWritesKeepTheirPrefix:
         index=st.integers(0, 30),
         bad=st.sampled_from(BAD_VALUES),
     )
-    def test_add_batch_matches_add_prefix(self, decay, when, values, index, bad):
+    def test_add_batch_is_all_or_nothing(self, decay, when, values, index, bad):
+        # The batch raises exactly when the sequential adds would, and
+        # then leaves the engine as it was; else it equals those adds.
         batch = list(values)
         batch.insert(index, bad)
         engine = ForwardDecaySum(ForwardDecay(*decay))
@@ -440,6 +459,7 @@ class TestRejectedWritesKeepTheirPrefix:
         for e in (engine, reference):
             e.add_at(2, 1.0)
             e.advance_to(max(when, 2))
+        before = engine_to_dict(engine)
         try:
             engine.add_batch(batch)
             raised = False
@@ -447,7 +467,44 @@ class TestRejectedWritesKeepTheirPrefix:
             raised = True
         stopped = _prefix_replay(reference, lambda e, v: e.add(v), batch)
         assert raised == stopped
-        assert engine_to_dict(engine) == engine_to_dict(reference)
+        assert engine_to_dict(engine) == (
+            before if raised else engine_to_dict(reference)
+        )
+
+
+def _first_time_in(decay, k):
+    """The first tick whose contribution lands in block ``k``."""
+    t = 0
+    while int(decay.log2_g(t) / 64) < k:
+        t += 1
+    return t
+
+
+def _contribution(decay, k, x):
+    """An item landing in block ``k`` that banks about ``x``."""
+    t = _first_time_in(decay, k)
+    return StreamItem(t, x / 2.0 ** (decay.log2_g(t) - 64 * k))
+
+
+def _assert_edge_at(top, top_value, depth, *, late_first):
+    """2**16 near-DBL_MAX contributions ``depth`` blocks under a top
+    block banking ``top_value`` move the answer, and ``depth + 1``
+    blocks under it they are dropped without changing a bit."""
+    decay = ForwardDecay("exp", 0.05)
+    head = [_contribution(decay, top, top_value)]
+    alone = ForwardDecaySum(decay)
+    alone.ingest(head)
+    for low in (depth, depth + 1):
+        huge = [_contribution(decay, top - low, 1.7e308)] * (1 << 16)
+        s = ForwardDecaySum(decay)
+        s.ingest(huge + head if late_first else head + huge)
+        held = [k for k, _, _ in engine_to_dict(s)["blocks"]]
+        if low == depth:
+            assert held == [top - low, top]
+            assert s.query().value > alone.query().value
+        else:
+            assert held == [top]
+            assert triplet(s) == triplet(alone)
 
 
 class TestExactForwardSum:

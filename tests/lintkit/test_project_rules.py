@@ -86,18 +86,17 @@ class TestRK010:
         assert "[repro.core.trace.ingest -> " in v.render()
 
     def test_direct_calls_left_to_per_file_rules(self):
-        found = lint_project(
-            {
-                "src/repro/core/trace.py": """
-                import time
+        files = {
+            "src/repro/core/trace.py": """
+            import multiprocessing
 
-                def ingest():
-                    return time.time()
-                """
-            },
-            ["RK010"],
-        )
-        assert found == []  # RK001 territory, not RK010
+            def ingest():
+                return multiprocessing.Pool()
+            """
+        }
+        assert lint_project(files, ["RK010"]) == []  # RK008 territory
+        found = lint_project(files, ["RK008", "RK010"])
+        assert {v.rule_id for v in found} == {"RK008"}
 
     def test_exempt_caller_is_not_flagged(self):
         files = dict(self.FILES)
@@ -135,14 +134,21 @@ class TestRK010:
         assert [v.path for v in found] == ["src/repro/histograms/bad.py"]
 
     def test_pragma_suppresses_at_crossing_line(self):
-        files = dict(self.FILES)
-        files["src/repro/core/trace.py"] = """
-        from repro.benchkit.timers import stamp
+        # The crossing is reported at the call into the exempt helper: a
+        # pragma there silences it, one on the enclosing def line does not.
+        def crossing(def_pragma: str, call_pragma: str):
+            files = dict(self.FILES)
+            files["src/repro/core/trace.py"] = (
+                "from repro.service.pool import fan_out\n\n"
+                f"def ingest():{def_pragma}\n"
+                f"    return fan_out(){call_pragma}\n"
+            )
+            return [v.rule_id for v in lint_project(files, ["RK010"])]
 
-        def ingest():
-            return stamp()  # lintkit: ignore[RK010]
-        """
-        assert lint_project(files, ["RK010"]) == []
+        pragma = "  # lintkit: ignore[RK010]"
+        assert crossing("", "") == ["RK010"]
+        assert crossing(pragma, "") == ["RK010"]
+        assert crossing("", pragma) == []
 
     def test_shipped_tree_is_clean(self):
         assert lint_contexts(load_tree(), select=["RK010"]) == []

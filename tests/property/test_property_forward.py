@@ -7,9 +7,10 @@ certified estimate triplet (value, lower, upper), not merely a close one,
 and the identical block state.  These properties are the
 Hypothesis-driven twin of conformance law CL009.
 
-The engine holds only the scale blocks within ``_WINDOW`` of its top
-block.  An unbounded reference that never drops a block pins that
-window as answer-neutral, bit for bit.
+The engine holds only the scale blocks at or above its edge.  An
+unbounded reference that never drops a block pins the edge as
+answer-neutral, bit for bit, and the held blocks as exactly the
+reference's blocks at or above the edge the derivation gives.
 """
 
 import math
@@ -67,6 +68,17 @@ def unbounded_blocks(decay, trace):
         have[0] = (have[0] << (have[1] - low)) + (num << (exp - low))
         have[1] = low
     return held
+
+
+def edge_of(held):
+    """The derivation's edge over every block: no lower than 33 under the
+    top, nor than ``b + floor((L_b - 1154) / 64) + 1`` for any block ``b``
+    worth ``2**L_b`` to ``2**(L_b + 1)`` in its own scale."""
+    edge = max(held) - 33
+    for b, (num, exp) in held.items():
+        low = num.bit_length() - 1 + exp
+        edge = max(edge, b + (low - (1 + 76 + 1024 + 53)) // 64 + 1)
+    return edge
 
 
 def unbounded_value(decay, held, end):
@@ -155,7 +167,7 @@ def edge_trace(depth):
 @example(decay=ForwardDecay("exp", 0.05), trace=edge_trace(34))
 def test_window_matches_the_unbounded_fold(decay, trace):
     # Exp rates up to 2.0 over times up to 5,000 span up to 226 blocks,
-    # far more than the window keeps.
+    # far more than the edge keeps.
     end = max((i.time for i in trace), default=0) + 10
     engine = ForwardDecaySum(decay)
     engine.ingest(trace, until=end)
@@ -163,11 +175,9 @@ def test_window_matches_the_unbounded_fold(decay, trace):
     want = unbounded_value(decay, held, end)
     assert triplet(engine) == (want, want, want)
     assert engine.storage_report().buckets <= forward._WINDOW
-    top = max(held, default=0)
+    edge = edge_of(held) if held else 0
     assert blocks(engine) == [
-        [k, num, exp]
-        for k, (num, exp) in sorted(held.items())
-        if k > top - forward._WINDOW
+        [k, num, exp] for k, (num, exp) in sorted(held.items()) if k >= edge
     ]
 
 
@@ -178,22 +188,33 @@ def test_window_matches_the_unbounded_fold(decay, trace):
     trace=[StreamItem(t, 1.0) for t in range(0, 5000, 50)],
 )
 def test_unbounded_snapshot_restores_to_the_window(decay, trace):
-    # A snapshot written before the window existed holds every block;
-    # restoring it keeps the same answer from at most _WINDOW blocks.
+    # A snapshot written before any bound existed holds every block, and
+    # one written under the 34-block window the blocks within 34 of the
+    # top; either restores to exactly the blocks at or above the edge,
+    # with the unbounded fold's answer bits.
     end = max((i.time for i in trace), default=0) + 10
     held = unbounded_blocks(decay, trace)
-    snapshot = {
-        "version": 1,
-        "engine": "forward",
-        "decay": decay_to_dict(decay),
-        "time": end,
-        "blocks": [[k, num, exp] for k, (num, exp) in sorted(held.items())],
-        "items": len(trace),
-    }
-    restored = engine_from_dict(snapshot)
-    want = unbounded_value(decay, held, end)
-    assert triplet(restored) == (want, want, want)
-    assert restored.storage_report().buckets <= forward._WINDOW
+    top = max(held, default=0)
+    edge = edge_of(held) if held else 0
     direct = ForwardDecaySum(decay)
     direct.ingest(trace, until=end)
-    assert blocks(restored) == blocks(direct)
+    want = unbounded_value(decay, held, end)
+    for floor in (0, top - 33):
+        restored = engine_from_dict({
+            "version": 1,
+            "engine": "forward",
+            "decay": decay_to_dict(decay),
+            "time": end,
+            "blocks": [
+                [k, num, exp]
+                for k, (num, exp) in sorted(held.items())
+                if k >= floor
+            ],
+            "items": len(trace),
+        })
+        assert triplet(restored) == (want, want, want)
+        assert blocks(restored) == blocks(direct) == [
+            [k, num, exp]
+            for k, (num, exp) in sorted(held.items())
+            if k >= edge
+        ]

@@ -177,6 +177,21 @@ PROBES: dict[str, tuple[Callable[[], Any], Callable[[dict[str, Any]], None]]] = 
         lambda: ForwardDecay("exp", 0.05),
         _negate_first_block,
     ),
+    # Writes bank at exponents -1074..0 into blocks 0 up to the clock's
+    # (block 0 at the fed clock, 5); each edit below is refused before
+    # any block is banked, so none sizes an allocation or a read.
+    "fwd-block-exponent-above-zero": (
+        lambda: ForwardDecay("exp", 0.05),
+        lambda state: state.__setitem__("blocks", [[0, 1, 2000]]),
+    ),
+    "fwd-block-below-zero": (
+        lambda: ForwardDecay("exp", 0.05),
+        lambda state: state.__setitem__("blocks", [[-5, 1, -52]]),
+    ),
+    "fwd-block-past-the-clock": (
+        lambda: ForwardDecay("exp", 0.05),
+        lambda state: state.__setitem__("blocks", [[500, 1, -52]]),
+    ),
     "eh-count-not-a-power-of-two": (
         lambda: SlidingWindowDecay(64),
         lambda state: state["buckets"][-1].__setitem__(2, 3),

@@ -545,8 +545,10 @@ def _restores_everywhere(front) -> None:
 
 
 #: (cell, weight): a weight one EWMA register takes once but not twice
-#: within about 30 ticks, and one no polyexponential (2, 0.1) key takes.
-REFUSAL_CELLS = [("expd", 1.5e308), ("polyexp", 1e307)]
+#: within about 30 ticks, one no polyexponential (2, 0.1) key takes, and
+#: one a forward (exp, 0.05) key takes only at ticks 0 and 1, where its
+#: scale ``w`` is below ``DBL_MAX / 1.7e308``.
+REFUSAL_CELLS = [("expd", 1.5e308), ("polyexp", 1e307), ("fwd-exp", 1.7e308)]
 
 
 def _refusal_trace(huge: float, seed: int, late: float) -> list[KeyedItem]:
@@ -594,17 +596,20 @@ class TestRefusals:
     def test_a_partly_banked_refusal_reads_the_same_on_both_fronts(
         self,
     ) -> None:
-        # A forward-decay batch keeps the values it banked before the one
-        # it refuses, so no front may answer from this tick's read memo.
+        # A forward-decay batch whose second value is refused banks
+        # nothing, not its first value, so every front still answers
+        # this tick's read (memoized or not) from the one item before it.
         decay = ForwardDecay("exp", 0.05)
         fronts = [ServiceStore(decay, 0.1),
                   ShardedServiceStore(decay, 0.1, workers=1)]
         try:
             for front in fronts:
                 front.observe("k", 1.0, when=100)
-                front.query("k")
+                before = _bits(front.query("k"))
                 with pytest.raises(InvalidParameterError, match="overflows"):
                     front.observe_values("k", [1.0, 1.7e308])
+                assert _bits(front.query("k")) == before
+                assert front.stats()["ingested_items"] == 1
             _assert_one_state(fronts)
         finally:
             for front in fronts:
@@ -646,7 +651,10 @@ class TestRefusals:
                 for call in calls:
                     errors = [_write(front, call) for front in fronts]
                     assert errors[1] == errors[0] and errors[2] == errors[0]
-                    refused += errors[0] is not None and "finite" in errors[0][1]
+                    refused += (
+                        errors[0] is not None
+                        and errors[0][0] == "InvalidParameterError"
+                    )
                     _assert_one_state(fronts)
                 for front in fronts:
                     _restores_everywhere(front)
