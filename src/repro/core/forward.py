@@ -104,6 +104,12 @@ _WINDOW = 34
 #: total never falls below ``b``'s term, so adding ``j`` changes no bit.
 _ABSORB = 1154
 
+#: Bits the query fold drops when the top block's scale overflows: the
+#: blocks sum below ``2**(_ABSORB + 1)`` there, so ``2**-192`` of it is
+#: far inside the float range, and ``top * 64 <= log2 g(T)`` keeps the
+#: renormalizing factor at most ``2**192``.
+_REFOLD = 192
+
 #: ``2**52``.  For ``x >= 1`` the product ``x * 2**52`` is integer-valued
 #: (a double has no mantissa bits below ``2**-52`` once ``x >= 1``), so
 #: ``int(x * _P52)`` is the *exact* mantissa of ``x`` on the fixed
@@ -433,7 +439,7 @@ class ForwardDecaySum(EngineBase):
         k = int(f * _INV_BLOCK)
         num, exp = _exact_parts(value * 2.0 ** (f - (k << 6)))
         if num:
-            _accumulate(self._buckets, k, num, exp)
+            _flush(self._buckets, k, self._buckets.get(k), num, exp, 1)
             _settle(self._buckets, (k,))
 
     # -------------------------------------------------------------- reads
@@ -443,21 +449,27 @@ class ForwardDecaySum(EngineBase):
 
         Blocks are folded highest-first, each converted through the same
         deterministic rounding, then renormalized by ``2**-log2 g(T)`` in
-        the exponent: a pure function of ``(item multiset, T)``.
+        the exponent: a pure function of ``(item multiset, T)``.  The fold
+        runs in the top block's scale unless that passes the float range
+        (blocks reach ``2**_ABSORB``); then it runs :data:`_REFOLD` bits
+        lower, so the answer is ``inf`` only where the decayed sum is.
         """
         buckets = self._buckets
         if not buckets:
             return Estimate.exact(0.0)
         top = next(reversed(buckets))
-        total = 0.0
-        for k in reversed(buckets):
-            num, exp = buckets[k]
-            if num:
-                total += _scaled_float(
-                    num, exp + (k - top) * _BLOCK_BITS
-                )
+        for shift in (0, _REFOLD):
+            total = 0.0
+            for k in reversed(buckets):
+                num, exp = buckets[k]
+                if num:
+                    total += _scaled_float(
+                        num, exp + (k - top) * _BLOCK_BITS - shift
+                    )
+            if total < math.inf:
+                break
         f_t = self._decay.log2_g(self._time)
-        value = total * 2.0 ** (top * _BLOCK_BITS - f_t)
+        value = total * 2.0 ** (top * _BLOCK_BITS + shift - f_t)
         return Estimate.exact(value)
 
     def _load_blocks(self, blocks: Iterable[Sequence[int]]) -> None:
@@ -533,7 +545,7 @@ class ForwardDecaySum(EngineBase):
         buckets = self._buckets
         for k, (num, exp) in other._buckets.items():
             if num:
-                _accumulate(buckets, k, num, exp)
+                _flush(buckets, k, buckets.get(k), num, exp, 1)
         _settle(buckets, other._buckets)
         self._items += other._items
 
@@ -637,24 +649,6 @@ def _open(
     buckets.clear()
     buckets.update(held)
     return slot
-
-
-def _accumulate(
-    buckets: dict[int, list[int]], k: int, num: int, exp: int
-) -> None:
-    """Add ``num * 2**exp`` into block ``k`` exactly (order-independent)."""
-    slot = buckets.get(k)
-    if slot is None:
-        _open(buckets, k, num, exp)
-        return
-    have = slot[1]
-    if exp == have:
-        slot[0] += num
-    elif exp > have:
-        slot[0] += num << (exp - have)
-    else:
-        slot[0] = (slot[0] << (have - exp)) + num
-        slot[1] = exp
 
 
 def _flush(

@@ -6,7 +6,7 @@ the weight-based merging histogram (Lemma 5.1).
 """
 
 from repro.histograms.boundaries import RegionSchedule
-from repro.histograms.buckets import Bucket, merge_buckets
+from repro.histograms.buckets import Bucket
 from repro.histograms.ceh import CascadedEH
 from repro.histograms.domination import DominationHistogram
 from repro.histograms.eh import ExponentialHistogram, SlidingWindowSum
@@ -15,7 +15,6 @@ from repro.histograms.wbmh import WBMH
 
 __all__ = [
     "Bucket",
-    "merge_buckets",
     "ExponentialHistogram",
     "SlidingWindowSum",
     "DominationHistogram",

@@ -12,11 +12,10 @@ merge rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.errors import InvalidParameterError
 
-__all__ = ["Bucket", "merge_buckets", "interleave_buckets"]
+__all__ = ["Bucket"]
 
 
 @dataclass(slots=True)
@@ -54,43 +53,3 @@ class Bucket:
                 f"current time {now} precedes bucket end {self.end}"
             )
         return now - self.end, now - self.start
-
-
-def merge_buckets(older: Bucket, newer: Bucket) -> Bucket:
-    """Merge two adjacent buckets, older first (paper section 2.3)."""
-    if older.end >= newer.start:
-        raise InvalidParameterError(
-            f"buckets are not in time order: older ends at {older.end}, "
-            f"newer starts at {newer.start}"
-        )
-    return Bucket(
-        start=older.start,
-        end=newer.end,
-        count=older.count + newer.count,
-        level=max(older.level, newer.level) + 1,
-    )
-
-
-def interleave_buckets(
-    a: Sequence[Bucket], b: Sequence[Bucket]
-) -> list[Bucket]:
-    """Two-pointer merge of two end-sorted bucket lists.
-
-    The result is sorted by ``(end, start)`` -- the order every histogram's
-    expiry and query walks rely on.  Counts and spans are untouched: the
-    union structure simply carries both operands' buckets side by side.
-    """
-    out: list[Bucket] = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if (x.end, x.start) <= (y.end, y.start):
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out

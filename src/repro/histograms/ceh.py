@@ -24,6 +24,7 @@ Two backends are provided:
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Literal, Sequence
 
 from repro.core.batching import EngineBase, TimedValue
@@ -38,6 +39,15 @@ from repro.storage.model import StorageReport
 __all__ = ["CascadedEH"]
 
 Backend = Literal["eh", "domination"]
+
+
+def _midpoint(lower: float, upper: float) -> float:
+    """The bracket's midpoint; halved before the sum only where the sum
+    passes the float range, so every other midpoint keeps its bits."""
+    value = 0.5 * (upper + lower)
+    if value == math.inf:
+        value = 0.5 * upper + 0.5 * lower
+    return value
 
 
 class CascadedEH(EngineBase):
@@ -132,7 +142,7 @@ class CascadedEH(EngineBase):
         elif self.estimator == "lower":
             value = lower
         else:
-            value = 0.5 * (upper + lower)
+            value = _midpoint(lower, upper)
         return Estimate(value=value, lower=lower, upper=upper)
 
     def query_decay(self, other: DecayFunction) -> Estimate:
@@ -150,17 +160,19 @@ class CascadedEH(EngineBase):
                 "requested decay function outlives the structure's window"
             )
         lower, upper = self._bracket(other)
-        return Estimate(value=0.5 * (upper + lower), lower=lower, upper=upper)
+        return Estimate(value=_midpoint(lower, upper), lower=lower, upper=upper)
 
     def _bracket(self, decay: DecayFunction) -> tuple[float, float]:
-        """``(lower, upper)``: Eq. 4 weighted by bucket starts and ends."""
-        now = self._hist.time
+        """``(lower, upper)``: Eq. 4 weighted by bucket starts and ends,
+        read off the backend's columns."""
+        hist = self._hist
+        now = hist.time
         weight = decay.weight
         upper = 0.0
         lower = 0.0
-        for b in self._hist.bucket_view():
-            upper += b.count * weight(now - b.end)
-            lower += b.count * weight(now - b.start)
+        for start, end, count in zip(hist.starts, hist.ends, hist.counts):
+            upper += count * weight(now - end)
+            lower += count * weight(now - start)
         return lower, upper
 
     def merge(self, other: "CascadedEH") -> None:

@@ -16,24 +16,27 @@ bucket itself does, so at query time any straddling bucket still accounts
 for at most an ``eps`` fraction of the newer mass -- giving the same
 ``(1 +- eps)`` window guarantees as the classic EH, for real values.
 
-The histogram is a structure-of-arrays column store
-(:class:`~repro.histograms.soa.BucketColumns`); the per-arrival compaction
-sweep is gated by the exact no-merge pre-check
-(:func:`~repro.histograms.soa.domination_merge_possible`), so the common
-dominated-by-nothing arrival costs one scan instead of a full list rebuild.
+The histogram is :class:`~repro.histograms.soa.BucketColumns`, the one
+sliding-window bucket histogram the EH is too (clock, expiry, window
+walk, shard merge, restore); this class adds the domination insert and
+compaction rule.  The per-arrival compaction sweep is gated by the exact
+no-merge pre-check (:func:`~repro.histograms.soa.domination_merge_possible`),
+so the common dominated-by-nothing arrival costs one scan instead of a
+full list rebuild.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.core.batching import EngineBase
 from repro.core.errors import InvalidParameterError
 from repro.core.estimate import Estimate
-from repro.core.merging import align_merge_clocks, require_merge_operand
-from repro.histograms.buckets import Bucket, interleave_buckets
-from repro.histograms.soa import BucketColumns, domination_merge_possible
+from repro.histograms.soa import (
+    BucketColumns,
+    compose_merge_epsilon,
+    domination_merge_possible,
+)
 from repro.storage.model import StorageReport, bits_for_value, float_register_bits
 
 __all__ = [
@@ -41,22 +44,6 @@ __all__ = [
     "compose_merge_epsilon",
     "widen_merged_estimate",
 ]
-
-
-def compose_merge_epsilon(eps_a: float, eps_b: float) -> float:
-    """Error budget of a merged histogram: straddling masses *add*.
-
-    Each operand certifies that any window answer is off by at most an
-    ``eps`` fraction of its own newer mass.  The union structure carries
-    both operands' buckets, so a boundary can straddle one (post-compaction,
-    several) bucket *per operand*: the merged structure's straddling
-    uncertainty is bounded by the sum of the budgets.  Merging K shards
-    pairwise therefore costs ``K * eps`` -- the explicit composition rule
-    CL008 accounts against.
-    """
-    if eps_a <= 0 or eps_b <= 0:
-        raise InvalidParameterError("epsilon budgets must be positive")
-    return eps_a + eps_b
 
 
 def widen_merged_estimate(a: Estimate, b: Estimate) -> Estimate:
@@ -75,23 +62,15 @@ def widen_merged_estimate(a: Estimate, b: Estimate) -> Estimate:
     )
 
 
-class DominationHistogram(BucketColumns, EngineBase):
+class DominationHistogram(BucketColumns):
     """Sliding-window sum of non-negative reals with ``(1 +- eps)`` error.
 
     ``window=None`` disables expiry (infinite-support decay). Merging runs
     as a single newest-to-oldest pass after every ``compact_every`` arrivals
-    (amortizing the O(buckets) sweep).
+    (amortizing the O(buckets) sweep), and once after every shard merge.
     """
 
-    __slots__ = (
-        "window",
-        "epsilon",
-        "compact_every",
-        "effective_epsilon",
-        "_time",
-        "_total",
-        "_since_compact",
-    )
+    __slots__ = ("compact_every", "_since_compact")
 
     def __init__(
         self,
@@ -100,30 +79,11 @@ class DominationHistogram(BucketColumns, EngineBase):
         *,
         compact_every: int = 1,
     ) -> None:
-        if window is not None and window < 1:
-            raise InvalidParameterError(f"window must be >= 1, got {window}")
-        if not 0 < epsilon < 1:
-            raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+        super().__init__(window, epsilon)  # oldest first
         if compact_every < 1:
             raise InvalidParameterError("compact_every must be >= 1")
-        super().__init__()  # the columns, oldest first
-        self.window = window
-        self.epsilon = float(epsilon)
         self.compact_every = int(compact_every)
-        #: Composed error budget: starts at ``epsilon`` and grows by
-        #: :func:`compose_merge_epsilon` with every shard merge.
-        self.effective_epsilon = float(epsilon)
-        self._time = 0
-        self._total = 0.0
         self._since_compact = 0
-
-    @property
-    def time(self) -> int:
-        return self._time
-
-    @property
-    def total_in_buckets(self) -> float:
-        return self._total
 
     def add(self, value: float = 1.0) -> None:  # lintkit: hot
         if not 0 <= value < math.inf:
@@ -153,91 +113,6 @@ class DominationHistogram(BucketColumns, EngineBase):
         for value in values:
             self.add(value)
 
-    def advance(self, steps: int = 1) -> None:
-        if steps < 0:
-            raise InvalidParameterError(f"steps must be >= 0, got {steps}")
-        self._time += steps
-        self._expire()
-
-    def merge(self, other: "DominationHistogram") -> None:
-        """Interleave another domination histogram's buckets into this one.
-
-        Clocks are aligned by advancing the younger operand; the two
-        end-sorted bucket lists are merged two-pointer style and one
-        compaction sweep restores the bucket-count bound.  The straddling
-        uncertainty of the union is bounded by the *sum* of the operands'
-        budgets (:func:`compose_merge_epsilon`), tracked in
-        ``effective_epsilon``.  Merging with an empty operand leaves the
-        structure (budget included) bit-identical.
-        """
-        require_merge_operand(self, other)
-        if self.window != other.window:
-            raise InvalidParameterError(
-                f"cannot merge windows {self.window} and {other.window}"
-            )
-        align_merge_clocks(self, other)
-        if not other.ends:
-            return
-        total = self._total + other._total
-        if not total < math.inf:
-            raise InvalidParameterError("merge must keep the total finite")
-        if self.ends:
-            self.effective_epsilon = compose_merge_epsilon(
-                self.effective_epsilon, other.effective_epsilon
-            )
-            union = interleave_buckets(self.bucket_view(), other.bucket_view())
-        else:
-            self.effective_epsilon = other.effective_epsilon
-            union = other.bucket_view()
-        self.load_buckets(union)
-        self._total = total
-        self._compact()
-        self._since_compact = 0
-
-    def query(self) -> Estimate:
-        if self.window is None:
-            return Estimate.exact(self._total)
-        return self.query_window(self.window)
-
-    def query_window(self, w: int) -> Estimate:
-        """Estimate the sum of values with age ``< w``."""
-        if w < 1:
-            raise InvalidParameterError(f"window must be >= 1, got {w}")
-        if self.window is not None and w > self.window:
-            raise InvalidParameterError(
-                f"window {w} exceeds structure window {self.window}"
-            )
-        cutoff = self._time - w
-        total = 0.0
-        straddle = 0.0
-        contributed = False
-        # Newest first; the list is end-sorted so the first bucket at or
-        # past the cutoff ends the walk.  A freshly-built histogram has at
-        # most one straddler (disjoint spans); a shard-merged one can carry
-        # one straddler per operand, so *every* contributing bucket whose
-        # start falls outside the window is summed into the slack.
-        starts = self.starts
-        ends = self.ends
-        counts = self.counts
-        for i in range(len(ends) - 1, -1, -1):
-            if ends[i] <= cutoff:
-                break
-            total += counts[i]
-            contributed = True
-            if starts[i] <= cutoff:
-                straddle += counts[i]
-        if not contributed:
-            return Estimate.exact(0.0)
-        if straddle == 0.0:
-            return Estimate.exact(total)
-        # Straddling merged buckets: each one's in-window portion is unknown
-        # within (0, count]; a single-timestamp bucket never straddles.
-        return Estimate(
-            value=total - straddle / 2.0,
-            lower=total - straddle,
-            upper=total,
-        )
-
     def check(self) -> None:
         """Refuse buckets no write can produce: every count is finite and
         > 0 (``add`` skips zeros), and the buckets are in end-time order
@@ -253,11 +128,7 @@ class DominationHistogram(BucketColumns, EngineBase):
                     f"domination bucket count must be finite and > 0, "
                     f"got {count}"
                 )
-        ends = self.ends
-        if any(a > b for a, b in zip(ends, ends[1:])):
-            raise InvalidParameterError(
-                "domination buckets must be in end-time order"
-            )
+        super().check()
 
     def storage_report(self) -> StorageReport:
         horizon = self.window if self.window is not None else max(1, self._time)
@@ -273,16 +144,13 @@ class DominationHistogram(BucketColumns, EngineBase):
             register_bits=bits_for_value(max(1, self._time)),
         )
 
-    def _load_buckets(self, buckets: Iterable[Bucket]) -> None:
-        """Adopt a row-wise bucket list wholesale (serialization restore).
-
-        Refuses what :meth:`check` refuses, then rebuilds the running
-        total from the rows (same oldest-first accumulation order as
-        before); the caller owns the clock and the compaction countdown.
-        """
-        self.load_buckets(buckets)
-        self.check()
-        self._total = sum(self.counts)
+    def _adopted(self, merged: bool) -> None:
+        """After a merge, one compaction sweep restores the bucket-count
+        bound and the countdown restarts; a restore sets the countdown
+        itself."""
+        if merged:
+            self._compact()
+            self._since_compact = 0
 
     def _compact(self) -> None:
         """One newest-to-oldest merge sweep.
@@ -347,16 +215,3 @@ class DominationHistogram(BucketColumns, EngineBase):
         out_c.reverse()
         out_l.reverse()
         self.replace(out_s, out_e, out_c, out_l)
-
-    def _expire(self) -> None:
-        if self.window is None:
-            return
-        cutoff = self._time - self.window
-        ends = self.ends
-        counts = self.counts
-        drop = 0
-        n = len(ends)
-        while drop < n and ends[drop] <= cutoff:
-            self._total -= counts[drop]
-            drop += 1
-        self.drop_head(drop)

@@ -26,11 +26,14 @@ the oldest bucket's start is ever consulted) so that
 from the same structure (paper Lemma 4.1), which is what the cascaded
 construction of Theorem 1 consumes.
 
-The histogram is a structure-of-arrays column store
-(:class:`~repro.histograms.soa.BucketColumns`); :class:`Bucket` rows are
-materialized only at the ``bucket_view()``/serialization boundary.  Bulk
-ingestion routes through the :mod:`repro.histograms.soa` kernel and falls
-back to the organic replay whenever the kernel declines.
+The histogram is :class:`~repro.histograms.soa.BucketColumns`, the one
+sliding-window bucket histogram, which holds the clock, expiry, window
+walk, shard merge and restore; this class adds the power-of-two insert
+and cascade, its count check and its storage report.  Counts are ints,
+as the writes make them, restored ones included.  :class:`Bucket` rows
+are materialized only at the ``bucket_view`` and serialization boundary.
+Bulk ingestion routes through the :mod:`repro.histograms.soa` kernel
+and falls back to the organic replay whenever the kernel declines.
 
 A keyed store holds one histogram per key, so an instance holds its own
 columns, a size census (a list: entry ``j`` counts the buckets of size
@@ -44,14 +47,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from repro.core.batching import EngineBase, TimedValue, ingest_trace
+from repro.core.batching import TimedValue, ingest_trace
 from repro.core.decay import DecayFunction, SlidingWindowDecay
 from repro.core.errors import InvalidParameterError
-from repro.core.estimate import Estimate
-from repro.core.merging import align_merge_clocks, require_merge_operand
-from repro.histograms.buckets import Bucket, interleave_buckets
-from repro.histograms.domination import compose_merge_epsilon
-from repro.histograms.soa import BucketColumns, eh_bulk_ingest
+from repro.histograms.buckets import Bucket
+from repro.histograms.soa import MAX_TOTAL, BucketColumns, eh_bulk_ingest
 from repro.storage.model import StorageReport, bits_for_value
 
 __all__ = ["ExponentialHistogram", "SlidingWindowSum"]
@@ -62,21 +62,21 @@ __all__ = ["ExponentialHistogram", "SlidingWindowSum"]
 _UNARY_CUTOVER = 16
 
 
-def _census(counts: Iterable[float]) -> list[int]:
+def _census(counts: Iterable[int]) -> list[int]:
     """Buckets per size: entry ``j`` counts the buckets of size ``2**j``,
     up to the largest size present.  Every count is a power of two: the
     cascades pair equal sizes (on a shard-merged list too), and ``check``
     refuses any other count on restore."""
     per: list[int] = []
     for count in counts:
-        j = int(count).bit_length() - 1
+        j = count.bit_length() - 1
         if j >= len(per):
             per.extend([0] * (j + 1 - len(per)))
         per[j] += 1
     return per
 
 
-class ExponentialHistogram(BucketColumns, EngineBase):
+class ExponentialHistogram(BucketColumns):
     """Sliding-window 0/1 counter with ``(1 +- eps)`` guarantees.
 
     ``window=None`` builds an *unbounded* EH that never expires buckets;
@@ -84,47 +84,23 @@ class ExponentialHistogram(BucketColumns, EngineBase):
     Theorem 1) use this mode, with ``N`` equal to elapsed time.
     """
 
-    __slots__ = (
-        "window",
-        "epsilon",
-        "buckets_per_size",
-        "effective_epsilon",
-        "_per_size",
-        "_time",
-        "_total",
-    )
+    __slots__ = ("buckets_per_size", "_per_size")
 
     #: The weight domain: a 0/1-stream structure counts integer arrivals.
     integer_weights = True
 
+    _zero = 0  # counts are ints
+
+    #: A straddling bucket's newest item is inside the window.
+    _straddle_floor = 1
+
     def __init__(self, window: int | None, epsilon: float) -> None:
-        if window is not None and window < 1:
-            raise InvalidParameterError(f"window must be >= 1, got {window}")
-        if not 0 < epsilon < 1:
-            raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
-        super().__init__()  # the columns: oldest first, sizes non-increasing
-        self.window = window
-        self.epsilon = float(epsilon)
+        super().__init__(window, epsilon)  # oldest first, sizes non-increasing
         # At most m+1 buckets of each size; m = ceil(1/eps) bounds the
         # straddling error by 1/(m+1) <= eps.
         self.buckets_per_size = math.ceil(1.0 / epsilon)
-        #: Composed error budget: ``epsilon`` until the first shard merge,
-        #: then grown by :func:`~repro.histograms.domination.
-        #: compose_merge_epsilon` per merge.
-        self.effective_epsilon = float(epsilon)
         #: Entry ``j`` counts the buckets of size ``2**j`` (see _census).
         self._per_size: list[int] = []
-        self._time = 0
-        self._total = 0  # sum of bucket counts (ints: powers of two)
-
-    @property
-    def time(self) -> int:
-        return self._time
-
-    @property
-    def total_in_buckets(self) -> int:
-        """Sum of all bucket counts (upper bound on the window count)."""
-        return self._total
 
     def add(self, value: float = 1.0) -> None:  # lintkit: hot
         """Record ``value`` ones at the current time.
@@ -138,7 +114,8 @@ class ExponentialHistogram(BucketColumns, EngineBase):
         append-and-cascade fast path; larger values go through the bulk
         path in ``O(m (log v + log total))`` work -- not the ``O(v)``
         unary loop -- and both produce a bucket list bit-identical to
-        ``v`` unary inserts (see :meth:`_bulk_insert`).
+        ``v`` unary inserts (see :meth:`_bulk_insert`).  A larger value
+        that would take the bucket total past the float range is refused.
         """
         if not value >= 0 or value % 1:  # NaN, inf and fractions too
             raise InvalidParameterError(
@@ -147,7 +124,8 @@ class ExponentialHistogram(BucketColumns, EngineBase):
         count = int(value)
         if count == 1:
             # Fast path: one unary insert IS the cascade process -- no need
-            # for the flattened simulation's run bookkeeping.
+            # for the flattened simulation's run bookkeeping, nor for the
+            # total's bound (see soa.MAX_TOTAL).
             t = self._time
             self.append(t, t, 1, 0)
             self._total += 1
@@ -159,6 +137,10 @@ class ExponentialHistogram(BucketColumns, EngineBase):
             else:
                 per.append(1)
         elif count:
+            if self._total + count > MAX_TOTAL:
+                raise InvalidParameterError(
+                    f"value must keep the histogram total finite, got {value}"
+                )
             self._bulk_insert(count)
 
     def add_batch(self, values: Sequence[float]) -> None:  # lintkit: hot
@@ -171,7 +153,8 @@ class ExponentialHistogram(BucketColumns, EngineBase):
         *single* flattened carry-propagation pass over the batch total,
         costing ``O(m (log sum_i v_i + log total))`` bucket work however
         many items the batch holds.  Validation happens up front, so a
-        rejected value leaves the structure untouched.
+        rejected value (or a batch that would take the total past the
+        float range) leaves the structure untouched.
         """
         total = 0
         for value in values:
@@ -183,6 +166,10 @@ class ExponentialHistogram(BucketColumns, EngineBase):
             total += int(value)
         if not total:
             return
+        if self._total + total > MAX_TOTAL:
+            raise InvalidParameterError(
+                "values must keep the histogram total finite"
+            )
         if total <= _UNARY_CUTOVER:
             # Small totals: the literal unary process beats the flattened
             # simulation's fixed setup cost (cutover measured empirically;
@@ -202,17 +189,6 @@ class ExponentialHistogram(BucketColumns, EngineBase):
         else:
             self._bulk_insert(total)
 
-    def advance(self, steps: int = 1) -> None:
-        if steps < 0:
-            raise InvalidParameterError(f"steps must be >= 0, got {steps}")
-        self._time += steps
-        # Expiry guard: only walk the bucket list when the oldest bucket
-        # can actually have left the window.
-        if self.window is not None:
-            ends = self.ends
-            if ends and ends[0] <= self._time - self.window:
-                self._expire()
-
     def ingest(
         self, items: Iterable[TimedValue], *, until: int | None = None
     ) -> None:
@@ -231,94 +207,6 @@ class ExponentialHistogram(BucketColumns, EngineBase):
                 self.advance_to(until)
             return
         ingest_trace(self, seq, until=until)
-
-    def query(self) -> Estimate:
-        """Estimate the count over the full window (ages ``0..W-1``)."""
-        if self.window is None:
-            return Estimate.exact(float(self._total))
-        return self.query_window(self.window)
-
-    def query_window(self, w: int) -> Estimate:
-        """Estimate the count of items with age ``< w`` (paper Lemma 4.1)."""
-        if w < 1:
-            raise InvalidParameterError(f"window must be >= 1, got {w}")
-        if self.window is not None and w > self.window:
-            raise InvalidParameterError(
-                f"window {w} exceeds structure window {self.window}"
-            )
-        cutoff = self._time - w  # items with arrival time > cutoff are inside
-        total = 0
-        straddle = 0
-        n_straddle = 0
-        # Newest first; the bucket list is end-sorted, so the first bucket
-        # ending at or before the cutoff terminates the walk.  In a
-        # freshly-built EH bucket spans are disjoint and only the oldest
-        # contributing bucket can straddle the boundary; after a shard
-        # merge (interleaved spans) each operand contributes at most one
-        # straddler, so every contributing bucket is tested.
-        starts = self.starts
-        ends = self.ends
-        counts = self.counts
-        for i in range(len(ends) - 1, -1, -1):
-            if ends[i] <= cutoff:
-                break
-            c = int(counts[i])
-            total += c
-            if starts[i] <= cutoff:
-                straddle += c
-                n_straddle += 1
-        if total == 0:
-            return Estimate.exact(0.0)
-        if n_straddle == 0:
-            # Every contributing bucket lies entirely inside the window, so
-            # the sum is exact: expiry only drops buckets with no item inside
-            # any window w <= W.
-            return Estimate.exact(float(total))
-        # Straddling buckets: each contributes at least its newest item
-        # (arrival b.end > cutoff), so at least one unit per straddler is
-        # certainly inside.  For the single-straddler (classic) case this is
-        # exactly the textbook ``[total - c + 1, total]`` bracket.
-        return Estimate(
-            value=float(total) - straddle / 2.0,
-            lower=float(total - straddle + n_straddle),
-            upper=float(total),
-        )
-
-    def merge(self, other: "ExponentialHistogram") -> None:
-        """Bucket-interleave merge of another EH over the same window.
-
-        Clocks are aligned by advancing the younger operand (expiry
-        included); the two end-sorted bucket lists are then merged
-        two-pointer style, the size census is recomputed from the union
-        list, and the error budgets compose additively
-        (:func:`~repro.histograms.domination.compose_merge_epsilon`).
-
-        The union list keeps both operands' buckets verbatim, so every
-        certified bracket stays sound; what is *lost* is the classic EH
-        size-run invariant (sizes need not be non-increasing oldest-first
-        any more), which is why the cascade/bulk-insert machinery merges by
-        union span and re-sorts when an insert disturbs end order.  Merging
-        with an empty operand is a bit-identical no-op, budget included.
-        """
-        require_merge_operand(self, other)
-        if self.window != other.window:
-            raise InvalidParameterError(
-                f"cannot merge windows {self.window} and {other.window}"
-            )
-        align_merge_clocks(self, other)
-        if not other.ends:
-            return
-        if self.ends:
-            self.effective_epsilon = compose_merge_epsilon(
-                self.effective_epsilon, other.effective_epsilon
-            )
-            union = interleave_buckets(self.bucket_view(), other.bucket_view())
-        else:
-            self.effective_epsilon = other.effective_epsilon
-            union = other.bucket_view()
-        self.load_buckets(union)
-        self._per_size = _census(self.counts)
-        self._total += other._total
 
     def check(self) -> None:
         """Refuse buckets no write can produce: every count is a positive
@@ -341,9 +229,7 @@ class ExponentialHistogram(BucketColumns, EngineBase):
                 raise InvalidParameterError(
                     f"EH bucket count must be a power of two, got {count}"
                 )
-        ends = self.ends
-        if any(a > b for a, b in zip(ends, ends[1:])):
-            raise InvalidParameterError("EH buckets must be in end-time order")
+        super().check()
         if self.effective_epsilon != self.epsilon:
             return
         m1 = self.buckets_per_size + 1
@@ -372,7 +258,7 @@ class ExponentialHistogram(BucketColumns, EngineBase):
         horizon = self.window if self.window is not None else max(1, self._time)
         ts_bits = bits_for_value(horizon)
         n = self.bucket_count()
-        max_size = max((int(c) for c in self.counts), default=1)
+        max_size = max(self.counts, default=1)
         size_exp_bits = bits_for_value(max(1, max_size.bit_length()))
         return StorageReport(
             engine="eh",
@@ -382,24 +268,19 @@ class ExponentialHistogram(BucketColumns, EngineBase):
             register_bits=bits_for_value(max(1, self._time)),
         )
 
-    def _load_buckets(self, buckets: Iterable[Bucket]) -> None:
-        """Adopt a row-wise bucket list wholesale (serialization restore).
-
-        Refuses what :meth:`check` refuses, before the size census reads a
-        NaN or infinite count as an integer; then rebuilds the census and
-        the running total from the rows.  The caller owns the clock and
-        sets ``effective_epsilon`` first (it decides the run check).
-        """
-        self.load_buckets(buckets)
-        self.check()
+    def _adopted(self, merged: bool) -> None:
+        """Rebuild the size census from the rows a restore or merge put
+        in place.  A merge keeps both operands' buckets verbatim, so sizes
+        need no longer be non-increasing oldest-first: the cascade then
+        pairs by scan (:meth:`_cascade_merged`) and :meth:`_bulk_insert`
+        re-sorts when an insert disturbs end order."""
         self._per_size = _census(self.counts)
-        self._total = sum(int(c) for c in self.counts)
 
     def _commit_bulk(
         self,
         starts: list[int],
         ends: list[int],
-        counts: list[float],
+        counts: list[int],
         levels: list[int],
         t_last: int,
     ) -> None:
@@ -411,7 +292,7 @@ class ExponentialHistogram(BucketColumns, EngineBase):
         """
         self.replace(starts, ends, counts, levels)
         self._per_size = _census(counts)
-        self._total = sum(int(c) for c in counts)
+        self._total = sum(counts)
         self._time = t_last
 
     def _bulk_insert(self, count: int) -> None:
@@ -448,7 +329,7 @@ class ExponentialHistogram(BucketColumns, EngineBase):
         size = 1
         while explicit or rep:
             run_begin = idx
-            while run_begin > 0 and int(buckets[run_begin - 1].count) == size:
+            while run_begin > 0 and buckets[run_begin - 1].count == size:
                 run_begin -= 1
             queue = buckets[run_begin:idx] + explicit  # oldest first
             idx = run_begin
@@ -613,23 +494,13 @@ class ExponentialHistogram(BucketColumns, EngineBase):
             else:
                 per.append(1)
 
-    def _expire(self) -> None:
-        if self.window is None:
-            return
-        cutoff = self._time - self.window
-        ends = self.ends
-        counts = self.counts
+    def _expiring(self, n: int) -> None:
+        """Take the ``n`` oldest buckets off the census; expiry takes the
+        oldest, hence largest, so trim it to the largest size left."""
         per = self._per_size
-        drop = 0
-        n = len(ends)
-        while drop < n and ends[drop] <= cutoff:
-            size = int(counts[drop])
-            self._total -= size
-            per[size.bit_length() - 1] -= 1
-            drop += 1
-        self.drop_head(drop)
-        # Expiry takes the oldest, hence largest, buckets: trim the census
-        # to the largest size left.
+        counts = self.counts
+        for i in range(n):
+            per[counts[i].bit_length() - 1] -= 1
         while per and not per[-1]:
             per.pop()
 

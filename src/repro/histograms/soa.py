@@ -1,14 +1,19 @@
-"""Structure-of-arrays bucket columns and the histograms' bulk kernels.
+"""The one sliding-window bucket histogram, and the histograms' bulk kernels.
 
-The histogram engines (:class:`~repro.histograms.eh.ExponentialHistogram`,
-:class:`~repro.histograms.domination.DominationHistogram`, and through them
-:class:`~repro.histograms.ceh.CascadedEH`) are :class:`BucketColumns`: they
-keep their live bucket state in four parallel columns (starts, ends,
-counts, levels) held in their own slots, instead of a list of
-:class:`~repro.histograms.buckets.Bucket` objects or a column object of
-their own (a keyed store holds one histogram per key).  The columns are
-plain Python lists: CPython list indexing beats numpy scalar indexing by
-2-3x on the per-item hot paths (``add``/``advance``).
+Paper section 4.1 describes the EH's merge rule as one case of domination
+merging, and both histograms keep end-sorted buckets over one window,
+expire a head prefix, answer a window newest-first and merge shards by
+interleaving buckets.  :class:`BucketColumns` is that histogram, once:
+:class:`~repro.histograms.eh.ExponentialHistogram` and
+:class:`~repro.histograms.domination.DominationHistogram` (and through them
+:class:`~repro.histograms.ceh.CascadedEH`) add only their insert and
+compaction rule, count check and storage report.  As in the flattened EH
+of Sun & Li (PAPERS.md), the buckets are four parallel columns (starts,
+ends, counts, levels) in the histogram's own slots, not
+:class:`~repro.histograms.buckets.Bucket` objects (a keyed store holds one
+histogram per key).  The columns are plain Python lists: CPython list
+indexing beats numpy scalar indexing by 2-3x on the per-item hot paths
+(``add``/``advance``).
 
 Each bulk kernel has exactly one implementation, the faster of the
 measured candidates: the EH level walk, its closed-form pairs and the
@@ -50,14 +55,23 @@ WBMH bulk kernel
     would produce the same floats, so the kernel also declines on a sealed
     integer leaf above ``2**53`` (Python sums it exactly before rounding),
     on any sealed integer leaf without a quantizer (Python keeps the sums
-    integers), and on any folded sum that overflows to infinity.
+    integers), and on any weight the engine refuses
+    (:data:`WBMH_MAX_WEIGHT`).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+import sys
+from typing import (
+    TYPE_CHECKING, Any, ClassVar, Iterable, Iterator, Sequence, TypeVar,
+)
 
+from repro.core.batching import EngineBase
+from repro.core.errors import InvalidParameterError
+from repro.core.estimate import Estimate
+from repro.core.merging import align_merge_clocks, require_merge_operand
 from repro.histograms.buckets import Bucket
 
 if TYPE_CHECKING:
@@ -67,9 +81,12 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BucketColumns",
+    "compose_merge_epsilon",
     "eh_bulk_ingest",
     "wbmh_bulk_ingest",
     "domination_merge_possible",
+    "MAX_TOTAL",
+    "WBMH_MAX_WEIGHT",
 ]
 
 #: Bulk EH ingestion expands per-tick totals into unit arrivals; traces
@@ -81,27 +98,90 @@ _EH_EXPANSION_CAP = 1024
 #: Integers up to this bound convert to float64 exactly.
 _EXACT_INT = 1 << 53
 
+#: The largest bucket total a write or merge may leave: every read
+#: converts the total (an int on the EH) to a float.  An EH's unit add is
+#: not checked: from here ``float()`` overflows only ``2**970`` units on,
+#: at :data:`_FLOAT_LIMIT`, which no stream reaches one unit at a time.
+MAX_TOTAL = sys.float_info.max
 
-class BucketColumns:
-    """Structure-of-arrays bucket store: four parallel columns.
+#: The least int that ``float()`` rounds to ``inf``; a restored total must
+#: stay below it.
+_FLOAT_LIMIT = 2**1024 - 2**970
+
+#: The largest weight a WBMH takes: ``2**-64`` of the float range, so a
+#: count reaches ``inf`` only after about ``2**64`` maximal writes, and a
+#: merge's quantizer never sees one.  A bound on one value keeps a keyed
+#: WBMH column stateless.
+WBMH_MAX_WEIGHT = math.ldexp(sys.float_info.max, -64)
+
+_H = TypeVar("_H", bound="BucketColumns")
+
+
+def compose_merge_epsilon(eps_a: float, eps_b: float) -> float:
+    """Error budget of a merged histogram: straddling masses *add*.
+
+    Each operand certifies that any window answer is off by at most an
+    ``eps`` fraction of its own newer mass.  The union structure carries
+    both operands' buckets, so a boundary can straddle one (post-compaction,
+    several) bucket *per operand*: the merged structure's straddling
+    uncertainty is bounded by the sum of the budgets.  Merging K shards
+    pairwise therefore costs ``K * eps`` -- the explicit composition rule
+    CL008 accounts against.
+    """
+    if eps_a <= 0 or eps_b <= 0:
+        raise InvalidParameterError("epsilon budgets must be positive")
+    return eps_a + eps_b
+
+
+class BucketColumns(EngineBase):
+    """The sliding-window bucket histogram, in four parallel columns.
 
     ``starts``/``ends`` are arrival-time stamps, ``counts`` the bucket
-    totals (ints for EH powers of two, floats for domination), and
-    ``levels`` the merge depths.  Rows are oldest-first and end-sorted,
-    exactly like the former ``list[Bucket]`` representation; the engines
-    subclass it, index the columns directly on their hot paths and
-    materialize :class:`Bucket` rows only at the ``bucket_view()``
-    boundary.  It defines no ``__len__``, so an empty histogram is still
-    truthy; the engines count rows with ``bucket_count()``.
+    totals (of the type of the class's ``_zero``: ints for the EH's powers
+    of two, floats for domination), and ``levels`` the merge depths.  Rows
+    are oldest-first and end-sorted; subclasses index the columns directly
+    on their hot paths and materialize :class:`Bucket` rows only at the
+    ``bucket_view()`` boundary.  ``window=None`` never expires a bucket
+    (infinite-support decay).  It defines no ``__len__``, so an empty
+    histogram is still truthy; count rows with ``bucket_count()``.
     """
 
-    __slots__ = ("starts", "ends", "counts", "levels")
+    __slots__ = ("starts", "ends", "counts", "levels", "window", "epsilon",
+                 "effective_epsilon", "_time", "_total")
 
-    def __init__(self) -> None:
+    #: The zero of the class's count type: the empty total, and where every
+    #: sum over the counts starts.
+    _zero: ClassVar[float] = 0.0
+
+    #: Items a straddling bucket surely holds inside any window it reaches:
+    #: its newest one when items are units (the EH), none for real values.
+    _straddle_floor: ClassVar[int] = 0
+
+    def __init__(self, window: int | None, epsilon: float) -> None:
+        if window is not None and window < 1:
+            raise InvalidParameterError(f"window must be >= 1, got {window}")
+        if not 0 < epsilon < 1:
+            raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
         self.starts: list[int] = []
         self.ends: list[int] = []
-        self.counts: list[float] = []
+        self.counts: list[Any] = []
         self.levels: list[int] = []
+        self.window = window
+        self.epsilon = float(epsilon)
+        #: Composed error budget: ``epsilon`` until the first shard merge,
+        #: then grown by :func:`compose_merge_epsilon` per merge.
+        self.effective_epsilon = float(epsilon)
+        self._time = 0
+        self._total = self._zero  # sum of the counts
+
+    @property
+    def time(self) -> int:
+        return self._time
+
+    @property
+    def total_in_buckets(self) -> float:
+        """Sum of all bucket counts (upper bound on any window's sum)."""
+        return self._total
 
     def bucket_count(self) -> int:
         return len(self.ends)
@@ -112,48 +192,194 @@ class BucketColumns:
         self.counts.append(count)
         self.levels.append(level)
 
-    def drop_head(self, n: int) -> None:
-        """Drop the ``n`` oldest rows (expiry consumes a head prefix)."""
-        if n:
-            del self.starts[:n]
-            del self.ends[:n]
-            del self.counts[:n]
-            del self.levels[:n]
-
     def replace(
         self,
         starts: list[int],
         ends: list[int],
-        counts: list[float],
+        counts: list[Any],
         levels: list[int],
     ) -> None:
-        """Adopt new columns wholesale (bulk-kernel commit)."""
+        """Adopt new columns wholesale (bulk-kernel commit, merge)."""
         self.starts = starts
         self.ends = ends
         self.counts = counts
         self.levels = levels
 
     def load_buckets(self, buckets: Iterable[Bucket]) -> None:
-        """Replace the contents from a row-wise bucket list (serialize,
-        merge)."""
-        starts: list[int] = []
-        ends: list[int] = []
-        counts: list[float] = []
-        levels: list[int] = []
-        for b in buckets:
-            starts.append(b.start)
-            ends.append(b.end)
-            counts.append(b.count)
-            levels.append(b.level)
-        self.replace(starts, ends, counts, levels)
+        """Replace the contents from a row-wise bucket list."""
+        rows = list(buckets)
+        self.replace(
+            [b.start for b in rows],
+            [b.end for b in rows],
+            [b.count for b in rows],
+            [b.level for b in rows],
+        )
 
     def bucket_view(self) -> list[Bucket]:
         """Snapshot of live buckets as row objects, oldest first (consumed
-        by CEH, merges and serialization)."""
+        by serialization and the sketches)."""
         return [
             Bucket(s, e, c, lv)
             for s, e, c, lv in zip(self.starts, self.ends, self.counts, self.levels)
         ]
+
+    def advance(self, steps: int = 1) -> None:
+        if steps < 0:
+            raise InvalidParameterError(f"steps must be >= 0, got {steps}")
+        self._time += steps
+        # Expiry guard: only walk the rows when the oldest bucket can
+        # actually have left the window.
+        window = self.window
+        if window is not None:
+            ends = self.ends
+            if ends and ends[0] <= self._time - window:
+                self._expire(self._time - window)
+
+    def _expire(self, cutoff: int) -> None:
+        """Drop the head rows that ended at or before ``cutoff`` (expiry
+        consumes a head prefix), taking their counts off the total oldest
+        first."""
+        ends = self.ends
+        counts = self.counts
+        n = len(ends)
+        total = self._total
+        drop = 0
+        while drop < n and ends[drop] <= cutoff:
+            total -= counts[drop]
+            drop += 1
+        self._total = total
+        self._expiring(drop)
+        del self.starts[:drop]
+        del ends[:drop]
+        del counts[:drop]
+        del self.levels[:drop]
+
+    def _expiring(self, n: int) -> None:
+        """Hook: the ``n`` oldest rows are about to expire."""
+
+    def _adopted(self, merged: bool) -> None:
+        """Hook: a restore or (``merged``) a merge replaced the rows."""
+
+    def query(self) -> Estimate:
+        """Estimate the sum over the full window (ages ``0..W-1``); with no
+        window, the exact total."""
+        if self.window is None:
+            return Estimate.exact(float(self._total))
+        return self.query_window(self.window)
+
+    def query_window(self, w: int) -> Estimate:
+        """Estimate the sum of items with age ``< w`` (paper Lemma 4.1).
+
+        Newest first; the rows are end-sorted, so the first bucket ending
+        at or before the cutoff ends the walk.  A fresh histogram has at
+        most one straddler (disjoint spans); a shard-merged one can carry
+        one per operand, so every contributing bucket that starts outside
+        the window is summed into the slack, each holding at least
+        ``_straddle_floor`` items inside it: for one straddler of a unit
+        stream, the textbook ``[total - c + 1, total]`` bracket.
+        """
+        if w < 1:
+            raise InvalidParameterError(f"window must be >= 1, got {w}")
+        if self.window is not None and w > self.window:
+            raise InvalidParameterError(
+                f"window {w} exceeds structure window {self.window}"
+            )
+        cutoff = self._time - w  # items with arrival time > cutoff are inside
+        total = straddle = self._zero
+        n_straddle = 0
+        starts = self.starts
+        ends = self.ends
+        counts = self.counts
+        for i in range(len(ends) - 1, -1, -1):
+            if ends[i] <= cutoff:
+                break
+            total += counts[i]
+            if starts[i] <= cutoff:
+                straddle += counts[i]
+                n_straddle += 1
+        if not n_straddle:
+            # Every contributing bucket lies inside the window: exact, since
+            # expiry drops only buckets with no item inside any w <= W.
+            return Estimate.exact(float(total))
+        return Estimate(
+            value=float(total) - straddle / 2.0,
+            lower=float(total - straddle + self._straddle_floor * n_straddle),
+            upper=float(total),
+        )
+
+    def merge(self: _H, other: _H) -> None:
+        """Bucket-interleave merge of another histogram over the same window.
+
+        Clocks align by advancing the younger operand (expiry included);
+        the end-sorted columns then merge two-pointer style by ``(end,
+        start)``, ties to this histogram, and the error budgets add
+        (:func:`compose_merge_epsilon`).  The union keeps both operands'
+        buckets verbatim, so every certified bracket stays sound.  Merging
+        an empty operand is a bit-identical no-op, budget included; a
+        merge that would take the total past the float range is refused
+        once the clocks align.
+        """
+        require_merge_operand(self, other)
+        if self.window != other.window:
+            raise InvalidParameterError(
+                f"cannot merge windows {self.window} and {other.window}"
+            )
+        align_merge_clocks(self, other)
+        if not other.ends:
+            return
+        total = self._total + other._total
+        if not total <= MAX_TOTAL:
+            raise InvalidParameterError("merge must keep the total finite")
+        n = len(self.ends)
+        if n:
+            self.effective_epsilon = compose_merge_epsilon(
+                self.effective_epsilon, other.effective_epsilon
+            )
+        else:
+            self.effective_epsilon = other.effective_epsilon
+        # heapq.merge takes the lesser head of its two inputs each step: the
+        # two-pointer walk, with the index putting this histogram's row
+        # first on an (end, start) tie.
+        mine = zip(self.ends, self.starts, range(n))
+        theirs = zip(other.ends, other.starts, range(n, n + len(other.ends)))
+        order = [k for _, _, k in heapq.merge(mine, theirs)]
+        self.replace(*(
+            [both[k] for k in order]
+            for both in (self.starts + other.starts, self.ends + other.ends,
+                         self.counts + other.counts, self.levels + other.levels)
+        ))
+        self._total = total
+        self._adopted(True)
+
+    def check(self) -> None:
+        """Refuse rows out of end-time order, which the expiry and query
+        walks rely on and ``merge`` keeps; a subclass checks its counts
+        first.  Run on restore, never on the ingest path."""
+        ends = self.ends
+        if any(a > b for a, b in zip(ends, ends[1:])):
+            raise InvalidParameterError("histogram buckets must be in end-time order")
+
+    def _load_buckets(self, buckets: Iterable[Bucket]) -> None:
+        """Adopt restored rows (:func:`repro.serialize.engine_from_dict`).
+
+        Refuses what :meth:`check` refuses before any count is read as the
+        class's count type, and a total ``float()`` cannot hold; then holds
+        the counts as that type and rebuilds the total, oldest first.  The
+        caller owns the clock and sets ``effective_epsilon`` first (the
+        EH's check reads it).
+        """
+        self.load_buckets(buckets)
+        self.check()
+        zero = self._zero
+        kind = type(zero)
+        counts = self.counts = [kind(c) for c in self.counts]
+        total = sum(counts, zero)
+        if not total < _FLOAT_LIMIT:
+            raise InvalidParameterError(
+                "histogram buckets must total within the float range"
+            )
+        self._total = total
+        self._adopted(False)
 
 
 # --------------------------------------------------------------------- EH
@@ -194,25 +420,27 @@ def _eh_prescan(
         return None
     if total_units > 8 * len(ticks) + _EH_EXPANSION_CAP:
         return None
-    # Canonical-state checks: sizes are powers of two, non-increasing
-    # oldest-first (violated only after a shard merge), runs at rest never
-    # exceed the census cap, and nothing is already past the expiry
-    # cutoff.  Any violation routes the whole call to the organic replay.
+    if hist._total + total_units > MAX_TOTAL:
+        return None  # the organic replay refuses the write that passes it
+    # Canonical-state checks: sizes (positive ints, by the writes and the
+    # restore check) are powers of two, non-increasing oldest-first
+    # (violated only after a shard merge), runs at rest never exceed the
+    # census cap, and nothing is already past the expiry cutoff.  Any
+    # violation routes the whole call to the organic replay.
     counts = hist.counts
     ends = hist.ends
     cap = hist.buckets_per_size + 1
     prev_size = None
     run_len = 0
     for c in counts:
-        ci = int(c)
-        if ci != c or ci <= 0 or ci & (ci - 1):
+        if c & (c - 1):
             return None
-        if prev_size is not None and ci > prev_size:
+        if prev_size is not None and c > prev_size:
             return None
-        run_len = run_len + 1 if ci == prev_size else 1
+        run_len = run_len + 1 if c == prev_size else 1
         if run_len > cap:
             return None
-        prev_size = ci
+        prev_size = c
     for a, b in zip(ends, ends[1:]):
         if a > b:
             return None
@@ -343,9 +571,9 @@ def eh_bulk_ingest(
     n0 = len(counts_col)
     i = 0
     while i < n0:
-        size = int(counts_col[i])
+        size = counts_col[i]
         j = i
-        while j < n0 and int(counts_col[j]) == size:
+        while j < n0 and counts_col[j] == size:
             j += 1
         runs[size] = (
             hist.starts[i:j],
@@ -537,8 +765,8 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
     serialization uses.  Declines (``False``, nothing mutated) on: a
     non-fresh engine, a lattice with other columns (or a shared one),
     finite decay support (expiry interacts with the lattice), the scan
-    strategy, out-of-order or invalid input, a count the float64 fold
-    cannot reproduce, or any failed schedule self-check.
+    strategy, out-of-order input or a weight the engine refuses, a count
+    the float64 fold cannot reproduce, or any failed schedule self-check.
     """
     lattice = wbmh.lattice
     if (
@@ -560,15 +788,13 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
         v = item.value
         if not isinstance(t, int) or not isinstance(v, (int, float)):
             return False
-        if not v >= 0:  # also catches NaN
+        if not 0 <= v <= WBMH_MAX_WEIGHT:  # the organic replay refuses it
             return False
         if t < (times[-1] if times else 0):
             return False
         times.append(t)
         vals.append(v)
-    # An infinite weight passes the loop's check; the organic replay
-    # refuses it.
-    if not times or not sum(vals) < math.inf:
+    if not times:
         return False
     t_final = times[-1]
     w = lattice._seal_width
@@ -612,20 +838,18 @@ def wbmh_bulk_ingest(wbmh: "WBMH", items: Sequence["TimedValue"]) -> bool:
             if not isinstance(x, float) and (quantizer is None or x > _EXACT_INT):
                 return False
 
-    # Fold counts class by class, quantizing exactly as _merge_nodes does.
+    # Fold counts class by class, quantizing exactly as _merge_nodes does
+    # (no sum of fewer than 2**64 weights reaches inf).
     by_class: list[Any] = [leaves]
-    with np.errstate(over="ignore"):  # an overflowing sum declines below
-        for s in range(1, top_class + 1):
-            pairs = 2 * created[s]
-            below = by_class[s - 1]
-            sums = below[0:pairs:2] + below[1:pairs:2]
-            if quantizer is not None:
-                scale = float(1 << quantizer.mantissa_bits(s))
-                m, e = np.frexp(sums)
-                sums = np.ldexp(np.floor(m * scale) / scale, e)
-            if not np.isfinite(sums).all():
-                return False
-            by_class.append(sums)
+    for s in range(1, top_class + 1):
+        pairs = 2 * created[s]
+        below = by_class[s - 1]
+        sums = below[0:pairs:2] + below[1:pairs:2]
+        if quantizer is not None:
+            scale = float(1 << quantizer.mantissa_bits(s))
+            m, e = np.frexp(sums)
+            sums = np.ldexp(np.floor(m * scale) / scale, e)
+        by_class.append(sums)
 
     # Survivors per class: nodes not yet consumed by the cascade above.
     # Classes descend oldest-first; within a class, index order is time

@@ -91,7 +91,11 @@ from repro.core.merging import (
 from repro.counters.approx_float import FixedQuantizer, LevelQuantizer
 from repro.histograms.boundaries import RegionSchedule
 from repro.histograms.buckets import Bucket
-from repro.histograms.soa import wbmh_bulk_ingest, wbmh_fresh_nodes
+from repro.histograms.soa import (
+    WBMH_MAX_WEIGHT,
+    wbmh_bulk_ingest,
+    wbmh_fresh_nodes,
+)
 from repro.storage.model import StorageReport, bits_for_value
 
 __all__ = ["Lattice", "WBMH"]
@@ -107,6 +111,11 @@ _ZERO = 0.0
 #: Column of a released engine: no row reaches it, so any further use of
 #: the engine fails loudly instead of reading a reused column.
 _DETACHED = 1 << 62
+
+#: The refusal of a weight outside the WBMH domain.
+_WEIGHT_DOMAIN = (
+    f"value must be finite and >= 0 (at most {WBMH_MAX_WEIGHT:.4g}), got {{}}"
+)
 
 
 class _Node:
@@ -777,10 +786,11 @@ class WBMH(EngineBase):
         return self._lat._seal_width
 
     def add(self, value: float = 1.0) -> None:
-        if not 0 <= value < math.inf:
-            raise InvalidParameterError(
-                f"value must be finite and >= 0, got {value}"
-            )
+        """Fold one weight into the live count.  A weight above
+        :data:`~repro.histograms.soa.WBMH_MAX_WEIGHT` is refused, so no
+        count a merge quantizes reaches ``inf``."""
+        if not 0 <= value <= WBMH_MAX_WEIGHT:
+            raise InvalidParameterError(_WEIGHT_DOMAIN.format(value))
         if value == 0:
             return
         lat = self._lat
@@ -811,12 +821,10 @@ class WBMH(EngineBase):
         live = lat._live
         col = self._col
         first = live[col]
-        inf = math.inf
+        most = WBMH_MAX_WEIGHT
         for value in values:
-            if not 0 <= value < inf:
-                raise InvalidParameterError(
-                    f"value must be finite and >= 0, got {value}"
-                )
+            if not 0 <= value <= most:
+                raise InvalidParameterError(_WEIGHT_DOMAIN.format(value))
             if value == 0:
                 continue
             if not have:

@@ -4,11 +4,14 @@ A metamorphic law is re-evaluated hundreds of times by the trace shrinker,
 and a shrunk reproducer is checked into the regression corpus on the
 strength of a single failing run.  Both collapse if a law is impure:
 
-* a **wall-clock read** makes the verdict depend on when it ran;
 * **unseeded randomness** (the module-global RNG, or ``random.Random()``
   with no/None seed) makes the verdict irreproducible;
 * **mutating the trace argument** corrupts the very object the shrinker
   is about to re-check, silently invalidating every later evaluation.
+
+A wall-clock read would make the verdict depend on when it ran, but
+RK001 reports every wall-clock read in the tree, laws included, so this
+rule does not report it a second time.
 
 Scoped to the law catalog (``src/repro/conformance/laws*.py``): that is
 where every law lives, by construction, so purity of those files is
@@ -25,26 +28,6 @@ from repro.lintkit.registry import Rule, Violation, register
 
 if TYPE_CHECKING:
     from repro.lintkit.engine import FileContext
-
-#: Wall-clock reads (the RK001 set): banned outright inside laws.
-_WALLCLOCK = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "time.localtime",
-        "time.gmtime",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
 
 #: Method names that mutate their receiver in place.
 _MUTATORS = frozenset(
@@ -96,12 +79,12 @@ def _seed_missing_or_none(node: ast.Call) -> bool:
 @register
 class PureLawsRule(Rule):
     rule_id = "RK007"
-    title = "conformance laws must be pure (no clock, no entropy, no mutation)"
+    title = "conformance laws must be pure (no entropy, no mutation)"
     rationale = (
         "The shrinker re-evaluates laws hundreds of times and corpus "
-        "reproducers are trusted from one failing run; wall-clock reads, "
-        "unseeded RNG, or mutation of the trace argument make law verdicts "
-        "non-reproducible."
+        "reproducers are trusted from one failing run; unseeded RNG or "
+        "mutation of the trace argument make law verdicts non-reproducible "
+        "(RK001 reports wall-clock reads)."
     )
 
     def applicable(self, parts: tuple[str, ...]) -> bool:
@@ -136,14 +119,6 @@ class PureLawsRule(Rule):
         self, ctx: FileContext, imports: ImportMap, node: ast.Call
     ) -> Iterator[Violation]:
         target = resolve_call(imports, node)
-        if target in _WALLCLOCK:
-            yield self.violation(
-                ctx,
-                node,
-                f"wall-clock call `{target}` inside a conformance law; law "
-                "verdicts must not depend on when they run",
-            )
-            return
         if target is not None and target.startswith("random."):
             tail = target.split(".", 1)[1]
             if target == "random.Random":

@@ -11,11 +11,13 @@ defines both ``engine_to_dict`` and ``engine_from_dict``:
 
 * **attribute coverage** -- every persistent attribute (``__slots__``
   union ``__init__`` assignments) of each engine class named in an
-  ``isinstance`` branch must be accessed by either codec side (directly
-  or through a property/method the codec calls) or rebuilt by the
-  constructor from its parameters.  There is no exemption: an engine's
-  state is exactly what its snapshot holds or its constructor derives,
-  so a cache kept beside that state is a finding;
+  ``isinstance`` branch, or of a project base class it inherits
+  (:meth:`~repro.lintkit.graph.ProjectGraph.mro`), must be accessed by
+  either codec side (directly or through a property/method the codec
+  calls) or rebuilt by a constructor along that chain from its
+  parameters.  There is no exemption: an engine's state is exactly what
+  its snapshot holds or its constructor derives, so a cache kept beside
+  that state is a finding;
 * **read keys exist** -- every ``data["k"]`` a restore branch requires
   must be written by the matching serialize branch (``.get`` reads have
   defaults and are exempt);
@@ -357,9 +359,14 @@ class SerializationCompletenessRule(ProjectRule):
         path: str,
     ) -> Iterator[Violation]:
         covered = _expand_attr_coverage(graph, cls, tb.attrs | from_attrs)
-        covered |= cls.ctor_covered
-        for attr in sorted(cls.state_attrs() - covered):
-            anchor = cls.init_attr_lines.get(attr)
+        state: dict[str, ClassInfo] = {}
+        for owner in graph.mro(cls):
+            covered |= owner.ctor_covered
+            for attr in owner.state_attrs():
+                state.setdefault(attr, owner)
+        for attr in sorted(state.keys() - covered):
+            owner = state[attr]
+            anchor = owner.init_attr_lines.get(attr)
             yield Violation(
                 rule_id=self.rule_id,
                 path=path,
@@ -371,7 +378,7 @@ class SerializationCompletenessRule(ProjectRule):
                     "derive it in the constructor"
                 ),
                 evidence=(
-                    f"{cls.qualname}.{attr}"
+                    f"{owner.qualname}.{attr}"
                     + (f" (line {anchor})" if anchor else ""),
                 ),
             )

@@ -345,6 +345,19 @@ class StoreFront(ABC):
             )
 
 
+def _last_seen(key: str, state: Mapping[str, Any], time: int) -> int:
+    """A snapshot key's last-seen tick, refused unless a write at or before
+    the store clock ``time`` could have set it: a tick ahead of the clock
+    would hold the TTL index's head and stop every later eviction."""
+    last = state["last_seen"]
+    if type(last) is not int or not 0 <= last <= time:
+        raise InvalidParameterError(
+            f"snapshot key {key!r} was last seen at {last!r}, not a tick "
+            f"in [0, {time}]"
+        )
+    return last
+
+
 class ServiceStore(StoreFront):
     """Per-key decaying sums behind the ingestion daemon and query API.
 
@@ -649,7 +662,8 @@ class ServiceStore(StoreFront):
         WBMH key whose buckets match the lattice a fresh key has there
         joins it, and any other keeps a private lattice.  A key whose
         engine is not the store's own kind (class, decay, epsilon, CEH
-        backend and estimator) is refused.
+        backend and estimator), or whose last-seen tick is not an integer
+        in ``[0, time]``, is refused.
         """
         cls._check_head(data)
         store = cls(
@@ -665,7 +679,8 @@ class ServiceStore(StoreFront):
             ledger["evicted_keys"], ledger["evicted_weight"]
         )
         keys = sorted(
-            data["keys"].items(), key=lambda item: int(item[1]["last_seen"])
+            data["keys"].items(),
+            key=lambda item: _last_seen(*item, store._time),
         )
         for key, state in keys:
             if state.get("sharded"):
@@ -680,7 +695,7 @@ class ServiceStore(StoreFront):
                     f"store at {store._time}"
                 )
             store._keyed.restore(key, engine)
-            store._last_seen[key] = int(state["last_seen"])
+            store._last_seen[key] = state["last_seen"]
         return store
 
     def restore(self, data: dict[str, Any]) -> None:

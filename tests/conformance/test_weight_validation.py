@@ -86,3 +86,38 @@ def test_register_refuses_weights_that_overflow_it(name: str) -> None:
     with pytest.raises(InvalidParameterError):
         engine.add_batch([1.0, sys.float_info.max])
     assert _triplet(engine) == before
+
+
+#: A weight each histogram holds, and the one it then refuses with it.
+HISTOGRAM_FIRST = {
+    "sliwin": 2**1023,
+    "linear-ceh": 2**1023,
+    "domination": 1e308,
+    "ceh-domination": 1e308,
+    "polyd-wbmh": 1e288,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HISTOGRAM_FIRST))
+def test_histogram_refuses_weights_that_overflow_it(name: str) -> None:
+    # The histograms' counterpart of the register's refusal: an EH or
+    # domination histogram refuses a write or merge that takes its bucket
+    # total past the float range, which every read converts to a float,
+    # and a WBMH any weight above 2**-64 of it, so a column needs about
+    # 2**64 such writes before a merge's quantizer could see inf.
+    engine = FACTORIES[name]()
+    engine.add(HISTOGRAM_FIRST[name])
+    before = _triplet(engine)
+    big = sys.float_info.max
+    with pytest.raises(InvalidParameterError):
+        engine.add(big)
+    with pytest.raises(InvalidParameterError):
+        engine.add_batch([1.0, big])
+    with pytest.raises(InvalidParameterError):
+        engine.ingest([Item(0, big)])
+    if name != "polyd-wbmh":
+        other = FACTORIES[name]()
+        other.add(HISTOGRAM_FIRST[name])
+        with pytest.raises(InvalidParameterError):
+            engine.merge(other)
+    assert _triplet(engine) == before

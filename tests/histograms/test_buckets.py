@@ -1,9 +1,9 @@
-"""Unit tests for bucket records and merge arithmetic (paper section 2.3)."""
+"""Unit tests for bucket records (paper section 2.3)."""
 
 import pytest
 
 from repro.core.errors import InvalidParameterError
-from repro.histograms.buckets import Bucket, merge_buckets
+from repro.histograms.buckets import Bucket
 
 
 class TestBucket:
@@ -30,26 +30,3 @@ class TestBucket:
             Bucket(start=0, end=0, count=-1.0)
         with pytest.raises(InvalidParameterError):
             Bucket(start=0, end=0, count=1.0, level=-1)
-
-
-class TestMerge:
-    def test_merge_inherits_paper_rule(self):
-        # "the new bucket inherits the start-time of the earlier bucket, the
-        # end-time of the later bucket, and count-width which is the sum".
-        older = Bucket(start=0, end=2, count=3.0)
-        newer = Bucket(start=3, end=5, count=4.0)
-        merged = merge_buckets(older, newer)
-        assert (merged.start, merged.end, merged.count) == (0, 5, 7.0)
-
-    def test_merge_increments_level(self):
-        older = Bucket(0, 1, 1.0, level=2)
-        newer = Bucket(2, 3, 1.0, level=1)
-        assert merge_buckets(older, newer).level == 3
-
-    def test_merge_rejects_out_of_order(self):
-        with pytest.raises(InvalidParameterError):
-            merge_buckets(Bucket(4, 5, 1.0), Bucket(0, 1, 1.0))
-
-    def test_merge_rejects_overlap(self):
-        with pytest.raises(InvalidParameterError):
-            merge_buckets(Bucket(0, 3, 1.0), Bucket(3, 5, 1.0))

@@ -15,14 +15,16 @@ from __future__ import annotations
 import collections
 import itertools
 import json
+import math
 
 import pytest
 
 from repro.core.batching import ingest_trace
 from repro.core.decay import ExponentialDecay, PolynomialDecay
+from repro.core.errors import InvalidParameterError
 from repro.histograms.ceh import CascadedEH
 from repro.histograms.eh import ExponentialHistogram, SlidingWindowSum
-from repro.histograms.soa import eh_bulk_ingest, wbmh_bulk_ingest
+from repro.histograms.soa import WBMH_MAX_WEIGHT, eh_bulk_ingest, wbmh_bulk_ingest
 from repro.histograms.wbmh import WBMH, Lattice
 from repro.serialize import engine_to_dict
 from repro.streams.generators import StreamItem, bernoulli_stream, bursty_stream
@@ -75,12 +77,18 @@ class TestWbmhBulkIsExact:
 
     @pytest.mark.parametrize("quantize", [True, False], ids=["quantized", "exact"])
     def test_overflowing_fold_declines(self, quantize: bool):
-        # Two finite leaves whose sum overflows: the quantized organic
-        # merge raises on it, so the float64 fold must not commit inf.
-        items = [StreamItem(t, 1e308) for t in range(4)] + [StreamItem(40, 1.0)]
-        assert not run_kernel(
-            WBMH(PolynomialDecay(1.0), 0.1, quantize=quantize), items
-        )
+        # Leaves whose sums would overflow: the organic replay refuses a
+        # weight above WBMH_MAX_WEIGHT before any merge could reach inf,
+        # so the kernel declines wherever it refuses, just past the bound
+        # too, and commits nothing.
+        for big in (1e308, math.nextafter(WBMH_MAX_WEIGHT, math.inf)):
+            items = [StreamItem(t, big) for t in range(4)] + [StreamItem(40, 1.0)]
+            engine = WBMH(PolynomialDecay(1.0), 0.1, quantize=quantize)
+            fresh = snapshot_bytes(engine)
+            assert not run_kernel(engine, items)
+            assert snapshot_bytes(engine) == fresh
+            with pytest.raises(InvalidParameterError):
+                ingest_trace(engine, items)
 
 
 ENGINES = {

@@ -106,6 +106,18 @@ class TestEngineRoundtrip:
         assert est_r.lower == pytest.approx(est_o.lower)
         assert est_r.upper == pytest.approx(est_o.upper)
 
+    @pytest.mark.parametrize("name,factory", ENGINES, ids=[e[0] for e in ENGINES])
+    def test_restored_engine_reencodes_its_snapshot(self, name, factory):
+        # A restored EH holds the int counts its writes make, so a keyed
+        # store's snapshot re-encodes byte for byte after a restore.
+        integers = name.startswith(("eh", "sliwin", "ceh")) and "dom" not in name
+        rng = random.Random(hash(name) & 0xFFFF)
+        engine = factory()
+        drive(engine, [(rng.randint(0, 3), rng.uniform(1, 3)) for _ in range(150)],
+              integers=integers)
+        text = json.dumps(engine_to_dict(engine))
+        assert json.dumps(engine_to_dict(engine_from_dict(json.loads(text)))) == text
+
     def test_wbmh_bucket_lattice_survives(self):
         w = WBMH(PolynomialDecay(1.0), 0.15)
         for _ in range(300):

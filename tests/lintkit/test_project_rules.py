@@ -395,6 +395,28 @@ class TestRK012Mutants:
             for v in found
         ), [v.render() for v in found]
 
+    def test_unserialized_slot_on_a_project_base_fires(self):
+        # BucketColumns holds the clock, total and columns of both
+        # histograms: state declared on a base is checked for every engine
+        # class the codec names.
+        contexts = load_tree(
+            {
+                "repro/histograms/soa.py": (
+                    '"_time", "_total")',
+                    '"_time", "_total", "_junk")',
+                )
+            }
+        )
+        found = lint_contexts(contexts, select=["RK012"])
+        assert sorted(v.message.split()[0] for v in found) == [
+            "DominationHistogram._junk",
+            "ExponentialHistogram._junk",
+        ], [v.render() for v in found]
+        assert all(
+            "repro.histograms.soa.BucketColumns._junk" in v.evidence[0]
+            for v in found
+        )
+
 
 class TestRK012Synthetic:
     CODEC = """

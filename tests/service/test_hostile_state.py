@@ -18,9 +18,15 @@
   ``POST /restore`` and ``ShardedServiceStore.restore``, each refusal
   changes nothing, and both fronts answer it in the same words.  So is
   a key whose engine is sound but not the store's own kind: another
-  engine class or decay, or a CEH on another backend.
+  engine class or decay, or a CEH on another backend, and a key whose
+  last-seen tick is not an integer in [0, the snapshot clock].
   An EXPD merge that would overflow the register is refused as well, so
   no write leaves a store whose snapshot cannot be restored.
+* **No admitted write makes a later read raise.**  Two finite writes
+  that pass the float range together are refused by the EH and WBMH
+  engines before they change anything, so the daemon keeps folding and
+  the TTL sweep keeps reading; forward decay holds them and reads
+  ``inf`` only while the decayed sum passes ``DBL_MAX``.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from repro.core.forward import ForwardDecay
 from repro.histograms.ceh import CascadedEH
 from repro.serialize import engine_to_dict
 from repro.service.api import http_request
+from repro.service.daemon import IngestDaemon
 from repro.service.loadgen import ServiceHarness
 from repro.service.sharded import ShardedServiceStore, shard_of
 from repro.service.store import ServiceStore
@@ -160,7 +167,9 @@ def _finite_support() -> TableDecay:
 
 
 #: (decay, edit of one key's engine state): each is a state no write makes.
-PROBES: dict[str, tuple[Callable[[], Any], Callable[[dict[str, Any]], None]]] = {
+_ENGINE_PROBES: dict[
+    str, tuple[Callable[[], Any], Callable[[dict[str, Any]], None]]
+] = {
     "ewma-negative": (
         lambda: ExponentialDecay(0.05),
         lambda state: state.update(sum=-5.0),
@@ -286,6 +295,34 @@ PROBES: dict[str, tuple[Callable[[], Any], Callable[[dict[str, Any]], None]]] = 
 }
 
 
+def _on_engine(
+    edit: Callable[[dict[str, Any]], None],
+) -> Callable[[dict[str, Any]], None]:
+    """An edit of one key's engine state as an edit of its snapshot
+    record (``{"engine": ..., "last_seen": ...}``)."""
+    return lambda record: edit(record["engine"])
+
+
+#: (decay, edit of one key's snapshot record): each is a state no write
+#: makes.  A key's last-seen tick is an integer in [0, the store clock]
+#: (5 here): one in the future would sit ahead of every later key in the
+#: TTL index and stop eviction for all of them.
+PROBES: dict[str, tuple[Callable[[], Any], Callable[[dict[str, Any]], None]]] = {
+    **{
+        name: (decay, _on_engine(edit))
+        for name, (decay, edit) in _ENGINE_PROBES.items()
+    },
+    "last-seen-in-the-future": (
+        lambda: ExponentialDecay(0.05),
+        lambda record: record.__setitem__("last_seen", 10**9),
+    ),
+    "last-seen-negative": (
+        lambda: ExponentialDecay(0.05),
+        lambda record: record.__setitem__("last_seen", -5),
+    ),
+}
+
+
 def _feed(store) -> None:
     store.observe_batch(
         [KeyedItem(key, t, 1.0 + t) for t in range(6) for key in "ab"]
@@ -299,7 +336,7 @@ def _snapshots(probe: str) -> tuple[Any, dict[str, Any], dict[str, Any]]:
     _feed(store)
     good = store.to_dict()
     bad = copy.deepcopy(good)
-    edit(bad["keys"]["a"]["engine"])
+    edit(bad["keys"]["a"])
     return make_decay(), good, bad
 
 
@@ -393,3 +430,94 @@ def test_overflowing_merge_is_refused_and_the_store_stays_restorable(
             assert store.query("a").value == 1e308
     finally:
         store.close()
+
+
+#: (decay, ttl, the tick j lands at, how many of the two writes of
+#: 1.7e308 to k its engine refuses, what k then reads).  Each write is
+#: finite; the two pass the float range together.  Without the refusals,
+#: the WBMH pair overflowed a merge at the next seal (the daemon's
+#: consumer died on the OverflowError), the EH pair made every read of k
+#: and the TTL sweep raise, and the forward pair read inf, then NaN once
+#: the rescale underflowed.
+OVERFLOWING_WRITES = {
+    # A WBMH weight above 2**-64 of the float range is refused outright.
+    "wbmh": (PolynomialDecay(1.0), None, 500, 2, None),
+    # The EH refuses the write that takes its bucket total past it.
+    "eh": (SlidingWindowDecay(512), 50, 500, 1, 1.7e308),
+    # Forward decay holds both: their sum passes DBL_MAX at tick 0 and
+    # decays to a finite one later.
+    "fwd": (ForwardDecay("exp", 0.05), 100, 40_000, 0, math.inf),
+}
+
+
+@pytest.mark.parametrize("family", sorted(OVERFLOWING_WRITES))
+@pytest.mark.parametrize("workers", [None, 2], ids=["single", "sharded"])
+def test_overflowing_writes_leave_the_daemon_folding(family, workers) -> None:
+    decay, ttl, land, refused, k_reads = OVERFLOWING_WRITES[family]
+    front = (
+        ServiceStore(decay, 0.1, ttl=ttl)
+        if workers is None
+        else ShardedServiceStore(decay, 0.1, ttl=ttl, workers=workers)
+    )
+
+    async def main() -> None:
+        daemon = IngestDaemon(front)
+        await daemon.start()
+        try:
+            for _ in range(2):
+                await daemon.submit(KeyedItem("k", 0, 1.7e308))
+                await daemon.drain()
+            assert front.keys() == ([] if k_reads is None else ["k"])
+            if k_reads is not None:
+                assert front.query("k").value == k_reads
+            await daemon.submit(KeyedItem("j", land, 1.0))
+            await daemon.drain()
+            stats = daemon.stats()
+            assert stats["running"]
+            assert stats["fold_errors"] == refused
+            assert front.time == land
+            assert front.keys() == ["j"]
+            assert front.query("j").value == 1.0
+            # The TTL sweep at land read k and evicted it.
+            assert front.stats()["evicted_keys"] == (0 if k_reads is None else 1)
+        finally:
+            await daemon.stop()
+
+    try:
+        asyncio.run(main())
+        assert ServiceStore.from_dict(front.to_dict()).keys() == ["j"]
+    finally:
+        front.close()
+
+
+def test_eh_refuses_the_write_past_the_float_range() -> None:
+    # The histogram counterpart of the EXPD register's refusal
+    # (tests/conformance/test_weight_validation.py): no write leaves a
+    # bucket total that a read converts to inf.
+    store = ServiceStore(SlidingWindowDecay(512), 0.1, ttl=50)
+    store.observe("k", 1.7e308, when=0)
+    with pytest.raises(InvalidParameterError, match="total finite"):
+        store.observe("k", 1.7e308, when=0)
+    assert store.query("k").value == 1.7e308
+    store.observe("j", 1.0, when=100)  # the TTL sweep reads k
+    assert store.stats()["evicted_weight"] == 1.7e308
+    assert store.keys() == ["j"]
+
+
+def test_forward_reads_inf_only_while_the_decayed_sum_passes_dbl_max() -> None:
+    # Two near-DBL_MAX items at tick 0 make a scale block worth more than
+    # DBL_MAX; the answer is inf only while the decayed sum is.
+    store = ServiceStore(ForwardDecay("exp", 0.05), ttl=100)
+    store.observe("k", 1.7e308, when=0)
+    store.observe("k", 1.7e308, when=0)
+    assert store.query("k").value == math.inf
+    store.observe("j", 1.0, when=5)
+    store.advance_to(20)
+    assert store.query("k").value == pytest.approx(1.7e308 * math.exp(-1) * 2)
+    # The TTL sweep at 40,000 reads both keys (k's rescale underflows to
+    # 0.0), then j is written afresh.
+    store.observe("j", 1.0, when=40_000)
+    stats = store.stats()
+    assert (stats["evicted_keys"], stats["evicted_weight"]) == (2, 0.0)
+    assert stats["ingested_items"] == 4
+    assert store.query("j").value == 1.0
